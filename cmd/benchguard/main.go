@@ -5,16 +5,19 @@
 //   - Hard failures (exit 1): the committed file is missing, unparsable,
 //     or structurally wrong; the committed largest cell does not carry a
 //     ≥2× speedup over the seed baseline; any freshly-run cell reports
-//     World serial and parallel as non-identical; the hot loop's measured
-//     steady-state allocation rate reaches max-allocs-per-event (default
-//     0.5 — the point where a `go test -benchmem` report would round to
-//     ≥1 alloc per event).
-//   - Advisory (exit 0 with a warning): the fresh quick run's engine
-//     throughput falls below a generous floor relative to the committed
-//     numbers. Timing on shared CI machines is noisy, so only an order-of-
-//     magnitude collapse is treated as a real regression. (The allocation
-//     gate has no such latitude: allocation counts are deterministic, so
-//     it is a hard gate even on noisy hardware.)
+//     World serial and parallel as non-identical; the probe cell's engine
+//     events per completed request exceed maxEventsPerReq (so event
+//     coalescing, such as one completion event per GPU wave, cannot
+//     silently regress); the hot loop's measured steady-state allocation
+//     rate reaches max-allocs-per-event (default 0.5 — the point where a
+//     `go test -benchmem` report would round to ≥1 alloc per event).
+//   - Advisory (exit 0 with a warning): the fresh probe's completed
+//     requests per host second fall below a generous floor relative to
+//     the committed largest cell's. Timing on shared CI machines is noisy,
+//     so only an order-of-magnitude collapse is treated as a real
+//     regression. (The event-count and allocation gates have no such
+//     latitude: both counts are deterministic, so they are hard gates even
+//     on noisy hardware.)
 //
 // Usage:
 //
@@ -30,10 +33,21 @@ import (
 	"paella/internal/experiments"
 )
 
+// The probe cell is one T4 replica serving 400 requests of the scale
+// workload on the legacy engine.
+const (
+	probeReplicas = 1
+	probeJobs     = 400
+	// maxEventsPerReq is about 5 % above the probe's count with one
+	// completion event per GPU wave (1,444.3; it was 3,349.4 with one
+	// event per SM per wave).
+	maxEventsPerReq = 1520
+)
+
 func main() {
 	ref := flag.String("ref", "BENCH_scale.json", "committed scale benchmark document")
 	minSpeedup := flag.Float64("min-speedup", 2.0, "required speedup over the seed baseline in the committed document")
-	floor := flag.Float64("floor", 0.1, "fresh events/s may not fall below this fraction of the committed rate (hard gate)")
+	floor := flag.Float64("floor", 0.1, "fresh completed requests per host second may not fall below this fraction of the committed rate (hard gate)")
 	maxAllocs := flag.Float64("max-allocs-per-event", 0.5, "steady-state heap allocations per engine event must stay below this (hard gate)")
 	flag.Parse()
 
@@ -81,23 +95,35 @@ func main() {
 		fatal("quick scale run failed: %v", err)
 	}
 
-	// Timing gate: compare the committed legacy-engine event rate to a
-	// second, tiny in-process measurement. CI boxes differ wildly from the
-	// machine that generated the committed file, so only a collapse below
-	// floor × committed is fatal; anything else is advisory.
-	refRate := last.Engines[0].EventsPS
-	fresh, err := experiments.MeasureScaleCell(1, 400)
+	// Timing gate: compare the committed legacy engine's request rate to a
+	// second, tiny in-process measurement. Requests per host second, not
+	// events per second: one event can complete a whole GPU wave, so event
+	// rates stop being comparable across engine changes, while the
+	// committed file's completed/wall_sec stays meaningful. CI boxes differ
+	// wildly from the machine that generated the committed file, so only a
+	// collapse below floor × committed is fatal; anything else is advisory.
+	refRate := float64(last.Engines[0].Completed) / last.Engines[0].WallSec
+	fresh, err := experiments.MeasureScaleCell(probeReplicas, probeJobs)
 	if err != nil {
 		fatal("measuring fresh cell: %v", err)
 	}
-	ratio := fresh.EventsPS / refRate
-	fmt.Printf("engine rate: fresh %.0f ev/s vs committed %.0f ev/s (%.2fx)\n",
-		fresh.EventsPS, refRate, ratio)
+	freshRate := float64(fresh.Completed) / fresh.WallSec
+	ratio := freshRate / refRate
+	fmt.Printf("engine rate: fresh %.0f req/s vs committed %.0f req/s (%.2fx)\n",
+		freshRate, refRate, ratio)
 	switch {
 	case ratio < *floor:
-		fatal("engine event rate collapsed below %.0f%% of the committed rate", *floor*100)
+		fatal("completed requests per host second collapsed below %.0f%% of the committed rate", *floor*100)
 	case ratio < 0.5:
-		fmt.Println("warning: engine event rate below half the committed rate (advisory; CI hardware varies)")
+		fmt.Println("warning: request rate below half the committed rate (advisory; CI hardware varies)")
+	}
+
+	// Event-count gate: the probe's events per completed request are a
+	// deterministic property of the engine and models, like allocations.
+	epr := float64(fresh.Steps) / float64(fresh.Completed)
+	fmt.Printf("probe cell: %.1f events per completed request (gate: ≤ %d)\n", epr, maxEventsPerReq)
+	if epr > maxEventsPerReq {
+		fatal("%.1f events per completed request (> %d): event coalescing regressed", epr, maxEventsPerReq)
 	}
 
 	// Allocation gate: the hot loop must stay allocation-free per event in

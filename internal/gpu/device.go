@@ -107,10 +107,10 @@ type Device struct {
 	notifQ *channel.NotifQueue
 	trace  *Trace
 
-	scheduled    bool // a scheduling pass is pending
-	rrCursor     int  // round-robin start queue for fairness
-	smCursor     int  // round-robin start SM for placement spreading
-	queued       int  // launches resident across all hardware queues
+	scheduled    bool   // a scheduling pass is pending
+	rrCursor     int    // round-robin start queue for fairness
+	smCursor     int    // round-robin start SM for placement spreading
+	queued       int    // launches resident across all hardware queues
 	occ          uint64 // bitmask of non-empty queues (used when nq ≤ 64)
 	stats        Stats
 	lastUtilAt   sim.Time
@@ -161,38 +161,47 @@ type Device struct {
 	// capScratch holds the eligible-SM capacity snapshot for the wave.
 	perSM      []smPlacement
 	capScratch []smCap
-	// doneFree and postFree recycle the block-completion and
-	// notification-delivery event objects. Each carries a closure
-	// preallocated at construction, so the per-block hot path — the bulk of
-	// all simulation events — schedules with zero allocations in steady
-	// state (see the alloc-free tests in device_test.go).
-	doneFree []*blockDone
+	// waveFree and postFree recycle the wave-completion and
+	// notification-delivery event objects, so the per-wave hot path
+	// schedules with zero allocations in steady state (see
+	// TestWaveEventsAllocFree).
+	waveFree []*waveDone
 	postFree []*notifPost
 }
 
-// blockDone is a pooled block-completion event: one per (SM, wave).
-type blockDone struct {
-	d      *Device
-	l      *Launch
-	smi, n int
-	fire   func()
+// waveDone is a pooled wave-completion event: the (SM, blocks) pairs that
+// one placeBlocks call put on the device, completed together when the
+// kernel's block duration elapses. DESIGN.md §15 gives the argument that
+// firing them from one event reproduces the per-SM event order exactly.
+type waveDone struct {
+	d   *Device
+	l   *Launch
+	sms []smPlacement
 }
 
-func (d *Device) newBlockDone() *blockDone {
-	if n := len(d.doneFree); n > 0 {
-		bd := d.doneFree[n-1]
-		d.doneFree[n-1] = nil
-		d.doneFree = d.doneFree[:n-1]
-		return bd
+func (d *Device) newWaveDone(l *Launch) *waveDone {
+	var w *waveDone
+	if n := len(d.waveFree); n > 0 {
+		w = d.waveFree[n-1]
+		d.waveFree[n-1] = nil
+		d.waveFree = d.waveFree[:n-1]
+	} else {
+		w = &waveDone{d: d}
 	}
-	bd := &blockDone{d: d}
-	bd.fire = func() {
-		l, smi, n := bd.l, bd.smi, bd.n
-		bd.l = nil
-		bd.d.doneFree = append(bd.d.doneFree, bd)
-		bd.d.completeBlocks(l, smi, n)
+	w.l = l
+	return w
+}
+
+// waveComplete is the wave-completion event: ctx is the *waveDone. Its SMs
+// complete in placement order, as their per-SM events used to.
+var waveComplete sim.EventFn = func(ctx any, _ uint64) {
+	w := ctx.(*waveDone)
+	d, l := w.d, w.l
+	for _, pl := range w.sms {
+		d.completeBlocks(l, pl.sm, pl.n)
 	}
-	return bd
+	w.l, w.sms = nil, w.sms[:0]
+	d.waveFree = append(d.waveFree, w)
 }
 
 // notifPost is a pooled notification-delivery event: one batch of notifQ
@@ -733,6 +742,15 @@ func (d *Device) placeBlocks(l *Launch) int {
 		return 0
 	}
 	now := d.env.Now()
+	// The wave's completions are all due at now+BlockDuration, and nothing
+	// else placed here is scheduled for that instant unless a notification
+	// post (due at now+NotifDelay) lands on it too. Otherwise no event can
+	// fall between the per-SM completions in (time, seq) order, so one
+	// event completing every SM in placement order is exact. When the two
+	// delays coincide, posts and completions interleave, and each SM keeps
+	// its own event.
+	perSMEvents := l.Spec.BlockDuration == d.cfg.NotifDelay
+	var wave *waveDone
 	for _, pl := range perSM {
 		smi, n := pl.sm, pl.n
 		if d.trace != nil {
@@ -746,9 +764,17 @@ func (d *Device) placeBlocks(l *Launch) int {
 		}
 		d.traceSM(smi)
 		d.emitNotifs(l, channel.Placement, uint8(smi), n)
-		bd := d.newBlockDone()
-		bd.l, bd.smi, bd.n = l, smi, n
-		d.env.DoAfter(l.Spec.BlockDuration, bd.fire)
+		if wave == nil {
+			wave = d.newWaveDone(l)
+		}
+		wave.sms = append(wave.sms, pl)
+		if perSMEvents {
+			d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, wave, 0)
+			wave = nil
+		}
+	}
+	if wave != nil {
+		d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, wave, 0)
 	}
 	return totalPlaced
 }

@@ -2,10 +2,9 @@ package sim
 
 // The event queue is a two-level structure exploiting the dominant
 // scheduling pattern of this simulator: events are pushed in *runs* that
-// share a due time (a GPU wave schedules one completion per SM, all at
-// now+BlockDuration; a notification batch lands at now+NotifDelay). In the
-// cluster benchmark ~70% of heap pushes carry the same timestamp as the
-// push immediately before them.
+// share a due time (a GPU wave's notification posts all land at
+// now+NotifDelay; launches placed in one pass with the same block duration
+// complete together).
 //
 // Instead of one heap node per timer, same-timestamp runs are stored as
 // FIFO *buckets* and the 4-ary min-heap orders buckets by the key

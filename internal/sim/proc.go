@@ -1,52 +1,118 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to the one that
+// introduced iter.Pull; the module's go line stays lower so that modules
+// requiring this one under an older go line keep building.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// Proc is a simulation process: a goroutine that advances only when the
-// event loop hands it control and that parks itself whenever it blocks on a
-// virtual-time primitive. At most one process (or event callback) runs at a
-// time, so simulations remain deterministic even though processes are real
-// goroutines under the hood.
+// Proc is a simulation process: code running on a runtime coroutine
+// (iter.Pull) that advances only when the event loop resumes it and that
+// yields back whenever it blocks on a virtual-time primitive. Resuming and
+// yielding are direct coroutine switches on the calling thread — no
+// scheduler wakeup, no channel — and at most one process (or event
+// callback) runs at a time, so simulations remain deterministic.
 //
 // Processes model the paper's stackful coroutines: a Paella job adaptor is
 // written as straight-line code calling blocking "CUDA" operations, and each
 // blocking call yields control back to the dispatcher's event loop (§4.2,
 // Fig. 7).
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	parked chan struct{}
-	done   bool
+	env  *Env
+	name string
+	fn   func(p *Proc)
+	// w is the coroutine running the process; nil once it has finished.
+	w    *worker
+	done bool
 	// dispatchFn is the preallocated wakeup closure. Sleep/Wait/WaitCond
 	// run once per simulated operation on hot paths; reusing one closure
 	// (and the pooled Do scheduling path) keeps wakeups allocation-free.
 	dispatchFn func()
 }
 
+// worker is a coroutine that runs processes one after another: when a
+// process returns, its worker parks in idleWorkers until a later Spawn
+// hands it the next one. Reuse saves a goroutine start per process, and it
+// keeps race-enabled builds bounded: through at least Go 1.24 a coroutine
+// that exits never releases its race-detector goroutine state (coroexit
+// skips racegoend), so a coroutine per process would leak a few KiB for
+// every finished process in such builds.
+// The pool is shared by every Env, so it holds no more idle workers than
+// the most processes ever alive at once; a worker never touches an Env
+// while idle.
+type worker struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc
+}
+
+var idleWorkers struct {
+	mu sync.Mutex // World shards spawn and retire processes concurrently
+	ws []*worker
+}
+
+func getWorker() *worker {
+	idleWorkers.mu.Lock()
+	if n := len(idleWorkers.ws); n > 0 {
+		w := idleWorkers.ws[n-1]
+		idleWorkers.ws[n-1] = nil
+		idleWorkers.ws = idleWorkers.ws[:n-1]
+		idleWorkers.mu.Unlock()
+		return w
+	}
+	idleWorkers.mu.Unlock()
+	w := new(worker)
+	// The stop function is never needed: an idle worker waits in the pool,
+	// and one whose process blocks forever is abandoned with its Env.
+	w.next, _ = iter.Pull(w.loop)
+	return w
+}
+
+func putWorker(w *worker) {
+	idleWorkers.mu.Lock()
+	idleWorkers.ws = append(idleWorkers.ws, w)
+	idleWorkers.mu.Unlock()
+}
+
+// loop is the coroutine body: run the assigned process, then yield to the
+// dispatch that resumed it, which returns the worker to the pool.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.p.run()
+		w.p = nil
+		yield(struct{}{})
+	}
+}
+
+// run executes the process function. A panic ends the worker's coroutine:
+// iter.Pull re-raises it from next(), i.e. inside the event callback that
+// resumed the process, so it surfaces from Env.Step.
+func (p *Proc) run() {
+	defer func() {
+		p.done = true
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	p.fn(p)
+}
+
 // Spawn starts fn as a new simulation process. The process begins running
 // at the current virtual time, after the currently-executing event returns.
-// The name appears in panic messages only.
+// The name appears in panic messages only. A panic inside fn resurfaces
+// from the Env.Step call that resumed the process, as
+// "sim: process <name> panicked: <value>".
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{env: e, name: name, fn: fn, w: getWorker()}
+	p.w.p = p
 	p.dispatchFn = p.dispatch
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.env.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				p.env.hasPanic = true
-			}
-			p.done = true
-			p.parked <- struct{}{}
-		}()
-		fn(p)
-	}()
 	e.DoAfter(0, p.dispatchFn)
 	return p
 }
@@ -60,24 +126,26 @@ func (p *Proc) Name() string { return p.name }
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// dispatch transfers control to the process goroutine and blocks until the
-// process parks again (or finishes). It must only be called from the event
-// loop (i.e., from within an event callback).
+// dispatch switches to the process's coroutine and returns when the
+// process yields again or finishes; a finished process's worker goes back
+// to the pool. It must only be called from the event loop (i.e., from
+// within an event callback).
 func (p *Proc) dispatch() {
-	if p.done {
+	w := p.w
+	if w == nil {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	w.next()
+	if p.done {
+		p.w, p.fn = nil, nil
+		putWorker(w)
+	}
 }
 
-// park suspends the process goroutine and returns control to the event
-// loop. The process must have arranged (before calling park) for some future
-// event to call dispatch, or it will never run again.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+// park suspends the process coroutine and returns control to the event
+// loop. The process must have arranged (before calling park) for some
+// future event to call dispatch, or it will never run again.
+func (p *Proc) park() { p.w.yield(struct{}{}) }
 
 // Sleep suspends the process for d virtual nanoseconds.
 func (p *Proc) Sleep(d Time) {

@@ -10,12 +10,14 @@
 //
 //   - Callback actors register plain functions with After/At. The GPU block
 //     scheduler and the Paella dispatcher are written this way.
-//   - Process actors (see Proc) are goroutines that block on virtual-time
-//     primitives (Sleep, Completion.Wait, Cond.Wait). Only one process (or
-//     event callback) is ever runnable at a time; control is handed off
-//     synchronously, which keeps the simulation deterministic. Client jobs
-//     and CUDA-style adaptor code use processes, mirroring the stackful
-//     Boost coroutines used by the paper's dispatcher (§4.2).
+//   - Process actors (see Proc) are runtime coroutines (iter.Pull) that
+//     block on virtual-time primitives (Sleep, Completion.Wait, Cond.Wait).
+//     Only one process (or event callback) is ever runnable at a time; an
+//     event resumes a process by switching to its coroutine on the same
+//     thread, and the process switches back when it blocks, which keeps the
+//     simulation deterministic. Client jobs and CUDA-style adaptor code use
+//     processes, mirroring the stackful Boost coroutines used by the
+//     paper's dispatcher (§4.2).
 //
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
 // are addressed by index, recycled through an index-linked free list, and
@@ -123,10 +125,6 @@ type Env struct {
 	nextMut uint64
 	nextAt  Time
 	nextOK  bool
-	// procPanic carries a panic out of a process goroutine so that it
-	// surfaces on the main (test) goroutine instead of being lost.
-	procPanic any
-	hasPanic  bool
 	// recorder is an optional tracing recorder attached to the run. It is
 	// stored as any so that sim stays import-free of higher layers;
 	// internal/trace.FromEnv performs the typed retrieval. A nil recorder
@@ -371,11 +369,6 @@ func (e *Env) Step() bool {
 		cb(ctx, arg)
 	} else {
 		fn()
-	}
-	if e.hasPanic {
-		p := e.procPanic
-		e.procPanic, e.hasPanic = nil, false
-		panic(p)
 	}
 	return true
 }

@@ -39,7 +39,8 @@ import "sort"
 // RestoreCheckpoint reinstates it. A shard registered with
 // World.RegisterCheckpoint must keep all its mutable simulation state
 // reachable from its Checkpointable, and must use callback actors only:
-// goroutine-based Procs blocked mid-wait cannot be rewound.
+// a Proc blocked mid-wait is a suspended coroutine whose stack cannot be
+// rewound.
 type Checkpointable interface {
 	SaveCheckpoint() any
 	RestoreCheckpoint(any)
