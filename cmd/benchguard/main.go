@@ -39,9 +39,11 @@ const (
 	probeReplicas = 1
 	probeJobs     = 400
 	// maxEventsPerReq is about 5 % above the probe's count with one
-	// completion event per GPU wave (1,444.3; it was 3,349.4 with one
-	// event per SM per wave).
-	maxEventsPerReq = 1520
+	// completion event per GPU wave, one notification post per device
+	// event and due time, and process self-wakeups run in place (1,346.4;
+	// it was 1,444.3 with one post per emit and every wakeup queued, and
+	// 3,349.4 with one completion event per SM per wave).
+	maxEventsPerReq = 1414
 )
 
 func main() {

@@ -108,6 +108,7 @@ type Device struct {
 	trace  *Trace
 
 	scheduled    bool   // a scheduling pass is pending
+	pass         uint64 // scheduling passes run so far (see Launch.fullPass)
 	rrCursor     int    // round-robin start queue for fairness
 	smCursor     int    // round-robin start SM for placement spreading
 	queued       int    // launches resident across all hardware queues
@@ -167,6 +168,16 @@ type Device struct {
 	// TestWaveEventsAllocFree).
 	waveFree []*waveDone
 	postFree []*notifPost
+	// open is the notification post the current device event is filling,
+	// keyed on that event's Env.Steps value (all of one event's posts are
+	// due at the same now+NotifDelay): later emits from the event append
+	// their record groups to it instead of scheduling posts of their own.
+	// sealPost closes it when the device schedules anything else due at
+	// that time. DESIGN.md §15.1 gives the exactness argument.
+	open     *notifPost
+	openStep uint64
+	// aggGroup is the effective notification aggregation group (≥ 1).
+	aggGroup int
 }
 
 // waveDone is a pooled wave-completion event: the (SM, blocks) pairs that
@@ -204,11 +215,15 @@ var waveComplete sim.EventFn = func(ctx any, _ uint64) {
 	d.waveFree = append(d.waveFree, w)
 }
 
-// notifPost is a pooled notification-delivery event: one batch of notifQ
-// records crossing the channel after NotifDelay.
+// notifPost is a pooled notification-delivery event: the notifQ records
+// that one device event wrote for delivery at one due time, crossing the
+// channel after NotifDelay. Each emit's records form one group, and the
+// post publishes group by group, calling the OnNotifPosted hook after each,
+// exactly as one post event per emit did.
 type notifPost struct {
 	d       *Device
 	records []channel.Notification
+	ends    []int // group i is records[ends[i-1]:ends[i]]
 	fire    func()
 }
 
@@ -221,16 +236,34 @@ func (d *Device) newNotifPost() *notifPost {
 	}
 	p := &notifPost{d: d}
 	p.fire = func() {
-		for _, r := range p.records {
-			p.d.notifQ.Push(r)
+		d := p.d
+		if d.open == p {
+			d.open = nil
 		}
-		p.records = p.records[:0]
-		p.d.postFree = append(p.d.postFree, p)
-		if p.d.onNotifPosted != nil {
-			p.d.onNotifPosted()
+		start := 0
+		for _, end := range p.ends {
+			for _, r := range p.records[start:end] {
+				d.notifQ.Push(r)
+			}
+			start = end
+			if d.onNotifPosted != nil {
+				d.onNotifPosted()
+			}
 		}
+		p.records, p.ends = p.records[:0], p.ends[:0]
+		d.postFree = append(d.postFree, p)
 	}
 	return p
+}
+
+// sealPost closes the open notification post when the device schedules an
+// event delay from now that lands on the post's due time: a later emit
+// must then schedule a post of its own, after that event, to keep the
+// (time, seq) order of one post per emit.
+func (d *Device) sealPost(delay sim.Time) {
+	if delay == d.cfg.NotifDelay {
+		d.open = nil
+	}
 }
 
 // NewDevice builds a device on the given simulation environment. The
@@ -247,6 +280,7 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 	}
 	d.freeBlocks = cfg.NumSMs * cfg.SM.MaxBlocks
 	d.freeThreads = cfg.NumSMs * cfg.SM.MaxThreads
+	d.aggGroup = max(cfg.AggGroup, 1)
 	d.kickFn = func() {
 		d.scheduled = false
 		d.schedulePass()
@@ -451,6 +485,8 @@ func (d *Device) Submit(q int, l *Launch) {
 	}
 	l.toPlace = l.Spec.Blocks
 	l.toFinish = l.Spec.Blocks
+	l.placedNext = min(d.aggGroup, l.Spec.Blocks)
+	l.completedNext = l.placedNext
 	l.dev = d
 	d.stats.KernelsSubmitted++
 	if d.cfg.LaunchOverhead > 0 {
@@ -486,6 +522,7 @@ func (d *Device) kick() {
 		return
 	}
 	d.scheduled = true
+	d.sealPost(0)
 	d.env.DoAfter(0, d.kickFn)
 }
 
@@ -497,6 +534,7 @@ func (d *Device) kick() {
 // skipping them (in the same cursor-rotated order) is behavior-identical.
 func (d *Device) schedulePass() {
 	nq := len(d.queues)
+	d.pass++
 	for {
 		// Empty-device fast path: a scan over nq queues with every head nil
 		// makes no progress and only advances the fairness cursor — do
@@ -556,6 +594,14 @@ func (d *Device) scanQueue(qi int) bool {
 		}
 		return false
 	}
+	if head.fullPass == d.pass {
+		// Earlier in this pass placeBlocks filled every SM this head fits
+		// and left blocks unplaced. Placement only consumes capacity
+		// within a pass, so another attempt would place nothing; keep the
+		// empty attempt's one side effect.
+		d.smCursor = (d.smCursor + 1) % len(d.sms)
+		return false
+	}
 	progressed := d.placeBlocks(head) > 0
 	if head.toPlace == 0 {
 		// Fully placed: the launch leaves the queue, exposing the
@@ -576,6 +622,7 @@ func (d *Device) scanQueue(qi int) bool {
 		}
 		d.traceQueueDepth(qi)
 		if head.OnAllPlaced != nil {
+			d.sealPost(0)
 			d.env.DoAfter(0, head.OnAllPlaced)
 		}
 		progressed = true
@@ -583,9 +630,6 @@ func (d *Device) scanQueue(qi int) bool {
 	return progressed
 }
 
-// placeBlocks places as many blocks of l as currently fit, spreading them
-// across SMs round-robin. It returns the number placed and schedules their
-// completions and notifications.
 // smPlacement counts the blocks placed on one SM during a wave, in
 // first-placement order. A slice (not a map) so that the completion and
 // notification events below are scheduled in a deterministic order —
@@ -601,6 +645,10 @@ type smCap struct {
 	sm, cap, got int
 }
 
+// placeBlocks places as many blocks of l as currently fit, spreading them
+// across SMs round-robin. It returns the number placed and schedules their
+// completions and notifications. When blocks remain unplaced, every SM
+// they fit on is full, and l.fullPass records the pass.
 func (d *Device) placeBlocks(l *Launch) int {
 	_, th, rg, sh := l.Spec.BlockCost()
 	nsm := len(d.sms)
@@ -620,9 +668,11 @@ func (d *Device) placeBlocks(l *Launch) int {
 	// round to every SM still below its cap, stopping mid-round in cursor
 	// order when the kernel ran out of blocks — exactly the water-filling
 	// levels computed below.
-	// The scan divides only when a resource limit actually binds below the
-	// running block cap (a multiply-compare detects that first), and skips
-	// block-saturated SMs before touching the other three limits.
+	// The scan first rejects SMs without room for one block's threads (the
+	// limit that binds on the workloads here), divides only when a
+	// resource limit actually binds below the running block cap (a
+	// multiply-compare detects that first), and skips block-saturated SMs
+	// before touching the other limits.
 	maxB, maxT, maxR, maxS := d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads, d.cfg.SM.MaxRegisters, d.cfg.SM.MaxSharedMem
 	caps := d.capScratch[:0]
 	minRem := 0
@@ -634,17 +684,15 @@ func (d *Device) placeBlocks(l *Launch) int {
 			smi = 0
 		}
 		sm := &d.sms[idx]
-		if sm.offline {
+		if sm.offline || maxT-sm.threads < th {
 			continue
 		}
 		c := maxB - sm.blocks
 		if c <= 0 {
 			continue
 		}
-		if th > 0 {
-			if rem := maxT - sm.threads; rem < c*th {
-				c = rem / th
-			}
+		if rem := maxT - sm.threads; rem < c*th {
+			c = rem / th
 		}
 		if rg > 0 {
 			if rem := maxR - sm.regs; rem < c*rg {
@@ -712,6 +760,9 @@ func (d *Device) placeBlocks(l *Launch) int {
 	}
 
 	totalPlaced := l.toPlace - remaining
+	if remaining > 0 {
+		l.fullPass = d.pass
+	}
 	// perSM lists the wave's placements in first-placement (cursor) order —
 	// identical to the order the per-block loop discovered SMs — so the
 	// completion/notification emission below stays deterministic.
@@ -769,6 +820,7 @@ func (d *Device) placeBlocks(l *Launch) int {
 		}
 		wave.sms = append(wave.sms, pl)
 		if perSMEvents {
+			d.sealPost(l.Spec.BlockDuration)
 			d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, wave, 0)
 			wave = nil
 		}
@@ -808,6 +860,7 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 		l.completedAt = d.env.Now()
 		d.stats.KernelsCompleted++
 		if l.OnComplete != nil {
+			d.sealPost(0)
 			d.env.DoAfter(0, l.OnComplete)
 		}
 	}
@@ -821,31 +874,40 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 // per direction, and a record is written every AggGroup-th block plus once
 // at the final block. Between crossings, up to AggGroup−1 blocks are
 // placed/finished but not yet visible to the dispatcher — the accepted
-// cost of aggregation.
+// cost of aggregation. The records join the open post when it comes from
+// the same device event, and otherwise start a new one.
 func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
 	if !l.Instrumented || d.notifQ == nil {
 		return
 	}
-	group := d.cfg.AggGroup
-	if group <= 0 {
-		group = 1
-	}
-	total := l.Spec.Blocks
-	count, notified := &l.placedCount, &l.placedNotified
+	count, next := &l.placedCount, &l.placedNext
 	if t == channel.Completion {
-		count, notified = &l.completedCount, &l.completedNotified
+		count, next = &l.completedCount, &l.completedNext
 	}
 	*count += n
-	newNotified := (*count / group) * group
-	if *count == total {
-		newNotified = total
-	}
-	delta := newNotified - *notified
-	if delta <= 0 {
+	if *count < *next {
 		return
 	}
-	*notified = newNotified
-	p := d.newNotifPost()
+	// Blocks reported so far: a multiple of the group, one group below
+	// next, or, once next is capped at the grid size, the last multiple
+	// below it.
+	group, total := d.aggGroup, l.Spec.Blocks
+	notified := *next - group
+	if *next == total {
+		notified = (total - 1) / group * group
+	}
+	newNotified := total
+	if *count < total {
+		newNotified = *count / group * group
+	}
+	*next = min(newNotified+group, total)
+	delta := newNotified - notified
+
+	p := d.open
+	if p == nil || d.openStep != d.env.Steps() {
+		p = d.newNotifPost()
+	}
+	start := len(p.records)
 	for delta > 0 {
 		g := min(delta, group)
 		rec := channel.Pack(t, sm, uint16(g), l.KernelID)
@@ -864,11 +926,19 @@ func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
 		}
 		delta -= g
 	}
-	if len(p.records) == 0 {
-		p.d.postFree = append(p.d.postFree, p)
-		return
+	switch {
+	case len(p.records) == start:
+		// Every record was dropped: nothing crosses the channel.
+		if start == 0 {
+			d.postFree = append(d.postFree, p)
+		}
+	case p == d.open:
+		p.ends = append(p.ends, len(p.records))
+	default:
+		p.ends = append(p.ends, len(p.records))
+		d.env.DoAfter(d.cfg.NotifDelay, p.fire)
+		d.open, d.openStep = p, d.env.Steps()
 	}
-	d.env.DoAfter(d.cfg.NotifDelay, p.fire)
 }
 
 // accrueUtil integrates thread occupancy up to now.

@@ -159,14 +159,20 @@ type Launch struct {
 	// closure.
 	dev *Device
 	// Kernel-wide notification counters (Figure 6's startCount/endCount)
-	// and how many blocks have been reported to the notifQ so far.
-	placedCount       int
-	placedNotified    int
-	completedCount    int
-	completedNotified int
-	queuedAt          sim.Time
-	placedAt          sim.Time // time the final block was placed
-	completedAt       sim.Time
+	// and the count at which the next record is due: one AggGroup past the
+	// blocks reported to the notifQ so far, capped at the grid size. A
+	// block count below it writes no record and costs one add and one
+	// compare.
+	placedCount    int
+	placedNext     int
+	completedCount int
+	completedNext  int
+	// fullPass is the device scheduling pass in which placeBlocks last
+	// left this launch with blocks unplaced and every SM they fit on full.
+	fullPass    uint64
+	queuedAt    sim.Time
+	placedAt    sim.Time // time the final block was placed
+	completedAt sim.Time
 }
 
 // State returns the launch's current lifecycle state.

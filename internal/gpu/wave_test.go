@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -50,6 +51,10 @@ type waveRig struct {
 	tr     *transcript
 	d      *Device
 	nextID uint32
+	// onPost, if set, runs inside the notification hook after the drained
+	// records are logged, standing in for a dispatcher that reacts to the
+	// post by submitting work or changing the device.
+	onPost func()
 }
 
 func newWaveRig(cfg Config) *waveRig {
@@ -58,6 +63,7 @@ func newWaveRig(cfg Config) *waveRig {
 	q := channel.NewNotifQueue(1 << 12)
 	d := NewDevice(env, cfg, q)
 	buf := make([]channel.Notification, 64)
+	r := &waveRig{tr: tr, d: d}
 	d.OnNotifPosted(func() {
 		// The device state a dispatcher woken by this post would see.
 		tr.logf("post resident=%d completed=%d", d.ResidentBlocks(), d.stats.BlocksCompleted)
@@ -67,12 +73,15 @@ func newWaveRig(cfg Config) *waveRig {
 				tr.logf("notif %v", r)
 			}
 			if n < len(buf) {
-				return
+				break
 			}
+		}
+		if r.onPost != nil {
+			r.onPost()
 		}
 	})
 	d.OnTopologyChange(func(online int) { tr.logf("topology online=%d", online) })
-	return &waveRig{tr: tr, d: d}
+	return r
 }
 
 // launch builds an instrumented launch whose placement and completion are
@@ -239,21 +248,38 @@ func waveTranscript() string {
 }
 
 func TestWaveTranscript(t *testing.T) {
-	want, err := os.ReadFile(waveTranscriptPath)
+	matchGolden(t, waveTranscriptPath, waveTranscript())
+}
+
+// updateGolden rewrites the transcript goldens instead of comparing. The
+// goldens pin the behaviour of the per-event scheduler they were recorded
+// with; regenerate them only for an intended change of device behaviour.
+var updateGolden = flag.Bool("update", false, "rewrite testdata transcript goldens")
+
+// matchGolden fails the test at the first line where got departs from the
+// golden file at path.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := waveTranscript()
 	if got == string(want) {
 		return
 	}
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("transcript diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s diverges at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("transcript length %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("%s: transcript length %d lines, want %d", path, len(gl), len(wl))
 }
 
 // TestWaveIsOneEvent: a 40-block kernel on an idle 40-SM T4 puts one block

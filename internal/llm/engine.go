@@ -79,6 +79,8 @@ type seqState struct {
 	// handed-off sequences whose KV arrives over the interconnect.
 	needCompute bool
 	inPolicy    bool
+	// readyIdx is the sequence's slot in Engine.ready while inPolicy.
+	readyIdx int
 
 	// Latency-anatomy stamps. prefillStart marks an in-flight prefill
 	// pass (consumed into rec.PrefillNs at completion); stallStart marks a
@@ -106,7 +108,9 @@ type Engine struct {
 	// prefill pass, FIFO. At most one prefill kernel is in flight.
 	prefillQ    []*seqState
 	prefillBusy bool
-	// ready mirrors the policy's membership for deterministic victim scans.
+	// ready mirrors the policy's membership for victim scans. Its order is
+	// irrelevant: readyVictim's worseThan is a total order on (Remaining,
+	// ID), so removal swaps the last entry into the freed slot.
 	ready []*seqState
 	// batch is the in-flight decode iteration's membership; group is the
 	// static-mode resident batch (persists across iterations until drained).
@@ -114,6 +118,12 @@ type Engine struct {
 	group      []*seqState
 	groupWidth int
 	decodeBusy bool
+	// spareMembers, spareBatch and entries are maybeIterate's scratch,
+	// reused across iterations. A buffer in use is taken out of its field,
+	// so a nested call (through an OnFinish callback) allocates its own.
+	spareMembers []*seqState
+	spareBatch   []*seqState
+	entries      []*sched.JobEntry
 
 	maxKVPages  int
 	inflight    int
@@ -232,7 +242,7 @@ func (e *Engine) kickPrefill() {
 			return
 		}
 		tokens := s.req.Prompt + s.generated
-		switch err := e.reserveFor(s, tokens, nil); {
+		switch err := e.reserveFor(s, tokens, nil, -1); {
 		case err == nil:
 		case errors.Is(err, ErrKVExhausted):
 			e.prefillQ = e.prefillQ[1:]
@@ -317,7 +327,12 @@ func (e *Engine) maybeIterate() {
 	if e.decodeBusy {
 		return
 	}
-	var members []*seqState
+	members := e.spareMembers[:0]
+	e.spareMembers = nil
+	defer func() {
+		clear(members)
+		e.spareMembers = members[:0]
+	}()
 	width := 0
 	if e.comp.Cfg.Continuous {
 		for len(members) < e.comp.Cfg.MaxBatch {
@@ -352,36 +367,14 @@ func (e *Engine) maybeIterate() {
 	// Grow every member's KV by one token before launching. A member that
 	// cannot grow even after preemption waits out this iteration; one whose
 	// demand can never fit fails.
-	var alive []*seqState
+	alive := e.spareBatch[:0]
+	e.spareBatch = nil
 	for i := 0; i < len(members); i++ {
 		s := members[i]
 		if s == nil {
 			continue
 		}
-		victims := func() *seqState {
-			if v := e.readyVictim(); v != nil {
-				return v
-			}
-			// Sacrifice a not-yet-grown member from the batch tail: the
-			// SRPT-front member must make progress or the loop deadlocks
-			// with every sequence holding pages and none able to grow.
-			best, bi := (*seqState)(nil), -1
-			for j := i + 1; j < len(members); j++ {
-				m := members[j]
-				if m == nil || m.pages == 0 {
-					continue
-				}
-				if best == nil || worseThan(m, best) {
-					best, bi = m, j
-				}
-			}
-			if best != nil {
-				members[bi] = nil
-				e.dropFromGroup(best)
-			}
-			return best
-		}
-		switch err := e.reserveFor(s, s.req.Prompt+s.generated+1, victims); {
+		switch err := e.reserveFor(s, s.req.Prompt+s.generated+1, members, i); {
 		case err == nil:
 			alive = append(alive, s)
 		case errors.Is(err, ErrKVExhausted):
@@ -396,15 +389,16 @@ func (e *Engine) maybeIterate() {
 		}
 	}
 	if len(alive) == 0 {
+		e.spareBatch = alive
 		return
 	}
 	if width == 0 {
 		width = len(alive)
 	}
 	now := e.env.Now()
-	entries := make([]*sched.JobEntry, len(alive))
-	for i, s := range alive {
-		entries[i] = &s.entry
+	entries := e.entries[:0]
+	for _, s := range alive {
+		entries = append(entries, &s.entry)
 		if s.rec.FirstDispatch == 0 {
 			s.rec.FirstDispatch = now
 		}
@@ -421,6 +415,8 @@ func (e *Engine) maybeIterate() {
 	}
 	e.mt.Observe(e.mtDecodeW, now, float64(width))
 	sched.BatchDispatched(e.policy, entries)
+	clear(entries)
+	e.entries = entries[:0]
 	e.batch = alive
 	e.decodeBusy = true
 	e.iterations++
@@ -448,6 +444,8 @@ func (e *Engine) iterDone() {
 			e.addToPolicy(s)
 		}
 	}
+	clear(batch)
+	e.spareBatch = batch[:0]
 	e.kickPrefill()
 	e.maybeIterate()
 }
@@ -502,11 +500,12 @@ func (e *Engine) fail(s *seqState) {
 	}
 }
 
-// reserveFor grows s's KV reservation to cover the given token count,
-// invoking victims (when non-nil) to free pages by preemption until the
-// reservation fits. Partial progress is kept: a stalled sequence retains
-// the pages it already holds and retries with the smaller deficit later.
-func (e *Engine) reserveFor(s *seqState, tokens int, victims func() *seqState) error {
+// reserveFor grows s's KV reservation to cover the given token count. When
+// s is members[i], the decode member being grown, it preempts victims
+// (decodeVictim) until the reservation fits; i < 0 forbids preemption.
+// Partial progress is kept: a stalled sequence retains the pages it
+// already holds and retries with the smaller deficit later.
+func (e *Engine) reserveFor(s *seqState, tokens int, members []*seqState, i int) error {
 	target := e.comp.PagesFor(tokens)
 	if target > e.maxKVPages {
 		return ErrKVExhausted
@@ -520,15 +519,41 @@ func (e *Engine) reserveFor(s *seqState, tokens int, victims func() *seqState) e
 			s.pages = target
 			return nil
 		}
-		if victims == nil {
+		if i < 0 {
 			return errKVStall
 		}
-		v := victims()
+		v := e.decodeVictim(members, i)
 		if v == nil {
 			return errKVStall
 		}
 		e.preempt(v)
 	}
+}
+
+// decodeVictim picks the sequence to preempt so that decode member
+// members[i] can grow: the policy-resident readyVictim if any, else the
+// worst not-yet-grown member from the batch tail. The SRPT-front member
+// must make progress or the loop deadlocks with every sequence holding
+// pages and none able to grow. A tail victim leaves the batch.
+func (e *Engine) decodeVictim(members []*seqState, i int) *seqState {
+	if v := e.readyVictim(); v != nil {
+		return v
+	}
+	best, bi := (*seqState)(nil), -1
+	for j := i + 1; j < len(members); j++ {
+		m := members[j]
+		if m == nil || m.pages == 0 {
+			continue
+		}
+		if best == nil || worseThan(m, best) {
+			best, bi = m, j
+		}
+	}
+	if best != nil {
+		members[bi] = nil
+		e.dropFromGroup(best)
+	}
+	return best
 }
 
 // preempt evicts a sequence's KV pages and schedules it for recompute: the
@@ -578,18 +603,19 @@ func worseThan(a, b *seqState) bool {
 func (e *Engine) addToPolicy(s *seqState) {
 	e.policy.Add(&s.entry)
 	s.inPolicy = true
+	s.readyIdx = len(e.ready)
 	e.ready = append(e.ready, s)
 }
 
 func (e *Engine) removeFromPolicy(s *seqState) {
 	e.policy.Remove(&s.entry)
 	s.inPolicy = false
-	for i, r := range e.ready {
-		if r == s {
-			e.ready = append(e.ready[:i], e.ready[i+1:]...)
-			break
-		}
-	}
+	last := len(e.ready) - 1
+	moved := e.ready[last]
+	e.ready[s.readyIdx] = moved
+	moved.readyIdx = s.readyIdx
+	e.ready[last] = nil
+	e.ready = e.ready[:last]
 }
 
 func (e *Engine) dropFromGroup(s *seqState) {

@@ -2,9 +2,10 @@ package sim
 
 // The event queue is a two-level structure exploiting the dominant
 // scheduling pattern of this simulator: events are pushed in *runs* that
-// share a due time (a GPU wave's notification posts all land at
-// now+NotifDelay; launches placed in one pass with the same block duration
-// complete together).
+// share a due time (the wave events of launches placed in one pass with the
+// same block duration complete together, and the notification posts of all
+// device events in one instant land at now+NotifDelay — one post per device
+// event, since a device merges its own emits into one).
 //
 // Instead of one heap node per timer, same-timestamp runs are stored as
 // FIFO *buckets* and the 4-ary min-heap orders buckets by the key

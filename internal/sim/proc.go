@@ -147,10 +147,17 @@ func (p *Proc) dispatch() {
 // future event to call dispatch, or it will never run again.
 func (p *Proc) park() { p.w.yield(struct{}{}) }
 
-// Sleep suspends the process for d virtual nanoseconds.
+// Sleep suspends the process for d virtual nanoseconds. When the wakeup
+// would be the very next event of the running Run or RunUntil loop, the
+// process keeps running with the clock advanced instead of parking: the
+// queue push and pop and the coroutine round trip are skipped, and the
+// event order is the same (Env.wakeInPlace).
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
+	}
+	if p.env.wakeInPlace(p.env.now + d) {
+		return
 	}
 	p.env.DoAfter(d, p.dispatchFn)
 	p.park()

@@ -102,6 +102,11 @@ type Env struct {
 	events eventQueue
 	seq    uint64
 	steps  uint64
+	// limit is the due-time bound of the running Run or RunUntil loop: a
+	// process wakeup due by then that would be the very next event runs in
+	// place (see wakeInPlace). It is -1 outside those loops, so a bare Step
+	// always runs exactly one queued event.
+	limit Time
 	// imm is a circular FIFO of events due exactly at the current clock —
 	// the zero-delay handoffs (process wakeups, completion fires, mutex
 	// transfers) that dominate a DES run. Because every entry was scheduled
@@ -154,7 +159,7 @@ func (e *Env) Meter() any { return e.meter }
 
 // NewEnv returns an environment with the clock at zero and no pending events.
 func NewEnv() *Env {
-	e := &Env{mut: 1}
+	e := &Env{mut: 1, limit: -1}
 	e.arena.freeHead = -1
 	e.events.a = &e.arena
 	e.events.lastB = -1
@@ -165,7 +170,10 @@ func NewEnv() *Env {
 func (e *Env) Now() Time { return e.now }
 
 // Steps returns the number of events executed so far (useful for detecting
-// runaway simulations in tests).
+// runaway simulations in tests). A process wakeup run in place, without
+// passing through the queue (see Proc.Sleep), counts as the event it
+// replaces, so step counts do not depend on how often that shortcut was
+// taken.
 func (e *Env) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled, uncancelled events.
@@ -373,8 +381,40 @@ func (e *Env) Step() bool {
 	return true
 }
 
+// wakeInPlace fires, without queueing it, a process wakeup due at t when
+// that wakeup would be the very next event of the running Run or RunUntil
+// loop: no live immediate-FIFO entry is pending, every queued event is due
+// strictly after t, and t is within the loop's bound. It advances the clock
+// to t, counts the step, and reports true; the caller keeps running as if
+// the wakeup had been popped. The wakeup takes no seq number, so every
+// later event's seq is one smaller than it would have been, which leaves
+// their relative (at, seq) order unchanged.
+func (e *Env) wakeInPlace(t Time) bool {
+	if t > e.limit || e.immFront() >= 0 {
+		return false
+	}
+	if e.events.len() > 0 {
+		if at, _ := e.events.minKey(); at <= t {
+			return false
+		}
+	}
+	e.now = t
+	e.steps++
+	e.mut++
+	return true
+}
+
+// bound sets the running loop's due-time bound and returns the enclosing
+// one, for the loop to restore on exit.
+func (e *Env) bound(t Time) Time {
+	outer := e.limit
+	e.limit = t
+	return outer
+}
+
 // Run executes events until none remain.
 func (e *Env) Run() {
+	defer e.bound(e.bound(1<<63 - 1))
 	for e.Step() {
 	}
 }
@@ -382,6 +422,7 @@ func (e *Env) Run() {
 // RunUntil executes all events due at or before t, then advances the clock
 // to exactly t (even if the last event fired earlier).
 func (e *Env) RunUntil(t Time) {
+	defer e.bound(e.bound(t))
 	for {
 		at, ok := e.NextEventTime()
 		if !ok || at > t {
