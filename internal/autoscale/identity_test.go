@@ -90,11 +90,10 @@ type autoscaleResult struct {
 // the World engine: a 4×T4 fleet with per-replica VRAM budgets (so warmup
 // pages weights over PCIe), a Scaler driving the named policy, and an
 // open-loop trace from the traffic generators.
-func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec, parallel, speculate, traced bool) autoscaleResult {
+func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec, parallel, traced bool) autoscaleResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
-	w.SetSpeculative(speculate)
 	defer w.Close()
 
 	var ctrlRec *trace.Recorder
@@ -233,8 +232,8 @@ func TestAutoscaleSerialParallelBitIdentical(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					traced := policy == "queue-depth" && sh.name == "diurnal" && seed == 1
 					spec := sh.mk(seed)
-					serial := runAutoscaleCell(t, policy, spec, false, false, traced)
-					par := runAutoscaleCell(t, policy, spec, true, false, traced)
+					serial := runAutoscaleCell(t, policy, spec, false, traced)
+					par := runAutoscaleCell(t, policy, spec, true, traced)
 
 					if serial.counts.Completed == 0 {
 						t.Fatal("no requests completed; workload broken")
@@ -290,7 +289,7 @@ func TestAutoscaleSerialParallelBitIdentical(t *testing.T) {
 func TestAutoscaleColdStartPaging(t *testing.T) {
 	for _, policy := range []string{"queue-depth", "predictive"} {
 		t.Run(policy, func(t *testing.T) {
-			res := runAutoscaleCell(t, policy, diurnalCell(1), true, false, false)
+			res := runAutoscaleCell(t, policy, diurnalCell(1), true, false)
 			if res.stats.ScaleUps == 0 || res.stats.ColdStarts == 0 {
 				t.Fatalf("no cold starts: %+v", res.stats)
 			}
@@ -307,72 +306,10 @@ func TestAutoscaleColdStartPaging(t *testing.T) {
 // TestAutoscaleRunRepeatable: the same cell twice on the parallel engine
 // gives identical bytes — determinism across runs, not just across modes.
 func TestAutoscaleRunRepeatable(t *testing.T) {
-	a := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false, false)
-	b := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false, false)
+	a := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false)
+	b := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false)
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.events != b.events ||
 		a.summary != b.summary || a.telemetryJSON != b.telemetryJSON || a.traceBytes != b.traceBytes {
 		t.Fatal("parallel runs with identical seeds diverge")
-	}
-}
-
-// TestAutoscaleSpeculativeBitIdentical extends the autoscaling column to
-// the speculative engine: replica churn (cold-start warmups, drains, parks)
-// under the adaptive speculation window must stay byte-for-byte
-// serial≡parallel. Cells compare spec-serial against spec-parallel —
-// speculation defers cross-timeline posts to the barrier, so it is a
-// different (equally valid) simulation than the conservative cells above.
-func TestAutoscaleSpeculativeBitIdentical(t *testing.T) {
-	shapes := []struct {
-		name string
-		mk   func(seed int64) workload.TrafficSpec
-	}{
-		{"diurnal", diurnalCell},
-		{"spike", spikeCell},
-	}
-	for _, policy := range []string{"queue-depth", "slo-burn"} {
-		for _, sh := range shapes {
-			t.Run(fmt.Sprintf("%s/%s", policy, sh.name), func(t *testing.T) {
-				traced := policy == "queue-depth" && sh.name == "diurnal"
-				spec := sh.mk(1)
-				serial := runAutoscaleCell(t, policy, spec, false, true, traced)
-				par := runAutoscaleCell(t, policy, spec, true, true, traced)
-				if serial.counts.Completed == 0 {
-					t.Fatal("no requests completed; workload broken")
-				}
-				if !serial.counts.Conserved() {
-					t.Fatalf("conservation violated: %+v", serial.counts)
-				}
-				if serial.outstanding != 0 {
-					t.Fatalf("%d requests never terminated", serial.outstanding)
-				}
-				if serial.counts != par.counts {
-					t.Fatalf("ledgers diverge: serial %+v, parallel %+v", serial.counts, par.counts)
-				}
-				if serial.stats != par.stats {
-					t.Fatalf("scale stats diverge: serial %+v, parallel %+v", serial.stats, par.stats)
-				}
-				if serial.metricsJSON != par.metricsJSON {
-					t.Fatal("per-request metrics JSON diverges between serial and parallel")
-				}
-				if serial.failures != par.failures {
-					t.Fatalf("failure summaries diverge:\n serial: %s\n parallel: %s",
-						serial.failures, par.failures)
-				}
-				if serial.events != par.events {
-					t.Fatalf("scaling-event logs diverge:\n serial: %s\n parallel: %s",
-						serial.events, par.events)
-				}
-				if serial.summary != par.summary {
-					t.Fatalf("cost summaries diverge:\n serial: %s\n parallel: %s",
-						serial.summary, par.summary)
-				}
-				if serial.telemetryJSON != par.telemetryJSON {
-					t.Fatal("telemetry export diverges between serial and parallel")
-				}
-				if serial.traceBytes != par.traceBytes {
-					t.Fatal("merged trace bytes diverge between serial and parallel")
-				}
-			})
-		}
 	}
 }

@@ -54,11 +54,10 @@ func chaosLowPlan(seed int64) *fault.Plan {
 // maxBatch > 1 turns on dispatcher dynamic batching (the matrix's batching
 // column): every replica batches same-kernel jobs with a 50µs formation
 // window, which must not cost any determinism.
-func runWorldCluster(t *testing.T, seed int64, mkBal func() cluster.Balancer, plan *fault.Plan, parallel, speculate, traced bool, maxBatch int) worldRunResult {
+func runWorldCluster(t *testing.T, seed int64, mkBal func() cluster.Balancer, plan *fault.Plan, parallel, traced bool, maxBatch int) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
-	w.SetSpeculative(speculate)
 	defer w.Close()
 	var ctrlRec *trace.Recorder
 	shardRecs := make([]*trace.Recorder, 4)
@@ -200,8 +199,8 @@ func TestWorldSerialParallelBitIdentical(t *testing.T) {
 						// Trace a deterministic subset: full trace comparison is
 						// the expensive axis, one seed of it per cell suffices.
 						traced := seed == 3
-						serial := runWorldCluster(t, seed, b.mk, p.mk(seed), false, false, traced, maxBatch)
-						par := runWorldCluster(t, seed, b.mk, p.mk(seed), true, false, traced, maxBatch)
+						serial := runWorldCluster(t, seed, b.mk, p.mk(seed), false, traced, maxBatch)
+						par := runWorldCluster(t, seed, b.mk, p.mk(seed), true, traced, maxBatch)
 						if serial.completed == 0 {
 							t.Fatal("no requests completed; workload broken")
 						}
@@ -236,11 +235,10 @@ func TestWorldSerialParallelBitIdentical(t *testing.T) {
 // runWorldLLM executes one cell of the matrix's LLM column: a generative
 // prefill/decode deployment (colocated or disaggregated) on the World
 // engine, with a KV pool small enough that paging preemption fires.
-func runWorldLLM(t *testing.T, seed int64, split, parallel, speculate bool) worldRunResult {
+func runWorldLLM(t *testing.T, seed int64, split, parallel bool) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
-	w.SetSpeculative(speculate)
 	defer w.Close()
 	cfg := cluster.PDConfig{LLM: llmTestConfig(24), Prefills: 2}
 	if split {
@@ -315,8 +313,8 @@ func TestWorldSerialParallelBitIdenticalLLM(t *testing.T) {
 				name = fmt.Sprintf("seed%d/disaggregated", seed)
 			}
 			t.Run(name, func(t *testing.T) {
-				serial := runWorldLLM(t, seed, split, false, false)
-				par := runWorldLLM(t, seed, split, true, false)
+				serial := runWorldLLM(t, seed, split, false)
+				par := runWorldLLM(t, seed, split, true)
 				if serial.completed == 0 {
 					t.Fatal("no requests completed; workload broken")
 				}
@@ -344,11 +342,10 @@ func TestWorldSerialParallelBitIdenticalLLM(t *testing.T) {
 // affinity) with optional token-bucket admission, on the World engine. The
 // control timeline carries its own meter so the gateway's routing and
 // admission instruments join the bit-identity comparison.
-func runWorldGateway(t *testing.T, seed int64, mkBal func() cluster.Balancer, admitPS float64, parallel, speculate bool) worldRunResult {
+func runWorldGateway(t *testing.T, seed int64, mkBal func() cluster.Balancer, admitPS float64, parallel bool) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
-	w.SetSpeculative(speculate)
 	defer w.Close()
 	ctrlMt := telemetry.NewMeter("front", 0)
 	w.Ctrl().SetMeter(ctrlMt)
@@ -445,8 +442,8 @@ func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 				}
 				name := fmt.Sprintf("seed%d/%s/%s", seed, b.name, mode)
 				t.Run(name, func(t *testing.T) {
-					serial := runWorldGateway(t, seed, b.mk, admitPS, false, false)
-					par := runWorldGateway(t, seed, b.mk, admitPS, true, false)
+					serial := runWorldGateway(t, seed, b.mk, admitPS, false)
+					par := runWorldGateway(t, seed, b.mk, admitPS, true)
 					if serial.completed == 0 {
 						t.Fatal("no requests completed; workload broken")
 					}
@@ -480,86 +477,10 @@ func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 // TestWorldRunRepeatable: the same seed twice on the parallel engine gives
 // identical bytes — determinism across runs, not just across modes.
 func TestWorldRunRepeatable(t *testing.T) {
-	a := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, false, true, 4)
-	b := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, false, true, 4)
+	a := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
+	b := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.traceBytes != b.traceBytes ||
 		a.telemetryJSON != b.telemetryJSON {
 		t.Fatal("parallel runs with identical seeds diverge")
-	}
-}
-
-// compareCells is the byte-for-byte cell comparison shared by the
-// speculative matrix below: outcome counts, per-request metrics JSON,
-// failure summaries, trace bytes, and the telemetry export.
-func compareCells(t *testing.T, total int, serial, par worldRunResult) {
-	t.Helper()
-	if serial.completed == 0 {
-		t.Fatal("no requests completed; workload broken")
-	}
-	if total > 0 && serial.completed+serial.failed != total {
-		t.Fatalf("conservation: %d completed + %d failed != %d",
-			serial.completed, serial.failed, total)
-	}
-	if serial.completed != par.completed || serial.failed != par.failed {
-		t.Fatalf("outcome counts diverge: serial %d/%d, parallel %d/%d",
-			serial.completed, serial.failed, par.completed, par.failed)
-	}
-	if serial.metricsJSON != par.metricsJSON {
-		t.Fatal("per-request metrics JSON diverges between serial and parallel")
-	}
-	if serial.failures != par.failures {
-		t.Fatalf("failure summaries diverge:\n serial: %s\n parallel: %s",
-			serial.failures, par.failures)
-	}
-	if serial.traceBytes != par.traceBytes {
-		t.Fatal("merged trace bytes diverge between serial and parallel")
-	}
-	if serial.telemetryJSON != par.telemetryJSON {
-		t.Fatal("telemetry export diverges between serial and parallel")
-	}
-}
-
-// TestWorldSpeculativeBitIdentical extends the determinism wall to the
-// speculative engine: every column of the matrix — plain cluster, batched,
-// faulty (rollback-relevant crash/failover cells), LLM colocated and
-// disaggregated, and gateway with admission — must stay byte-for-byte
-// serial≡parallel with speculation enabled. Speculation changes *which*
-// simulation runs (posts defer to the adaptive barrier), so cells are
-// compared spec-serial against spec-parallel, never against conservative.
-func TestWorldSpeculativeBitIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 3} {
-		for _, maxBatch := range []int{0, 4} {
-			for _, plan := range []string{"none", "chaos-low"} {
-				name := fmt.Sprintf("cluster/seed%d/%s/batch%d", seed, plan, maxBatch)
-				t.Run(name, func(t *testing.T) {
-					var p *fault.Plan
-					if plan == "chaos-low" {
-						p = chaosLowPlan(seed)
-					}
-					traced := seed == 3
-					serial := runWorldCluster(t, seed, cluster.NewLeastLoaded, p, false, true, traced, maxBatch)
-					par := runWorldCluster(t, seed, cluster.NewLeastLoaded, p, true, true, traced, maxBatch)
-					compareCells(t, 90, serial, par)
-				})
-			}
-		}
-	}
-	for _, seed := range []int64{1, 2} {
-		for _, split := range []bool{false, true} {
-			name := fmt.Sprintf("llm/seed%d/split=%v", seed, split)
-			t.Run(name, func(t *testing.T) {
-				serial := runWorldLLM(t, seed, split, false, true)
-				par := runWorldLLM(t, seed, split, true, true)
-				compareCells(t, 60, serial, par)
-			})
-		}
-	}
-	for _, admitPS := range []float64{0, 3000} {
-		name := fmt.Sprintf("gateway/admit=%v", admitPS > 0)
-		t.Run(name, func(t *testing.T) {
-			serial := runWorldGateway(t, 1, gateway.NewPredictedLatency, admitPS, false, true)
-			par := runWorldGateway(t, 1, gateway.NewPredictedLatency, admitPS, true, true)
-			compareCells(t, 90, serial, par)
-		})
 	}
 }

@@ -20,8 +20,9 @@ import (
 // the per-event figure truncates to zero.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	// Size the trace so the measured phase cannot drain the event queue:
-	// one job yields ~3k engine events.
-	jobs := b.N/2000 + 400
+	// one job yields ~1.3k engine events and the measured phase gets the
+	// last three quarters of the jobs, so b.N/500 leaves a 2× margin.
+	jobs := b.N/500 + 400
 	models, reqs := scaleWorkload(1, jobs)
 	env := sim.NewEnv()
 	c, err := cluster.New(env, []gpu.Config{gpu.TeslaT4()},

@@ -125,14 +125,9 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	case "legacy":
 		env = sim.NewEnv()
 		c, err = cluster.New(env, devs, mkPolicy, cluster.NewLeastLoaded())
-	case "world-serial", "world-parallel", "world-spec":
+	case "world-serial", "world-parallel":
 		w = sim.NewWorld()
 		w.SetParallel(engine == "world-parallel")
-		// The speculative engine runs shards past the conservative horizon
-		// under the adaptive window; cross-timeline traffic defers to the
-		// barrier, so it is a different (equally valid) simulation than the
-		// conservative pair and is excluded from their identity check.
-		w.SetSpeculative(engine == "world-spec")
 		defer w.Close()
 		env = w.Ctrl()
 		c, err = cluster.NewWorld(w, devs, mkPolicy, cluster.NewLeastLoaded())
@@ -258,7 +253,7 @@ func runScale(out io.Writer, d Detail) error {
 	for _, replicas := range replicaSweep {
 		jobs := jobsPer * replicas
 		cell := ScaleCell{Replicas: replicas, Jobs: jobs}
-		for _, engine := range []string{"legacy", "world-serial", "world-parallel", "world-spec"} {
+		for _, engine := range []string{"legacy", "world-serial", "world-parallel"} {
 			res, err := runScaleEngine(engine, replicas, jobs)
 			if err != nil {
 				return err

@@ -56,24 +56,12 @@ type World struct {
 	active  []bool         // scratch: shards dispatched this window
 	merge   []int          // scratch: per-shard merge cursors
 	mheap   []mergeEnt     // scratch: k-way merge heap over shard outboxes
-
-	// Speculative execution mode (spec.go).
-	speculative        bool
-	specMax            Time             // adaptive window ceiling
-	curWindow          Time             // current adaptive window Δcur
-	ckpt               []Checkpointable // per-shard rollback support, nil entries = deferred injection
-	saved              []*EnvCheckpoint // per-window shard Env snapshots
-	savedState         []any            // per-window Checkpointable snapshots
-	inj                [][]injection    // per-shard injections recorded during the control window
-	specStats          SpecStats
-	deferredThisWindow int
 }
 
-// wpost is one cross-shard message: either a closure (fn) or a typed
-// callback (cb/ctx/arg, the allocation-free form posted by PostCall).
+// wpost is one cross-shard message: the typed callback cb(ctx, arg) to run
+// on the control timeline at time at.
 type wpost struct {
 	at  Time
-	fn  func()
 	cb  EventFn
 	ctx any
 	arg uint64
@@ -144,9 +132,11 @@ func (w *World) SetParallel(on bool) { w.parallel = on }
 // affect the control shard or another replica: the callback runs at the
 // next barrier, with every shard parked, in canonical (timestamp, shard,
 // emission-order) order.
-func (w *World) Post(shard int, fn func()) {
-	w.posts[shard] = append(w.posts[shard], wpost{at: w.shards[shard].now, fn: fn})
-}
+func (w *World) Post(shard int, fn func()) { w.PostCall(shard, callFunc, fn, 0) }
+
+// callFunc is the EventFn through which Post delivers a plain func(). A func
+// value is pointer-shaped, so boxing it in ctx allocates nothing.
+func callFunc(ctx any, _ uint64) { ctx.(func())() }
 
 // PostCall is the allocation-free form of Post: cb runs on the control
 // timeline as cb(ctx, arg) at the emitting shard's current time. Hot
@@ -158,10 +148,6 @@ func (w *World) PostCall(shard int, cb EventFn, ctx any, arg uint64) {
 
 // Run executes events until no shard and the control Env have any left.
 func (w *World) Run() {
-	if w.speculative {
-		w.runSpec(0, false)
-		return
-	}
 	w.flushPosts()
 	for {
 		t, ok := w.nextTime()
@@ -179,10 +165,6 @@ func (w *World) Run() {
 // RunUntil executes all events due at or before limit, then advances every
 // clock to exactly limit.
 func (w *World) RunUntil(limit Time) {
-	if w.speculative {
-		w.runSpec(limit, true)
-		return
-	}
 	w.flushPosts()
 	for {
 		t, ok := w.nextTime()
@@ -330,11 +312,7 @@ func (w *World) flushPosts() {
 		p := w.posts[i][w.merge[i]]
 		w.posts[i][w.merge[i]] = wpost{}
 		w.merge[i]++
-		if p.cb != nil {
-			w.ctrl.DoCall(p.at, p.cb, p.ctx, p.arg)
-		} else {
-			w.ctrl.Do(p.at, p.fn)
-		}
+		w.ctrl.DoCall(p.at, p.cb, p.ctx, p.arg)
 		if w.merge[i] < len(w.posts[i]) {
 			// Same shard continues: its next post's (nondecreasing)
 			// timestamp re-keys the root.

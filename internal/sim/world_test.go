@@ -209,6 +209,65 @@ func TestWorldPostOrdering(t *testing.T) {
 	}
 }
 
+// postMix is the delivery log of TestWorldPostPostCallInterleave. Only
+// control-timeline callbacks append to it.
+type postMix struct {
+	w   *World
+	log []string
+}
+
+// postMixLog is the typed callback: ctx is the *postMix, arg packs
+// shard<<8 | emission index.
+func postMixLog(ctx any, arg uint64) {
+	m := ctx.(*postMix)
+	m.log = append(m.log, fmt.Sprintf("s%d-%d@%v", arg>>8, arg&0xff, m.w.Ctrl().Now()))
+}
+
+// TestWorldPostPostCallInterleave: closure posts (Post) and typed posts
+// (PostCall) emitted by several shards at equal timestamps share one
+// delivery order — (timestamp, shard, emission-order) — serial and parallel.
+func TestWorldPostPostCallInterleave(t *testing.T) {
+	want := []string{
+		"s1-0@5.000µs", "s1-1@5.000µs", "s1-2@5.000µs", "s1-3@5.000µs",
+		"s0-0@10.000µs", "s0-1@10.000µs", "s0-2@10.000µs", "s0-3@10.000µs",
+		"s1-4@10.000µs", "s1-5@10.000µs", "s1-6@10.000µs", "s1-7@10.000µs",
+		"s2-0@10.000µs", "s2-1@10.000µs", "s2-2@10.000µs", "s2-3@10.000µs",
+	}
+	for _, parallel := range []bool{false, true} {
+		w := NewWorld()
+		m := &postMix{w: w}
+		w.SetWindow(100 * Microsecond)
+		w.SetParallel(parallel)
+		for i := 0; i < 3; i++ {
+			i := i
+			s := w.AddShard()
+			n := 0
+			// Each burst alternates the two post forms, starting with the
+			// typed one on odd shards so both orders meet at a tie.
+			burst := func() {
+				for k := 0; k < 4; k++ {
+					arg := uint64(i)<<8 | uint64(n)
+					n++
+					if (k+i)%2 == 1 {
+						w.PostCall(i, postMixLog, m, arg)
+					} else {
+						w.Post(i, func() { postMixLog(m, arg) })
+					}
+				}
+			}
+			if i == 1 {
+				s.At(5*Microsecond, burst)
+			}
+			s.At(10*Microsecond, burst)
+		}
+		w.Run()
+		w.Close()
+		if fmt.Sprint(m.log) != fmt.Sprint(want) {
+			t.Fatalf("parallel=%v: delivery order\n got:  %v\n want: %v", parallel, m.log, want)
+		}
+	}
+}
+
 // TestWorldRunUntil: clocks advance to exactly the limit, later events stay
 // pending, and a second RunUntil picks them up.
 func TestWorldRunUntil(t *testing.T) {
