@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"paella/internal/compiler"
@@ -243,6 +244,38 @@ func TestRegisterAdaptorValidation(t *testing.T) {
 	d2 := NewWithDevice(sim.NewEnv(), gpu.TeslaT4(), cfg)
 	if err := d2.RegisterAdaptor("x", ins, a); err == nil {
 		t.Fatal("adaptor registered on non-gated dispatcher")
+	}
+}
+
+// TestAdaptorInvalidKernelPanicsAtLaunch: an adaptor kernel with no blocks
+// is refused where it enters the waitlist, before it can reach the policy
+// (whose saturated-mirror skip assumes every kernel has a block) or the
+// device.
+func TestAdaptorInvalidKernelPanicsAtLaunch(t *testing.T) {
+	env, d, ins := adaptorSetup(t)
+	zero := &gpu.KernelSpec{Name: "empty-grid", Blocks: 0, ThreadsPerBlock: 128}
+	launch := AdaptorFunc(func(p *sim.Proc, ctx *cudart.Context) {
+		ctx.StreamCreate().LaunchKernelAsync(zero, cudart.LaunchOpts{})
+		ctx.DeviceSynchronize(p)
+	})
+	if err := d.RegisterAdaptor("bad", ins, launch); err != nil {
+		t.Fatal(err)
+	}
+	conn := d.Connect()
+	env.At(0, func() {
+		conn.Submit(Request{ID: 1, Model: "bad", Client: 0, Submit: 0})
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		env.Run()
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, `core: kernel "empty-grid": grid size 0`) {
+		t.Fatalf("run panicked with %v, want the launch-time validation panic", got)
+	}
+	if d.Stats().KernelsSent != 0 {
+		t.Fatal("invalid kernel reached the device")
 	}
 }
 

@@ -817,9 +817,11 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 		}
 		// 3. Software-defined dispatch (§6): release the policy's best
 		// fitting job, scanning past unplaceable candidates for work
-		// conservation.
+		// conservation. A saturated mirror refuses every kernel, so the
+		// scan is skipped outright: PickFit only reads state, and a nil
+		// pick charges no time.
 		if d.cfg.Mode == ModeGated {
-			for {
+			for !d.mirror.Saturated() {
 				e := d.cfg.Policy.PickFit(d.fitsFn, d.cfg.DispatchScan)
 				if e == nil {
 					break

@@ -43,6 +43,18 @@ func (m *mirror) CanAccept(k *gpu.KernelSpec) bool {
 	return m.rsvBlocks < m.overshoot
 }
 
+// Saturated reports, in O(1), that CanAccept is false for every valid
+// kernel: the overshoot budget is spent and no free block slot or thread
+// is left. A valid kernel has Blocks ≥ 1 and ThreadsPerBlock ≥ 1
+// (KernelSpec.Validate), so it cannot fit a full block or thread budget,
+// and the spent budget rules out the overshoot path. The converse does not
+// hold: a kernel too large for the remaining registers or shared memory is
+// refused while the mirror is not saturated.
+func (m *mirror) Saturated() bool {
+	return m.rsvBlocks >= m.overshoot &&
+		(m.resBlocks+m.rsvBlocks >= m.capBlocks || m.resThreads+m.rsvThreads >= m.capThreads)
+}
+
 // Reserve accounts for a dispatched kernel whose placement is not yet
 // confirmed.
 func (m *mirror) Reserve(k *gpu.KernelSpec) {

@@ -117,8 +117,14 @@ func newWaitlist(d *Dispatcher, j *Job) *waitlist {
 	return &waitlist{d: d, job: j, streams: make(map[int][]*wlOp)}
 }
 
-// HookKernel implements cudart.LaunchHook.
+// HookKernel implements cudart.LaunchHook. The spec is validated here, at
+// launch, the way Device.Submit validates it: the dispatcher's skip of the
+// policy scan on a saturated mirror relies on every kernel in the policy
+// having at least one block and one thread per block.
 func (w *waitlist) HookKernel(streamID int, spec *gpu.KernelSpec, complete func()) {
+	if err := spec.Validate(); err != nil {
+		panic("core: " + err.Error())
+	}
 	w.push(&wlOp{kind: opKernel, stream: streamID, spec: spec, complete: complete})
 }
 

@@ -73,7 +73,8 @@ type Policy interface {
 	// fit. Work conservation: without this, one unplaceable large kernel
 	// at the head of the policy order would idle the GPU — the same
 	// head-of-line pathology Paella exists to avoid, recreated in
-	// software.
+	// software. PickFit must only read state: the dispatcher skips the
+	// call whenever its occupancy mirror rules out every kernel.
 	PickFit(fits func(*JobEntry) bool, maxScan int) *JobEntry
 	// Dispatched informs the policy that one kernel of j was dispatched
 	// (fairness accounting).
