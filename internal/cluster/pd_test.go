@@ -1,10 +1,13 @@
 package cluster_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 
 	"paella/internal/cluster"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/llm"
 	"paella/internal/metrics"
@@ -144,6 +147,57 @@ func TestPDSplitUnderKVPressure(t *testing.T) {
 		pd.Engine(i).Mem().CheckInvariants()
 		if pd.Engine(i).Mem().KVBlocks() != 0 {
 			t.Fatalf("replica %d leaked KV pages", i)
+		}
+	}
+}
+
+// pdDigest runs 600 seeded requests through a PD front and returns the
+// SHA-256 of its merged records plus the front's counters.
+type pdDigest struct {
+	sum                 [sha256.Size]byte
+	transfers           int
+	kvBytes             int64
+	preemptions, length int
+}
+
+func runPDDigest(t *testing.T, seed int64, prefills, decodes int, mk func() gateway.Policy) pdDigest {
+	t.Helper()
+	env := sim.NewEnv()
+	pd, err := cluster.NewPD(env, cluster.PDConfig{
+		LLM: llmTestConfig(16), Prefills: prefills, Decodes: decodes, MakePolicy: mk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := submitPDLoad(env, pd, seed, 600)
+	env.RunUntil(last + 2*sim.Second)
+	col := pd.Collector()
+	var buf bytes.Buffer
+	if err := col.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d := pdDigest{sum: sha256.Sum256(buf.Bytes()), preemptions: pd.Preemptions(), length: col.Len()}
+	d.transfers, d.kvBytes = pd.Transfers()
+	return d
+}
+
+// TestPDNilPolicyIsLeastLoaded: a PD front without MakePolicy routes
+// exactly as one configured with gateway.NewLeastLoaded — same records,
+// transfers, and preemptions — colocated and disaggregated.
+func TestPDNilPolicyIsLeastLoaded(t *testing.T) {
+	for _, dep := range []struct {
+		name              string
+		prefills, decodes int
+	}{{"colocated-3", 3, 0}, {"split-3P2D", 3, 2}} {
+		for seed := int64(1); seed <= 5; seed++ {
+			def := runPDDigest(t, seed, dep.prefills, dep.decodes, nil)
+			ll := runPDDigest(t, seed, dep.prefills, dep.decodes, gateway.NewLeastLoaded)
+			if def != ll {
+				t.Errorf("%s seed %d: nil policy %+v != least-loaded %+v", dep.name, seed, def, ll)
+			}
+			if def.length != 600 {
+				t.Errorf("%s seed %d: %d records, want 600", dep.name, seed, def.length)
+			}
 		}
 	}
 }
