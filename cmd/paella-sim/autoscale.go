@@ -100,7 +100,7 @@ func presetPrice(device string) float64 {
 // scale-down drains in-flight work before retiring the replica; every
 // request ends in exactly one terminal outcome (the conservation ledger is
 // printed and enforced).
-func runAutoscaled(opts serving.Options, reqs []workload.Request, policyName string,
+func runAutoscaled(opts serving.Options, reqs []workload.Request, policyName, gwName string,
 	minR, maxR, initial int, parallel bool, window sim.Time, scaleInterval sim.Time,
 	trafficDesc string, price float64, names []string, asJSON, perMod bool,
 	telOut string, telWin, sloDeadline sim.Time) {
@@ -131,7 +131,7 @@ func runAutoscaled(opts serving.Options, reqs []workload.Request, policyName str
 		cfg.MaxBatch = opts.MaxBatch
 		cfg.BatchWindow = opts.BatchWindow
 		return cfg
-	}, cluster.NewLeastLoaded(), func(i int, shard *sim.Env) {
+	}, newPolicy(gwName), func(i int, shard *sim.Env) {
 		if telOut != "" {
 			mt := telemetry.NewMeter(fmt.Sprintf("replica%d", i), telWin)
 			mt.SLO(telemetry.SLOConfig{

@@ -15,7 +15,7 @@
 // A multi-GPU cluster on the conservative-window engine (internal/cluster),
 // with replica shards executing in parallel:
 //
-//	paella-sim -replicas 8 -parallel -balancer least-loaded \
+//	paella-sim -replicas 8 -parallel -gateway least-loaded \
 //	           -rate 2000 -jobs 20000 -models synth:8 -zipf 1.1
 package main
 
@@ -69,8 +69,7 @@ func main() {
 		nrepl   = flag.Int("replicas", 1, "number of cluster replicas (GPUs); >1 runs the conservative-window cluster engine")
 		par     = flag.Bool("parallel", false, "execute replica shards on goroutines (bit-identical to serial); requires -replicas > 1")
 		window  = flag.Duration("window", 50*time.Microsecond, "conservative synchronization window (with -replicas > 1)")
-		balName = flag.String("balancer", "least-loaded", "cluster balancer: round-robin | least-loaded | model-affinity | residency-aware")
-		gwName  = flag.String("gateway", "", "gateway routing policy from the internal/gateway registry (overrides -balancer; 'list' to enumerate)")
+		gwName  = flag.String("gateway", "least-loaded", "gateway routing policy from the internal/gateway registry for -replicas > 1, -llm, and -autoscale ('list' to enumerate)")
 		tenants = flag.Int("tenants", 0, "tag requests with N tenants drawn uniformly (0 = untenanted)")
 		admitPS = flag.Float64("admit-rate", 0, "per-tenant admission rate in req/s (gateway token bucket; 0 = no admission control)")
 		maxBat  = flag.Int("max-batch", 0, "dynamic-batching width cap for the gated Paella dispatcher (≤1 = off)")
@@ -97,10 +96,8 @@ func main() {
 		}
 		return
 	}
-	if *gwName != "" {
-		if _, err := gateway.New(*gwName); err != nil {
-			fatal("%v", err)
-		}
+	if _, err := gateway.New(*gwName); err != nil {
+		fatal("%v", err)
 	}
 	if *asName == "list" {
 		for _, name := range autoscale.Names() {
@@ -238,8 +235,8 @@ func main() {
 		if *system != "Paella" {
 			fatal("-autoscale runs the gated Paella dispatcher per replica; -system must be Paella")
 		}
-		if opts.Faults != nil || *gwName != "" || *admitPS > 0 || *trcOut != "" || *trcCSV != "" {
-			fatal("-autoscale does not compose with -faults/-chaos, -gateway, -admit-rate, or trace output")
+		if opts.Faults != nil || *admitPS > 0 || *trcOut != "" || *trcCSV != "" {
+			fatal("-autoscale does not compose with -faults/-chaos, -admit-rate, or trace output")
 		}
 		maxR := *maxRepl
 		if maxR == 0 {
@@ -253,7 +250,7 @@ func main() {
 		if desc == "" {
 			desc = fmt.Sprintf("constant %.0f req/s", *rate)
 		}
-		runAutoscaled(opts, reqs, *asName, *minRepl, maxR, initial, *par,
+		runAutoscaled(opts, reqs, *asName, *gwName, *minRepl, maxR, initial, *par,
 			sim.Time((*window).Nanoseconds()), sim.Time((*scaleI).Nanoseconds()),
 			desc, presetPrice(*device), names, *asJSON, *perMod,
 			*telOut, sim.Time((*telWin).Nanoseconds()), sim.Time((*sloDur).Nanoseconds()))
@@ -269,13 +266,15 @@ func main() {
 		if *trcCSV != "" {
 			fatal("-trace-csv is not supported with -replicas > 1 (use -trace-out for the merged trace)")
 		}
-		runCluster(opts, reqs, *nrepl, *par, sim.Time((*window).Nanoseconds()), *balName,
+		runCluster(opts, reqs, *nrepl, *par, sim.Time((*window).Nanoseconds()), *gwName,
 			*jobs, *rate, *sigma, *clients, names, *asJSON, *perMod, *trcOut, *vramMiB,
 			*telOut, sim.Time((*telWin).Nanoseconds()), sim.Time((*sloDur).Nanoseconds()),
-			*gwName, *admitPS)
+			*admitPS)
 		return
 	}
-	if *gwName != "" || *admitPS > 0 {
+	gwSet := false
+	flag.Visit(func(f *flag.Flag) { gwSet = gwSet || f.Name == "gateway" })
+	if gwSet || *admitPS > 0 {
 		fatal("-gateway and -admit-rate front the cluster engine: use -replicas > 1 or -llm")
 	}
 	if *par {
@@ -382,29 +381,10 @@ func main() {
 // execution produce bit-identical results; -parallel only changes wall-clock
 // time.
 func runCluster(opts serving.Options, reqs []workload.Request, replicas int, parallel bool,
-	window sim.Time, balName string, jobs int, rate, sigma float64, clients int,
+	window sim.Time, gwName string, jobs int, rate, sigma float64, clients int,
 	names []string, asJSON, perMod bool, trcOut string, vramMiB int64,
-	telOut string, telWin, sloDeadline sim.Time, gwName string, admitPS float64) {
-	var bal cluster.Balancer
-	if gwName != "" {
-		var gerr error
-		if bal, gerr = gateway.New(gwName); gerr != nil {
-			fatal("%v", gerr)
-		}
-	} else {
-		switch balName {
-		case "round-robin":
-			bal = cluster.NewRoundRobin()
-		case "least-loaded":
-			bal = cluster.NewLeastLoaded()
-		case "model-affinity":
-			bal = cluster.NewModelAffinity(0)
-		case "residency-aware":
-			bal = cluster.NewResidencyAware(nil)
-		default:
-			fatal("unknown balancer %q (or use -gateway)", balName)
-		}
-	}
+	telOut string, telWin, sloDeadline sim.Time, admitPS float64) {
+	pol := newPolicy(gwName)
 
 	w := sim.NewWorld()
 	w.SetWindow(window)
@@ -434,7 +414,7 @@ func runCluster(opts serving.Options, reqs []workload.Request, replicas int, par
 			cfg.KernelTimeout = 50 * sim.Microsecond
 		}
 		return cfg
-	}, bal, func(i int, shard *sim.Env) {
+	}, pol, func(i int, shard *sim.Env) {
 		if trcOut != "" {
 			shardRecs[i] = trace.New()
 			shard.SetRecorder(shardRecs[i])
@@ -521,7 +501,7 @@ func runCluster(opts serving.Options, reqs []workload.Request, replicas int, par
 	if parallel {
 		mode = "parallel"
 	}
-	fmt.Printf("system     : Paella ×%d replicas, balancer=%s\n", replicas, bal.Name())
+	fmt.Printf("system     : Paella ×%d replicas, balancer=%s\n", replicas, pol.Name())
 	fmt.Printf("engine     : conservative-window %s, Δ=%v\n", mode, time.Duration(window))
 	if a := c.Admission(); a != nil {
 		fmt.Printf("admission  : %.0f req/s per tenant; shed=%d\n", admitPS, a.TotalShed())
@@ -596,16 +576,8 @@ func runLLM(devCfg gpu.Config, jobs int, rate, sigma float64, clients int, seed 
 	if kvBlockKiB > 0 {
 		cfg.KVBlockBytes = kvBlockKiB << 10
 	}
-	pdCfg := cluster.PDConfig{LLM: cfg, Prefills: replicas}
-	if gwName != "" {
-		pdCfg.MakePolicy = func() gateway.Policy {
-			pol, perr := gateway.New(gwName)
-			if perr != nil {
-				fatal("%v", perr)
-			}
-			return pol
-		}
-	}
+	pdCfg := cluster.PDConfig{LLM: cfg, Prefills: replicas,
+		MakePolicy: func() gateway.Policy { return newPolicy(gwName) }}
 	deploy := fmt.Sprintf("colocated ×%d", replicas)
 	if pdSplit != "" {
 		p, d := 0, 0
@@ -739,9 +711,7 @@ func runLLM(devCfg gpu.Config, jobs int, rate, sigma float64, clients int, seed 
 	ttfts, tpots := col.TTFTs(), col.TPOTs()
 	transfers, kvBytes := pd.Transfers()
 	fmt.Printf("system     : Paella-LLM (%s batching), %s\n", mode, deploy)
-	if gwName != "" {
-		fmt.Printf("gateway    : policy=%s\n", gwName)
-	}
+	fmt.Printf("gateway    : policy=%s\n", gwName)
 	if a := pd.Admission(); a != nil {
 		fmt.Printf("admission  : %.0f req/s per tenant; shed=%d\n", admitPS, a.TotalShed())
 		for _, st := range a.Stats() {
@@ -771,6 +741,16 @@ func writeTelemetry(path string, endTime sim.Time, col *metrics.Collector, meter
 		}
 		return telemetry.WriteJSON(w, endTime, telemetry.Export{Collector: col, Meters: meters})
 	})
+}
+
+// newPolicy constructs a fresh instance of the named gateway policy (the
+// name was validated at startup).
+func newPolicy(name string) gateway.Policy {
+	pol, err := gateway.New(name)
+	if err != nil {
+		fatal("%v", err)
+	}
+	return pol
 }
 
 func writeTrace(path string, write func(w io.Writer) error) {

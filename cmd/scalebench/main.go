@@ -20,6 +20,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -64,7 +65,7 @@ func main() {
 		devs[i] = gpu.TeslaT4()
 	}
 	env := sim.NewEnv()
-	c, err := cluster.New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, cluster.NewLeastLoaded())
+	c, err := cluster.New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
 	if err != nil {
 		panic(err)
 	}

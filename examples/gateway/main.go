@@ -35,7 +35,7 @@ import (
 // the given balancer and admission config, returning the merged collector,
 // the per-tenant shed counts, and how many sheds the client saw as typed
 // errors.
-func run(mk func() cluster.Balancer, admit *gateway.Admission,
+func run(mk func() gateway.Policy, admit *gateway.Admission,
 	trace []workload.Request, zoo []*model.Model) (*metrics.Collector, *gateway.Admission, int) {
 	env := sim.NewEnv()
 	devs := []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}
@@ -98,8 +98,8 @@ func main() {
 
 	fmt.Println("Part 1 — routing policy head-to-head (same trace, same fleet):")
 	fmt.Printf("  %-18s %12s %12s\n", "policy", "p50", "p99")
-	for _, mk := range []func() cluster.Balancer{
-		cluster.NewLeastLoaded,
+	for _, mk := range []func() gateway.Policy{
+		gateway.NewLeastLoaded,
 		gateway.NewPredictedLatency,
 	} {
 		col, _, _ := run(mk, nil, trace, zoo)

@@ -9,6 +9,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/sched"
 	"paella/internal/sim"
@@ -43,7 +44,7 @@ func newUnitCluster(t *testing.T, env *sim.Env) *cluster.Cluster {
 		cfg := core.DefaultConfig(sched.NewPaella(10000))
 		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
 		return cfg
-	}, cluster.NewLeastLoaded())
+	}, gateway.NewLeastLoaded())
 	if err != nil {
 		t.Fatal(err)
 	}

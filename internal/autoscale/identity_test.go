@@ -11,6 +11,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -114,7 +115,7 @@ func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec
 		cfg := core.DefaultConfig(sched.NewPaella(10000))
 		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
 		return cfg
-	}, cluster.NewLeastLoaded(), func(i int, shard *sim.Env) {
+	}, gateway.NewLeastLoaded(), func(i int, shard *sim.Env) {
 		if traced {
 			shardRecs[i] = trace.New()
 			shard.SetRecorder(shardRecs[i])

@@ -151,17 +151,38 @@ func clampTarget(want float64) int {
 	return int(want)
 }
 
-// policies is the registry, mirroring gateway.Policy's Register/New/Names
-// shape: constructors take the (validated) config and apply defaults.
-var policies = map[string]func(PolicyConfig) Policy{}
-
-// Register adds a policy constructor under a unique name. Call from
-// package init; duplicate names panic.
-func Register(name string, mk func(PolicyConfig) Policy) {
-	if _, dup := policies[name]; dup {
-		panic(fmt.Sprintf("autoscale: duplicate policy %q", name))
-	}
-	policies[name] = mk
+// policies is the registry, the same shape as the gateway's: constructors
+// take the (validated) config and apply defaults. A new policy adds its
+// constructor here.
+var policies = map[string]func(PolicyConfig) Policy{
+	"static": func(pc PolicyConfig) Policy { return &staticPolicy{fixed: pc.Fixed} },
+	"queue-depth": func(pc PolicyConfig) Policy {
+		p := &queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}
+		p.defaults()
+		return p
+	},
+	"step": func(pc PolicyConfig) Policy {
+		p := &stepPolicy{queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}}
+		p.defaults()
+		return p
+	},
+	"slo-burn": func(pc PolicyConfig) Policy {
+		hold := pc.HoldTicks
+		if hold == 0 {
+			hold = 10
+		}
+		return &sloBurnPolicy{hold: hold}
+	},
+	"predictive": func(pc PolicyConfig) Policy {
+		p := &predictivePolicy{headroom: pc.Headroom, lookahead: pc.Lookahead}
+		if p.headroom == 0 {
+			p.headroom = 1.25
+		}
+		if p.lookahead == 0 {
+			p.lookahead = 5
+		}
+		return p
+	},
 }
 
 // New returns a fresh instance of the named policy with default knobs.
@@ -185,37 +206,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	Register("static", func(pc PolicyConfig) Policy { return &staticPolicy{fixed: pc.Fixed} })
-	Register("queue-depth", func(pc PolicyConfig) Policy {
-		p := &queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}
-		p.defaults()
-		return p
-	})
-	Register("step", func(pc PolicyConfig) Policy {
-		p := &stepPolicy{queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}}
-		p.defaults()
-		return p
-	})
-	Register("slo-burn", func(pc PolicyConfig) Policy {
-		hold := pc.HoldTicks
-		if hold == 0 {
-			hold = 10
-		}
-		return &sloBurnPolicy{hold: hold}
-	})
-	Register("predictive", func(pc PolicyConfig) Policy {
-		p := &predictivePolicy{headroom: pc.Headroom, lookahead: pc.Lookahead}
-		if p.headroom == 0 {
-			p.headroom = 1.25
-		}
-		if p.lookahead == 0 {
-			p.lookahead = 5
-		}
-		return p
-	})
 }
 
 // staticPolicy pins the pool at a fixed size — the provisioning baseline

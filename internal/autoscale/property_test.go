@@ -24,7 +24,7 @@ import (
 // physical ID at pick time (picks are synchronous on the control
 // timeline, so the scaler's state is exact when Pick runs).
 type guardBalancer struct {
-	inner      cluster.Balancer
+	inner      gateway.Policy
 	state      func(id int) autoscale.ReplicaState
 	violations []string
 }
@@ -69,7 +69,7 @@ func TestAutoscaleConservationUnderChurn(t *testing.T) {
 		w := sim.NewWorld()
 		w.SetParallel(true)
 		defer w.Close()
-		guard := &guardBalancer{inner: cluster.NewLeastLoaded()}
+		guard := &guardBalancer{inner: gateway.NewLeastLoaded()}
 		devs := []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4(), gpu.TeslaT4()}
 		c, err := cluster.NewWorldWithConfig(w, devs, func(int, gpu.Config) core.Config {
 			cfg := core.DefaultConfig(sched.NewPaella(10000))

@@ -23,7 +23,6 @@ import (
 	"paella/internal/model"
 	"paella/internal/sched"
 	"paella/internal/sim"
-	"paella/internal/telemetry"
 	"paella/internal/trace"
 	"paella/internal/vram"
 )
@@ -39,48 +38,23 @@ var ErrReplicaCrashed = errors.New("cluster: replica crashed, failover impossibl
 // the -1 ring-full result.
 const Shed = -2
 
-// GPUView is the routing policy's read-only view of one replica. It is the
-// gateway's Replica type: routing was extracted from this package into
-// internal/gateway, and the alias keeps existing call sites compiling.
-type GPUView = gateway.Replica
-
-// Balancer routes a request to a GPU. It is the gateway's Policy
-// interface; construct instances via the gateway registry (gateway.New) or
-// the re-exported constructors below.
-type Balancer = gateway.Policy
-
-// NewRoundRobin returns a load-oblivious rotating balancer.
-func NewRoundRobin() Balancer { return gateway.NewRoundRobin() }
-
-// NewLeastLoaded returns a capacity-normalized least-outstanding balancer.
-func NewLeastLoaded() Balancer { return gateway.NewLeastLoaded() }
-
-// NewModelAffinity returns an affinity balancer that spills when the home
-// GPU carries more than spillFactor× the cluster-average load.
-func NewModelAffinity(spillFactor float64) Balancer {
-	return gateway.NewModelAffinity(spillFactor)
-}
-
-// NewResidencyAware returns the residency-aware balancer; a nil fallback
-// defaults to least-loaded.
-func NewResidencyAware(fallback Balancer) Balancer {
-	return gateway.NewResidencyAware(fallback)
-}
-
 // Cluster is a set of Paella instances behind one gateway policy.
 type Cluster struct {
-	env *sim.Env
+	// front holds admission, shed records, and the gateway instruments;
+	// its env is the control timeline.
+	front
 	// world is non-nil when the cluster runs on the conservative-window
 	// engine: each dispatcher lives on its own shard Env (shard index ==
 	// replica index), env is the world's control Env, and all cross-replica
 	// work — routing, failover, terminal delivery — executes as control
 	// events with the shards parked at a barrier.
-	world    *sim.World
-	disps    []*core.Dispatcher
-	balancer Balancer
-	views    []GPUView
+	world  *sim.World
+	disps  []*core.Dispatcher
+	policy gateway.Policy
+	// capacity is each replica's thread-slot count, its routing weight.
+	capacity []int
 	// inflight counts requests routed to each GPU and not yet completed —
-	// maintained at the balancer, where the routing decision is made
+	// maintained at the gateway, where the routing decision is made
 	// (backend admission counters lag by the channel latency).
 	inflight []int
 	// pendingNs tracks each replica's routed-but-unfinished predicted work
@@ -94,7 +68,7 @@ type Cluster struct {
 	// model → weight footprint for the cold-start penalty estimate.
 	costNs      map[string][]sim.Time
 	weightBytes map[string]int64
-	// alive marks replicas that have not crashed; the balancer only ever
+	// alive marks replicas that have not crashed; the policy only ever
 	// sees live replicas. conns tracks every cluster-level connection for
 	// crash failover.
 	alive   []bool
@@ -111,120 +85,55 @@ type Cluster struct {
 	// would vary run to run).
 	modelOrder []string
 
-	// admission is the gateway's per-tenant token-bucket controller (nil =
-	// no admission control). shedCol collects the failed records of shed
-	// requests so Collector() preserves the conservation invariant.
-	admission *gateway.Admission
-	shedCol   *metrics.Collector
-
 	// rec is the structured tracing recorder (nil = disabled); routing
 	// decisions are instants on routeTrack.
 	rec        *trace.Recorder
 	routeTrack trace.TrackID
-
-	// gw holds the lazily registered gateway telemetry instruments. They
-	// register on first use of a gateway feature (admission, tenants, or a
-	// prediction-driven policy), never for classic balancer runs — keeping
-	// pre-gateway telemetry exports byte-identical.
-	gw gwMetrics
-}
-
-// gwMetrics is the cluster's gateway-layer instrument set on the control
-// timeline's meter: one routed counter and predicted-latency histogram per
-// policy, a fleet-wide shed counter, and per-tenant admitted/shed
-// counters created as tenants first appear.
-type gwMetrics struct {
-	on       bool
-	mt       *telemetry.Meter
-	routed   telemetry.MetricID
-	predNs   telemetry.MetricID
-	shed     telemetry.MetricID
-	admitted telemetry.MetricID
-	tenants  map[string]tenantMetrics
-}
-
-type tenantMetrics struct {
-	admitted telemetry.MetricID
-	shed     telemetry.MetricID
-}
-
-// activate registers the gateway instruments (idempotent).
-func (g *gwMetrics) activate(policy string) {
-	if g.on {
-		return
-	}
-	g.on = true
-	g.routed = g.mt.Counter("gateway/" + policy + "/routed")
-	g.predNs = g.mt.Histogram("gateway/" + policy + "/predicted_ns")
-	g.admitted = g.mt.Counter("gateway/admitted")
-	g.shed = g.mt.Counter("gateway/shed")
-	g.tenants = make(map[string]tenantMetrics)
-}
-
-// tenant returns (registering on first sight) the tenant's counters.
-func (g *gwMetrics) tenant(name string) tenantMetrics {
-	tm, ok := g.tenants[name]
-	if !ok {
-		tm = tenantMetrics{
-			admitted: g.mt.Counter("gateway/tenant/" + name + "/admitted"),
-			shed:     g.mt.Counter("gateway/tenant/" + name + "/shed"),
-		}
-		g.tenants[name] = tm
-	}
-	return tm
 }
 
 // New builds a cluster with one dispatcher per device configuration
 // (possibly heterogeneous). Each dispatcher gets a fresh policy from
 // mkPolicy.
-func New(env *sim.Env, devs []gpu.Config, mkPolicy func() sched.Policy, b Balancer) (*Cluster, error) {
+func New(env *sim.Env, devs []gpu.Config, mkPolicy func() sched.Policy, p gateway.Policy) (*Cluster, error) {
 	return NewWithConfig(env, devs, func(int, gpu.Config) core.Config {
 		return core.DefaultConfig(mkPolicy())
-	}, b)
+	}, p)
 }
 
 // NewWithConfig builds a cluster with a caller-supplied dispatcher
 // configuration per device — the hook for per-GPU VRAM budgets, ablation
 // modes, or tuned dispatcher costs. mkCfg is called once per device with
 // its index and configuration.
-func NewWithConfig(env *sim.Env, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, b Balancer) (*Cluster, error) {
-	return build(env, nil, devs, mkCfg, b, nil)
+func NewWithConfig(env *sim.Env, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, p gateway.Policy) (*Cluster, error) {
+	return build(env, nil, devs, mkCfg, p, nil)
 }
 
-// NewWorld builds a cluster on a sim.World: each replica (dispatcher, GPU,
-// cudart/PCIe link, VRAM state) is placed on its own shard Env, so replica
-// windows can execute concurrently while routing, failover, and terminal
-// delivery serialize on the control Env. Request generators and fault
-// injectors must schedule on w.Ctrl(). The world must have no shards yet.
-func NewWorld(w *sim.World, devs []gpu.Config, mkPolicy func() sched.Policy, b Balancer) (*Cluster, error) {
-	return NewWorldWithConfig(w, devs, func(int, gpu.Config) core.Config {
-		return core.DefaultConfig(mkPolicy())
-	}, b, nil)
-}
-
-// NewWorldWithConfig is NewWorld with a per-device dispatcher configuration
-// and an optional setup hook invoked with each replica's shard Env before
-// the dispatcher is built on it (e.g. to attach a per-replica trace
-// recorder).
-func NewWorldWithConfig(w *sim.World, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, b Balancer, setup func(i int, shard *sim.Env)) (*Cluster, error) {
+// NewWorldWithConfig builds a cluster on a sim.World: each replica
+// (dispatcher, GPU, cudart/PCIe link, VRAM state) is placed on its own
+// shard Env, so replica windows can execute concurrently while routing,
+// failover, and terminal delivery serialize on the control Env. Request
+// generators and fault injectors must schedule on w.Ctrl(). The world must
+// have no shards yet. The optional setup hook runs with each replica's
+// shard Env before the dispatcher is built on it (e.g. to attach a
+// per-replica trace recorder).
+func NewWorldWithConfig(w *sim.World, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, p gateway.Policy, setup func(i int, shard *sim.Env)) (*Cluster, error) {
 	if w.NumShards() != 0 {
 		return nil, fmt.Errorf("cluster: world already has %d shards", w.NumShards())
 	}
-	return build(w.Ctrl(), w, devs, mkCfg, b, setup)
+	return build(w.Ctrl(), w, devs, mkCfg, p, setup)
 }
 
-func build(env *sim.Env, w *sim.World, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, b Balancer, setup func(i int, shard *sim.Env)) (*Cluster, error) {
+func build(env *sim.Env, w *sim.World, devs []gpu.Config, mkCfg func(i int, dev gpu.Config) core.Config, p gateway.Policy, setup func(i int, shard *sim.Env)) (*Cluster, error) {
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("cluster: no devices")
 	}
 	c := &Cluster{
-		env: env, world: w, balancer: b,
+		world: w, policy: p,
 		inflight:    make([]int, len(devs)),
 		pendingNs:   make([]sim.Time, len(devs)),
 		alive:       make([]bool, len(devs)),
 		costNs:      make(map[string][]sim.Time),
 		weightBytes: make(map[string]int64),
-		shedCol:     metrics.NewCollector(),
 	}
 	c.routable = make([]bool, len(devs))
 	for i := range c.alive {
@@ -235,7 +144,6 @@ func build(env *sim.Env, w *sim.World, devs []gpu.Config, mkCfg func(i int, dev 
 		c.rec = rec
 		c.routeTrack = rec.Thread(rec.Process("cluster"), "route")
 	}
-	c.gw.mt = telemetry.FromEnv(env)
 	for i, dev := range devs {
 		denv := env
 		if w != nil {
@@ -247,33 +155,13 @@ func build(env *sim.Env, w *sim.World, devs []gpu.Config, mkCfg func(i int, dev 
 		d := core.NewWithDevice(denv, dev, mkCfg(i, dev))
 		d.Start()
 		c.disps = append(c.disps, d)
-		c.views = append(c.views, GPUView{
-			Index:    i,
-			Capacity: dev.NumSMs * dev.SM.MaxThreads,
-		})
+		c.capacity = append(c.capacity, dev.NumSMs*dev.SM.MaxThreads)
 	}
-	// A prediction-driven policy activates the gateway instruments up
-	// front; classic balancers stay instrument-free unless admission or
-	// tenancy appears.
-	if n := b.Name(); n == "predicted-latency" || n == "affinity" {
-		c.gw.activate(n)
-	}
+	// The front registers its instruments after the dispatchers' so the
+	// shared meter's export order is fixed.
+	c.front = newFront(env, p.Name())
 	return c, nil
 }
-
-// SetAdmission installs (or, with nil, removes) the gateway's per-tenant
-// token-bucket admission controller. Requests whose tenant is over its
-// rate terminate immediately with gateway.ErrTenantShed through
-// Conn.OnFailed and a failed record in Collector().
-func (c *Cluster) SetAdmission(a *gateway.Admission) {
-	c.admission = a
-	if a != nil {
-		c.gw.activate(c.balancer.Name())
-	}
-}
-
-// Admission returns the installed admission controller, or nil.
-func (c *Cluster) Admission() *gateway.Admission { return c.admission }
 
 // World returns the conservative-window engine the cluster runs on, or nil
 // when it runs on a single serial Env.
@@ -446,7 +334,7 @@ type Conn struct {
 	// the original request for failover re-submission).
 	pending map[uint64]route
 	// order lists outstanding request ids in submission order. Failover
-	// walks it so crashed requests re-enter the balancer in the order they
+	// walks it so crashed requests re-enter the policy in the order they
 	// were submitted — an explicit insertion-ordered structure rather than
 	// map iteration (nondeterministic) or an id sort (wrong order if ids
 	// are not monotone). Entries are removed lazily: ids no longer pending
@@ -571,43 +459,22 @@ func (c *Cluster) loadPenalty(g int, model string) sim.Time {
 // gateway.ErrTenantShed).
 func (cn *Conn) Submit(req core.Request) int {
 	c := cn.cluster
-	if err := c.admission.Admit(req.Tenant, c.env.Now()); err != nil {
-		cn.shed(req, err)
+	if err := c.admit(req.Tenant); err != nil {
+		c.shed(metrics.JobRecord{
+			ID: req.ID, Model: req.Model, Client: req.Client, Tenant: req.Tenant,
+			Submit: req.Submit,
+		}, err)
+		if c.rec != nil {
+			c.rec.InstantArgs(c.routeTrack, req.Model, "shed", c.env.Now(),
+				trace.Int("id", int64(req.ID)),
+				trace.Str("tenant", req.Tenant))
+		}
+		if cn.OnFailed != nil {
+			cn.OnFailed(req.ID, err)
+		}
 		return Shed
 	}
-	if c.admission != nil {
-		c.gw.mt.Add(c.gw.admitted, c.env.Now(), 1)
-		if req.Tenant != "" {
-			c.gw.mt.Add(c.gw.tenant(req.Tenant).admitted, c.env.Now(), 1)
-		}
-	}
 	return cn.submitRouted(req)
-}
-
-// shed terminates an admission-refused request: a failed record with the
-// typed reason (conservation: every request still ends in exactly one
-// terminal event), telemetry counters, a trace instant, and the client
-// callback.
-func (cn *Conn) shed(req core.Request, err error) {
-	c := cn.cluster
-	now := c.env.Now()
-	c.shedCol.Add(metrics.JobRecord{
-		ID: req.ID, Model: req.Model, Client: req.Client, Tenant: req.Tenant,
-		Submit: req.Submit, Admit: now, ExecDone: now, Delivered: now,
-		Failed: true, FailureReason: err.Error(),
-	})
-	c.gw.mt.Add(c.gw.shed, now, 1)
-	if req.Tenant != "" {
-		c.gw.mt.Add(c.gw.tenant(req.Tenant).shed, now, 1)
-	}
-	if c.rec != nil {
-		c.rec.InstantArgs(c.routeTrack, req.Model, "shed", now,
-			trace.Int("id", int64(req.ID)),
-			trace.Str("tenant", req.Tenant))
-	}
-	if cn.OnFailed != nil {
-		cn.OnFailed(req.ID, err)
-	}
 }
 
 // submitRouted routes an already-admitted request (failover re-entries
@@ -618,17 +485,17 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	// in the slice it was given, so the compacted slice renumbers Index to
 	// its own positions (ID keeps the stable physical index) and liveIdx
 	// maps the pick back to the real GPU.
-	views := c.views[:0:0]
+	var views []gateway.Replica
 	var liveIdx []int
 	for i := range c.disps {
 		if !c.alive[i] || !c.routable[i] {
 			continue
 		}
-		v := GPUView{
+		v := gateway.Replica{
 			Index:    len(views),
 			ID:       i,
 			InFlight: c.inflight[i],
-			Capacity: c.views[i].Capacity,
+			Capacity: c.capacity[i],
 			QueueNs:  c.pendingNs[i],
 			CostNs:   c.costOf(i, req.Model),
 		}
@@ -642,27 +509,26 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	if len(views) == 0 {
 		return -1
 	}
-	pick := c.balancer.Pick(gateway.Request{Model: req.Model, Tenant: req.Tenant, Session: req.Session}, views)
+	pick := c.policy.Pick(gateway.Request{Model: req.Model, Tenant: req.Tenant, Session: req.Session}, views)
 	if pick < 0 || pick >= len(views) {
-		panic(fmt.Sprintf("cluster: balancer %q picked GPU %d of %d", c.balancer.Name(), pick, len(views)))
+		panic(fmt.Sprintf("cluster: policy %q picked GPU %d of %d", c.policy.Name(), pick, len(views)))
 	}
 	g := liveIdx[pick]
-	if c.rec != nil {
-		c.rec.InstantArgs(c.routeTrack, req.Model, "route", c.env.Now(),
-			trace.Int("gpu", int64(g)),
-			trace.Str("balancer", c.balancer.Name()),
-			trace.Bool("warm", views[pick].Warm),
-			trace.Bool("loading", views[pick].Loading))
-	}
-	if c.gw.on {
-		c.gw.mt.Add(c.gw.routed, c.env.Now(), 1)
-		c.gw.mt.Observe(c.gw.predNs, c.env.Now(), float64(views[pick].Predicted()))
-	}
 	orig := req
 	req.Client = cn.conns[g].ID
 	if !cn.conns[g].Submit(req) {
+		// A full ring refuses the request before it is routed anywhere;
+		// the caller's retry is the routing decision that counts.
 		return -1
 	}
+	if c.rec != nil {
+		c.rec.InstantArgs(c.routeTrack, req.Model, "route", c.env.Now(),
+			trace.Int("gpu", int64(g)),
+			trace.Str("balancer", c.policy.Name()),
+			trace.Bool("warm", views[pick].Warm),
+			trace.Bool("loading", views[pick].Loading))
+	}
+	c.routed(views[pick])
 	cn.pending[req.ID] = route{gpu: g, req: orig}
 	cn.order = append(cn.order, req.ID)
 	if len(cn.order) > 4*len(cn.pending)+16 {
@@ -688,9 +554,9 @@ func (cn *Conn) compactOrder() {
 }
 
 // Crash kills replica i (fault injection: the whole serving process died).
-// The replica's dispatcher loop stops, the balancer stops routing to it,
+// The replica's dispatcher loop stops, the policy stops seeing it,
 // and every connection's requests pending on it fail over to the surviving
-// replicas — re-entering the balancer with their original submit times, so
+// replicas — re-entering the policy with their original submit times, so
 // recovery latency shows up in JCT. When no live replica remains, pending
 // requests terminate with ErrReplicaCrashed through Conn.OnFailed. Late
 // completions from the crashed replica's drained pipeline are ignored.
@@ -775,14 +641,9 @@ func (c *Cluster) residency(i int, modelName string) (warm, loading bool) {
 // Collector returns a merged view of all GPUs' completion records, plus
 // the failed records of gateway-shed requests.
 func (c *Cluster) Collector() *metrics.Collector {
-	merged := metrics.NewCollector()
-	for _, d := range c.disps {
-		for _, r := range d.Collector().Records() {
-			merged.Add(r)
-		}
+	cols := make([]*metrics.Collector, len(c.disps))
+	for i, d := range c.disps {
+		cols[i] = d.Collector()
 	}
-	for _, r := range c.shedCol.Records() {
-		merged.Add(r)
-	}
-	return merged
+	return c.merged(cols...)
 }

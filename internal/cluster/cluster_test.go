@@ -13,7 +13,7 @@ import (
 	"paella/internal/vram"
 )
 
-func mkCluster(t *testing.T, b Balancer, devs ...gpu.Config) (*sim.Env, *Cluster) {
+func mkCluster(t *testing.T, b gateway.Policy, devs ...gpu.Config) (*sim.Env, *Cluster) {
 	t.Helper()
 	env := sim.NewEnv()
 	if len(devs) == 0 {
@@ -30,7 +30,7 @@ func mkCluster(t *testing.T, b Balancer, devs ...gpu.Config) (*sim.Env, *Cluster
 }
 
 func TestClusterAllComplete(t *testing.T) {
-	env, c := mkCluster(t, NewRoundRobin())
+	env, c := mkCluster(t, gateway.NewRoundRobin())
 	conn := c.Connect()
 	done := 0
 	conn.OnComplete = func(uint64) { done++ }
@@ -50,7 +50,7 @@ func TestClusterAllComplete(t *testing.T) {
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
-	env, c := mkCluster(t, NewRoundRobin())
+	env, c := mkCluster(t, gateway.NewRoundRobin())
 	conn := c.Connect()
 	counts := map[int]int{}
 	for i := 0; i < 10; i++ {
@@ -66,7 +66,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 }
 
 func TestLeastLoadedAvoidsBusyGPU(t *testing.T) {
-	env, c := mkCluster(t, NewLeastLoaded())
+	env, c := mkCluster(t, gateway.NewLeastLoaded())
 	conn := c.Connect()
 	// Pre-load GPU 0 through the balancer's own accounting.
 	c.inflight[0] = 10
@@ -87,18 +87,18 @@ func TestLeastLoadedCapacityNormalized(t *testing.T) {
 	big := gpu.TeslaT4() // 40 SMs
 	small := gpu.TeslaT4()
 	small.NumSMs = 4
-	views := []GPUView{
+	views := []gateway.Replica{
 		{Index: 0, InFlight: 2, Capacity: big.NumSMs * big.SM.MaxThreads},
 		{Index: 1, InFlight: 1, Capacity: small.NumSMs * small.SM.MaxThreads},
 	}
-	if got := NewLeastLoaded().Pick(gateway.Request{Model: "m"}, views); got != 0 {
+	if got := gateway.NewLeastLoaded().Pick(gateway.Request{Model: "m"}, views); got != 0 {
 		t.Fatalf("capacity-normalized pick = %d, want 0 (big GPU)", got)
 	}
 }
 
 func TestModelAffinityStable(t *testing.T) {
-	b := NewModelAffinity(100) // never spill
-	views := []GPUView{{Index: 0}, {Index: 1}, {Index: 2}}
+	b := gateway.NewModelAffinity(100) // never spill
+	views := []gateway.Replica{{Index: 0}, {Index: 1}, {Index: 2}}
 	first := b.Pick(gateway.Request{Model: "resnet18"}, views)
 	for i := 0; i < 5; i++ {
 		if got := b.Pick(gateway.Request{Model: "resnet18"}, views); got != first {
@@ -116,8 +116,8 @@ func TestModelAffinityStable(t *testing.T) {
 }
 
 func TestModelAffinitySpills(t *testing.T) {
-	b := NewModelAffinity(1.5)
-	views := []GPUView{{Index: 0, InFlight: 0, Capacity: 1}, {Index: 1, InFlight: 0, Capacity: 1}}
+	b := gateway.NewModelAffinity(1.5)
+	views := []gateway.Replica{{Index: 0, InFlight: 0, Capacity: 1}, {Index: 1, InFlight: 0, Capacity: 1}}
 	home := b.Pick(gateway.Request{Model: "resnet18"}, views)
 	// Overload the home GPU: with spill factor 1.5 and average load 5,
 	// home load 10 > 7.5 ⇒ spill to the other GPU.
@@ -129,7 +129,7 @@ func TestModelAffinitySpills(t *testing.T) {
 }
 
 func TestHeterogeneousCluster(t *testing.T) {
-	env, c := mkCluster(t, NewLeastLoaded(), gpu.TeslaT4(), gpu.TeslaP100())
+	env, c := mkCluster(t, gateway.NewLeastLoaded(), gpu.TeslaT4(), gpu.TeslaP100())
 	conn := c.Connect()
 	done := 0
 	conn.OnComplete = func(uint64) { done++ }
@@ -147,7 +147,7 @@ func TestHeterogeneousCluster(t *testing.T) {
 
 func TestEmptyClusterRejected(t *testing.T) {
 	env := sim.NewEnv()
-	if _, err := New(env, nil, func() sched.Policy { return sched.NewFIFO() }, NewRoundRobin()); err == nil {
+	if _, err := New(env, nil, func() sched.Policy { return sched.NewFIFO() }, gateway.NewRoundRobin()); err == nil {
 		t.Fatal("empty cluster constructed")
 	}
 }
@@ -157,7 +157,7 @@ func TestEmptyClusterRejected(t *testing.T) {
 func TestClusterScalesThroughput(t *testing.T) {
 	run := func(devs ...gpu.Config) sim.Time {
 		env := sim.NewEnv()
-		c, err := New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, NewLeastLoaded())
+		c, err := New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +195,8 @@ func TestClusterScalesThroughput(t *testing.T) {
 // cluster average — but proportionally to its size — must not trigger a
 // spill, while a genuinely overloaded small home must.
 func TestModelAffinityHeterogeneousNormalized(t *testing.T) {
-	b := NewModelAffinity(1.5)
-	views := []GPUView{
+	b := gateway.NewModelAffinity(1.5)
+	views := []gateway.Replica{
 		{Index: 0, Capacity: 10},
 		{Index: 1, Capacity: 100},
 	}
@@ -234,8 +234,8 @@ func TestModelAffinityHeterogeneousNormalized(t *testing.T) {
 // regardless of load, loading beats cold, and the fallback handles
 // all-cold.
 func TestResidencyAwarePickPrefersWarm(t *testing.T) {
-	b := NewResidencyAware(nil)
-	views := []GPUView{
+	b := gateway.NewResidencyAware(nil)
+	views := []gateway.Replica{
 		{Index: 0, InFlight: 9, Capacity: 10, Warm: true},
 		{Index: 1, InFlight: 0, Capacity: 10},
 	}
@@ -262,7 +262,7 @@ func TestResidencyAwarePickPrefersWarm(t *testing.T) {
 
 // mkVRAMCluster builds a 2-GPU cluster whose dispatchers carry a VRAM
 // budget, with two weighted models registered.
-func mkVRAMCluster(t *testing.T, b Balancer, capacity int64) (*sim.Env, *Cluster) {
+func mkVRAMCluster(t *testing.T, b gateway.Policy, capacity int64) (*sim.Env, *Cluster) {
 	t.Helper()
 	env := sim.NewEnv()
 	devs := []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}
@@ -293,7 +293,7 @@ func TestClusterResidencyRouting(t *testing.T) {
 	// Round-robin fallback spreads cold models across GPUs; with the
 	// default least-loaded fallback, two idle GPUs tie and every cold
 	// model would land on GPU 0, evicting each other forever.
-	env, c := mkVRAMCluster(t, NewResidencyAware(NewRoundRobin()), 32<<20)
+	env, c := mkVRAMCluster(t, gateway.NewResidencyAware(gateway.NewRoundRobin()), 32<<20)
 	conn := c.Connect()
 	done := 0
 	conn.OnComplete = func(uint64) { done++ }
@@ -327,7 +327,7 @@ func TestClusterResidencyRouting(t *testing.T) {
 // requests to the survivor; completions plus typed failures account for
 // every submission, and new submissions avoid the dead replica.
 func TestCrashFailover(t *testing.T) {
-	env, c := mkCluster(t, NewRoundRobin())
+	env, c := mkCluster(t, gateway.NewRoundRobin())
 	conn := c.Connect()
 	completed, failed := 0, 0
 	conn.OnComplete = func(uint64) { completed++ }
@@ -372,7 +372,7 @@ func TestCrashFailover(t *testing.T) {
 // TestCrashAllReplicas: with every replica dead, Submit reports no target
 // and pending work fails with ErrReplicaCrashed rather than hanging.
 func TestCrashAllReplicas(t *testing.T) {
-	env, c := mkCluster(t, NewRoundRobin())
+	env, c := mkCluster(t, gateway.NewRoundRobin())
 	conn := c.Connect()
 	var lastErr error
 	failed := 0

@@ -14,6 +14,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -35,7 +36,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden snapshots
 // preGatewayBlob runs one deterministic cluster workload under the named
 // balancer and returns every observable byte: sorted per-request metrics
 // JSON, the telemetry export, and the merged trace.
-func preGatewayBlob(t *testing.T, mkBal func() cluster.Balancer, onWorld bool) []byte {
+func preGatewayBlob(t *testing.T, mkBal func() gateway.Policy, onWorld bool) []byte {
 	t.Helper()
 	devs := []gpu.Config{gpu.TeslaT4(), gpu.GTX1660Super(), gpu.TeslaT4()}
 	// Small kernel graphs (traces stay commit-sized) with real weight
@@ -169,14 +170,14 @@ func preGatewayBlob(t *testing.T, mkBal func() cluster.Balancer, onWorld bool) [
 func TestRoutingExtractionGolden(t *testing.T) {
 	cases := []struct {
 		name    string
-		mk      func() cluster.Balancer
+		mk      func() gateway.Policy
 		onWorld bool
 	}{
-		{"round-robin", cluster.NewRoundRobin, false},
-		{"least-loaded", cluster.NewLeastLoaded, false},
-		{"model-affinity", func() cluster.Balancer { return cluster.NewModelAffinity(2) }, false},
-		{"residency-aware", func() cluster.Balancer { return cluster.NewResidencyAware(nil) }, false},
-		{"residency-aware-world", func() cluster.Balancer { return cluster.NewResidencyAware(nil) }, true},
+		{"round-robin", gateway.NewRoundRobin, false},
+		{"least-loaded", gateway.NewLeastLoaded, false},
+		{"model-affinity", func() gateway.Policy { return gateway.NewModelAffinity(2) }, false},
+		{"residency-aware", func() gateway.Policy { return gateway.NewResidencyAware(nil) }, false},
+		{"residency-aware-world", func() gateway.Policy { return gateway.NewResidencyAware(nil) }, true},
 	}
 	for _, tc := range cases {
 		tc := tc

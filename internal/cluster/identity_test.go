@@ -54,7 +54,7 @@ func chaosLowPlan(seed int64) *fault.Plan {
 // maxBatch > 1 turns on dispatcher dynamic batching (the matrix's batching
 // column): every replica batches same-kernel jobs with a 50µs formation
 // window, which must not cost any determinism.
-func runWorldCluster(t *testing.T, seed int64, mkBal func() cluster.Balancer, plan *fault.Plan, parallel, traced bool, maxBatch int) worldRunResult {
+func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan *fault.Plan, parallel, traced bool, maxBatch int) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
@@ -177,11 +177,11 @@ func runWorldCluster(t *testing.T, seed int64, mkBal func() cluster.Balancer, pl
 func TestWorldSerialParallelBitIdentical(t *testing.T) {
 	balancers := []struct {
 		name string
-		mk   func() cluster.Balancer
+		mk   func() gateway.Policy
 	}{
-		{"round-robin", cluster.NewRoundRobin},
-		{"least-loaded", cluster.NewLeastLoaded},
-		{"residency-aware", func() cluster.Balancer { return cluster.NewResidencyAware(nil) }},
+		{"round-robin", gateway.NewRoundRobin},
+		{"least-loaded", gateway.NewLeastLoaded},
+		{"residency-aware", func() gateway.Policy { return gateway.NewResidencyAware(nil) }},
 	}
 	plans := []struct {
 		name string
@@ -342,7 +342,7 @@ func TestWorldSerialParallelBitIdenticalLLM(t *testing.T) {
 // affinity) with optional token-bucket admission, on the World engine. The
 // control timeline carries its own meter so the gateway's routing and
 // admission instruments join the bit-identity comparison.
-func runWorldGateway(t *testing.T, seed int64, mkBal func() cluster.Balancer, admitPS float64, parallel bool) worldRunResult {
+func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admitPS float64, parallel bool) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
 	w.SetParallel(parallel)
@@ -428,10 +428,10 @@ func runWorldGateway(t *testing.T, seed int64, mkBal func() cluster.Balancer, ad
 func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 	balancers := []struct {
 		name string
-		mk   func() cluster.Balancer
+		mk   func() gateway.Policy
 	}{
 		{"predicted-latency", gateway.NewPredictedLatency},
-		{"affinity", func() cluster.Balancer { return gateway.NewAffinity(0) }},
+		{"affinity", func() gateway.Policy { return gateway.NewAffinity(0) }},
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		for _, b := range balancers {
@@ -477,8 +477,8 @@ func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 // TestWorldRunRepeatable: the same seed twice on the parallel engine gives
 // identical bytes — determinism across runs, not just across modes.
 func TestWorldRunRepeatable(t *testing.T) {
-	a := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
-	b := runWorldCluster(t, 11, cluster.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
+	a := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
+	b := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.traceBytes != b.traceBytes ||
 		a.telemetryJSON != b.telemetryJSON {
 		t.Fatal("parallel runs with identical seeds diverge")

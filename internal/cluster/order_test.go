@@ -42,7 +42,7 @@ func TestFailoverSubmissionOrder(t *testing.T) {
 type pinned struct{ gpu int }
 
 func (p *pinned) Name() string { return "pinned" }
-func (p *pinned) Pick(_ gateway.Request, gpus []GPUView) int {
+func (p *pinned) Pick(_ gateway.Request, gpus []gateway.Replica) int {
 	if p.gpu < len(gpus) {
 		return p.gpu
 	}
@@ -52,7 +52,7 @@ func (p *pinned) Pick(_ gateway.Request, gpus []GPUView) int {
 // TestOrderCompaction: the insertion-order list does not grow with total
 // throughput — terminated ids are compacted away.
 func TestOrderCompaction(t *testing.T) {
-	env, c := mkCluster(t, NewRoundRobin())
+	env, c := mkCluster(t, gateway.NewRoundRobin())
 	conn := c.Connect()
 	for i := 0; i < 400; i++ {
 		id := uint64(i + 1)

@@ -32,13 +32,12 @@ type PDConfig struct {
 	// per-shard trace recorders or telemetry meters. On a serial Env it
 	// runs once per engine with the shared Env.
 	ShardSetup func(i int, env *sim.Env)
-	// MakePolicy, if set, replaces the built-in least-outstanding routing
-	// with a gateway policy: one instance routes submissions (across the
-	// prefill replicas, or the whole colocated fleet) and a second,
-	// independent instance places KV handoffs across the decode replicas.
-	// Replica views carry queued work and request cost in profiled
-	// token-time, so predicted-latency and affinity compose with
-	// disaggregation. Nil keeps the legacy router bit-for-bit.
+	// MakePolicy builds the gateway routing policy: one instance routes
+	// submissions (across the prefill replicas, or the whole colocated
+	// fleet) and a second, independent instance places KV handoffs across
+	// the decode replicas. Replica views carry queued work and request cost
+	// in profiled token-time, so predicted-latency and affinity compose
+	// with disaggregation. Nil means gateway.NewLeastLoaded.
 	MakePolicy func() gateway.Policy
 	// Engines, if set, overrides the per-engine llm config (length must be
 	// Prefills+Decodes). This models heterogeneous pools — a degraded or
@@ -63,6 +62,9 @@ func (c *PDConfig) withDefaults() (PDConfig, error) {
 	if out.LinkBytesPerNs == 0 {
 		out.LinkBytesPerNs = 12.0
 	}
+	if out.MakePolicy == nil {
+		out.MakePolicy = gateway.NewLeastLoaded
+	}
 	if out.Engines != nil && len(out.Engines) != out.Prefills+out.Decodes {
 		return out, fmt.Errorf("cluster: %d engine configs for %d replicas",
 			len(out.Engines), out.Prefills+out.Decodes)
@@ -79,13 +81,15 @@ func (c *PDConfig) engineCfg(i int) llm.Config {
 	return c.LLM
 }
 
-// PD fronts a set of llm engines with least-outstanding routing and, when
+// PD fronts a set of llm engines with gateway routing and, when
 // disaggregated, the prefill→decode KV handoff pipeline. On a sim.World
 // each engine lives on its own shard Env; routing, handoff, and transfer
 // completion serialize on the control Env exactly as Cluster does, so runs
 // are bit-identical serial or parallel.
 type PD struct {
-	env   *sim.Env
+	// front holds admission, shed records, and the gateway instruments;
+	// its env is the control timeline.
+	front
 	world *sim.World
 	cfg   PDConfig
 
@@ -97,19 +101,15 @@ type PD struct {
 	inflight []int
 	link     *cudart.PCIeLink
 
-	// Gateway-policy state (all inert when cfg.MakePolicy is nil): the
-	// submit- and handoff-side policy instances, per-engine queued
-	// token-time, each request's outstanding charge, each engine's profiled
-	// prefill/decode means, the admission controller, and shed records.
+	// Routing state: the submit- and handoff-side policy instances,
+	// per-engine queued token-time, each request's outstanding charge, and
+	// each engine's profiled prefill/decode means.
 	routePol  gateway.Policy
 	decodePol gateway.Policy
 	pendingNs []sim.Time
 	charge    map[uint64]chargeEntry
 	prefillNs []sim.Time
 	decodeNs  []sim.Time
-	admission *gateway.Admission
-	shedCol   *metrics.Collector
-	gw        gwMetrics
 
 	transfers int
 	kvBytes   int64
@@ -144,20 +144,16 @@ func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd := &PD{env: env, world: w, cfg: cfg, shedCol: metrics.NewCollector()}
+	pd := &PD{world: w, cfg: cfg, charge: make(map[uint64]chargeEntry)}
 	pd.link = cudart.NewPCIeLink(env, cfg.LinkLatency, cfg.LinkBytesPerNs)
 	if mt := telemetry.FromEnv(env); mt != nil {
 		pd.mt = mt
 		pd.mtHandoffs = mt.Counter("pd/kv_handoffs")
 		pd.mtKVNs = mt.Histogram("pd/kv_handoff_ns")
 	}
-	pd.gw.mt = telemetry.FromEnv(env)
-	if cfg.MakePolicy != nil {
-		pd.routePol = cfg.MakePolicy()
-		pd.decodePol = cfg.MakePolicy()
-		pd.charge = make(map[uint64]chargeEntry)
-		pd.gw.activate(pd.routePol.Name())
-	}
+	pd.routePol = cfg.MakePolicy()
+	pd.decodePol = cfg.MakePolicy()
+	pd.front = newFront(env, pd.routePol.Name())
 	n := cfg.Prefills + cfg.Decodes
 	for i := 0; i < n; i++ {
 		senv := env
@@ -226,23 +222,6 @@ func (pd *PD) requestCost(g int, req llm.Request) sim.Time {
 	return cost
 }
 
-// SetAdmission installs (or removes) per-tenant token-bucket admission on
-// the PD front. Shed requests terminate through OnFinish with a failed
-// record carrying gateway.ErrTenantShed.
-func (pd *PD) SetAdmission(a *gateway.Admission) {
-	pd.admission = a
-	if a != nil {
-		name := "least-loaded"
-		if pd.routePol != nil {
-			name = pd.routePol.Name()
-		}
-		pd.gw.activate(name)
-	}
-}
-
-// Admission returns the installed admission controller, or nil.
-func (pd *PD) Admission() *gateway.Admission { return pd.admission }
-
 // split reports whether the deployment is disaggregated.
 func (pd *PD) split() bool { return pd.cfg.Decodes > 0 }
 
@@ -270,18 +249,6 @@ func (pd *PD) toEngine(g int, fn func(*llm.Engine)) {
 	senv.Do(senv.Now(), func() { fn(eng) })
 }
 
-// leastLoadedIn picks the engine with the fewest assigned requests among
-// indices [lo, hi), lowest index on ties.
-func (pd *PD) leastLoadedIn(lo, hi int) int {
-	best, bestLoad := lo, pd.inflight[lo]
-	for i := lo + 1; i < hi; i++ {
-		if pd.inflight[i] < bestLoad {
-			best, bestLoad = i, pd.inflight[i]
-		}
-	}
-	return best
-}
-
 // views builds gateway replica views over engines [lo, hi): queued work in
 // profiled token-time, this request's estimated cost on each engine (a
 // slow replica quotes more), all replicas warm (generative weights stay
@@ -299,54 +266,32 @@ func (pd *PD) views(lo, hi int, costOf func(g int) sim.Time) []gateway.Replica {
 	return out
 }
 
-// pickIn routes within engines [lo, hi): the configured gateway policy
-// when present, the legacy least-outstanding scan otherwise.
+// pickIn routes within engines [lo, hi) with the given policy.
 func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf func(g int) sim.Time) int {
-	if pol == nil {
-		return pd.leastLoadedIn(lo, hi)
-	}
 	views := pd.views(lo, hi, costOf)
 	pick := pol.Pick(gateway.Request{Model: pd.cfg.LLM.Spec.Name, Tenant: req.Tenant, Session: req.Session}, views)
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: pd policy %q picked engine %d of %d", pol.Name(), pick, len(views)))
 	}
-	if pd.gw.on {
-		pd.gw.mt.Add(pd.gw.routed, pd.env.Now(), 1)
-		pd.gw.mt.Observe(pd.gw.predNs, pd.env.Now(), float64(views[pick].Predicted()))
-	}
+	pd.routed(views[pick])
 	return lo + pick
 }
 
 // Submit routes one request: through the admission controller, then to a
-// prefill replica (disaggregated) or a full engine (colocated) — picked by
-// the gateway policy when configured, least-outstanding otherwise. It
-// returns the chosen engine index, or Shed when admission refused the
+// prefill replica (disaggregated) or a full engine (colocated) picked by
+// the gateway policy. It returns the chosen engine index, or Shed when admission refused the
 // request (terminal: OnFinish has observed the failed record). Call on the
 // control timeline.
 func (pd *PD) Submit(req llm.Request) int {
-	now := pd.env.Now()
-	if err := pd.admission.Admit(req.Tenant, now); err != nil {
-		rec := metrics.JobRecord{
+	if err := pd.admit(req.Tenant); err != nil {
+		rec := pd.shed(metrics.JobRecord{
 			ID: req.ID, Model: pd.cfg.LLM.Spec.Name, Client: req.Client,
-			Tenant: req.Tenant, Submit: req.Submit, Admit: now,
-			ExecDone: now, Delivered: now, PromptTokens: req.Prompt,
-			Failed: true, FailureReason: err.Error(),
-		}
-		pd.shedCol.Add(rec)
-		pd.gw.mt.Add(pd.gw.shed, now, 1)
-		if req.Tenant != "" {
-			pd.gw.mt.Add(pd.gw.tenant(req.Tenant).shed, now, 1)
-		}
+			Tenant: req.Tenant, Submit: req.Submit, PromptTokens: req.Prompt,
+		}, err)
 		if pd.OnFinish != nil {
 			pd.OnFinish(rec)
 		}
 		return Shed
-	}
-	if pd.admission != nil {
-		pd.gw.mt.Add(pd.gw.admitted, now, 1)
-		if req.Tenant != "" {
-			pd.gw.mt.Add(pd.gw.tenant(req.Tenant).admitted, now, 1)
-		}
 	}
 	hi := len(pd.engines)
 	if pd.split() {
@@ -354,32 +299,26 @@ func (pd *PD) Submit(req llm.Request) int {
 	}
 	g := pd.pickIn(pd.routePol, 0, hi, req, func(i int) sim.Time { return pd.requestCost(i, req) })
 	pd.inflight[g]++
-	if pd.charge != nil {
-		cost := pd.requestCost(g, req)
-		pd.pendingNs[g] += cost
-		pd.charge[req.ID] = chargeEntry{engine: g, cost: cost}
-	}
+	cost := pd.requestCost(g, req)
+	pd.pendingNs[g] += cost
+	pd.charge[req.ID] = chargeEntry{engine: g, cost: cost}
 	pd.toEngine(g, func(eng *llm.Engine) { eng.Admit(req) })
 	return g
 }
 
-// handoff moves a prefilled sequence to a decode replica: pick the
-// least-loaded one, model the KV transfer on the interconnect, then admit
+// handoff moves a prefilled sequence to a decode replica: pick one with
+// the decode-side policy, model the KV transfer on the interconnect, then admit
 // the sequence with its transferred KV state.
 func (pd *PD) handoff(from int, h llm.Handoff) {
 	pd.inflight[from]--
 	decodeCost := func(g int) sim.Time { return sim.Time(h.Req.Output) * pd.decodeNs[g] }
-	if pd.charge != nil {
-		if ch, ok := pd.charge[h.Req.ID]; ok {
-			pd.pendingNs[ch.engine] -= ch.cost
-		}
+	if ch, ok := pd.charge[h.Req.ID]; ok {
+		pd.pendingNs[ch.engine] -= ch.cost
 	}
 	d := pd.pickIn(pd.decodePol, pd.cfg.Prefills, len(pd.engines), h.Req, decodeCost)
 	pd.inflight[d]++
-	if pd.charge != nil {
-		pd.pendingNs[d] += decodeCost(d)
-		pd.charge[h.Req.ID] = chargeEntry{engine: d, cost: decodeCost(d)}
-	}
+	pd.pendingNs[d] += decodeCost(d)
+	pd.charge[h.Req.ID] = chargeEntry{engine: d, cost: decodeCost(d)}
 	bytes := int(int64(h.Req.Prompt) * pd.cfg.engineCfg(from).Spec.KVBytesPerToken)
 	pd.transfers++
 	pd.kvBytes += int64(bytes)
@@ -399,11 +338,9 @@ func (pd *PD) handoff(from int, h llm.Handoff) {
 
 func (pd *PD) finished(idx int, rec metrics.JobRecord) {
 	pd.inflight[idx]--
-	if pd.charge != nil {
-		if ch, ok := pd.charge[rec.ID]; ok {
-			pd.pendingNs[ch.engine] -= ch.cost
-			delete(pd.charge, rec.ID)
-		}
+	if ch, ok := pd.charge[rec.ID]; ok {
+		pd.pendingNs[ch.engine] -= ch.cost
+		delete(pd.charge, rec.ID)
 	}
 	if pd.OnFinish != nil {
 		pd.OnFinish(rec)
@@ -453,15 +390,4 @@ func (pd *PD) KVPeakPages() int {
 
 // Collector returns a merged view of all engines' completion records, plus
 // the failed records of gateway-shed requests.
-func (pd *PD) Collector() *metrics.Collector {
-	merged := metrics.NewCollector()
-	for _, col := range pd.cols {
-		for _, r := range col.Records() {
-			merged.Add(r)
-		}
-	}
-	for _, r := range pd.shedCol.Records() {
-		merged.Add(r)
-	}
-	return merged
-}
+func (pd *PD) Collector() *metrics.Collector { return pd.merged(pd.cols...) }

@@ -6,6 +6,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/sched"
 	"paella/internal/sim"
@@ -26,7 +27,7 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 	models, reqs := scaleWorkload(1, jobs)
 	env := sim.NewEnv()
 	c, err := cluster.New(env, []gpu.Config{gpu.TeslaT4()},
-		func() sched.Policy { return sched.NewPaella(10000) }, cluster.NewLeastLoaded())
+		func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -101,7 +102,7 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 		cfg := core.DefaultConfig(sched.NewPaella(10000))
 		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
 		return cfg
-	}, cluster.NewLeastLoaded(), func(int, *sim.Env) {})
+	}, gateway.NewLeastLoaded(), func(int, *sim.Env) {})
 	if err != nil {
 		return fleetRun{}, err
 	}
@@ -172,7 +173,7 @@ func calibrateReplicaRate(dev gpu.Config, jobs int) (float64, error) {
 		cfg := core.DefaultConfig(sched.NewPaella(10000))
 		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
 		return cfg
-	}, cluster.NewLeastLoaded())
+	}, gateway.NewLeastLoaded())
 	if err != nil {
 		return 0, err
 	}

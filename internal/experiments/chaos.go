@@ -8,6 +8,7 @@ import (
 	"paella/internal/compiler"
 	"paella/internal/core"
 	"paella/internal/fault"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -97,7 +98,7 @@ func runChaos(w io.Writer, d Detail) error {
 	c, err := cluster.New(env,
 		[]gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()},
 		func() sched.Policy { return sched.NewPaella(10000) },
-		cluster.NewLeastLoaded())
+		gateway.NewLeastLoaded())
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -31,10 +32,10 @@ func runAblationCluster(w io.Writer, d Detail) error {
 	if d == Quick {
 		jobs = 150
 	}
-	balancers := []func() cluster.Balancer{
-		cluster.NewRoundRobin,
-		cluster.NewLeastLoaded,
-		func() cluster.Balancer { return cluster.NewModelAffinity(2) },
+	balancers := []func() gateway.Policy{
+		gateway.NewRoundRobin,
+		gateway.NewLeastLoaded,
+		func() gateway.Policy { return gateway.NewModelAffinity(2) },
 	}
 	names := model.Names()
 	trace := workload.MustGenerate(workload.Spec{

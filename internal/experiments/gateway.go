@@ -47,7 +47,7 @@ func gatewayZoo(n int) []*model.Model {
 
 // runGatewayCluster runs one routing policy over a heterogeneous fleet
 // under a device-memory budget and returns the merged collector.
-func runGatewayCluster(mk func() cluster.Balancer, trace []workload.Request,
+func runGatewayCluster(mk func() gateway.Policy, trace []workload.Request,
 	zoo []*model.Model, admit *gateway.Admission) (*metrics.Collector, error) {
 	env := sim.NewEnv()
 	// A fast and two slow replicas: queue depth alone misprices them, which
@@ -103,11 +103,11 @@ func runGateway(w io.Writer, d Detail) error {
 	})
 	fmt.Fprintln(w, "Part 1 — P100+T4+GTX1660S fleet, 128 MiB VRAM each, 900 req/s (zipf 1.1):")
 	fmt.Fprintf(w, "  %-18s %14s %12s %12s %8s\n", "policy", "tput (req/s)", "p50", "p99", "cold")
-	policies := []func() cluster.Balancer{
-		cluster.NewLeastLoaded,
-		func() cluster.Balancer { return cluster.NewResidencyAware(nil) },
+	policies := []func() gateway.Policy{
+		gateway.NewLeastLoaded,
+		func() gateway.Policy { return gateway.NewResidencyAware(nil) },
 		gateway.NewPredictedLatency,
-		func() cluster.Balancer { return gateway.NewAffinity(0) },
+		func() gateway.Policy { return gateway.NewAffinity(0) },
 	}
 	var p99 = map[string]sim.Time{}
 	for _, mk := range policies {

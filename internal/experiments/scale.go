@@ -11,6 +11,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -115,7 +116,9 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	for i := range devs {
 		devs[i] = gpu.TeslaT4()
 	}
-	mkPolicy := func() sched.Policy { return sched.NewPaella(10000) }
+	mkCfg := func(int, gpu.Config) core.Config {
+		return core.DefaultConfig(sched.NewPaella(10000))
+	}
 
 	var env *sim.Env // scheduling surface for arrivals
 	var w *sim.World // nil for the legacy engine
@@ -124,13 +127,13 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	switch engine {
 	case "legacy":
 		env = sim.NewEnv()
-		c, err = cluster.New(env, devs, mkPolicy, cluster.NewLeastLoaded())
+		c, err = cluster.NewWithConfig(env, devs, mkCfg, gateway.NewLeastLoaded())
 	case "world-serial", "world-parallel":
 		w = sim.NewWorld()
 		w.SetParallel(engine == "world-parallel")
 		defer w.Close()
 		env = w.Ctrl()
-		c, err = cluster.NewWorld(w, devs, mkPolicy, cluster.NewLeastLoaded())
+		c, err = cluster.NewWorldWithConfig(w, devs, mkCfg, gateway.NewLeastLoaded(), nil)
 	default:
 		return ScaleEngineResult{}, fmt.Errorf("scale: unknown engine %q", engine)
 	}
@@ -197,7 +200,7 @@ func MeasureAllocsPerEvent(replicas, jobs int) (float64, error) {
 		devs[i] = gpu.TeslaT4()
 	}
 	env := sim.NewEnv()
-	c, err := cluster.New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, cluster.NewLeastLoaded())
+	c, err := cluster.New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
 	if err != nil {
 		return 0, err
 	}

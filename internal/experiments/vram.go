@@ -7,6 +7,7 @@ import (
 	"paella/internal/cluster"
 	"paella/internal/compiler"
 	"paella/internal/core"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/sched"
@@ -86,9 +87,9 @@ func runVRAM(w io.Writer, d Detail) error {
 	fmt.Fprintf(w, "\nPart B: 2×T4 cluster, %d-model zoo (over budget), 400 req/s:\n", nB)
 	fmt.Fprintf(w, "  %-18s %12s %12s %12s %6s %6s\n",
 		"balancer", "tput(req/s)", "p50", "p99", "cold", "loads")
-	balancers := []func() cluster.Balancer{
-		cluster.NewLeastLoaded,
-		func() cluster.Balancer { return cluster.NewResidencyAware(nil) },
+	balancers := []func() gateway.Policy{
+		gateway.NewLeastLoaded,
+		func() gateway.Policy { return gateway.NewResidencyAware(nil) },
 	}
 	zoo := model.SyntheticZoo(nB)
 	names := make([]string, len(zoo))

@@ -22,7 +22,7 @@
 //     the front door with a typed error, bounding the damage a
 //     misbehaving tenant can do to everyone else's tail latency.
 //
-// Policies are registered in a multi-router registry by name, so drivers
+// Policies are listed in a multi-router registry by name, so drivers
 // (paella-sim -gateway), experiments, and tests select them uniformly.
 // Every policy is deterministic: identical inputs pick identical
 // replicas, which keeps the cluster's serial ≡ parallel bit-identity
@@ -120,20 +120,17 @@ type Policy interface {
 	Pick(req Request, replicas []Replica) int
 }
 
-// registry is the multi-router table: policies register a factory under
-// their name at init time, and drivers construct fresh instances by name
-// (policies carry per-instance state — rotation cursors, session homes —
-// so instances are never shared between clusters).
-var registry = map[string]func() Policy{}
-
-// Register adds a policy factory under its name. It panics on duplicates —
-// registration happens at init time, where a collision is a programming
-// error.
-func Register(name string, mk func() Policy) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("gateway: duplicate policy %q", name))
-	}
-	registry[name] = mk
+// registry is the multi-router table: drivers construct fresh instances
+// by name (policies carry per-instance state — rotation cursors, session
+// homes — so instances are never shared between clusters). A new policy
+// adds its constructor here.
+var registry = map[string]func() Policy{
+	"round-robin":       NewRoundRobin,
+	"least-loaded":      NewLeastLoaded,
+	"model-affinity":    func() Policy { return NewModelAffinity(0) },
+	"residency-aware":   func() Policy { return NewResidencyAware(nil) },
+	"predicted-latency": NewPredictedLatency,
+	"affinity":          func() Policy { return NewAffinity(0) },
 }
 
 // New constructs a fresh instance of the named policy.

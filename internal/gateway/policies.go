@@ -7,15 +7,6 @@ import (
 	"paella/internal/sim"
 )
 
-func init() {
-	Register("round-robin", NewRoundRobin)
-	Register("least-loaded", NewLeastLoaded)
-	Register("model-affinity", func() Policy { return NewModelAffinity(0) })
-	Register("residency-aware", func() Policy { return NewResidencyAware(nil) })
-	Register("predicted-latency", NewPredictedLatency)
-	Register("affinity", func() Policy { return NewAffinity(0) })
-}
-
 // roundRobin cycles through replicas regardless of load.
 type roundRobin struct{ next int }
 
