@@ -1,13 +1,3 @@
-// Autoscaling front for paella-sim: -autoscale runs the cluster engine
-// under an internal/autoscale control loop — replicas park, warm (paying
-// cold-start weight paging), drain, and retire while an open-loop traffic
-// envelope (-traffic) plays against the fleet.
-//
-// Example — diurnal traffic against an elastic pool of one to four T4s:
-//
-//	paella-sim -autoscale queue-depth -traffic diurnal -rate 20000 \
-//	           -replicas 2 -min-replicas 1 -max-replicas 4 \
-//	           -models synth:2 -vram 32 -slo 5ms
 package main
 
 import (
@@ -18,22 +8,19 @@ import (
 	"time"
 
 	"paella/internal/autoscale"
-	"paella/internal/cluster"
 	"paella/internal/core"
-	"paella/internal/gpu"
-	"paella/internal/sched"
 	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
 	"paella/internal/workload"
 )
 
-// trafficSpecFromFlag resolves the -traffic argument: a named preset
-// ("diurnal", "spike", "constant") parameterized by the standard workload
-// flags, "replay:<path>" for an NDJSON trace, or a path to a TrafficSpec
-// JSON file for full control.
-func trafficSpecFromFlag(arg string, mix workload.Mix, sigma, rate float64,
-	jobs, clients int, seed int64, tenants int) (workload.TrafficSpec, error) {
+// trafficSpec resolves the -traffic argument: a named preset ("diurnal",
+// "spike", "constant") parameterized by the standard workload flags,
+// "replay:<path>" for an NDJSON trace, or a path to a TrafficSpec JSON
+// file for full control.
+func (c *config) trafficSpec(mix workload.Mix) (workload.TrafficSpec, error) {
+	arg := c.traffic
 	if path, ok := strings.CutPrefix(arg, "replay:"); ok {
 		return workload.TrafficSpec{Shape: workload.ShapeReplay, ReplayPath: path}, nil
 	}
@@ -48,18 +35,12 @@ func trafficSpecFromFlag(arg string, mix workload.Mix, sigma, rate float64,
 		}
 		return spec, nil
 	}
-	spec := workload.TrafficSpec{
-		Mix:            mix,
-		Sigma:          sigma,
-		BaseRatePerSec: rate,
-		Clients:        clients,
-		Seed:           seed,
-		Tenants:        tenants,
-	}
+	spec := workload.TrafficSpec{Mix: mix, Sigma: c.sigma, BaseRatePerSec: c.rate,
+		Clients: c.clients, Seed: c.seed, Tenants: c.tenants}
 	switch arg {
 	case "constant":
 		spec.Shape = workload.ShapeConstant
-		spec.Jobs = jobs
+		spec.Jobs = c.jobs
 	case "diurnal":
 		// Three compressed day/night cycles; -jobs is ignored (the
 		// envelope's duration bounds the trace). Use a spec file to
@@ -81,154 +62,76 @@ func trafficSpecFromFlag(arg string, mix workload.Mix, sigma, rate float64,
 	return spec, nil
 }
 
-// presetPrice returns the hourly price paella-sim bills for a GPU preset —
-// the same offer book the autoscale experiment's mix optimizer uses.
-func presetPrice(device string) float64 {
-	switch device {
-	case "p100":
-		return 1.46
-	case "gtx1660s":
-		return 0.25
-	default: // t4
-		return 0.53
+// serveElastic runs the workload on an elastic fleet: -max-replicas
+// replica shards (default -replicas), of which the autoscale control loop
+// keeps between -min-replicas and -max-replicas active. Scale-up pays
+// cold-start weight paging over PCIe; scale-down drains in-flight work
+// before retiring the replica; every request ends in exactly one terminal
+// outcome (the conservation ledger is printed and enforced).
+func (c *config) serveElastic(opts serving.Options, reqs []workload.Request) outcome {
+	pol, _ := autoscale.New(c.autoscale) // parse validated the name
+	maxR := c.maxReplicas
+	if maxR == 0 {
+		maxR = c.replicas
 	}
-}
-
-// runAutoscaled executes the workload on an elastic cluster: a fleet of
-// maxR replica shards, of which the autoscale control loop keeps between
-// minR and maxR active. Scale-up pays cold-start weight paging over PCIe;
-// scale-down drains in-flight work before retiring the replica; every
-// request ends in exactly one terminal outcome (the conservation ledger is
-// printed and enforced).
-func runAutoscaled(opts serving.Options, reqs []workload.Request, policyName, gwName string,
-	minR, maxR, initial int, parallel bool, window sim.Time, scaleInterval sim.Time,
-	trafficDesc string, price float64, names []string, asJSON, perMod bool,
-	telOut string, telWin, sloDeadline sim.Time) {
-	pol, err := autoscale.New(policyName)
-	if err != nil {
-		fatal("%v", err)
-	}
-	w := sim.NewWorld()
-	w.SetWindow(window)
-	w.SetParallel(parallel)
-	defer w.Close()
-
-	var meters []*telemetry.Meter
-	if telOut != "" {
-		ctrlMt := telemetry.NewMeter("front", telWin)
-		w.Ctrl().SetMeter(ctrlMt)
-		meters = append(meters, ctrlMt)
-	}
-	devs := make([]gpu.Config, maxR)
+	initial := min(c.replicas, maxR)
+	price := gpuPresets[c.device].price
 	prices := make([]float64, maxR)
-	for i := range devs {
-		devs[i] = opts.DevCfg
+	for i := range prices {
 		prices[i] = price
 	}
-	c, err := cluster.NewWorldWithConfig(w, devs, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(serving.DefaultFairnessThreshold))
-		cfg.VRAM = opts.VRAM
-		cfg.MaxBatch = opts.MaxBatch
-		cfg.BatchWindow = opts.BatchWindow
-		return cfg
-	}, newPolicy(gwName), func(i int, shard *sim.Env) {
-		if telOut != "" {
-			mt := telemetry.NewMeter(fmt.Sprintf("replica%d", i), telWin)
-			mt.SLO(telemetry.SLOConfig{
-				Name:     fmt.Sprintf("goodput@%v", time.Duration(sloDeadline)),
-				Deadline: sloDeadline,
-				Target:   0.99,
-			})
-			shard.SetMeter(mt)
-			meters = append(meters, mt)
-		}
-	})
-	if err != nil {
-		fatal("%v", err)
-	}
-	for _, m := range opts.Models {
-		if err := c.RegisterModel(m, opts.CompilerCfg, opts.ProfileRuns); err != nil {
-			fatal("%v", err)
-		}
-	}
-	s, err := autoscale.NewScaler(w.Ctrl(), c, autoscale.Config{
-		Min: minR, Max: maxR, Initial: initial,
-		Interval: scaleInterval,
-		Policy:   pol,
-		SLO: telemetry.SLOConfig{
-			Name:     fmt.Sprintf("jct@%v", time.Duration(sloDeadline)),
-			Deadline: sloDeadline,
-			Target:   0.9,
-			Short:    sim.Millisecond,
-			Long:     10 * sim.Millisecond,
-		},
+	f := c.buildFleet(opts, maxR)
+	defer f.w.Close()
+	jct := slo("jct", telemetry.SLOJCT, sim.Time(c.slo), 0.9)
+	jct.Short, jct.Long = sim.Millisecond, 10*sim.Millisecond
+	s, err := autoscale.NewScaler(f.w.Ctrl(), f.c, autoscale.Config{
+		Min: c.minReplicas, Max: maxR, Initial: initial,
+		Interval:       sim.Time(c.scaleInterval),
+		Policy:         pol,
+		SLO:            jct,
 		DollarsPerHour: prices,
 	})
 	if err != nil {
 		fatal("%v", err)
 	}
 	front := autoscale.NewFront(s)
-	end := sim.Time(0)
-	for i, r := range reqs {
-		id, req := uint64(i+1), r
-		w.Ctrl().At(r.At, func() {
-			front.Submit(core.Request{ID: id, Model: req.Model, Client: req.Client,
-				Tenant: req.Tenant, Submit: w.Ctrl().Now()})
-		})
-		end = r.At
-	}
+	f.arrive(reqs, func(req core.Request) { front.Submit(req) })
 	s.Start()
 	// Two virtual seconds past the last arrival cover any drain tail (the
 	// conservation ledger below faults a run they do not).
-	until := end + 2*sim.Second
-	w.RunUntil(until)
+	end := reqs[len(reqs)-1].At
+	f.until = end + 2*sim.Second
+	f.w.RunUntil(f.until)
 
-	col := c.Collector()
-	if telOut != "" {
-		writeTelemetry(telOut, until, col, meters...)
-	}
-	if asJSON {
-		if err := col.WriteJSON(os.Stdout); err != nil {
-			fatal("%v", err)
+	f.col = f.c.Collector()
+	f.report = func() {
+		counts, stats := front.Counts(), s.ScaleStats()
+		desc := c.traffic
+		if desc == "" {
+			desc = fmt.Sprintf("constant %.0f req/s", c.rate)
 		}
-		return
-	}
-	counts, stats := front.Counts(), s.ScaleStats()
-	mode := "serial"
-	if parallel {
-		mode = "parallel"
-	}
-	fmt.Printf("system     : Paella autoscaled, policy=%s, replicas ∈ [%d,%d] (initial %d)\n",
-		pol.Name(), minR, maxR, initial)
-	fmt.Printf("engine     : conservative-window %s, Δ=%v, tick=%v\n",
-		mode, time.Duration(window), time.Duration(scaleInterval))
-	fmt.Printf("workload   : traffic=%s, %d reqs over %v, %s\n",
-		trafficDesc, len(reqs), time.Duration(end), strings.Join(names, ","))
-	conserved := "conserved"
-	if !counts.Conserved() || front.Outstanding() != 0 {
-		conserved = fmt.Sprintf("LEAKED (%d outstanding)", front.Outstanding())
-	}
-	fmt.Printf("requests   : completed=%d shed=%d failed=%d of %d (%s)\n",
-		counts.Completed, counts.Shed, counts.Failed, counts.Submitted, conserved)
-	fmt.Printf("scaling    : ups=%d reactivations=%d downs=%d parks=%d target-end=%d\n",
-		stats.ScaleUps, stats.Reactivations, stats.ScaleDowns, stats.Parks, s.Target())
-	fmt.Printf("cold-start : count=%d paged=%.1fMiB spend=%v\n",
-		stats.ColdStarts, float64(stats.ColdStartBytes)/(1<<20), time.Duration(stats.ColdStartNs))
-	bill := s.QuiesceTime(end)
-	fmt.Printf("billing    : $%.6f at $%.2f/hr/replica through %v; replica-seconds=%.6f mean-active=%.2f\n",
-		s.Cost(bill), price, time.Duration(bill), s.ReplicaSeconds(bill), s.MeanActive(bill))
-	fmt.Printf("slo        : attainment=%.1f%% (JCT ≤ %v)\n",
-		100*s.Attainment(), time.Duration(sloDeadline))
-	ok := col.Succeeded()
-	fmt.Printf("latency    : p50=%v p99=%v mean=%v\n", ok.P50(), ok.P99(), ok.MeanJCT())
-	if perMod {
-		for _, name := range names {
-			sub := ok.FilterModel(name)
-			if sub.Len() == 0 {
-				continue
-			}
-			fmt.Printf("  %-16s n=%-5d p50=%-12v p99=%-12v mean=%v\n",
-				name, sub.Len(), sub.P50(), sub.P99(), sub.MeanJCT())
+		fmt.Printf("system     : Paella autoscaled, policy=%s, replicas ∈ [%d,%d] (initial %d)\n",
+			pol.Name(), c.minReplicas, maxR, initial)
+		c.engineLine(fmt.Sprintf(", tick=%v", c.scaleInterval))
+		fmt.Printf("workload   : traffic=%s, %d reqs over %v, %s\n",
+			desc, len(reqs), time.Duration(end), strings.Join(c.names, ","))
+		conserved := "conserved"
+		if !counts.Conserved() || front.Outstanding() != 0 {
+			conserved = fmt.Sprintf("LEAKED (%d outstanding)", front.Outstanding())
 		}
+		fmt.Printf("requests   : completed=%d shed=%d failed=%d of %d (%s)\n",
+			counts.Completed, counts.Shed, counts.Failed, counts.Submitted, conserved)
+		fmt.Printf("scaling    : ups=%d reactivations=%d downs=%d parks=%d target-end=%d\n",
+			stats.ScaleUps, stats.Reactivations, stats.ScaleDowns, stats.Parks, s.Target())
+		fmt.Printf("cold-start : count=%d paged=%.1fMiB spend=%v\n",
+			stats.ColdStarts, float64(stats.ColdStartBytes)/(1<<20), time.Duration(stats.ColdStartNs))
+		bill := s.QuiesceTime(end)
+		fmt.Printf("billing    : $%.6f at $%.2f/hr/replica through %v; replica-seconds=%.6f mean-active=%.2f\n",
+			s.Cost(bill), price, time.Duration(bill), s.ReplicaSeconds(bill), s.MeanActive(bill))
+		fmt.Printf("slo        : attainment=%.1f%% (JCT ≤ %v)\n", 100*s.Attainment(), c.slo)
+		ok := f.col.Succeeded()
+		fmt.Printf("latency    : p50=%v p99=%v mean=%v\n", ok.P50(), ok.P99(), ok.MeanJCT())
+		c.perModelTable(ok)
 	}
+	return f.outcome
 }

@@ -1,0 +1,191 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestRefusals runs command lines a mode would otherwise ignore in part,
+// or that used to panic, and checks each exits 1 with one error line.
+func TestRefusals(t *testing.T) {
+	foreign := filepath.Join(t.TempDir(), "foreign.json")
+	if err := os.WriteFile(foreign, []byte(`[{"at_ns":0,"model":"resnet18","client":0},`+
+		`{"at_ns":1000,"model":"mobilenetv2","client":0}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	llmOnly := func(args ...string) []string { return append([]string{"-llm", "-jobs", "10"}, args...) }
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative-window", []string{"-replicas", "2", "-window", "-1us", "-jobs", "10", "-models", "resnet18"},
+			"-window must be ≥ 0"},
+		{"zero-replicas", []string{"-replicas", "0"}, "-replicas must be ≥ 1"},
+		{"negative-replicas", []string{"-replicas", "-3", "-llm"}, "-replicas must be ≥ 1"},
+		{"llm-autoscale", llmOnly("-autoscale", "queue-depth"), "-autoscale does not apply to -llm"},
+		{"llm-trace-out", llmOnly("-trace-out", "@out.json", "-chaos", "0.5"), "does not apply to -llm"},
+		{"llm-chaos", llmOnly("-chaos", "0.5"), "-chaos does not apply to -llm"},
+		{"llm-faults", llmOnly("-faults", "plan.json"), "-faults does not apply to -llm"},
+		{"llm-trace-csv", llmOnly("-trace-csv", "@out.csv"), "-trace-csv does not apply to -llm"},
+		{"llm-traffic", llmOnly("-traffic", "diurnal"), "-traffic does not apply to -llm"},
+		{"llm-trace", llmOnly("-trace", foreign), "-trace does not apply to -llm"},
+		{"llm-per-model", llmOnly("-per-model"), "-per-model does not apply to -llm"},
+		{"llm-zipf", llmOnly("-zipf", "1.1"), "-zipf does not apply to -llm"},
+		{"llm-batch-window", llmOnly("-batch-window", "1ms"), "-batch-window does not apply to -llm"},
+		{"llm-system", llmOnly("-system", "Clockwork"), "-system does not apply to -llm"},
+		{"llm-models", llmOnly("-models", "resnet18"), "-models does not apply to -llm"},
+		{"llm-min-replicas", llmOnly("-min-replicas", "2"), "-min-replicas and -max-replicas require -autoscale"},
+		{"scale-interval", []string{"-replicas", "2", "-scale-interval", "1ms"}, "-scale-interval requires -autoscale"},
+		{"negative-max-tokens", []string{"-max-tokens", "-1"}, "require -llm"},
+		{"trace-foreign-model", []string{"-models", "resnet18", "-trace", foreign},
+			`names model "mobilenetv2", which -models does not load`},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			args := append([]string(nil), tc.args...)
+			for i, a := range args {
+				if strings.HasPrefix(a, "@out") {
+					args[i] = filepath.Join(dir, a[1:])
+				}
+			}
+			stdout, stderr, code := runCLI(t, args...)
+			if code != 1 || len(stdout) != 0 || bytes.Count(stderr, []byte("\n")) != 1 ||
+				bytes.Contains(stderr, []byte("panic:")) || !bytes.Contains(stderr, []byte(tc.want)) {
+				t.Fatalf("paella-sim %v: exit %d, stdout %q, stderr %q; want exit 1 and one line containing %q",
+					tc.args, code, stdout, stderr, tc.want)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Errorf("a refused run wrote %s", entries[0].Name())
+			}
+		})
+	}
+}
+
+// FuzzParseFlags feeds argument vectors through parse: line split on
+// spaces, then one token per byte of picks drawn from every flag name and
+// a set of typical values. parse must never panic, and every config it
+// accepts must hold the invariants parse promises.
+func FuzzParseFlags(f *testing.F) {
+	var usage bytes.Buffer
+	parse([]string{"-h"}, &usage)
+	vocab := []string{"0", "1", "2", "-1", "0.5", "1ms", "-1us", "true", "list", "queue-depth",
+		"affinity", "1:1", "0:2", "synth:2", "resnet18", "Clockwork", "p100", "diurnal", "t.json", "t.csv"}
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			vocab = append(vocab, strings.Fields(line)[0])
+		}
+	}
+	for _, args := range []string{
+		"",
+		"-replicas 2 -window -1us -jobs 10 -models resnet18",
+		"-llm -autoscale queue-depth",
+		"-llm -pd-split 1:1 -parallel -gateway affinity -admit-rate 80",
+		"-llm -parallel -replicas 2 -telemetry-out t.json",
+		"-autoscale queue-depth -traffic diurnal -min-replicas 1 -max-replicas 4 -models synth:2",
+		"-replicas 3 -gateway predicted-latency -tenants 3 -admit-rate 120 -vram 64",
+		"-system Paella-batch -max-batch 8 -batch-window 1ms -per-model -json",
+		"-models synth:0 -gpu p100",
+		"-gateway list",
+		"-h",
+	} {
+		f.Add(args, []byte(nil))
+	}
+	f.Add("-autoscale queue-depth", []byte{0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, line string, picks []byte) {
+		args := strings.Split(line, " ")
+		for _, b := range picks {
+			args = append(args, vocab[int(b)%len(vocab)])
+		}
+		c, err := parse(args, io.Discard)
+		if err != nil || c.list != nil {
+			return
+		}
+		if err := checkInvariants(c); err != nil {
+			t.Fatalf("parse accepted %q: %v", args, err)
+		}
+	})
+}
+
+// checkInvariants reports the first promise of parse an accepted config
+// breaks.
+func checkInvariants(c config) error {
+	def := func(flags map[string]bool) error {
+		for name, atDefault := range flags {
+			if !atDefault {
+				return fmt.Errorf("-%s is set outside its mode", name)
+			}
+		}
+		return nil
+	}
+	switch {
+	case c.window < 0:
+		return errors.New("negative -window")
+	case c.replicas < 1:
+		return errors.New("-replicas below 1")
+	case c.llm != (c.mode == modeLLM), c.autoscale != "" && c.mode != modeElastic,
+		c.mode == modeFleet && c.replicas < 2, c.mode == modeSingle && c.replicas != 1:
+		return fmt.Errorf("mode %d does not match the flags", c.mode)
+	}
+	if c.mode == modeLLM {
+		if err := def(map[string]bool{
+			"system": c.system == "Paella", "models": c.models == "all", "zipf": c.zipf == 0,
+			"trace": c.traceIn == "", "traffic": c.traffic == "", "batch-window": c.batchWindow == 0,
+			"faults": c.faults == "", "chaos": c.chaos == 0, "trace-out": c.traceOut == "",
+			"trace-csv": c.traceCSV == "", "per-model": !c.perModel, "autoscale": c.autoscale == "",
+		}); err != nil {
+			return err
+		}
+		if c.prefills < 1 || c.decodes < 0 || c.parallel && c.prefills+c.decodes < 2 {
+			return fmt.Errorf("engine pools %d:%d", c.prefills, c.decodes)
+		}
+	} else if err := def(map[string]bool{
+		"llm-static": !c.llmStatic, "max-tokens": c.maxTokens == 0, "kv-block": c.kvBlockKiB == 0,
+		"pd-split": c.pdSplit == "",
+	}); err != nil {
+		return err
+	} else if c.synth < 0 || c.synth == 0 && len(c.zoo) == 0 {
+		return errors.New("no models")
+	}
+	if c.mode != modeElastic {
+		if err := def(map[string]bool{
+			"min-replicas": c.minReplicas == 1, "max-replicas": c.maxReplicas == 0,
+			"scale-interval": c.scaleInterval == 5*time.Millisecond,
+		}); err != nil {
+			return err
+		}
+	}
+	switch c.mode {
+	case modeSingle:
+		return def(map[string]bool{"gateway": c.gateway == "least-loaded", "admit-rate": c.admitRate <= 0,
+			"parallel": !c.parallel})
+	case modeFleet:
+		return def(map[string]bool{"system": c.system == "Paella", "trace-csv": c.traceCSV == ""})
+	case modeElastic:
+		return def(map[string]bool{"system": c.system == "Paella", "faults": c.faults == "",
+			"chaos": c.chaos <= 0, "admit-rate": c.admitRate <= 0, "trace-out": c.traceOut == "",
+			"trace-csv": c.traceCSV == ""})
+	}
+	return nil
+}
+
+// TestParseHelp checks -h is reported as flag.ErrHelp, not a failure.
+func TestParseHelp(t *testing.T) {
+	if _, err := parse([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parse -h: %v", err)
+	}
+	if _, err := parse([]string{"-nosuchflag"}, io.Discard); !errors.Is(err, errUsage) {
+		t.Fatalf("parse -nosuchflag: %v", err)
+	}
+}

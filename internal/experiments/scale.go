@@ -107,10 +107,20 @@ func scaleWorkload(replicas, jobs int) ([]*model.Model, []workload.Request) {
 	return models, reqs
 }
 
-// runScaleEngine executes one (cell, engine) combination and returns its
-// result. World engines put each replica on its own shard; the legacy
-// engine multiplexes all replicas on one Env, as the pre-World code did.
-func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error) {
+// scaleRun is the scale workload loaded onto one engine: a cluster with the
+// zoo registered and every arrival scheduled, ready to run.
+type scaleRun struct {
+	env  *sim.Env                          // scheduling surface for arrivals
+	w    *sim.World                        // nil for the legacy engine; the runner closes it
+	run  interface{ RunUntil(t sim.Time) } // the Env or the World
+	c    *cluster.Cluster
+	reqs []workload.Request
+}
+
+// newScaleRun builds the (cell, engine) combination. World engines put each
+// replica on its own shard; the legacy engine multiplexes all replicas on
+// one Env, as the pre-World code did.
+func newScaleRun(engine string, replicas, jobs int) (*scaleRun, error) {
 	models, reqs := scaleWorkload(replicas, jobs)
 	devs := make([]gpu.Config, replicas)
 	for i := range devs {
@@ -119,55 +129,67 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	mkCfg := func(int, gpu.Config) core.Config {
 		return core.DefaultConfig(sched.NewPaella(10000))
 	}
-
-	var env *sim.Env // scheduling surface for arrivals
-	var w *sim.World // nil for the legacy engine
-	var c *cluster.Cluster
+	r := &scaleRun{reqs: reqs}
 	var err error
 	switch engine {
 	case "legacy":
-		env = sim.NewEnv()
-		c, err = cluster.NewWithConfig(env, devs, mkCfg, gateway.NewLeastLoaded())
+		r.env = sim.NewEnv()
+		r.run = r.env
+		r.c, err = cluster.NewWithConfig(r.env, devs, mkCfg, gateway.NewLeastLoaded())
 	case "world-serial", "world-parallel":
-		w = sim.NewWorld()
-		w.SetParallel(engine == "world-parallel")
-		defer w.Close()
-		env = w.Ctrl()
-		c, err = cluster.NewWorldWithConfig(w, devs, mkCfg, gateway.NewLeastLoaded(), nil)
+		r.w = sim.NewWorld()
+		r.w.SetParallel(engine == "world-parallel")
+		r.env, r.run = r.w.Ctrl(), r.w
+		r.c, err = cluster.NewWorldWithConfig(r.w, devs, mkCfg, gateway.NewLeastLoaded(), nil)
 	default:
-		return ScaleEngineResult{}, fmt.Errorf("scale: unknown engine %q", engine)
+		return nil, fmt.Errorf("scale: unknown engine %q", engine)
 	}
 	if err != nil {
-		return ScaleEngineResult{}, err
+		return nil, err
 	}
 	for _, m := range models {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return ScaleEngineResult{}, err
+		if err := r.c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
+			return nil, err
 		}
 	}
-	conn := c.Connect()
-	for i, r := range reqs {
-		id, mdl := uint64(i+1), r.Model
-		env.At(r.At, func() {
+	conn := r.c.Connect()
+	env := r.env
+	for i, req := range reqs {
+		id, mdl := uint64(i+1), req.Model
+		env.At(req.At, func() {
 			conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
 		})
 	}
-	limit := reqs[len(reqs)-1].At + 8*sim.Second
-	start := time.Now()
-	if w != nil {
-		w.RunUntil(limit)
-	} else {
-		env.RunUntil(limit)
-	}
-	wall := time.Since(start)
+	return r, nil
+}
 
-	steps := env.Steps()
-	if w != nil {
-		for i := 0; i < w.NumShards(); i++ {
-			steps += w.Shard(i).Steps()
+// steps counts the events every Env of the engine has executed.
+func (r *scaleRun) steps() uint64 {
+	steps := r.env.Steps()
+	if r.w != nil {
+		for i := 0; i < r.w.NumShards(); i++ {
+			steps += r.w.Shard(i).Steps()
 		}
 	}
-	col := c.Collector()
+	return steps
+}
+
+// runScaleEngine executes one (cell, engine) combination and returns its
+// result.
+func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error) {
+	r, err := newScaleRun(engine, replicas, jobs)
+	if err != nil {
+		return ScaleEngineResult{}, err
+	}
+	if r.w != nil {
+		defer r.w.Close()
+	}
+	start := time.Now()
+	r.run.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
+	wall := time.Since(start)
+
+	steps := r.steps()
+	col := r.c.Collector()
 	return ScaleEngineResult{
 		Engine:    engine,
 		WallSec:   wall.Seconds(),
@@ -194,36 +216,18 @@ func MeasureScaleCell(replicas, jobs int) (ScaleEngineResult, error) {
 // cmd/benchguard fails if it reaches 0.5 (i.e. would round to ≥1 alloc per
 // event on a `go test -benchmem` report).
 func MeasureAllocsPerEvent(replicas, jobs int) (float64, error) {
-	models, reqs := scaleWorkload(replicas, jobs)
-	devs := make([]gpu.Config, replicas)
-	for i := range devs {
-		devs[i] = gpu.TeslaT4()
-	}
-	env := sim.NewEnv()
-	c, err := cluster.New(env, devs, func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
+	r, err := newScaleRun("legacy", replicas, jobs)
 	if err != nil {
 		return 0, err
 	}
-	for _, m := range models {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return 0, err
-		}
-	}
-	conn := c.Connect()
-	for i, r := range reqs {
-		id, mdl := uint64(i+1), r.Model
-		env.At(r.At, func() {
-			conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
-		})
-	}
-	env.RunUntil(reqs[len(reqs)/2].At)
+	r.run.RunUntil(r.reqs[len(r.reqs)/2].At)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	s0 := env.Steps()
-	env.RunUntil(reqs[len(reqs)-1].At + 8*sim.Second)
+	s0 := r.steps()
+	r.run.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
 	runtime.ReadMemStats(&m1)
-	steps := env.Steps() - s0
+	steps := r.steps() - s0
 	if steps == 0 {
 		return 0, fmt.Errorf("scale: allocs probe measured no events")
 	}
