@@ -33,8 +33,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// cliCases are the pinned paella-sim invocations: the CI smoke runs, the
-// README examples, the cluster fleet under every gateway policy, and each
+// cliCases are the pinned paella-sim invocations: the smoke runs whose
+// invariants TestSmokeInvariants checks, the README examples, the cluster fleet under every gateway policy, and each
 // mode's output files. An argument "@out<ext>" is replaced by a fresh
 // temporary path; the file written there is pinned too.
 var cliCases = []cliCase{
@@ -54,6 +54,7 @@ var cliCases = []cliCase{
 		"-tenants", "3", "-admit-rate", "120", "-rate", "600", "-jobs", "300", "-seed", "7",
 		"-models", "resnet18,mobilenetv2"}},
 	{name: "llm-colocated", args: llmArgs()},
+	{name: "llm-static", args: append([]string{"-llm", "-llm-static"}, llmArgs()[1:]...)},
 	{name: "llm-pd", args: []string{"-llm", "-pd-split", "1:1", "-rate", "400", "-jobs", "200",
 		"-clients", "8", "-sigma", "2", "-seed", "5", "-max-tokens", "64"}},
 	{name: "llm-pd-gateway", args: []string{"-llm", "-pd-split", "1:1", "-gateway", "affinity",
@@ -89,7 +90,10 @@ var cliCases = []cliCase{
 		"-telemetry-out", "@out.json")},
 	{name: "llm-serial-telemetry", args: append(llmArgs(), "-telemetry-out", "@out.json")},
 
-	// The committed file goldens the CI smoke jobs also diff.
+	// The record dump TestSmokeInvariants renders as an anatomy report.
+	{name: "tiny-json", args: append(tinyArgs(), "-json")},
+
+	// The committed file goldens.
 	{name: "golden-trace", args: append(tinyArgs(), "-trace-out", "@out.json"),
 		out: "../../testdata/golden_trace.json.gz"},
 	{name: "golden-telemetry", args: append(tinyArgs(), "-telemetry-out", "@out.json"),

@@ -2,13 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick goldens")
+
 // TestAllExperimentsRunQuick executes every registered experiment in Quick
-// mode: the full end-to-end integration test of the repository.
+// mode — the full end-to-end integration test of the repository — and
+// compares each report with testdata/quick/<name>.txt byte for byte.
+// Rewrite the goldens with -update only for an intended output change.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
@@ -20,6 +29,13 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range exps {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
+			var report string
+			if e.Name == "scale" {
+				// The scale table's wall-clock columns vary run to run; its
+				// JSON report carries each cell's deterministic step count.
+				report = t.TempDir() + "/scale.json"
+				t.Setenv(ScaleOutEnv, report)
+			}
 			var buf bytes.Buffer
 			if err := e.Run(&buf, Quick); err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
@@ -27,7 +43,68 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if buf.Len() == 0 {
 				t.Fatalf("%s produced no output", e.Name)
 			}
+			got := buf.String()
+			if report != "" {
+				got = maskScale(t, got, report)
+			}
+			pinQuick(t, e.Name, got)
 		})
+	}
+}
+
+// maskScale blanks the wall and events/s columns of the scale table, drops
+// the line naming the JSON report's temporary path, and appends the step
+// count of every (cell, engine) from that report.
+func maskScale(t *testing.T, out, report string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "wrote "):
+			continue
+		case len(f) == 7 && (f[2] == "legacy" || strings.HasPrefix(f[2], "world-")):
+			line = fmt.Sprintf("  %-8s %-8s %-15s %11s %12s %8s %11s\n", f[0], f[1], f[2], "-", "-", f[5], f[6])
+		}
+		b.WriteString(line)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ScaleReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("\nsteps:\n")
+	for _, cell := range rep.Cells {
+		for _, e := range cell.Engines {
+			fmt.Fprintf(&b, "  replicas=%d engine=%s steps=%d\n", cell.Replicas, e.Engine, e.Steps)
+		}
+	}
+	return b.String()
+}
+
+// pinQuick compares an experiment's quick report with its golden; with
+// -update it rewrites the golden instead.
+func pinQuick(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "quick", name+".txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s quick report drifted from %s\n--- got ---\n%s--- want ---\n%s", name, path, got, want)
 	}
 }
 
