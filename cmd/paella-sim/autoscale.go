@@ -81,10 +81,10 @@ func (c *config) serveElastic(opts serving.Options, reqs []workload.Request) out
 		prices[i] = price
 	}
 	f := c.buildFleet(opts, maxR)
-	defer f.w.Close()
+	defer f.World().Close()
 	jct := slo("jct", telemetry.SLOJCT, sim.Time(c.slo), 0.9)
 	jct.Short, jct.Long = sim.Millisecond, 10*sim.Millisecond
-	s, err := autoscale.NewScaler(f.w.Ctrl(), f.c, autoscale.Config{
+	s, err := autoscale.NewScaler(f.Env(), f.Cluster, autoscale.Config{
 		Min: c.minReplicas, Max: maxR, Initial: initial,
 		Interval:       sim.Time(c.scaleInterval),
 		Policy:         pol,
@@ -95,15 +95,15 @@ func (c *config) serveElastic(opts serving.Options, reqs []workload.Request) out
 		fatal("%v", err)
 	}
 	front := autoscale.NewFront(s)
-	f.arrive(reqs, func(req core.Request) { front.Submit(req) })
+	f.Arrive(reqs, func(req core.Request) int { front.Submit(req); return 0 })
 	s.Start()
 	// Two virtual seconds past the last arrival cover any drain tail (the
 	// conservation ledger below faults a run they do not).
 	end := reqs[len(reqs)-1].At
 	f.until = end + 2*sim.Second
-	f.w.RunUntil(f.until)
+	f.RunUntil(f.until)
 
-	f.col = f.c.Collector()
+	f.col = f.Collector()
 	f.report = func() {
 		counts, stats := front.Counts(), s.ScaleStats()
 		desc := c.traffic

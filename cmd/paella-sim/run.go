@@ -15,7 +15,6 @@ import (
 	"paella/internal/llm"
 	"paella/internal/metrics"
 	"paella/internal/model"
-	"paella/internal/sched"
 	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
@@ -172,8 +171,7 @@ func (c *config) serveSingle(opts serving.Options, reqs []workload.Request) outc
 // World, with routing, failover and terminal delivery on the control Env.
 // Serial and parallel shard execution give bit-identical results.
 type fleet struct {
-	w *sim.World
-	c *cluster.Cluster
+	*serving.Fleet
 	outcome
 }
 
@@ -217,48 +215,22 @@ func (c *config) observe(ctrl *sim.Env, out *outcome, shard string) func(int, *s
 	}
 }
 
-// buildFleet places n replicas on a new World, observed, and registers the
-// zoo on each.
+// buildFleet places n replicas of the -gpu device on a new World, observed,
+// behind the -gateway policy.
 func (c *config) buildFleet(opts serving.Options, n int) *fleet {
-	f := &fleet{w: c.newWorld()}
-	observe := c.observe(f.w.Ctrl(), &f.outcome, "replica")
+	w := c.newWorld()
+	f := &fleet{}
 	devs := make([]gpu.Config, n)
 	for i := range devs {
 		devs[i] = opts.DevCfg
 	}
 	var err error
-	f.c, err = cluster.NewWorldWithConfig(f.w, devs, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(serving.DefaultFairnessThreshold))
-		cfg.VRAM, cfg.MaxBatch, cfg.BatchWindow = opts.VRAM, opts.MaxBatch, opts.BatchWindow
-		if opts.Faults != nil {
-			// Mirror the serving layer: a faulty run arms tolerant
-			// notification handling plus the kernel watchdog.
-			cfg.FaultTolerant, cfg.KernelTimeout = true, 50*sim.Microsecond
-		}
-		return cfg
-	}, c.policy(), observe)
+	f.Fleet, err = serving.NewFleet(opts, serving.FleetOptions{Devices: devs, Gateway: c.policy(),
+		World: w, ShardSetup: c.observe(w.Ctrl(), &f.outcome, "replica")})
 	if err != nil {
 		fatal("%v", err)
 	}
-	for _, m := range opts.Models {
-		if err := f.c.RegisterModel(m, opts.CompilerCfg, opts.ProfileRuns); err != nil {
-			fatal("%v", err)
-		}
-	}
 	return f
-}
-
-// arrive schedules each request's submission at its arrival time on the
-// World's control Env.
-func (f *fleet) arrive(reqs []workload.Request, submit func(core.Request)) {
-	ctrl := f.w.Ctrl()
-	for i, r := range reqs {
-		id, req := uint64(i+1), r
-		ctrl.At(r.At, func() {
-			submit(core.Request{ID: id, Model: req.Model, Client: req.Client,
-				Tenant: req.Tenant, Submit: ctrl.Now()})
-		})
-	}
 }
 
 // admission returns the -admit-rate per-tenant token bucket, or nil.
@@ -275,44 +247,34 @@ func (c *config) admission() *gateway.Admission {
 // with gateway admission and fault injection when asked for.
 func (c *config) serveFleet(opts serving.Options, reqs []workload.Request) outcome {
 	f := c.buildFleet(opts, c.replicas)
-	defer f.w.Close()
-	f.c.SetAdmission(c.admission())
-	conn := f.c.Connect()
+	defer f.World().Close()
+	f.SetAdmission(c.admission())
+	conn := f.Connect()
 	completed, failed := 0, 0
 	conn.OnComplete = func(uint64) { completed++ }
 	conn.OnFailed = func(uint64, error) { failed++ }
 	if opts.Faults != nil {
-		inj, err := fault.NewInjector(f.w.Ctrl(), opts.Faults, fault.Targets{
-			Device: f.c.Dispatcher(0).Device(), Dispatcher: f.c.Dispatcher(0), Cluster: f.c})
+		inj, err := fault.NewInjector(f.Env(), opts.Faults, fault.Targets{
+			Device: f.Dispatcher(0).Device(), Dispatcher: f.Dispatcher(0), Cluster: f.Cluster})
 		if err != nil {
 			fatal("%v", err)
 		}
 		inj.Install()
 	}
-	var submit func(req core.Request)
-	submit = func(req core.Request) {
-		// -1 is retryable (ring full at extreme overload): retry shortly
-		// (the client library's backoff), keeping the original submit time
-		// so the backoff shows up in JCT. cluster.Shed is terminal — the
-		// gateway already failed the request — and must not be retried.
-		if conn.Submit(req) == -1 && f.c.LiveReplicas() > 0 {
-			f.w.Ctrl().After(20*sim.Microsecond, func() { submit(req) })
-		}
-	}
-	f.arrive(reqs, submit)
-	f.w.RunUntil(opts.MaxSimTime)
+	f.Arrive(reqs, conn.Submit)
+	f.RunUntil(opts.MaxSimTime)
 
-	col := f.c.Collector()
+	col := f.Collector()
 	f.col, f.until = col, opts.MaxSimTime
 	f.report = func() {
 		fmt.Printf("system     : Paella ×%d replicas, balancer=%s\n", c.replicas, c.gateway)
 		c.engineLine("")
-		c.admissionLines(f.c.Admission())
+		c.admissionLines(f.Admission())
 		c.summary(col, completed)
 		if opts.Faults != nil {
 			fmt.Printf("faults     : %d planned events (seed %d); ok=%d failed=%d lost=%d (crashed=%d live=%d)\n",
 				len(opts.Faults.Events), opts.Faults.Seed, completed, failed,
-				c.jobs-completed-failed, f.c.Crashes(), f.c.LiveReplicas())
+				c.jobs-completed-failed, f.Crashes(), f.LiveReplicas())
 			failureReasons(col)
 		}
 		c.vramLine(col, "MiB/replica")

@@ -18,14 +18,12 @@ import (
 	"errors"
 	"fmt"
 
-	"paella/internal/cluster"
 	"paella/internal/compiler"
-	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/metrics"
 	"paella/internal/model"
-	"paella/internal/sched"
+	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/vram"
 	"paella/internal/workload"
@@ -37,23 +35,17 @@ import (
 // errors.
 func run(mk func() gateway.Policy, admit *gateway.Admission,
 	trace []workload.Request, zoo []*model.Model) (*metrics.Collector, *gateway.Admission, int) {
-	env := sim.NewEnv()
-	devs := []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}
-	c, err := cluster.NewWithConfig(env, devs, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(10000))
-		cfg.VRAM = &vram.Config{CapacityBytes: 128 << 20}
-		return cfg
-	}, mk())
+	opts := serving.Options{Models: zoo, CompilerCfg: compiler.DefaultConfig(), ProfileRuns: 1,
+		VRAM: &vram.Config{CapacityBytes: 128 << 20}}
+	f, err := serving.NewFleet(opts, serving.FleetOptions{
+		Devices: []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()},
+		Gateway: mk(),
+	})
 	if err != nil {
 		panic(err)
 	}
-	for _, m := range zoo {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			panic(err)
-		}
-	}
-	c.SetAdmission(admit)
-	conn := c.Connect()
+	f.SetAdmission(admit)
+	conn := f.Connect()
 	shedSeen := 0
 	conn.OnFailed = func(_ uint64, err error) {
 		// The typed shed error arrives through the normal failure path, so
@@ -62,15 +54,9 @@ func run(mk func() gateway.Policy, admit *gateway.Admission,
 			shedSeen++
 		}
 	}
-	for i, r := range trace {
-		id, req := uint64(i+1), r
-		env.At(r.At, func() {
-			conn.Submit(core.Request{ID: id, Model: req.Model, Client: req.Client,
-				Tenant: req.Tenant, Submit: env.Now()})
-		})
-	}
-	env.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
-	return c.Collector(), admit, shedSeen
+	f.Arrive(trace, conn.Submit)
+	f.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
+	return f.Collector(), admit, shedSeen
 }
 
 func main() {

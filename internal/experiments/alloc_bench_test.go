@@ -1,16 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"paella/internal/cluster"
-	"paella/internal/compiler"
-	"paella/internal/core"
-	"paella/internal/gateway"
-	"paella/internal/gpu"
-	"paella/internal/sched"
-	"paella/internal/sim"
-)
+import "testing"
 
 // BenchmarkEngineHotLoop drives b.N events through a warmed-up cluster —
 // the end-to-end hot loop of the scale benchmark, one Env.Step per op. With
@@ -24,26 +14,12 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 	// one job yields ~1.3k engine events and the measured phase gets the
 	// last three quarters of the jobs, so b.N/500 leaves a 2× margin.
 	jobs := b.N/500 + 400
-	models, reqs := scaleWorkload(1, jobs)
-	env := sim.NewEnv()
-	c, err := cluster.New(env, []gpu.Config{gpu.TeslaT4()},
-		func() sched.Policy { return sched.NewPaella(10000) }, gateway.NewLeastLoaded())
+	r, err := newScaleRun("legacy", 1, jobs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range models {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	conn := c.Connect()
-	for i, r := range reqs {
-		id, mdl := uint64(i+1), r.Model
-		env.At(r.At, func() {
-			conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
-		})
-	}
-	env.RunUntil(reqs[len(reqs)/4].At) // warm-up: pools reach steady state
+	env := r.Env()
+	r.RunUntil(r.reqs[len(r.reqs)/4].At) // warm-up: pools reach steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

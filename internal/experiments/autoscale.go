@@ -7,16 +7,13 @@ import (
 	"os"
 
 	"paella/internal/autoscale"
-	"paella/internal/cluster"
-	"paella/internal/compiler"
 	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
-	"paella/internal/sched"
+	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
-	"paella/internal/vram"
 	"paella/internal/workload"
 )
 
@@ -98,24 +95,16 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	w := sim.NewWorld()
 	w.SetParallel(true)
 	defer w.Close()
-	c, err := cluster.NewWorldWithConfig(w, devs, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(10000))
-		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
-		return cfg
-	}, gateway.NewLeastLoaded(), func(int, *sim.Env) {})
+	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
+		serving.FleetOptions{Devices: devs, Gateway: gateway.NewLeastLoaded(), World: w})
 	if err != nil {
 		return fleetRun{}, err
-	}
-	for _, m := range autoscaleModels() {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return fleetRun{}, err
-		}
 	}
 	pol, err := autoscale.NewFromConfig(pc)
 	if err != nil {
 		return fleetRun{}, err
 	}
-	s, err := autoscale.NewScaler(w.Ctrl(), c, autoscale.Config{
+	s, err := autoscale.NewScaler(f.Env(), f.Cluster, autoscale.Config{
 		Min: minR, Max: len(devs), Initial: initial,
 		Interval: 5 * sim.Millisecond,
 		Policy:   pol,
@@ -133,14 +122,9 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	if err != nil {
 		return fleetRun{}, err
 	}
-	last := sim.Time(0)
-	for i, r := range reqs {
-		req := core.Request{ID: uint64(i + 1), Model: r.Model, Client: r.Client, Tenant: r.Tenant, Submit: r.At}
-		last = r.At
-		w.Ctrl().At(r.At, func() { front.Submit(req) })
-	}
+	f.Arrive(reqs, func(req core.Request) int { front.Submit(req); return 0 })
 	s.Start()
-	w.RunUntil(last + 2*sim.Second)
+	f.RunUntil(reqs[len(reqs)-1].At + 2*sim.Second)
 
 	if !front.Counts().Conserved() || front.Outstanding() != 0 {
 		return fleetRun{}, fmt.Errorf("autoscale: %s leaked requests: %+v (%d outstanding)",
@@ -149,7 +133,7 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	// Bill through quiescence — drain tails are paid for — but normalize
 	// the daily extrapolation by the offered trace's duration.
 	bill := s.QuiesceTime(spec.Duration)
-	col := c.Collector().Succeeded()
+	col := f.Collector().Succeeded()
 	run := fleetRun{
 		label:      label,
 		repSeconds: s.ReplicaSeconds(bill),
@@ -168,21 +152,12 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 // the experiment's model mix with a short saturating open-loop run — the
 // per-offer rate the fleet-mix optimizer consumes.
 func calibrateReplicaRate(dev gpu.Config, jobs int) (float64, error) {
-	env := sim.NewEnv()
-	c, err := cluster.NewWithConfig(env, []gpu.Config{dev}, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(10000))
-		cfg.VRAM = &vram.Config{CapacityBytes: 32 << 20}
-		return cfg
-	}, gateway.NewLeastLoaded())
+	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
+		serving.FleetOptions{Devices: []gpu.Config{dev}, Gateway: gateway.NewLeastLoaded()})
 	if err != nil {
 		return 0, err
 	}
-	for _, m := range autoscaleModels() {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return 0, err
-		}
-	}
-	conn := c.Connect()
+	conn := f.Connect()
 	spec := workload.TrafficSpec{
 		Shape:          workload.ShapeConstant,
 		Mix:            workload.Uniform("autonet-a", "autonet-b"),
@@ -196,14 +171,9 @@ func calibrateReplicaRate(dev gpu.Config, jobs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	last := sim.Time(0)
-	for i, r := range reqs {
-		req := core.Request{ID: uint64(i + 1), Model: r.Model, Client: r.Client, Submit: r.At}
-		last = r.At
-		env.At(r.At, func() { conn.Submit(req) })
-	}
-	env.RunUntil(last + 4*sim.Second)
-	return c.Collector().Succeeded().Throughput(), nil
+	f.Arrive(reqs, conn.Submit)
+	f.RunUntil(reqs[len(reqs)-1].At + 4*sim.Second)
+	return f.Collector().Succeeded().Throughput(), nil
 }
 
 // runAutoscale sweeps scaling policies over a compressed diurnal trace on a

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"paella/internal/cluster"
-	"paella/internal/compiler"
 	"paella/internal/core"
 	"paella/internal/fault"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
-	"paella/internal/sched"
 	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/workload"
@@ -94,20 +91,12 @@ func runChaos(w io.Writer, d Detail) error {
 	}
 
 	fmt.Fprintln(w, "\nPart B: replica crash on a 2×T4 cluster, failover to the survivor:")
-	env := sim.NewEnv()
-	c, err := cluster.New(env,
-		[]gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()},
-		func() sched.Policy { return sched.NewPaella(10000) },
-		gateway.NewLeastLoaded())
+	f, err := serving.NewFleet(fleetOptions(models, 0), serving.FleetOptions{
+		Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: gateway.NewLeastLoaded()})
 	if err != nil {
 		return err
 	}
-	for _, m := range models {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return err
-		}
-	}
-	conn := c.Connect()
+	conn := f.Connect()
 	completed, failed := 0, 0
 	conn.OnComplete = func(uint64) { completed++ }
 	conn.OnFailed = func(uint64, error) { failed++ }
@@ -115,22 +104,16 @@ func runChaos(w io.Writer, d Detail) error {
 		Mix: workload.Uniform(names...), Sigma: 1.5,
 		RatePerSec: 400, Jobs: jobs, Clients: 1, Seed: seed,
 	})
-	submitted := 0
-	for i, r := range ctrace {
-		id, mdl, at := uint64(i+1), r.Model, r.At
-		env.At(at, func() {
-			if conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()}) >= 0 {
-				submitted++
-			}
-		})
-	}
+	f.Arrive(ctrace, conn.Submit)
 	crashAt := ctrace[len(ctrace)-1].At / 2
-	env.At(crashAt, func() { c.Crash(0) })
-	env.RunUntil(ctrace[len(ctrace)-1].At + 30*sim.Second)
+	f.Env().At(crashAt, func() { f.Crash(0) })
+	f.RunUntil(ctrace[len(ctrace)-1].At + 30*sim.Second)
 	fmt.Fprintf(w, "  crash at %v: %d submitted, %d completed, %d typed failures, %d live replicas\n",
-		crashAt, submitted, completed, failed, c.LiveReplicas())
-	if completed+failed != submitted {
-		return fmt.Errorf("chaos: cluster lost %d jobs after crash", submitted-completed-failed)
+		crashAt, len(ctrace), completed, failed, f.LiveReplicas())
+	// Every arrival is retried until the fleet takes it, so each one must
+	// end in a completion or a typed failure.
+	if completed+failed != len(ctrace) {
+		return fmt.Errorf("chaos: cluster lost %d jobs after crash", len(ctrace)-completed-failed)
 	}
 
 	fmt.Fprintln(w, "\nExpected: Part A — goodput falls and p99(ok) rises monotonically-ish")

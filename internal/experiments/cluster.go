@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"paella/internal/cluster"
-	"paella/internal/compiler"
-	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
-	"paella/internal/sched"
+	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/workload"
 )
@@ -42,34 +39,24 @@ func runAblationCluster(w io.Writer, d Detail) error {
 		Mix: workload.Uniform(names...), Sigma: 2,
 		RatePerSec: 800, Jobs: jobs, Clients: 1, Seed: 13,
 	})
+	models := make([]*model.Model, len(names))
+	for i, name := range names {
+		models[i], _ = model.ByName(name)
+	}
+	opts := fleetOptions(models, 0)
 
 	fmt.Fprintln(w, "Extension — 2×T4 cluster at 800 req/s (σ=2, Table 2 mix):")
 	fmt.Fprintf(w, "  %-16s %14s %12s %12s\n", "balancer", "tput (req/s)", "p50", "p99")
 	for _, mk := range balancers {
-		env := sim.NewEnv()
 		b := mk()
-		c, err := cluster.New(env,
-			[]gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()},
-			func() sched.Policy { return sched.NewPaella(10000) }, b)
+		f, err := serving.NewFleet(opts, serving.FleetOptions{
+			Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: b})
 		if err != nil {
 			return err
 		}
-		for _, name := range names {
-			m := model.Generate(entryFor(name))
-			if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-				return err
-			}
-		}
-		conn := c.Connect()
-		for i, r := range trace {
-			id, mdl := uint64(i+1), r.Model
-			at := r.At
-			env.At(at, func() {
-				conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
-			})
-		}
-		env.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
-		col := c.Collector()
+		f.Arrive(trace, f.Connect().Submit)
+		f.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
+		col := f.Collector()
 		fmt.Fprintf(w, "  %-16s %14.1f %12v %12v\n",
 			b.Name(), col.Throughput(), col.P50(), col.P99())
 	}
@@ -77,13 +64,4 @@ func runAblationCluster(w io.Writer, d Detail) error {
 	fmt.Fprintln(w, "arrivals; affinity trades some balance for model locality. Cluster")
 	fmt.Fprintln(w, "routing composes with per-GPU software-defined scheduling (§8).")
 	return nil
-}
-
-func entryFor(name string) model.ZooEntry {
-	for _, e := range model.Table2() {
-		if e.Name == name {
-			return e
-		}
-	}
-	panic("experiments: unknown zoo entry " + name)
 }

@@ -16,9 +16,12 @@ import (
 	"io"
 	"sort"
 
+	"paella/internal/compiler"
 	"paella/internal/metrics"
+	"paella/internal/model"
 	"paella/internal/serving"
 	"paella/internal/sim"
+	"paella/internal/vram"
 	"paella/internal/workload"
 )
 
@@ -135,6 +138,17 @@ func printSweep(w io.Writer, system string, pts []LoadPoint) {
 		fmt.Fprintf(w, "    %10.0f %12.1f %12v %12v %6d\n",
 			p.OfferedRate, p.Throughput, p.P99, p.Mean, p.Completed)
 	}
+}
+
+// fleetOptions are the Options of every experiment fleet: models compiled
+// with the default instrumentation and profiled once, under a per-replica
+// VRAM budget of vramBytes (0 = unconstrained).
+func fleetOptions(models []*model.Model, vramBytes int64) serving.Options {
+	opts := serving.Options{Models: models, CompilerCfg: compiler.DefaultConfig(), ProfileRuns: 1}
+	if vramBytes > 0 {
+		opts.VRAM = &vram.Config{CapacityBytes: vramBytes}
+	}
+	return opts
 }
 
 // meanOf is a tiny helper for per-record aggregates.

@@ -5,16 +5,13 @@ import (
 	"io"
 
 	"paella/internal/cluster"
-	"paella/internal/compiler"
-	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/llm"
 	"paella/internal/metrics"
 	"paella/internal/model"
-	"paella/internal/sched"
+	"paella/internal/serving"
 	"paella/internal/sim"
-	"paella/internal/vram"
 	"paella/internal/workload"
 )
 
@@ -49,34 +46,17 @@ func gatewayZoo(n int) []*model.Model {
 // under a device-memory budget and returns the merged collector.
 func runGatewayCluster(mk func() gateway.Policy, trace []workload.Request,
 	zoo []*model.Model, admit *gateway.Admission) (*metrics.Collector, error) {
-	env := sim.NewEnv()
 	// A fast and two slow replicas: queue depth alone misprices them, which
 	// is exactly the gap between least-loaded and predicted-latency.
-	devs := []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}
-	c, err := cluster.NewWithConfig(env, devs, func(int, gpu.Config) core.Config {
-		cfg := core.DefaultConfig(sched.NewPaella(10000))
-		cfg.VRAM = &vram.Config{CapacityBytes: 128 << 20}
-		return cfg
-	}, mk())
+	f, err := serving.NewFleet(fleetOptions(zoo, 128<<20), serving.FleetOptions{
+		Devices: []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}, Gateway: mk()})
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range zoo {
-		if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return nil, err
-		}
-	}
-	c.SetAdmission(admit)
-	conn := c.Connect()
-	for i, r := range trace {
-		id, req := uint64(i+1), r
-		env.At(r.At, func() {
-			conn.Submit(core.Request{ID: id, Model: req.Model, Client: req.Client,
-				Tenant: req.Tenant, Submit: env.Now()})
-		})
-	}
-	env.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
-	return c.Collector(), nil
+	f.SetAdmission(admit)
+	f.Arrive(trace, f.Connect().Submit)
+	f.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
+	return f.Collector(), nil
 }
 
 // runGateway demonstrates the gateway layer in three parts: routing-policy

@@ -8,13 +8,10 @@ import (
 	"runtime"
 	"time"
 
-	"paella/internal/cluster"
-	"paella/internal/compiler"
-	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
-	"paella/internal/sched"
+	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/workload"
 )
@@ -107,68 +104,44 @@ func scaleWorkload(replicas, jobs int) ([]*model.Model, []workload.Request) {
 	return models, reqs
 }
 
-// scaleRun is the scale workload loaded onto one engine: a cluster with the
-// zoo registered and every arrival scheduled, ready to run.
+// scaleRun is the scale workload loaded onto one engine: a fleet with every
+// arrival scheduled, ready to run.
 type scaleRun struct {
-	env  *sim.Env                          // scheduling surface for arrivals
-	w    *sim.World                        // nil for the legacy engine; the runner closes it
-	run  interface{ RunUntil(t sim.Time) } // the Env or the World
-	c    *cluster.Cluster
+	*serving.Fleet
 	reqs []workload.Request
 }
 
 // newScaleRun builds the (cell, engine) combination. World engines put each
 // replica on its own shard; the legacy engine multiplexes all replicas on
-// one Env, as the pre-World code did.
+// one Env, as the pre-World code did. The runner closes a World engine.
 func newScaleRun(engine string, replicas, jobs int) (*scaleRun, error) {
 	models, reqs := scaleWorkload(replicas, jobs)
-	devs := make([]gpu.Config, replicas)
-	for i := range devs {
-		devs[i] = gpu.TeslaT4()
+	fo := serving.FleetOptions{Devices: make([]gpu.Config, replicas), Gateway: gateway.NewLeastLoaded()}
+	for i := range fo.Devices {
+		fo.Devices[i] = gpu.TeslaT4()
 	}
-	mkCfg := func(int, gpu.Config) core.Config {
-		return core.DefaultConfig(sched.NewPaella(10000))
-	}
-	r := &scaleRun{reqs: reqs}
-	var err error
 	switch engine {
-	case "legacy":
-		r.env = sim.NewEnv()
-		r.run = r.env
-		r.c, err = cluster.NewWithConfig(r.env, devs, mkCfg, gateway.NewLeastLoaded())
+	case "legacy": // one Env, the fleet default
 	case "world-serial", "world-parallel":
-		r.w = sim.NewWorld()
-		r.w.SetParallel(engine == "world-parallel")
-		r.env, r.run = r.w.Ctrl(), r.w
-		r.c, err = cluster.NewWorldWithConfig(r.w, devs, mkCfg, gateway.NewLeastLoaded(), nil)
+		fo.World = sim.NewWorld()
+		fo.World.SetParallel(engine == "world-parallel")
 	default:
 		return nil, fmt.Errorf("scale: unknown engine %q", engine)
 	}
+	f, err := serving.NewFleet(fleetOptions(models, 0), fo)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range models {
-		if err := r.c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-			return nil, err
-		}
-	}
-	conn := r.c.Connect()
-	env := r.env
-	for i, req := range reqs {
-		id, mdl := uint64(i+1), req.Model
-		env.At(req.At, func() {
-			conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
-		})
-	}
-	return r, nil
+	f.Arrive(reqs, f.Connect().Submit)
+	return &scaleRun{Fleet: f, reqs: reqs}, nil
 }
 
 // steps counts the events every Env of the engine has executed.
 func (r *scaleRun) steps() uint64 {
-	steps := r.env.Steps()
-	if r.w != nil {
-		for i := 0; i < r.w.NumShards(); i++ {
-			steps += r.w.Shard(i).Steps()
+	steps := r.Env().Steps()
+	if w := r.World(); w != nil {
+		for i := 0; i < w.NumShards(); i++ {
+			steps += w.Shard(i).Steps()
 		}
 	}
 	return steps
@@ -181,15 +154,15 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	if err != nil {
 		return ScaleEngineResult{}, err
 	}
-	if r.w != nil {
-		defer r.w.Close()
+	if w := r.World(); w != nil {
+		defer w.Close()
 	}
 	start := time.Now()
-	r.run.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
+	r.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
 	wall := time.Since(start)
 
 	steps := r.steps()
-	col := r.c.Collector()
+	col := r.Collector()
 	return ScaleEngineResult{
 		Engine:    engine,
 		WallSec:   wall.Seconds(),
@@ -220,12 +193,12 @@ func MeasureAllocsPerEvent(replicas, jobs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.run.RunUntil(r.reqs[len(r.reqs)/2].At)
+	r.RunUntil(r.reqs[len(r.reqs)/2].At)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	s0 := r.steps()
-	r.run.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
+	r.RunUntil(r.reqs[len(r.reqs)-1].At + 8*sim.Second)
 	runtime.ReadMemStats(&m1)
 	steps := r.steps() - s0
 	if steps == 0 {

@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"paella/internal/cluster"
-	"paella/internal/compiler"
-	"paella/internal/core"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
-	"paella/internal/sched"
 	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/vram"
@@ -102,35 +98,17 @@ func runVRAM(w io.Writer, d Detail) error {
 	})
 	for _, mk := range balancers {
 		b := mk()
-		env := sim.NewEnv()
-		c, err := cluster.NewWithConfig(env,
-			[]gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()},
-			func(int, gpu.Config) core.Config {
-				cfg := core.DefaultConfig(sched.NewPaella(10000))
-				cfg.VRAM = &vram.Config{CapacityBytes: vramBudget}
-				return cfg
-			}, b)
+		f, err := serving.NewFleet(fleetOptions(zoo, vramBudget), serving.FleetOptions{
+			Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: b})
 		if err != nil {
 			return err
 		}
-		for _, m := range zoo {
-			if err := c.RegisterModel(m, compiler.DefaultConfig(), 1); err != nil {
-				return err
-			}
-		}
-		conn := c.Connect()
-		for i, r := range trace {
-			id, mdl := uint64(i+1), r.Model
-			at := r.At
-			env.At(at, func() {
-				conn.Submit(core.Request{ID: id, Model: mdl, Submit: env.Now()})
-			})
-		}
-		env.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
-		col := c.Collector()
+		f.Arrive(trace, f.Connect().Submit)
+		f.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
+		col := f.Collector()
 		var loads uint64
-		for i := 0; i < c.Size(); i++ {
-			loads += c.Dispatcher(i).VRAM().Stats().Loads
+		for i := 0; i < f.Size(); i++ {
+			loads += f.Dispatcher(i).VRAM().Stats().Loads
 		}
 		fmt.Fprintf(w, "  %-18s %12.1f %12v %12v %6d %6d\n",
 			b.Name(), col.Throughput(), col.P50(), col.P99(),

@@ -1,0 +1,103 @@
+package serving
+
+import (
+	"paella/internal/cluster"
+	"paella/internal/core"
+	"paella/internal/gateway"
+	"paella/internal/gpu"
+	"paella/internal/sched"
+	"paella/internal/sim"
+	"paella/internal/workload"
+)
+
+// FleetOptions describes what a fleet adds to Options: its replicas, its
+// gateway, and the engine it runs on.
+type FleetOptions struct {
+	// Devices lists each replica's GPU (possibly heterogeneous); a fleet
+	// ignores Options.DevCfg.
+	Devices []gpu.Config
+	// Gateway routes every request to one live, routable replica.
+	Gateway gateway.Policy
+	// World, when non-nil, places each replica on its own shard of the
+	// conservative-window engine, with routing and arrivals on its control
+	// Env; it must have no shards yet, and the caller closes it. Nil runs
+	// every replica on one serial Env.
+	World *sim.World
+	// ShardSetup, with a World, runs with each replica's shard Env before
+	// its dispatcher is built there (e.g. to attach a per-replica recorder
+	// or meter).
+	ShardSetup func(i int, shard *sim.Env)
+}
+
+// Fleet is a set of gated-Paella replicas behind one gateway, built from
+// Options and FleetOptions: each replica's dispatcher is configured as
+// the single-GPU "Paella" system would be, and every model is registered
+// on every replica.
+type Fleet struct {
+	*cluster.Cluster
+	ctrl *sim.Env
+}
+
+// NewFleet builds the fleet and registers opts.Models on every replica.
+// Options.Trace, Telemetry and MaxSimTime are not consumed: attach
+// observers through FleetOptions.ShardSetup and the control Env, and run
+// with RunUntil.
+func NewFleet(opts Options, fo FleetOptions) (*Fleet, error) {
+	mkCfg := func(int, gpu.Config) core.Config {
+		return dispatcherConfig(opts, core.ModeGated, sched.NewPaella(DefaultFairnessThreshold))
+	}
+	f := &Fleet{}
+	var err error
+	if fo.World != nil {
+		f.ctrl = fo.World.Ctrl()
+		f.Cluster, err = cluster.NewWorldWithConfig(fo.World, fo.Devices, mkCfg, fo.Gateway, fo.ShardSetup)
+	} else {
+		f.ctrl = sim.NewEnv()
+		f.Cluster, err = cluster.NewWithConfig(f.ctrl, fo.Devices, mkCfg, fo.Gateway)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range opts.Models {
+		if err := f.RegisterModel(m, opts.CompilerCfg, max(opts.ProfileRuns, 1)); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// Env returns the control Env: the fleet's one Env, or its World's
+// control Env. Crash timers, fault injectors and autoscalers schedule
+// here.
+func (f *Fleet) Env() *sim.Env { return f.ctrl }
+
+// Arrive schedules every request of trace on the control Env at its
+// arrival time, as core.Request i+1 with the request's model, client and
+// tenant. submit delivers it: a cluster.Conn's Submit, or an
+// autoscale.Front's wrapped to return 0 (the Front retries by itself). A
+// -1 result (a full ring, or no routable replica) is retried after the
+// client library's backoff with the request unchanged, so the wait shows
+// in its JCT, for as long as a replica lives. Any other result is final:
+// cluster.Shed means the gateway already failed the request.
+func (f *Fleet) Arrive(trace []workload.Request, submit func(core.Request) int) {
+	var send func(req core.Request)
+	send = func(req core.Request) {
+		if submit(req) == -1 && f.LiveReplicas() > 0 {
+			f.ctrl.After(retryBackoff, func() { send(req) })
+		}
+	}
+	for i, r := range trace {
+		req := core.Request{ID: uint64(i + 1), Model: r.Model, Client: r.Client,
+			Tenant: r.Tenant, Submit: r.At}
+		f.ctrl.At(r.At, func() { send(req) })
+	}
+}
+
+// RunUntil runs the fleet's engine up to virtual time t.
+func (f *Fleet) RunUntil(t sim.Time) {
+	if w := f.World(); w != nil {
+		w.RunUntil(t)
+		return
+	}
+	f.ctrl.RunUntil(t)
+}

@@ -1,0 +1,56 @@
+package serving
+
+import (
+	"testing"
+
+	"paella/internal/core"
+	"paella/internal/gateway"
+	"paella/internal/gpu"
+	"paella/internal/sim"
+	"paella/internal/workload"
+)
+
+// TestFleetArriveRetriesUnroutable drains a one-replica fleet's only
+// replica for the first millisecond of a trace: every arrival in that
+// window is refused with -1, and Arrive must resubmit it unchanged until
+// the replica returns, so every request completes, carries its tenant, and
+// keeps its arrival as its submit time.
+func TestFleetArriveRetriesUnroutable(t *testing.T) {
+	opts := tinyOpts()
+	f, err := NewFleet(opts, FleetOptions{Devices: []gpu.Config{opts.DevCfg}, Gateway: gateway.NewLeastLoaded()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := workload.MustGenerate(workload.Spec{Mix: workload.Uniform("tinynet"), Sigma: 1.5,
+		RatePerSec: 20000, Jobs: 40, Clients: 4, Tenants: 2, Seed: 42})
+	const drain = sim.Millisecond
+	f.SetRoutable(0, false)
+	f.Env().At(drain, func() { f.SetRoutable(0, true) })
+	conn := f.Connect()
+	completed, refused := 0, 0
+	conn.OnComplete = func(uint64) { completed++ }
+	f.Arrive(trace, func(req core.Request) int {
+		g := conn.Submit(req)
+		if g == -1 {
+			refused++
+		}
+		return g
+	})
+	f.RunUntil(trace[len(trace)-1].At + sim.Second)
+
+	if refused == 0 || trace[0].At >= drain {
+		t.Fatalf("no arrival was refused (first at %v); the drain window misses the trace", trace[0].At)
+	}
+	if completed != len(trace) {
+		t.Fatalf("completed %d of %d requests (%d refusals retried)", completed, len(trace), refused)
+	}
+	for _, rec := range f.Collector().Records() {
+		r := trace[rec.ID-1]
+		if rec.Submit != r.At || rec.Tenant != r.Tenant || rec.Model != r.Model {
+			t.Fatalf("request %d recorded as %+v, arrived as %+v", rec.ID, rec, r)
+		}
+		if r.At < drain && rec.Delivered < drain {
+			t.Fatalf("request %d arrived at %v during the drain but was delivered at %v", rec.ID, r.At, rec.Delivered)
+		}
+	}
+}

@@ -108,6 +108,33 @@ func NewPaellaBatching(name string, maxBatch int, window sim.Time) System {
 	})
 }
 
+// watchdogGrace is how far past a kernel's serial upper bound the
+// dispatcher's watchdog waits on a faulty run.
+const watchdogGrace = 50 * sim.Microsecond
+
+// retryBackoff is the client library's wait before resubmitting a request
+// a full ring (or a fleet without a routable replica) refused.
+const retryBackoff = 20 * sim.Microsecond
+
+// dispatcherConfig is the configuration of a Paella dispatcher in mode
+// under opts, shared by the single-GPU systems and every fleet replica:
+// the VRAM budget and, when gated, dynamic batching and — on a faulty run —
+// the recovery machinery (tolerant notification handling plus the kernel
+// watchdog; healthy runs leave it off so their event sequences, and golden
+// traces, are untouched).
+func dispatcherConfig(opts Options, mode core.Mode, pol sched.Policy) core.Config {
+	cfg := core.DefaultConfig(pol)
+	cfg.Mode = mode
+	cfg.VRAM = opts.VRAM
+	if mode == core.ModeGated {
+		cfg.MaxBatch, cfg.BatchWindow = opts.MaxBatch, opts.BatchWindow
+		if opts.Faults != nil {
+			cfg.FaultTolerant, cfg.KernelTimeout = true, watchdogGrace
+		}
+	}
+	return cfg
+}
+
 func (s *paellaSystem) Name() string { return s.name }
 
 func (s *paellaSystem) Setup(env *sim.Env, opts Options, numClients int) error {
@@ -116,26 +143,7 @@ func (s *paellaSystem) Setup(env *sim.Env, opts Options, numClients int) error {
 	if s.policy != nil {
 		pol = s.policy()
 	}
-	cfg := core.DefaultConfig(pol)
-	cfg.Mode = s.mode
-	cfg.VRAM = opts.VRAM
-	if s.mode == core.ModeGated {
-		cfg.MaxBatch = opts.MaxBatch
-		cfg.BatchWindow = opts.BatchWindow
-	}
-	if opts.Faults != nil && s.mode == core.ModeGated {
-		// A faulty run arms the recovery machinery: tolerant notification
-		// handling plus the kernel watchdog (healthy runs leave it off so
-		// their event sequences — and golden traces — are untouched).
-		cfg.FaultTolerant = true
-		if cfg.KernelTimeout == 0 {
-			grace := opts.KernelTimeoutGrace
-			if grace <= 0 {
-				grace = 50 * sim.Microsecond
-			}
-			cfg.KernelTimeout = grace
-		}
-	}
+	cfg := dispatcherConfig(opts, s.mode, pol)
 	if s.tweak != nil {
 		s.tweak(&cfg)
 	}
@@ -187,10 +195,10 @@ func (s *paellaSystem) Submit(req workload.Request) {
 		Submit: s.env.Now(),
 	})
 	if !ok {
-		// Ring full at extreme overload: retry shortly (the client
-		// library's backoff).
+		// Ring full at extreme overload: retry after the client
+		// library's backoff.
 		r := req
-		s.env.After(20*sim.Microsecond, func() { s.Submit(r) })
+		s.env.After(retryBackoff, func() { s.Submit(r) })
 	}
 }
 

@@ -69,7 +69,7 @@ func TestPaellaBatchingLowLoadNoHolds(t *testing.T) {
 
 // TestPaellaMaxBatchOneIdentical: MaxBatch=1 must take exactly the unbatched
 // dispatch path — per-request records are byte-identical to stock Paella
-// even under saturating load, mirroring the golden-trace CI check.
+// even under saturating load, mirroring the paella-sim golden-trace pin.
 func TestPaellaMaxBatchOneIdentical(t *testing.T) {
 	trace := saturatingTinyTrace(80)
 	plain := MustRunTrace(MustNewSystem("Paella"), trace, tinyOpts())

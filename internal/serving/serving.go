@@ -13,6 +13,11 @@
 //
 // Every system consumes the same workload.Request traces and produces a
 // metrics.Collector, so experiments compare like for like.
+//
+// Fleets run through this package too: NewFleet builds a set of
+// gated-Paella replicas behind a gateway policy from the same Options,
+// configuring each replica's dispatcher exactly as the single-GPU
+// "Paella" system does, and Fleet.Arrive feeds it a trace.
 package serving
 
 import (
@@ -68,9 +73,6 @@ type Options struct {
 	// Paella variants consume it — the baseline systems model no fault
 	// handling, as their real counterparts crash or hang.
 	Faults *fault.Plan
-	// KernelTimeoutGrace overrides the watchdog grace period armed when
-	// Faults is set (default 50µs beyond each kernel's serial upper bound).
-	KernelTimeoutGrace sim.Time
 	// MaxBatch, when > 1, enables dynamic batching in the gated Paella
 	// dispatcher: same-model, same-position ready kernels coalesce into one
 	// widened launch (core.Config.MaxBatch). The baselines ignore it —

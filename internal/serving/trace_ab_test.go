@@ -98,8 +98,8 @@ func runVRAMMetrics(t *testing.T, opts Options) []byte {
 }
 
 // TestTraceExportDeterministic: two identically-seeded traced runs export
-// byte-identical Chrome traces — the property the golden-trace CI job
-// depends on.
+// byte-identical Chrome traces — the property the paella-sim golden-trace
+// pin depends on.
 func TestTraceExportDeterministic(t *testing.T) {
 	export := func() []byte {
 		opts := tinyOpts()

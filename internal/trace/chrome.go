@@ -19,7 +19,7 @@ import (
 // The output is byte-deterministic for a deterministic emission sequence:
 // fields are written in fixed order, one event per line, with no map
 // iteration — a seeded simulation produces an identical file on every run
-// (the property the golden-trace CI job checks).
+// (the property the paella-sim golden-trace pin checks).
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTraceAll(w, r)
 }
