@@ -198,12 +198,15 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	}
 	gwSet := false
 	fs.Visit(func(f *flag.Flag) { gwSet = gwSet || f.Name == "gateway" })
+	llmEquiv := map[string]string{"Paella-LLM": "-llm", "Paella-LLM-static": "-llm -llm-static",
+		"Paella-LLM-PD": "-llm -pd-split 1:1"}[c.system]
 	for _, rule := range []struct {
 		broken bool
 		msg    string
 	}{
 		{c.replicas < 1, fmt.Sprintf("-replicas must be ≥ 1, got %d", c.replicas)},
 		{c.window < 0, fmt.Sprintf("-window must be ≥ 0, got %v", c.window)},
+		{!llm && llmEquiv != "", fmt.Sprintf("-system %s serves the generative workload: run %s", c.system, llmEquiv)},
 		{llm && c.parallel && c.prefills+c.decodes < 2, "-parallel requires more than one engine (-replicas > 1 or -pd-split)"},
 		{!llm && changed("llm-static", "max-tokens", "kv-block", "pd-split") != "",
 			"-llm-static, -max-tokens, -kv-block, and -pd-split require -llm"},
@@ -287,7 +290,7 @@ func main() {
 	case modeElastic:
 		c.finish(c.serveElastic(opts, reqs))
 	case modeLLM:
-		c.finish(c.serveLLM(reqs))
+		c.finish(c.serveLLM(opts, reqs))
 	}
 }
 

@@ -43,6 +43,9 @@ func TestRefusals(t *testing.T) {
 		{"llm-batch-window", llmOnly("-batch-window", "1ms"), "-batch-window does not apply to -llm"},
 		{"llm-system", llmOnly("-system", "Clockwork"), "-system does not apply to -llm"},
 		{"llm-models", llmOnly("-models", "resnet18"), "-models does not apply to -llm"},
+		{"system-llm", []string{"-system", "Paella-LLM"}, "-system Paella-LLM serves the generative workload: run -llm"},
+		{"system-llm-static", []string{"-system", "Paella-LLM-static", "-jobs", "10"}, "run -llm -llm-static"},
+		{"system-llm-pd", []string{"-system", "Paella-LLM-PD", "-replicas", "2"}, "run -llm -pd-split 1:1"},
 		{"llm-min-replicas", llmOnly("-min-replicas", "2"), "-min-replicas and -max-replicas require -autoscale"},
 		{"scale-interval", []string{"-replicas", "2", "-scale-interval", "1ms"}, "-scale-interval requires -autoscale"},
 		{"negative-max-tokens", []string{"-max-tokens", "-1"}, "require -llm"},
@@ -81,7 +84,7 @@ func FuzzParseFlags(f *testing.F) {
 	var usage bytes.Buffer
 	parse([]string{"-h"}, &usage)
 	vocab := []string{"0", "1", "2", "-1", "0.5", "1ms", "-1us", "true", "list", "queue-depth",
-		"affinity", "1:1", "0:2", "synth:2", "resnet18", "Clockwork", "p100", "diurnal", "t.json", "t.csv"}
+		"affinity", "1:1", "0:2", "synth:2", "resnet18", "Clockwork", "Paella-LLM", "p100", "diurnal", "t.json", "t.csv"}
 	for _, line := range strings.Split(usage.String(), "\n") {
 		if strings.HasPrefix(line, "  -") {
 			vocab = append(vocab, strings.Fields(line)[0])
@@ -169,7 +172,7 @@ func checkInvariants(c config) error {
 	switch c.mode {
 	case modeSingle:
 		return def(map[string]bool{"gateway": c.gateway == "least-loaded", "admit-rate": c.admitRate <= 0,
-			"parallel": !c.parallel})
+			"parallel": !c.parallel, "system": !strings.HasPrefix(c.system, "Paella-LLM")})
 	case modeFleet:
 		return def(map[string]bool{"system": c.system == "Paella", "trace-csv": c.traceCSV == ""})
 	case modeElastic:

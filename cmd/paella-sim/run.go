@@ -7,12 +7,10 @@ import (
 	"slices"
 	"time"
 
-	"paella/internal/cluster"
 	"paella/internal/core"
 	"paella/internal/fault"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
-	"paella/internal/llm"
 	"paella/internal/metrics"
 	"paella/internal/model"
 	"paella/internal/serving"
@@ -283,47 +281,38 @@ func (c *config) serveFleet(opts serving.Options, reqs []workload.Request) outco
 	return f.outcome
 }
 
-// serveLLM runs a generative workload on the prefill/decode front of
-// internal/cluster: lognormal token lengths, a paged KV-cache per engine,
-// continuous or launch-time decode batching. -pd-split "P:D" splits
-// prefill and decode into separate pools, charging the KV handoff over the
-// interconnect; otherwise -replicas colocated engines run both phases.
-// -parallel puts each engine on its own World shard.
-func (c *config) serveLLM(reqs []workload.Request) outcome {
+// serveLLM runs a generative workload on a serving.Deployment, the
+// prefill/decode front of internal/cluster: lognormal token lengths, a
+// paged KV-cache per engine, continuous or launch-time decode batching.
+// -pd-split "P:D" splits prefill and decode into separate pools, charging
+// the KV handoff over the interconnect; otherwise -replicas colocated
+// engines run both phases. -parallel puts each engine on its own World
+// shard.
+func (c *config) serveLLM(opts serving.Options, reqs []workload.Request) outcome {
 	toks := workload.DefaultTokenSpec(c.seed)
 	if c.maxTokens > 0 {
 		toks.MaxOutput = c.maxTokens
 	}
-	sampler, err := workload.NewTokenSampler(toks)
-	if err != nil {
-		fatal("%v", err)
-	}
-	pdCfg := cluster.PDConfig{Prefills: c.prefills, Decodes: c.decodes, MakePolicy: c.policy,
-		LLM: llm.Config{Spec: llm.DefaultSpec(), DevCfg: c.dev, MaxBatch: c.maxBatch, Continuous: !c.llmStatic,
-			// A non-positive -vram or -kv-block leaves the engine default.
-			VRAMBytes: max(c.vramMiB, 0) << 20, KVBlockBytes: max(c.kvBlockKiB, 0) << 10}}
+	// A non-positive -vram or -kv-block leaves the engine default.
+	opts.LLM = &serving.LLMOptions{Tokens: toks, MaxBatch: c.maxBatch,
+		VRAMBytes: max(c.vramMiB, 0) << 20, KVBlockBytes: max(c.kvBlockKiB, 0) << 10}
+	do := serving.DeploymentOptions{Static: c.llmStatic, Prefills: c.prefills, Decodes: c.decodes, Gateway: c.policy}
 	var out outcome
 	out.until = reqs[len(reqs)-1].At + 30*sim.Second
-	var pd *cluster.PD
-	var ctrl *sim.Env
-	var runner interface{ RunUntil(sim.Time) }
 	if c.parallel {
-		w := c.newWorld()
-		defer w.Close()
-		ctrl, runner = w.Ctrl(), w
-		pdCfg.ShardSetup = c.observe(ctrl, &out, "engine")
-		pd, err = cluster.NewPDWorld(w, pdCfg)
+		do.World = c.newWorld()
+		defer do.World.Close()
+		do.ShardSetup = c.observe(do.World.Ctrl(), &out, "engine")
 	} else {
-		ctrl = sim.NewEnv()
-		runner = ctrl
+		do.Env = sim.NewEnv()
 		if c.telOut != "" {
 			// Serial mode shares one Env (and hence one meter) across the
 			// front and every engine.
 			out.meters = append(out.meters, c.meter("llm", true))
-			ctrl.SetMeter(out.meters[0])
+			do.Env.SetMeter(out.meters[0])
 		}
-		pd, err = cluster.NewPD(ctrl, pdCfg)
 	}
+	pd, err := serving.NewDeployment(opts, do)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -337,17 +326,8 @@ func (c *config) serveLLM(reqs []workload.Request) outcome {
 			completed++
 		}
 	}
-	// Token lengths come from the seeded sampler, drawn in submission order.
-	for i, r := range reqs {
-		tk := sampler.Next()
-		req := llm.Request{ID: uint64(i + 1), Client: r.Client, Submit: r.At, Tenant: r.Tenant,
-			Prompt: tk.Prompt, Output: tk.Output,
-			// Each client is one ongoing conversation: session affinity
-			// keeps its turns on the replica holding the KV state.
-			Session: uint64(r.Client) + 1}
-		ctrl.At(r.At, func() { pd.Submit(req) })
-	}
-	runner.RunUntil(out.until)
+	pd.Arrive(reqs)
+	pd.RunUntil(out.until)
 
 	col := pd.Collector()
 	out.col = col

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"paella/internal/cluster"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/llm"
@@ -166,55 +165,40 @@ func runGateway(w io.Writer, d Detail) error {
 		Mix: workload.Uniform("llm"), Sigma: 2,
 		RatePerSec: 340, Jobs: llmJobs, Clients: 12, Seed: 11,
 	})
-	for _, polName := range []string{"least-loaded (legacy)", "predicted-latency", "affinity"} {
-		healthy := llm.Config{Spec: llm.DefaultSpec(), DevCfg: gpu.TeslaT4(), Continuous: true}
-		degraded := healthy
-		degraded.Spec.PrefillBlockTime *= 3
-		pdCfg := cluster.PDConfig{
-			LLM:      healthy,
+	// Heavy-tailed prompts: most conversations are short, a few carry
+	// document-sized contexts that magnify a mispriced lane.
+	toks := workload.DefaultTokenSpec(11)
+	toks.PromptMean, toks.PromptSigma, toks.MaxPrompt = 800, 1.2, 8192
+	llmOpts := serving.DefaultOptions()
+	llmOpts.LLM = &serving.LLMOptions{Tokens: toks}
+	healthy := llm.Config{Spec: llm.DefaultSpec(), DevCfg: llmOpts.DevCfg, Continuous: true}
+	degraded := healthy
+	degraded.Spec.PrefillBlockTime *= 3
+	for _, pol := range []struct {
+		label string
+		mk    func() gateway.Policy // nil → least-loaded
+	}{
+		{"least-loaded (legacy)", nil},
+		{"predicted-latency", gateway.NewPredictedLatency},
+		{"affinity", func() gateway.Policy { return gateway.NewAffinity(0) }},
+	} {
+		pd, err := serving.NewDeployment(llmOpts, serving.DeploymentOptions{
 			Prefills: 2, Decodes: 2,
 			Engines: []llm.Config{healthy, degraded, healthy, healthy},
 			// KV handoffs ride an NVLink-class link so the interconnect is
 			// not the bottleneck the routing policy can't touch.
 			LinkBytesPerNs: 64,
-		}
-		if polName != "least-loaded (legacy)" {
-			name := polName
-			pdCfg.MakePolicy = func() gateway.Policy {
-				pol, perr := gateway.New(name)
-				if perr != nil {
-					panic(perr)
-				}
-				return pol
-			}
-		}
-		env := sim.NewEnv()
-		pd, err := cluster.NewPD(env, pdCfg)
+			Gateway:        pol.mk,
+		})
 		if err != nil {
 			return err
 		}
-		// Heavy-tailed prompts: most conversations are short, a few carry
-		// document-sized contexts that magnify a mispriced lane.
-		toks := workload.DefaultTokenSpec(11)
-		toks.PromptMean, toks.PromptSigma, toks.MaxPrompt = 800, 1.2, 8192
-		sampler, err := workload.NewTokenSampler(toks)
-		if err != nil {
-			return err
-		}
-		for i, r := range llmTrace {
-			tk := sampler.Next()
-			req := llm.Request{
-				ID: uint64(i + 1), Client: r.Client, Submit: r.At,
-				Prompt: tk.Prompt, Output: tk.Output,
-				Session: uint64(r.Client) + 1,
-			}
-			env.At(r.At, func() { pd.Submit(req) })
-		}
-		env.RunUntil(llmTrace[len(llmTrace)-1].At + 30*sim.Second)
+		pd.Arrive(llmTrace)
+		pd.RunUntil(llmTrace[len(llmTrace)-1].At + 30*sim.Second)
 		col := pd.Collector()
 		ttfts := col.TTFTs()
 		fmt.Fprintf(w, "  %-22s %18.1f %12v %12v\n",
-			polName, col.TTFTGoodput(30*sim.Millisecond),
+			pol.label, col.TTFTGoodput(30*sim.Millisecond),
 			metrics.Percentile(ttfts, 99), col.P99())
 	}
 

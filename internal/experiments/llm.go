@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
-	"paella/internal/cluster"
-	"paella/internal/gpu"
-	"paella/internal/llm"
 	"paella/internal/metrics"
 	"paella/internal/serving"
 	"paella/internal/sim"
@@ -23,30 +18,6 @@ func init() {
 		Title: "Extension (§10): generative serving — continuous batching and prefill/decode disaggregation",
 		Run:   runLLM,
 	})
-}
-
-// LLMTrajEnv names the environment variable that, when set, makes the llm
-// experiment append its headline cell (continuous vs static TTFT-goodput at
-// the saturating load, plus the P/D disaggregation tradeoff) as one NDJSON
-// line to the named file.
-const LLMTrajEnv = "PAELLA_LLM_TRAJ"
-
-// llmTrajCell is one NDJSON line of the bench trajectory.
-type llmTrajCell struct {
-	Schema           string  `json:"schema"` // "paella-llm-traj/v1"
-	Detail           string  `json:"detail"` // "quick" | "full"
-	Rate             float64 `json:"rate"`   // saturating offered load (req/s)
-	SLOMs            float64 `json:"slo_ms"`
-	StaticGoodput    float64 `json:"static_goodput"`
-	ContGoodput      float64 `json:"cont_goodput"`
-	GoodputSpeedup   float64 `json:"goodput_speedup"`
-	StaticTTFTp99Ms  float64 `json:"static_ttft_p99_ms"`
-	ContTTFTp99Ms    float64 `json:"cont_ttft_p99_ms"`
-	ColocTPOTp99Ms   float64 `json:"coloc_tpot_p99_ms"`
-	DisaggTPOTp99Ms  float64 `json:"disagg_tpot_p99_ms"`
-	DisaggTTFTp99Ms  float64 `json:"disagg_ttft_p99_ms"`
-	ColocTTFTp99Ms   float64 `json:"coloc_ttft_p99_ms"`
-	KVTransferMeanMs float64 `json:"kv_transfer_mean_ms"`
 }
 
 // llmSLO is the time-to-first-token deadline the goodput columns score
@@ -71,11 +42,9 @@ func runLLM(out io.Writer, d Detail) error {
 	jobs, clients := 600, 8
 	rates := []float64{100, 400, 1200}
 	pdJobs := 400
-	detail := "full"
 	if d == Quick {
 		jobs, pdJobs = 120, 100
 		rates = []float64{100, 1200}
-		detail = "quick"
 	}
 	toks := workload.DefaultTokenSpec(7)
 	toks.MaxOutput = 64 // bound per-request decode work so sweeps stay fast
@@ -119,19 +88,13 @@ func runLLM(out io.Writer, d Detail) error {
 	}
 
 	last := len(rates) - 1
-	cell := llmTrajCell{
-		Schema: "paella-llm-traj/v1", Detail: detail,
-		Rate: rates[last], SLOMs: llmSLO.Millis(),
-		StaticGoodput:   goodputs["Paella-LLM-static"][last],
-		ContGoodput:     goodputs["Paella-LLM"][last],
-		StaticTTFTp99Ms: ttftP99s["Paella-LLM-static"][last].Millis(),
-		ContTTFTp99Ms:   ttftP99s["Paella-LLM"][last].Millis(),
-	}
-	if cell.StaticGoodput > 0 {
-		cell.GoodputSpeedup = cell.ContGoodput / cell.StaticGoodput
+	static, cont := goodputs["Paella-LLM-static"][last], goodputs["Paella-LLM"][last]
+	speedup := 0.0
+	if static > 0 {
+		speedup = cont / static
 	}
 	fmt.Fprintf(out, "\nSaturating load (%.0f req/s): continuous vs static = %.2fx TTFT-goodput (SLO %v);\n",
-		cell.Rate, cell.GoodputSpeedup, llmSLO)
+		rates[last], speedup, llmSLO)
 	fmt.Fprintf(out, "static TTFT p99 %v vs continuous %v — latecomers wait for formed batches to drain.\n",
 		ttftP99s["Paella-LLM-static"][last], ttftP99s["Paella-LLM"][last])
 
@@ -152,40 +115,24 @@ func runLLM(out io.Writer, d Detail) error {
 	type pdResult struct {
 		ttftP99, tpotP50, tpotP99, kvMean sim.Time
 	}
+	rng := rand.New(rand.NewSource(7))
+	pdTrace := make([]workload.Request, pdJobs)
+	at := sim.Time(0)
+	for i := range pdTrace {
+		at += sim.Time(rng.Intn(4000)+1000) * sim.Microsecond / 2
+		pdTrace[i] = workload.Request{At: at, Model: "llm", Client: i % clients}
+	}
 	runPD := func(split bool) (pdResult, error) {
-		env := sim.NewEnv()
-		cfg := cluster.PDConfig{
-			LLM: llm.Config{
-				Spec:       llm.DefaultSpec(),
-				DevCfg:     gpu.TeslaT4(),
-				MaxBatch:   8,
-				Continuous: true,
-			},
-			Prefills: 2,
-		}
+		do := serving.DeploymentOptions{Prefills: 2}
 		if split {
-			cfg.Prefills, cfg.Decodes = 1, 1
+			do.Prefills, do.Decodes = 1, 1
 		}
-		pd, err := cluster.NewPD(env, cfg)
+		pd, err := serving.NewDeployment(mkOpts(), do)
 		if err != nil {
 			return pdResult{}, err
 		}
-		sampler, err := workload.NewTokenSampler(toks)
-		if err != nil {
-			return pdResult{}, err
-		}
-		rng := rand.New(rand.NewSource(7))
-		at := sim.Time(0)
-		for i := 0; i < pdJobs; i++ {
-			at += sim.Time(rng.Intn(4000)+1000) * sim.Microsecond / 2
-			tk := sampler.Next()
-			req := llm.Request{
-				ID: uint64(i + 1), Client: i % clients, Submit: at,
-				Prompt: tk.Prompt, Output: tk.Output,
-			}
-			env.At(at, func() { pd.Submit(req) })
-		}
-		env.RunUntil(at + 30*sim.Second)
+		pd.Arrive(pdTrace)
+		pd.RunUntil(at + 30*sim.Second)
 		col := pd.Collector()
 		ttfts, tpots := col.TTFTs(), col.TPOTs()
 		res := pdResult{
@@ -211,29 +158,8 @@ func runLLM(out io.Writer, d Detail) error {
 	if err != nil {
 		return err
 	}
-	cell.ColocTPOTp99Ms = coloc.tpotP99.Millis()
-	cell.DisaggTPOTp99Ms = disagg.tpotP99.Millis()
-	cell.ColocTTFTp99Ms = coloc.ttftP99.Millis()
-	cell.DisaggTTFTp99Ms = disagg.ttftP99.Millis()
-	cell.KVTransferMeanMs = disagg.kvMean.Millis()
 	fmt.Fprintf(out, "\nDisaggregation trades the per-request KV handoff (mean %v) for a decode pool\n", disagg.kvMean)
 	fmt.Fprintf(out, "that prefill bursts cannot stall: TPOT p99 %v vs %v colocated.\n",
 		disagg.tpotP99, coloc.tpotP99)
-
-	if path := os.Getenv(LLMTrajEnv); path != "" {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		if err := enc.Encode(&cell); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nappended headline cell to %s\n", path)
-	}
 	return nil
 }

@@ -35,7 +35,7 @@ type FleetOptions struct {
 // on every replica.
 type Fleet struct {
 	*cluster.Cluster
-	ctrl *sim.Env
+	executor
 }
 
 // NewFleet builds the fleet and registers opts.Models on every replica.
@@ -46,13 +46,11 @@ func NewFleet(opts Options, fo FleetOptions) (*Fleet, error) {
 	mkCfg := func(int, gpu.Config) core.Config {
 		return dispatcherConfig(opts, core.ModeGated, sched.NewPaella(DefaultFairnessThreshold))
 	}
-	f := &Fleet{}
+	f := &Fleet{executor: newExecutor(nil, fo.World)}
 	var err error
 	if fo.World != nil {
-		f.ctrl = fo.World.Ctrl()
 		f.Cluster, err = cluster.NewWorldWithConfig(fo.World, fo.Devices, mkCfg, fo.Gateway, fo.ShardSetup)
 	} else {
-		f.ctrl = sim.NewEnv()
 		f.Cluster, err = cluster.NewWithConfig(f.ctrl, fo.Devices, mkCfg, fo.Gateway)
 	}
 	if err != nil {
@@ -65,11 +63,6 @@ func NewFleet(opts Options, fo FleetOptions) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// Env returns the control Env: the fleet's one Env, or its World's
-// control Env. Crash timers, fault injectors and autoscalers schedule
-// here.
-func (f *Fleet) Env() *sim.Env { return f.ctrl }
 
 // Arrive schedules every request of trace on the control Env at its
 // arrival time, as core.Request i+1 with the request's model, client and
@@ -93,11 +86,35 @@ func (f *Fleet) Arrive(trace []workload.Request, submit func(core.Request) int) 
 	}
 }
 
-// RunUntil runs the fleet's engine up to virtual time t.
-func (f *Fleet) RunUntil(t sim.Time) {
-	if w := f.World(); w != nil {
-		w.RunUntil(t)
+// executor is the engine a deployment runs on: one serial Env, or a
+// World and its control Env.
+type executor struct {
+	ctrl  *sim.Env
+	world *sim.World
+}
+
+// newExecutor runs on w when it is non-nil, else on env, else on a fresh
+// Env.
+func newExecutor(env *sim.Env, w *sim.World) executor {
+	switch {
+	case w != nil:
+		return executor{ctrl: w.Ctrl(), world: w}
+	case env != nil:
+		return executor{ctrl: env}
+	}
+	return executor{ctrl: sim.NewEnv()}
+}
+
+// Env returns the control Env: the deployment's one Env, or its World's
+// control Env. Crash timers, fault injectors and autoscalers schedule
+// here.
+func (e executor) Env() *sim.Env { return e.ctrl }
+
+// RunUntil runs the deployment's engine up to virtual time t.
+func (e executor) RunUntil(t sim.Time) {
+	if e.world != nil {
+		e.world.RunUntil(t)
 		return
 	}
-	f.ctrl.RunUntil(t)
+	e.ctrl.RunUntil(t)
 }

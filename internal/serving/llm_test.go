@@ -123,3 +123,22 @@ func TestLLMDefaultsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLLMSystemsKeepTenant: a two-tenant trace served through RunTrace
+// yields records carrying both tenants, each on the request it arrived
+// with.
+func TestLLMSystemsKeepTenant(t *testing.T) {
+	trace := llmTrace(30)
+	for i := range trace {
+		trace[i].Tenant = []string{"gold", "bronze"}[i%2]
+	}
+	col := MustRunTrace(MustNewSystem("Paella-LLM"), trace, llmTestOptions())
+	if got := col.Tenants(); len(got) != 2 {
+		t.Fatalf("records carry tenants %q, want gold and bronze", got)
+	}
+	for _, rec := range col.Records() {
+		if want := trace[rec.ID-1].Tenant; rec.Tenant != want {
+			t.Fatalf("request %d recorded tenant %q, arrived as %q", rec.ID, rec.Tenant, want)
+		}
+	}
+}

@@ -17,7 +17,11 @@
 // Fleets run through this package too: NewFleet builds a set of
 // gated-Paella replicas behind a gateway policy from the same Options,
 // configuring each replica's dispatcher exactly as the single-GPU
-// "Paella" system does, and Fleet.Arrive feeds it a trace.
+// "Paella" system does, and Fleet.Arrive feeds it a trace. So do
+// generative deployments: NewDeployment builds llm engines behind the
+// prefill/decode front of internal/cluster from Options and its LLM
+// options, and Deployment.Arrive feeds it a trace with sampled token
+// lengths. The Paella-LLM systems are such deployments.
 package serving
 
 import (
