@@ -17,13 +17,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	"paella/internal/compiler"
-	"paella/internal/core"
-	"paella/internal/cudart"
+	"paella/internal/experiments"
 	"paella/internal/gpu"
 	"paella/internal/metrics"
 	"paella/internal/model"
-	"paella/internal/sched"
 	"paella/internal/serving"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
@@ -285,82 +282,29 @@ func fatal(format string, args ...any) {
 	os.Exit(1)
 }
 
+// gpuCmd renders the SM timeline of Figure 1's didactic scenario
+// (experiments.RunDidactic) for one submission method, or with -json
+// exports its Chrome trace.
 func gpuCmd(args []string) {
 	fs := flag.NewFlagSet("gpu", flag.ExitOnError)
 	system := fs.String("system", "Paella", "Paella | CUDA-MS | CUDA-SS")
 	jobs := fs.Int("jobs", 6, "concurrent jobs to trace")
 	sms := fs.Int("sms", 4, "SMs on the didactic device")
 	kernels := fs.Int("kernels", 3, "kernels per job")
-	asJSON := fs.Bool("json", false, "emit the trace as JSON instead of ASCII")
+	asJSON := fs.Bool("json", false, "emit the run's Chrome trace-event JSON instead of ASCII")
 	fs.Parse(args)
 
-	devCfg := gpu.TwoSM(gpu.Kepler, 32)
-	devCfg.NumSMs = *sms
-	tr := gpu.NewTrace()
-	env := sim.NewEnv()
-
-	mk := func(name string) *model.Model {
-		k := &gpu.KernelSpec{
-			Name: name + "_k", Blocks: 1, ThreadsPerBlock: 1024,
-			RegsPerThread: 16, BlockDuration: 10 * sim.Microsecond,
-		}
-		seq := make([]int, *kernels)
-		return &model.Model{Name: name, Kernels: []*gpu.KernelSpec{k}, Seq: seq, PinnedOutput: true}
+	dev, _, err := experiments.RunDidactic(*system, gpu.Kepler, *jobs, *sms, *kernels)
+	if err != nil {
+		fatal("%v", err)
 	}
-	labels := "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-	switch *system {
-	case "Paella":
-		cfg := core.DefaultConfig(sched.NewSRPT())
-		cfg.OvershootBlocks = 0
-		devCfg.NotifDelay = 0
-		d := core.NewWithDevice(env, devCfg, cfg)
-		d.Device().SetTrace(tr)
-		for i := 0; i < *jobs; i++ {
-			name := string(labels[i%len(labels)])
-			ins := compiler.MustCompile(mk(name), compiler.Config{}, devCfg, 1)
-			if err := d.RegisterModel(ins); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			conn := d.Connect()
-			id, nm, cn := uint64(i+1), name, conn
-			env.At(0, func() {
-				cn.Submit(core.Request{ID: id, Model: nm, Client: cn.ID, Submit: 0})
-			})
-		}
-		d.Start()
-	case "CUDA-MS", "CUDA-SS":
-		dev := gpu.NewDevice(env, devCfg, nil)
-		dev.SetTrace(tr)
-		ctx := cudart.NewContext(env, dev, cudart.Config{})
-		shared := ctx.StreamCreate()
-		for i := 0; i < *jobs; i++ {
-			name := string(labels[i%len(labels)])
-			m := mk(name)
-			stream := shared
-			if *system == "CUDA-MS" {
-				stream = ctx.StreamCreate()
-			}
-			env.Spawn(name, func(p *sim.Proc) {
-				for _, ki := range m.Seq {
-					stream.LaunchKernel(p, m.Kernels[ki], cudart.LaunchOpts{JobTag: m.Name})
-				}
-			})
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
-		os.Exit(1)
-	}
-	env.Run()
 	if *asJSON {
-		if err := tr.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := trace.FromEnv(dev.Env()).WriteChromeTrace(os.Stdout); err != nil {
+			fatal("%v", err)
 		}
 		return
 	}
 	fmt.Printf("%s on %d SMs — one column = 10µs:\n\n", *system, *sms)
-	fmt.Print(tr.Render(*sms, 10*sim.Microsecond))
-	fmt.Printf("\nmakespan: %v\n", tr.Makespan())
+	fmt.Print(dev.Timeline(10 * sim.Microsecond))
+	fmt.Printf("\nmakespan: %v\n", dev.Makespan())
 }

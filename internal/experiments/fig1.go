@@ -11,6 +11,7 @@ import (
 	"paella/internal/model"
 	"paella/internal/sched"
 	"paella/internal/sim"
+	"paella/internal/trace"
 )
 
 func init() {
@@ -21,9 +22,10 @@ func init() {
 	})
 }
 
-// fig1Model builds the didactic job: 3 kernels, each one block occupying an
+// didacticModel is job name's model in Figure 1's scenario: one kernel,
+// launched kernels times, whose single 1,024-thread block occupies an
 // entire SM for 10µs.
-func fig1Model(name string) *model.Model {
+func didacticModel(name string, kernels int) *model.Model {
 	k := &gpu.KernelSpec{
 		Name:            name + "_k",
 		Blocks:          1,
@@ -34,101 +36,111 @@ func fig1Model(name string) *model.Model {
 	return &model.Model{
 		Name:         name,
 		Kernels:      []*gpu.KernelSpec{k},
-		Seq:          []int{0, 0, 0},
+		Seq:          make([]int, kernels),
 		PinnedOutput: true,
 	}
 }
 
-// fig1Direct runs the four jobs through the plain CUDA runtime on the
-// given microarchitecture, one stream per job (or one shared stream).
-func fig1Direct(arch gpu.Microarch, queues int, sharedStream bool) (*gpu.Trace, sim.Time, sim.Time) {
+// RunDidactic runs Figure 1's scenario: jobs jobs, labelled A, B, ..., all
+// submitted at time zero, each launching its didactic kernel kernels times
+// on an sms-SM didactic device of the given microarchitecture. system is
+// the submission method:
+//
+//   - "Paella": the gated dispatcher with its admit, dispatch and shm costs
+//     zeroed (Figure 1's Ideal row), so the timeline compares directly with
+//     the zero-cost CUDA rows;
+//   - "CUDA-MS": the plain CUDA runtime, one stream per job;
+//   - "CUDA-SS": the plain CUDA runtime, one stream shared by every job.
+//
+// A trace recorder is attached before the device is built, so the returned
+// device renders its SM timeline (Device.Timeline, Device.Makespan) and
+// trace.FromEnv(dev.Env()) exports it. The second result is the mean job
+// completion time.
+func RunDidactic(system string, arch gpu.Microarch, jobs, sms, kernels int) (*gpu.Device, sim.Time, error) {
+	switch {
+	case jobs < 1 || jobs > 26:
+		return nil, 0, fmt.Errorf("jobs must be in 1..26 (one letter per job), got %d", jobs)
+	case sms < 1:
+		return nil, 0, fmt.Errorf("sms must be at least 1, got %d", sms)
+	case kernels < 1:
+		return nil, 0, fmt.Errorf("kernels must be at least 1, got %d", kernels)
+	}
 	env := sim.NewEnv()
-	cfg := gpu.TwoSM(arch, queues)
-	dev := gpu.NewDevice(env, cfg, nil)
-	tr := gpu.NewTrace()
-	dev.SetTrace(tr)
-	ctx := cudart.NewContext(env, dev, cudart.Config{})
-	var meanJCT sim.Time
-	jobs := []string{"A", "B", "C", "D"}
-	shared := ctx.StreamCreate()
-	for _, name := range jobs {
-		name := name
-		m := fig1Model(name)
-		stream := shared
-		if !sharedStream {
-			stream = ctx.StreamCreate()
-		}
-		env.Spawn(name, func(p *sim.Proc) {
-			for _, ki := range m.Seq {
-				stream.LaunchKernel(p, m.Kernels[ki], cudart.LaunchOpts{JobTag: name})
+	env.SetRecorder(trace.New())
+	devCfg := gpu.TwoSM(arch, 32)
+	devCfg.NumSMs = sms
+	var dev *gpu.Device
+	var jctSum sim.Time
+	switch system {
+	case "Paella":
+		cfg := core.DefaultConfig(sched.NewSRPT())
+		// Disable the overshoot budget too: with instant notifications
+		// the dispatcher can hold everything that does not immediately
+		// fit, retaining full control of execution order.
+		cfg.AdmitCost, cfg.DispatchCost, cfg.ShmLatency = 0, 0, 0
+		cfg.OvershootBlocks = 0
+		devCfg.NotifDelay = 0
+		d := core.NewWithDevice(env, devCfg, cfg)
+		dev = d.Device()
+		for i := 0; i < jobs; i++ {
+			name := string(rune('A' + i))
+			ins := compiler.MustCompile(didacticModel(name, kernels), compiler.Config{}, devCfg, 1)
+			if err := d.RegisterModel(ins); err != nil {
+				return nil, 0, err
 			}
-			ev := stream.EventRecord()
-			p.Wait(ev.Completion())
-			meanJCT += env.Now()
-		})
-	}
-	env.Run()
-	return tr, tr.Makespan(), meanJCT / sim.Time(len(jobs))
-}
-
-// fig1Paella runs the same jobs through the gated dispatcher (the "Ideal"
-// row: software-defined scheduling interleaves jobs perfectly).
-func fig1Paella() (*gpu.Trace, sim.Time, sim.Time) {
-	env := sim.NewEnv()
-	devCfg := gpu.TwoSM(gpu.Kepler, 32)
-	cfg := core.DefaultConfig(sched.NewSRPT())
-	// Zero the cost model so the timeline is directly comparable to the
-	// idealized hardware rows, and disable the overshoot budget: with
-	// instant notifications the dispatcher can hold everything that does
-	// not immediately fit, retaining full control of execution order.
-	cfg.AdmitCost, cfg.DispatchCost, cfg.ShmLatency = 0, 0, 0
-	cfg.OvershootBlocks = 0
-	devCfg.NotifDelay = 0
-	d := core.NewWithDevice(env, devCfg, cfg)
-	tr := gpu.NewTrace()
-	d.Device().SetTrace(tr)
-	var meanJCT sim.Time
-	done := 0
-	for i, name := range []string{"A", "B", "C", "D"} {
-		ins := compiler.MustCompile(fig1Model(name), compiler.Config{}, devCfg, 1)
-		if err := d.RegisterModel(ins); err != nil {
-			panic(err)
+			conn := d.Connect()
+			conn.OnComplete = func(uint64) { jctSum += env.Now() }
+			id := uint64(i + 1)
+			env.At(0, func() {
+				conn.Submit(core.Request{ID: id, Model: name, Client: conn.ID, Submit: 0})
+			})
 		}
-		conn := d.Connect()
-		conn.OnComplete = func(uint64) { meanJCT += env.Now(); done++ }
-		id := uint64(i + 1)
-		nm := name
-		cn := conn
-		env.At(0, func() {
-			cn.Submit(core.Request{ID: id, Model: nm, Client: cn.ID, Submit: 0})
-		})
+		d.Start()
+	case "CUDA-MS", "CUDA-SS":
+		dev = gpu.NewDevice(env, devCfg, nil)
+		ctx := cudart.NewContext(env, dev, cudart.Config{})
+		shared := ctx.StreamCreate()
+		for i := 0; i < jobs; i++ {
+			name := string(rune('A' + i))
+			m := didacticModel(name, kernels)
+			stream := shared
+			if system == "CUDA-MS" {
+				stream = ctx.StreamCreate()
+			}
+			env.Spawn(name, func(p *sim.Proc) {
+				for _, ki := range m.Seq {
+					stream.LaunchKernel(p, m.Kernels[ki], cudart.LaunchOpts{JobTag: name})
+				}
+				ev := stream.EventRecord()
+				p.Wait(ev.Completion())
+				jctSum += env.Now()
+			})
+		}
+	default:
+		return nil, 0, fmt.Errorf("unknown system %q", system)
 	}
-	d.Start()
 	env.Run()
-	return tr, tr.Makespan(), meanJCT / 4
+	return dev, jctSum / sim.Time(jobs), nil
 }
 
 func runFig1(w io.Writer, _ Detail) error {
-	type row struct {
-		label string
-		tr    *gpu.Trace
-		span  sim.Time
-		jct   sim.Time
+	rows := []struct {
+		label, system string
+		arch          gpu.Microarch
+	}{
+		{"Streams (Fermi and earlier): 1 hw queue", "CUDA-MS", gpu.Fermi},
+		{"Streams (Kepler and later) / MPS (Volta+)", "CUDA-MS", gpu.Kepler},
+		{"Baseline (single shared stream)", "CUDA-SS", gpu.Kepler},
+		{"Ideal (Paella software-defined dispatch)", "Paella", gpu.Kepler},
 	}
-	var rows []row
-	tr, span, jct := fig1Direct(gpu.Fermi, 32, false)
-	rows = append(rows, row{"Streams (Fermi and earlier): 1 hw queue", tr, span, jct})
-	tr, span, jct = fig1Direct(gpu.Kepler, 32, false)
-	rows = append(rows, row{"Streams (Kepler and later) / MPS (Volta+)", tr, span, jct})
-	tr, span, jct = fig1Direct(gpu.Kepler, 32, true)
-	rows = append(rows, row{"Baseline (single shared stream)", tr, span, jct})
-	tr, span, jct = fig1Paella()
-	rows = append(rows, row{"Ideal (Paella software-defined dispatch)", tr, span, jct})
-
 	fmt.Fprintln(w, "Figure 1 — kernel timelines (one column = 10µs, letter = job):")
 	for _, r := range rows {
-		fmt.Fprintf(w, "\n%s  [makespan %v, mean JCT %v]\n", r.label, r.span, r.jct)
-		fmt.Fprint(w, r.tr.Render(2, 10*sim.Microsecond))
+		dev, jct, err := RunDidactic(r.system, r.arch, 4, 2, 3)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%s  [makespan %v, mean JCT %v]\n", r.label, dev.Makespan(), jct)
+		fmt.Fprint(w, dev.Timeline(10*sim.Microsecond))
 	}
 	fmt.Fprintln(w, "\nExpected shape (paper): no hardware submission method achieves the")
 	fmt.Fprintln(w, "ideal schedule; Fermi serializes almost fully, Kepler/MPS overlap")

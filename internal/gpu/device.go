@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"strings"
 
 	"paella/internal/channel"
 	"paella/internal/sim"
@@ -105,7 +106,6 @@ type Device struct {
 	sms    []smState
 	queues []hwQueue
 	notifQ *channel.NotifQueue
-	trace  *Trace
 
 	scheduled    bool   // a scheduling pass is pending
 	pass         uint64 // scheduling passes run so far (see Launch.fullPass)
@@ -350,6 +350,58 @@ func (d *Device) traceQueueDepth(q int) {
 	}
 }
 
+// smSpans returns the kernel slices recorded on each SM's track (nil
+// without a recorder).
+func (d *Device) smSpans() [][]trace.SpanView {
+	if d.rec == nil {
+		return nil
+	}
+	spans := make([][]trace.SpanView, len(d.smTracks))
+	for i, t := range d.smTracks {
+		spans[i] = d.rec.TrackSpans(t)
+	}
+	return spans
+}
+
+// Makespan returns the end of the last kernel slice on the device's SM
+// tracks: zero without a recorder or before any block ran.
+func (d *Device) Makespan() sim.Time {
+	var end sim.Time
+	for _, sm := range d.smSpans() {
+		for _, s := range sm {
+			end = max(end, s.End)
+		}
+	}
+	return end
+}
+
+// Timeline draws the recorded SM schedule as ASCII, one row per SM and one
+// column per quantum, each kernel slice labelled by the first rune of its
+// job tag ('#' when untagged). It is the textual analogue of Figure 1, and
+// empty without a recorder or before any block ran.
+func (d *Device) Timeline(quantum sim.Time) string {
+	span := d.Makespan()
+	if quantum <= 0 || span == 0 {
+		return ""
+	}
+	cols := int((span + quantum - 1) / quantum)
+	var b strings.Builder
+	for i, sm := range d.smSpans() {
+		row := []rune(strings.Repeat(".", cols))
+		for _, s := range sm {
+			label := '#'
+			if job, _ := s.Arg("job").(string); job != "" {
+				label = []rune(job)[0]
+			}
+			for c := int(s.Start / quantum); c < cols && sim.Time(c)*quantum < s.End; c++ {
+				row[c] = label
+			}
+		}
+		fmt.Fprintf(&b, "SM%-2d |%s|\n", i, string(row))
+	}
+	return b.String()
+}
+
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
@@ -358,9 +410,6 @@ func (d *Device) Env() *sim.Env { return d.env }
 
 // NumQueues returns the effective hardware queue count.
 func (d *Device) NumQueues() int { return len(d.queues) }
-
-// SetTrace attaches an execution trace recorder (may be nil to disable).
-func (d *Device) SetTrace(t *Trace) { d.trace = t }
 
 // OnNotifPosted registers a callback invoked after instrumented
 // notifications land in the notifQ (the dispatcher's wakeup).
@@ -804,9 +853,6 @@ func (d *Device) placeBlocks(l *Launch) int {
 	var wave *waveDone
 	for _, pl := range perSM {
 		smi, n := pl.sm, pl.n
-		if d.trace != nil {
-			d.trace.add(segment{SM: smi, Kernel: l.Spec.Name, Job: l.JobTag, KernelID: l.KernelID, Blocks: n, Start: now, End: now + l.Spec.BlockDuration})
-		}
 		if d.rec != nil {
 			d.rec.SpanArgs(d.smTracks[smi], l.Spec.Name, "kernel",
 				now, now+l.Spec.BlockDuration,

@@ -1,13 +1,12 @@
 package gpu
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"paella/internal/channel"
 	"paella/internal/sim"
+	"paella/internal/trace"
 )
 
 // testDevice returns a small device with no launch overhead so timing
@@ -353,26 +352,28 @@ func TestKernelSpecValidate(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsSegments(t *testing.T) {
+// TestTimelineRender checks the SM timeline and makespan read back from
+// the recorder: two SM-wide blocks of job A, then an untagged block
+// queued behind them.
+func TestTimelineRender(t *testing.T) {
 	env := sim.NewEnv()
+	env.SetRecorder(trace.New())
 	d := testDevice(env, 2, 2)
-	tr := NewTrace()
-	d.SetTrace(tr)
-	d.Submit(0, &Launch{Spec: simpleKernel("a", 2, 10*sim.Microsecond), JobTag: "A"})
-	d.Submit(1, &Launch{Spec: simpleKernel("b", 2, 10*sim.Microsecond), JobTag: "B"})
+	wide := func(name string, blocks int, dur sim.Time) *KernelSpec {
+		return &KernelSpec{Name: name, Blocks: blocks, ThreadsPerBlock: 1024, RegsPerThread: 16, BlockDuration: dur}
+	}
+	d.Submit(0, &Launch{Spec: wide("a", 2, 10*sim.Microsecond), JobTag: "A"})
+	d.Submit(1, &Launch{Spec: wide("b", 1, 5*sim.Microsecond)})
 	env.Run()
-	if tr.Len() == 0 {
-		t.Fatal("no trace segments")
+	if got := d.Makespan(); got != 15*sim.Microsecond {
+		t.Fatalf("Makespan = %v, want 15µs", got)
 	}
-	spans := tr.JobSpans()
-	if len(spans) != 2 {
-		t.Fatalf("JobSpans = %v", spans)
+	want := "SM0  |AA.|\nSM1  |AA#|\n"
+	if got := d.Timeline(5 * sim.Microsecond); got != want {
+		t.Fatalf("Timeline =\n%swant\n%s", got, want)
 	}
-	if tr.Makespan() != 10*sim.Microsecond {
-		t.Fatalf("Makespan = %v", tr.Makespan())
-	}
-	if out := tr.Render(2, sim.Microsecond); out == "" {
-		t.Fatal("empty render")
+	if untraced := testDevice(sim.NewEnv(), 2, 2); untraced.Timeline(sim.Microsecond) != "" || untraced.Makespan() != 0 {
+		t.Fatal("a device without a recorder rendered a timeline")
 	}
 }
 
@@ -383,31 +384,12 @@ func TestRandomLoadInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		env := sim.NewEnv()
-		d := testDevice(env, 1+rng.Intn(4), 1+rng.Intn(4))
 		completed := 0
-		n := 1 + rng.Intn(30)
-		totalBlocks := 0
-		for i := 0; i < n; i++ {
-			blocks := 1 + rng.Intn(10)
-			totalBlocks += blocks
-			l := &Launch{
-				Spec: &KernelSpec{
-					Name:            "r",
-					Blocks:          blocks,
-					ThreadsPerBlock: 32 * (1 + rng.Intn(8)),
-					RegsPerThread:   1 + rng.Intn(32),
-					BlockDuration:   sim.Time(1+rng.Intn(100)) * sim.Microsecond,
-				},
-				OnComplete: func() { completed++ },
-			}
-			q := rng.Intn(d.NumQueues())
-			at := sim.Time(rng.Intn(500)) * sim.Microsecond
-			env.At(at, func() { d.Submit(q, l) })
-		}
+		d, launches, totalBlocks := randomLoad(rng, env, func() { completed++ })
 		for env.Step() {
 			d.CheckInvariants()
 		}
-		if completed != n {
+		if n := len(launches); completed != n {
 			t.Fatalf("trial %d: %d of %d kernels completed", trial, completed, n)
 		}
 		st := d.Stats()
@@ -416,6 +398,82 @@ func TestRandomLoadInvariants(t *testing.T) {
 		}
 		if d.ResidentBlocks() != 0 || d.FreeThreads() != d.cfg.NumSMs*d.cfg.SM.MaxThreads {
 			t.Fatalf("trial %d: resources not fully returned", trial)
+		}
+	}
+}
+
+// randomLoad submits 1–30 random kernels at random times to a random small
+// device on env. Launch i carries kernel id i+1 and a one-letter job tag.
+// It returns the device, the launches and their total block count.
+func randomLoad(rng *rand.Rand, env *sim.Env, onComplete func()) (*Device, []*Launch, int) {
+	d := testDevice(env, 1+rng.Intn(4), 1+rng.Intn(4))
+	launches := make([]*Launch, 1+rng.Intn(30))
+	totalBlocks := 0
+	for i := range launches {
+		blocks := 1 + rng.Intn(10)
+		totalBlocks += blocks
+		l := &Launch{
+			Spec: &KernelSpec{
+				Name:            "r",
+				Blocks:          blocks,
+				ThreadsPerBlock: 32 * (1 + rng.Intn(8)),
+				RegsPerThread:   1 + rng.Intn(32),
+				BlockDuration:   sim.Time(1+rng.Intn(100)) * sim.Microsecond,
+			},
+			JobTag:     string(rune('A' + i%26)),
+			KernelID:   uint32(i + 1),
+			OnComplete: onComplete,
+		}
+		launches[i] = l
+		q := rng.Intn(d.NumQueues())
+		at := sim.Time(rng.Intn(500)) * sim.Microsecond
+		env.At(at, func() { d.Submit(q, l) })
+	}
+	return d, launches, totalBlocks
+}
+
+// TestRandomLoadSMSpans runs TestRandomLoadInvariants' random load with a
+// recorder attached and checks the SM tracks against the placements: each
+// placement emits exactly one kernel slice per SM it used, carrying the
+// launch's job tag, kernel id and block count, and the slices' blocks sum
+// to Stats().BlocksPlaced. One event runs at most one scheduling pass,
+// which places each launch at most once, so within one step an SM gains
+// at most one slice per launch.
+func TestRandomLoadSMSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		env := sim.NewEnv()
+		rec := trace.New()
+		env.SetRecorder(rec)
+		d, launches, totalBlocks := randomLoad(rng, env, nil)
+		seen := make([]int, len(d.smTracks))
+		var spanBlocks uint64
+		for env.Step() {
+			for sm, track := range d.smTracks {
+				spans := rec.TrackSpans(track)
+				placed := make(map[int64]bool)
+				for _, s := range spans[seen[sm]:] {
+					id, _ := s.Arg("kernel_id").(int64)
+					blocks, _ := s.Arg("blocks").(int64)
+					if id < 1 || int(id) > len(launches) || placed[id] {
+						t.Fatalf("trial %d: SM %d slice %+v: unknown or repeated kernel id", trial, sm, s)
+					}
+					placed[id] = true
+					l := launches[id-1]
+					if s.Arg("job") != l.JobTag || s.Name != l.Spec.Name || s.Cat != "kernel" || blocks < 1 ||
+						s.Start != env.Now() || s.End != s.Start+l.Spec.BlockDuration {
+						t.Fatalf("trial %d: SM %d slice %+v does not match launch %d at %v", trial, sm, s, id, env.Now())
+					}
+					spanBlocks += uint64(blocks)
+				}
+				seen[sm] = len(spans)
+			}
+			if placed := d.Stats().BlocksPlaced; spanBlocks != placed {
+				t.Fatalf("trial %d at %v: slices hold %d blocks, device placed %d", trial, env.Now(), spanBlocks, placed)
+			}
+		}
+		if spanBlocks != uint64(totalBlocks) {
+			t.Fatalf("trial %d: slices hold %d blocks, want %d", trial, spanBlocks, totalBlocks)
 		}
 	}
 }
@@ -431,25 +489,5 @@ func TestPresetConfigs(t *testing.T) {
 	k := KernelSpec{Name: "fig2", Blocks: 8, ThreadsPerBlock: 128, RegsPerThread: 9}
 	if got := k.MaxResident(GTX1660Super()); got != 176 {
 		t.Errorf("Fig2 concurrency = %d, want 176", got)
-	}
-}
-
-func TestTraceWriteJSON(t *testing.T) {
-	env := sim.NewEnv()
-	d := testDevice(env, 2, 2)
-	tr := NewTrace()
-	d.SetTrace(tr)
-	d.Submit(0, &Launch{Spec: simpleKernel("a", 2, 10*sim.Microsecond), JobTag: "A"})
-	env.Run()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 || out[0]["job"] != "A" {
-		t.Fatalf("json = %v", out)
 	}
 }

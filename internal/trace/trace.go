@@ -3,8 +3,9 @@
 // stack (internal/sim actors, the GPU device model, the CUDA runtime, the
 // dispatcher, the VRAM manager, the cluster balancer) can emit into. It
 // makes the paper's timelines first-class artifacts: Figure 1's per-SM
-// schedules, §5.2's dispatch decisions and occupancy mirror, and §4.2's
-// per-job lifecycle phases all render directly from one recording.
+// schedules (gpu.Device.Timeline over a device's SM tracks), §5.2's
+// dispatch decisions and occupancy mirror, and §4.2's per-job lifecycle
+// phases all render directly from one recording.
 //
 // Three event shapes are recorded:
 //
@@ -20,8 +21,9 @@
 //     PCIe backlog, VRAM bytes resident. A repeated identical value is
 //     dropped, so an idle counter costs nothing.
 //
-// The exporters (WriteChromeTrace, WriteCSV) and the TimeSeries query API
-// consume the buffer after the run.
+// The exporters (WriteChromeTrace, WriteCSV), the span views (Spans,
+// TrackSpans) and the TimeSeries query API consume the buffer after the
+// run.
 //
 // Overhead contract: a nil *Recorder is valid and every method on it is a
 // no-op. All emission methods are nil-safe, and none of their non-variadic
@@ -310,6 +312,17 @@ type SpanView struct {
 	ID      uint64 // zero for plain spans
 	Start   sim.Time
 	End     sim.Time
+	Args    []Arg
+}
+
+// Arg returns the value of the span's annotation named key, or nil.
+func (v SpanView) Arg(key string) any {
+	for _, a := range v.Args {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return nil
 }
 
 // Spans returns all buffered spans (plain and async) in emission order.
@@ -319,22 +332,37 @@ func (r *Recorder) Spans() []SpanView {
 	}
 	var out []SpanView
 	for i := range r.events {
-		e := &r.events[i]
-		switch e.kind {
-		case evSpan:
-			th := r.threads[e.track-1]
-			out = append(out, SpanView{
-				Process: r.procs[th.proc-1].name, Track: th.name,
-				Name: e.name, Cat: e.cat, Start: e.start, End: e.end,
-			})
-		case evAsync:
-			out = append(out, SpanView{
-				Process: r.procs[e.proc-1].name,
-				Name:    e.name, Cat: e.cat, ID: e.id, Start: e.start, End: e.end,
-			})
+		if e := &r.events[i]; e.kind == evSpan || e.kind == evAsync {
+			out = append(out, r.spanView(e))
 		}
 	}
 	return out
+}
+
+// TrackSpans returns the plain spans on one thread track in emission
+// order; instants on the track are not included.
+func (r *Recorder) TrackSpans(t TrackID) []SpanView {
+	if r == nil {
+		return nil
+	}
+	var out []SpanView
+	for i := range r.events {
+		if e := &r.events[i]; e.kind == evSpan && e.track == t {
+			out = append(out, r.spanView(e))
+		}
+	}
+	return out
+}
+
+func (r *Recorder) spanView(e *event) SpanView {
+	v := SpanView{Name: e.name, Cat: e.cat, ID: e.id, Start: e.start, End: e.end, Args: e.args}
+	if e.kind == evSpan {
+		th := r.threads[e.track-1]
+		v.Process, v.Track = r.procs[th.proc-1].name, th.name
+	} else {
+		v.Process = r.procs[e.proc-1].name
+	}
+	return v
 }
 
 // seriesID formats a fully-qualified series key "process/counter/series".

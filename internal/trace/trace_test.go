@@ -42,6 +42,15 @@ func TestRecorderShapes(t *testing.T) {
 	if views[2].ID != 7 || views[2].Track != "" {
 		t.Fatalf("async span view = %+v", views[2])
 	}
+	// One track's spans, without its instants or other tracks' spans.
+	r.Span(r.Thread(p, "sm1"), "k3", "kernel", 300, 400)
+	track := r.TrackSpans(sm)
+	if len(track) != 2 || track[0].Name != "k1" || track[1].Name != "k2" {
+		t.Fatalf("TrackSpans(sm0) = %+v", track)
+	}
+	if track[1].Arg("job") != "resnet" || track[1].Arg("blocks") != int64(4) || track[1].Arg("missing") != nil {
+		t.Fatalf("span args = %+v", track[1].Args)
+	}
 }
 
 func TestSampleDedup(t *testing.T) {
