@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -92,8 +93,10 @@ var errUsage = errors.New("usage")
 
 // parse binds args to a config and enforces every cross-flag rule. Flag
 // syntax errors and the usage text go to stderr. An accepted config has
-// window ≥ 0, replicas ≥ 1, and every flag of a mode other than its own
-// at its default.
+// finite float flags, window, zipf, admit-rate, max-tokens and
+// batch-window ≥ 0, slo, telemetry-window and scale-interval > 0,
+// replicas ≥ 1, and every flag of a mode other than its own at its
+// default.
 func parse(args []string, stderr io.Writer) (config, error) {
 	var c config
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
@@ -141,6 +144,16 @@ func parse(args []string, stderr io.Writer) (config, error) {
 			return c, err
 		}
 		return c, errUsage
+	}
+	var nonFinite error
+	fs.VisitAll(func(f *flag.Flag) {
+		if x, ok := f.Value.(flag.Getter).Get().(float64); ok && nonFinite == nil &&
+			(math.IsNaN(x) || math.IsInf(x, 0)) {
+			nonFinite = fmt.Errorf("-%s must be finite, got %v", f.Name, x)
+		}
+	})
+	if nonFinite != nil {
+		return c, nonFinite
 	}
 	changed := func(names ...string) string {
 		for _, name := range names {
@@ -221,6 +234,13 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		{fleet && c.traceCSV != "", "-trace-csv is not supported with -replicas > 1 (use -trace-out for the merged trace)"},
 		{single && (gwSet || c.admitRate > 0), "-gateway and -admit-rate front the cluster engine: use -replicas > 1 or -llm"},
 		{single && c.parallel, "-parallel requires -replicas > 1"},
+		{c.zipf < 0, fmt.Sprintf("-zipf must be ≥ 0, got %v", c.zipf)},
+		{c.admitRate < 0, fmt.Sprintf("-admit-rate must be ≥ 0, got %v", c.admitRate)},
+		{c.maxTokens < 0, fmt.Sprintf("-max-tokens must be ≥ 0, got %d", c.maxTokens)},
+		{c.batchWindow < 0, fmt.Sprintf("-batch-window must be ≥ 0, got %v", c.batchWindow)},
+		{c.scaleInterval <= 0, fmt.Sprintf("-scale-interval must be > 0, got %v", c.scaleInterval)},
+		{c.telWindow <= 0, fmt.Sprintf("-telemetry-window must be > 0, got %v", c.telWindow)},
+		{c.slo <= 0, fmt.Sprintf("-slo must be > 0, got %v", c.slo)},
 	} {
 		if rule.broken {
 			return c, errors.New(rule.msg)

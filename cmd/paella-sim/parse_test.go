@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,18 @@ func TestRefusals(t *testing.T) {
 		{"llm-min-replicas", llmOnly("-min-replicas", "2"), "-min-replicas and -max-replicas require -autoscale"},
 		{"scale-interval", []string{"-replicas", "2", "-scale-interval", "1ms"}, "-scale-interval requires -autoscale"},
 		{"negative-max-tokens", []string{"-max-tokens", "-1"}, "require -llm"},
+		{"llm-negative-max-tokens", llmOnly("-max-tokens", "-5"), "-max-tokens must be ≥ 0"},
+		{"nan-rate", []string{"-jobs", "20", "-rate", "NaN"}, "-rate must be finite"},
+		{"nan-sigma", []string{"-jobs", "20", "-sigma", "NaN"}, "-sigma must be finite"},
+		{"inf-rate", []string{"-jobs", "20", "-rate", "+Inf"}, "-rate must be finite"},
+		{"nan-admit-rate", []string{"-admit-rate", "NaN", "-replicas", "2", "-tenants", "2"}, "-admit-rate must be finite"},
+		{"negative-admit-rate", []string{"-admit-rate", "-5", "-replicas", "2", "-tenants", "2"}, "-admit-rate must be ≥ 0"},
+		{"negative-slo", []string{"-slo", "-1ms"}, "-slo must be > 0"},
+		{"negative-telemetry-window", []string{"-telemetry-window", "-1ms"}, "-telemetry-window must be > 0"},
+		{"negative-zipf", []string{"-zipf", "-2"}, "-zipf must be ≥ 0"},
+		{"nan-zipf", []string{"-zipf", "NaN"}, "-zipf must be finite"},
+		{"negative-batch-window", []string{"-batch-window", "-1ms"}, "-batch-window must be ≥ 0"},
+		{"zero-scale-interval", []string{"-autoscale", "queue-depth", "-scale-interval", "0"}, "-scale-interval must be > 0"},
 		{"trace-foreign-model", []string{"-models", "resnet18", "-trace", foreign},
 			`names model "mobilenetv2", which -models does not load`},
 	}
@@ -83,7 +96,7 @@ func TestRefusals(t *testing.T) {
 func FuzzParseFlags(f *testing.F) {
 	var usage bytes.Buffer
 	parse([]string{"-h"}, &usage)
-	vocab := []string{"0", "1", "2", "-1", "0.5", "1ms", "-1us", "true", "list", "queue-depth",
+	vocab := []string{"0", "1", "2", "-1", "0.5", "NaN", "+Inf", "1ms", "-1us", "true", "list", "queue-depth",
 		"affinity", "1:1", "0:2", "synth:2", "resnet18", "Clockwork", "Paella-LLM", "p100", "diurnal", "t.json", "t.csv"}
 	for _, line := range strings.Split(usage.String(), "\n") {
 		if strings.HasPrefix(line, "  -") {
@@ -132,9 +145,17 @@ func checkInvariants(c config) error {
 		}
 		return nil
 	}
+	for name, x := range map[string]float64{"rate": c.rate, "sigma": c.sigma, "zipf": c.zipf,
+		"chaos": c.chaos, "admit-rate": c.admitRate} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("-%s is %v", name, x)
+		}
+	}
 	switch {
-	case c.window < 0:
-		return errors.New("negative -window")
+	case c.window < 0, c.zipf < 0, c.admitRate < 0, c.maxTokens < 0, c.batchWindow < 0:
+		return errors.New("a negative -window, -zipf, -admit-rate, -max-tokens or -batch-window")
+	case c.slo <= 0, c.telWindow <= 0, c.scaleInterval <= 0:
+		return errors.New("a non-positive -slo, -telemetry-window or -scale-interval")
 	case c.replicas < 1:
 		return errors.New("-replicas below 1")
 	case c.llm != (c.mode == modeLLM), c.autoscale != "" && c.mode != modeElastic,

@@ -162,9 +162,10 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	return out.Bytes(), errOut.Bytes(), code
 }
 
-// TestRefusals checks that gpu refuses each out-of-range scenario with
-// one stderr line naming the problem and exit status 1, instead of
-// panicking or printing an empty timeline.
+// TestRefusals checks that gpu refuses each out-of-range scenario, and
+// workload each non-finite arrival parameter, with one stderr line naming
+// the problem and exit status 1, instead of panicking or printing an empty
+// timeline or arrivals at the minimum time.
 func TestRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -177,6 +178,8 @@ func TestRefusals(t *testing.T) {
 		{"jobs-zero", []string{"gpu", "-jobs", "0"}, "jobs must be in 1..26 (one letter per job), got 0"},
 		{"jobs-past-z", []string{"gpu", "-system", "Paella", "-jobs", "30"}, "jobs must be in 1..26 (one letter per job), got 30"},
 		{"unknown-system", []string{"gpu", "-system", "TPU"}, `unknown system "TPU"`},
+		{"workload-nan-rate", []string{"workload", "-rate", "NaN"}, "workload: rate NaN"},
+		{"workload-nan-sigma", []string{"workload", "-sigma", "NaN"}, "workload: sigma NaN"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -134,13 +134,11 @@ type Config struct {
 	// DollarsPerHour prices each replica for Cost (len == cluster size);
 	// nil bills everything at zero.
 	DollarsPerHour []float64
-	// ReplicaRatePerSec hints the per-replica sustainable throughput for
-	// the predictive policy; 0 learns it from observed completion rates.
-	ReplicaRatePerSec float64
-	// RetryBackoff is the Front's resubmit delay when no replica can take
-	// a request (0 = 20µs).
-	RetryBackoff sim.Time
 }
+
+// retryBackoff is the Front's resubmit delay when no replica can take a
+// request.
+const retryBackoff = 20 * sim.Microsecond
 
 // Scaler is the control loop. Construct with New, attach traffic through
 // Front, then Start before running the simulation. All state lives on the
@@ -221,9 +219,6 @@ func NewScaler(env *sim.Env, c *cluster.Cluster, cfg Config) (*Scaler, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * sim.Millisecond
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 20 * sim.Microsecond
-	}
 	s := &Scaler{
 		env: env, c: c, cfg: cfg,
 		state:      make([]ReplicaState, c.Size()),
@@ -232,7 +227,6 @@ func NewScaler(env *sim.Env, c *cluster.Cluster, cfg Config) (*Scaler, error) {
 		coldSince:  make([]sim.Time, c.Size()),
 		target:     cfg.Initial,
 		lastActive: env.Now(),
-		muEst:      cfg.ReplicaRatePerSec,
 	}
 	now := env.Now()
 	for i := 0; i < c.Size(); i++ {
@@ -349,7 +343,7 @@ func (s *Scaler) signals(now sim.Time) Signals {
 		} else {
 			s.muRaw = 0.5*s.muRaw + 0.5*r
 		}
-		if s.cfg.ReplicaRatePerSec <= 0 && s.muRaw > s.muEst {
+		if s.muRaw > s.muEst {
 			s.muEst = s.muRaw
 		}
 	}

@@ -204,9 +204,8 @@ func TestFrontRetriesWhileUnroutable(t *testing.T) {
 	c := newUnitCluster(t, env)
 	s, err := autoscale.NewScaler(env, c, autoscale.Config{
 		Min: 1, Max: 2,
-		Interval:     sim.Millisecond,
-		Policy:       &scriptPolicy{targets: []int{1}},
-		RetryBackoff: 50 * sim.Microsecond,
+		Interval: sim.Millisecond,
+		Policy:   &scriptPolicy{targets: []int{1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -445,11 +445,10 @@ func (c *Cluster) loadPenalty(g int, model string) sim.Time {
 	if bytes <= 0 {
 		return 0
 	}
-	pcie := c.disps[g].PCIe()
-	if pcie == nil {
+	if c.disps[g].PCIe() == nil {
 		return 0
 	}
-	return pcie.Duration(int(bytes))
+	return c.disps[g].ColdLoadDuration(bytes)
 }
 
 // Submit routes the request through the admission controller and the

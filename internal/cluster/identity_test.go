@@ -74,10 +74,9 @@ func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan
 			cfg.BatchWindow = 50 * sim.Microsecond
 		}
 		if plan != nil {
-			// Faulty cells arm the recovery machinery, mirroring how the
-			// serving layer runs fault plans: tolerant notification handling
-			// plus the kernel watchdog.
-			cfg.FaultTolerant = true
+			// Faulty cells arm the kernel watchdog (and with it tolerant
+			// notification handling), mirroring how the serving layer runs
+			// fault plans.
 			cfg.KernelTimeout = 50 * sim.Microsecond
 		}
 		return cfg

@@ -23,9 +23,9 @@ type PDConfig struct {
 	// colocated deployment: Prefills full engines, no transfers.
 	Prefills int
 	Decodes  int
-	// LinkLatency and LinkBytesPerNs model the KV-transfer interconnect
-	// (defaults: 10µs setup, 12 B/ns — the PCIe peer-to-peer path).
-	LinkLatency    sim.Time
+	// LinkBytesPerNs is the KV-transfer interconnect bandwidth. Zero means
+	// the PCIe peer-to-peer path: cudart.DefaultConfig's copy model, whose
+	// setup latency every transfer pays either way.
 	LinkBytesPerNs float64
 	// ShardSetup, if set, runs for each engine's Env right after the shard
 	// is created and before the engine is built — the hook to attach
@@ -55,12 +55,6 @@ func (c *PDConfig) withDefaults() (PDConfig, error) {
 	}
 	if out.Decodes < 0 {
 		return out, fmt.Errorf("cluster: negative decode replica count %d", out.Decodes)
-	}
-	if out.LinkLatency == 0 {
-		out.LinkLatency = 10 * sim.Microsecond
-	}
-	if out.LinkBytesPerNs == 0 {
-		out.LinkBytesPerNs = 12.0
 	}
 	if out.MakePolicy == nil {
 		out.MakePolicy = gateway.NewLeastLoaded
@@ -145,7 +139,12 @@ func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 		return nil, err
 	}
 	pd := &PD{world: w, cfg: cfg, charge: make(map[uint64]chargeEntry)}
-	pd.link = cudart.NewPCIeLink(env, cfg.LinkLatency, cfg.LinkBytesPerNs)
+	rt := cudart.DefaultConfig()
+	if cfg.LinkBytesPerNs != 0 {
+		rt.PCIeBytesPerNs = cfg.LinkBytesPerNs
+	}
+	copies := cudart.NewCopyModel(rt)
+	pd.link = cudart.NewPCIeLink(env, &copies)
 	if mt := telemetry.FromEnv(env); mt != nil {
 		pd.mt = mt
 		pd.mtHandoffs = mt.Counter("pd/kv_handoffs")

@@ -138,10 +138,7 @@ func (d *Dispatcher) batchHoldWindow(j *Job) sim.Time {
 	if d.cfg.BatchWindow <= 0 {
 		return 0
 	}
-	minDepth := d.cfg.BatchMinDepth
-	if minDepth <= 0 {
-		minDepth = 2 * d.cfg.MaxBatch
-	}
+	minDepth := 2 * d.cfg.MaxBatch
 	depth := d.cfg.Policy.Len()
 	if depth < minDepth {
 		return 0
@@ -344,10 +341,6 @@ func (d *Dispatcher) batchTimeout(fl *inflightKernel) {
 	for _, m := range fl.members {
 		m.kernelsInFlight--
 	}
-	max := d.cfg.MaxKernelRetries
-	if max <= 0 {
-		max = 3
-	}
 	for _, m := range fl.members {
 		if m.cancelled || m.failErr != nil {
 			if m.kernelsInFlight == 0 {
@@ -356,7 +349,7 @@ func (d *Dispatcher) batchTimeout(fl *inflightKernel) {
 			continue
 		}
 		if fl.placed == 0 {
-			if m.retries >= max {
+			if m.retries >= maxKernelRetries {
 				d.failJob(m, ErrKernelTimeout)
 				continue
 			}

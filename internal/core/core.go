@@ -80,9 +80,6 @@ type Config struct {
 	// utilization to keep queued at the device so it never starves during
 	// the notification round trip.
 	OvershootBlocks int
-	// DispatchScan bounds how many policy candidates the dispatcher
-	// examines per decision when the front of the order does not fit.
-	DispatchScan int
 	// RefineOnline enables §6's online profile refinement: observed
 	// placement→completion times (from the notification channel) update
 	// the per-kernel means that drive SRPT.
@@ -98,17 +95,8 @@ type Config struct {
 	// SchedDelay is extra synthetic per-decision delay (the Figure 9
 	// knob); zero in normal operation.
 	SchedDelay sim.Time
-	// PollCost is the fixed cost of one notifQ poll that returns data.
-	PollCost sim.Time
-	// PerNotifCost is the per-record processing cost.
-	PerNotifCost sim.Time
 	// ShmLatency is the one-way client↔dispatcher shared-memory latency.
 	ShmLatency sim.Time
-
-	// MemcpyLatency and PCIeBytesPerNs model DMA transfers issued by the
-	// dispatcher.
-	MemcpyLatency  sim.Time
-	PCIeBytesPerNs float64
 
 	// VRAM, when non-nil, bounds device memory: model weights occupy VRAM
 	// and must be resident before kernels dispatch, cold models page in
@@ -119,37 +107,23 @@ type Config struct {
 	// ablation modes predate many-model serving and ignore it.
 	VRAM *vram.Config
 
-	// RingCapacity sizes each client's request ring (power of two).
+	// RingCapacity sizes each client's request ring (power of two; zero
+	// means 1024).
 	RingCapacity int
-	// NotifQCapacity sizes the device notification queue (power of two).
+	// NotifQCapacity sizes the device notification queue (power of two;
+	// zero means 1<<14).
 	NotifQCapacity int
 
 	// KernelTimeout arms a watchdog on every gated kernel dispatch: if the
 	// kernel's notifications have not completed it within its serial upper
 	// bound (Blocks × BlockDuration) plus this grace period, the dispatcher
 	// reconciles the occupancy mirror and recovers (re-dispatch or forced
-	// completion; see onKernelTimeout). Zero disables the watchdog — the
-	// default, since a healthy channel never loses notifications.
+	// completion; see onKernelTimeout). Arming it also relaxes the
+	// dispatcher's fail-stop assertions for runs with fault injection:
+	// stale or duplicated notifications are counted and ignored instead of
+	// panicking. Zero disables the watchdog — the default, since a healthy
+	// channel never loses notifications.
 	KernelTimeout sim.Time
-	// MaxKernelRetries bounds watchdog-triggered re-dispatches per job
-	// before the job fails with ErrKernelTimeout (default 3 when the
-	// watchdog is armed).
-	MaxKernelRetries int
-	// MaxLiveJobs, when positive, turns on admission-control load shedding:
-	// requests arriving while that many admitted jobs are still live are
-	// rejected immediately with ErrAdmissionShed instead of queueing —
-	// degrading goodput gracefully instead of collapsing p99.
-	MaxLiveJobs int
-	// MaxLoadRetries bounds weight-load retry attempts per model before the
-	// waiting jobs fail with ErrLoadFailed (default 3).
-	MaxLoadRetries int
-	// LoadRetryBase is the first load-retry backoff; attempts double it
-	// (default 100µs).
-	LoadRetryBase sim.Time
-	// FaultTolerant relaxes the dispatcher's fail-stop assertions for runs
-	// with fault injection: stale or duplicated notifications are counted
-	// and ignored instead of panicking. Implied by KernelTimeout > 0.
-	FaultTolerant bool
 
 	// MaxBatch enables dynamic batching in ModeGated when > 1: same-model,
 	// same-position ready jobs coalesce into one batched kernel launch with
@@ -164,13 +138,31 @@ type Config struct {
 	// deadline slack (see batchHoldWindow) — so batching engages under
 	// load and degenerates to immediate dispatch when the queue is short.
 	// Zero restricts batching to opportunistic coalescing (partners that
-	// are already ready; never waits).
+	// are already ready; never waits). Holds never engage below a
+	// ready-queue depth of 2×MaxBatch (low occupancy: the latency cost
+	// cannot pay for itself).
 	BatchWindow sim.Time
-	// BatchMinDepth is the ready-queue depth below which batch-formation
-	// holds never engage (low occupancy: the latency cost cannot pay for
-	// itself). Default 2×MaxBatch.
-	BatchMinDepth int
 }
+
+// Dispatcher constants, calibrated like DefaultConfig's costs but varied
+// by no caller.
+const (
+	// dispatchScan bounds how many policy candidates the dispatcher
+	// examines per decision when the front of the order does not fit.
+	dispatchScan = 16
+	// pollCost is the fixed cost of one notifQ poll that returns data;
+	// perNotifCost is the per-record processing cost.
+	pollCost     = 300 * sim.Nanosecond
+	perNotifCost = 60 * sim.Nanosecond
+	// maxKernelRetries bounds watchdog-triggered re-dispatches per job
+	// before the job fails with ErrKernelTimeout.
+	maxKernelRetries = 3
+	// maxLoadRetries bounds weight-load retry attempts per model before
+	// the waiting jobs fail with ErrLoadFailed; loadRetryBase is the first
+	// retry's backoff, and each attempt doubles it.
+	maxLoadRetries = 3
+	loadRetryBase  = 100 * sim.Microsecond
+)
 
 // DefaultConfig returns dispatcher costs calibrated to the paper's
 // measurements (single Xeon Silver core; Figure 10's µs-scale overheads).
@@ -179,22 +171,18 @@ func DefaultConfig(policy sched.Policy) Config {
 		Mode:            ModeGated,
 		Policy:          policy,
 		OvershootBlocks: 96,
-		DispatchScan:    16,
 		AdmitCost:       1500 * sim.Nanosecond,
 		DispatchCost:    2 * sim.Microsecond,
-		PollCost:        300 * sim.Nanosecond,
-		PerNotifCost:    60 * sim.Nanosecond,
 		ShmLatency:      400 * sim.Nanosecond,
-		MemcpyLatency:   10 * sim.Microsecond,
-		PCIeBytesPerNs:  12.0,
-		RingCapacity:    1024,
-		NotifQCapacity:  1 << 14,
-		// Recovery knobs: the watchdog itself stays off (KernelTimeout
-		// zero) until a fault-aware caller arms it.
-		MaxKernelRetries: 3,
-		MaxLoadRetries:   3,
-		LoadRetryBase:    100 * sim.Microsecond,
 	}
+}
+
+// runtimeConfig is the CUDA runtime configuration the dispatcher drives
+// the device with: cudart's PCIe copy calibration, with the runtime's own
+// host costs zeroed because the dispatcher loop charges dispatch costs.
+func runtimeConfig() cudart.Config {
+	def := cudart.DefaultConfig()
+	return cudart.Config{MemcpyLatency: def.MemcpyLatency, PCIeBytesPerNs: def.PCIeBytesPerNs}
 }
 
 // Request is one inference request as carried by a client ring: the
@@ -237,8 +225,8 @@ type ClientConn struct {
 	// OnComplete delivers the finished request id (the completion ring).
 	OnComplete func(reqID uint64)
 	// OnFailed delivers a typed failure for a request that will never
-	// complete (admission shed, kernel timeout, load failure). Requests of
-	// a disconnected client fail silently — there is no one to notify.
+	// complete (kernel timeout, load failure). Requests of a disconnected
+	// client fail silently — there is no one to notify.
 	OnFailed func(reqID uint64, err error)
 }
 
@@ -398,10 +386,10 @@ type Dispatcher struct {
 	// makes the next completing weight load for that model fail (fault
 	// injection via FailNextLoad).
 	failNextLoad map[string]int
-	// pcieFactor scales the analytic memcpy bandwidth (fault injection's
-	// brownout on the unconstrained-memory path; the shared PCIeLink has
-	// its own factor).
-	pcieFactor float64
+	// copies prices the dispatcher's DMA transfers: analytic copies and
+	// cold-load estimates, and every transfer on pcie, which shares it —
+	// so fault injection's brownout factor lives here alone.
+	copies cudart.CopyModel
 	// pressureHeld tracks VRAM blocks held by injected memory pressure.
 	pressureHeld int
 
@@ -423,13 +411,12 @@ type Dispatcher struct {
 
 	// mt is the windowed telemetry meter (nil = disabled), the recorder's
 	// aggregate sibling: load gauges sampled at the traceCounters sites,
-	// shed/retry counters, the batch-width histogram, and per-request
+	// the retry counter, the batch-width histogram, and per-request
 	// records fed at completion (internal/telemetry).
 	mt         *telemetry.Meter
 	mtLive     telemetry.MetricID
 	mtInflight telemetry.MetricID
 	mtReady    telemetry.MetricID
-	mtShed     telemetry.MetricID
 	mtRetries  telemetry.MetricID
 	mtBatchW   telemetry.MetricID
 }
@@ -443,7 +430,7 @@ type loadState struct {
 	// only event that unpins memory) or when injected pressure releases.
 	pending bool
 	// attempts counts failed transfer attempts (fault injection); retries
-	// back off exponentially from Config.LoadRetryBase.
+	// back off exponentially from loadRetryBase.
 	attempts int
 }
 
@@ -457,8 +444,6 @@ type Stats struct {
 	LoopWakeups   uint64
 	// Failed counts admitted jobs that terminated with a typed error.
 	Failed uint64
-	// Shed counts requests rejected at admission by load shedding.
-	Shed uint64
 	// KernelTimeouts counts watchdog firings; KernelRetries counts the
 	// subset that re-dispatched the kernel; StaleNotifs counts notifications
 	// ignored in fault-tolerant mode (late records for reconciled kernels,
@@ -499,7 +484,7 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		nbuf:         make([]channel.Notification, 256),
 		collector:    metrics.NewCollector(),
 		failNextLoad: make(map[string]int),
-		pcieFactor:   1,
+		copies:       cudart.NewCopyModel(runtimeConfig()),
 	}
 	d.mirror = newMirror(dev.Config(), cfg.OvershootBlocks)
 	// The gate predicate is allocated once: kernels of a cold model cannot
@@ -545,13 +530,12 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		d.mtLive = mt.Gauge("core/live_jobs")
 		d.mtInflight = mt.Gauge("core/inflight_kernels")
 		d.mtReady = mt.Gauge("core/ready_jobs")
-		d.mtShed = mt.Counter("core/shed")
 		d.mtRetries = mt.Counter("core/kernel_retries")
 		d.mtBatchW = mt.Histogram("core/batch_width")
 	}
 	if cfg.VRAM != nil {
 		d.vramMgr = vram.MustNewManager(*cfg.VRAM)
-		d.pcie = cudart.NewPCIeLink(env, cfg.MemcpyLatency, cfg.PCIeBytesPerNs)
+		d.pcie = cudart.NewPCIeLink(env, &d.copies)
 		d.loads = make(map[string]*loadState)
 		if d.rec != nil {
 			d.vramMgr.AttachTrace(d.rec, d.traceProc)
@@ -559,12 +543,8 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		d.vramMgr.AttachMeter(d.mt)
 	}
 	// The ablation modes drive the device through an unhooked CUDA
-	// runtime; dispatch costs are charged by the dispatcher loop, so the
-	// runtime's own host costs are zeroed.
-	d.rtCtx = cudart.NewContext(env, dev, cudart.Config{
-		MemcpyLatency:  cfg.MemcpyLatency,
-		PCIeBytesPerNs: cfg.PCIeBytesPerNs,
-	})
+	// runtime.
+	d.rtCtx = cudart.NewContext(env, dev, runtimeConfig())
 	if cfg.Mode == ModeSingleStream {
 		d.sharedStream = d.rtCtx.StreamCreate()
 	}
@@ -630,19 +610,15 @@ func (d *Dispatcher) VRAM() *vram.Manager { return d.vramMgr }
 // configuration.
 func (d *Dispatcher) PCIe() *cudart.PCIeLink { return d.pcie }
 
-// ColdLoadDuration returns the modeled host→device time to page the given
-// weight bytes onto this device: the shared DMA link's transfer duration
-// when device memory is constrained, the analytic memcpy estimate (with any
-// injected brownout factor) otherwise. The cluster autoscaler uses it to
-// price replica cold-starts even on unconstrained-memory fleets.
+// ColdLoadDuration returns the modeled uncontended host→device time to
+// page the given weight bytes onto this device, with any injected
+// brownout factor. The cluster autoscaler uses it to price replica
+// cold-starts even on unconstrained-memory fleets.
 func (d *Dispatcher) ColdLoadDuration(bytes int64) sim.Time {
 	if bytes <= 0 {
 		return 0
 	}
-	if d.pcie != nil {
-		return d.pcie.Duration(int(bytes))
-	}
-	return d.cfg.MemcpyLatency + sim.Time(float64(bytes)/(d.cfg.PCIeBytesPerNs*d.pcieFactor))
+	return d.copies.Duration(int(bytes))
 }
 
 // ModelResident reports whether the named model's weights are in device
@@ -656,10 +632,8 @@ func (d *Dispatcher) ModelResident(name string) bool {
 }
 
 // tolerant reports whether the dispatcher runs with relaxed fail-stop
-// assertions (fault injection active).
-func (d *Dispatcher) tolerant() bool {
-	return d.cfg.FaultTolerant || d.cfg.KernelTimeout > 0
-}
+// assertions (the watchdog is armed for fault injection).
+func (d *Dispatcher) tolerant() bool { return d.cfg.KernelTimeout > 0 }
 
 // FailNextLoad arms one injected failure for the named model's next
 // completing weight load (fault injection). The dispatcher reacts with
@@ -670,13 +644,11 @@ func (d *Dispatcher) FailNextLoad(model string) { d.failNextLoad[model]++ }
 // brownout): both the shared DMA link (when device memory is constrained)
 // and the analytic memcpy path honour it. Factor 1 restores health.
 func (d *Dispatcher) SetPCIeFactor(f float64) {
-	if f <= 0 {
-		panic(fmt.Sprintf("core: PCIe factor %f", f))
-	}
-	d.pcieFactor = f
 	if d.pcie != nil {
 		d.pcie.SetBandwidthFactor(f)
+		return
 	}
+	d.copies.SetFactor(f)
 }
 
 // InjectVRAMPressure carves the given bytes out of the device-memory budget
@@ -808,7 +780,7 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 				if n == 0 {
 					break
 				}
-				d.charge(p, d.cfg.PollCost+sim.Time(n)*d.cfg.PerNotifCost)
+				d.charge(p, pollCost+sim.Time(n)*perNotifCost)
 				for i := 0; i < n; i++ {
 					d.applyNotif(d.nbuf[i])
 				}
@@ -822,7 +794,7 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 		// pick charges no time.
 		if d.cfg.Mode == ModeGated {
 			for !d.mirror.Saturated() {
-				e := d.cfg.Policy.PickFit(d.fitsFn, d.cfg.DispatchScan)
+				e := d.cfg.Policy.PickFit(d.fitsFn, dispatchScan)
 				if e == nil {
 					break
 				}

@@ -10,16 +10,12 @@ import "errors"
 // matter the fault schedule — is checkable by summing completions and typed
 // failures against submissions.
 var (
-	// ErrAdmissionShed: the dispatcher's load-shedding admission control
-	// (Config.MaxLiveJobs) rejected the request to protect tail latency of
-	// the jobs already in flight.
-	ErrAdmissionShed = errors.New("paella: admission shed (overload)")
 	// ErrKernelTimeout: a dispatched kernel produced no placement
 	// notifications within the timeout window and the bounded re-dispatch
-	// budget (Config.MaxKernelRetries) is exhausted.
+	// budget (maxKernelRetries) is exhausted.
 	ErrKernelTimeout = errors.New("paella: kernel timeout, retries exhausted")
 	// ErrLoadFailed: the model's H2D weight load failed repeatedly
-	// (Config.MaxLoadRetries exceeded).
+	// (maxLoadRetries exceeded).
 	ErrLoadFailed = errors.New("paella: weight load failed, retries exhausted")
 	// ErrClientDisconnected: the job's client disconnected mid-flight; the
 	// result has nowhere to go and undispatched work was dropped.

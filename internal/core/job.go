@@ -53,7 +53,7 @@ type Job struct {
 	// with once its in-flight kernels drain.
 	failErr error
 	// retries counts watchdog-triggered kernel re-dispatches (bounded by
-	// Config.MaxKernelRetries).
+	// maxKernelRetries).
 	retries int
 	// vramPinned marks a job holding a residency pin on its model's
 	// weights (released at finish).
@@ -145,20 +145,6 @@ func (d *Dispatcher) admit(p *sim.Proc, req Request) {
 		// silently (no one is listening), but still leaves a typed record
 		// so no job is ever unaccounted for.
 		d.rejectRequest(req, ErrClientDisconnected)
-		return
-	}
-	if d.cfg.MaxLiveJobs > 0 &&
-		int(d.stats.Admitted-d.stats.Completed-d.stats.Failed) >= d.cfg.MaxLiveJobs {
-		// Load shedding (§6's software-defined control applied to
-		// admission): refuse immediately rather than queueing into a
-		// latency collapse. The client gets a typed, retryable error.
-		d.stats.Shed++
-		if d.rec != nil {
-			d.rec.InstantArgs(d.admitTrack, req.Model, "shed", d.env.Now(),
-				trace.Int("id", int64(req.ID)), trace.Int("live", int64(d.cfg.MaxLiveJobs)))
-		}
-		d.mt.Add(d.mtShed, d.env.Now(), 1)
-		d.rejectRequest(req, ErrAdmissionShed)
 		return
 	}
 	ins, ok := d.models[req.Model]
@@ -296,7 +282,7 @@ func (d *Dispatcher) startLoad(name string, ls *loadState) {
 // loadDone marks the model resident, upgrades its waiting jobs to warm in
 // the policy order, and charges each one the time it spent blocked on the
 // load. An injected load failure (FailNextLoad) instead aborts the load and
-// retries with exponential backoff; when Config.MaxLoadRetries attempts
+// retries with exponential backoff; when maxLoadRetries attempts
 // have failed, every waiting job terminates with ErrLoadFailed.
 func (d *Dispatcher) loadDone(name string) {
 	ls := d.loads[name]
@@ -309,11 +295,7 @@ func (d *Dispatcher) loadDone(name string) {
 			d.rec.InstantArgs(d.schedTrack, name, "load-failed", now,
 				trace.Int("attempt", int64(ls.attempts)))
 		}
-		max := d.cfg.MaxLoadRetries
-		if max <= 0 {
-			max = 3
-		}
-		if ls.attempts > max {
+		if ls.attempts > maxLoadRetries {
 			d.stats.LoadFailures++
 			delete(d.loads, name)
 			for _, j := range ls.waiters {
@@ -322,11 +304,7 @@ func (d *Dispatcher) loadDone(name string) {
 			return
 		}
 		d.stats.LoadRetries++
-		base := d.cfg.LoadRetryBase
-		if base <= 0 {
-			base = 100 * sim.Microsecond
-		}
-		backoff := base << (ls.attempts - 1)
+		backoff := loadRetryBase << (ls.attempts - 1)
 		d.env.After(backoff, func() {
 			// The load state may have been torn down meanwhile (e.g. all
 			// waiters disconnected and the job set drained).
@@ -399,7 +377,7 @@ func (d *Dispatcher) advanceGated(j *Job) {
 			// other) for PCIe bandwidth.
 			d.pcie.Transfer(copyDirection(op.kind), op.bytes, func() { d.opDone(j) })
 		} else {
-			d.env.After(d.memcpyDuration(op.bytes), func() { d.opDone(j) })
+			d.env.After(d.copies.Duration(op.bytes), func() { d.opDone(j) })
 		}
 	}
 }
@@ -480,7 +458,7 @@ func (d *Dispatcher) dispatchKernel(j *Job) {
 //
 //   - No placement was ever observed (launch lost to a hung queue or its
 //     notifications all dropped): re-dispatch the same kernel through the
-//     normal policy path, up to Config.MaxKernelRetries, after which the
+//     normal policy path, up to maxKernelRetries, after which the
 //     job fails with ErrKernelTimeout.
 //   - Blocks were placed but completions went missing (a lossy notifQ):
 //     the kernel did run — force-complete it and let the job advance.
@@ -531,11 +509,7 @@ func (d *Dispatcher) onKernelTimeout(kid uint32) {
 		return
 	}
 	if fl.placed == 0 {
-		max := d.cfg.MaxKernelRetries
-		if max <= 0 {
-			max = 3
-		}
-		if j.retries >= max {
+		if j.retries >= maxKernelRetries {
 			d.failJob(j, ErrKernelTimeout)
 			return
 		}
@@ -851,14 +825,6 @@ func (d *Dispatcher) ringBell(j *Job) {
 		id := j.Req.ID
 		d.env.After(d.cfg.ShmLatency, func() { cb(id) })
 	}
-}
-
-func (d *Dispatcher) memcpyDuration(bytes int) sim.Time {
-	dur := d.cfg.MemcpyLatency
-	if d.cfg.PCIeBytesPerNs > 0 {
-		dur += sim.Time(float64(bytes) / (d.cfg.PCIeBytesPerNs * d.pcieFactor))
-	}
-	return dur
 }
 
 // --- Ablation modes: hardware scheduling with the Paella frontend ---------

@@ -48,7 +48,7 @@ func TestVRAMColdStartThenWarm(t *testing.T) {
 		t.Fatalf("second request not warm: %+v", warm)
 	}
 	// The load is a 24 MiB H2D transfer; the cold JCT must carry it.
-	loadWire := d.PCIe().Duration(weights)
+	loadWire := d.ColdLoadDuration(weights)
 	if cold.LoadNs < loadWire {
 		t.Fatalf("cold LoadNs %v < wire time %v", cold.LoadNs, loadWire)
 	}

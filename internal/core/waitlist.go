@@ -198,7 +198,7 @@ func (w *waitlist) pump() {
 		o.state = wlDispatched
 		w.d.stats.CopiesSent++
 		op := o
-		w.d.env.After(w.d.memcpyDuration(o.bytes), func() { w.opFinished(op) })
+		w.d.env.After(w.d.copies.Duration(o.bytes), func() { w.opFinished(op) })
 	}
 	w.reconcilePolicy()
 }
@@ -265,10 +265,7 @@ func (d *Dispatcher) admitAdaptor(req Request, entry *adaptorEntry) {
 	}
 	d.cfg.Policy.JobAdmitted(req.Client)
 	j.wl = newWaitlist(d, j)
-	jctx := cudart.NewContext(d.env, d.dev, cudart.Config{
-		MemcpyLatency:  d.cfg.MemcpyLatency,
-		PCIeBytesPerNs: d.cfg.PCIeBytesPerNs,
-	})
+	jctx := cudart.NewContext(d.env, d.dev, runtimeConfig())
 	jctx.SetHook(j.wl)
 	d.stats.Admitted++
 	adaptor := entry.adaptor

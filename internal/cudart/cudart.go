@@ -106,9 +106,10 @@ type LaunchHook interface {
 // simulation event loop; blocking calls additionally require the calling
 // Proc.
 type Context struct {
-	env *sim.Env
-	dev *gpu.Device
-	cfg Config
+	env    *sim.Env
+	dev    *gpu.Device
+	cfg    Config
+	copies CopyModel
 
 	hook LaunchHook
 
@@ -138,7 +139,7 @@ type ContextStats struct {
 // NewContext creates a context for the device. The default stream (id 0)
 // exists from the start.
 func NewContext(env *sim.Env, dev *gpu.Device, cfg Config) *Context {
-	c := &Context{env: env, dev: dev, cfg: cfg}
+	c := &Context{env: env, dev: dev, cfg: cfg, copies: NewCopyModel(cfg)}
 	if rec := trace.FromEnv(env); rec != nil {
 		c.rec = rec
 		c.traceProc = rec.Process("cudart")
@@ -254,11 +255,35 @@ func (c *Context) DeviceSynchronize(p *sim.Proc) {
 	}
 }
 
-// memcpyDuration models one DMA transfer.
-func (c *Context) memcpyDuration(bytes int) sim.Time {
-	d := c.cfg.MemcpyLatency
-	if c.cfg.PCIeBytesPerNs > 0 {
-		d += sim.Time(float64(bytes) / c.cfg.PCIeBytesPerNs)
+// CopyModel is the one DMA copy-time model. A transfer costs the fixed
+// setup latency plus its bytes at the sustained bandwidth scaled by a
+// brownout factor (1 = healthy); a zero bandwidth prices only the latency.
+// Stream memcpys, PCIeLink and the Paella dispatcher all price copies so.
+type CopyModel struct {
+	latency    sim.Time
+	bytesPerNs float64
+	factor     float64
+}
+
+// NewCopyModel returns cfg's healthy (factor 1) copy model.
+func NewCopyModel(cfg Config) CopyModel {
+	return CopyModel{cfg.MemcpyLatency, cfg.PCIeBytesPerNs, 1}
+}
+
+// Duration returns the uncontended time of one transfer.
+func (m *CopyModel) Duration(bytes int) sim.Time {
+	d := m.latency
+	if m.bytesPerNs > 0 {
+		d += sim.Time(float64(bytes) / (m.bytesPerNs * m.factor))
 	}
 	return d
+}
+
+// SetFactor sets the brownout factor (fault injection: 0.25 = a Gen-speed
+// downshift to a quarter of the sustained rate). Panics unless f > 0.
+func (m *CopyModel) SetFactor(f float64) {
+	if f <= 0 {
+		panic(fmt.Sprintf("cudart: PCIe bandwidth factor %f", f))
+	}
+	m.factor = f
 }

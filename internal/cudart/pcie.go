@@ -22,15 +22,9 @@ import (
 // free-bandwidth path for weight traffic.
 type PCIeLink struct {
 	env *sim.Env
-	// latency is the fixed DMA setup cost per transfer.
-	latency sim.Time
-	// bytesPerNs is the sustained link bandwidth.
-	bytesPerNs float64
-	// factor scales the effective bandwidth (1 = healthy). Fault injection
-	// lowers it during a brownout window — a PCIe AER link retrain or a
-	// Gen-speed downshift; transfers enqueued during the window take
-	// proportionally longer.
-	factor float64
+	// copies prices each transfer; fault injection lowers its brownout
+	// factor (a PCIe AER link retrain or a Gen-speed downshift).
+	copies *CopyModel
 	// busyUntil tracks when each direction's engine frees up.
 	busyUntil [3]sim.Time
 
@@ -65,14 +59,14 @@ type LinkStats struct {
 	BusyNs sim.Time
 }
 
-// NewPCIeLink builds a link on the simulation environment with the given
-// per-transfer setup latency and sustained bandwidth (bytes per
-// nanosecond; ≈12 for PCIe 3 x16).
-func NewPCIeLink(env *sim.Env, latency sim.Time, bytesPerNs float64) *PCIeLink {
-	if bytesPerNs <= 0 {
-		panic(fmt.Sprintf("cudart: PCIe bandwidth %f bytes/ns", bytesPerNs))
+// NewPCIeLink builds a link on the simulation environment whose transfers
+// copies prices. A caller pricing other copies with the same model (the
+// Paella dispatcher does) keeps one brownout factor for both.
+func NewPCIeLink(env *sim.Env, copies *CopyModel) *PCIeLink {
+	if copies.bytesPerNs <= 0 {
+		panic(fmt.Sprintf("cudart: PCIe bandwidth %f bytes/ns", copies.bytesPerNs))
 	}
-	l := &PCIeLink{env: env, latency: latency, bytesPerNs: bytesPerNs, factor: 1}
+	l := &PCIeLink{env: env, copies: copies}
 	if rec := trace.FromEnv(env); rec != nil {
 		l.rec = rec
 		proc := rec.Process("PCIe")
@@ -91,30 +85,15 @@ func NewPCIeLink(env *sim.Env, latency sim.Time, bytesPerNs float64) *PCIeLink {
 	return l
 }
 
-// Duration returns the uncontended wire time of one transfer at the link's
-// current effective bandwidth.
-func (l *PCIeLink) Duration(bytes int) sim.Time {
-	return l.latency + sim.Time(float64(bytes)/(l.bytesPerNs*l.factor))
-}
-
-// SetBandwidthFactor scales the link's effective bandwidth (fault
-// injection: 1 = healthy, 0.25 = a Gen-speed downshift to a quarter of the
-// sustained rate). Transfers already enqueued keep their computed finish
-// times; the factor applies to subsequent enqueues. Panics on non-positive
-// factors.
+// SetBandwidthFactor sets the brownout factor (CopyModel.SetFactor) and
+// marks it on the trace; transfers already enqueued keep their finish times.
 func (l *PCIeLink) SetBandwidthFactor(f float64) {
-	if f <= 0 {
-		panic(fmt.Sprintf("cudart: PCIe bandwidth factor %f", f))
-	}
-	l.factor = f
+	l.copies.SetFactor(f)
 	if l.rec != nil {
 		l.rec.InstantArgs(l.engTracks[HostToDevice], "bandwidth-factor", "fault",
 			l.env.Now(), trace.Int("permille", int64(f*1000)))
 	}
 }
-
-// BandwidthFactor returns the current effective-bandwidth scale.
-func (l *PCIeLink) BandwidthFactor() float64 { return l.factor }
 
 // Transfer enqueues a DMA of the given size and direction; done fires when
 // it completes. Transfers of one direction serialize FIFO behind each
@@ -133,7 +112,7 @@ func (l *PCIeLink) Transfer(kind MemcpyKind, bytes int, done func()) {
 	if l.busyUntil[engine] > start {
 		start = l.busyUntil[engine]
 	}
-	dur := l.Duration(bytes)
+	dur := l.copies.Duration(bytes)
 	l.busyUntil[engine] = start + dur
 	l.stats.Transfers++
 	l.stats.Bytes += int64(bytes)
@@ -154,10 +133,6 @@ func (l *PCIeLink) Transfer(kind MemcpyKind, bytes int, done func()) {
 	}
 	l.env.At(start+dur, done)
 }
-
-// BusyUntil returns when the given direction's engine frees up (≤ now when
-// idle) — scheduling heuristics may use it to predict load completion.
-func (l *PCIeLink) BusyUntil(kind MemcpyKind) sim.Time { return l.busyUntil[int(kind)] }
 
 // Stats returns a snapshot of link counters.
 func (l *PCIeLink) Stats() LinkStats { return l.stats }

@@ -284,7 +284,7 @@ func (s *Stream) advance() {
 		case opMemcpy:
 			if !o.started {
 				o.started = true
-				dur := s.ctx.memcpyDuration(o.bytes)
+				dur := s.ctx.copies.Duration(o.bytes)
 				if rec := s.ctx.rec; rec != nil {
 					now := s.ctx.env.Now()
 					rec.SpanArgs(s.ctx.streamTrack(s.id), "memcpy", "stream-memcpy",

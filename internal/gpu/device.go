@@ -491,10 +491,6 @@ func (d *Device) Utilization() float64 {
 	return d.stats.ThreadBusyNs / (elapsed * float64(d.cfg.SM.MaxThreads*d.cfg.NumSMs))
 }
 
-// QueueDepth returns the number of launches waiting in (or placing from)
-// hardware queue q.
-func (d *Device) QueueDepth(q int) int { return d.queues[q].depth() }
-
 // TotalQueued returns the number of launches across all hardware queues.
 func (d *Device) TotalQueued() int { return d.queued }
 
@@ -656,7 +652,6 @@ func (d *Device) scanQueue(qi int) bool {
 		// Fully placed: the launch leaves the queue, exposing the
 		// next kernel (if any) to the scheduler.
 		head.state = LaunchRunning
-		head.placedAt = d.env.Now()
 		q.popHead()
 		d.queued--
 		if q.count == 0 {

@@ -171,27 +171,11 @@ type Launch struct {
 	// left this launch with blocks unplaced and every SM they fit on full.
 	fullPass    uint64
 	queuedAt    sim.Time
-	placedAt    sim.Time // time the final block was placed
 	completedAt sim.Time
 }
 
 // State returns the launch's current lifecycle state.
 func (l *Launch) State() LaunchState { return l.state }
-
-// BlocksUnplaced returns the number of blocks not yet placed on an SM.
-func (l *Launch) BlocksUnplaced() int { return l.toPlace }
-
-// BlocksOutstanding returns the number of blocks placed but not finished.
-// toPlace counts down as blocks are placed and toFinish counts down as they
-// finish, so the resident population is their difference.
-func (l *Launch) BlocksOutstanding() int { return l.toFinish - l.toPlace }
-
-// QueuedAt returns when the launch entered its hardware queue.
-func (l *Launch) QueuedAt() sim.Time { return l.queuedAt }
-
-// PlacedAt returns when the launch's last block was placed (valid once the
-// state is LaunchRunning or later).
-func (l *Launch) PlacedAt() sim.Time { return l.placedAt }
 
 // CompletedAt returns when the launch's last block completed (valid once
 // the state is LaunchDone).

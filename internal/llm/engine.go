@@ -171,7 +171,7 @@ func NewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) (*Engine, e
 		dev:        gpu.NewDevice(env, cfg.DevCfg, nil),
 		mem:        mem,
 		comp:       comp,
-		policy:     sched.NewPaella(cfg.FairnessThreshold),
+		policy:     sched.NewPaella(fairnessThreshold),
 		col:        col,
 		maxKVPages: int(cfg.VRAMBytes/cfg.KVBlockBytes) - mem.UsedBlocks(),
 	}

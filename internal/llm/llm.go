@@ -115,11 +115,14 @@ type Config struct {
 	// and admits nobody until it fully drains — the baseline continuous
 	// batching exists to beat.
 	Continuous bool
-	// FairnessThreshold is the Paella policy's deficit bound (0 → 10000).
-	FairnessThreshold float64
-	// ProfileRuns is the profiling repetition count (0 → 3).
-	ProfileRuns int
 }
+
+const (
+	// fairnessThreshold is the Paella policy's deficit bound.
+	fairnessThreshold = 10000
+	// profileRuns is the profiling repetition count.
+	profileRuns = 3
+)
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
@@ -134,12 +137,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 8
-	}
-	if out.FairnessThreshold == 0 {
-		out.FairnessThreshold = 10000
-	}
-	if out.ProfileRuns <= 0 {
-		out.ProfileRuns = 3
 	}
 	if out.KVBlockBytes < out.Spec.KVBytesPerToken {
 		return out, fmt.Errorf("llm %q: KV page (%d B) smaller than one token's KV (%d B)",
@@ -197,7 +194,7 @@ func CompileSpec(cfg Config) (*Compiled, error) {
 		Kernels:     []*gpu.KernelSpec{&prefill, &decode},
 		Seq:         []int{0, 1},
 	}
-	ins, err := compiler.Compile(m, compiler.DefaultConfig(), cfg.DevCfg, cfg.ProfileRuns)
+	ins, err := compiler.Compile(m, compiler.DefaultConfig(), cfg.DevCfg, profileRuns)
 	if err != nil {
 		return nil, fmt.Errorf("llm %q: %w", s.Name, err)
 	}
@@ -220,9 +217,6 @@ func MustCompileSpec(cfg Config) *Compiled {
 	}
 	return c
 }
-
-// TokensPerPage returns how many tokens' KV state one page holds.
-func (c *Compiled) TokensPerPage() int { return c.tokensPerPage }
 
 // PagesFor returns the KV pages needed to hold the given token count.
 func (c *Compiled) PagesFor(tokens int) int {

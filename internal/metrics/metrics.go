@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -270,16 +269,6 @@ func (c *Collector) MeanLoadNs() sim.Time {
 		total += r.LoadNs
 	}
 	return total / sim.Time(len(c.records))
-}
-
-// BatchSizeHistogram returns how many records rode each widest-batch
-// size (key 0 = never batched). Empty map for an empty collector.
-func (c *Collector) BatchSizeHistogram() map[int]int {
-	out := map[int]int{}
-	for _, r := range c.records {
-		out[r.BatchSize]++
-	}
-	return out
 }
 
 // MeanBatchSize returns the mean widest-batch size over batched records
@@ -658,12 +647,6 @@ func CDF(ds []sim.Time) []CDFPoint {
 		out = append(out, CDFPoint{Value: v, Frac: float64(i+1) / n})
 	}
 	return out
-}
-
-// FormatThroughputLatency renders a (throughput, p99) table row, the unit
-// of Figures 2, 11 and 12.
-func FormatThroughputLatency(system string, tput float64, p99 sim.Time) string {
-	return fmt.Sprintf("%-16s %10.1f req/s   p99=%v", system, tput, p99)
 }
 
 // CPUStats tracks a client's busy/idle accounting for Figure 14.

@@ -23,7 +23,7 @@ import (
 )
 
 // Typed gateway-side failures, returned by Client.Wait. Dispatcher-side
-// failures (core.ErrAdmissionShed etc.) pass through unchanged.
+// failures (core.ErrKernelTimeout etc.) pass through unchanged.
 var (
 	// ErrRingFull: the dispatcher's request ring stayed full through every
 	// backoff attempt (NetConfig.MaxAttempts).
@@ -236,7 +236,7 @@ func (c *Client) Predict(p *sim.Proc, modelName string, inputBytes, outputBytes 
 // Wait blocks until the given request's response (or error response) has
 // fully arrived, and returns the request's terminal error: nil on success,
 // ErrRingFull/ErrGatewayTimeout from the gateway, or the dispatcher's typed
-// failure (core.ErrAdmissionShed, core.ErrKernelTimeout, ...).
+// failure (core.ErrKernelTimeout, core.ErrLoadFailed, ...).
 func (c *Client) Wait(p *sim.Proc, id uint64) error {
 	done, ok := c.inflight[id]
 	if !ok {

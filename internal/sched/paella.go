@@ -71,9 +71,6 @@ func NewPaella(threshold float64) *PaellaPolicy {
 // Name implements Policy.
 func (p *PaellaPolicy) Name() string { return "Paella" }
 
-// Threshold returns the configured fairness threshold.
-func (p *PaellaPolicy) Threshold() float64 { return p.threshold }
-
 // Len implements Policy.
 func (p *PaellaPolicy) Len() int { return p.srpt.Len() }
 

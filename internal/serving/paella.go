@@ -119,9 +119,9 @@ const retryBackoff = 20 * sim.Microsecond
 // dispatcherConfig is the configuration of a Paella dispatcher in mode
 // under opts, shared by the single-GPU systems and every fleet replica:
 // the VRAM budget and, when gated, dynamic batching and — on a faulty run —
-// the recovery machinery (tolerant notification handling plus the kernel
-// watchdog; healthy runs leave it off so their event sequences, and golden
-// traces, are untouched).
+// the kernel watchdog, which also turns on tolerant notification handling
+// (healthy runs leave it off so their event sequences, and golden traces,
+// are untouched).
 func dispatcherConfig(opts Options, mode core.Mode, pol sched.Policy) core.Config {
 	cfg := core.DefaultConfig(pol)
 	cfg.Mode = mode
@@ -129,7 +129,7 @@ func dispatcherConfig(opts Options, mode core.Mode, pol sched.Policy) core.Confi
 	if mode == core.ModeGated {
 		cfg.MaxBatch, cfg.BatchWindow = opts.MaxBatch, opts.BatchWindow
 		if opts.Faults != nil {
-			cfg.FaultTolerant, cfg.KernelTimeout = true, watchdogGrace
+			cfg.KernelTimeout = watchdogGrace
 		}
 	}
 	return cfg

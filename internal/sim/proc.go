@@ -248,9 +248,6 @@ func (c *Cond) Broadcast() {
 	c.spare = fns[:0]
 }
 
-// OnNext registers fn to run on the next Broadcast.
-func (c *Cond) OnNext(fn func()) { c.fns = append(c.fns, fn) }
-
 // WaitCond blocks the process until the next Broadcast on c.
 func (p *Proc) WaitCond(c *Cond) {
 	c.fns = append(c.fns, p.dispatchFn)

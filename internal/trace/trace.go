@@ -67,9 +67,6 @@ func Str(k, v string) Arg { return Arg{Key: k, Val: v} }
 // Int returns an integer-valued Arg.
 func Int(k string, v int64) Arg { return Arg{Key: k, Val: v} }
 
-// F64 returns a float-valued Arg.
-func F64(k string, v float64) Arg { return Arg{Key: k, Val: v} }
-
 // Bool returns a boolean-valued Arg.
 func Bool(k string, v bool) Arg { return Arg{Key: k, Val: v} }
 

@@ -87,15 +87,6 @@ func NewTokenSampler(spec TokenSpec) (*TokenSampler, error) {
 	return &TokenSampler{spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}, nil
 }
 
-// MustNewTokenSampler is NewTokenSampler for known-good specs.
-func MustNewTokenSampler(spec TokenSpec) *TokenSampler {
-	s, err := NewTokenSampler(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // NewTokenTrace builds a sampler that replays a recorded length sequence
 // (e.g. read back with ReadTokensJSON). Next panics past the end — a replay
 // run must supply at least as many lengths as requests.

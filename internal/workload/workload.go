@@ -104,9 +104,11 @@ func (s Spec) Validate() error {
 	switch {
 	case len(s.Mix.Models) == 0:
 		return fmt.Errorf("workload: empty model mix")
+	case !finite(s.Sigma):
+		return fmt.Errorf("workload: sigma %v", s.Sigma)
 	case s.Sigma < 0:
 		return fmt.Errorf("workload: negative sigma")
-	case s.RatePerSec <= 0:
+	case !finite(s.RatePerSec) || s.RatePerSec <= 0:
 		return fmt.Errorf("workload: rate %f", s.RatePerSec)
 	case s.Jobs <= 0:
 		return fmt.Errorf("workload: jobs %d", s.Jobs)
@@ -116,12 +118,18 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: tenants %d", s.Tenants)
 	}
 	for _, w := range s.Mix.Weights {
+		if !finite(w) {
+			return fmt.Errorf("workload: weight %v", w)
+		}
 		if w < 0 {
 			return fmt.Errorf("workload: negative weight")
 		}
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Generate produces the request trace.
 func Generate(s Spec) ([]Request, error) {

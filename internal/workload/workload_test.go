@@ -130,6 +130,12 @@ func TestValidate(t *testing.T) {
 		{Mix: Uniform("a"), RatePerSec: 1, Jobs: 0, Clients: 1},
 		{Mix: Uniform("a"), RatePerSec: 1, Jobs: 1, Clients: 0},
 		{Mix: Weighted([]string{"a"}, []float64{-1}), RatePerSec: 1, Jobs: 1, Clients: 1},
+		{Mix: Uniform("a"), Sigma: math.NaN(), RatePerSec: 1, Jobs: 1, Clients: 1},
+		{Mix: Uniform("a"), Sigma: math.Inf(1), RatePerSec: 1, Jobs: 1, Clients: 1},
+		{Mix: Uniform("a"), RatePerSec: math.NaN(), Jobs: 1, Clients: 1},
+		{Mix: Uniform("a"), RatePerSec: math.Inf(1), Jobs: 1, Clients: 1},
+		{Mix: Weighted([]string{"a", "b"}, []float64{1, math.NaN()}), RatePerSec: 1, Jobs: 1, Clients: 1},
+		{Mix: Weighted([]string{"a", "b"}, []float64{1, math.Inf(1)}), RatePerSec: 1, Jobs: 1, Clients: 1},
 	}
 	for i, s := range bad {
 		if _, err := Generate(s); err == nil {
