@@ -78,8 +78,11 @@ type seqState struct {
 	// prefill pass — fresh arrivals and preemption victims. False for
 	// handed-off sequences whose KV arrives over the interconnect.
 	needCompute bool
-	inPolicy    bool
-	// readyIdx is the sequence's slot in Engine.ready while inPolicy.
+	// inPolicy marks a sequence in the Paella policy's trees: runnable, or
+	// riding the in-flight continuous iteration.
+	inPolicy bool
+	// inReady marks a sequence in Engine.ready; readyIdx is its slot there.
+	inReady  bool
 	readyIdx int
 
 	// Latency-anatomy stamps. prefillStart marks an in-flight prefill
@@ -94,23 +97,27 @@ type seqState struct {
 }
 
 // Engine serves one generative model on one device: a FIFO prefill lane on
-// its own hardware queue, and a continuously-batched decode loop that
-// rebuilds its batch from the Paella policy at every iteration boundary.
+// its own hardware queue, and a continuously-batched decode loop ordered by
+// the Paella policy. Decoding sequences stay in the policy across their
+// iterations: at every iteration boundary the policy's batch order names
+// the next iteration's members, and each survivor of the last one is
+// requeued with its shorter remaining-work estimate.
 type Engine struct {
 	env    *sim.Env
 	dev    *gpu.Device
 	mem    *vram.Manager
 	comp   *Compiled
-	policy sched.Policy
+	policy *sched.PaellaPolicy
 	col    *metrics.Collector
 
 	// prefillQ holds sequences awaiting KV pages and (when needCompute) a
 	// prefill pass, FIFO. At most one prefill kernel is in flight.
 	prefillQ    []*seqState
 	prefillBusy bool
-	// ready mirrors the policy's membership for victim scans. Its order is
-	// irrelevant: readyVictim's worseThan is a total order on (Remaining,
-	// ID), so removal swaps the last entry into the freed slot.
+	// ready lists the policy's sequences that are not riding the in-flight
+	// continuous iteration, for victim scans. Its order is irrelevant:
+	// readyVictim's worseThan is a total order on (Remaining, ID), so
+	// removal swaps the last entry into the freed slot.
 	ready []*seqState
 	// batch is the in-flight decode iteration's membership; group is the
 	// static-mode resident batch (persists across iterations until drained).
@@ -119,8 +126,10 @@ type Engine struct {
 	groupWidth int
 	decodeBusy bool
 	// spareMembers, spareBatch and entries are maybeIterate's scratch,
-	// reused across iterations. A buffer in use is taken out of its field,
-	// so a nested call (through an OnFinish callback) allocates its own.
+	// reused across iterations; entries holds the policy's picks, then
+	// the launched members' entries. A buffer in use is taken out of its
+	// field, so a nested call (through an OnFinish callback) allocates its
+	// own.
 	spareMembers []*seqState
 	spareBatch   []*seqState
 	entries      []*sched.JobEntry
@@ -319,10 +328,11 @@ func (e *Engine) decodeReady(s *seqState) {
 }
 
 // maybeIterate forms and launches the next decode iteration. Continuous
-// mode rebuilds the batch from the policy every iteration (joins and
-// retirements at iteration boundaries); static mode forms a batch only
-// when the previous one has fully drained and pads its launches at the
-// formation width until then.
+// mode takes the batch from the policy's order every iteration (joins and
+// retirements at iteration boundaries); its members stay in the policy
+// and only leave the victim-scan list. Static mode forms a batch only
+// when the previous one has fully drained, takes its members out of the
+// policy, and pads its launches at the formation width until then.
 func (e *Engine) maybeIterate() {
 	if e.decodeBusy {
 		return
@@ -335,22 +345,16 @@ func (e *Engine) maybeIterate() {
 	}()
 	width := 0
 	if e.comp.Cfg.Continuous {
-		for len(members) < e.comp.Cfg.MaxBatch {
-			j := e.policy.Pick()
-			if j == nil {
-				break
-			}
+		e.entries = e.policy.AppendBatch(e.entries[:0], e.comp.Cfg.MaxBatch)
+		for _, j := range e.entries {
 			s := j.Payload.(*seqState)
-			e.removeFromPolicy(s)
+			e.dropReady(s)
 			members = append(members, s)
 		}
 	} else {
 		if len(e.group) == 0 {
-			for len(e.group) < e.comp.Cfg.MaxBatch {
-				j := e.policy.Pick()
-				if j == nil {
-					break
-				}
+			e.entries = e.policy.AppendBatch(e.entries[:0], e.comp.Cfg.MaxBatch)
+			for _, j := range e.entries {
 				s := j.Payload.(*seqState)
 				e.removeFromPolicy(s)
 				e.group = append(e.group, s)
@@ -360,6 +364,7 @@ func (e *Engine) maybeIterate() {
 		members = append(members, e.group...)
 		width = e.groupWidth
 	}
+	clear(e.entries)
 	if len(members) == 0 {
 		return
 	}
@@ -382,9 +387,11 @@ func (e *Engine) maybeIterate() {
 			e.fail(s)
 		default:
 			// Stall: skip this iteration. Static members stay in the group;
-			// continuous ones return to the policy to be re-picked.
+			// continuous ones go to the back of their ties in the policy,
+			// where a Remove and Add would put them, to be re-picked.
 			if e.comp.Cfg.Continuous {
-				e.addToPolicy(s)
+				e.policy.Requeue(&s.entry)
+				e.addReady(s)
 			}
 		}
 	}
@@ -432,16 +439,28 @@ func (e *Engine) iterDone() {
 	e.decodeBusy = false
 	batch := e.batch
 	e.batch = nil
+	// Settle every member's place in the policy before any retirement runs
+	// OnFinish, so no callback sees a member that is neither requeued nor
+	// gone. Continuous members are still in the policy; static ones are not.
 	for _, s := range batch {
 		s.generated++
 		if s.rec.FirstToken == 0 {
 			s.rec.FirstToken = now
 		}
+		switch {
+		case s.generated >= s.req.Output:
+			if s.inPolicy {
+				e.removeFromPolicy(s)
+			}
+		case e.comp.Cfg.Continuous:
+			s.entry.Remaining = sim.Time(s.req.Output-s.generated) * e.comp.DecodeMean()
+			e.policy.Requeue(&s.entry)
+			e.addReady(s)
+		}
+	}
+	for _, s := range batch {
 		if s.generated >= s.req.Output {
 			e.retire(s, now)
-		} else if e.comp.Cfg.Continuous {
-			s.entry.Remaining = sim.Time(s.req.Output-s.generated) * e.comp.DecodeMean()
-			e.addToPolicy(s)
 		}
 	}
 	clear(batch)
@@ -531,7 +550,7 @@ func (e *Engine) reserveFor(s *seqState, tokens int, members []*seqState, i int)
 }
 
 // decodeVictim picks the sequence to preempt so that decode member
-// members[i] can grow: the policy-resident readyVictim if any, else the
+// members[i] can grow: the waiting readyVictim if any, else the
 // worst not-yet-grown member from the batch tail. The SRPT-front member
 // must make progress or the loop deadlocks with every sequence holding
 // pages and none able to grow. A tail victim leaves the batch.
@@ -575,8 +594,9 @@ func (e *Engine) preempt(v *seqState) {
 	e.prefillQ = append(e.prefillQ, v)
 }
 
-// readyVictim picks the preemption victim among policy-resident sequences:
-// the one SRPT would serve last (max remaining, then max ID) — evicting the
+// readyVictim picks the preemption victim among the sequences in ready,
+// which holds no member of the batch being formed or in flight: the one
+// SRPT would serve last (max remaining, then max ID) — evicting the
 // longest-remaining waiter costs the least expected progress.
 func (e *Engine) readyVictim() *seqState {
 	var best *seqState
@@ -603,13 +623,25 @@ func worseThan(a, b *seqState) bool {
 func (e *Engine) addToPolicy(s *seqState) {
 	e.policy.Add(&s.entry)
 	s.inPolicy = true
-	s.readyIdx = len(e.ready)
-	e.ready = append(e.ready, s)
+	e.addReady(s)
 }
 
 func (e *Engine) removeFromPolicy(s *seqState) {
 	e.policy.Remove(&s.entry)
 	s.inPolicy = false
+	if s.inReady {
+		e.dropReady(s)
+	}
+}
+
+func (e *Engine) addReady(s *seqState) {
+	s.inReady = true
+	s.readyIdx = len(e.ready)
+	e.ready = append(e.ready, s)
+}
+
+func (e *Engine) dropReady(s *seqState) {
+	s.inReady = false
 	last := len(e.ready) - 1
 	moved := e.ready[last]
 	e.ready[s.readyIdx] = moved

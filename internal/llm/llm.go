@@ -163,6 +163,12 @@ type Compiled struct {
 
 	prefillSpecs map[int]*gpu.KernelSpec // by block count
 	decodeSpecs  map[int]*gpu.KernelSpec // by batch width
+
+	// prefillMean and decodeMean are the profiled mean kernel times, read
+	// once at compile time: the engine prices every member of every decode
+	// iteration with decodeMean. Nothing refines an LLM profile after
+	// compiler.ProfileModel returns, so the cached values never go stale.
+	prefillMean, decodeMean sim.Time
 }
 
 // CompileSpec runs the standard submission pipeline on the two-kernel LLM
@@ -206,6 +212,8 @@ func CompileSpec(cfg Config) (*Compiled, error) {
 		tokensPerPage: int(cfg.KVBlockBytes / s.KVBytesPerToken),
 		prefillSpecs:  make(map[int]*gpu.KernelSpec),
 		decodeSpecs:   make(map[int]*gpu.KernelSpec),
+		prefillMean:   ins.Profile.MeanTime(PrefillKernel),
+		decodeMean:    ins.Profile.MeanTime(DecodeKernel),
 	}, nil
 }
 
@@ -249,12 +257,12 @@ func (c *Compiled) DecodeSpec(n int) *gpu.KernelSpec {
 
 // DecodeMean returns the profiled solo decode-iteration time. It feeds
 // the SRPT estimates and the gateway's per-replica cost pricing.
-func (c *Compiled) DecodeMean() sim.Time { return c.Profile.MeanTime(DecodeKernel) }
+func (c *Compiled) DecodeMean() sim.Time { return c.decodeMean }
 
 // PrefillMean returns the profiled prefill time for a representative
 // Spec.ProfilePromptTokens-token prompt. It feeds the SRPT estimates and
 // the gateway's per-replica cost pricing.
-func (c *Compiled) PrefillMean() sim.Time { return c.Profile.MeanTime(PrefillKernel) }
+func (c *Compiled) PrefillMean() sim.Time { return c.prefillMean }
 
 func pagesCeil(n, per int) int {
 	if per <= 0 {

@@ -31,6 +31,9 @@ type PaellaPolicy struct {
 	// couple independent policy instances (replica dispatchers) and race
 	// when replicas run on separate goroutines under the parallel engine.
 	nextSeq uint64
+	// detached is batchDispatched's scratch: the client nodes it took out
+	// of the deficit tree, reinserted once the whole batch is charged.
+	detached []*paellaClient
 }
 
 type paellaClient struct {
@@ -50,14 +53,8 @@ type paellaClient struct {
 func NewPaella(threshold float64) *PaellaPolicy {
 	p := &PaellaPolicy{
 		threshold: threshold,
-		srpt: rbtree.New(func(a, b *JobEntry) bool {
-			if a.Remaining != b.Remaining {
-				return a.Remaining < b.Remaining
-			}
-			less, ok := warmFirst(a, b)
-			return ok && less
-		}),
-		clients: make(map[int]*paellaClient),
+		srpt:      rbtree.New(remainingLess),
+		clients:   make(map[int]*paellaClient),
 	}
 	p.deficit = rbtree.New(func(a, b *paellaClient) bool {
 		if a.stored != b.stored {
@@ -80,7 +77,7 @@ func (p *PaellaPolicy) client(id int) *paellaClient {
 		p.nextSeq++
 		c = &paellaClient{
 			id:   id,
-			jobs: rbtree.New(func(a, b *JobEntry) bool { return a.Arrival < b.Arrival }),
+			jobs: rbtree.New(arrivalLess),
 			seq:  p.nextSeq,
 			// A new client starts level with the field: stored 0 means
 			// effective deficit equals the global boost, the same as a
@@ -91,6 +88,9 @@ func (p *PaellaPolicy) client(id int) *paellaClient {
 	}
 	return c
 }
+
+// arrivalLess orders a client's jobs oldest first.
+func arrivalLess(a, b *JobEntry) bool { return a.Arrival < b.Arrival }
 
 // JobAdmitted implements Policy: the client gains an unfinished job and
 // (re)joins the deficit index.
@@ -161,6 +161,80 @@ func (p *PaellaPolicy) Pick() *JobEntry {
 	return p.srpt.Min().Item
 }
 
+// AppendBatch appends to dst the first n jobs that n rounds of Pick then
+// Remove would return, in that order, and removes nothing. It is exact
+// because nothing those rounds do moves the deficit tree: every client
+// above the threshold yields all its jobs oldest first, in
+// deficit-descending order, and once the scan reaches a client at or below
+// the threshold the rest come in SRPT order, skipping the jobs of the
+// clients already drained.
+func (p *PaellaPolicy) AppendBatch(dst []*JobEntry, n int) []*JobEntry {
+	if n <= 0 {
+		return dst
+	}
+	want := len(dst) + n
+	for cn := p.deficit.Max(); cn != nil; cn = cn.Prev() {
+		c := cn.Item
+		if c.stored+p.boost <= p.threshold {
+			break
+		}
+		for jn := c.jobs.Min(); jn != nil; jn = jn.Next() {
+			dst = append(dst, jn.Item)
+			if len(dst) == want {
+				return dst
+			}
+		}
+	}
+	for jn := p.srpt.Min(); jn != nil; jn = jn.Next() {
+		if p.drained(jn.Item.Client) {
+			continue
+		}
+		dst = append(dst, jn.Item)
+		if len(dst) == want {
+			return dst
+		}
+	}
+	return dst
+}
+
+// drained reports whether AppendBatch's fairness phase took every job of
+// client: the client is in the deficit tree above the threshold, the same
+// test Pick's scan applies.
+func (p *PaellaPolicy) drained(client int) bool {
+	c := p.clients[client]
+	return c.node != nil && c.stored+p.boost > p.threshold
+}
+
+// Requeue is Remove(j) followed by Add(j), for a job whose Remaining has
+// changed while it sat in the policy; every other job must still sit where
+// its own key puts it, so change one key and Requeue it before the next.
+// In each tree it leaves the node in place when that is exactly where the
+// reinsert would put it: after every node that does not sort above j and
+// before every node that does, which the tree's equal-keys-go-right
+// insertion makes the last slot among j's ties. Otherwise it deletes and
+// reinserts the node.
+func (p *PaellaPolicy) Requeue(j *JobEntry) {
+	if !j.primary.Attached() {
+		panic("sched: requeueing job not in Paella")
+	}
+	if !inPlace(j.primary, remainingLess) {
+		p.srpt.Delete(j.primary)
+		p.srpt.InsertNode(j.primary)
+	}
+	if !inPlace(j.secondary, arrivalLess) {
+		jobs := p.clients[j.Client].jobs
+		jobs.Delete(j.secondary)
+		jobs.InsertNode(j.secondary)
+	}
+}
+
+// inPlace reports whether n already sits where deleting and reinserting
+// it into its tree, ordered by less, would put it.
+func inPlace(n *rbtree.Node[*JobEntry], less func(a, b *JobEntry) bool) bool {
+	prev, next := n.Prev(), n.Next()
+	return (prev == nil || !less(n.Item, prev.Item)) && (next == nil || less(n.Item, next.Item))
+}
+
 // PickFit implements Policy: the fairness override considers only the
 // most-starved client's oldest fitting job; otherwise jobs are scanned in
 // SRPT order.
@@ -212,9 +286,12 @@ func (p *PaellaPolicy) Dispatched(j *JobEntry) {
 		p.deficit.InsertNode(c.node)
 	}
 	p.boost += 1 / float64(n)
+	p.renormalize()
+}
 
-	// Renormalize before floating-point magnitudes degrade (the paper's
-	// O(n) reset).
+// renormalize folds the boost into every stored deficit before
+// floating-point magnitudes degrade (the paper's O(n) reset).
+func (p *PaellaPolicy) renormalize() {
 	if p.boost > 1e9 {
 		for _, cc := range p.clients {
 			cc.stored += p.boost
@@ -223,6 +300,37 @@ func (p *PaellaPolicy) Dispatched(j *JobEntry) {
 		// valid.
 		p.boost = 0
 	}
+}
+
+// batchDispatched is one Dispatched per member, in order, with each
+// member client's deficit node taken out of the tree before that client's
+// first charge and put back once after the last. The stored values, the
+// boost and every renormalization are the same float operations in the
+// same order as the per-member calls; a node still in the tree only sees
+// renormalization's uniform shift, which keeps the order; and since
+// (stored, seq) is a strict total order, the reinsertion order cannot
+// change the tree's in-order.
+func (p *PaellaPolicy) batchDispatched(members []*JobEntry) {
+	detached := p.detached[:0]
+	n := float64(len(p.clients))
+	for _, j := range members {
+		c := p.clients[j.Client]
+		if c == nil {
+			panic("sched: Dispatched for unknown client")
+		}
+		if c.node.Attached() {
+			p.deficit.Delete(c.node)
+			detached = append(detached, c)
+		}
+		c.stored--
+		p.boost += 1 / n
+		p.renormalize()
+	}
+	for _, c := range detached {
+		p.deficit.InsertNode(c.node)
+	}
+	clear(detached)
+	p.detached = detached[:0]
 }
 
 // EffectiveDeficit returns client's current effective deficit (testing and

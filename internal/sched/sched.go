@@ -107,8 +107,14 @@ func BatchRemaining(members []*JobEntry) sim.Time {
 // BatchDispatched charges one batched kernel dispatch to every member's
 // client: each member consumed device capacity, so each member's client
 // pays the §6 deficit bookkeeping — a client cannot launder service past
-// the fairness threshold by riding other clients' batches.
+// the fairness threshold by riding other clients' batches. On a
+// *PaellaPolicy it charges the whole batch with one deficit-tree
+// reposition per member client rather than one per member.
 func BatchDispatched(p Policy, members []*JobEntry) {
+	if pp, ok := p.(*PaellaPolicy); ok {
+		pp.batchDispatched(members)
+		return
+	}
 	for _, e := range members {
 		p.Dispatched(e)
 	}
@@ -214,14 +220,16 @@ func NewSJF() Policy {
 }
 
 // NewSRPT returns shortest-remaining-processing-time scheduling.
-func NewSRPT() Policy {
-	return newTreePolicy("SRPT", func(a, b *JobEntry) bool {
-		if a.Remaining != b.Remaining {
-			return a.Remaining < b.Remaining
-		}
-		less, ok := warmFirst(a, b)
-		return ok && less
-	})
+func NewSRPT() Policy { return newTreePolicy("SRPT", remainingLess) }
+
+// remainingLess is the SRPT order: least remaining work first, warm first
+// on a tie.
+func remainingLess(a, b *JobEntry) bool {
+	if a.Remaining != b.Remaining {
+		return a.Remaining < b.Remaining
+	}
+	less, ok := warmFirst(a, b)
+	return ok && less
 }
 
 // NewEDF returns earliest-deadline-first scheduling. Jobs without a
