@@ -119,7 +119,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&c.faults, "faults", "", "JSON fault plan (internal/fault); arms the dispatcher's recovery machinery")
 	fs.Float64Var(&c.chaos, "chaos", 0, "synthesize a fault plan at this intensity in (0,1] instead of -faults")
 	fs.IntVar(&c.replicas, "replicas", 1, "number of cluster replicas (GPUs); >1 runs the conservative-window cluster engine")
-	fs.BoolVar(&c.parallel, "parallel", false, "execute replica shards on goroutines (bit-identical to serial); requires -replicas > 1")
+	fs.BoolVar(&c.parallel, "parallel", false, "let replica shard windows run on other goroutines (bit-identical to serial; every window currently runs inline); requires -replicas > 1")
 	fs.DurationVar(&c.window, "window", 50*time.Microsecond, "conservative synchronization window (with -replicas > 1)")
 	fs.StringVar(&c.gateway, "gateway", "least-loaded", "gateway routing policy from the internal/gateway registry for -replicas > 1, -llm, and -autoscale ('list' to enumerate)")
 	fs.IntVar(&c.tenants, "tenants", 0, "tag requests with N tenants drawn uniformly (0 = untenanted)")

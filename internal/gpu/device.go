@@ -112,6 +112,7 @@ type Device struct {
 	rrCursor     int    // round-robin start queue for fairness
 	smCursor     int    // round-robin start SM for placement spreading
 	queued       int    // launches resident across all hardware queues
+	resident     int    // thread blocks resident across all SMs
 	occ          uint64 // bitmask of non-empty queues (used when nq ≤ 64)
 	stats        Stats
 	lastUtilAt   sim.Time
@@ -325,12 +326,8 @@ func (d *Device) traceSM(i int) {
 		d.rec.Sample(c, "smem", now, float64(sm.shmem))
 	}
 	if d.mt != nil {
-		blocks := 0
-		for j := range d.sms {
-			blocks += d.sms[j].blocks
-		}
 		d.mt.Set(d.mtThreads, now, float64(d.threadsInUse))
-		d.mt.Set(d.mtBlocks, now, float64(blocks))
+		d.mt.Set(d.mtBlocks, now, float64(d.resident))
 	}
 }
 
@@ -342,11 +339,7 @@ func (d *Device) traceQueueDepth(q int) {
 		d.rec.Sample(d.qDepth, d.qSeries[q], now, float64(d.queues[q].depth()))
 	}
 	if d.mt != nil {
-		depth := 0
-		for i := range d.queues {
-			depth += d.queues[i].depth()
-		}
-		d.mt.Set(d.mtQDepth, now, float64(depth))
+		d.mt.Set(d.mtQDepth, now, float64(d.queued))
 	}
 }
 
@@ -504,13 +497,7 @@ func (d *Device) FreeThreads() int {
 }
 
 // ResidentBlocks returns the number of thread blocks currently resident.
-func (d *Device) ResidentBlocks() int {
-	n := 0
-	for i := range d.sms {
-		n += d.sms[i].blocks
-	}
-	return n
-}
+func (d *Device) ResidentBlocks() int { return d.resident }
 
 // Submit enqueues a launch onto hardware queue q. The launch must not have
 // been submitted before. Submission models the driver-side launch cost
@@ -823,6 +810,7 @@ func (d *Device) placeBlocks(l *Launch) int {
 			sm.regs += e.got * rg
 			sm.shmem += e.got * sh
 			d.threadsInUse += e.got * th
+			d.resident += e.got
 			d.freeBlocks -= e.got
 			d.freeThreads -= e.got * th
 			perSM = append(perSM, smPlacement{sm: e.sm, n: e.got})
@@ -883,6 +871,7 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 	sm.regs -= n * rg
 	sm.shmem -= n * sh
 	d.threadsInUse -= n * th
+	d.resident -= n
 	if !sm.offline {
 		// A retired SM's draining blocks free no usable capacity; its
 		// residual share was already deducted wholesale at retirement.
@@ -991,16 +980,26 @@ func (d *Device) accrueUtil() {
 	}
 }
 
-// CheckInvariants panics if any SM's accounting is out of bounds; tests
-// call it between steps.
+// CheckInvariants panics if any SM's accounting is out of bounds, or if the
+// running resident-block and queued-launch counts disagree with the SMs
+// and queues; tests call it between steps.
 func (d *Device) CheckInvariants() {
+	blocks, queued := 0, 0
+	for i := range d.queues {
+		queued += d.queues[i].depth()
+	}
 	for i := range d.sms {
 		sm := &d.sms[i]
+		blocks += sm.blocks
 		if sm.blocks < 0 || sm.blocks > d.cfg.SM.MaxBlocks ||
 			sm.threads < 0 || sm.threads > d.cfg.SM.MaxThreads ||
 			sm.regs < 0 || sm.regs > d.cfg.SM.MaxRegisters ||
 			sm.shmem < 0 || sm.shmem > d.cfg.SM.MaxSharedMem {
 			panic(fmt.Sprintf("gpu: SM %d out of bounds: %+v", i, *sm))
 		}
+	}
+	if blocks != d.resident || queued != d.queued {
+		panic(fmt.Sprintf("gpu: %d resident blocks and %d queued launches counted as %d and %d",
+			blocks, queued, d.resident, d.queued))
 	}
 }

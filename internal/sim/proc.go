@@ -53,7 +53,7 @@ type worker struct {
 }
 
 var idleWorkers struct {
-	mu sync.Mutex // World shards spawn and retire processes concurrently
+	mu sync.Mutex // Envs on different goroutines spawn and retire processes concurrently
 	ws []*worker
 }
 

@@ -10,10 +10,10 @@ import (
 
 // buildProcWorld wires processes onto every shard of w that block on each
 // primitive — Sleep, WaitCond, Mutex.Lock, Completion.Wait — across many
-// windows. Some are spawned before the run, some from shard events (on
-// whichever goroutine runs the shard) and some from control callbacks, so
-// under the parallel executor coroutines are created on one goroutine and
-// resumed from another.
+// windows. Some are spawned before the run, some from shard events and some
+// from control callbacks, so an executor that runs shards on other
+// goroutines creates coroutines on one goroutine and resumes them from
+// another.
 func buildProcWorld(w *World, shards int, log *worldLog) {
 	for i := 0; i < shards; i++ {
 		i := i
@@ -83,9 +83,9 @@ func runProcWorld(shards int, window Time, parallel bool) []string {
 	return log.lines()
 }
 
-// TestWorldProcsSerialParallelIdentical: processes resumed from shard
-// runner goroutines produce the serial executor's transcript byte for
-// byte, for several window sizes.
+// TestWorldProcsSerialParallelIdentical: processes on the shards of a
+// parallel World produce the serial executor's transcript byte for byte,
+// for several window sizes.
 func TestWorldProcsSerialParallelIdentical(t *testing.T) {
 	for _, window := range []Time{2 * Microsecond, 7 * Microsecond, 50 * Microsecond} {
 		serial := runProcWorld(4, window, false)
@@ -106,7 +106,7 @@ func TestWorldProcsSerialParallelIdentical(t *testing.T) {
 
 // TestProcPanicMessage: a panic inside a process surfaces from the Step
 // that resumed it, naming the process — on a plain Env and from a shard
-// running on a runner goroutine.
+// of a serial or parallel World.
 func TestProcPanicMessage(t *testing.T) {
 	const want = `sim: process "doomed" panicked: kaboom`
 	e := NewEnv()

@@ -25,9 +25,9 @@
 // zero heap allocations per event.
 //
 // For multi-GPU cluster simulations, World composes several Envs — one
-// shard per replica plus a control shard — and executes replica windows
-// concurrently under a conservative synchronization protocol while keeping
-// results bit-identical to a serial run (see world.go).
+// shard per replica plus a control shard — and advances them in windows
+// under a conservative synchronization protocol whose parallel mode is
+// bit-identical to a serial run (see world.go).
 package sim
 
 import (

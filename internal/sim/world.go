@@ -14,10 +14,10 @@ package sim
 //     Clamping to the next control event means control events (request
 //     arrivals, crash injections) never execute late; only the Δ-bounded
 //     batching below is approximate.
-//  3. Every shard runs its own events up to and including H — concurrently
-//     on per-shard goroutines when parallel mode is on — then advances its
-//     clock to exactly H. Shards share no state, so any interleaving of
-//     this step commutes.
+//  3. Every shard runs its own events up to and including H, then advances
+//     its clock to exactly H. Shards share no state, so any interleaving
+//     of this step commutes; today it runs inline, in shard order, in
+//     both modes (see SetParallel).
 //  4. Cross-shard messages emitted during the window (World.Post) are
 //     merged into the control heap in canonical (timestamp, shard,
 //     emission-order) order.
@@ -26,12 +26,13 @@ package sim
 //     control event may read or write any replica's state directly.
 //
 // Determinism argument: within a window each shard's event order is fixed
-// by its own (time, seq) heap; shards touch only their own state, so steps
-// 3's goroutine interleaving cannot change any outcome. Every cross-shard
-// effect funnels through step 4's canonical merge or through control
-// events, both of which are ordered identically whether step 3 ran on one
-// goroutine or N. Hence a serial World run and a parallel World run are
-// bit-identical — same metrics, same trace bytes — for every seed.
+// by its own (time, seq) heap; shards touch only their own state, so which
+// goroutine runs a shard in step 3, and in what interleaving, cannot change
+// any outcome. Every cross-shard effect funnels through step 4's canonical
+// merge or through control events, both of which are ordered identically
+// whether step 3 ran on one goroutine or N. Hence a serial World run and a
+// parallel World run are bit-identical — same metrics, same trace bytes —
+// for every seed.
 //
 // The window Δ is a fidelity/overhead knob, not a correctness knob: a
 // posted message carries its emission timestamp and executes on the
@@ -46,16 +47,14 @@ type World struct {
 	window   Time
 	parallel bool
 
-	// posts[i] is shard i's outbox. During a window only the goroutine
-	// running shard i appends to it; the coordinator drains it at the
-	// barrier. Within one shard, timestamps are nondecreasing (the shard
-	// clock is monotone), which flushPosts relies on for its k-way merge.
+	// posts[i] is shard i's outbox. During a window only shard i's events
+	// append to it; the barrier drains it. Within one shard, timestamps
+	// are nondecreasing (the shard clock is monotone), which flushPosts
+	// relies on for its k-way merge.
 	posts [][]wpost
 
-	runners []*shardRunner // persistent per-shard goroutines (parallel mode)
-	active  []bool         // scratch: shards dispatched this window
-	merge   []int          // scratch: per-shard merge cursors
-	mheap   []mergeEnt     // scratch: k-way merge heap over shard outboxes
+	merge []int      // scratch: per-shard merge cursors
+	mheap []mergeEnt // scratch: k-way merge heap over shard outboxes
 }
 
 // wpost is one cross-shard message: the typed callback cb(ctx, arg) to run
@@ -71,11 +70,6 @@ type wpost struct {
 type mergeEnt struct {
 	at    Time
 	shard int32
-}
-
-type shardRunner struct {
-	cmd  chan Time // window horizon to run to
-	done chan any  // recovered panic, or nil
 }
 
 // DefaultWindow is the default conservative window Δ. It is comfortably
@@ -120,11 +114,14 @@ func (w *World) SetWindow(d Time) {
 	w.window = d
 }
 
-// Parallel reports whether shard windows run on per-shard goroutines.
+// Parallel reports whether shard windows may run on other goroutines.
 func (w *World) Parallel() bool { return w.parallel }
 
-// SetParallel switches shard-window execution between inline (serial) and
-// per-shard goroutines. Results are bit-identical either way.
+// SetParallel lets shard windows run on other goroutines. The executor
+// uses none today: every window runs inline on the calling goroutine in
+// either mode, because no measured workload's windows hold enough shard
+// work to pay for a hand-off (DESIGN §8.1). Results are bit-identical
+// either way.
 func (w *World) SetParallel(on bool) { w.parallel = on }
 
 // Post enqueues fn to run on the control timeline at the emitting shard's
@@ -188,14 +185,9 @@ func (w *World) RunUntil(limit Time) {
 	w.ctrl.RunUntil(limit)
 }
 
-// Close stops the per-shard runner goroutines (if parallel mode started
-// them). The world must not be run again after Close.
-func (w *World) Close() {
-	for _, r := range w.runners {
-		close(r.cmd)
-	}
-	w.runners = nil
-}
+// Close releases the world's executor, which today holds nothing: a World
+// starts no goroutine. The world must not be run again after Close.
+func (w *World) Close() {}
 
 // stepWindow runs one window to horizon h: shards, then the post merge,
 // then the control events — the serialization point.
@@ -216,70 +208,13 @@ func (w *World) nextTime() (Time, bool) {
 	return best, ok
 }
 
-// runShards executes every shard's events up to and including h and
-// advances all shard clocks to exactly h.
+// runShards executes every shard's events up to and including h, in shard
+// order on the calling goroutine, and advances all shard clocks to exactly
+// h. Parallel mode takes the same path (see SetParallel).
 func (w *World) runShards(h Time) {
-	if !w.parallel || len(w.shards) < 2 {
-		for _, s := range w.shards {
-			s.RunUntil(h)
-		}
-		return
+	for _, s := range w.shards {
+		s.RunUntil(h)
 	}
-	w.startRunners()
-	if w.active == nil {
-		w.active = make([]bool, len(w.shards))
-	}
-	for i, s := range w.shards {
-		if t, o := s.NextEventTime(); o && t <= h {
-			w.active[i] = true
-			w.runners[i].cmd <- h
-		} else {
-			w.active[i] = false
-			if s.now < h {
-				s.now = h
-			}
-		}
-	}
-	// Collect in shard order so a panic surfaces deterministically (lowest
-	// shard first) and every dispatched runner is drained before panicking.
-	var firstPanic any
-	for i := range w.shards {
-		if !w.active[i] {
-			continue
-		}
-		if p := <-w.runners[i].done; p != nil && firstPanic == nil {
-			firstPanic = p
-		}
-	}
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-}
-
-func (w *World) startRunners() {
-	if len(w.runners) == len(w.shards) {
-		return
-	}
-	w.Close()
-	w.runners = make([]*shardRunner, len(w.shards))
-	for i, s := range w.shards {
-		r := &shardRunner{cmd: make(chan Time), done: make(chan any)}
-		w.runners[i] = r
-		go func(e *Env) {
-			for h := range r.cmd {
-				r.done <- runShardWindow(e, h)
-			}
-		}(s)
-	}
-}
-
-// runShardWindow runs one shard window, converting a panic (including a
-// process panic re-raised by Step) into a value for deterministic
-// propagation by the coordinator.
-func runShardWindow(e *Env, h Time) (p any) {
-	defer func() { p = recover() }()
-	e.RunUntil(h)
-	return nil
 }
 
 // flushPosts drains every shard outbox into the control heap. Outboxes are

@@ -3,13 +3,14 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// worldLog records event executions per timeline. Shard events may run on
-// per-shard goroutines, so each shard appends only to its own slice (and
-// control events only to ctrl); lines() concatenates them into one
-// comparable transcript afterward.
+// worldLog records event executions per timeline. Each shard appends only
+// to its own slice (and control events only to ctrl), so the log is
+// race-free whichever goroutine runs a shard; lines() concatenates them
+// into one comparable transcript afterward.
 type worldLog struct {
 	ctrl  []string
 	shard [][]string
@@ -326,8 +327,8 @@ func TestWorldShardPanicDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorldProcsOnShards: Proc coroutines work on shard Envs, including
-// when windows execute on per-shard goroutines.
+// TestWorldProcsOnShards: Proc coroutines work on the shard Envs of a
+// parallel World.
 func TestWorldProcsOnShards(t *testing.T) {
 	w := NewWorld()
 	w.SetParallel(true)
@@ -347,6 +348,34 @@ func TestWorldProcsOnShards(t *testing.T) {
 	for i, n := range counts {
 		if n != 50 {
 			t.Fatalf("shard %d proc completed %d iterations, want 50", i, n)
+		}
+	}
+}
+
+// TestWorldStartsNoGoroutines: a parallel World runs its windows inline,
+// so it starts no goroutine that could outlive Close or spin while the
+// World is idle between RunUntil calls.
+func TestWorldStartsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	w := NewWorld()
+	w.SetParallel(true)
+	defer w.Close()
+	for i := 0; i < 4; i++ {
+		i := i
+		s := w.AddShard()
+		var tick func()
+		tick = func() {
+			w.Post(i, func() {})
+			if s.Now() < 200*Microsecond {
+				s.DoAfter(Time(i+1)*Microsecond, tick)
+			}
+		}
+		s.Do(0, tick)
+	}
+	for _, limit := range []Time{100 * Microsecond, Millisecond} {
+		w.RunUntil(limit)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("after RunUntil(%v): %d goroutines, %d before the world", limit, n, base)
 		}
 	}
 }
