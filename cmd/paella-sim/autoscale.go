@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -29,8 +28,8 @@ func (c *config) trafficSpec(mix workload.Mix) (workload.TrafficSpec, error) {
 		if err != nil {
 			return workload.TrafficSpec{}, err
 		}
-		var spec workload.TrafficSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := workload.ParseTrafficSpec(data)
+		if err != nil {
 			return workload.TrafficSpec{}, fmt.Errorf("%s: %w", arg, err)
 		}
 		return spec, nil

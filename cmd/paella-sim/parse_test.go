@@ -22,6 +22,13 @@ func TestRefusals(t *testing.T) {
 		`{"at_ns":1000,"model":"mobilenetv2","client":0}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A valid constant-traffic spec whose optional "tenants" field is
+	// misspelled: a lenient decoder would run it single-tenant.
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typo, []byte(`{"shape":"constant","mix":{"Models":["resnet18"],"Weights":[1]},`+
+		`"sigma":1,"base_rate_per_sec":3000,"jobs":20,"clients":4,"tenant":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	llmOnly := func(args ...string) []string { return append([]string{"-llm", "-jobs", "10"}, args...) }
 	cases := []struct {
 		name string
@@ -64,6 +71,8 @@ func TestRefusals(t *testing.T) {
 		{"zero-scale-interval", []string{"-autoscale", "queue-depth", "-scale-interval", "0"}, "-scale-interval must be > 0"},
 		{"trace-foreign-model", []string{"-models", "resnet18", "-trace", foreign},
 			`names model "mobilenetv2", which -models does not load`},
+		{"traffic-unknown-field", []string{"-models", "resnet18", "-traffic", typo},
+			`unknown field "tenant"`},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -269,7 +269,7 @@ func (s *Scaler) Start() {
 func (s *Scaler) Stop() { s.running = false }
 
 func (s *Scaler) scheduleTick() {
-	s.env.DoAfter(s.cfg.Interval, func() {
+	s.env.After(s.cfg.Interval, func() {
 		if !s.running {
 			return
 		}

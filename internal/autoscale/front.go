@@ -66,7 +66,7 @@ func (f *Front) Submit(req core.Request) {
 			f.terminal(req.ID, cluster.ErrReplicaCrashed)
 			return
 		}
-		f.s.env.DoAfter(retryBackoff, func() { f.Submit(req) })
+		f.s.env.After(retryBackoff, func() { f.Submit(req) })
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestNotificationPacking(t *testing.T) {
@@ -249,77 +248,6 @@ func TestSPSCWrapProperty(t *testing.T) {
 	}
 }
 
-func TestDoorbellCoalesce(t *testing.T) {
-	d := NewDoorbell()
-	d.Ring()
-	d.Ring()
-	d.Ring()
-	if !d.TryWait() {
-		t.Fatal("ring lost")
-	}
-	if d.TryWait() {
-		t.Fatal("rings not coalesced")
-	}
-}
-
-func TestHybridWaiter(t *testing.T) {
-	w := NewHybridWaiter(8)
-	if _, ok := w.TryRead(); ok {
-		t.Fatal("TryRead on empty succeeded")
-	}
-	// Immediate path.
-	w.Complete(7)
-	if id := w.Read(); id != 7 {
-		t.Fatalf("Read = %d, want 7", id)
-	}
-	if s := w.Stats(); s.Immediate != 1 {
-		t.Fatalf("Immediate = %d", s.Immediate)
-	}
-	// Interrupt→poll path: make sure the reader is parked before ringing.
-	done := make(chan uint64, 1)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		done <- w.Read()
-	}()
-	<-started
-	time.Sleep(10 * time.Millisecond) // let the reader park on the bell
-	w.AlmostFinished()
-	w.Complete(42)
-	if id := <-done; id != 42 {
-		t.Fatalf("Read = %d, want 42", id)
-	}
-	if s := w.Stats(); s.Interrupts+s.Immediate != 2 {
-		t.Fatalf("Interrupts+Immediate = %d, want 2", s.Interrupts+s.Immediate)
-	}
-}
-
-func TestHybridWaiterManyRequests(t *testing.T) {
-	const n = 1000
-	w := NewHybridWaiter(16)
-	got := make(chan uint64, n)
-	go func() {
-		for i := 0; i < n; i++ {
-			got <- w.Read()
-		}
-	}()
-	go func() {
-		for i := uint64(0); i < n; i++ {
-			w.AlmostFinished()
-			for !w.Complete(i) {
-			}
-		}
-	}()
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		id := <-got
-		if seen[id] {
-			t.Fatalf("duplicate completion %d", id)
-		}
-		seen[id] = true
-	}
-}
-
 func BenchmarkNotifQueuePush(b *testing.B) {
 	q := NewNotifQueue(1 << 16)
 	n := Pack(Placement, 3, 16, 12345)
@@ -363,20 +291,5 @@ func BenchmarkSPSC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Push(uint64(i))
 		r.Pop()
-	}
-}
-
-func BenchmarkHybridWakeup(b *testing.B) {
-	w := NewHybridWaiter(8)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			w.AlmostFinished()
-			for !w.Complete(uint64(i)) {
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Read()
 	}
 }

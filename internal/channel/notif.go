@@ -10,14 +10,13 @@
 //     recycles entries by storing Invalid after reading.
 //   - SPSC: the client→dispatcher request ring and the dispatcher→client
 //     completion ring (single producer, single consumer, zero-copy slots).
-//   - Doorbell/HybridWaiter: the hybrid interrupt-then-poll wakeup the
-//     client library uses for blocking reads (§5.3) — block on a channel
-//     (the "Unix socket" interrupt) until the dispatcher's almost-finished
-//     signal, then spin on the completion ring.
+//
+// The client's hybrid interrupt-then-poll wakeup (§5.3, Figure 14) is not
+// here: internal/client models it on virtual time.
 //
 // Unlike the rest of the reproduction, which runs on virtual time, this
 // package is real concurrent code exercised by real goroutines; its
-// benchmarks back the measured overheads reported for Figures 4, 14 and 15.
+// benchmarks back the measured overheads reported for Figures 4 and 15.
 package channel
 
 import (

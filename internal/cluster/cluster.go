@@ -265,7 +265,7 @@ func (c *Cluster) Warmup(i int, done func()) int64 {
 		for _, name := range c.modelOrder {
 			total += c.weightBytes[name]
 		}
-		c.env.DoAfter(d.ColdLoadDuration(total), done)
+		c.env.After(d.ColdLoadDuration(total), done)
 		return total
 	}
 	shard := d.Env()
@@ -296,7 +296,7 @@ func (c *Cluster) Warmup(i int, done func()) int64 {
 	if outstanding == 0 {
 		// Nothing to page — already warm, or nothing fits. Still deliver
 		// done asynchronously so the caller sees one consistent shape.
-		c.env.DoAfter(0, done)
+		c.env.After(0, done)
 	}
 	return bytes
 }

@@ -245,7 +245,7 @@ func (pd *PD) toEngine(g int, fn func(*llm.Engine)) {
 		return
 	}
 	senv := pd.envs[g]
-	senv.Do(senv.Now(), func() { fn(eng) })
+	senv.At(senv.Now(), func() { fn(eng) })
 }
 
 // views builds gateway replica views over engines [lo, hi): queued work in

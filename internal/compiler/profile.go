@@ -36,12 +36,10 @@ type Profile struct {
 	// remainingAfter[j] is the estimated time to finish a job that has
 	// completed j kernel executions: Σ_{i≥j} T̄(Seq[i]).
 	remainingAfter []sim.Time
-	// dirty counts observations since the last suffix-table rebuild.
-	dirty int
 }
 
-// Observe folds one measured kernel execution into the profile (the
-// paper's online refinement).
+// Observe folds one measured kernel execution into the profile. Profiling
+// runs call it; the suffix table is rebuilt once they finish.
 func (p *Profile) Observe(kernel string, dur sim.Time) {
 	st, ok := p.stats[kernel]
 	if !ok {
@@ -51,20 +49,6 @@ func (p *Profile) Observe(kernel string, dur sim.Time) {
 	st.samples++
 	st.total += dur
 	st.MeanTime = st.total / sim.Time(st.samples)
-	p.dirty++
-}
-
-// RefreshEvery rebuilds the remaining-time suffix table once `every`
-// observations have accumulated since the last rebuild, keeping the online
-// refinement's amortized cost O(1) per observation. It reports whether a
-// rebuild happened.
-func (p *Profile) RefreshEvery(m *model.Model, every int) bool {
-	if every <= 0 || p.dirty < every {
-		return false
-	}
-	p.dirty = 0
-	p.rebuild(m)
-	return true
 }
 
 // Stat returns the statistics of the named kernel, or nil.
@@ -142,7 +126,6 @@ func (p *Profile) BatchScale(kernel string, n int) float64 {
 // rebuild recomputes the suffix table from the model sequence and current
 // means.
 func (p *Profile) rebuild(m *model.Model) {
-	p.dirty = 0
 	p.remainingAfter = make([]sim.Time, len(m.Seq)+1)
 	for j := len(m.Seq) - 1; j >= 0; j-- {
 		k := m.Kernels[m.Seq[j]]

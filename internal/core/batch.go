@@ -303,9 +303,7 @@ func (d *Dispatcher) dispatchBatch(members []*Job) {
 }
 
 // batchComplete fans a finished batched launch out to its members: one
-// completed kernel execution each, in formation order. Online profile
-// refinement is skipped — the observed span measures the widened launch,
-// not the solo kernel the profile models.
+// completed kernel execution each, in formation order.
 func (d *Dispatcher) batchComplete(kid uint32, fl *inflightKernel) {
 	now := d.env.Now()
 	if fl.actBytes > 0 {

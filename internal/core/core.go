@@ -80,13 +80,6 @@ type Config struct {
 	// utilization to keep queued at the device so it never starves during
 	// the notification round trip.
 	OvershootBlocks int
-	// RefineOnline enables §6's online profile refinement: observed
-	// placement→completion times (from the notification channel) update
-	// the per-kernel means that drive SRPT.
-	RefineOnline bool
-	// RefineEvery is how many observations accumulate between suffix-table
-	// rebuilds (default 64 when RefineOnline is set).
-	RefineEvery int
 
 	// AdmitCost is dispatcher CPU time to accept one request from a ring.
 	AdmitCost sim.Time
@@ -264,11 +257,10 @@ func (c *ClientConn) Cancel(reqID uint64) {
 
 // inflightKernel tracks one dispatched-but-unfinished kernel in ModeGated.
 type inflightKernel struct {
-	job           *Job
-	spec          *gpu.KernelSpec
-	placed        int
-	completed     int
-	firstPlacedAt sim.Time
+	job       *Job
+	spec      *gpu.KernelSpec
+	placed    int
+	completed int
 	// op links back to the waitlist entry for adaptor-backed jobs (nil for
 	// the standard model path).
 	op *wlOp

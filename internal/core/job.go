@@ -586,9 +586,6 @@ func (d *Dispatcher) applyNotif(n channel.Notification) {
 		if count <= 0 {
 			return
 		}
-		if fl.placed == 0 {
-			fl.firstPlacedAt = d.env.Now()
-		}
 		fl.placed += count
 		d.mirror.Place(fl.spec, count)
 	case channel.Completion:
@@ -611,9 +608,6 @@ func (d *Dispatcher) applyNotif(n channel.Notification) {
 				panic(fmt.Sprintf("core: completion before placement for kernel %d", n.KernelID()))
 			}
 			d.stats.StaleNotifs++
-			if fl.placed == 0 {
-				fl.firstPlacedAt = d.env.Now()
-			}
 			fl.placed += over
 			d.mirror.Place(fl.spec, over)
 		}
@@ -628,9 +622,6 @@ func (d *Dispatcher) applyNotif(n channel.Notification) {
 			}
 			fl.job.execsDone++
 			fl.job.kernelsInFlight--
-			if d.cfg.RefineOnline {
-				d.refineProfile(fl)
-			}
 			j, op := fl.job, fl.op
 			// Retire the record before fan-out: opDone may dispatch the
 			// job's next kernel, which then reuses it from the pool.
@@ -645,24 +636,6 @@ func (d *Dispatcher) applyNotif(n channel.Notification) {
 	default:
 		panic("core: invalid notification type")
 	}
-}
-
-// refineProfile implements §6's online refinement: the observed
-// first-placement→completion span of the kernel (as seen through the
-// notification channel) updates the profile means, and the SRPT suffix
-// table is rebuilt periodically.
-func (d *Dispatcher) refineProfile(fl *inflightKernel) {
-	dur := d.env.Now() - fl.firstPlacedAt
-	if dur <= 0 {
-		return
-	}
-	ins := fl.job.Ins
-	ins.Profile.Observe(fl.spec.Name, dur)
-	every := d.cfg.RefineEvery
-	if every <= 0 {
-		every = 64
-	}
-	ins.Profile.RefreshEvery(ins.Model, every)
 }
 
 // opDone advances the job past its just-completed op.

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"paella/internal/autoscale"
 	"paella/internal/core"
@@ -23,30 +21,6 @@ func init() {
 		Title: "Extension (§9): fleet autoscaling under diurnal traffic — SLO-vs-cost frontier",
 		Run:   runAutoscale,
 	})
-}
-
-// AutoscaleTrajEnv names the environment variable that, when set, makes the
-// autoscale experiment append its headline cell (best adaptive policy vs
-// static peak provisioning on the diurnal trace) as one NDJSON line to the
-// named file — the bench trajectory successive revisions extend
-// (BENCH_trajectory.ndjson at the repo root).
-const AutoscaleTrajEnv = "PAELLA_AUTOSCALE_TRAJ"
-
-// autoscaleTrajCell is one NDJSON line of the bench trajectory.
-type autoscaleTrajCell struct {
-	Schema       string  `json:"schema"` // "paella-autoscale-traj/v1"
-	Detail       string  `json:"detail"` // "quick" | "full"
-	Policy       string  `json:"policy"` // best adaptive policy
-	PeakCostDay  float64 `json:"peak_cost_day"`
-	BestCostDay  float64 `json:"best_cost_day"`
-	SavingsPct   float64 `json:"savings_pct"`
-	PeakAttain   float64 `json:"peak_attain"`
-	BestAttain   float64 `json:"best_attain"`
-	ColdStarts   int     `json:"cold_starts"`
-	Mix          string  `json:"mix"`
-	MixCostPerHr float64 `json:"mix_cost_per_hr"`
-	MixAttain    float64 `json:"mix_attain"`
-	MixCostDay   float64 `json:"mix_cost_day"`
 }
 
 // autoscaleSLO is the deadline the frontier's attainment column scores
@@ -195,9 +169,7 @@ func runAutoscale(out io.Writer, d Detail) error {
 		Clients:        2_000_000,
 		Seed:           11,
 	}
-	detail := "quick"
 	if d == Full {
-		detail = "full"
 		fleet, jobsCal = 6, 800
 		spec.BaseRatePerSec = 28000
 		spec.Period = 300 * sim.Millisecond
@@ -321,30 +293,5 @@ func runAutoscale(out io.Writer, d Detail) error {
 	}
 	fmt.Fprintf(out, "  autoscaled {%s} under the same trace: $%.2f/day at %.1f%% attainment (all-T4 %s: $%.2f/day at %.1f%%).\n",
 		mixStr, mixRun.costDay, mixRun.attainment*100, best.label, best.costDay, best.attainment*100)
-
-	cell := autoscaleTrajCell{
-		Schema: "paella-autoscale-traj/v1", Detail: detail,
-		Policy:      best.label,
-		PeakCostDay: peak.costDay, BestCostDay: best.costDay, SavingsPct: savings,
-		PeakAttain: peak.attainment, BestAttain: best.attainment,
-		ColdStarts: best.stats.ColdStarts,
-		Mix:        mixStr, MixCostPerHr: mix.CostPerHour,
-		MixAttain: mixRun.attainment, MixCostDay: mixRun.costDay,
-	}
-	if path := os.Getenv(AutoscaleTrajEnv); path != "" {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		if err := enc.Encode(&cell); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nappended headline cell to %s\n", path)
-	}
 	return nil
 }

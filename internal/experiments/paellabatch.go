@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"paella/internal/core"
 	"paella/internal/model"
@@ -22,28 +20,6 @@ func init() {
 	})
 }
 
-// BatchTrajEnv names the environment variable that, when set, makes the
-// batching experiment append its headline cell (the saturating-load
-// Paella-batch vs Paella comparison) as one NDJSON line to the named file —
-// the bench trajectory successive revisions extend (BENCH_trajectory.ndjson
-// at the repo root).
-const BatchTrajEnv = "PAELLA_BATCH_TRAJ"
-
-// batchTrajCell is one NDJSON line of the bench trajectory.
-type batchTrajCell struct {
-	Schema         string  `json:"schema"` // "paella-batch-traj/v1"
-	Detail         string  `json:"detail"` // "quick" | "full"
-	Rate           float64 `json:"rate"`   // saturating offered load (req/s)
-	SLOMs          float64 `json:"slo_ms"`
-	PaellaTput     float64 `json:"paella_tput"`
-	BatchTput      float64 `json:"batch_tput"`
-	TputSpeedup    float64 `json:"tput_speedup"`
-	PaellaGoodput  float64 `json:"paella_goodput"`
-	BatchGoodput   float64 `json:"batch_goodput"`
-	GoodputSpeedup float64 `json:"goodput_speedup"`
-	MeanBatch      float64 `json:"mean_batch"`
-}
-
 // batchSLO is the completion deadline the goodput columns score against —
 // loose enough that an unloaded system always meets it, tight enough that a
 // saturated unbatched queue blows through it.
@@ -58,11 +34,9 @@ const batchSLO = 100 * sim.Millisecond
 func runPaellaBatching(out io.Writer, d Detail) error {
 	jobs, zoo := 3000, 12
 	rates := []float64{200, 1000, 2000, 4000, 8000}
-	detail := "full"
 	if d == Quick {
 		jobs, zoo = 250, 8
 		rates = []float64{300, 2400}
-		detail = "quick"
 	}
 	models := model.SyntheticZoo(zoo)
 	names := make([]string, len(models))
@@ -114,21 +88,15 @@ func runPaellaBatching(out io.Writer, d Detail) error {
 	}
 
 	last := len(rates) - 1
-	cell := batchTrajCell{
-		Schema: "paella-batch-traj/v1", Detail: detail,
-		Rate: rates[last], SLOMs: batchSLO.Millis(),
-		PaellaTput: tputs["Paella"][last], BatchTput: tputs["Paella-batch"][last],
-		PaellaGoodput: goodputs["Paella"][last], BatchGoodput: goodputs["Paella-batch"][last],
-		MeanBatch: meanBatch,
+	var tputSpeedup, goodputSpeedup float64
+	if p := tputs["Paella"][last]; p > 0 {
+		tputSpeedup = tputs["Paella-batch"][last] / p
 	}
-	if cell.PaellaTput > 0 {
-		cell.TputSpeedup = cell.BatchTput / cell.PaellaTput
-	}
-	if cell.PaellaGoodput > 0 {
-		cell.GoodputSpeedup = cell.BatchGoodput / cell.PaellaGoodput
+	if p := goodputs["Paella"][last]; p > 0 {
+		goodputSpeedup = goodputs["Paella-batch"][last] / p
 	}
 	fmt.Fprintf(out, "\nSaturating load (%.0f req/s): Paella-batch vs Paella = %.2fx throughput, %.2fx goodput(SLO %v).\n",
-		cell.Rate, cell.TputSpeedup, cell.GoodputSpeedup, batchSLO)
+		rates[last], tputSpeedup, goodputSpeedup, batchSLO)
 	fmt.Fprintln(out, "At low load the adaptive window disengages (no holds), so unbatched")
 	fmt.Fprintln(out, "and batched latency match; Triton-batch pays its window on every request.")
 
@@ -138,22 +106,6 @@ func runPaellaBatching(out io.Writer, d Detail) error {
 	fmt.Fprintf(out, "\nLatency anatomy at %.0f req/s (phase means / p99s):\n", rates[last])
 	if err := telemetry.WriteAnatomyTable(out, anatomyRows); err != nil {
 		return err
-	}
-
-	if path := os.Getenv(BatchTrajEnv); path != "" {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		if err := enc.Encode(&cell); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nappended headline cell to %s\n", path)
 	}
 	return nil
 }

@@ -555,7 +555,7 @@ func (d *Device) kick() {
 	}
 	d.scheduled = true
 	d.sealPost(0)
-	d.env.DoAfter(0, d.kickFn)
+	d.env.After(0, d.kickFn)
 }
 
 // schedulePass is the block scheduler: it repeatedly scans the hardware
@@ -654,7 +654,7 @@ func (d *Device) scanQueue(qi int) bool {
 		d.traceQueueDepth(qi)
 		if head.OnAllPlaced != nil {
 			d.sealPost(0)
-			d.env.DoAfter(0, head.OnAllPlaced)
+			d.env.After(0, head.OnAllPlaced)
 		}
 		progressed = true
 	}
@@ -891,7 +891,7 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 		d.stats.KernelsCompleted++
 		if l.OnComplete != nil {
 			d.sealPost(0)
-			d.env.DoAfter(0, l.OnComplete)
+			d.env.After(0, l.OnComplete)
 		}
 	}
 	// Freed resources may unblock queue heads.
@@ -966,7 +966,7 @@ func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
 		p.ends = append(p.ends, len(p.records))
 	default:
 		p.ends = append(p.ends, len(p.records))
-		d.env.DoAfter(d.cfg.NotifDelay, p.fire)
+		d.env.After(d.cfg.NotifDelay, p.fire)
 		d.open, d.openStep = p, d.env.Steps()
 	}
 }

@@ -68,7 +68,7 @@ func TestDecodeLoopPinned(t *testing.T) {
 			eng.policy = sched.NewPaella(threshold)
 			for _, r := range reqs {
 				r := r
-				env.Do(r.Submit, func() { eng.Admit(r) })
+				env.At(r.Submit, func() { eng.Admit(r) })
 			}
 			env.Run()
 			eng.Mem().CheckInvariants()
@@ -94,7 +94,7 @@ func TestDecodeLoopPinned(t *testing.T) {
 		}
 		for _, r := range reqs {
 			r := r
-			env.Do(r.Submit, func() { pre.Admit(r) })
+			env.At(r.Submit, func() { pre.Admit(r) })
 		}
 		env.Run()
 		dec.Mem().CheckInvariants()

@@ -38,7 +38,7 @@ func runEngine(t *testing.T, cfg Config, reqs []Request) (*Engine, *metrics.Coll
 	eng := MustNewEngine(env, MustCompileSpec(cfg), col)
 	for _, r := range reqs {
 		r := r
-		env.Do(r.Submit, func() { eng.Admit(r) })
+		env.At(r.Submit, func() { eng.Admit(r) })
 	}
 	env.Run()
 	eng.Mem().CheckInvariants()
@@ -169,7 +169,7 @@ func TestPrefillHandoff(t *testing.T) {
 	pre := MustNewEngine(env, comp, col)
 	dec := MustNewEngine(env, comp, col)
 	pre.HandoffPrefill = func(h Handoff) { dec.AdmitDecoded(h) }
-	env.Do(0, func() { pre.Admit(Request{ID: 1, Client: 0, Prompt: 8, Output: 4}) })
+	env.At(0, func() { pre.Admit(Request{ID: 1, Client: 0, Prompt: 8, Output: 4}) })
 	env.Run()
 	recs := col.Records()
 	if len(recs) != 1 || recs[0].Failed || recs[0].OutputTokens != 4 {

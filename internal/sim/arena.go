@@ -1,29 +1,16 @@
 package sim
 
 // The timer arena is the struct-of-arrays backing store for every scheduled
-// event. Instead of one heap-allocated Timer object per scheduling call,
-// records live in a single flat []timerRec slice owned by the Env and are
-// addressed by int32 index; the free list is index-linked through the
-// records themselves (timerRec.link), so steady-state scheduling touches no
-// allocator at all — At, After, Do, DoAfter, DoCall and DoCallAfter are all
+// event. Instead of one heap-allocated object per scheduling call, records
+// live in a single flat []timerRec slice owned by the Env and are addressed
+// by int32 index; the free list is index-linked through the records
+// themselves (timerRec.link), so steady-state scheduling touches no
+// allocator at all — At, After, DoCall and DoCallAfter are all
 // allocation-free once the arena has grown to the run's high-water mark.
 //
-// Records recycle the moment they fire (or are cancelled), protected by a
-// generation counter: a Timer handle captures (index, generation) at
-// creation, and every recycle bumps the record's generation, so operations
-// through a stale handle — Cancel after firing, Stopped on a long-dead
-// timer — degrade to safe no-ops instead of corrupting an unrelated reused
-// record.
-//
-// Generation parity encodes *how* the record last died, so Stopped keeps
-// working after the record is recycled: live records always carry an even
-// generation; firing advances the generation by 2 (stays even), while
-// cancellation advances it by 1 (odd). A handle holding generation g can
-// therefore distinguish "cancelled" (record generation == g+1) from "fired
-// or reused" (anything else) without the record keeping any per-handle
-// state. Reusing a cancelled record normalizes the generation back to even
-// in alloc, which also guarantees the new handle's generation exceeds every
-// stale one.
+// A record is recycled the moment it fires. Nothing outside the queue ever
+// names a record (scheduling returns no handle), so a recycled index needs
+// no generation check.
 
 // EventFn is the typed zero-allocation event callback: a top-level function
 // or method value applied to a context pointer and one immediate argument.
@@ -33,8 +20,7 @@ package sim
 type EventFn func(ctx any, arg uint64)
 
 // timerRec is one arena slot. at/seq order execution; exactly one of fn or
-// cb is set; bkt/slot locate a queued record (bkt ≥ 0: bucket index in the
-// event queue, bktImm: immediate FIFO, bktNone: not queued).
+// cb is set.
 type timerRec struct {
 	at   Time
 	seq  uint64
@@ -42,16 +28,8 @@ type timerRec struct {
 	cb   EventFn
 	ctx  any
 	arg  uint64
-	gen  uint32
-	bkt  int32
-	slot int32
 	link int32 // next free record while on the free list
 }
-
-const (
-	bktNone int32 = -1 // not queued (free or mid-fire)
-	bktImm  int32 = -2 // parked in the immediate FIFO
-)
 
 // arena is the flat record store plus its index-linked free list.
 type arena struct {
@@ -60,8 +38,8 @@ type arena struct {
 	nfree    int
 }
 
-// alloc returns a live record index with fn/cb/ctx cleared, bkt = bktNone,
-// and an even generation strictly greater than any stale handle's.
+// alloc returns a record index that is not on the free list; its callback
+// words are clear.
 func (a *arena) alloc() int32 {
 	if a.freeHead >= 0 {
 		i := a.freeHead
@@ -69,48 +47,19 @@ func (a *arena) alloc() int32 {
 		a.freeHead = r.link
 		a.nfree--
 		r.link = -1
-		if r.gen&1 == 1 {
-			r.gen++ // last death was a cancel: normalize to even
-		}
 		return i
 	}
-	a.recs = append(a.recs, timerRec{bkt: bktNone, link: -1})
+	a.recs = append(a.recs, timerRec{link: -1})
 	return int32(len(a.recs) - 1)
 }
 
-// free recycles a record that fired: generation += 2 keeps it even, so
-// stale handles read "fired" (not Stopped), and clears the callback words
-// for the GC.
+// free returns a fired record to the free list, clearing its callback
+// words for the GC.
 func (a *arena) free(i int32) {
-	r := &a.recs[i]
-	r.gen += 2
-	a.push(i)
-}
-
-// freeCancelled recycles a record that was cancelled while queued in the
-// bucket heap: generation += 1 flips it odd so surviving handles report
-// Stopped.
-func (a *arena) freeCancelled(i int32) {
-	r := &a.recs[i]
-	r.gen++
-	a.push(i)
-}
-
-// cancelMark flips a record odd without freeing it — used for records
-// parked in the immediate FIFO, which are unlinked lazily (freeMarked) when
-// they reach the FIFO front.
-func (a *arena) cancelMark(i int32) { a.recs[i].gen++ }
-
-// freeMarked completes the lazy free of a cancelMark'd record.
-func (a *arena) freeMarked(i int32) { a.push(i) }
-
-func (a *arena) push(i int32) {
 	r := &a.recs[i]
 	r.fn = nil
 	r.cb = nil
 	r.ctx = nil
-	r.bkt = bktNone
-	r.slot = 0
 	r.link = a.freeHead
 	a.freeHead = i
 	a.nfree++

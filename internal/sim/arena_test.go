@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-// TestArenaInvariantsQuick drives the timer arena with random
-// alloc/free/freeCancelled sequences and checks the structural invariants:
+// TestArenaInvariantsQuick drives the timer arena with random alloc/free
+// sequences and checks the structural invariants:
 // live records never sit on the free list, the free list's length matches
 // the nfree counter, every free-list index is in range and distinct, and
 // live() conserves (allocated - freed).
@@ -23,23 +23,22 @@ func TestArenaInvariantsQuick(t *testing.T) {
 					t.Logf("alloc returned live record %d", i)
 					return false
 				}
-				if a.recs[i].gen&1 != 0 {
-					t.Logf("alloc returned odd generation %d", a.recs[i].gen)
+				if r := &a.recs[i]; r.fn != nil || r.cb != nil || r.ctx != nil {
+					t.Logf("alloc returned record %d with callback words set", i)
 					return false
 				}
 				live[i] = true
-			default: // free one live record, fired or cancelled
+			default: // set a live record's callback words, then free it
 				var victim int32 = -1
 				for i := range live {
-					if victim < 0 || i < victim {
+					if op%3 == 1 && (victim < 0 || i < victim) ||
+						op%3 == 2 && i > victim {
 						victim = i
 					}
 				}
-				if op%3 == 1 {
-					a.free(victim)
-				} else {
-					a.freeCancelled(victim)
-				}
+				r := &a.recs[victim]
+				r.fn, r.ctx = func() {}, victim
+				a.free(victim)
 				delete(live, victim)
 			}
 		}

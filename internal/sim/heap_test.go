@@ -22,7 +22,7 @@ func newQrig() *qrig {
 }
 
 // qitem mirrors one pushed record in the model's own storage, so model
-// entries stay readable even after a cancelled record is recycled.
+// entries stay readable even after a popped record is recycled.
 type qitem struct {
 	idx int32
 	at  Time
@@ -75,9 +75,6 @@ func TestQueuePopOrderMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d: pop %d = (at=%d seq=%d), want (at=%d seq=%d)",
 					trial, i, rec.at, rec.seq, want.at, want.seq)
 			}
-			if r.a.recs[got].bkt != bktNone {
-				t.Fatalf("popped record retains queue linkage (bkt=%d)", r.a.recs[got].bkt)
-			}
 		}
 		if r.q.len() != 0 {
 			t.Fatalf("queue not drained: %d left", r.q.len())
@@ -86,9 +83,8 @@ func TestQueuePopOrderMatchesSort(t *testing.T) {
 }
 
 // TestQueueAgainstModel cross-checks the bucketed queue against a sorted
-// reference under a randomized push/pop/cancel workload — including
-// cancels of bucket fronts (eager) and mid-bucket records (lazy
-// tombstones). Cancelled records are recycled immediately, so the workload
+// reference under a randomized push/pop/pop-and-free workload. Records
+// freed by a pop-and-free are recycled into later pushes, so the workload
 // also exercises arena index reuse under live traffic.
 func TestQueueAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -110,7 +106,7 @@ func TestQueueAgainstModel(t *testing.T) {
 		switch r2 := rng.Intn(10); {
 		case r2 < 5: // push a small same-timestamp run
 			live = append(live, queuePushPattern(rng, r, &seq, 1+rng.Intn(4))...)
-		case r2 < 8: // pop min
+		default: // pop min; two pops in three also free the record
 			if r.q.len() == 0 {
 				continue
 			}
@@ -121,15 +117,9 @@ func TestQueueAgainstModel(t *testing.T) {
 				t.Fatalf("op %d: pop (at=%d seq=%d), want (at=%d seq=%d)",
 					op, rec.at, rec.seq, want.at, want.seq)
 			}
-		default: // cancel arbitrary
-			if len(live) == 0 {
-				continue
+			if r2 >= 8 {
+				r.a.free(got)
 			}
-			i := rng.Intn(len(live))
-			victim := live[i]
-			live = append(live[:i], live[i+1:]...)
-			r.q.cancel(victim.idx)
-			r.a.freeCancelled(victim.idx)
 		}
 		if r.q.len() != len(live) {
 			t.Fatalf("op %d: queue len %d, model %d", op, r.q.len(), len(live))
@@ -150,77 +140,59 @@ func TestQueueAgainstModel(t *testing.T) {
 }
 
 // TestQueueInvariants: after every operation, each heap slot's inline key
-// matches its bucket's live front, bucket back-links name their slots,
-// bucket seqs are strictly increasing, and the size counter equals the
-// number of live resident records — the invariants Cancel and Step rest on.
+// matches its bucket's front, no bucket sits in two slots, bucket seqs are
+// strictly increasing, the open-run index lastB is -1 or names a bucket in
+// the heap, and the size counter equals the number of resident records —
+// the invariants push and Step rest on.
 func TestQueueInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := newQrig()
 	seq := uint64(0)
-	var live []qitem
 	check := func(op int) {
 		total := 0
+		inHeap := make(map[int32]bool)
 		for i, ent := range r.q.h {
-			b := &r.q.buckets[ent.bi]
-			if b.hidx != int32(i) {
-				t.Fatalf("op %d: slot %d holds bucket with hidx %d", op, i, b.hidx)
+			if inHeap[ent.bi] {
+				t.Fatalf("op %d: bucket %d sits in two heap slots", op, ent.bi)
 			}
+			inHeap[ent.bi] = true
+			b := &r.q.buckets[ent.bi]
 			if int(b.first) >= len(b.tms) {
 				t.Fatalf("op %d: slot %d holds drained bucket", op, i)
 			}
-			front := b.tms[b.first]
-			if front < 0 {
-				t.Fatalf("op %d: slot %d front is a tombstone", op, i)
-			}
-			fr := &r.a.recs[front]
+			fr := &r.a.recs[b.tms[b.first]]
 			if ent.at != b.at || ent.at != fr.at || ent.seq != fr.seq {
 				t.Fatalf("op %d: slot %d key (%d,%d) diverges from front (%d,%d)",
 					op, i, ent.at, ent.seq, fr.at, fr.seq)
 			}
 			prev := uint64(0)
-			seenLive := false
 			for j := int(b.first); j < len(b.tms); j++ {
-				ti := b.tms[j]
-				if ti < 0 {
-					continue // cancelled: tombstone
-				}
-				rec := &r.a.recs[ti]
+				rec := &r.a.recs[b.tms[j]]
 				if rec.at != b.at {
 					t.Fatalf("op %d: bucket at=%d holds record at=%d", op, b.at, rec.at)
 				}
-				if seenLive && rec.seq <= prev {
+				if j > int(b.first) && rec.seq <= prev {
 					t.Fatalf("op %d: bucket seqs not increasing", op)
 				}
-				prev, seenLive = rec.seq, true
+				prev = rec.seq
 				total++
-				if rec.bkt != ent.bi || rec.slot != int32(j) {
-					t.Fatalf("op %d: record linkage wrong (bkt=%d want %d, slot=%d want %d)",
-						op, rec.bkt, ent.bi, rec.slot, j)
-				}
 			}
 		}
+		if lb := r.q.lastB; lb != -1 && !inHeap[lb] {
+			t.Fatalf("op %d: lastB %d names a bucket outside the heap", op, lb)
+		}
 		if total != r.q.size {
-			t.Fatalf("op %d: size %d, counted %d live", op, r.q.size, total)
+			t.Fatalf("op %d: size %d, counted %d resident", op, r.q.size, total)
 		}
 	}
 	for op := 0; op < 2000; op++ {
 		switch {
 		case rng.Intn(3) > 0 || r.q.len() == 0:
-			live = append(live, queuePushPattern(rng, r, &seq, 1+rng.Intn(4))...)
+			queuePushPattern(rng, r, &seq, 1+rng.Intn(4))
 		case rng.Intn(2) == 0:
-			got := r.q.pop()
-			for i, x := range live {
-				if x.idx == got {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
-		default:
-			i := rng.Intn(len(live))
-			victim := live[i]
-			live = append(live[:i], live[i+1:]...)
-			r.q.cancel(victim.idx)
-			r.a.freeCancelled(victim.idx)
+			r.q.pop()
+		default: // pop and free: the index returns to the arena for reuse
+			r.a.free(r.q.pop())
 		}
 		check(op)
 	}
@@ -228,12 +200,13 @@ func TestQueueInvariants(t *testing.T) {
 
 // TestArenaRecycles: fired records return to the index-linked free list and
 // are reused, so the arena's footprint is the run's high-water mark of
-// concurrently pending events — not the total event count.
+// concurrently pending events — not the total event count — and every
+// live record is a pending event.
 func TestArenaRecycles(t *testing.T) {
 	e := NewEnv()
 	ran := 0
 	for i := 0; i < 100; i++ {
-		e.DoAfter(Time(i), func() { ran++ })
+		e.After(Time(i), func() { ran++ })
 	}
 	e.Run()
 	if ran != 100 {
@@ -245,22 +218,30 @@ func TestArenaRecycles(t *testing.T) {
 	highWater := len(e.arena.recs)
 	// Steady-state: one event in flight at a time reuses one record.
 	for i := 0; i < 50; i++ {
-		e.DoAfter(1, func() { ran++ })
+		e.After(1, func() { ran++ })
 		e.Run()
 	}
 	if len(e.arena.recs) != highWater {
 		t.Fatalf("arena grew in steady state: %d -> %d", highWater, len(e.arena.recs))
 	}
-	// Handle-returning timers recycle too; the generation protects the
-	// stale handle.
-	tm := e.After(1, func() {})
-	e.Run()
-	if tm.Stopped() {
-		t.Fatal("fired timer reports stopped")
+	// Live traffic: every firing event schedules a successor, so records
+	// are freed and reused while others stay pending.
+	fired := 0
+	var tick func()
+	tick = func() {
+		if e.arena.live() != e.Pending() {
+			t.Fatalf("%d live records, %d pending events", e.arena.live(), e.Pending())
+		}
+		if fired++; fired < 500 {
+			e.After(Time(1+fired%7), tick)
+		}
 	}
-	e.Cancel(tm) // no-op: the record already fired
-	if tm.Stopped() {
-		t.Fatal("cancel-after-fire reports stopped")
+	for i := 0; i < 20; i++ {
+		e.After(Time(i), tick)
+	}
+	e.Run()
+	if len(e.arena.recs) != highWater {
+		t.Fatalf("arena grew under live traffic: %d -> %d", highWater, len(e.arena.recs))
 	}
 	if e.arena.live() != 0 {
 		t.Fatalf("%d records leaked", e.arena.live())
@@ -274,10 +255,10 @@ func TestDoSchedulingAllocFree(t *testing.T) {
 	e := NewEnv()
 	fn := func() {}
 	// Warm the arena.
-	e.DoAfter(0, fn)
+	e.After(0, fn)
 	e.Run()
 	avg := testing.AllocsPerRun(1000, func() {
-		e.DoAfter(1, fn)
+		e.After(1, fn)
 		e.Step()
 	})
 	if avg != 0 {
@@ -345,28 +326,28 @@ func TestNextEventTime(t *testing.T) {
 	}
 }
 
-// TestDoPastPanics: the hot path enforces the same no-past-scheduling
-// contract as At.
+// TestDoPastPanics: the typed DoCall path enforces the same
+// no-past-scheduling contract as At.
 func TestDoPastPanics(t *testing.T) {
 	e := NewEnv()
 	e.At(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Do in the past accepted")
+			t.Fatal("DoCall in the past accepted")
 		}
 	}()
-	e.Do(5, func() {})
+	e.DoCall(5, func(any, uint64) {}, nil, 0)
 }
 
-// TestDoAfterNegativePanics mirrors After's contract on the pooled path.
+// TestDoAfterNegativePanics mirrors After's contract on DoCallAfter.
 func TestDoAfterNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative DoAfter accepted")
+			t.Fatal("negative DoCallAfter accepted")
 		}
 	}()
-	NewEnv().DoAfter(-1, func() {})
+	NewEnv().DoCallAfter(-1, func(any, uint64) {}, nil, 0)
 }
 
 // BenchmarkEnvEventChurn measures the engine's core push/pop cycle with a
@@ -375,12 +356,12 @@ func BenchmarkEnvEventChurn(b *testing.B) {
 	e := NewEnv()
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.DoAfter(Time(i), fn)
+		e.After(Time(i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.DoAfter(1024, fn)
+		e.After(1024, fn)
 		e.Step()
 	}
 }

@@ -49,5 +49,5 @@ func (m *Mutex) Unlock() {
 		m.waiters, m.first = m.waiters[:0], 0
 	}
 	// Ownership transfers directly; the waiter resumes as a fresh event.
-	m.env.DoAfter(0, next)
+	m.env.After(0, next)
 }

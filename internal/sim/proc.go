@@ -32,7 +32,7 @@ type Proc struct {
 	done bool
 	// dispatchFn is the preallocated wakeup closure. Sleep/Wait/WaitCond
 	// run once per simulated operation on hot paths; reusing one closure
-	// (and the pooled Do scheduling path) keeps wakeups allocation-free.
+	// (and the pooled timer arena) keeps wakeups allocation-free.
 	dispatchFn func()
 }
 
@@ -113,7 +113,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, w: getWorker()}
 	p.w.p = p
 	p.dispatchFn = p.dispatch
-	e.DoAfter(0, p.dispatchFn)
+	e.After(0, p.dispatchFn)
 	return p
 }
 
@@ -159,7 +159,7 @@ func (p *Proc) Sleep(d Time) {
 	if p.env.wakeInPlace(p.env.now + d) {
 		return
 	}
-	p.env.DoAfter(d, p.dispatchFn)
+	p.env.After(d, p.dispatchFn)
 	p.park()
 }
 
@@ -193,7 +193,7 @@ func (c *Completion) Fire() {
 	fns := c.fns
 	c.fns = nil
 	for _, fn := range fns {
-		c.env.DoAfter(0, fn)
+		c.env.After(0, fn)
 	}
 }
 
@@ -201,7 +201,7 @@ func (c *Completion) Fire() {
 // fires; if it has already fired the callback is scheduled immediately.
 func (c *Completion) OnFire(fn func()) {
 	if c.fired {
-		c.env.DoAfter(0, fn)
+		c.env.After(0, fn)
 		return
 	}
 	c.fns = append(c.fns, fn)
@@ -226,7 +226,7 @@ type Cond struct {
 	// spare is the previous waiter slice, kept for reuse. Broadcast
 	// ping-pongs fns and spare so the wait→broadcast→re-wait cycle that
 	// dominates dispatcher hot loops stops reallocating a waiter slice per
-	// round: DoAfter copies each func value into its timer record before
+	// round: After copies each func value into its timer record before
 	// Broadcast returns, so the old backing array is immediately reusable.
 	spare []func()
 }
@@ -242,7 +242,7 @@ func (c *Cond) Broadcast() {
 	fns := c.fns
 	c.fns = c.spare[:0]
 	for i, fn := range fns {
-		c.env.DoAfter(0, fn)
+		c.env.After(0, fn)
 		fns[i] = nil
 	}
 	c.spare = fns[:0]

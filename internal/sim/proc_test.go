@@ -59,7 +59,7 @@ func buildProcWorld(w *World, shards int, log *worldLog) {
 					mu.Unlock()
 					if k%5 == 4 {
 						// A shard event spawns a short-lived helper.
-						s.Do(s.Now()+300, func() {
+						s.At(s.Now()+300, func() {
 							s.Spawn("helper", func(p *Proc) {
 								p.Yield()
 								log.addShard(i, s.Now(), fmt.Sprintf("helper-w%d-%d", n, k))

@@ -74,11 +74,11 @@ func buildProcMix(e *Env, seed int64, logf func(who string)) {
 		k := k
 		// Multiples of 100 ns collide with the spinner's and the
 		// broadcaster's wakeups.
-		e.Do(Time(rng.Intn(150))*100, func() { logf(fmt.Sprintf("cb%d", k)) })
+		e.At(Time(rng.Intn(150))*100, func() { logf(fmt.Sprintf("cb%d", k)) })
 	}
 	// A late lone sleeper: long after everything else has finished, its
 	// wakeups are always the next event.
-	e.Do(40000, func() {
+	e.At(40000, func() {
 		e.Spawn("lone", func(p *Proc) {
 			for k := 0; k < 50; k++ {
 				p.Sleep(Time(1 + k%7))

@@ -20,9 +20,10 @@
 //     paper's dispatcher (§4.2).
 //
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
-// are addressed by index, recycled through an index-linked free list, and
-// guarded by generation counters, so the steady-state event loop performs
-// zero heap allocations per event.
+// are addressed by index and recycled through an index-linked free list, so
+// the steady-state event loop performs zero heap allocations per event.
+// Scheduled events cannot be cancelled; an owner that must ignore a stale
+// event checks its own state when the event fires.
 //
 // For multi-GPU cluster simulations, World composes several Envs — one
 // shard per replica plus a control shard — and advances them in windows
@@ -68,32 +69,6 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis returns t as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Timer is a cancellation handle for a scheduled event, returned by At and
-// After. It is a small value (no allocation): it names an arena record by
-// index plus the generation observed at creation, so a handle held past the
-// record's recycling degrades gracefully — Cancel becomes a no-op and
-// Stopped keeps answering for the timer the handle originally named. The
-// zero Timer is valid and inert.
-type Timer struct {
-	env *Env
-	idx int32
-	gen uint32
-	at  Time
-}
-
-// At reports the virtual time at which the timer is (or was) due.
-func (t Timer) At() Time { return t.at }
-
-// Stopped reports whether the timer was cancelled before firing.
-func (t Timer) Stopped() bool {
-	if t.env == nil {
-		return false
-	}
-	// Parity protocol (see arena.go): cancellation leaves the record at
-	// exactly generation+1; firing or reuse moves it anywhere else.
-	return t.env.arena.recs[t.idx].gen == t.gen+1
-}
-
 // Env is a discrete-event simulation environment. The zero value is not
 // usable; construct with NewEnv.
 type Env struct {
@@ -119,9 +94,7 @@ type Env struct {
 	imm      []int32
 	immFirst int
 	immLen   int
-	// immDead counts cancelled-but-unpopped FIFO entries (removed lazily).
-	immDead int
-	// mut counts queue mutations (schedule, fire, cancel); nextMut/nextAt/
+	// mut counts queue mutations (schedule, fire); nextMut/nextAt/
 	// nextOK memoize NextEventTime against it. The World engine probes every
 	// shard's next event at least twice per window, and most shards are
 	// untouched between probes — the memo turns those probes into a counter
@@ -176,8 +149,8 @@ func (e *Env) Now() Time { return e.now }
 // taken.
 func (e *Env) Steps() uint64 { return e.steps }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Env) Pending() int { return e.events.len() + e.immLen - e.immDead }
+// Pending returns the number of scheduled events.
+func (e *Env) Pending() int { return e.events.len() + e.immLen }
 
 // NextEventTime returns the due time of the earliest pending event, and
 // whether one exists. The World engine uses it to size conservative
@@ -187,10 +160,10 @@ func (e *Env) NextEventTime() (Time, bool) {
 		return e.nextAt, e.nextOK
 	}
 	e.nextMut = e.mut
-	if f := e.immFront(); f >= 0 {
+	if e.immLen > 0 {
 		// FIFO entries are due at the current clock, which is ≤ any heap
 		// event's due time.
-		e.nextAt, e.nextOK = e.arena.recs[f].at, true
+		e.nextAt, e.nextOK = e.arena.recs[e.imm[e.immFirst]].at, true
 	} else if e.events.len() == 0 {
 		e.nextAt, e.nextOK = 0, false
 	} else {
@@ -200,28 +173,11 @@ func (e *Env) NextEventTime() (Time, bool) {
 	return e.nextAt, e.nextOK
 }
 
-// immFront returns the arena index of the earliest live immediate-FIFO
-// entry, discarding cancelled entries on the way (lazy removal), or -1 when
-// the FIFO is empty.
-func (e *Env) immFront() int32 {
-	for e.immLen > 0 {
-		i := e.imm[e.immFirst]
-		if e.arena.recs[i].gen&1 == 0 {
-			return i
-		}
-		e.popImm()
-		e.arena.freeMarked(i)
-		e.immDead--
-	}
-	return -1
-}
-
 // pushImm appends an event due exactly now to the immediate FIFO.
 func (e *Env) pushImm(i int32) {
 	if e.immLen == len(e.imm) {
 		e.growImm()
 	}
-	e.arena.recs[i].bkt = bktImm
 	e.imm[(e.immFirst+e.immLen)&(len(e.imm)-1)] = i
 	e.immLen++
 }
@@ -231,7 +187,6 @@ func (e *Env) popImm() int32 {
 	i := e.imm[e.immFirst]
 	e.immFirst = (e.immFirst + 1) & (len(e.imm) - 1)
 	e.immLen--
-	e.arena.recs[i].bkt = bktNone
 	return i
 }
 
@@ -246,7 +201,7 @@ func (e *Env) growImm() {
 }
 
 // schedule allocates and enqueues a record; exactly one of fn or cb is set.
-func (e *Env) schedule(t Time, fn func(), cb EventFn, ctx any, arg uint64) int32 {
+func (e *Env) schedule(t Time, fn func(), cb EventFn, ctx any, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -261,37 +216,18 @@ func (e *Env) schedule(t Time, fn func(), cb EventFn, ctx any, arg uint64) int32
 	} else {
 		e.events.push(i, t, r.seq)
 	}
-	return i
 }
 
-// At schedules fn to run at absolute virtual time t and returns a
-// cancellation handle. Scheduling in the past panics: it would silently
-// reorder causality. Scheduling exactly at Now is allowed and runs after
-// the current event completes.
-func (e *Env) At(t Time, fn func()) Timer {
-	i := e.schedule(t, fn, nil, nil, 0)
-	return Timer{env: e, idx: i, gen: e.arena.recs[i].gen, at: t}
+// At schedules fn to run at absolute virtual time t. Scheduling in the
+// past panics: it would silently reorder causality. Scheduling exactly at
+// Now is allowed and runs after the current event completes.
+func (e *Env) At(t Time, fn func()) {
+	e.schedule(t, fn, nil, nil, 0)
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
 // Negative d panics.
-func (e *Env) After(d Time, fn func()) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Do schedules fn at absolute time t without returning a cancellation
-// handle — the hot-path scheduling primitive for events that are never
-// cancelled (process wakeups, device kicks, notification posts).
-// Semantically identical to At.
-func (e *Env) Do(t Time, fn func()) {
-	e.schedule(t, fn, nil, nil, 0)
-}
-
-// DoAfter schedules fn after a delay without a cancellation handle; see Do.
-func (e *Env) DoAfter(d Time, fn func()) {
+func (e *Env) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -300,7 +236,7 @@ func (e *Env) DoAfter(d Time, fn func()) {
 
 // DoCall schedules the typed callback cb(ctx, arg) at absolute time t. The
 // two words are stored inline in the timer record, so — unlike a capturing
-// closure passed to Do — the call site allocates nothing. Use a top-level
+// closure passed to At — the call site allocates nothing. Use a top-level
 // function or a method value that is free of per-call state.
 func (e *Env) DoCall(t Time, cb EventFn, ctx any, arg uint64) {
 	e.schedule(t, nil, cb, ctx, arg)
@@ -314,44 +250,16 @@ func (e *Env) DoCallAfter(d Time, cb EventFn, ctx any, arg uint64) {
 	e.schedule(e.now+d, nil, cb, ctx, arg)
 }
 
-// Cancel stops a pending timer. Cancelling an already-fired,
-// already-cancelled, or zero Timer is a no-op.
-func (e *Env) Cancel(t Timer) {
-	env := t.env
-	if env == nil {
-		return
-	}
-	r := &env.arena.recs[t.idx]
-	if r.gen != t.gen {
-		return // fired, cancelled, or recycled since the handle was issued
-	}
-	switch r.bkt {
-	case bktImm:
-		// Parked in the immediate FIFO: flip odd (stopped), removed lazily
-		// when it reaches the front.
-		env.arena.cancelMark(t.idx)
-		env.immDead++
-		env.mut++
-	case bktNone:
-		// Live but unqueued can only be the record currently firing; the
-		// parity check above already rejected everything else.
-	default:
-		env.events.cancel(t.idx)
-		env.arena.freeCancelled(t.idx)
-		env.mut++
-	}
-}
-
 // Step executes the single earliest pending event, advancing the clock to
 // its due time. It returns false if no events are pending.
 func (e *Env) Step() bool {
 	var i int32
-	if f := e.immFront(); f >= 0 {
+	if e.immLen > 0 {
 		// The FIFO front is due now; it loses only to a queued event at the
 		// same timestamp scheduled earlier (smaller seq).
 		fromQueue := false
 		if e.events.len() > 0 {
-			fr := &e.arena.recs[f]
+			fr := &e.arena.recs[e.imm[e.immFirst]]
 			if at, seq := e.events.minKey(); at == fr.at && seq < fr.seq {
 				fromQueue = true
 			}
@@ -383,14 +291,14 @@ func (e *Env) Step() bool {
 
 // wakeInPlace fires, without queueing it, a process wakeup due at t when
 // that wakeup would be the very next event of the running Run or RunUntil
-// loop: no live immediate-FIFO entry is pending, every queued event is due
+// loop: no immediate-FIFO entry is pending, every queued event is due
 // strictly after t, and t is within the loop's bound. It advances the clock
 // to t, counts the step, and reports true; the caller keeps running as if
 // the wakeup had been popped. The wakeup takes no seq number, so every
 // later event's seq is one smaller than it would have been, which leaves
 // their relative (at, seq) order unchanged.
 func (e *Env) wakeInPlace(t Time) bool {
-	if t > e.limit || e.immFront() >= 0 {
+	if t > e.limit || e.immLen > 0 {
 		return false
 	}
 	if e.events.len() > 0 {

@@ -51,57 +51,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEnv()
-	ran := false
-	tm := e.After(10, func() { ran = true })
-	e.Cancel(tm)
-	e.Run()
-	if ran {
-		t.Fatal("cancelled timer fired")
-	}
-	if !tm.Stopped() {
-		t.Fatal("Stopped() = false after Cancel")
-	}
-	// Cancelling twice is a no-op.
-	e.Cancel(tm)
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	e := NewEnv()
-	tm := e.After(1, func() {})
-	e.Run()
-	e.Cancel(tm) // must not panic or corrupt the heap
-	e.After(2, func() {})
-	e.Run()
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := NewEnv()
-	var got []int
-	var timers []Timer
-	for i := 0; i < 20; i++ {
-		i := i
-		timers = append(timers, e.After(Time(i), func() { got = append(got, i) }))
-	}
-	// Cancel every third timer.
-	for i := 0; i < 20; i += 3 {
-		e.Cancel(timers[i])
-	}
-	e.Run()
-	for _, v := range got {
-		if v%3 == 0 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-	if len(got) != 20-7 {
-		t.Fatalf("got %d events, want 13", len(got))
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEnv()
 	var fired []Time

@@ -53,7 +53,7 @@ func buildPingPong(w *World, shards, ticks int, log *worldLog) {
 					log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("post-s%d-t%d", i, k))
 					j := (i + 1) % shards
 					next := w.Shard(j)
-					next.DoAfter(Microsecond, func() {
+					next.After(Microsecond, func() {
 						log.addShard(j, next.Now(), fmt.Sprintf("relay-s%d-t%d", i, k))
 					})
 				})
@@ -367,10 +367,10 @@ func TestWorldStartsNoGoroutines(t *testing.T) {
 		tick = func() {
 			w.Post(i, func() {})
 			if s.Now() < 200*Microsecond {
-				s.DoAfter(Time(i+1)*Microsecond, tick)
+				s.After(Time(i+1)*Microsecond, tick)
 			}
 		}
-		s.Do(0, tick)
+		s.At(0, tick)
 	}
 	for _, limit := range []Time{100 * Microsecond, Millisecond} {
 		w.RunUntil(limit)
@@ -441,7 +441,7 @@ func TestWorldRandomizedIdentity(t *testing.T) {
 						})
 					}
 					if k%5 == 0 {
-						s.DoAfter(Time(50+k), func() {
+						s.After(Time(50+k), func() {
 							log.addShard(i, s.Now(), fmt.Sprintf("f%d", k))
 						})
 					}
@@ -455,7 +455,7 @@ func TestWorldRandomizedIdentity(t *testing.T) {
 				log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("c%d", k))
 				j := k % shards
 				tgt := w.Shard(j)
-				tgt.DoAfter(Microsecond, func() {
+				tgt.After(Microsecond, func() {
 					log.addShard(j, tgt.Now(), fmt.Sprintf("cc%d", k))
 				})
 			})
