@@ -482,10 +482,9 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	c := cn.cluster
 	// The policy only sees live replicas. Its contract returns a position
 	// in the slice it was given, so the compacted slice renumbers Index to
-	// its own positions (ID keeps the stable physical index) and liveIdx
-	// maps the pick back to the real GPU.
-	var views []gateway.Replica
-	var liveIdx []int
+	// its own positions and ID keeps the stable physical index, the real
+	// GPU.
+	views := c.views[:0]
 	for i := range c.disps {
 		if !c.alive[i] || !c.routable[i] {
 			continue
@@ -503,8 +502,8 @@ func (cn *Conn) submitRouted(req core.Request) int {
 			v.LoadPenaltyNs = c.loadPenalty(i, req.Model)
 		}
 		views = append(views, v)
-		liveIdx = append(liveIdx, i)
 	}
+	c.views = views
 	if len(views) == 0 {
 		return -1
 	}
@@ -512,7 +511,10 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: policy %q picked GPU %d of %d", c.policy.Name(), pick, len(views)))
 	}
-	g := liveIdx[pick]
+	// Copy the pick out before anything else can route: the next pick
+	// refills the buffer.
+	chosen := views[pick]
+	g := chosen.ID
 	orig := req
 	req.Client = cn.conns[g].ID
 	if !cn.conns[g].Submit(req) {
@@ -524,17 +526,17 @@ func (cn *Conn) submitRouted(req core.Request) int {
 		c.rec.InstantArgs(c.routeTrack, req.Model, "route", c.env.Now(),
 			trace.Int("gpu", int64(g)),
 			trace.Str("balancer", c.policy.Name()),
-			trace.Bool("warm", views[pick].Warm),
-			trace.Bool("loading", views[pick].Loading))
+			trace.Bool("warm", chosen.Warm),
+			trace.Bool("loading", chosen.Loading))
 	}
-	c.routed(views[pick])
+	c.routed(chosen)
 	cn.pending[req.ID] = route{gpu: g, req: orig}
 	cn.order = append(cn.order, req.ID)
 	if len(cn.order) > 4*len(cn.pending)+16 {
 		cn.compactOrder()
 	}
 	c.inflight[g]++
-	c.pendingNs[g] += views[pick].CostNs
+	c.pendingNs[g] += chosen.CostNs
 	return g
 }
 

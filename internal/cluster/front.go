@@ -22,6 +22,9 @@ type front struct {
 	admission *gateway.Admission
 	shedCol   *metrics.Collector
 	gw        gwMetrics
+	// views is the routing-views buffer every pick refills; gateway
+	// policies do not keep the slice they are given.
+	views []gateway.Replica
 }
 
 // newFront builds the front for a policy. A prediction-driven policy

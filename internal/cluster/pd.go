@@ -178,11 +178,7 @@ func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 		if err != nil {
 			return nil, err
 		}
-		i := i
-		eng.OnFinish = func(rec metrics.JobRecord) { pd.cross(i, func() { pd.finished(i, rec) }) }
-		if pd.split() && i < cfg.Prefills {
-			eng.HandoffPrefill = func(h llm.Handoff) { pd.cross(i, func() { pd.handoff(i, h) }) }
-		}
+		pd.bindCallbacks(i, eng)
 		pd.engines = append(pd.engines, eng)
 		pd.envs = append(pd.envs, senv)
 		pd.cols = append(pd.cols, col)
@@ -224,50 +220,51 @@ func (pd *PD) requestCost(g int, req llm.Request) sim.Time {
 // split reports whether the deployment is disaggregated.
 func (pd *PD) split() bool { return pd.cfg.Decodes > 0 }
 
-// cross runs fn on the control timeline: shard-side engine callbacks must
-// not touch front state (inflight counters, the link) directly when the
-// engine lives on a shard.
-func (pd *PD) cross(from int, fn func()) {
-	if pd.world != nil {
-		pd.world.Post(from, fn)
+// bindCallbacks wires engine i's terminal and handoff callbacks to the
+// front. On a World they cross to the control timeline, since shard-side
+// engine callbacks must not touch front state (inflight counters, the
+// link) directly; on a serial Env they call the front without building a
+// closure per record.
+func (pd *PD) bindCallbacks(i int, eng *llm.Engine) {
+	handoff := pd.split() && i < pd.cfg.Prefills
+	if w := pd.world; w != nil {
+		eng.OnFinish = func(rec metrics.JobRecord) { w.Post(i, func() { pd.finished(i, rec) }) }
+		if handoff {
+			eng.HandoffPrefill = func(h llm.Handoff) { w.Post(i, func() { pd.handoff(i, h) }) }
+		}
 		return
 	}
-	fn()
+	eng.OnFinish = func(rec metrics.JobRecord) { pd.finished(i, rec) }
+	if handoff {
+		eng.HandoffPrefill = func(h llm.Handoff) { pd.handoff(i, h) }
+	}
 }
 
 // toEngine runs fn against engine g's state on its own timeline. From a
 // control event the shards are parked at the window barrier, so scheduling
-// at the shard's current time is the canonical ctrl→shard crossing.
+// at the shard's current time is the canonical ctrl→shard crossing. Only
+// a World calls it: a serial Env calls the engine directly.
 func (pd *PD) toEngine(g int, fn func(*llm.Engine)) {
 	eng := pd.engines[g]
-	if pd.world == nil {
-		fn(eng)
-		return
-	}
 	senv := pd.envs[g]
 	senv.At(senv.Now(), func() { fn(eng) })
 }
 
-// views builds gateway replica views over engines [lo, hi): queued work in
-// profiled token-time, this request's estimated cost on each engine (a
-// slow replica quotes more), all replicas warm (generative weights stay
-// resident; affinity differentiates by session).
-func (pd *PD) views(lo, hi int, costOf func(g int) sim.Time) []gateway.Replica {
-	out := make([]gateway.Replica, 0, hi-lo)
+// pickIn routes within engines [lo, hi) with the given policy. The replica
+// views (queued work in profiled token-time, this request's estimated cost
+// on each engine, all replicas warm: generative weights stay resident and
+// affinity differentiates by session) fill the front's reused buffer.
+func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf func(g int) sim.Time) int {
+	views := pd.views[:0]
 	for i := lo; i < hi; i++ {
-		out = append(out, gateway.Replica{
+		views = append(views, gateway.Replica{
 			Index: i - lo, ID: i,
 			InFlight: pd.inflight[i], Capacity: 1,
 			QueueNs: pd.pendingNs[i], CostNs: costOf(i),
 			Warm: true,
 		})
 	}
-	return out
-}
-
-// pickIn routes within engines [lo, hi) with the given policy.
-func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf func(g int) sim.Time) int {
-	views := pd.views(lo, hi, costOf)
+	pd.views = views
 	pick := pol.Pick(gateway.Request{Model: pd.cfg.LLM.Spec.Name, Tenant: req.Tenant, Session: req.Session}, views)
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: pd policy %q picked engine %d of %d", pol.Name(), pick, len(views)))
@@ -301,7 +298,11 @@ func (pd *PD) Submit(req llm.Request) int {
 	cost := pd.requestCost(g, req)
 	pd.pendingNs[g] += cost
 	pd.charge[req.ID] = chargeEntry{engine: g, cost: cost}
-	pd.toEngine(g, func(eng *llm.Engine) { eng.Admit(req) })
+	if pd.world == nil {
+		pd.engines[g].Admit(req)
+	} else {
+		pd.toEngine(g, func(eng *llm.Engine) { eng.Admit(req) })
+	}
 	return g
 }
 
@@ -331,7 +332,11 @@ func (pd *PD) handoff(from int, h llm.Handoff) {
 		if pd.mt != nil {
 			pd.mt.Observe(pd.mtKVNs, pd.env.Now(), float64(pd.env.Now()-enq))
 		}
-		pd.toEngine(d, func(eng *llm.Engine) { eng.AdmitDecoded(h) })
+		if pd.world == nil {
+			pd.engines[d].AdmitDecoded(h)
+		} else {
+			pd.toEngine(d, func(eng *llm.Engine) { eng.AdmitDecoded(h) })
+		}
 	})
 }
 

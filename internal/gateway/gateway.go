@@ -112,7 +112,8 @@ type Request struct {
 // Implementations must be deterministic functions of their inputs and
 // accumulated state — the cluster calls Pick from a single timeline, and
 // the serial/parallel identity matrix holds policies to bit-identical
-// decisions.
+// decisions. Pick must not keep the slice: the cluster refills one
+// buffer for every decision.
 type Policy interface {
 	// Name returns the registry name.
 	Name() string

@@ -9,6 +9,7 @@ import (
 	"paella/internal/sched"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
+	"paella/internal/trace"
 	"paella/internal/vram"
 )
 
@@ -66,6 +67,8 @@ type Handoff struct {
 type seqState struct {
 	req Request
 	rec metrics.JobRecord
+	// tag labels the sequence's prefill launches in device traces; empty
+	// when the engine's Env has no trace recorder.
 	tag string
 
 	entry sched.JobEntry
@@ -111,9 +114,19 @@ type Engine struct {
 	col    *metrics.Collector
 
 	// prefillQ holds sequences awaiting KV pages and (when needCompute) a
-	// prefill pass, FIFO. At most one prefill kernel is in flight.
-	prefillQ    []*seqState
-	prefillBusy bool
+	// prefill pass, FIFO. At most one prefill kernel is in flight:
+	// prefilling is its sequence, nil when the prefill lane is idle.
+	prefillQ   []*seqState
+	prefilling *seqState
+	// prefillL and decodeL are the engine's one in-flight prefill and one
+	// in-flight decode launch, recycled for every pass; their completion
+	// callbacks are bound once in NewEngine, so a launch allocates nothing.
+	prefillL                  gpu.Launch
+	decodeL                   gpu.Launch
+	onPrefillDone, onIterDone func()
+	// traced reports whether the Env has a trace recorder: only then are
+	// prefill launches tagged with their sequence.
+	traced bool
 	// ready lists the policy's sequences that are not riding the in-flight
 	// continuous iteration, for victim scans. Its order is irrelevant:
 	// readyVictim's worseThan is a total order on (Remaining, ID), so
@@ -183,7 +196,10 @@ func NewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) (*Engine, e
 		policy:     sched.NewPaella(fairnessThreshold),
 		col:        col,
 		maxKVPages: int(cfg.VRAMBytes/cfg.KVBlockBytes) - mem.UsedBlocks(),
+		traced:     trace.FromEnv(env) != nil,
 	}
+	e.onPrefillDone = e.prefillDone
+	e.onIterDone = e.iterDone
 	if e.maxKVPages <= 0 {
 		return nil, fmt.Errorf("llm %q: weights leave no KV pages", cfg.Spec.Name)
 	}
@@ -210,7 +226,7 @@ func MustNewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) *Engine
 // engine).
 func (e *Engine) Admit(req Request) {
 	now := e.env.Now()
-	s := &seqState{req: req, needCompute: true, tag: fmt.Sprintf("llm-%d", req.ID)}
+	s := &seqState{req: req, needCompute: true}
 	s.rec = metrics.JobRecord{
 		ID: req.ID, Model: e.comp.Cfg.Spec.Name, Client: req.Client,
 		Tenant: req.Tenant, Submit: req.Submit, Admit: now,
@@ -224,11 +240,14 @@ func (e *Engine) Admit(req Request) {
 // prefill pass before joining the decode loop.
 func (e *Engine) AdmitDecoded(h Handoff) {
 	now := e.env.Now()
-	s := &seqState{req: h.Req, rec: h.Rec, tag: fmt.Sprintf("llm-%d", h.Req.ID)}
+	s := &seqState{req: h.Req, rec: h.Rec}
 	e.admit(s, now, sim.Time(h.Req.Output)*e.comp.DecodeMean())
 }
 
 func (e *Engine) admit(s *seqState, now sim.Time, estimate sim.Time) {
+	if e.traced {
+		s.tag = fmt.Sprintf("llm-%d", s.req.ID)
+	}
 	s.entry = sched.JobEntry{
 		ID: s.req.ID, Client: s.req.Client, Arrival: now,
 		Total: estimate, Remaining: estimate, Payload: s,
@@ -247,7 +266,7 @@ func (e *Engine) admit(s *seqState, now sim.Time, estimate sim.Time) {
 func (e *Engine) kickPrefill() {
 	for len(e.prefillQ) > 0 {
 		s := e.prefillQ[0]
-		if s.needCompute && e.prefillBusy {
+		if s.needCompute && e.prefilling != nil {
 			return
 		}
 		tokens := s.req.Prompt + s.generated
@@ -270,7 +289,6 @@ func (e *Engine) kickPrefill() {
 			e.decodeReady(s)
 			continue
 		}
-		e.prefillBusy = true
 		now := e.env.Now()
 		if s.stallStart > 0 {
 			// Preemption stall ends where the recompute pass launches.
@@ -282,22 +300,29 @@ func (e *Engine) kickPrefill() {
 			s.rec.FirstDispatch = now
 		}
 		e.policy.Dispatched(&s.entry)
-		e.dev.Submit(prefillQueue, &gpu.Launch{
-			Spec:       e.comp.PrefillSpec(tokens),
-			JobTag:     s.tag,
-			OnComplete: func() { e.prefillDone(s) },
-		})
+		e.prefilling = s
+		e.submit(prefillQueue, &e.prefillL, e.comp.PrefillSpec(tokens), s.tag, e.onPrefillDone)
 	}
 }
 
 // noProgressPossible reports whether nothing in flight or runnable could
 // ever release KV pages — the stalled queue head would wait forever.
 func (e *Engine) noProgressPossible() bool {
-	return !e.decodeBusy && !e.prefillBusy && len(e.ready) == 0 && len(e.group) == 0
+	return !e.decodeBusy && e.prefilling == nil && len(e.ready) == 0 && len(e.group) == 0
 }
 
-func (e *Engine) prefillDone(s *seqState) {
-	e.prefillBusy = false
+// submit recycles one of the engine's launches and hands it to the
+// device. The launch is free again: its last pass completed before the
+// callback that starts the next one ran.
+func (e *Engine) submit(q int, l *gpu.Launch, spec *gpu.KernelSpec, tag string, done func()) {
+	l.Recycle()
+	l.Spec, l.JobTag, l.OnComplete = spec, tag, done
+	e.dev.Submit(q, l)
+}
+
+func (e *Engine) prefillDone() {
+	s := e.prefilling
+	e.prefilling = nil
 	now := e.env.Now()
 	if s.prefillStart > 0 {
 		s.rec.PrefillNs += now - s.prefillStart
@@ -427,11 +452,7 @@ func (e *Engine) maybeIterate() {
 	e.batch = alive
 	e.decodeBusy = true
 	e.iterations++
-	e.dev.Submit(decodeQueue, &gpu.Launch{
-		Spec:       e.comp.DecodeSpec(width),
-		JobTag:     DecodeKernel,
-		OnComplete: e.iterDone,
-	})
+	e.submit(decodeQueue, &e.decodeL, e.comp.DecodeSpec(width), DecodeKernel, e.onIterDone)
 }
 
 func (e *Engine) iterDone() {

@@ -2,6 +2,12 @@
 // aggregate statistics the paper reports: percentile job completion times,
 // throughput/goodput, per-stage overhead breakdowns (Figure 10), CDFs
 // (Figure 15), and client CPU utilization (Figure 14).
+//
+// A Collector stores its records in append-only fixed-size chunks, so a
+// long run's record store never regrows or copies (DESIGN.md §14.3).
+// Records are written during the run and read after it: the aggregate
+// methods walk the chunks in place, and Records builds one contiguous
+// view on demand.
 package metrics
 
 import (
@@ -140,52 +146,141 @@ func (r *JobRecord) CommNs() sim.Time {
 	return c
 }
 
-// Collector accumulates job records for one run.
-type Collector struct {
-	records []JobRecord
+// chunkSize is how many records one storage chunk holds (224 KiB at
+// today's 224-byte JobRecord). Add fills the last chunk and links a fresh
+// one when it is full, so no chunk is ever copied or outgrown.
+const chunkSize = 1024
+
+// chunk is one fixed block of records in Add order.
+type chunk struct {
+	recs [chunkSize]JobRecord
+	n    int
+	next *chunk
 }
 
-// NewCollector returns an empty collector.
+// Collector accumulates job records for one run. Records live in
+// append-only fixed-size chunks, so a long run's store never regrows: a
+// record is written once and never copied or orphaned by later Adds. The
+// aggregate methods walk the chunks in place; Records builds a contiguous
+// view only when a caller asks for one. Read records after the run.
+type Collector struct {
+	head, tail *chunk
+	n          int
+	// view is Records' contiguous slice, built on demand and dropped by
+	// the next Add.
+	view []JobRecord
+}
+
+// NewCollector returns an empty collector. It allocates no chunk: the
+// first Add does.
 func NewCollector() *Collector { return &Collector{} }
 
 // Add appends one completed job.
-func (c *Collector) Add(r JobRecord) { c.records = append(c.records, r) }
+func (c *Collector) Add(r JobRecord) {
+	if c.tail == nil || c.tail.n == chunkSize {
+		ch := new(chunk)
+		if c.tail == nil {
+			c.head = ch
+		} else {
+			c.tail.next = ch
+		}
+		c.tail = ch
+	}
+	c.tail.recs[c.tail.n] = r
+	c.tail.n++
+	c.n++
+	c.view = nil
+}
 
-// Len returns the number of completed jobs.
-func (c *Collector) Len() int { return len(c.records) }
+// Len returns the number of records.
+func (c *Collector) Len() int { return c.n }
 
-// Records returns the raw records (not a copy; callers must not mutate).
-func (c *Collector) Records() []JobRecord { return c.records }
+// Records returns every record in Add order as one contiguous slice;
+// callers must not mutate it. The slice is built on the first call after
+// an Add (records spanning more than one chunk are copied into it) and
+// shared by later calls until the next Add. A returned slice keeps its
+// contents when records are added later. It is meant for reading after
+// the run: calling it between Adds copies the store each time.
+func (c *Collector) Records() []JobRecord {
+	if c.view != nil || c.n == 0 {
+		return c.view
+	}
+	if c.head == c.tail {
+		c.view = c.head.recs[:c.n:c.n]
+		return c.view
+	}
+	c.view = make([]JobRecord, 0, c.n)
+	for ch := c.head; ch != nil; ch = ch.next {
+		c.view = append(c.view, ch.recs[:ch.n]...)
+	}
+	return c.view
+}
+
+// each calls fn on every record in Add order, walking the chunks in place.
+func (c *Collector) each(fn func(r *JobRecord)) {
+	for ch := c.head; ch != nil; ch = ch.next {
+		for i := range ch.recs[:ch.n] {
+			fn(&ch.recs[i])
+		}
+	}
+}
+
+// filter returns a collector holding the records keep accepts, in order.
+func (c *Collector) filter(keep func(r *JobRecord) bool) *Collector {
+	out := NewCollector()
+	c.each(func(r *JobRecord) {
+		if keep(r) {
+			out.Add(*r)
+		}
+	})
+	return out
+}
+
+// count returns how many records match.
+func (c *Collector) count(match func(r *JobRecord) bool) int {
+	n := 0
+	c.each(func(r *JobRecord) {
+		if match(r) {
+			n++
+		}
+	})
+	return n
+}
+
+// perSecond divides n by the run's span in virtual seconds, from the
+// earliest submit to the latest delivery over every record; zero for an
+// empty collector or an empty span.
+func (c *Collector) perSecond(n int) float64 {
+	if c.n == 0 {
+		return 0
+	}
+	first, last := c.head.recs[0].Submit, c.head.recs[0].Delivered
+	c.each(func(r *JobRecord) {
+		first = min(first, r.Submit)
+		last = max(last, r.Delivered)
+	})
+	span := (last - first).Seconds()
+	if span <= 0 {
+		return 0
+	}
+	return float64(n) / span
+}
 
 // JCTs returns all job completion times.
 func (c *Collector) JCTs() []sim.Time {
-	out := make([]sim.Time, len(c.records))
-	for i := range c.records {
-		out[i] = c.records[i].JCT()
-	}
+	out := make([]sim.Time, 0, c.n)
+	c.each(func(r *JobRecord) { out = append(out, r.JCT()) })
 	return out
 }
 
 // FilterModel returns a collector restricted to one model.
 func (c *Collector) FilterModel(name string) *Collector {
-	out := NewCollector()
-	for _, r := range c.records {
-		if r.Model == name {
-			out.Add(r)
-		}
-	}
-	return out
+	return c.filter(func(r *JobRecord) bool { return r.Model == name })
 }
 
 // FilterTenant returns a collector restricted to one tenant.
 func (c *Collector) FilterTenant(tenant string) *Collector {
-	out := NewCollector()
-	for _, r := range c.records {
-		if r.Tenant == tenant {
-			out.Add(r)
-		}
-	}
-	return out
+	return c.filter(func(r *JobRecord) bool { return r.Tenant == tenant })
 }
 
 // Tenants returns the distinct tenant names present, sorted; untenanted
@@ -193,35 +288,29 @@ func (c *Collector) FilterTenant(tenant string) *Collector {
 func (c *Collector) Tenants() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, r := range c.records {
+	c.each(func(r *JobRecord) {
 		if r.Tenant != "" && !seen[r.Tenant] {
 			seen[r.Tenant] = true
 			out = append(out, r.Tenant)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
 
 // Failures returns how many records terminated with a typed error.
 func (c *Collector) Failures() int {
-	n := 0
-	for _, r := range c.records {
-		if r.Failed {
-			n++
-		}
-	}
-	return n
+	return c.count(func(r *JobRecord) bool { return r.Failed })
 }
 
 // FailuresByReason returns failure counts keyed by FailureReason.
 func (c *Collector) FailuresByReason() map[string]int {
 	out := map[string]int{}
-	for _, r := range c.records {
+	c.each(func(r *JobRecord) {
 		if r.Failed {
 			out[r.FailureReason]++
 		}
-	}
+	})
 	return out
 }
 
@@ -229,120 +318,74 @@ func (c *Collector) FailuresByReason() map[string]int {
 // non-cancelled) records — the population goodput and latency percentiles
 // are computed over under fault injection.
 func (c *Collector) Succeeded() *Collector {
-	out := NewCollector()
-	for _, r := range c.records {
-		if !r.Failed && !r.Cancelled {
-			out.Add(r)
-		}
-	}
-	return out
+	return c.filter(func(r *JobRecord) bool { return !r.Failed && !r.Cancelled })
 }
 
 // ColdStarts returns how many completed jobs waited on a weight load.
 func (c *Collector) ColdStarts() int {
-	n := 0
-	for _, r := range c.records {
-		if r.ColdStart {
-			n++
-		}
-	}
-	return n
+	return c.count(func(r *JobRecord) bool { return r.ColdStart })
 }
 
 // WarmHitRatio returns the fraction of completed jobs whose model was
 // already resident at admission (1.0 when no job ever cold-started).
 func (c *Collector) WarmHitRatio() float64 {
-	if len(c.records) == 0 {
+	if c.n == 0 {
 		return 0
 	}
-	return 1 - float64(c.ColdStarts())/float64(len(c.records))
+	return 1 - float64(c.ColdStarts())/float64(c.n)
 }
 
 // MeanLoadNs returns the mean weight-load wait across all completed jobs
 // (cold and warm) — the average cold-start contribution to JCT.
 func (c *Collector) MeanLoadNs() sim.Time {
-	if len(c.records) == 0 {
+	if c.n == 0 {
 		return 0
 	}
 	var total sim.Time
-	for _, r := range c.records {
-		total += r.LoadNs
-	}
-	return total / sim.Time(len(c.records))
+	c.each(func(r *JobRecord) { total += r.LoadNs })
+	return total / sim.Time(c.n)
 }
 
 // MeanBatchSize returns the mean widest-batch size over batched records
 // (BatchSize > 0); zero when nothing was ever batched.
 func (c *Collector) MeanBatchSize() float64 {
 	total, n := 0, 0
-	for _, r := range c.records {
+	c.each(func(r *JobRecord) {
 		if r.BatchSize > 0 {
 			total += r.BatchSize
 			n++
 		}
-	}
+	})
 	if n == 0 {
 		return 0
 	}
 	return float64(total) / float64(n)
 }
 
-// Throughput returns completed jobs per second of virtual time over the
-// span from the first submit to the last delivery.
-func (c *Collector) Throughput() float64 {
-	if len(c.records) == 0 {
-		return 0
-	}
-	first, last := c.records[0].Submit, c.records[0].Delivered
-	for _, r := range c.records {
-		if r.Submit < first {
-			first = r.Submit
-		}
-		if r.Delivered > last {
-			last = r.Delivered
-		}
-	}
-	span := (last - first).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(c.records)) / span
-}
+// Throughput returns records per second of virtual time over the span
+// from the first submit to the last delivery. It counts every record,
+// failed and cancelled ones included; call it on Succeeded for the
+// completion rate.
+func (c *Collector) Throughput() float64 { return c.perSecond(c.n) }
 
-// Goodput returns jobs per second whose JCT met the given deadline.
+// Goodput returns successful jobs per second whose JCT met the given
+// deadline. Failed and cancelled records never count as met — a shed
+// request's JCT is about zero — but their stamps still bound the span.
 func (c *Collector) Goodput(deadline sim.Time) float64 {
-	if len(c.records) == 0 {
-		return 0
-	}
-	met := 0
-	first, last := c.records[0].Submit, c.records[0].Delivered
-	for _, r := range c.records {
-		if r.JCT() <= deadline {
-			met++
-		}
-		if r.Submit < first {
-			first = r.Submit
-		}
-		if r.Delivered > last {
-			last = r.Delivered
-		}
-	}
-	span := (last - first).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(met) / span
+	return c.perSecond(c.count(func(r *JobRecord) bool {
+		return !r.Failed && !r.Cancelled && r.JCT() <= deadline
+	}))
 }
 
 // TTFTs returns the time-to-first-token of every record that produced at
 // least one token (generative jobs only).
 func (c *Collector) TTFTs() []sim.Time {
 	var out []sim.Time
-	for i := range c.records {
-		if t := c.records[i].TTFT(); t > 0 {
+	c.each(func(r *JobRecord) {
+		if t := r.TTFT(); t > 0 {
 			out = append(out, t)
 		}
-	}
+	})
 	return out
 }
 
@@ -350,11 +393,11 @@ func (c *Collector) TTFTs() []sim.Time {
 // least two output tokens.
 func (c *Collector) TPOTs() []sim.Time {
 	var out []sim.Time
-	for i := range c.records {
-		if t := c.records[i].TPOT(); t > 0 {
+	c.each(func(r *JobRecord) {
+		if t := r.TPOT(); t > 0 {
 			out = append(out, t)
 		}
-	}
+	})
 	return out
 }
 
@@ -363,61 +406,24 @@ func (c *Collector) TPOTs() []sim.Time {
 // tokens stream slowly still feels responsive if the first one was fast.
 // The span is the same submit→deliver window Throughput uses.
 func (c *Collector) TTFTGoodput(deadline sim.Time) float64 {
-	if len(c.records) == 0 {
-		return 0
-	}
-	met := 0
-	first, last := c.records[0].Submit, c.records[0].Delivered
-	for i := range c.records {
-		r := &c.records[i]
-		if t := r.TTFT(); t > 0 && t <= deadline && !r.Failed {
-			met++
-		}
-		if r.Submit < first {
-			first = r.Submit
-		}
-		if r.Delivered > last {
-			last = r.Delivered
-		}
-	}
-	span := (last - first).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(met) / span
+	return c.perSecond(c.count(func(r *JobRecord) bool {
+		t := r.TTFT()
+		return t > 0 && t <= deadline && !r.Failed
+	}))
 }
 
 // TokensPerSec returns the aggregate output-token rate over the run's
 // submit→deliver span (generative serving's throughput unit).
 func (c *Collector) TokensPerSec() float64 {
-	if len(c.records) == 0 {
-		return 0
-	}
 	tokens := 0
-	first, last := c.records[0].Submit, c.records[0].Delivered
-	for i := range c.records {
-		r := &c.records[i]
-		tokens += r.OutputTokens
-		if r.Submit < first {
-			first = r.Submit
-		}
-		if r.Delivered > last {
-			last = r.Delivered
-		}
-	}
-	span := (last - first).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(tokens) / span
+	c.each(func(r *JobRecord) { tokens += r.OutputTokens })
+	return c.perSecond(tokens)
 }
 
 // Preemptions totals KV-pressure preemptions across all records.
 func (c *Collector) Preemptions() int {
 	n := 0
-	for i := range c.records {
-		n += c.records[i].Preemptions
-	}
+	c.each(func(r *JobRecord) { n += r.Preemptions })
 	return n
 }
 
@@ -500,27 +506,30 @@ type jsonRec struct {
 // WriteJSON emits all records as a JSON array (ns timestamps), for
 // external analysis tooling.
 func (c *Collector) WriteJSON(w io.Writer) error {
-	out := make([]jsonRec, len(c.records))
-	for i, r := range c.records {
-		out[i] = jsonRec{
-			ID: r.ID, Model: r.Model, Client: r.Client, Tenant: r.Tenant,
-			SubmitNs: int64(r.Submit), AdmitNs: int64(r.Admit),
-			FirstDispatch: int64(r.FirstDispatch), ExecDoneNs: int64(r.ExecDone),
-			DeliveredNs: int64(r.Delivered), JCTNs: int64(r.JCT()),
-			ColdStart: r.ColdStart, LoadNs: int64(r.LoadNs),
-			BatchSize: r.BatchSize, BatchWaitNs: int64(r.BatchWaitNs),
-			HoLNs: int64(r.HoLNs), StallNs: int64(r.StallNs),
-			PrefillNs:   int64(r.PrefillNs),
-			FrameworkNs: int64(r.FrameworkNs), SchedNs: int64(r.SchedNs),
-			FirstTokenNs: int64(r.FirstToken), PromptTokens: r.PromptTokens,
-			OutputTokens: r.OutputTokens, Preemptions: r.Preemptions,
-			KVTransferNs: int64(r.KVTransferNs),
-			Failed:       r.Failed, FailureReason: r.FailureReason,
-		}
-	}
+	out := make([]jsonRec, 0, c.n)
+	c.each(func(r *JobRecord) { out = append(out, r.jsonRec()) })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// jsonRec returns the record's on-disk form.
+func (r *JobRecord) jsonRec() jsonRec {
+	return jsonRec{
+		ID: r.ID, Model: r.Model, Client: r.Client, Tenant: r.Tenant,
+		SubmitNs: int64(r.Submit), AdmitNs: int64(r.Admit),
+		FirstDispatch: int64(r.FirstDispatch), ExecDoneNs: int64(r.ExecDone),
+		DeliveredNs: int64(r.Delivered), JCTNs: int64(r.JCT()),
+		ColdStart: r.ColdStart, LoadNs: int64(r.LoadNs),
+		BatchSize: r.BatchSize, BatchWaitNs: int64(r.BatchWaitNs),
+		HoLNs: int64(r.HoLNs), StallNs: int64(r.StallNs),
+		PrefillNs:   int64(r.PrefillNs),
+		FrameworkNs: int64(r.FrameworkNs), SchedNs: int64(r.SchedNs),
+		FirstTokenNs: int64(r.FirstToken), PromptTokens: r.PromptTokens,
+		OutputTokens: r.OutputTokens, Preemptions: r.Preemptions,
+		KVTransferNs: int64(r.KVTransferNs),
+		Failed:       r.Failed, FailureReason: r.FailureReason,
+	}
 }
 
 // ReadJSON parses a record array previously written by WriteJSON back
@@ -581,17 +590,17 @@ func (r *JobRecord) Breakdown() Breakdown {
 // BreakdownMeans returns the per-component mean Breakdown across all
 // records (zero value for an empty collector).
 func (c *Collector) BreakdownMeans() Breakdown {
-	if len(c.records) == 0 {
+	if c.n == 0 {
 		return Breakdown{}
 	}
 	var sum Breakdown
-	for i := range c.records {
-		b := c.records[i].Breakdown()
+	c.each(func(r *JobRecord) {
+		b := r.Breakdown()
 		sum.Framework += b.Framework
 		sum.Scheduling += b.Scheduling
 		sum.Comm += b.Comm
-	}
-	n := sim.Time(len(c.records))
+	})
+	n := sim.Time(c.n)
 	return Breakdown{
 		Framework:  sum.Framework / n,
 		Scheduling: sum.Scheduling / n,
@@ -608,16 +617,16 @@ func (c *Collector) BreakdownP99() Breakdown {
 // BreakdownPercentile generalizes BreakdownP99 to any percentile, reusing
 // the integer nearest-rank Percentile for exact boundary behaviour.
 func (c *Collector) BreakdownPercentile(p float64) Breakdown {
-	if len(c.records) == 0 {
+	if c.n == 0 {
 		return Breakdown{}
 	}
-	fw := make([]sim.Time, len(c.records))
-	sc := make([]sim.Time, len(c.records))
-	cm := make([]sim.Time, len(c.records))
-	for i := range c.records {
-		b := c.records[i].Breakdown()
-		fw[i], sc[i], cm[i] = b.Framework, b.Scheduling, b.Comm
-	}
+	fw := make([]sim.Time, 0, c.n)
+	sc := make([]sim.Time, 0, c.n)
+	cm := make([]sim.Time, 0, c.n)
+	c.each(func(r *JobRecord) {
+		b := r.Breakdown()
+		fw, sc, cm = append(fw, b.Framework), append(sc, b.Scheduling), append(cm, b.Comm)
+	})
 	return Breakdown{
 		Framework:  Percentile(fw, p),
 		Scheduling: Percentile(sc, p),
