@@ -325,7 +325,7 @@ type Dispatcher struct {
 	cfg    Config
 	notifQ *channel.NotifQueue
 
-	models   map[string]*compiler.Instrumented
+	models   map[string]modelEntry
 	adaptors map[string]*adaptorEntry
 	clients  []*ClientConn
 
@@ -469,7 +469,7 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		dev:          dev,
 		cfg:          cfg,
 		notifQ:       notifQ,
-		models:       make(map[string]*compiler.Instrumented),
+		models:       make(map[string]modelEntry),
 		wake:         sim.NewCond(env),
 		jobs:         make(map[uint64]*Job),
 		inflight:     make(map[uint32]*inflightKernel),
@@ -590,7 +590,7 @@ func (d *Dispatcher) RegisterModel(ins *compiler.Instrumented) error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	d.models[ins.Model.Name] = ins
+	d.models[ins.Model.Name] = modelEntry{ins: ins, ops: buildOps(ins, d.cfg.Mode == ModeGated)}
 	return nil
 }
 
@@ -672,8 +672,8 @@ func (d *Dispatcher) ReleaseVRAMPressure() {
 
 // Model returns a registered model.
 func (d *Dispatcher) Model(name string) (*compiler.Instrumented, bool) {
-	ins, ok := d.models[name]
-	return ins, ok
+	m, ok := d.models[name]
+	return m.ins, ok
 }
 
 // Connect allocates a client's shared-memory region (request ring plus

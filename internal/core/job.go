@@ -30,13 +30,20 @@ type jobOp struct {
 	bytes int             // copies only
 }
 
+// modelEntry is a registered model with the op list every job of it
+// follows. Jobs share ops, which nothing writes after RegisterModel.
+type modelEntry struct {
+	ins *compiler.Instrumented
+	ops []jobOp
+}
+
 // Job is one admitted inference request moving through the dispatcher.
 type Job struct {
 	Req  Request
 	Ins  *compiler.Instrumented
 	conn *ClientConn
 
-	ops       []jobOp
+	ops       []jobOp // the model's shared, read-only op list
 	cursor    int
 	execsDone int // kernel executions completed (SRPT progress)
 
@@ -88,7 +95,7 @@ type Job struct {
 	belled bool
 }
 
-// buildOps synthesizes the job's operation list from the model: input
+// buildOps synthesizes the operation list a model's jobs follow: input
 // copy, the kernel sequence, and (unless the output is pinned) the output
 // copy. instrumented selects the instrumented kernel clones (ModeGated) or
 // the originals (ablation modes, which do not consume notifications).
@@ -147,7 +154,7 @@ func (d *Dispatcher) admit(p *sim.Proc, req Request) {
 		d.rejectRequest(req, ErrClientDisconnected)
 		return
 	}
-	ins, ok := d.models[req.Model]
+	m, ok := d.models[req.Model]
 	if !ok {
 		if ae, isAdaptor := d.adaptors[req.Model]; isAdaptor {
 			d.admitAdaptor(req, ae)
@@ -156,11 +163,12 @@ func (d *Dispatcher) admit(p *sim.Proc, req Request) {
 		panic(fmt.Sprintf("core: request for unregistered model %q", req.Model))
 	}
 	now := d.env.Now()
+	ins := m.ins
 	j := &Job{
 		Req:  req,
 		Ins:  ins,
 		conn: d.clients[req.Client],
-		ops:  buildOps(ins, d.cfg.Mode == ModeGated),
+		ops:  m.ops,
 		rec: metrics.JobRecord{
 			ID:          req.ID,
 			Model:       req.Model,
@@ -275,7 +283,7 @@ func (d *Dispatcher) startLoad(name string, ls *loadState) {
 		panic(fmt.Sprintf("core: weight load for %q: %v", name, err))
 	}
 	ls.pending = false
-	bytes := d.models[name].Model.WeightBytes
+	bytes := d.models[name].ins.Model.WeightBytes
 	d.pcie.Transfer(cudart.HostToDevice, bytes, func() { d.loadDone(name) })
 }
 

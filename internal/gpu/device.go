@@ -487,14 +487,9 @@ func (d *Device) Utilization() float64 {
 // TotalQueued returns the number of launches across all hardware queues.
 func (d *Device) TotalQueued() int { return d.queued }
 
-// FreeThreads returns the number of unoccupied thread slots device-wide.
-func (d *Device) FreeThreads() int {
-	free := 0
-	for i := range d.sms {
-		free += d.cfg.SM.MaxThreads - d.sms[i].threads
-	}
-	return free
-}
+// FreeThreads returns the number of unoccupied thread slots on online
+// SMs; a retired SM's idle slots accept no block and do not count.
+func (d *Device) FreeThreads() int { return d.freeThreads }
 
 // ResidentBlocks returns the number of thread blocks currently resident.
 func (d *Device) ResidentBlocks() int { return d.resident }

@@ -62,6 +62,38 @@ func TestSingleKernelLifecycle(t *testing.T) {
 	}
 }
 
+// TestFreeThreadsCountsOnlineSMs: FreeThreads counts the idle thread
+// slots of online SMs only, with blocks resident on the SM being retired,
+// after they drain, and once it is restored.
+func TestFreeThreadsCountsOnlineSMs(t *testing.T) {
+	env := sim.NewEnv()
+	d := testDevice(env, 2, 1)
+	onlineFree := func() int {
+		free := 0
+		for i := range d.sms {
+			if !d.sms[i].offline {
+				free += d.cfg.SM.MaxThreads - d.sms[i].threads
+			}
+		}
+		return free
+	}
+	check := func(when string, want int) {
+		t.Helper()
+		if got := d.FreeThreads(); got != want || got != onlineFree() {
+			t.Fatalf("%s: FreeThreads = %d, want %d (online SMs' idle slots: %d)", when, got, want, onlineFree())
+		}
+	}
+	d.Submit(0, &Launch{Spec: simpleKernel("k", 8, 100*sim.Microsecond)})
+	env.RunUntil(10 * sim.Microsecond)
+	check("8 blocks resident", 0)
+	d.RetireSM(0)
+	check("SM 0 retired with its blocks resident", 0)
+	env.RunUntil(150 * sim.Microsecond)
+	check("SM 0's blocks drained", 1024)
+	d.RestoreSM(0)
+	check("SM 0 restored", 2048)
+}
+
 func TestOccupancySerializesWaves(t *testing.T) {
 	env := sim.NewEnv()
 	d := testDevice(env, 1, 1) // 1 SM × 1024 threads → 4 blocks of 256 max

@@ -144,6 +144,10 @@ func RunTrace(sys System, trace []workload.Request, opts Options) (*metrics.Coll
 	} else {
 		env.Run()
 	}
+	// Unwind the processes still parked (the dispatcher loop, clients
+	// waiting on replies), so the system is collectable once the caller
+	// drops it.
+	env.Close()
 	return sys.Collector(), nil
 }
 

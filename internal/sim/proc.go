@@ -27,9 +27,14 @@ type Proc struct {
 	env  *Env
 	name string
 	fn   func(p *Proc)
-	// w is the coroutine running the process; nil once it has finished.
+	// w is the coroutine running the process: nil until its first resume
+	// and again once it has finished. A coroutine is a goroutine, and so a
+	// GC root: a process that never runs holds none, and so cannot keep
+	// its Env reachable.
 	w    *worker
 	done bool
+	// slot is the process's index in env.live while it holds a worker.
+	slot int
 	// dispatchFn is the preallocated wakeup closure. Sleep/Wait/WaitCond
 	// run once per simulated operation on hot paths; reusing one closure
 	// (and the pooled timer arena) keeps wakeups allocation-free.
@@ -37,8 +42,8 @@ type Proc struct {
 }
 
 // worker is a coroutine that runs processes one after another: when a
-// process returns, its worker parks in idleWorkers until a later Spawn
-// hands it the next one. Reuse saves a goroutine start per process, and it
+// process returns, its worker parks in idleWorkers until a later process's
+// first resume takes it. Reuse saves a goroutine start per process, and it
 // keeps race-enabled builds bounded: through at least Go 1.24 a coroutine
 // that exits never releases its race-detector goroutine state (coroexit
 // skips racegoend), so a coroutine per process would leak a few KiB for
@@ -69,7 +74,8 @@ func getWorker() *worker {
 	idleWorkers.mu.Unlock()
 	w := new(worker)
 	// The stop function is never needed: an idle worker waits in the pool,
-	// and one whose process blocks forever is abandoned with its Env.
+	// and one whose process is parked returns there when Env.Close unwinds
+	// it.
 	w.next, _ = iter.Pull(w.loop)
 	return w
 }
@@ -91,30 +97,67 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes the process function. A panic ends the worker's coroutine:
-// iter.Pull re-raises it from next(), i.e. inside the event callback that
-// resumed the process, so it surfaces from Env.Step.
+// closeUnwind is the panic value park raises in a process that Env.Close
+// resumes; run recovers it, so the process ends with its defers run.
+type closeUnwind struct{}
+
+// run executes the process function. A panic other than closeUnwind ends
+// the worker's coroutine: iter.Pull re-raises it from next(), i.e. inside
+// the event callback that resumed the process, so it surfaces from
+// Env.Step.
 func (p *Proc) run() {
 	defer func() {
 		p.done = true
+		p.env.retire(p)
 		if r := recover(); r != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			if _, ok := r.(closeUnwind); !ok {
+				p.w = nil // the coroutine dies with the panic; never pool it
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			}
 		}
 	}()
 	p.fn(p)
 }
 
 // Spawn starts fn as a new simulation process. The process begins running
-// at the current virtual time, after the currently-executing event returns.
-// The name appears in panic messages only. A panic inside fn resurfaces
-// from the Env.Step call that resumed the process, as
-// "sim: process <name> panicked: <value>".
+// at the current virtual time, after the currently-executing event returns;
+// it takes its coroutine then, not here. The name appears in panic messages
+// only. A panic inside fn resurfaces from the Env.Step call that resumed
+// the process, as "sim: process <name> panicked: <value>".
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn, w: getWorker()}
-	p.w.p = p
+	p := &Proc{env: e, name: name, fn: fn}
 	p.dispatchFn = p.dispatch
 	e.After(0, p.dispatchFn)
 	return p
+}
+
+// retire drops a finished process from the live set.
+func (e *Env) retire(p *Proc) {
+	last := len(e.live) - 1
+	q := e.live[last]
+	e.live[p.slot], q.slot = q, p.slot
+	e.live[last] = nil
+	e.live = e.live[:last]
+}
+
+// Close ends every process parked on the Env: it resumes each one so that
+// its pending park panics with a private value that unwinds the process,
+// running its defers, and the process's coroutine returns to the shared
+// pool. Parked coroutines are goroutines, which the garbage collector
+// treats as roots, so without Close a run that ends with processes parked
+// (a dispatcher loop, a client waiting on a reply) keeps everything they
+// reach alive. Processes spawned but never started hold no coroutine and
+// need nothing. Close must be called between events, never from one; the
+// Env must not be stepped after it. A second Close does nothing.
+func (e *Env) Close() {
+	e.closed = true
+	for n := len(e.live); n > 0; n = len(e.live) {
+		p := e.live[n-1]
+		p.dispatch()
+		if !p.done {
+			panic(fmt.Sprintf("sim: process %q survived Close", p.name))
+		}
+	}
 }
 
 // Done reports whether the process function has returned.
@@ -127,13 +170,20 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Env() *Env { return p.env }
 
 // dispatch switches to the process's coroutine and returns when the
-// process yields again or finishes; a finished process's worker goes back
-// to the pool. It must only be called from the event loop (i.e., from
-// within an event callback).
+// process yields again or finishes; the first dispatch takes a worker from
+// the pool, and a finished process's worker goes back to it. It must only
+// be called from the event loop (i.e., from within an event callback) or
+// from Env.Close.
 func (p *Proc) dispatch() {
 	w := p.w
 	if w == nil {
-		return
+		if p.done {
+			return
+		}
+		w = getWorker()
+		w.p, p.w = p, w
+		p.slot = len(p.env.live)
+		p.env.live = append(p.env.live, p)
 	}
 	w.next()
 	if p.done {
@@ -144,8 +194,14 @@ func (p *Proc) dispatch() {
 
 // park suspends the process coroutine and returns control to the event
 // loop. The process must have arranged (before calling park) for some
-// future event to call dispatch, or it will never run again.
-func (p *Proc) park() { p.w.yield(struct{}{}) }
+// future event to call dispatch, or it will never run again (until
+// Env.Close unwinds it).
+func (p *Proc) park() {
+	p.w.yield(struct{}{})
+	if p.env.closed {
+		panic(closeUnwind{})
+	}
+}
 
 // Sleep suspends the process for d virtual nanoseconds. When the wakeup
 // would be the very next event of the running Run or RunUntil loop, the

@@ -112,6 +112,10 @@ type Env struct {
 	// telemetry.Meter (internal/telemetry.FromEnv retrieves it typed).
 	// Nil means telemetry is disabled and must cost nothing.
 	meter any
+	// live holds the processes that have started and not yet finished,
+	// i.e. those holding a coroutine; closed is set by Close (see proc.go).
+	live   []*Proc
+	closed bool
 }
 
 // SetRecorder attaches an optional tracing recorder (see internal/trace) to

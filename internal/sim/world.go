@@ -185,9 +185,16 @@ func (w *World) RunUntil(limit Time) {
 	w.ctrl.RunUntil(limit)
 }
 
-// Close releases the world's executor, which today holds nothing: a World
-// starts no goroutine. The world must not be run again after Close.
-func (w *World) Close() {}
+// Close ends the processes parked on the control Env and on every shard
+// (Env.Close), so that nothing they reach outlives the world's owner. A
+// World starts no goroutine of its own. The world must not be run again
+// after Close; a second Close does nothing.
+func (w *World) Close() {
+	w.ctrl.Close()
+	for _, s := range w.shards {
+		s.Close()
+	}
+}
 
 // stepWindow runs one window to horizon h: shards, then the post merge,
 // then the control events — the serialization point.
