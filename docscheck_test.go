@@ -1,6 +1,7 @@
 package paella
 
 import (
+	"fmt"
 	"go/ast"
 	"go/doc"
 	"go/parser"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -156,4 +158,228 @@ func packageDoc(t *testing.T, dir string) string {
 		}
 	}
 	return ""
+}
+
+// testOnlyAllowed lists the exported internal/ identifiers that no non-test
+// file references but that stay exported, each with the reason. Keys are
+// "pkg.Name" for package-level names and "pkg.Type.Method" for methods.
+var testOnlyAllowed = map[string]string{
+	"cluster.Cluster.Routable": "autoscale tests check that a parked, warming or draining replica takes no new work (ROADMAP item 5's routing check)",
+	"sim.Env.Pending":          "the event count the sim tests check the timer arena against (arena.live() == Pending(), ROADMAP item 5) and the gpu tests count device events with",
+	"trace.Recorder.Spans":     "core's copy-cost pin reads every span in emission order",
+	"vram.Manager.KVBlocks":    "llm and cluster tests check that no KV page outlives its sequence (ROADMAP item 5's KV page check)",
+}
+
+// TestNoTestOnlyExports fails when an exported func, method, type, var or
+// const declared in internal/ is referenced by no non-test file in the tree
+// (bench/, examples/ and cmd/ included) outside its own declaration, unless
+// testOnlyAllowed names it with a reason; it also fails on a stale entry.
+// A package-level name counts as referenced by a pkg.Name selector in a file
+// importing its package, or a bare identifier in its own package; a method
+// counts as referenced by any .Name selector. Struct fields and interface
+// methods are not checked. The check is syntactic (go/ast only).
+func TestNoTestOnlyExports(t *testing.T) {
+	type decl struct {
+		key    string // reported name
+		path   string // import path of the declaring package
+		name   string
+		method bool
+		pos    token.Position
+	}
+	var decls []*decl
+	pkgRefs := map[string]bool{} // import path + "." + name
+	selectors := map[string]bool{}
+	fset := token.NewFileSet()
+
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		self := "paella/" + dir
+		internal := strings.HasPrefix(dir, "internal/")
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = p
+		}
+		// skip marks identifiers that name a declaration rather than use it.
+		skip := map[*ast.Ident]bool{}
+		declare := func(name *ast.Ident, key string, method bool) {
+			skip[name] = true
+			if internal && ast.IsExported(name.Name) {
+				decls = append(decls, &decl{key: key, path: self, name: name.Name,
+					method: method, pos: fset.Position(name.Pos())})
+			}
+		}
+		pkg := f.Name.Name
+		for _, dd := range f.Decls {
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				if dd.Recv == nil {
+					declare(dd.Name, pkg+"."+dd.Name.Name, false)
+					continue
+				}
+				// A method's receiver names its type but does not use it.
+				recv := dd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					skip[id] = true
+					declare(dd.Name, pkg+"."+id.Name+"."+dd.Name.Name, true)
+				}
+			case *ast.GenDecl:
+				for _, spec := range dd.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name, pkg+"."+s.Name.Name, false)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							declare(n, pkg+"."+n.Name, false)
+						}
+					}
+				}
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// The selected name refers to a member of X, never to a
+				// package-level name of this file's package.
+				selectors[n.Sel.Name] = true
+				if id, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[id.Name]; ok {
+						pkgRefs[p+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				if !skip[n] {
+					pkgRefs[self+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	allowed := map[string]bool{}
+	var unused []string
+	for _, d := range decls {
+		used := pkgRefs[d.path+"."+d.name]
+		if d.method {
+			used = selectors[d.name]
+		}
+		if used {
+			continue
+		}
+		if _, ok := testOnlyAllowed[d.key]; ok {
+			allowed[d.key] = true
+			continue
+		}
+		unused = append(unused, fmt.Sprintf("%s (%s)", d.key, d.pos))
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("exported %s is referenced only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", u)
+	}
+	for key := range testOnlyAllowed {
+		if !allowed[key] {
+			t.Errorf("stale testOnlyAllowed entry %s: it is referenced outside tests or no longer declared", key)
+		}
+	}
+}
+
+// fuzzSmokeLine matches one target of ci.yml's fuzz-smoke step.
+var fuzzSmokeLine = regexp.MustCompile(`go test \./(\S*?)/? -run (\w+) -fuzz (\w+) -fuzztime`)
+
+// TestFuzzSmokeCoversEveryTarget checks that the fuzz-smoke step of
+// .github/workflows/ci.yml runs exactly the root module's fuzz targets, so
+// a new, deleted or renamed func Fuzz* cannot silently fall out of CI.
+func TestFuzzSmokeCoversEveryTarget(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCI := map[string]bool{}
+	for _, m := range fuzzSmokeLine.FindAllStringSubmatch(string(ci), -1) {
+		if m[2] != m[3] {
+			t.Errorf("fuzz-smoke line runs %s but fuzzes %s", m[2], m[3])
+		}
+		inCI[m[1]+"."+m[3]] = true
+	}
+	inTree := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is its own module; testdata holds no targets.
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				inTree[filepath.ToSlash(filepath.Dir(path))+"."+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inTree) == 0 {
+		t.Fatal("found no fuzz targets")
+	}
+	for target := range inTree {
+		if !inCI[target] {
+			t.Errorf("fuzz target %s is missing from ci.yml's fuzz-smoke step", target)
+		}
+	}
+	for target := range inCI {
+		if !inTree[target] {
+			t.Errorf("ci.yml's fuzz-smoke step runs %s, which does not exist", target)
+		}
+	}
 }

@@ -265,14 +265,8 @@ func (s *Scaler) Start() {
 	s.scheduleTick()
 }
 
-// Stop disarms the control loop (pending drains stay unroutable).
-func (s *Scaler) Stop() { s.running = false }
-
 func (s *Scaler) scheduleTick() {
 	s.env.After(s.cfg.Interval, func() {
-		if !s.running {
-			return
-		}
 		s.tick()
 		s.scheduleTick()
 	})

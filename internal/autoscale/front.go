@@ -104,6 +104,3 @@ func (f *Front) Counts() Counts { return f.counts }
 
 // Outstanding returns how many submitted requests have not yet terminated.
 func (f *Front) Outstanding() int { return len(f.submitAt) }
-
-// Conn exposes the underlying cluster connection (tests).
-func (f *Front) Conn() *cluster.Conn { return f.conn }

@@ -1,7 +1,6 @@
 package autoscale
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -51,28 +50,28 @@ type Policy interface {
 	Target(sig Signals) int
 }
 
-// PolicyConfig is the JSON-codable parameterization of a registered
-// policy (`paella-sim -autoscale`, experiment grids, fuzzing). Zero-valued
-// knobs take the policy's documented default.
+// PolicyConfig is the parameterization of a registered policy
+// (`paella-sim -autoscale`, experiment grids, fuzzing). Zero-valued knobs
+// take the policy's documented default.
 type PolicyConfig struct {
 	// Name selects the registered policy.
-	Name string `json:"name"`
+	Name string
 	// Fixed is the static policy's pool size (0 = hold the initial pool).
-	Fixed int `json:"fixed,omitempty"`
+	Fixed int
 	// HiQueue and LoQueue are the queue-depth hysteresis thresholds in
 	// requests per active replica: above HiQueue scale up, below LoQueue
 	// scale down (defaults 8 and 2).
-	HiQueue float64 `json:"hi_queue,omitempty"`
-	LoQueue float64 `json:"lo_queue,omitempty"`
+	HiQueue float64
+	LoQueue float64
 	// HoldTicks is how many consecutive quiet (non-firing) ticks the
 	// slo-burn policy waits before releasing one replica (default 10).
-	HoldTicks int `json:"hold_ticks,omitempty"`
+	HoldTicks int
 	// Headroom is the predictive policy's over-provisioning multiplier on
 	// the forecast demand (default 1.25).
-	Headroom float64 `json:"headroom,omitempty"`
+	Headroom float64
 	// Lookahead is the predictive policy's forecast horizon in ticks
 	// (default 5): it provisions for rate + slope·Lookahead.
-	Lookahead int `json:"lookahead,omitempty"`
+	Lookahead int
 }
 
 // Validate reports parameter errors (unknown policy, inverted thresholds,
@@ -101,34 +100,6 @@ func (pc PolicyConfig) Validate() error {
 		return fmt.Errorf("autoscale: lookahead %d", pc.Lookahead)
 	}
 	return nil
-}
-
-// Marshal encodes the config as canonical JSON: parse(marshal(pc))
-// round-trips to an identical document for any valid config.
-func (pc PolicyConfig) Marshal() []byte {
-	data, err := json.Marshal(pc)
-	if err != nil {
-		panic(err) // no marshal-hostile fields
-	}
-	return data
-}
-
-// ParsePolicyConfig decodes and validates a PolicyConfig from JSON,
-// rejecting unknown fields so a typo'd knob fails loudly.
-func ParsePolicyConfig(data []byte) (PolicyConfig, error) {
-	var pc PolicyConfig
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&pc); err != nil {
-		return PolicyConfig{}, fmt.Errorf("autoscale: policy config: %w", err)
-	}
-	if dec.More() {
-		return PolicyConfig{}, fmt.Errorf("autoscale: policy config: trailing data")
-	}
-	if err := pc.Validate(); err != nil {
-		return PolicyConfig{}, err
-	}
-	return pc, nil
 }
 
 // pickDefault substitutes a default for an unset (zero) knob.

@@ -102,7 +102,10 @@ func TestAutoscaleConservationUnderChurn(t *testing.T) {
 		guard.state = s.State
 		front := autoscale.NewFront(s)
 
-		reqs := workload.MustGenerateTraffic(spec)
+		reqs, err := workload.GenerateTraffic(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		last := sim.Time(0)
 		for i, r := range reqs {
 			id := uint64(i + 1)

@@ -117,12 +117,10 @@ func NewNotifQueue(capacity int) *NotifQueue {
 	}
 }
 
-// Cap returns the queue capacity.
-func (q *NotifQueue) Cap() int { return len(q.slots) }
-
 // Push publishes a notification. It never blocks and never fails; writing
-// more than Cap records beyond the consumer's cursor silently overwrites
-// (by design, matching the paper's unchecked device-side writer).
+// more than a capacity's worth of records beyond the consumer's cursor
+// silently overwrites (by design, matching the paper's unchecked
+// device-side writer).
 func (q *NotifQueue) Push(n Notification) {
 	if n.Type() == Invalid {
 		panic("channel: pushing Invalid notification")
@@ -149,9 +147,6 @@ func (q *NotifQueue) Poll(buf []Notification) int {
 	}
 	return n
 }
-
-// Consumed returns the total number of records the consumer has read.
-func (q *NotifQueue) Consumed() uint64 { return q.head }
 
 // NotifVerdict is a fault-injection decision about one notification record
 // about to be published to the notifQ. The channel itself is lossless in

@@ -30,9 +30,6 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	return &SPSC[T]{mask: uint64(capacity - 1), buf: make([]T, capacity)}
 }
 
-// Cap returns the ring capacity.
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
-
 // Len returns the number of buffered items (approximate under concurrency,
 // exact when quiescent).
 func (r *SPSC[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
@@ -61,14 +58,4 @@ func (r *SPSC[T]) Pop() (v T, ok bool) {
 	r.buf[head&r.mask] = zero // drop references for GC
 	r.head.Store(head + 1)
 	return v, true
-}
-
-// Peek returns the oldest item without removing it. Only the consumer may
-// call Peek.
-func (r *SPSC[T]) Peek() (v T, ok bool) {
-	head := r.head.Load()
-	if head == r.tail.Load() {
-		return v, false
-	}
-	return r.buf[head&r.mask], true
 }

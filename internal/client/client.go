@@ -85,7 +85,6 @@ type Client struct {
 
 	busy      sim.Time
 	startedAt sim.Time
-	outstand  int
 }
 
 // New attaches a client to a dispatcher and installs the channel hooks.
@@ -109,12 +108,6 @@ func New(env *sim.Env, d *core.Dispatcher, cfg Config) *Client {
 	return c
 }
 
-// Conn returns the underlying dispatcher connection.
-func (c *Client) Conn() *core.ClientConn { return c.conn }
-
-// Outstanding returns the number of submitted-but-unread requests.
-func (c *Client) Outstanding() int { return c.outstand }
-
 // Predict submits an inference request for the named model and returns its
 // request id (the paella.predict call of §5.1). The input/output buffer is
 // zero-copy shared memory, so the only client cost is staging the tensor.
@@ -128,7 +121,6 @@ func (c *Client) Predict(p *sim.Proc, modelName string) uint64 {
 	for !c.conn.Submit(req) {
 		p.Sleep(10 * sim.Microsecond) // ring full: back off
 	}
-	c.outstand++
 	return id
 }
 
@@ -150,7 +142,6 @@ func (c *Client) TryReadResult() (id uint64, ok bool) {
 func (c *Client) popResult() uint64 {
 	id := c.completed[0]
 	c.completed = c.completed[1:]
-	c.outstand--
 	c.busy += c.cfg.RecvCost
 	return id
 }

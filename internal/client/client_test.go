@@ -39,9 +39,6 @@ func TestPredictReadRoundTrip(t *testing.T) {
 	if got == 0 {
 		t.Fatal("no result delivered")
 	}
-	if c.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d", c.Outstanding())
-	}
 }
 
 func TestReadBeforeCompletionAndAfter(t *testing.T) {

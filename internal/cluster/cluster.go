@@ -206,36 +206,9 @@ func (c *Cluster) SetRoutable(i int, ok bool) { c.routable[i] = ok }
 // Routable reports whether the gateway may route new work to replica i.
 func (c *Cluster) Routable(i int) bool { return c.routable[i] }
 
-// RoutableReplicas returns the number of live, routable replicas.
-func (c *Cluster) RoutableReplicas() int {
-	n := 0
-	for i := range c.routable {
-		if c.alive[i] && c.routable[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // InFlight returns the number of requests routed to replica i and not yet
 // terminal — the autoscaler's drain-completion signal.
 func (c *Cluster) InFlight(i int) int { return c.inflight[i] }
-
-// QueuedNs returns replica i's routed-but-unfinished predicted work in its
-// own profiled nanoseconds (the predicted-latency queue signal).
-func (c *Cluster) QueuedNs(i int) sim.Time { return c.pendingNs[i] }
-
-// Models returns the registered model names in registration order.
-func (c *Cluster) Models() []string { return c.modelOrder }
-
-// WeightBytesOf returns the registered weight footprint of a model (zero
-// for models registered outside RegisterModel).
-func (c *Cluster) WeightBytesOf(model string) int64 { return c.weightBytes[model] }
-
-// ModelCostNs returns replica g's profiled service estimate for the model
-// (zero for models registered outside RegisterModel) — the gateway's
-// per-replica cost view, exposed for the autoscaler's capacity math.
-func (c *Cluster) ModelCostNs(g int, model string) sim.Time { return c.costOf(g, model) }
 
 // Warmup pages every registered model's weights into replica i's device
 // memory — the autoscaler's cold-start: a newly activated replica pays the

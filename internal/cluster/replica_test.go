@@ -52,20 +52,20 @@ func TestWarmupEvictDrain(t *testing.T) {
 	if c.World() != w {
 		t.Fatal("World() does not return the cluster's engine")
 	}
-	if got := c.Models(); len(got) != 3 || got[0] != "wa" || got[2] != "wc" {
+	if got := c.modelOrder; len(got) != 3 || got[0] != "wa" || got[2] != "wc" {
 		t.Fatalf("Models() = %v, want registration order", got)
 	}
-	if c.WeightBytesOf("wb") != 24<<20 || c.WeightBytesOf("nope") != 0 {
-		t.Fatalf("WeightBytesOf = %d / %d", c.WeightBytesOf("wb"), c.WeightBytesOf("nope"))
+	if c.weightBytes["wb"] != 24<<20 || c.weightBytes["nope"] != 0 {
+		t.Fatalf("weight bytes = %d / %d", c.weightBytes["wb"], c.weightBytes["nope"])
 	}
-	if c.ModelCostNs(1, "wa") <= 0 || c.ModelCostNs(1, "nope") != 0 {
-		t.Fatalf("ModelCostNs = %v / %v", c.ModelCostNs(1, "wa"), c.ModelCostNs(1, "nope"))
+	if c.costOf(1, "wa") <= 0 || c.costOf(1, "nope") != 0 {
+		t.Fatalf("model cost = %v / %v", c.costOf(1, "wa"), c.costOf(1, "nope"))
 	}
 
 	// Drain replica 0: new work goes to replica 1 only.
 	c.SetRoutable(0, false)
-	if c.Routable(0) || !c.Routable(1) || c.RoutableReplicas() != 1 {
-		t.Fatalf("routable = %v/%v (%d), want false/true (1)", c.Routable(0), c.Routable(1), c.RoutableReplicas())
+	if c.Routable(0) || !c.Routable(1) {
+		t.Fatalf("routable = %v/%v, want false/true", c.Routable(0), c.Routable(1))
 	}
 	conn := c.Connect()
 	done := 0
@@ -77,8 +77,8 @@ func TestWarmupEvictDrain(t *testing.T) {
 				t.Errorf("request %d routed to %d while replica 0 drains", id, g)
 			}
 		}
-		if c.InFlight(0) != 0 || c.InFlight(1) != 4 || c.QueuedNs(1) != 4*c.ModelCostNs(1, "wa") {
-			t.Errorf("inflight %d/%d queued %v after routing", c.InFlight(0), c.InFlight(1), c.QueuedNs(1))
+		if c.InFlight(0) != 0 || c.InFlight(1) != 4 || c.pendingNs[1] != 4*c.costOf(1, "wa") {
+			t.Errorf("inflight %d/%d queued %v after routing", c.InFlight(0), c.InFlight(1), c.pendingNs[1])
 		}
 	})
 
@@ -86,8 +86,8 @@ func TestWarmupEvictDrain(t *testing.T) {
 	warmed, paged := 0, int64(0)
 	ctrl.At(sim.Microsecond, func() { paged = c.Warmup(0, func() { warmed++ }) })
 	w.RunUntil(sim.Second)
-	if done != 4 || c.InFlight(1) != 0 || c.QueuedNs(1) != 0 {
-		t.Fatalf("completed %d of 4, inflight %d, queued %v", done, c.InFlight(1), c.QueuedNs(1))
+	if done != 4 || c.InFlight(1) != 0 || c.pendingNs[1] != 0 {
+		t.Fatalf("completed %d of 4, inflight %d, queued %v", done, c.InFlight(1), c.pendingNs[1])
 	}
 	mgr := c.Dispatcher(0).VRAM()
 	if warmed != 1 || paged != 48<<20 {
@@ -105,14 +105,14 @@ func TestWarmupEvictDrain(t *testing.T) {
 	}
 
 	c.EvictAll(0)
-	for _, name := range c.Models() {
+	for _, name := range c.modelOrder {
 		if mgr.State(name) != vram.Cold {
 			t.Fatalf("%s still %v after EvictAll", name, mgr.State(name))
 		}
 	}
 	c.SetRoutable(0, true)
-	if c.RoutableReplicas() != 2 {
-		t.Fatalf("RoutableReplicas = %d after undrain", c.RoutableReplicas())
+	if !c.Routable(0) || !c.Routable(1) {
+		t.Fatal("replica 0 not routable after undrain")
 	}
 }
 
@@ -130,7 +130,7 @@ func TestWarmupWithoutBudget(t *testing.T) {
 	paged := c.Warmup(1, func() { doneAt = env.Now() })
 	c.EvictAll(1)
 	env.Run()
-	if paged != c.WeightBytesOf("tinynet")+8<<20 || doneAt <= 0 {
+	if paged != c.weightBytes["tinynet"]+8<<20 || doneAt <= 0 {
 		t.Fatalf("paged %d B, done at %v", paged, doneAt)
 	}
 }

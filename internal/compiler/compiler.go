@@ -154,40 +154,3 @@ func Instrument(m *model.Model, cfg Config) (*Instrumented, error) {
 	}
 	return &Instrumented{Model: clone, Original: m, Cfg: cfg}, nil
 }
-
-// MustInstrument is Instrument for known-good models; it panics on error.
-func MustInstrument(m *model.Model, cfg Config) *Instrumented {
-	ins, err := Instrument(m, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return ins
-}
-
-// Metadata is the per-kernel static resource table the pass exports for
-// the dispatcher (Table 1's inputs).
-type Metadata struct {
-	Kernel     string
-	Blocks     int
-	Threads    int
-	Registers  int // per block: threads × regs-per-thread
-	SharedMem  int
-	Executions int
-}
-
-// ExtractMetadata returns the resource table for a model.
-func ExtractMetadata(m *model.Model) []Metadata {
-	counts := m.Counts()
-	out := make([]Metadata, len(m.Kernels))
-	for i, k := range m.Kernels {
-		out[i] = Metadata{
-			Kernel:     k.Name,
-			Blocks:     k.Blocks,
-			Threads:    k.ThreadsPerBlock,
-			Registers:  k.ThreadsPerBlock * k.RegsPerThread,
-			SharedMem:  k.SharedMemPerBlock,
-			Executions: counts[i],
-		}
-	}
-	return out
-}

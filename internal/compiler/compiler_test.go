@@ -72,25 +72,11 @@ func TestInstrumentRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestExtractMetadata(t *testing.T) {
-	m := model.TinyNet()
-	md := ExtractMetadata(m)
-	if len(md) != m.NumUnique() {
-		t.Fatalf("metadata rows = %d, want %d", len(md), m.NumUnique())
-	}
-	for i, row := range md {
-		k := m.Kernels[i]
-		if row.Registers != k.ThreadsPerBlock*k.RegsPerThread {
-			t.Errorf("row %d: registers = %d", i, row.Registers)
-		}
-		if row.Executions != 1 {
-			t.Errorf("row %d: executions = %d", i, row.Executions)
-		}
-	}
-}
-
 func TestProfileModel(t *testing.T) {
-	ins := MustInstrument(model.TinyNet(), DefaultConfig())
+	ins, err := Instrument(model.TinyNet(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := gpu.TeslaT4()
 	cfg.LaunchOverhead = 0 // exact timing for assertions
 	p, err := ProfileModel(ins, cfg, 3)
@@ -100,7 +86,7 @@ func TestProfileModel(t *testing.T) {
 	// Every kernel observed; means equal the instrumented block durations
 	// (each kernel fits in one wave on a T4).
 	for _, k := range ins.Model.Kernels {
-		st := p.Stat(k.Name)
+		st := p.stats[k.Name]
 		if st == nil {
 			t.Fatalf("kernel %s not profiled", k.Name)
 		}
@@ -169,16 +155,19 @@ func TestObserveRefinesMean(t *testing.T) {
 	p := &Profile{ModelName: "x", stats: map[string]*KernelStat{}}
 	p.Observe("k", 100)
 	p.Observe("k", 200)
-	if st := p.Stat("k"); st.MeanTime != 150 {
+	if st := p.stats["k"]; st.MeanTime != 150 {
 		t.Fatalf("mean = %v, want 150", st.MeanTime)
 	}
-	if p.Stat("missing") != nil {
-		t.Fatal("missing kernel returned a stat")
+	if p.MeanTime("missing") != 0 {
+		t.Fatal("missing kernel has a mean")
 	}
 }
 
 func TestProfileRunsValidation(t *testing.T) {
-	ins := MustInstrument(model.TinyNet(), DefaultConfig())
+	ins, err := Instrument(model.TinyNet(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ProfileModel(ins, gpu.TeslaT4(), 0); err == nil {
 		t.Fatal("zero profiling runs accepted")
 	}

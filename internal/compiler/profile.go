@@ -51,9 +51,6 @@ func (p *Profile) Observe(kernel string, dur sim.Time) {
 	st.MeanTime = st.total / sim.Time(st.samples)
 }
 
-// Stat returns the statistics of the named kernel, or nil.
-func (p *Profile) Stat(kernel string) *KernelStat { return p.stats[kernel] }
-
 // MeanTime returns the named kernel's learned mean execution time (zero
 // when the kernel is unknown).
 func (p *Profile) MeanTime(kernel string) sim.Time {
@@ -82,21 +79,6 @@ func (p *Profile) RemainingAfter(executed int) sim.Time {
 		return 0
 	}
 	return p.remainingAfter[executed]
-}
-
-// RemainingByFormula evaluates the paper's §6 estimate directly:
-// Σᵢ max(0, C̄ᵢ − cᵢ)·T̄ᵢ given per-kernel executed counts. It is used by
-// tests to validate the suffix table and by schedulers that cannot assume
-// deterministic sequences.
-func (p *Profile) RemainingByFormula(executedCounts map[string]int) sim.Time {
-	var total sim.Time
-	for name, st := range p.stats {
-		rem := st.Count - float64(executedCounts[name])
-		if rem > 0 {
-			total += sim.Time(rem * float64(st.MeanTime))
-		}
-	}
-	return total
 }
 
 // BatchAlpha returns the named kernel's learned batch-scaling coefficient

@@ -140,7 +140,7 @@ func TestAdaptorMultiStreamOverlaps(t *testing.T) {
 		devCfg.LaunchOverhead = 0
 		d := NewWithDevice(env, devCfg, DefaultConfig(sched.NewPaella(10000)))
 		m := &model.Model{Name: "branchy", Kernels: []*gpu.KernelSpec{k}, Seq: []int{0, 0}, PinnedOutput: true}
-		ins := compiler.MustInstrument(m, compiler.Config{})
+		ins := instrument(t, m, compiler.Config{})
 		if _, err := compiler.ProfileModel(ins, devCfg, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestAdaptorDefaultStreamSerializes(t *testing.T) {
 	devCfg.LaunchOverhead = 0
 	d := NewWithDevice(env, devCfg, DefaultConfig(sched.NewPaella(10000)))
 	m := &model.Model{Name: "ds", Kernels: []*gpu.KernelSpec{k}, Seq: []int{0, 0, 0}, PinnedOutput: true}
-	ins := compiler.MustInstrument(m, compiler.Config{})
+	ins := instrument(t, m, compiler.Config{})
 	if _, err := compiler.ProfileModel(ins, devCfg, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRegisterAdaptorValidation(t *testing.T) {
 	_, d, ins := adaptorSetup(t)
 	a := &seqAdaptor{m: ins.Model}
 	// No profile.
-	bare := compiler.MustInstrument(model.TinyNet(), compiler.DefaultConfig())
+	bare := instrument(t, model.TinyNet(), compiler.DefaultConfig())
 	if err := d.RegisterAdaptor("x", bare, a); err == nil {
 		t.Fatal("adaptor without profile registered")
 	}

@@ -670,12 +670,6 @@ func (d *Dispatcher) ReleaseVRAMPressure() {
 	d.wakeNow()
 }
 
-// Model returns a registered model.
-func (d *Dispatcher) Model(name string) (*compiler.Instrumented, bool) {
-	m, ok := d.models[name]
-	return m.ins, ok
-}
-
 // Connect allocates a client's shared-memory region (request ring plus
 // completion hooks) and returns the connection handle.
 func (d *Dispatcher) Connect() *ClientConn {

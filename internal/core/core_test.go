@@ -8,6 +8,7 @@ import (
 	"paella/internal/model"
 	"paella/internal/sched"
 	"paella/internal/sim"
+	"paella/internal/telemetry"
 )
 
 // testSetup builds a dispatcher on a T4-like device with zero launch
@@ -26,6 +27,16 @@ func testSetup(t *testing.T, cfg Config, models ...*model.Model) (*sim.Env, *Dis
 	}
 	d.Start()
 	return env, d
+}
+
+// instrument is compiler.Instrument for models the test knows are valid.
+func instrument(t *testing.T, m *model.Model, cfg compiler.Config) *compiler.Instrumented {
+	t.Helper()
+	ins, err := compiler.Instrument(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
 }
 
 func gatedCfg() Config {
@@ -225,7 +236,18 @@ func TestGatedSRPTPrefersShortJob(t *testing.T) {
 func TestGatedKeepsQueuesShallow(t *testing.T) {
 	cfg := gatedCfg()
 	cfg.OvershootBlocks = 8
-	env, d := testSetup(t, cfg, model.Fig2Job())
+	// A meter attached before the device is built samples the device's
+	// total queued launches (gpu/hwq_depth) on every change.
+	env := sim.NewEnv()
+	mt := telemetry.NewMeter("t", sim.Second)
+	env.SetMeter(mt)
+	devCfg := gpu.TeslaT4()
+	devCfg.LaunchOverhead = 0
+	d := NewWithDevice(env, devCfg, cfg)
+	if err := d.RegisterModel(compiler.MustCompile(model.Fig2Job(), compiler.DefaultConfig(), devCfg, 2)); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
 	conn := d.Connect()
 	done := 0
 	conn.OnComplete = func(uint64) { done++ }
@@ -235,11 +257,11 @@ func TestGatedKeepsQueuesShallow(t *testing.T) {
 			conn.Submit(Request{ID: id, Model: "fig2job", Client: 0, Submit: 0})
 		})
 	}
+	env.Run()
+	mt.Flush(env.Now())
 	maxQueued := 0
-	for env.Step() {
-		if q := d.dev.TotalQueued(); q > maxQueued {
-			maxQueued = q
-		}
+	for _, r := range mt.Series("gpu/hwq_depth") {
+		maxQueued = max(maxQueued, int(r.Max))
 	}
 	if done != 40 {
 		t.Fatalf("completed %d of 40", done)
@@ -259,7 +281,7 @@ func TestGatedKeepsQueuesShallow(t *testing.T) {
 func TestRegisterModelValidation(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewWithDevice(env, gpu.TeslaT4(), gatedCfg())
-	ins := compiler.MustInstrument(model.TinyNet(), compiler.DefaultConfig())
+	ins := instrument(t, model.TinyNet(), compiler.DefaultConfig())
 	if err := d.RegisterModel(ins); err == nil {
 		t.Fatal("unprofiled model registered")
 	}
@@ -270,8 +292,8 @@ func TestRegisterModelValidation(t *testing.T) {
 	if err := d.RegisterModel(full); err == nil {
 		t.Fatal("duplicate model registered")
 	}
-	if _, ok := d.Model("tinynet"); !ok {
-		t.Fatal("Model lookup failed")
+	if _, ok := d.models["tinynet"]; !ok {
+		t.Fatal("registered model missing")
 	}
 }
 
@@ -396,7 +418,7 @@ func TestRegisterModelRejectsOversizeKernels(t *testing.T) {
 		Seq:          []int{0},
 		PinnedOutput: true,
 	}
-	ins := compiler.MustInstrument(huge, compiler.Config{})
+	ins := instrument(t, huge, compiler.Config{})
 	ins.Profile = &compiler.Profile{}
 	// Attach a minimal profile via the public pipeline on a big device.
 	big := cfg

@@ -117,8 +117,3 @@ func (m *mirror) rescale(cfg gpu.Config, online int) {
 func (m *mirror) headroomBlocks() int {
 	return m.capBlocks - m.resBlocks - m.rsvBlocks
 }
-
-// Idle reports whether the mirror believes the device is empty.
-func (m *mirror) Idle() bool {
-	return m.resBlocks == 0 && m.rsvBlocks == 0
-}

@@ -255,8 +255,10 @@ func TestVRAMPressureEvictsAndReleases(t *testing.T) {
 		t.Fatalf("completed=%d failed=%d, want 3/0", len(completed), len(failed))
 	}
 	d.VRAM().CheckInvariants()
-	if d.VRAM().PressureBlocks() != 0 {
-		t.Fatalf("pressure blocks leaked: %d", d.VRAM().PressureBlocks())
+	// Only tinynet's two 2 MiB weight blocks may stay allocated once the
+	// pressure is released.
+	if used := d.VRAM().UsedBlocks(); used > 2 {
+		t.Fatalf("%d blocks still allocated after the pressure release", used)
 	}
 }
 

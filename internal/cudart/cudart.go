@@ -167,15 +167,6 @@ func (c *Context) SetHook(h LaunchHook) {
 	c.hook = h
 }
 
-// Env returns the simulation environment.
-func (c *Context) Env() *sim.Env { return c.env }
-
-// Device returns the underlying device.
-func (c *Context) Device() *gpu.Device { return c.dev }
-
-// Stats returns a snapshot of runtime counters.
-func (c *Context) Stats() ContextStats { return c.stats }
-
 // DefaultStream returns stream 0, which serializes against all other
 // streams per legacy CUDA semantics.
 func (c *Context) DefaultStream() *Stream { return c.streams[0] }

@@ -155,8 +155,8 @@ func TestAddCallbackSerializedCost(t *testing.T) {
 	if t2 != 80*sim.Microsecond {
 		t.Fatalf("second callback at %v, want 80µs", t2)
 	}
-	if ctx.Stats().Callbacks != 2 {
-		t.Fatalf("Callbacks = %d", ctx.Stats().Callbacks)
+	if ctx.stats.Callbacks != 2 {
+		t.Fatalf("Callbacks = %d", ctx.stats.Callbacks)
 	}
 }
 
@@ -323,9 +323,10 @@ func TestEventOnEmptyStreamFiresImmediately(t *testing.T) {
 	env := sim.NewEnv()
 	ctx, _ := newCtx(env, 2, 2, zeroCost())
 	s := ctx.StreamCreate()
-	ev := s.EventRecord()
+	fired := false
+	s.EventRecord().OnFire(func() { fired = true })
 	env.Run()
-	if !ev.Done() {
+	if !fired {
 		t.Fatal("event on empty stream never fired")
 	}
 	if env.Now() != 0 {
@@ -395,15 +396,15 @@ func TestPendingCounts(t *testing.T) {
 	env.Spawn("issuer", func(p *sim.Proc) {
 		s.LaunchKernel(p, kern("a", 1, 10*sim.Microsecond), LaunchOpts{})
 		s.LaunchKernel(p, kern("b", 1, 10*sim.Microsecond), LaunchOpts{})
-		if s.Pending() != 2 {
-			t.Errorf("Pending = %d, want 2", s.Pending())
+		if len(s.pending) != 2 {
+			t.Errorf("%d ops pending, want 2", len(s.pending))
 		}
 	})
 	env.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if len(s.pending) != 0 {
+		t.Fatalf("%d ops pending after drain", len(s.pending))
 	}
-	st := ctx.Stats()
+	st := ctx.stats
 	if st.KernelLaunches != 2 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -93,9 +93,6 @@ type Event struct {
 	comp *sim.Completion
 }
 
-// Done reports whether the event has fired.
-func (e *Event) Done() bool { return e.comp.Fired() }
-
 // OnFire registers fn to run when the event fires (immediately if it
 // already has).
 func (e *Event) OnFire(fn func()) { e.comp.OnFire(fn) }
@@ -116,12 +113,6 @@ type Stream struct {
 func newStream(c *Context, id int) *Stream {
 	return &Stream{ctx: c, id: id}
 }
-
-// ID returns the stream identifier (0 for the default stream).
-func (s *Stream) ID() int { return s.id }
-
-// Pending returns the number of incomplete operations on the stream.
-func (s *Stream) Pending() int { return len(s.pending) }
 
 // hwQueue maps the stream onto a hardware queue, modelling the driver's
 // stream→queue assignment (streams beyond the queue count share queues,

@@ -45,9 +45,6 @@ func runFig10(w io.Writer, _ Detail) error {
 		}
 		r := col.Records()[0]
 		comm := r.CommNs()
-		if comm < 0 {
-			comm = 0
-		}
 		total := r.FrameworkNs + r.SchedNs + comm + clientSendRecv
 		fmt.Fprintf(w, "  %-14s %10.1f %12.1f %8.1f %12.1f %8.1f\n",
 			name,

@@ -11,9 +11,9 @@
 // failover), preserving one invariant: no admitted job is silently lost —
 // each ends in exactly one completion or one typed error.
 //
-// Plans are JSON (ParsePlan) so `paella-sim -faults plan.json` and the
-// chaos experiment can replay identical schedules; equal seeds give
-// byte-identical runs.
+// Plans are read from JSON (ParsePlan, `paella-sim -faults plan.json`) or
+// built by Synthesize (`paella-sim -chaos` and the chaos experiment);
+// equal plans and seeds give byte-identical runs.
 package fault
 
 import (
@@ -162,15 +162,6 @@ func ParsePlan(data []byte) (*Plan, error) {
 		return nil, err
 	}
 	return &p, nil
-}
-
-// Marshal encodes the plan as indented JSON (the inverse of ParsePlan).
-func (p *Plan) Marshal() []byte {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		panic(err) // plain structs cannot fail to marshal
-	}
-	return data
 }
 
 // Synthesize builds a plan whose severity scales with intensity ∈ [0,1]

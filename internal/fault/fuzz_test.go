@@ -2,21 +2,26 @@ package fault
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
-// FuzzFaultPlanJSON fuzzes the plan codec: ParsePlan must never panic on
-// arbitrary bytes, and any plan it accepts must survive a
-// marshal→parse→marshal round trip unchanged — the property `paella-sim
-// -faults plan.json` and the chaos experiment rely on to replay identical
-// schedules from a file.
+// FuzzFaultPlanJSON fuzzes ParsePlan, the decoder behind `paella-sim
+// -faults plan.json`: it must never panic on arbitrary bytes, and any plan
+// it accepts must re-validate, sort into a time-ordered permutation, and
+// survive an encoding/json marshal→parse→marshal round trip unchanged, so
+// no field a plan file sets is lost or rejected on decode.
 func FuzzFaultPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"seed":7,"events":[{"at_ns":1000,"kind":"retire-sm","sm":3}]}`))
 	f.Add([]byte(`{"seed":1,"events":[{"at_ns":0,"kind":"drop-notifs","drop":0.02,"dup":0.005},{"at_ns":5,"kind":"pcie-brownout","factor":0.5}]}`))
 	f.Add([]byte(`{"seed":-1,"events":[{"at_ns":2,"kind":"fail-load","model":"resnet18","count":2}]}`))
 	f.Add([]byte(`{"events":[{"at_ns":-5,"kind":"retire-sm"}]}`)) // invalid: negative time
 	f.Add([]byte(`{"events":[{"kind":"nonsense"}]}`))             // invalid: unknown kind
-	f.Add(Synthesize(42, 0.7, 1e9, 40).Marshal())
+	synth, err := json.Marshal(Synthesize(42, 0.7, 1e9, 40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(synth)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParsePlan(data)
 		if err != nil {
@@ -38,12 +43,15 @@ func FuzzFaultPlanJSON(f *testing.F) {
 			}
 		}
 		// Round trip: marshal → parse → marshal is a fixed point.
-		enc := p.Marshal()
+		enc, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p2, err := ParsePlan(enc)
 		if err != nil {
 			t.Fatalf("marshal of a valid plan does not re-parse: %v\n%s", err, enc)
 		}
-		if enc2 := p2.Marshal(); !bytes.Equal(enc, enc2) {
+		if enc2, _ := json.Marshal(p2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip not stable:\n%s\nvs\n%s", enc, enc2)
 		}
 	})

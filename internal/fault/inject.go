@@ -166,24 +166,6 @@ func (in *Injector) setNotifFault(d *gpu.Device, drop, dup float64) {
 	})
 }
 
-// Applied returns how many events of each kind took effect.
-func (in *Injector) Applied() map[Kind]int {
-	out := make(map[Kind]int, len(in.applied))
-	for k, v := range in.applied {
-		out[k] = v
-	}
-	return out
-}
-
-// Skipped returns how many events found no target.
-func (in *Injector) Skipped() map[Kind]int {
-	out := make(map[Kind]int, len(in.skipped))
-	for k, v := range in.skipped {
-		out[k] = v
-	}
-	return out
-}
-
 // Summary renders a one-line account of the injector's activity.
 func (in *Injector) Summary() string {
 	a, s := 0, 0

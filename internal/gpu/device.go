@@ -484,16 +484,6 @@ func (d *Device) Utilization() float64 {
 	return d.stats.ThreadBusyNs / (elapsed * float64(d.cfg.SM.MaxThreads*d.cfg.NumSMs))
 }
 
-// TotalQueued returns the number of launches across all hardware queues.
-func (d *Device) TotalQueued() int { return d.queued }
-
-// FreeThreads returns the number of unoccupied thread slots on online
-// SMs; a retired SM's idle slots accept no block and do not count.
-func (d *Device) FreeThreads() int { return d.freeThreads }
-
-// ResidentBlocks returns the number of thread blocks currently resident.
-func (d *Device) ResidentBlocks() int { return d.resident }
-
 // Submit enqueues a launch onto hardware queue q. The launch must not have
 // been submitted before. Submission models the driver-side launch cost
 // (Config.LaunchOverhead) before the kernel becomes visible to the queue.
@@ -882,7 +872,6 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 	d.emitNotifs(l, channel.Completion, uint8(smi), n)
 	if l.toFinish == 0 {
 		l.state = LaunchDone
-		l.completedAt = d.env.Now()
 		d.stats.KernelsCompleted++
 		if l.OnComplete != nil {
 			d.sealPost(0)

@@ -41,20 +41,20 @@ func simpleKernel(name string, blocks int, dur sim.Time) *KernelSpec {
 func TestSingleKernelLifecycle(t *testing.T) {
 	env := sim.NewEnv()
 	d := testDevice(env, 1, 1)
-	done := false
-	l := &Launch{Spec: simpleKernel("k", 2, 100*sim.Microsecond), OnComplete: func() { done = true }}
+	var doneAt sim.Time = -1
+	l := &Launch{Spec: simpleKernel("k", 2, 100*sim.Microsecond), OnComplete: func() { doneAt = env.Now() }}
 	d.Submit(0, l)
 	env.Run()
-	if !done {
+	if doneAt < 0 {
 		t.Fatal("OnComplete not called")
 	}
-	if l.State() != LaunchDone {
-		t.Fatalf("state = %v", l.State())
+	if l.state != LaunchDone {
+		t.Fatalf("state = %v", l.state)
 	}
 	// Two blocks of 256 threads fit the single SM simultaneously, so the
 	// kernel completes after exactly one block duration.
-	if l.CompletedAt() != 100*sim.Microsecond {
-		t.Fatalf("CompletedAt = %v", l.CompletedAt())
+	if doneAt != 100*sim.Microsecond {
+		t.Fatalf("completed at %v", doneAt)
 	}
 	st := d.Stats()
 	if st.BlocksPlaced != 2 || st.BlocksCompleted != 2 || st.KernelsCompleted != 1 {
@@ -62,7 +62,7 @@ func TestSingleKernelLifecycle(t *testing.T) {
 	}
 }
 
-// TestFreeThreadsCountsOnlineSMs: FreeThreads counts the idle thread
+// TestFreeThreadsCountsOnlineSMs: the freeThreads tally counts the idle thread
 // slots of online SMs only, with blocks resident on the SM being retired,
 // after they drain, and once it is restored.
 func TestFreeThreadsCountsOnlineSMs(t *testing.T) {
@@ -79,8 +79,8 @@ func TestFreeThreadsCountsOnlineSMs(t *testing.T) {
 	}
 	check := func(when string, want int) {
 		t.Helper()
-		if got := d.FreeThreads(); got != want || got != onlineFree() {
-			t.Fatalf("%s: FreeThreads = %d, want %d (online SMs' idle slots: %d)", when, got, want, onlineFree())
+		if got := d.freeThreads; got != want || got != onlineFree() {
+			t.Fatalf("%s: freeThreads = %d, want %d (online SMs' idle slots: %d)", when, got, want, onlineFree())
 		}
 	}
 	d.Submit(0, &Launch{Spec: simpleKernel("k", 8, 100*sim.Microsecond)})
@@ -97,12 +97,12 @@ func TestFreeThreadsCountsOnlineSMs(t *testing.T) {
 func TestOccupancySerializesWaves(t *testing.T) {
 	env := sim.NewEnv()
 	d := testDevice(env, 1, 1) // 1 SM × 1024 threads → 4 blocks of 256 max
-	l := &Launch{Spec: simpleKernel("k", 8, 50*sim.Microsecond)}
-	d.Submit(0, l)
+	var doneAt sim.Time
+	d.Submit(0, &Launch{Spec: simpleKernel("k", 8, 50*sim.Microsecond), OnComplete: func() { doneAt = env.Now() }})
 	env.Run()
 	// 8 blocks at 4-per-SM capacity: two waves of 50µs.
-	if got := l.CompletedAt(); got != 100*sim.Microsecond {
-		t.Fatalf("CompletedAt = %v, want 100µs", got)
+	if doneAt != 100*sim.Microsecond {
+		t.Fatalf("completed at %v, want 100µs", doneAt)
 	}
 }
 
@@ -321,11 +321,11 @@ func TestLaunchOverheadDelaysEnqueue(t *testing.T) {
 	cfg := testDevice(env, 1, 1).cfg
 	cfg.LaunchOverhead = 5 * sim.Microsecond
 	d := NewDevice(env, cfg, nil)
-	l := &Launch{Spec: simpleKernel("k", 1, 10*sim.Microsecond)}
-	d.Submit(0, l)
+	var doneAt sim.Time
+	d.Submit(0, &Launch{Spec: simpleKernel("k", 1, 10*sim.Microsecond), OnComplete: func() { doneAt = env.Now() }})
 	env.Run()
-	if got := l.CompletedAt(); got != 15*sim.Microsecond {
-		t.Fatalf("CompletedAt = %v, want 15µs", got)
+	if doneAt != 15*sim.Microsecond {
+		t.Fatalf("completed at %v, want 15µs", doneAt)
 	}
 }
 
@@ -428,7 +428,7 @@ func TestRandomLoadInvariants(t *testing.T) {
 		if st.BlocksPlaced != uint64(totalBlocks) || st.BlocksCompleted != uint64(totalBlocks) {
 			t.Fatalf("trial %d: block conservation violated: %+v (want %d)", trial, st, totalBlocks)
 		}
-		if d.ResidentBlocks() != 0 || d.FreeThreads() != d.cfg.NumSMs*d.cfg.SM.MaxThreads {
+		if d.resident != 0 || d.freeThreads != d.cfg.NumSMs*d.cfg.SM.MaxThreads {
 			t.Fatalf("trial %d: resources not fully returned", trial)
 		}
 	}

@@ -169,17 +169,9 @@ type Launch struct {
 	completedNext  int
 	// fullPass is the device scheduling pass in which placeBlocks last
 	// left this launch with blocks unplaced and every SM they fit on full.
-	fullPass    uint64
-	queuedAt    sim.Time
-	completedAt sim.Time
+	fullPass uint64
+	queuedAt sim.Time
 }
-
-// State returns the launch's current lifecycle state.
-func (l *Launch) State() LaunchState { return l.state }
-
-// CompletedAt returns when the launch's last block completed (valid once
-// the state is LaunchDone).
-func (l *Launch) CompletedAt() sim.Time { return l.completedAt }
 
 // Recycle prepares a finished launch for reuse, clearing identity,
 // callback, and progress state. It reports false — leaving the launch

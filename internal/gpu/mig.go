@@ -37,12 +37,3 @@ func SplitMIG(cfg Config, smsPerPart []int) ([]Config, error) {
 	}
 	return out, nil
 }
-
-// MustSplitMIG is SplitMIG for known-good arguments; it panics on error.
-func MustSplitMIG(cfg Config, smsPerPart []int) []Config {
-	out, err := SplitMIG(cfg, smsPerPart)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}

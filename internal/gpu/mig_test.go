@@ -45,7 +45,10 @@ func TestSplitMIGValidation(t *testing.T) {
 func TestMIGIsolation(t *testing.T) {
 	base := TeslaT4()
 	base.LaunchOverhead = 0 // exact timing for the isolation assertion
-	parts := MustSplitMIG(base, []int{20, 20})
+	parts, err := SplitMIG(base, []int{20, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := sim.NewEnv()
 	busy := NewDevice(env, parts[0], nil)
 	quiet := NewDevice(env, parts[1], nil)

@@ -165,7 +165,7 @@ func TestNotifPostIsOneEvent(t *testing.T) {
 	d.OnNotifPosted(func() { records += q.Poll(buf) })
 	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 256, RegsPerThread: 16, BlockDuration: 100 * sim.Microsecond}, KernelID: 1, Instrumented: true}
 	d.Submit(0, l)
-	for l.State() != LaunchRunning {
+	for l.state != LaunchRunning {
 		if !env.Step() {
 			t.Fatal("kernel never fully placed")
 		}
@@ -179,8 +179,8 @@ func TestNotifPostIsOneEvent(t *testing.T) {
 	if got := env.Steps() - s0; got != 4 {
 		t.Fatalf("posting and completing took %d events, want 4", got)
 	}
-	if records != 80 || l.State() != LaunchDone {
-		t.Fatalf("%d records delivered, state %v; want 80, done", records, l.State())
+	if records != 80 || l.state != LaunchDone {
+		t.Fatalf("%d records delivered, state %v; want 80, done", records, l.state)
 	}
 }
 

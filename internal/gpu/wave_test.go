@@ -66,7 +66,7 @@ func newWaveRig(cfg Config) *waveRig {
 	r := &waveRig{tr: tr, d: d}
 	d.OnNotifPosted(func() {
 		// The device state a dispatcher woken by this post would see.
-		tr.logf("post resident=%d completed=%d", d.ResidentBlocks(), d.stats.BlocksCompleted)
+		tr.logf("post resident=%d completed=%d", d.resident, d.stats.BlocksCompleted)
 		for {
 			n := q.Poll(buf)
 			for _, r := range buf[:n] {
@@ -290,21 +290,21 @@ func TestWaveIsOneEvent(t *testing.T) {
 	d := NewDevice(env, TeslaT4(), nil)
 	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 256, RegsPerThread: 16, BlockDuration: 100 * sim.Microsecond}}
 	d.Submit(0, l)
-	for l.State() != LaunchRunning {
+	for l.state != LaunchRunning {
 		if !env.Step() {
 			t.Fatal("kernel never fully placed")
 		}
 	}
-	if d.ResidentBlocks() != 40 || env.Pending() != 1 {
-		t.Fatalf("after placement: %d resident blocks, %d pending events; want 40 and 1", d.ResidentBlocks(), env.Pending())
+	if d.resident != 40 || env.Pending() != 1 {
+		t.Fatalf("after placement: %d resident blocks, %d pending events; want 40 and 1", d.resident, env.Pending())
 	}
 	s0 := env.Steps()
 	env.Run()
 	if got := env.Steps() - s0; got != 2 {
 		t.Fatalf("completing the wave took %d events, want 2 (one completion, one scheduling pass)", got)
 	}
-	if st := d.Stats(); st.BlocksCompleted != 40 || l.State() != LaunchDone {
-		t.Fatalf("wave did not complete: %+v, state %v", st, l.State())
+	if st := d.Stats(); st.BlocksCompleted != 40 || l.state != LaunchDone {
+		t.Fatalf("wave did not complete: %+v, state %v", st, l.state)
 	}
 }
 
@@ -329,7 +329,7 @@ func TestWaveEventsAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("launch cycle allocates %.2f, want 0", avg)
 	}
-	if l.State() != LaunchDone {
+	if l.state != LaunchDone {
 		t.Fatal("launch did not complete")
 	}
 }

@@ -64,7 +64,7 @@ func TestDecodeLoopPinned(t *testing.T) {
 		return func(threshold float64) string {
 			env := sim.NewEnv()
 			col := metrics.NewCollector()
-			eng := MustNewEngine(env, MustCompileSpec(testConfig(kvPages, continuous)), col)
+			eng := newEngine(t, env, compileSpec(t, testConfig(kvPages, continuous)), col)
 			eng.policy = sched.NewPaella(threshold)
 			for _, r := range reqs {
 				r := r
@@ -81,8 +81,8 @@ func TestDecodeLoopPinned(t *testing.T) {
 	handoff := func(threshold float64) string {
 		env := sim.NewEnv()
 		col := metrics.NewCollector()
-		pre := MustNewEngine(env, MustCompileSpec(testConfig(64, true)), col)
-		dec := MustNewEngine(env, MustCompileSpec(testConfig(40, true)), col)
+		pre := newEngine(t, env, compileSpec(t, testConfig(64, true)), col)
+		dec := newEngine(t, env, compileSpec(t, testConfig(40, true)), col)
 		pre.policy = sched.NewPaella(threshold)
 		dec.policy = sched.NewPaella(threshold)
 		midIteration := 0

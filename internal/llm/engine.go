@@ -212,15 +212,6 @@ func NewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) (*Engine, e
 	return e, nil
 }
 
-// MustNewEngine is NewEngine for known-good configurations.
-func MustNewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) *Engine {
-	e, err := NewEngine(env, comp, col)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Admit accepts a fresh request: it queues for KV pages and a prefill pass,
 // then joins the decode loop (or the handoff callback, on a prefill-only
 // engine).

@@ -31,11 +31,31 @@ func testConfig(kvPages int, continuous bool) Config {
 	}
 }
 
+// compileSpec is CompileSpec for configurations the test knows are valid.
+func compileSpec(t testing.TB, cfg Config) *Compiled {
+	t.Helper()
+	comp, err := CompileSpec(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
+// newEngine is NewEngine for configurations the test knows are valid.
+func newEngine(t testing.TB, env *sim.Env, comp *Compiled, col *metrics.Collector) *Engine {
+	t.Helper()
+	e, err := NewEngine(env, comp, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func runEngine(t *testing.T, cfg Config, reqs []Request) (*Engine, *metrics.Collector) {
 	t.Helper()
 	env := sim.NewEnv()
 	col := metrics.NewCollector()
-	eng := MustNewEngine(env, MustCompileSpec(cfg), col)
+	eng := newEngine(t, env, compileSpec(t, cfg), col)
 	for _, r := range reqs {
 		r := r
 		env.At(r.Submit, func() { eng.Admit(r) })
@@ -165,9 +185,9 @@ func TestKVExhaustedTerminal(t *testing.T) {
 func TestPrefillHandoff(t *testing.T) {
 	env := sim.NewEnv()
 	col := metrics.NewCollector()
-	comp := MustCompileSpec(testConfig(64, true))
-	pre := MustNewEngine(env, comp, col)
-	dec := MustNewEngine(env, comp, col)
+	comp := compileSpec(t, testConfig(64, true))
+	pre := newEngine(t, env, comp, col)
+	dec := newEngine(t, env, comp, col)
 	pre.HandoffPrefill = func(h Handoff) { dec.AdmitDecoded(h) }
 	env.At(0, func() { pre.Admit(Request{ID: 1, Client: 0, Prompt: 8, Output: 4}) })
 	env.Run()

@@ -15,7 +15,7 @@ func steadyDecode(tb testing.TB) (*sim.Env, *Engine) {
 	tb.Helper()
 	cfg := testConfig(1<<40, true)
 	env := sim.NewEnv()
-	eng := MustNewEngine(env, MustCompileSpec(cfg), metrics.NewCollector())
+	eng := newEngine(tb, env, compileSpec(tb, cfg), metrics.NewCollector())
 	for i := 0; i < cfg.MaxBatch; i++ {
 		eng.Admit(Request{ID: uint64(i + 1), Client: i, Prompt: 8, Output: 1 << 32})
 	}

@@ -217,15 +217,6 @@ func CompileSpec(cfg Config) (*Compiled, error) {
 	}, nil
 }
 
-// MustCompileSpec is CompileSpec for known-good configurations.
-func MustCompileSpec(cfg Config) *Compiled {
-	c, err := CompileSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // PagesFor returns the KV pages needed to hold the given token count.
 func (c *Compiled) PagesFor(tokens int) int {
 	return pagesCeil(tokens, c.tokensPerPage)

@@ -1,79 +1,6 @@
 package metrics
 
-import (
-	"testing"
-
-	"paella/internal/sim"
-)
-
-func TestBreakdownMeansExact(t *testing.T) {
-	c := NewCollector()
-	// Three records with distinct per-component values; means must use
-	// integer division per component, matching Mean's semantics.
-	for i, v := range []sim.Time{10, 20, 40} {
-		c.Add(JobRecord{
-			ID: uint64(i), Submit: 0, Admit: v, ExecDone: 100, Delivered: 100,
-			FrameworkNs: v * 2, SchedNs: v * 3,
-		})
-	}
-	got := c.BreakdownMeans()
-	// Framework: (20+40+80)/3 = 46 (integer). Scheduling: (30+60+120)/3 =
-	// 70. Comm: Admit−Submit − FrameworkNs clamps at 0 for every record.
-	if got.Framework != 46 {
-		t.Errorf("mean framework = %v, want 46", got.Framework)
-	}
-	if got.Scheduling != 70 {
-		t.Errorf("mean scheduling = %v, want 70", got.Scheduling)
-	}
-	if got.Comm != 0 {
-		t.Errorf("mean comm = %v, want 0", got.Comm)
-	}
-	if got.ClientSide != 0 {
-		t.Errorf("ClientSide = %v; collectors know nothing about the client library", got.ClientSide)
-	}
-}
-
-func TestBreakdownPercentileBoundaries(t *testing.T) {
-	c := NewCollector()
-	// FrameworkNs 1..100: the nearest-rank boundaries must agree exactly
-	// with Percentile over the same values.
-	for i := 1; i <= 100; i++ {
-		c.Add(JobRecord{ID: uint64(i), FrameworkNs: sim.Time(i)})
-	}
-	cases := []struct {
-		p    float64
-		want sim.Time
-	}{
-		{50, 50}, {99, 99}, {100, 100}, {1, 1},
-	}
-	for _, tc := range cases {
-		if got := c.BreakdownPercentile(tc.p).Framework; got != tc.want {
-			t.Errorf("BreakdownPercentile(%v).Framework = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := c.BreakdownP99(); got.Framework != 99 {
-		t.Errorf("BreakdownP99().Framework = %v, want 99", got.Framework)
-	}
-	// Components rank independently: a record heavy in one component and
-	// light in another contributes its own tail to each.
-	c2 := NewCollector()
-	c2.Add(JobRecord{FrameworkNs: 100, SchedNs: 1})
-	c2.Add(JobRecord{FrameworkNs: 1, SchedNs: 100})
-	p99 := c2.BreakdownP99()
-	if p99.Framework != 100 || p99.Scheduling != 100 {
-		t.Errorf("independent tails = %+v, want 100/100", p99)
-	}
-}
-
-func TestBreakdownEmptyCollector(t *testing.T) {
-	c := NewCollector()
-	if got := c.BreakdownMeans(); got != (Breakdown{}) {
-		t.Errorf("empty means = %+v", got)
-	}
-	if got := c.BreakdownP99(); got != (Breakdown{}) {
-		t.Errorf("empty p99 = %+v", got)
-	}
-}
+import "testing"
 
 // TestTTFTTPOTFailedRecords pins the satellite-2 semantics: failed and
 // non-generative records produce well-defined (never negative) derived

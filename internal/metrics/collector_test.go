@@ -270,7 +270,6 @@ func checkTwin(t *testing.T, c *Collector, m model, wantJSON []byte) {
 	cold, fails, preempt, tokens, batchTotal, batched := 0, 0, 0, 0, 0, 0
 	var load sim.Time
 	reasons := map[string]int{}
-	var sum Breakdown
 	for i := range m {
 		r := &m[i]
 		if r.Tenant != "" && !tenants[r.Tenant] {
@@ -291,10 +290,6 @@ func checkTwin(t *testing.T, c *Collector, m model, wantJSON []byte) {
 		preempt += r.Preemptions
 		tokens += r.OutputTokens
 		load += r.LoadNs
-		b := r.Breakdown()
-		sum.Framework += b.Framework
-		sum.Scheduling += b.Scheduling
-		sum.Comm += b.Comm
 	}
 	sort.Strings(wantTenants)
 	if got := c.Tenants(); !slices.Equal(got, wantTenants) {
@@ -322,12 +317,9 @@ func checkTwin(t *testing.T, c *Collector, m model, wantJSON []byte) {
 	}))
 	var warm, meanBatch float64
 	var meanLoad sim.Time
-	var means Breakdown
 	if len(m) > 0 {
 		warm = 1 - float64(cold)/float64(len(m))
 		meanLoad = load / sim.Time(len(m))
-		n := sim.Time(len(m))
-		means = Breakdown{Framework: sum.Framework / n, Scheduling: sum.Scheduling / n, Comm: sum.Comm / n}
 	}
 	if batched > 0 {
 		meanBatch = float64(batchTotal) / float64(batched)
@@ -348,19 +340,11 @@ func checkTwin(t *testing.T, c *Collector, m model, wantJSON []byte) {
 			t.Fatalf("%s = %v, model %v", fl.name, fl.got, fl.want)
 		}
 	}
-	if c.MeanLoadNs() != meanLoad || c.BreakdownMeans() != means {
-		t.Fatal("means differ")
+	if c.MeanLoadNs() != meanLoad {
+		t.Fatal("MeanLoadNs differs")
 	}
 	if c.P50() != Percentile(jcts, 50) || c.P99() != Percentile(jcts, 99) || c.MeanJCT() != Mean(jcts) {
 		t.Fatal("JCT percentiles differ")
-	}
-	var fw, sc, cm []sim.Time
-	for i := range m {
-		b := m[i].Breakdown()
-		fw, sc, cm = append(fw, b.Framework), append(sc, b.Scheduling), append(cm, b.Comm)
-	}
-	if want := (Breakdown{Percentile(fw, 99), Percentile(sc, 99), Percentile(cm, 99), 0}); c.BreakdownP99() != want {
-		t.Fatal("BreakdownP99 differs")
 	}
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {

@@ -1,7 +1,7 @@
 // Package metrics collects per-request latency records and computes the
 // aggregate statistics the paper reports: percentile job completion times,
-// throughput/goodput, per-stage overhead breakdowns (Figure 10), CDFs
-// (Figure 15), and client CPU utilization (Figure 14).
+// throughput/goodput, the per-stage overheads of Figure 10's breakdown, and
+// client CPU utilization (Figure 14).
 //
 // A Collector stores its records in append-only fixed-size chunks, so a
 // long run's record store never regrows or copies (DESIGN.md §14.3).
@@ -559,103 +559,6 @@ func ReadJSON(r io.Reader) (*Collector, error) {
 		})
 	}
 	return c, nil
-}
-
-// Breakdown is the Figure 10 per-request overhead decomposition (GPU
-// execution time excluded).
-type Breakdown struct {
-	Framework  sim.Time
-	Scheduling sim.Time
-	Comm       sim.Time
-	ClientSide sim.Time
-}
-
-// Total returns the summed overhead.
-func (b Breakdown) Total() sim.Time {
-	return b.Framework + b.Scheduling + b.Comm + b.ClientSide
-}
-
-// Breakdown returns the record's Figure 10 overhead decomposition.
-// ClientSide is left zero — it is a property of the client library, not
-// the record, and callers (e.g. the fig10 experiment) add their own
-// constant.
-func (r *JobRecord) Breakdown() Breakdown {
-	return Breakdown{
-		Framework:  r.FrameworkNs,
-		Scheduling: r.SchedNs,
-		Comm:       r.CommNs(),
-	}
-}
-
-// BreakdownMeans returns the per-component mean Breakdown across all
-// records (zero value for an empty collector).
-func (c *Collector) BreakdownMeans() Breakdown {
-	if c.n == 0 {
-		return Breakdown{}
-	}
-	var sum Breakdown
-	c.each(func(r *JobRecord) {
-		b := r.Breakdown()
-		sum.Framework += b.Framework
-		sum.Scheduling += b.Scheduling
-		sum.Comm += b.Comm
-	})
-	n := sim.Time(c.n)
-	return Breakdown{
-		Framework:  sum.Framework / n,
-		Scheduling: sum.Scheduling / n,
-		Comm:       sum.Comm / n,
-	}
-}
-
-// BreakdownP99 returns the per-component nearest-rank 99th percentile —
-// each component's own tail, not the components of any single record.
-func (c *Collector) BreakdownP99() Breakdown {
-	return c.BreakdownPercentile(99)
-}
-
-// BreakdownPercentile generalizes BreakdownP99 to any percentile, reusing
-// the integer nearest-rank Percentile for exact boundary behaviour.
-func (c *Collector) BreakdownPercentile(p float64) Breakdown {
-	if c.n == 0 {
-		return Breakdown{}
-	}
-	fw := make([]sim.Time, 0, c.n)
-	sc := make([]sim.Time, 0, c.n)
-	cm := make([]sim.Time, 0, c.n)
-	c.each(func(r *JobRecord) {
-		b := r.Breakdown()
-		fw, sc, cm = append(fw, b.Framework), append(sc, b.Scheduling), append(cm, b.Comm)
-	})
-	return Breakdown{
-		Framework:  Percentile(fw, p),
-		Scheduling: Percentile(sc, p),
-		Comm:       Percentile(cm, p),
-	}
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value sim.Time
-	Frac  float64
-}
-
-// CDF returns the empirical CDF of ds at each distinct value.
-func CDF(ds []sim.Time) []CDFPoint {
-	if len(ds) == 0 {
-		return nil
-	}
-	sorted := append([]sim.Time(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		if i+1 < len(sorted) && sorted[i+1] == v {
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Frac: float64(i+1) / n})
-	}
-	return out
 }
 
 // CPUStats tracks a client's busy/idle accounting for Figure 14.

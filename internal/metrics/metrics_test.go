@@ -174,24 +174,6 @@ func TestThroughputZeroSpan(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]sim.Time{1, 2, 2, 4})
-	if len(pts) != 3 {
-		t.Fatalf("CDF points = %d, want 3 distinct", len(pts))
-	}
-	last := pts[len(pts)-1]
-	if last.Value != 4 || last.Frac != 1 {
-		t.Fatalf("last CDF point = %+v", last)
-	}
-	// Duplicate value 2 should carry cumulative fraction 0.75.
-	if pts[1].Value != 2 || pts[1].Frac != 0.75 {
-		t.Fatalf("mid CDF point = %+v", pts[1])
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF not nil")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]sim.Time{10, 20, 30}) != 20 {
 		t.Fatal("Mean wrong")
@@ -211,13 +193,6 @@ func TestCPUStats(t *testing.T) {
 	}
 	if (CPUStats{}).Utilization() != 0 {
 		t.Fatal("zero-span utilization not zero")
-	}
-}
-
-func TestBreakdownTotal(t *testing.T) {
-	b := Breakdown{Framework: 1, Scheduling: 2, Comm: 3, ClientSide: 4}
-	if b.Total() != 10 {
-		t.Fatalf("Total = %v", b.Total())
 	}
 }
 

@@ -75,23 +75,6 @@ func (m *Model) KernelTime() sim.Time {
 	return t
 }
 
-// SerialExecTime returns the model's uncontended execution time on a
-// device: per-kernel wall time accounts for occupancy waves when a kernel
-// has more blocks than can be resident at once.
-func (m *Model) SerialExecTime(cfg gpu.Config) sim.Time {
-	var t sim.Time
-	for _, i := range m.Seq {
-		k := m.Kernels[i]
-		per := k.MaxResident(cfg)
-		if per <= 0 {
-			return 0
-		}
-		waves := (k.Blocks + per - 1) / per
-		t += sim.Time(waves) * k.BlockDuration
-	}
-	return t
-}
-
 // Counts returns how many times each unique kernel appears in Seq —
 // the C_i of the paper's remaining-time formula (§6).
 func (m *Model) Counts() []int {

@@ -123,25 +123,6 @@ func TestTinyNetIsTiny(t *testing.T) {
 	}
 }
 
-func TestSerialExecTimeAccountsWaves(t *testing.T) {
-	cfg := gpu.Config{
-		NumSMs:      1,
-		SM:          gpu.SMResources{MaxBlocks: 2, MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 64 << 10},
-		NumHWQueues: 1,
-	}
-	m := &Model{
-		Name: "waves",
-		Kernels: []*gpu.KernelSpec{
-			{Name: "k", Blocks: 5, ThreadsPerBlock: 32, RegsPerThread: 1, BlockDuration: 10 * sim.Microsecond},
-		},
-		Seq: []int{0},
-	}
-	// 5 blocks, 2 resident → 3 waves → 30µs.
-	if got := m.SerialExecTime(cfg); got != 30*sim.Microsecond {
-		t.Fatalf("SerialExecTime = %v, want 30µs", got)
-	}
-}
-
 func TestValidateRejectsBadModels(t *testing.T) {
 	bad := []*Model{
 		{Name: "", Seq: []int{0}, Kernels: []*gpu.KernelSpec{{Name: "k", Blocks: 1, ThreadsPerBlock: 1}}},
@@ -161,18 +142,6 @@ func TestLongShort(t *testing.T) {
 	if long.NumExecutions() != 5*short.NumExecutions() {
 		t.Fatalf("long/short kernel ratio = %d/%d, want 5×",
 			long.NumExecutions(), short.NumExecutions())
-	}
-}
-
-func TestEmptyKernelModel(t *testing.T) {
-	for _, blocks := range []int{16, 160} {
-		m := EmptyKernelModel(blocks)
-		if err := m.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if m.TotalBlocks() != blocks {
-			t.Fatalf("TotalBlocks = %d, want %d", m.TotalBlocks(), blocks)
-		}
 	}
 }
 

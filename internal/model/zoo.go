@@ -242,27 +242,6 @@ func TinyNet() *Model {
 	}
 }
 
-// EmptyKernelModel returns a one-kernel model with the given grid size and
-// near-zero duration, used for the instrumentation-overhead study
-// (Figure 15) and the synchronization-method study (Figure 4).
-func EmptyKernelModel(blocks int) *Model {
-	k := &gpu.KernelSpec{
-		Name:            fmt.Sprintf("empty_%dblk", blocks),
-		Blocks:          blocks,
-		ThreadsPerBlock: 32,
-		RegsPerThread:   4,
-		BlockDuration:   sim.Microsecond,
-	}
-	return &Model{
-		Name:         k.Name,
-		InputBytes:   64,
-		OutputBytes:  64,
-		Kernels:      []*gpu.KernelSpec{k},
-		Seq:          []int{0},
-		PinnedOutput: true,
-	}
-}
-
 // LongShort returns the Figure 13 pair: two job types where the long one
 // has 5× as many kernels as the short one.
 func LongShort() (short, long *Model) {

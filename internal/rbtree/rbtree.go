@@ -145,15 +145,6 @@ func (n *Node[T]) Prev() *Node[T] {
 	return p
 }
 
-// Ascend calls fn on every item in ascending order until fn returns false.
-func (t *Tree[T]) Ascend(fn func(item T) bool) {
-	for n := t.Min(); n != nil; n = n.Next() {
-		if !fn(n.Item) {
-			return
-		}
-	}
-}
-
 // Delete removes the item with handle n from the tree. Deleting a node that
 // is not in the tree (already deleted, or from another tree) panics.
 func (t *Tree[T]) Delete(n *Node[T]) {
@@ -220,9 +211,6 @@ func (t *Tree[T]) Delete(n *Node[T]) {
 		t.deleteFixup(x, xParent)
 	}
 }
-
-// InTree reports whether the handle is currently a member of t.
-func (t *Tree[T]) InTree(n *Node[T]) bool { return n != nil && n.tree == t }
 
 // Attached reports whether the handle is currently a member of any tree.
 // Detached handles (nil, or previously Delete'd) may be re-inserted with

@@ -60,7 +60,9 @@ func validate[T any](t *testing.T, tr *Tree[T]) int {
 
 func items(tr *Tree[int]) []int {
 	var out []int
-	tr.Ascend(func(v int) bool { out = append(out, v); return true })
+	for n := tr.Min(); n != nil; n = n.Next() {
+		out = append(out, n.Item)
+	}
 	return out
 }
 
@@ -144,15 +146,16 @@ func TestDoubleDeletePanics(t *testing.T) {
 func TestInTree(t *testing.T) {
 	tr := intTree()
 	n := tr.Insert(1)
-	if !tr.InTree(n) {
-		t.Fatal("InTree = false for member")
+	if n.tree != tr || !n.Attached() {
+		t.Fatal("inserted handle is not a member")
 	}
 	tr.Delete(n)
-	if tr.InTree(n) {
-		t.Fatal("InTree = true after delete")
+	if n.tree != nil || n.Attached() {
+		t.Fatal("handle still a member after delete")
 	}
-	if tr.InTree(nil) {
-		t.Fatal("InTree(nil) = true")
+	var none *Node[int]
+	if none.Attached() {
+		t.Fatal("nil handle attached")
 	}
 }
 
@@ -164,12 +167,11 @@ func TestDuplicatesInsertionOrder(t *testing.T) {
 	}
 	tr.Insert(kv{3, 99})
 	var seqs []int
-	tr.Ascend(func(v kv) bool {
-		if v.key == 7 {
-			seqs = append(seqs, v.seq)
+	for n := tr.Min(); n != nil; n = n.Next() {
+		if n.Item.key == 7 {
+			seqs = append(seqs, n.Item.seq)
 		}
-		return true
-	})
+	}
 	for i, s := range seqs {
 		if s != i {
 			t.Fatalf("equal keys not in insertion order: %v", seqs)
@@ -201,18 +203,6 @@ func TestNextPrevWalk(t *testing.T) {
 			t.Fatalf("Prev walk wrong at %d: %d", i, n.Item)
 		}
 		i--
-	}
-}
-
-func TestAscendEarlyStop(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 10; i++ {
-		tr.Insert(i)
-	}
-	count := 0
-	tr.Ascend(func(int) bool { count++; return count < 4 })
-	if count != 4 {
-		t.Fatalf("visited %d, want 4", count)
 	}
 }
 

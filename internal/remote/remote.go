@@ -248,6 +248,3 @@ func (c *Client) Wait(p *sim.Proc, id uint64) error {
 	delete(c.gw.results, id)
 	return err
 }
-
-// Outstanding returns the number of requests awaiting responses.
-func (c *Client) Outstanding() int { return len(c.inflight) }

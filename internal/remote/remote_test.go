@@ -41,8 +41,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if jct <= 0 {
 		t.Fatal("remote request never completed")
 	}
-	if c.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d", c.Outstanding())
+	if len(c.inflight) != 0 {
+		t.Fatalf("%d requests awaiting responses", len(c.inflight))
 	}
 	// Remote adds ≥ RTT + per-message CPU over the local path.
 	if jct < DefaultNet().RTT {
@@ -163,8 +163,8 @@ func TestRingFullBackoff(t *testing.T) {
 		t.Fatalf("ErrRingFull=%d ErrGatewayTimeout=%d, want 2 and 2 (errs=%v)",
 			ringFull, timedOut, errs)
 	}
-	if c.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after failures", c.Outstanding())
+	if len(c.inflight) != 0 {
+		t.Fatalf("%d requests awaiting responses after failures", len(c.inflight))
 	}
 }
 

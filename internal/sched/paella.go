@@ -332,16 +332,3 @@ func (p *PaellaPolicy) batchDispatched(members []*JobEntry) {
 	clear(detached)
 	p.detached = detached[:0]
 }
-
-// EffectiveDeficit returns client's current effective deficit (testing and
-// introspection).
-func (p *PaellaPolicy) EffectiveDeficit(client int) float64 {
-	c := p.clients[client]
-	if c == nil {
-		return 0
-	}
-	return c.stored + p.boost
-}
-
-// ActiveClients returns the number of clients with unfinished jobs.
-func (p *PaellaPolicy) ActiveClients() int { return len(p.clients) }

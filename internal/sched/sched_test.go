@@ -199,15 +199,15 @@ func TestPaellaClientLifecycle(t *testing.T) {
 	p := NewPaella(10)
 	p.JobAdmitted(7)
 	p.JobAdmitted(7)
-	if p.ActiveClients() != 1 {
-		t.Fatalf("ActiveClients = %d", p.ActiveClients())
+	if len(p.clients) != 1 {
+		t.Fatalf("active clients = %d", len(p.clients))
 	}
 	p.JobFinished(7)
-	if p.ActiveClients() != 1 {
+	if len(p.clients) != 1 {
 		t.Fatal("client dropped while jobs remain")
 	}
 	p.JobFinished(7)
-	if p.ActiveClients() != 0 {
+	if len(p.clients) != 0 {
 		t.Fatal("client not dropped after last job")
 	}
 	defer func() {

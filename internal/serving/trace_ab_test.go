@@ -155,22 +155,9 @@ func TestTraceContent(t *testing.T) {
 	if jobRows < col.Len() {
 		t.Fatalf("job phases = %d for %d jobs", jobRows, col.Len())
 	}
-	keys := rec.SeriesKeys()
-	want := []string{
-		"dispatcher/ready jobs/value",
-		"dispatcher/inflight kernels/value",
-		"dispatcher/live jobs/value",
-	}
-	for _, k := range want {
-		found := false
-		for _, have := range keys {
-			if have == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("missing counter series %q in %v", k, keys)
+	for _, counter := range []string{"ready jobs", "inflight kernels", "live jobs"} {
+		if rec.Series("dispatcher", counter, "value") == nil {
+			t.Fatalf("missing counter series dispatcher/%s/value", counter)
 		}
 	}
 	ready := rec.Series("dispatcher", "ready jobs", "value")

@@ -82,13 +82,13 @@ func TestEnvCloseUnwindsParkedProcesses(t *testing.T) {
 		}
 		e.RunUntil(Millisecond)
 		for _, p := range ps {
-			if p.Done() {
+			if p.done {
 				t.Fatalf("process %q finished before Close", p.Name())
 			}
 		}
 		e.Close()
 		for _, p := range ps {
-			if !p.Done() {
+			if !p.done {
 				t.Errorf("process %q not Done after Close", p.Name())
 			}
 		}
@@ -170,7 +170,7 @@ func TestWorldCloseUnwindsShards(t *testing.T) {
 	w.RunUntil(Millisecond)
 	w.Close()
 	for i, p := range ps {
-		if !p.Done() {
+		if !p.done {
 			t.Fatalf("process %d (%q) not Done after World.Close", i, p.Name())
 		}
 	}

@@ -15,12 +15,6 @@ type Mutex struct {
 // NewMutex returns an unlocked mutex bound to e.
 func NewMutex(e *Env) *Mutex { return &Mutex{env: e} }
 
-// Held reports whether the mutex is currently held.
-func (m *Mutex) Held() bool { return m.held }
-
-// Waiters returns the number of processes queued on the mutex.
-func (m *Mutex) Waiters() int { return len(m.waiters) - m.first }
-
 // Lock blocks the process until it holds the mutex.
 func (m *Mutex) Lock(p *Proc) {
 	if !m.held {

@@ -30,7 +30,7 @@ func TestMutexSerializesFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want %v (FIFO violated)", order, want)
 		}
 	}
-	if m.Held() {
+	if m.held {
 		t.Fatal("mutex still held after all workers")
 	}
 }
@@ -56,8 +56,8 @@ func TestMutexWaiters(t *testing.T) {
 	env.Spawn("holder", func(p *Proc) {
 		m.Lock(p)
 		p.Sleep(100)
-		if m.Waiters() != 2 {
-			t.Errorf("Waiters = %d, want 2", m.Waiters())
+		if len(m.waiters)-m.first != 2 {
+			t.Errorf("%d waiters, want 2", len(m.waiters)-m.first)
 		}
 		m.Unlock()
 	})
@@ -82,12 +82,13 @@ func TestMutexUnlockUnheldPanics(t *testing.T) {
 	m.Unlock()
 }
 
+// TestYield: Sleep(0) yields, letting the other events due now run first.
 func TestYield(t *testing.T) {
 	env := NewEnv()
 	var order []int
 	env.Spawn("a", func(p *Proc) {
 		order = append(order, 1)
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, 3)
 	})
 	env.Spawn("b", func(p *Proc) {

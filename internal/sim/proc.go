@@ -160,14 +160,8 @@ func (e *Env) Close() {
 	}
 }
 
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
-
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // dispatch switches to the process's coroutine and returns when the
 // process yields again or finishes; the first dispatch takes a worker from
@@ -219,10 +213,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield suspends the process and reschedules it at the current virtual time,
-// letting other events due now run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Completion is a one-shot event that processes and callbacks can wait on.
 // It is the simulation analogue of a job-completion flag: Fire is idempotent
 // and waiters registered after firing are released immediately.
@@ -236,9 +226,6 @@ type Completion struct {
 func NewCompletion(e *Env) *Completion {
 	return &Completion{env: e}
 }
-
-// Fired reports whether Fire has been called.
-func (c *Completion) Fired() bool { return c.fired }
 
 // Fire releases all current and future waiters. Subsequent calls are no-ops.
 func (c *Completion) Fire() {
@@ -289,9 +276,6 @@ type Cond struct {
 
 // NewCond returns a condition bound to e.
 func NewCond(e *Env) *Cond { return &Cond{env: e} }
-
-// Waiters returns the number of registered waiters.
-func (c *Cond) Waiters() int { return len(c.fns) }
 
 // Broadcast wakes all current waiters (as fresh events at the current time).
 func (c *Cond) Broadcast() {

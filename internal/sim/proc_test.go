@@ -26,7 +26,7 @@ func buildProcWorld(w *World, shards int, log *worldLog) {
 		s.Spawn("ticker", func(p *Proc) {
 			for k := 0; k < 40; k++ {
 				p.Sleep(Time(1+rng.Intn(5)) * Microsecond)
-				log.addShard(i, s.Now(), fmt.Sprintf("tick%d waiters=%d", k, cond.Waiters()))
+				log.addShard(i, s.Now(), fmt.Sprintf("tick%d waiters=%d", k, len(cond.fns)))
 				cond.Broadcast()
 				if k == 10 {
 					gate.Fire()
@@ -61,7 +61,7 @@ func buildProcWorld(w *World, shards int, log *worldLog) {
 						// A shard event spawns a short-lived helper.
 						s.At(s.Now()+300, func() {
 							s.Spawn("helper", func(p *Proc) {
-								p.Yield()
+								p.Sleep(0)
 								log.addShard(i, s.Now(), fmt.Sprintf("helper-w%d-%d", n, k))
 							})
 						})
@@ -125,7 +125,7 @@ func TestProcPanicMessage(t *testing.T) {
 	if got != want {
 		t.Fatalf("Step panicked with %v, want %q", got, want)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("panicked process not Done")
 	}
 	if e.Step() {

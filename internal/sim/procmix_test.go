@@ -47,7 +47,7 @@ func buildProcMix(e *Env, seed int64, logf func(who string)) {
 	e.Spawn("bcast", func(p *Proc) {
 		for k := 0; k < 20; k++ {
 			p.Sleep(700)
-			logf(fmt.Sprintf("bcast%d waiters=%d", k, cond.Waiters()))
+			logf(fmt.Sprintf("bcast%d waiters=%d", k, len(cond.fns)))
 			cond.Broadcast()
 			if k == 4 {
 				gate.Fire()

@@ -136,11 +136,11 @@ func TestProcInterleaving(t *testing.T) {
 func TestProcDone(t *testing.T) {
 	e := NewEnv()
 	p := e.Spawn("p", func(p *Proc) { p.Sleep(5) })
-	if p.Done() {
+	if p.done {
 		t.Fatal("Done before running")
 	}
 	e.Run()
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("not Done after Run")
 	}
 }
@@ -172,8 +172,8 @@ func TestCompletion(t *testing.T) {
 	if wokeAt != 42 {
 		t.Fatalf("woke at %v, want 42", wokeAt)
 	}
-	if !c.Fired() {
-		t.Fatal("Fired() = false")
+	if !c.fired {
+		t.Fatal("completion not marked fired")
 	}
 	// Waiting on an already-fired completion returns immediately.
 	var after Time = -1

@@ -42,10 +42,9 @@ package sim
 // event time. Results are bit-identical across serial/parallel for any Δ;
 // different Δ values are different (equally valid) simulations.
 type World struct {
-	ctrl     *Env
-	shards   []*Env
-	window   Time
-	parallel bool
+	ctrl   *Env
+	shards []*Env
+	window Time
 
 	// posts[i] is shard i's outbox. During a window only shard i's events
 	// append to it; the barrier drains it. Within one shard, timestamps
@@ -78,8 +77,8 @@ type mergeEnt struct {
 // inference latencies the experiments measure.
 const DefaultWindow Time = 50 * Microsecond
 
-// NewWorld returns a world with a control Env, no shards, the default
-// window, and parallel execution off.
+// NewWorld returns a world with a control Env, no shards and the default
+// window.
 func NewWorld() *World {
 	return &World{ctrl: NewEnv(), window: DefaultWindow}
 }
@@ -103,9 +102,6 @@ func (w *World) Shard(i int) *Env { return w.shards[i] }
 // NumShards returns the number of shards.
 func (w *World) NumShards() int { return len(w.shards) }
 
-// Window returns the conservative window Δ.
-func (w *World) Window() Time { return w.window }
-
 // SetWindow sets the conservative window Δ. Must not be negative.
 func (w *World) SetWindow(d Time) {
 	if d < 0 {
@@ -114,15 +110,12 @@ func (w *World) SetWindow(d Time) {
 	w.window = d
 }
 
-// Parallel reports whether shard windows may run on other goroutines.
-func (w *World) Parallel() bool { return w.parallel }
-
-// SetParallel lets shard windows run on other goroutines. The executor
-// uses none today: every window runs inline on the calling goroutine in
-// either mode, because no measured workload's windows hold enough shard
-// work to pay for a hand-off (DESIGN §8.1). Results are bit-identical
-// either way.
-func (w *World) SetParallel(on bool) { w.parallel = on }
+// SetParallel selects whether shard windows may run on other goroutines.
+// It changes nothing today: every window runs inline on the calling
+// goroutine in either mode, because no measured workload's windows hold
+// enough shard work to pay for a hand-off (DESIGN §8.1). Results are
+// bit-identical either way.
+func (w *World) SetParallel(bool) {}
 
 // Post enqueues fn to run on the control timeline at the emitting shard's
 // current time. It is the only legal way for code executing on a shard to

@@ -394,19 +394,12 @@ func TestWorldNegativeWindowPanics(t *testing.T) {
 func TestWorldAccessors(t *testing.T) {
 	w := NewWorld()
 	defer w.Close()
-	if w.Window() != DefaultWindow {
-		t.Fatalf("default window = %v", w.Window())
+	if w.window != DefaultWindow {
+		t.Fatalf("default window = %v", w.window)
 	}
 	s := w.AddShard()
 	if w.NumShards() != 1 || w.Shard(0) != s {
 		t.Fatal("shard bookkeeping broken")
-	}
-	if w.Parallel() {
-		t.Fatal("parallel on by default")
-	}
-	w.SetParallel(true)
-	if !w.Parallel() {
-		t.Fatal("SetParallel(true) ignored")
 	}
 	if w.Ctrl() == nil {
 		t.Fatal("nil control env")

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 
 	"paella/internal/metrics"
@@ -127,14 +126,6 @@ func (m *Meter) Name() string {
 		return ""
 	}
 	return m.name
-}
-
-// Window returns the window width.
-func (m *Meter) Window() sim.Time {
-	if m == nil {
-		return 0
-	}
-	return m.window
 }
 
 func (m *Meter) register(name string, kind Kind) MetricID {
@@ -303,32 +294,4 @@ func (m *Meter) Series(name string) []Row {
 		}
 	}
 	return nil
-}
-
-// HistQuantile returns the q-quantile (0..1) upper bucket bound of a
-// histogram's cumulative log2 buckets — a factor-of-two estimate, which
-// is what a log-bucketed histogram buys. Zero for empty or non-hist IDs.
-func (m *Meter) HistQuantile(id MetricID, q float64) float64 {
-	if m == nil || id == 0 {
-		return 0
-	}
-	in := &m.instruments[id-1]
-	if in.total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(in.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += in.buckets[b]
-		if seen >= rank {
-			if b == 0 {
-				return 0
-			}
-			return math.Pow(2, float64(b)) // upper bound of [2^(b-1), 2^b)
-		}
-	}
-	return math.Pow(2, histBuckets)
 }

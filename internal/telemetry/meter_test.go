@@ -21,7 +21,7 @@ func TestNilMeterIsNoOp(t *testing.T) {
 	m.RecordJob(0, &metrics.JobRecord{})
 	m.SLO(SLOConfig{Name: "x", Deadline: 1, Target: 0.99})
 	m.Flush(0)
-	if m.Alerts() != nil || m.Series("x") != nil || m.Name() != "" || m.Window() != 0 {
+	if m.Alerts() != nil || m.Series("x") != nil || m.Name() != "" {
 		t.Error("nil meter leaked state")
 	}
 }
@@ -36,8 +36,8 @@ func TestFromEnv(t *testing.T) {
 	if FromEnv(env) != m {
 		t.Fatal("FromEnv did not return the attached meter")
 	}
-	if m.Window() != DefaultWindow {
-		t.Errorf("window = %v, want default %v", m.Window(), DefaultWindow)
+	if m.window != DefaultWindow {
+		t.Errorf("window = %v, want default %v", m.window, DefaultWindow)
 	}
 }
 
@@ -93,15 +93,18 @@ func TestHistogramBuckets(t *testing.T) {
 	m.Observe(id, 0, 0)
 	m.Observe(id, 0, 1)
 	m.Observe(id, 0, 1000)
-	q := m.HistQuantile(id, 0.5)
-	if q != 2 { // median is the value 1, bucket 1, upper bound 2^1
-		t.Errorf("median estimate = %v, want 2", q)
+	in := &m.instruments[id-1]
+	for b, n := range in.buckets {
+		want := int64(0)
+		if b == 0 || b == 1 || b == 10 {
+			want = 1
+		}
+		if n != want {
+			t.Errorf("bucket %d holds %d, want %d", b, n, want)
+		}
 	}
-	if q := m.HistQuantile(id, 1.0); q != 1024 {
-		t.Errorf("max estimate = %v, want 1024", q)
-	}
-	if got := m.HistQuantile(0, 0.5); got != 0 {
-		t.Errorf("invalid ID quantile = %v", got)
+	if in.total != 3 || in.sum != 1001 {
+		t.Errorf("total %d, sum %v; want 3 and 1001", in.total, in.sum)
 	}
 }
 

@@ -29,16 +29,13 @@
 // no-op. All emission methods are nil-safe, and none of their non-variadic
 // forms allocate when the receiver is nil (asserted by bench_test.go), so
 // hot paths may call them unconditionally. Variadic ...Arg forms build an
-// argument slice at the call site; guard those with Enabled() (or a nil
-// check on the stored recorder) in hot code. With a nil recorder the
-// simulation is bit-identical to an untraced run: the recorder never
-// schedules events, owns no clock, and is consulted by components only at
-// construction time.
+// argument slice at the call site; guard those with a nil check on the
+// stored recorder in hot code. With a nil recorder the simulation is
+// bit-identical to an untraced run: the recorder never schedules events,
+// owns no clock, and is consulted by components only at construction time.
 package trace
 
 import (
-	"sort"
-
 	"paella/internal/sim"
 )
 
@@ -148,9 +145,6 @@ func FromEnv(env *sim.Env) *Recorder {
 	r, _ := env.Recorder().(*Recorder)
 	return r
 }
-
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Process registers a timeline process (one GPU, the dispatcher, ...) and
 // returns its handle. Duplicate names are allowed — they get distinct ids.
@@ -366,27 +360,4 @@ func (r *Recorder) spanView(e *event) SpanView {
 func (r *Recorder) seriesID(c CounterID, series string) string {
 	ci := r.counters[c-1]
 	return r.procs[ci.proc-1].name + "/" + ci.name + "/" + series
-}
-
-// SeriesKeys returns the sorted fully-qualified keys
-// ("process/counter/series") of every series with at least one sample.
-func (r *Recorder) SeriesKeys() []string {
-	if r == nil {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for i := range r.events {
-		e := &r.events[i]
-		if e.kind != evSample {
-			continue
-		}
-		k := r.seriesID(e.ctr, e.series)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -73,9 +73,6 @@ func TestSampleDedup(t *testing.T) {
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder enabled")
-	}
 	p := r.Process("p")
 	tr := r.Thread(p, "t")
 	c := r.Counter(p, "c")
@@ -90,7 +87,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if r.Len() != 0 || r.MaxTime() != 0 {
 		t.Fatal("nil recorder recorded something")
 	}
-	if r.Spans() != nil || r.AllSeries() != nil || r.SeriesKeys() != nil {
+	if r.Spans() != nil || r.AllSeries() != nil {
 		t.Fatal("nil recorder returned data")
 	}
 	var buf bytes.Buffer
@@ -255,11 +252,8 @@ func TestTimeSeriesQueries(t *testing.T) {
 	if r.Series("disp", "ready", "nope") != nil {
 		t.Fatal("unknown series not nil")
 	}
-	if keys := r.SeriesKeys(); len(keys) != 1 || keys[0] != "disp/ready/value" {
-		t.Fatalf("SeriesKeys() = %v", keys)
-	}
 	all := r.AllSeries()
-	if len(all) != 1 || len(all[0].Points) != 3 {
+	if len(all) != 1 || all[0].Key() != "disp/ready/value" || len(all[0].Points) != 3 {
 		t.Fatalf("AllSeries() = %+v", all)
 	}
 }

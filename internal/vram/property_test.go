@@ -87,8 +87,9 @@ func TestAllocatorProperty(t *testing.T) {
 				} else if m.State(name) == Loading {
 					m.FinishLoad(name, now)
 				}
-			case 6: // touch
-				m.Touch(name, now)
+			case 6: // use without holding: refreshes the LRU stamp
+				m.Pin(name, now)
+				m.Unpin(name, now)
 			case 7: // explicit eviction attempt (may legitimately fail)
 				_ = m.Evict(name)
 			}

@@ -103,14 +103,6 @@ type Stats struct {
 	KVPeakBlocks int
 }
 
-// HitRatio returns WarmHits / Pins (1 when nothing was ever pinned).
-func (s Stats) HitRatio() float64 {
-	if s.Pins == 0 {
-		return 1
-	}
-	return float64(s.WarmHits) / float64(s.Pins)
-}
-
 // ErrNoMemory is returned by BeginLoad when the weights cannot be placed
 // even after evicting every unpinned resident model. The caller should
 // retry once an Unpin frees eviction candidates.
@@ -302,15 +294,6 @@ func (m *Manager) Unpin(name string, now sim.Time) {
 	e.lastUsed = now
 }
 
-// Touch refreshes the model's LRU timestamp without pinning.
-func (m *Manager) Touch(name string, now sim.Time) {
-	e := m.get(name)
-	m.lastNow = now
-	if now > e.lastUsed {
-		e.lastUsed = now
-	}
-}
-
 // BeginLoad starts a cold model's weight load: blocks are allocated (LRU
 // unpinned resident models are evicted as needed) and the model enters
 // Loading. The caller models the H2D transfer and calls FinishLoad when it
@@ -402,9 +385,6 @@ func (m *Manager) ReleasePressure(blocks int, now sim.Time) {
 	}
 	m.traceUsed()
 }
-
-// PressureBlocks returns the blocks currently held by injected pressure.
-func (m *Manager) PressureBlocks() int { return m.pressureBlocks }
 
 // ReserveKV allocates blocks for paged KV-cache entries (internal/llm's
 // vLLM-style token pages). LRU unpinned resident models are evicted to make
@@ -596,9 +576,6 @@ func (m *Manager) ReleaseActivations(bytes int64) {
 		panic("vram: activation gauge went negative")
 	}
 }
-
-// ActivationBytes returns the current activation gauge.
-func (m *Manager) ActivationBytes() int64 { return m.activationBytes }
 
 // ResidentModels returns the names of resident models, sorted (tests,
 // experiment reports).

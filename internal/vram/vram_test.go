@@ -74,8 +74,9 @@ func TestLRUEvictionOrder(t *testing.T) {
 	load("a", 10)
 	load("b", 20)
 	load("c", 30) // 60 MiB of 64 used — no eviction yet
-	m.Touch("a", 40)
-	// d forces an eviction; b is now the LRU victim (a was touched at 40).
+	m.Pin("a", 40)
+	m.Unpin("a", 40)
+	// d forces an eviction; b is now the LRU victim (a was used at 40).
 	if err := m.Register("d", 20*MiB); err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +164,6 @@ func TestHitRatioAccounting(t *testing.T) {
 	s := m.Stats()
 	if s.Pins != 3 || s.WarmHits != 2 || s.ColdPins != 1 {
 		t.Fatalf("stats = %+v", s)
-	}
-	if got := s.HitRatio(); got < 0.66 || got > 0.67 {
-		t.Fatalf("hit ratio = %f", got)
 	}
 	if s.Loads != 1 || s.BytesLoaded != 8*MiB {
 		t.Fatalf("load stats = %+v", s)

@@ -2,16 +2,17 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
-// FuzzTrafficSpecJSON fuzzes the traffic-spec codec: ParseTrafficSpec
-// must never panic on arbitrary bytes, any spec it accepts must
-// re-validate, and marshal→parse→marshal must be a fixed point — the
-// property `paella-sim -traffic spec.json` relies on to reproduce a
-// recorded load shape exactly. Accepted non-replay specs also generate a
-// tiny clamped trace to exercise the generator on fuzz-shaped parameters
-// without unbounded work.
+// FuzzTrafficSpecJSON fuzzes ParseTrafficSpec, the decoder behind
+// `paella-sim -traffic <spec.json>`: it must never panic on arbitrary
+// bytes, any spec it accepts must re-validate, and re-encoding an accepted
+// spec with encoding/json must parse back to the same document, so no
+// field a spec file sets is lost or rejected on decode. Accepted
+// non-replay specs also generate a tiny clamped trace to exercise the
+// generator on fuzz-shaped parameters without unbounded work.
 func FuzzTrafficSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"shape":"diurnal","mix":{"Models":["a","b"],"Weights":[1,1]},"sigma":1.5,"base_rate_per_sec":4000,"amplitude":0.7,"period_ns":2000000000,"duration_ns":2000000000,"clients":1000000,"seed":1}`))
 	f.Add([]byte(`{"shape":"spike","mix":{"Models":["m"],"Weights":[1]},"sigma":2,"base_rate_per_sec":1500,"spike_factor":5,"spike_at_ns":1000000000,"spike_duration_ns":500000000,"jobs":100,"clients":250,"seed":7,"tenants":4}`))
@@ -27,12 +28,15 @@ func FuzzTrafficSpecJSON(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted spec fails Validate: %v", err)
 		}
-		enc := s.Marshal()
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s2, err := ParseTrafficSpec(enc)
 		if err != nil {
 			t.Fatalf("marshal of a valid spec does not re-parse: %v\n%s", err, enc)
 		}
-		if enc2 := s2.Marshal(); !bytes.Equal(enc, enc2) {
+		if enc2, _ := json.Marshal(s2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip not stable:\n%s\nvs\n%s", enc, enc2)
 		}
 		if s.Shape == ShapeReplay {

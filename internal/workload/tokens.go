@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -62,15 +60,13 @@ func (s TokenSpec) Validate() error {
 	return nil
 }
 
-// TokenSampler draws per-request token lengths, either from the seeded
-// lognormal model or by replaying a recorded trace. Draw order is the
-// reproducibility contract: the i-th Next call always returns the same
-// lengths for a fixed spec, independent of everything else in the run.
+// TokenSampler draws per-request token lengths from the seeded lognormal
+// model. Draw order is the reproducibility contract: the i-th Next call
+// always returns the same lengths for a fixed spec, independent of
+// everything else in the run.
 type TokenSampler struct {
-	spec   TokenSpec
-	rng    *rand.Rand
-	replay []Tokens
-	next   int
+	spec TokenSpec
+	rng  *rand.Rand
 }
 
 // NewTokenSampler builds the lognormal sampler.
@@ -87,25 +83,10 @@ func NewTokenSampler(spec TokenSpec) (*TokenSampler, error) {
 	return &TokenSampler{spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}, nil
 }
 
-// NewTokenTrace builds a sampler that replays a recorded length sequence
-// (e.g. read back with ReadTokensJSON). Next panics past the end — a replay
-// run must supply at least as many lengths as requests.
-func NewTokenTrace(trace []Tokens) *TokenSampler {
-	return &TokenSampler{replay: trace}
-}
-
 // Next returns the next request's token lengths. The lognormal draw uses
 // µ = ln(mean) − σ²/2 so the distribution's mean matches the spec, rounded
 // and clamped to [1, Max].
 func (s *TokenSampler) Next() Tokens {
-	if s.replay != nil {
-		if s.next >= len(s.replay) {
-			panic("workload: token trace exhausted")
-		}
-		t := s.replay[s.next]
-		s.next++
-		return t
-	}
 	// Prompt then output, one normal draw each: the fixed draw order is
 	// what makes the sequence byte-stable.
 	prompt := s.draw(s.spec.PromptMean, s.spec.PromptSigma, s.spec.MaxPrompt)
@@ -126,7 +107,7 @@ func (s *TokenSampler) draw(mean, sigma float64, max int) int {
 }
 
 // SampleTokens draws n request lengths from a fresh sampler — the
-// deterministic pre-generated form used by trace files and tests.
+// deterministic pre-generated form the benchmark's LLM workload replays.
 func SampleTokens(spec TokenSpec, n int) ([]Tokens, error) {
 	s, err := NewTokenSampler(spec)
 	if err != nil {
@@ -135,41 +116,6 @@ func SampleTokens(spec TokenSpec, n int) ([]Tokens, error) {
 	out := make([]Tokens, n)
 	for i := range out {
 		out[i] = s.Next()
-	}
-	return out, nil
-}
-
-// WriteTokensJSON saves a token-length trace for replay.
-func WriteTokensJSON(w io.Writer, ts []Tokens) error {
-	type jsonTok struct {
-		Prompt int `json:"prompt"`
-		Output int `json:"output"`
-	}
-	out := make([]jsonTok, len(ts))
-	for i, t := range ts {
-		out[i] = jsonTok{Prompt: t.Prompt, Output: t.Output}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadTokensJSON loads a trace previously saved with WriteTokensJSON.
-func ReadTokensJSON(r io.Reader) ([]Tokens, error) {
-	type jsonTok struct {
-		Prompt int `json:"prompt"`
-		Output int `json:"output"`
-	}
-	var in []jsonTok
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	out := make([]Tokens, len(in))
-	for i, jt := range in {
-		if jt.Prompt < 1 || jt.Output < 1 {
-			return nil, fmt.Errorf("workload: malformed token entry %d", i)
-		}
-		out[i] = Tokens{Prompt: jt.Prompt, Output: jt.Output}
 	}
 	return out, nil
 }

@@ -1,36 +1,31 @@
 package workload
 
 import (
-	"bytes"
-	"strings"
+	"slices"
 	"testing"
 )
 
 func tokenSpec() TokenSpec { return DefaultTokenSpec(7) }
 
-// TestTokenTraceByteStable mirrors TestZipfTraceByteStable: the serialized
-// token-length trace is the reproducibility contract for the llm
-// experiments — byte-identical across generations for a fixed seed, and
+// TestTokenTraceByteStable mirrors TestZipfTraceByteStable: the sampled
+// token-length sequence is the reproducibility contract for the llm
+// experiments — identical across generations for a fixed seed, and
 // actually different for a different seed.
 func TestTokenTraceByteStable(t *testing.T) {
-	gen := func(spec TokenSpec) []byte {
+	gen := func(spec TokenSpec) []Tokens {
 		ts, err := SampleTokens(spec, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteTokensJSON(&buf, ts); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return ts
 	}
 	a, b := gen(tokenSpec()), gen(tokenSpec())
-	if !bytes.Equal(a, b) {
-		t.Fatal("token trace not byte-stable across generations")
+	if !slices.Equal(a, b) {
+		t.Fatal("token trace not stable across generations")
 	}
 	s := tokenSpec()
 	s.Seed++
-	if bytes.Equal(a, gen(s)) {
+	if slices.Equal(a, gen(s)) {
 		t.Fatal("different seed produced an identical token trace")
 	}
 }
@@ -59,33 +54,6 @@ func TestTokenSamplerShape(t *testing.T) {
 	}
 }
 
-func TestTokenTraceReplay(t *testing.T) {
-	ts, err := SampleTokens(tokenSpec(), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTokensJSON(&buf, ts); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTokensJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := NewTokenTrace(back)
-	for i, want := range ts {
-		if got := replay.Next(); got != want {
-			t.Fatalf("replay entry %d = %+v, want %+v", i, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("exhausted replay sampler did not panic")
-		}
-	}()
-	replay.Next()
-}
-
 func TestTokenSpecValidate(t *testing.T) {
 	bad := []TokenSpec{
 		{},
@@ -98,19 +66,6 @@ func TestTokenSpecValidate(t *testing.T) {
 	for i, s := range bad {
 		if _, err := NewTokenSampler(s); err == nil {
 			t.Errorf("spec %d validated", i)
-		}
-	}
-}
-
-func TestReadTokensJSONRejectsMalformed(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`[{"prompt": 0, "output": 5}]`,
-		`[{"prompt": 5, "output": -1}]`,
-	}
-	for i, c := range cases {
-		if _, err := ReadTokensJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
 		}
 	}
 }

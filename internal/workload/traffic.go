@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -206,23 +207,13 @@ func GenerateTraffic(s TrafficSpec) ([]Request, error) {
 	return reqs, nil
 }
 
-// MustGenerateTraffic is GenerateTraffic for known-good specs; it panics on
-// error.
-func MustGenerateTraffic(s TrafficSpec) []Request {
-	reqs, err := GenerateTraffic(s)
-	if err != nil {
-		panic(err)
-	}
-	return reqs
-}
-
 // ParseTrafficSpec decodes and validates a TrafficSpec from JSON — the
 // codec behind `paella-sim -traffic <spec.json>` and the fuzz target. It
 // rejects unknown fields so a typo'd knob fails loudly instead of running
 // the default silently.
 func ParseTrafficSpec(data []byte) (TrafficSpec, error) {
 	var s TrafficSpec
-	dec := json.NewDecoder(newByteReader(data))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return TrafficSpec{}, fmt.Errorf("workload: traffic spec: %w", err)
@@ -237,31 +228,6 @@ func ParseTrafficSpec(data []byte) (TrafficSpec, error) {
 	return s, nil
 }
 
-// Marshal encodes the spec as canonical JSON: parse(marshal(s)) round-trips
-// to an identical document for any valid spec.
-func (s TrafficSpec) Marshal() []byte {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(err) // no marshal-hostile fields
-	}
-	return data
-}
-
-// newByteReader wraps a byte slice for streaming JSON decode without
-// copying (bytes.NewReader would drag in an import for one call site).
-func newByteReader(data []byte) io.Reader { return &byteReader{data: data} }
-
-type byteReader struct{ data []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data)
-	r.data = r.data[n:]
-	return n, nil
-}
-
 // ndjsonReq is the per-line wire format of an NDJSON trace — identical to
 // the array-JSON entry format, one object per line.
 type ndjsonReq struct {
@@ -271,27 +237,12 @@ type ndjsonReq struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// WriteNDJSON streams a trace as newline-delimited JSON, one request per
-// line — the interchange format for replaying recorded traffic at
-// million-request scale, where a single JSON array would have to be held
-// in memory whole to decode.
-func WriteNDJSON(w io.Writer, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range reqs {
-		r := &reqs[i]
-		if err := enc.Encode(ndjsonReq{
-			AtNs: int64(r.At), Model: r.Model, Client: r.Client, Tenant: r.Tenant,
-		}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadNDJSON loads a trace previously saved with WriteNDJSON (blank lines
-// are skipped), enforcing the same well-formedness rules as ReadJSON:
-// monotone non-negative arrivals, named models, non-negative clients.
+// ReadNDJSON loads a newline-delimited JSON trace, one request object per
+// line (blank lines are skipped) — the interchange format for replaying
+// recorded traffic at million-request scale, where a single JSON array
+// would have to be held in memory whole to decode. It enforces the same
+// well-formedness rules as ReadJSON: monotone non-negative arrivals, named
+// models, non-negative clients.
 func ReadNDJSON(r io.Reader) ([]Request, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,14 +44,36 @@ func spikeSpec(seed int64) TrafficSpec {
 	}
 }
 
+// generate is GenerateTraffic for specs the test knows are valid.
+func generate(t *testing.T, s TrafficSpec) []Request {
+	t.Helper()
+	reqs, err := GenerateTraffic(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// writeNDJSON serializes reqs in ReadNDJSON's wire format, one request per
+// line.
+func writeNDJSON(t *testing.T, w io.Writer, reqs []Request) {
+	t.Helper()
+	enc := json.NewEncoder(w)
+	for _, r := range reqs {
+		if err := enc.Encode(ndjsonReq{
+			AtNs: int64(r.At), Model: r.Model, Client: r.Client, Tenant: r.Tenant,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // digest hashes the NDJSON serialization — arrival times, models, clients,
 // and tenants all participate, so any generator drift shows up.
 func digest(t *testing.T, reqs []Request) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
+	writeNDJSON(t, &buf, reqs)
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:])
 }
@@ -75,7 +99,7 @@ func TestTrafficGoldenDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := digest(t, MustGenerateTraffic(tc.spec))
+			got := digest(t, generate(t, tc.spec))
 			if got != tc.want {
 				t.Errorf("digest drifted:\n got %s\nwant %s", got, tc.want)
 			}
@@ -91,7 +115,7 @@ func TestTrafficGoldenDigests(t *testing.T) {
 // field-identical trace; any extra or reordered draw diverges immediately.
 func TestTrafficZeroTenantRNGInvariant(t *testing.T) {
 	spec := diurnalSpec(42, 0)
-	got := MustGenerateTraffic(spec)
+	got := generate(t, spec)
 
 	rng := rand.New(rand.NewSource(spec.Seed))
 	var tf float64
@@ -132,8 +156,8 @@ func TestTrafficZeroTenantRNGInvariant(t *testing.T) {
 
 // TestTrafficRepeatable: same spec, same bytes — twice.
 func TestTrafficRepeatable(t *testing.T) {
-	a := digest(t, MustGenerateTraffic(spikeSpec(5)))
-	b := digest(t, MustGenerateTraffic(spikeSpec(5)))
+	a := digest(t, generate(t, spikeSpec(5)))
+	b := digest(t, generate(t, spikeSpec(5)))
 	if a != b {
 		t.Fatalf("same spec produced different traces: %s vs %s", a, b)
 	}
@@ -142,7 +166,7 @@ func TestTrafficRepeatable(t *testing.T) {
 // TestTrafficDiurnalModulation checks the envelope actually modulates:
 // the peak half-period must carry well more traffic than the trough.
 func TestTrafficDiurnalModulation(t *testing.T) {
-	reqs := MustGenerateTraffic(diurnalSpec(9, 0))
+	reqs := generate(t, diurnalSpec(9, 0))
 	var trough, peak int
 	for _, r := range reqs {
 		// Trough is centred at t=0 and t=Period; peak at Period/2.
@@ -162,7 +186,7 @@ func TestTrafficDiurnalModulation(t *testing.T) {
 // rate must be several times the surrounding rate.
 func TestTrafficSpikeModulation(t *testing.T) {
 	s := spikeSpec(11)
-	reqs := MustGenerateTraffic(s)
+	reqs := generate(t, s)
 	var in, out int
 	for _, r := range reqs {
 		if r.At >= s.SpikeAt && r.At < s.SpikeAt+s.SpikeDuration {
@@ -181,11 +205,9 @@ func TestTrafficSpikeModulation(t *testing.T) {
 // TestNDJSONRoundTrip writes and re-reads a trace, expecting exact
 // equality and byte-stable re-serialization.
 func TestNDJSONRoundTrip(t *testing.T) {
-	reqs := MustGenerateTraffic(diurnalSpec(3, 4))
+	reqs := generate(t, diurnalSpec(3, 4))
 	var buf bytes.Buffer
-	if err := WriteNDJSON(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
+	writeNDJSON(t, &buf, reqs)
 	first := buf.String()
 	back, err := ReadNDJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -200,9 +222,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		}
 	}
 	var buf2 bytes.Buffer
-	if err := WriteNDJSON(&buf2, back); err != nil {
-		t.Fatal(err)
-	}
+	writeNDJSON(t, &buf2, back)
 	if buf2.String() != first {
 		t.Fatal("re-serialization not byte-stable")
 	}
@@ -231,12 +251,15 @@ func TestTrafficSpecCodecRoundTrip(t *testing.T) {
 	for _, spec := range []TrafficSpec{diurnalSpec(1, 3), spikeSpec(2), {
 		Shape: ShapeReplay, ReplayPath: "trace.ndjson",
 	}} {
-		doc := spec.Marshal()
+		doc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		back, err := ParseTrafficSpec(doc)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Shape, err)
 		}
-		if !bytes.Equal(back.Marshal(), doc) {
+		if again, _ := json.Marshal(back); !bytes.Equal(again, doc) {
 			t.Fatalf("%s: marshal not a fixed point", spec.Shape)
 		}
 	}
@@ -296,6 +319,6 @@ func TestPrintTrafficDigests(t *testing.T) {
 			BaseRatePerSec: 2000, Jobs: 4000, Clients: 100, Seed: 3,
 		}},
 	} {
-		t.Log(fmt.Sprintf("%s: %s", c.name, digest(t, MustGenerateTraffic(c.spec))))
+		t.Log(fmt.Sprintf("%s: %s", c.name, digest(t, generate(t, c.spec))))
 	}
 }
