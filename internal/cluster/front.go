@@ -104,13 +104,9 @@ func (f *front) routed(r gateway.Replica) {
 func (f *front) merged(cols ...*metrics.Collector) *metrics.Collector {
 	out := metrics.NewCollector()
 	for _, col := range cols {
-		for _, r := range col.Records() {
-			out.Add(r)
-		}
+		out.AddAll(col)
 	}
-	for _, r := range f.shedCol.Records() {
-		out.Add(r)
-	}
+	out.AddAll(f.shedCol)
 	return out
 }
 

@@ -85,9 +85,9 @@ type Stats struct {
 	// ThreadBusyNs integrates (threads in use)×time; divide by
 	// (MaxThreads×NumSMs×elapsed) for utilization.
 	ThreadBusyNs float64
-	// StallNs integrates time during which at least one queue head was
-	// ready but unplaceable OR a queue head was not ready while another
-	// launch behind it was (head-of-line blocking indicator).
+	// HoLBlockedKernels counts queue scans that found an unready head
+	// with another launch queued behind it (head-of-line blocking
+	// indicator).
 	HoLBlockedKernels uint64
 	// SMsRetired / SMsRestored count topology changes from fault injection.
 	SMsRetired  uint64

@@ -185,10 +185,3 @@ func (l *Launch) Recycle() bool {
 	*l = Launch{}
 	return true
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"maps"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"paella/internal/sim"
 )
@@ -38,66 +42,238 @@ func TestGoodputSkipsFailedAndCancelled(t *testing.T) {
 	}
 }
 
-// TestCollectorAddAllocs: Add allocates exactly once per new chunk, and a
-// chunk, once linked, is never copied — the records already written stay
-// at their addresses however many chunks follow.
+// blocks lists the collector's storage blocks in order.
+func (c *Collector) blocks() []*block {
+	var out []*block
+	for b := c.head; b != nil; b = b.next {
+		out = append(out, b)
+	}
+	return out
+}
+
+// nblocks counts the collector's storage blocks without allocating.
+func (c *Collector) nblocks() int {
+	n := 0
+	for b := c.head; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// TestCollectorAddAllocs: once a record's strings are interned, Add
+// allocates exactly once per block it opens, and a block, once written, is
+// never replaced or rewritten however many blocks follow.
 func TestCollectorAddAllocs(t *testing.T) {
+	if unsafe.Sizeof(block{}) > blockSize {
+		t.Fatalf("a block is %d bytes, more than %d", unsafe.Sizeof(block{}), blockSize)
+	}
 	c := NewCollector()
-	r := rec(1, 2)
-	if got := testing.AllocsPerRun(8, func() {
-		for i := 0; i < chunkSize; i++ {
+	r := llmRecord(1, 0, 5, 20, 8)
+	r.Tenant, r.FailureReason = "t", "x"
+	add := func() {
+		for i := 0; i < 10000; i++ {
+			r.ID++
+			r.Submit += sim.Microsecond
+			r.Delivered += sim.Microsecond
 			c.Add(r)
 		}
-	}); got != 1 {
-		t.Fatalf("Add allocated %v times per %d records, want 1 (one chunk)", got, chunkSize)
 	}
-	first := &c.head.recs[0]
-	var chunks []*chunk
-	for ch := c.head; ch != nil; ch = ch.next {
-		chunks = append(chunks, ch)
+	c.Add(r)
+	written := append([]byte(nil), c.head.buf[:c.head.n]...)
+	opened := 0
+	if got := testing.AllocsPerRun(1, func() {
+		n := c.nblocks()
+		add()
+		opened = c.nblocks() - n
+	}); got != float64(opened) || opened == 0 {
+		t.Fatalf("Add allocated %v times while opening %d blocks", got, opened)
 	}
-	for i := 0; i < 3*chunkSize+1; i++ {
-		c.Add(r)
+	before := c.blocks()
+	add()
+	if after := c.blocks(); len(after) <= len(before) || !slices.Equal(after[:len(before)], before) {
+		t.Fatal("a written block was replaced")
 	}
-	if &c.head.recs[0] != first {
-		t.Fatal("the first record moved")
+	if !bytes.Equal(c.head.buf[:len(written)], written) {
+		t.Fatal("the first block's entries were rewritten")
 	}
-	ch := c.head
-	for i, want := range chunks {
-		if ch != want {
-			t.Fatalf("chunk %d replaced", i)
-		}
-		ch = ch.next
-	}
-	if c.Len() != 12*chunkSize+1 {
-		t.Fatalf("Len = %d, want %d", c.Len(), 12*chunkSize+1)
+	if c.Len() != 30001 {
+		t.Fatalf("Len = %d, want 30001", c.Len())
 	}
 }
 
-// TestNewCollectorAllocatesNoChunk: chunks are allocated on the first Add,
-// so building a system with idle collectors costs nothing.
-func TestNewCollectorAllocatesNoChunk(t *testing.T) {
+// TestNewCollectorAllocatesNothing: blocks and the string table are
+// allocated on the first Add, so building a system with idle collectors
+// costs nothing.
+func TestNewCollectorAllocatesNothing(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() {
+		if NewCollector().Len() != 0 {
+			t.Fatal("new collector is not empty")
+		}
+	}); got != 0 {
+		t.Fatalf("NewCollector allocated %v times", got)
+	}
 	c := NewCollector()
-	if c.head != nil || c.Records() != nil || c.Len() != 0 {
+	if c.head != nil || c.strs != nil || c.ids != nil || c.Records() != nil {
 		t.Fatal("empty collector holds storage")
 	}
 }
 
-// BenchmarkCollectorAdd times Add, chunk allocation included. A fresh
-// collector every 64 chunks keeps the live heap near 16 MiB at any b.N.
+// TestEachAllocatesNothing: a decoding pass reuses one record, so the
+// aggregate methods cost no allocation per record.
+func TestEachAllocatesNothing(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 5000; i++ {
+		c.Add(fuzzRecord(i, byte(i)))
+	}
+	tokens := 0
+	if got := testing.AllocsPerRun(10, func() {
+		c.each(func(r JobRecord) { tokens += r.OutputTokens })
+	}); got != 0 {
+		t.Fatalf("each allocated %v times", got)
+	}
+}
+
+// BenchmarkCollectorAdd times Add, block allocation included. A fresh
+// collector every 65,536 records keeps the live heap small at any b.N.
 func BenchmarkCollectorAdd(b *testing.B) {
 	r := llmRecord(1, 0, 5, 20, 8)
 	b.ReportAllocs()
 	var c *Collector
 	for i := 0; i < b.N; i++ {
-		if i%(64*chunkSize) == 0 {
+		if i%(1<<16) == 0 {
 			c = NewCollector()
 		}
 		c.Add(r)
 	}
 }
 
-// model is the twin the fuzz target holds the chunked store to: a plain
+// BenchmarkCollectorEach times decoding, one op per record, over 65,536
+// records that mix generative, batched and failed requests.
+func BenchmarkCollectorEach(b *testing.B) {
+	c := NewCollector()
+	for i := 0; i < 1<<16; i++ {
+		c.Add(fuzzRecord(i, byte(i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	tokens := 0
+	for i := 0; i < b.N; i += c.Len() {
+		c.each(func(r JobRecord) { tokens += r.OutputTokens })
+	}
+	eachSink = tokens
+}
+
+// eachSink keeps BenchmarkCollectorEach's sum live.
+var eachSink int
+
+// roundTripRecords is how many records one FuzzRecordRoundTrip input
+// builds: enough for more than 128 distinct strings, so string indices
+// take two varint bytes.
+const roundTripRecords = 300
+
+// FuzzRecordRoundTrip fills every JobRecord field through reflect with
+// values drawn from a pool seeded by the fuzzer: zero, ±1, the int64
+// extremes, the fuzzer's own int64s, the record's Submit (a zero offset
+// that must still be stored), the previous record's value (a zero delta)
+// and fresh or repeated strings. Every record must come back exactly
+// through Records and each. A field added to JobRecord without codec
+// support fails here, as does one of a kind the filler does not know.
+func FuzzRecordRoundTrip(f *testing.F) {
+	f.Add(uint64(0), int64(0), int64(0), "")
+	f.Add(uint64(1), int64(math.MinInt64), int64(math.MaxInt64), "model")
+	f.Add(uint64(7777), int64(-1), int64(1)<<40, "tenant\x00é")
+	f.Fuzz(func(t *testing.T, seed uint64, x, y int64, s string) {
+		h := seed
+		next := func() uint64 { // splitmix64
+			h += 0x9e3779b97f4a7c15
+			z := h
+			z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			return z ^ z>>31
+		}
+		c := NewCollector()
+		want := make([]JobRecord, 0, roundTripRecords)
+		var prev JobRecord
+		fresh := 0
+		for k := 0; k < roundTripRecords; k++ {
+			var r JobRecord
+			v, pv := reflect.ValueOf(&r).Elem(), reflect.ValueOf(prev)
+			for i := 0; i < v.NumField(); i++ {
+				fv, op := v.Field(i), next()
+				switch fv.Kind() {
+				case reflect.Bool:
+					fv.SetBool(op&1 != 0)
+				case reflect.String:
+					switch op % 4 {
+					case 0:
+						fv.SetString("")
+					case 1:
+						fv.SetString(s)
+					case 2:
+						fresh++
+						fv.SetString(s + strconv.Itoa(fresh))
+					case 3:
+						fv.SetString(pv.Field(i).String())
+					}
+				case reflect.Int, reflect.Int64, reflect.Uint64:
+					var n int64
+					switch op % 10 {
+					case 1:
+						n = 1
+					case 2:
+						n = -1
+					case 3:
+						n = math.MinInt64
+					case 4:
+						n = math.MaxInt64
+					case 5:
+						n = x
+					case 6:
+						n = y
+					case 7:
+						n = int64(r.Submit)
+					case 8:
+						n = pv.Field(i).Convert(reflect.TypeOf(n)).Int()
+					case 9:
+						n = int64(r.Submit) + int64(op>>32)%1000 - 500
+					}
+					if fv.Kind() == reflect.Uint64 {
+						fv.SetUint(uint64(n))
+					} else {
+						fv.SetInt(n)
+					}
+				default:
+					t.Fatalf("JobRecord.%s has kind %v, which the round trip cannot fill",
+						v.Type().Field(i).Name, fv.Kind())
+				}
+			}
+			c.Add(r)
+			want = append(want, r)
+			prev = r
+		}
+		got := c.Records()
+		if len(got) != len(want) {
+			t.Fatalf("Records returned %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d round-tripped as\n%+v\nwant\n%+v", i, got[i], want[i])
+			}
+		}
+		i := 0
+		c.each(func(r JobRecord) {
+			if i >= len(want) || r != want[i] {
+				t.Fatalf("each record %d differs", i)
+			}
+			i++
+		})
+		if i != len(want) || c.Len() != len(want) {
+			t.Fatalf("each visited %d records, Len %d, want %d", i, c.Len(), len(want))
+		}
+	})
+}
+
+// model is the twin the fuzz target holds the encoded store to: a plain
 // slice whose aggregates are computed the direct way.
 type model []JobRecord
 
@@ -191,9 +367,10 @@ func fuzzRecord(i int, b byte) JobRecord {
 }
 
 // FuzzCollector runs random Add/Records sequences that cross at least
-// three chunk boundaries and, after every step, compares the chunked store
-// with the plain-slice model: Len, Records, every aggregate, the filtered
-// collectors and the WriteJSON bytes. A slice Records returned earlier
+// one block boundary (about 2,400 of these records fill a block) and,
+// after every step, compares the encoded store with the plain-slice
+// model: Len, Records, every aggregate, the filtered collectors and the
+// WriteJSON bytes. A slice Records returned earlier
 // must keep its contents after later Adds.
 func FuzzCollector(f *testing.F) {
 	f.Add([]byte{})
@@ -213,8 +390,7 @@ func FuzzCollector(f *testing.F) {
 			}
 		}
 		// A byte ≡ 0 mod 8 calls Records; any other adds 1 to 1,030
-		// records, so an exact chunk boundary (b = 249 adds 1,024) is
-		// one byte away.
+		// records.
 		step := func(b byte) {
 			if b%8 == 0 {
 				got := c.Records()
@@ -230,14 +406,14 @@ func FuzzCollector(f *testing.F) {
 			}
 		}
 		// Every check walks the whole store, so the sequence stops after
-		// eight steps or once it spans four chunks.
+		// eight steps or once it spans two blocks.
 		for _, b := range ops[:min(len(ops), 8)] {
-			if len(m) > 3*chunkSize {
+			if c.nblocks() > 1 {
 				break
 			}
 			step(b)
 		}
-		for len(m) <= 3*chunkSize {
+		for c.nblocks() <= 1 {
 			step(255) // 1,030 records
 		}
 	})

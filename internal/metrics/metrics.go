@@ -1,19 +1,22 @@
 // Package metrics collects per-request latency records and computes the
 // aggregate statistics the paper reports: percentile job completion times,
-// throughput/goodput, the per-stage overheads of Figure 10's breakdown, and
-// client CPU utilization (Figure 14).
+// throughput/goodput, time-to-first-token and per-token latency for
+// generative serving, and client CPU utilization (Figure 14).
 //
-// A Collector stores its records in append-only fixed-size chunks, so a
-// long run's record store never regrows or copies (DESIGN.md §14.3).
-// Records are written during the run and read after it: the aggregate
-// methods walk the chunks in place, and Records builds one contiguous
-// view on demand.
+// A Collector stores each record as one compact varint entry in
+// append-only 64 KiB blocks, so a long run's record store never regrows
+// or copies and costs tens of bytes per record (DESIGN.md §14.3). Records
+// are written during the run and read after it: the aggregate methods
+// decode the entries in one pass, and Records builds one contiguous view
+// on demand.
 package metrics
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 
 	"paella/internal/sim"
@@ -146,81 +149,285 @@ func (r *JobRecord) CommNs() sim.Time {
 	return c
 }
 
-// chunkSize is how many records one storage chunk holds (224 KiB at
-// today's 224-byte JobRecord). Add fills the last chunk and links a fresh
-// one when it is full, so no chunk is ever copied or outgrown.
-const chunkSize = 1024
+// blockSize is the size of one storage block, header included, so a
+// block is exactly one 64 KiB allocation.
+const blockSize = 64 << 10
 
-// chunk is one fixed block of records in Add order.
-type chunk struct {
-	recs [chunkSize]JobRecord
+// valued is how many fields an entry can store after its mask: fID
+// through fFailureReason.
+const valued = 23
+
+// maxEntry bounds one encoded entry: a presence mask and the valued
+// fields, each a varint of at most binary.MaxVarintLen64 bytes. Add opens
+// a fresh block when fewer than maxEntry bytes remain, so an entry never
+// spans blocks.
+const maxEntry = (1 + valued) * binary.MaxVarintLen64
+
+// Presence bits of an entry's mask, in the order the fields follow it.
+// The three bools live in the mask alone.
+const (
+	fID uint64 = 1 << iota
+	fModel
+	fClient
+	fTenant
+	fSubmit
+	fAdmit
+	fFirstDispatch
+	fExecDone
+	fDelivered
+	fSchedNs
+	fFrameworkNs
+	fLoadNs
+	fBatchSize
+	fBatchWaitNs
+	fHoLNs
+	fStallNs
+	fPrefillNs
+	fFirstToken
+	fPromptTokens
+	fOutputTokens
+	fPreemptions
+	fKVTransferNs
+	fFailureReason
+	fColdStart
+	fCancelled
+	fFailed
+)
+
+// block is one fixed run of encoded entries in Add order. buf leaves 16
+// bytes for n and next, so a block is blockSize bytes in all.
+type block struct {
+	buf  [blockSize - 16]byte
 	n    int
-	next *chunk
+	next *block
 }
 
-// Collector accumulates job records for one run. Records live in
-// append-only fixed-size chunks, so a long run's store never regrows: a
-// record is written once and never copied or orphaned by later Adds. The
-// aggregate methods walk the chunks in place; Records builds a contiguous
-// view only when a caller asks for one. Read records after the run.
+// Collector accumulates job records for one run. Each record is stored as
+// one compact entry in append-only 64 KiB blocks (DESIGN.md §14.3): a
+// presence mask, then only the non-zero fields as zigzag varints. ID and
+// Submit are deltas from the previous entry, the other timestamps offsets
+// from Submit, and strings indices into the collector's string table. A
+// block is written once and never regrown, copied or replaced. The
+// aggregate methods decode the entries in one pass; Records builds a
+// contiguous view only when a caller asks for one. Read records after the
+// run.
 type Collector struct {
-	head, tail *chunk
+	head, tail *block
 	n          int
+	// id and submit are the last entry's ID and Submit, the bases of the
+	// next entry's deltas.
+	id     uint64
+	submit sim.Time
+	// strs is the string table that entries index into; ids maps a
+	// string back to its index.
+	strs []string
+	ids  map[string]int64
 	// view is Records' contiguous slice, built on demand and dropped by
 	// the next Add.
 	view []JobRecord
 }
 
-// NewCollector returns an empty collector. It allocates no chunk: the
-// first Add does.
+// NewCollector returns an empty collector. It allocates no block and no
+// string table: the first Add does.
 func NewCollector() *Collector { return &Collector{} }
+
+// entry is one record's encoding under construction: the presence mask and
+// the present fields' varints, in mask order.
+type entry struct {
+	mask uint64
+	n    int
+	buf  [valued * binary.MaxVarintLen64]byte
+}
+
+// put stores v under bit when present is true.
+func (e *entry) put(bit uint64, present bool, v int64) {
+	if present {
+		e.mask |= bit
+		e.n += binary.PutVarint(e.buf[e.n:], v)
+	}
+}
+
+// flag sets bit when on is true.
+func (e *entry) flag(bit uint64, on bool) {
+	if on {
+		e.mask |= bit
+	}
+}
 
 // Add appends one completed job.
 func (c *Collector) Add(r JobRecord) {
-	if c.tail == nil || c.tail.n == chunkSize {
-		ch := new(chunk)
+	var e entry
+	e.put(fID, r.ID != 0, int64(r.ID-c.id))
+	e.put(fModel, r.Model != "", c.intern(r.Model))
+	e.put(fClient, r.Client != 0, int64(r.Client))
+	e.put(fTenant, r.Tenant != "", c.intern(r.Tenant))
+	e.put(fSubmit, r.Submit != 0, int64(r.Submit-c.submit))
+	e.put(fAdmit, r.Admit != 0, int64(r.Admit-r.Submit))
+	e.put(fFirstDispatch, r.FirstDispatch != 0, int64(r.FirstDispatch-r.Submit))
+	e.put(fExecDone, r.ExecDone != 0, int64(r.ExecDone-r.Submit))
+	e.put(fDelivered, r.Delivered != 0, int64(r.Delivered-r.Submit))
+	e.put(fSchedNs, r.SchedNs != 0, int64(r.SchedNs))
+	e.put(fFrameworkNs, r.FrameworkNs != 0, int64(r.FrameworkNs))
+	e.put(fLoadNs, r.LoadNs != 0, int64(r.LoadNs))
+	e.put(fBatchSize, r.BatchSize != 0, int64(r.BatchSize))
+	e.put(fBatchWaitNs, r.BatchWaitNs != 0, int64(r.BatchWaitNs))
+	e.put(fHoLNs, r.HoLNs != 0, int64(r.HoLNs))
+	e.put(fStallNs, r.StallNs != 0, int64(r.StallNs))
+	e.put(fPrefillNs, r.PrefillNs != 0, int64(r.PrefillNs))
+	e.put(fFirstToken, r.FirstToken != 0, int64(r.FirstToken-r.Submit))
+	e.put(fPromptTokens, r.PromptTokens != 0, int64(r.PromptTokens))
+	e.put(fOutputTokens, r.OutputTokens != 0, int64(r.OutputTokens))
+	e.put(fPreemptions, r.Preemptions != 0, int64(r.Preemptions))
+	e.put(fKVTransferNs, r.KVTransferNs != 0, int64(r.KVTransferNs))
+	e.put(fFailureReason, r.FailureReason != "", c.intern(r.FailureReason))
+	e.flag(fColdStart, r.ColdStart)
+	e.flag(fCancelled, r.Cancelled)
+	e.flag(fFailed, r.Failed)
+	c.id, c.submit = r.ID, r.Submit
+
+	if c.tail == nil || len(c.tail.buf)-c.tail.n < maxEntry {
+		b := new(block)
 		if c.tail == nil {
-			c.head = ch
+			c.head = b
 		} else {
-			c.tail.next = ch
+			c.tail.next = b
 		}
-		c.tail = ch
+		c.tail = b
 	}
-	c.tail.recs[c.tail.n] = r
-	c.tail.n++
+	t := c.tail
+	t.n += binary.PutUvarint(t.buf[t.n:], e.mask)
+	t.n += copy(t.buf[t.n:], e.buf[:e.n])
 	c.n++
 	c.view = nil
+}
+
+// intern returns s's index in the string table, adding it on first sight.
+// The empty string is never stored: its field is absent from the entry.
+func (c *Collector) intern(s string) int64 {
+	if s == "" {
+		return 0
+	}
+	i, ok := c.ids[s]
+	if !ok {
+		if c.ids == nil {
+			c.ids = map[string]int64{}
+		}
+		i = int64(len(c.strs))
+		c.strs = append(c.strs, s)
+		c.ids[s] = i
+	}
+	return i
+}
+
+// decoder reads entries back in Add order, tracking the delta bases.
+type decoder struct {
+	b      []byte
+	strs   []string
+	id     uint64
+	submit sim.Time
+}
+
+// uvarint splits one uvarint off the front of b. Entries are only ever
+// written by Add, so b is never malformed.
+func uvarint(b []byte) (uint64, []byte) {
+	var u uint64
+	for s := uint(0); ; s += 7 {
+		c := b[0]
+		b = b[1:]
+		u |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return u, b
+		}
+	}
+}
+
+// next decodes the entry at the front of d.b into r, overwriting every
+// field.
+func (d *decoder) next(r *JobRecord) {
+	m, b := uvarint(d.b)
+	// v holds the valued fields' stored integers in mask order, zero
+	// where absent.
+	var v [valued]int64
+	for left := m & (1<<valued - 1); left != 0; left &= left - 1 {
+		var u uint64
+		u, b = uvarint(b)
+		v[bits.TrailingZeros64(left)] = int64(u>>1) ^ -int64(u&1)
+	}
+	d.b = b
+	str := func(bit uint64, i int64) string {
+		if m&bit == 0 {
+			return ""
+		}
+		return d.strs[i]
+	}
+	at := func(bit uint64, base sim.Time, i int64) sim.Time {
+		if m&bit == 0 {
+			return 0
+		}
+		return base + sim.Time(i)
+	}
+	r.ID = uint64(at(fID, sim.Time(d.id), v[0]))
+	r.Model = str(fModel, v[1])
+	r.Client = int(v[2])
+	r.Tenant = str(fTenant, v[3])
+	r.Submit = at(fSubmit, d.submit, v[4])
+	r.Admit = at(fAdmit, r.Submit, v[5])
+	r.FirstDispatch = at(fFirstDispatch, r.Submit, v[6])
+	r.ExecDone = at(fExecDone, r.Submit, v[7])
+	r.Delivered = at(fDelivered, r.Submit, v[8])
+	r.SchedNs = sim.Time(v[9])
+	r.FrameworkNs = sim.Time(v[10])
+	r.LoadNs = sim.Time(v[11])
+	r.BatchSize = int(v[12])
+	r.BatchWaitNs = sim.Time(v[13])
+	r.HoLNs = sim.Time(v[14])
+	r.StallNs = sim.Time(v[15])
+	r.PrefillNs = sim.Time(v[16])
+	r.FirstToken = at(fFirstToken, r.Submit, v[17])
+	r.PromptTokens = int(v[18])
+	r.OutputTokens = int(v[19])
+	r.Preemptions = int(v[20])
+	r.KVTransferNs = sim.Time(v[21])
+	r.FailureReason = str(fFailureReason, v[22])
+	r.ColdStart = m&fColdStart != 0
+	r.Cancelled = m&fCancelled != 0
+	r.Failed = m&fFailed != 0
+	d.id, d.submit = r.ID, r.Submit
 }
 
 // Len returns the number of records.
 func (c *Collector) Len() int { return c.n }
 
 // Records returns every record in Add order as one contiguous slice;
-// callers must not mutate it. The slice is built on the first call after
-// an Add (records spanning more than one chunk are copied into it) and
-// shared by later calls until the next Add. A returned slice keeps its
-// contents when records are added later. It is meant for reading after
-// the run: calling it between Adds copies the store each time.
+// callers must not mutate it. The slice is decoded on the first call
+// after an Add and shared by later calls until the next Add. A returned
+// slice keeps its contents when records are added later. It is meant for
+// reading after the run: calling it between Adds decodes the store each
+// time.
 func (c *Collector) Records() []JobRecord {
 	if c.view != nil || c.n == 0 {
 		return c.view
 	}
-	if c.head == c.tail {
-		c.view = c.head.recs[:c.n:c.n]
-		return c.view
-	}
 	c.view = make([]JobRecord, 0, c.n)
-	for ch := c.head; ch != nil; ch = ch.next {
-		c.view = append(c.view, ch.recs[:ch.n]...)
-	}
+	c.each(func(r JobRecord) { c.view = append(c.view, r) })
 	return c.view
 }
 
-// each calls fn on every record in Add order, walking the chunks in place.
-func (c *Collector) each(fn func(r *JobRecord)) {
-	for ch := c.head; ch != nil; ch = ch.next {
-		for i := range ch.recs[:ch.n] {
-			fn(&ch.recs[i])
+// AddAll appends every record of src, in order, without building src's
+// Records view. src must not be c.
+func (c *Collector) AddAll(src *Collector) {
+	src.each(c.Add)
+}
+
+// each calls fn on every record in Add order. It decodes into one reused
+// record and allocates nothing.
+func (c *Collector) each(fn func(r JobRecord)) {
+	var r JobRecord
+	d := decoder{strs: c.strs}
+	for b := c.head; b != nil; b = b.next {
+		for d.b = b.buf[:b.n]; len(d.b) > 0; {
+			d.next(&r)
+			fn(r)
 		}
 	}
 }
@@ -228,9 +435,9 @@ func (c *Collector) each(fn func(r *JobRecord)) {
 // filter returns a collector holding the records keep accepts, in order.
 func (c *Collector) filter(keep func(r *JobRecord) bool) *Collector {
 	out := NewCollector()
-	c.each(func(r *JobRecord) {
-		if keep(r) {
-			out.Add(*r)
+	c.each(func(r JobRecord) {
+		if keep(&r) {
+			out.Add(r)
 		}
 	})
 	return out
@@ -239,8 +446,8 @@ func (c *Collector) filter(keep func(r *JobRecord) bool) *Collector {
 // count returns how many records match.
 func (c *Collector) count(match func(r *JobRecord) bool) int {
 	n := 0
-	c.each(func(r *JobRecord) {
-		if match(r) {
+	c.each(func(r JobRecord) {
+		if match(&r) {
 			n++
 		}
 	})
@@ -254,8 +461,8 @@ func (c *Collector) perSecond(n int) float64 {
 	if c.n == 0 {
 		return 0
 	}
-	first, last := c.head.recs[0].Submit, c.head.recs[0].Delivered
-	c.each(func(r *JobRecord) {
+	first, last := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
+	c.each(func(r JobRecord) {
 		first = min(first, r.Submit)
 		last = max(last, r.Delivered)
 	})
@@ -269,7 +476,7 @@ func (c *Collector) perSecond(n int) float64 {
 // JCTs returns all job completion times.
 func (c *Collector) JCTs() []sim.Time {
 	out := make([]sim.Time, 0, c.n)
-	c.each(func(r *JobRecord) { out = append(out, r.JCT()) })
+	c.each(func(r JobRecord) { out = append(out, r.JCT()) })
 	return out
 }
 
@@ -288,7 +495,7 @@ func (c *Collector) FilterTenant(tenant string) *Collector {
 func (c *Collector) Tenants() []string {
 	seen := map[string]bool{}
 	var out []string
-	c.each(func(r *JobRecord) {
+	c.each(func(r JobRecord) {
 		if r.Tenant != "" && !seen[r.Tenant] {
 			seen[r.Tenant] = true
 			out = append(out, r.Tenant)
@@ -306,7 +513,7 @@ func (c *Collector) Failures() int {
 // FailuresByReason returns failure counts keyed by FailureReason.
 func (c *Collector) FailuresByReason() map[string]int {
 	out := map[string]int{}
-	c.each(func(r *JobRecord) {
+	c.each(func(r JobRecord) {
 		if r.Failed {
 			out[r.FailureReason]++
 		}
@@ -342,7 +549,7 @@ func (c *Collector) MeanLoadNs() sim.Time {
 		return 0
 	}
 	var total sim.Time
-	c.each(func(r *JobRecord) { total += r.LoadNs })
+	c.each(func(r JobRecord) { total += r.LoadNs })
 	return total / sim.Time(c.n)
 }
 
@@ -350,7 +557,7 @@ func (c *Collector) MeanLoadNs() sim.Time {
 // (BatchSize > 0); zero when nothing was ever batched.
 func (c *Collector) MeanBatchSize() float64 {
 	total, n := 0, 0
-	c.each(func(r *JobRecord) {
+	c.each(func(r JobRecord) {
 		if r.BatchSize > 0 {
 			total += r.BatchSize
 			n++
@@ -381,7 +588,7 @@ func (c *Collector) Goodput(deadline sim.Time) float64 {
 // least one token (generative jobs only).
 func (c *Collector) TTFTs() []sim.Time {
 	var out []sim.Time
-	c.each(func(r *JobRecord) {
+	c.each(func(r JobRecord) {
 		if t := r.TTFT(); t > 0 {
 			out = append(out, t)
 		}
@@ -393,7 +600,7 @@ func (c *Collector) TTFTs() []sim.Time {
 // least two output tokens.
 func (c *Collector) TPOTs() []sim.Time {
 	var out []sim.Time
-	c.each(func(r *JobRecord) {
+	c.each(func(r JobRecord) {
 		if t := r.TPOT(); t > 0 {
 			out = append(out, t)
 		}
@@ -416,14 +623,14 @@ func (c *Collector) TTFTGoodput(deadline sim.Time) float64 {
 // submit→deliver span (generative serving's throughput unit).
 func (c *Collector) TokensPerSec() float64 {
 	tokens := 0
-	c.each(func(r *JobRecord) { tokens += r.OutputTokens })
+	c.each(func(r JobRecord) { tokens += r.OutputTokens })
 	return c.perSecond(tokens)
 }
 
 // Preemptions totals KV-pressure preemptions across all records.
 func (c *Collector) Preemptions() int {
 	n := 0
-	c.each(func(r *JobRecord) { n += r.Preemptions })
+	c.each(func(r JobRecord) { n += r.Preemptions })
 	return n
 }
 
@@ -507,7 +714,7 @@ type jsonRec struct {
 // external analysis tooling.
 func (c *Collector) WriteJSON(w io.Writer) error {
 	out := make([]jsonRec, 0, c.n)
-	c.each(func(r *JobRecord) { out = append(out, r.jsonRec()) })
+	c.each(func(r JobRecord) { out = append(out, r.jsonRec()) })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

@@ -9,15 +9,15 @@
 // Two actor styles are supported:
 //
 //   - Callback actors register plain functions with After/At. The GPU block
-//     scheduler and the Paella dispatcher are written this way.
+//     scheduler is written this way.
 //   - Process actors (see Proc) are runtime coroutines (iter.Pull) that
 //     block on virtual-time primitives (Sleep, Completion.Wait, Cond.Wait).
 //     Only one process (or event callback) is ever runnable at a time; an
 //     event resumes a process by switching to its coroutine on the same
 //     thread, and the process switches back when it blocks, which keeps the
-//     simulation deterministic. Client jobs and CUDA-style adaptor code use
-//     processes, mirroring the stackful Boost coroutines used by the
-//     paper's dispatcher (§4.2).
+//     simulation deterministic. The Paella dispatcher's loop, client jobs
+//     and CUDA-style adaptor code are processes, mirroring the stackful
+//     Boost coroutines used by the paper's dispatcher (§4.2).
 //
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
 // are addressed by index and recycled through an index-linked free list, so
@@ -27,8 +27,9 @@
 //
 // For multi-GPU cluster simulations, World composes several Envs — one
 // shard per replica plus a control shard — and advances them in windows
-// under a conservative synchronization protocol whose parallel mode is
-// bit-identical to a serial run (see world.go).
+// under a conservative synchronization protocol. Every window runs inline
+// on the calling goroutine, in shard order, whether or not parallel mode
+// is set (see world.go).
 package sim
 
 import (
