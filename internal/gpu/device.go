@@ -159,10 +159,14 @@ type Device struct {
 	// kickFn is the device's single scheduling-pass closure, preallocated so
 	// every kick schedules without allocating.
 	kickFn func()
-	// perSM is placeBlocks' per-wave scratch, reused across calls;
-	// capScratch holds the eligible-SM capacity snapshot for the wave.
+	// perSM is placeBlocks' per-wave scratch, handed to the wave's
+	// completion event and replaced by that event's recycled slice;
+	// capScratch holds the eligible-SM capacity snapshot for the wave, and
+	// capHist counts those SMs by capacity (capHist[c] SMs can take c more
+	// blocks), so the fill level has a closed form.
 	perSM      []smPlacement
 	capScratch []smCap
+	capHist    []int
 	// waveFree and postFree recycle the wave-completion and
 	// notification-delivery event objects, so the per-wave hot path
 	// schedules with zero allocations in steady state (see
@@ -182,38 +186,103 @@ type Device struct {
 }
 
 // waveDone is a pooled wave-completion event: the (SM, blocks) pairs that
-// one placeBlocks call put on the device, completed together when the
-// kernel's block duration elapses. DESIGN.md §15 gives the argument that
-// firing them from one event reproduces the per-SM event order exactly.
+// one placeBlocks call put on the device, n blocks in all, completed
+// together when the kernel's block duration elapses. DESIGN.md §15 gives
+// the argument that firing them from one event reproduces the per-SM event
+// order exactly.
 type waveDone struct {
 	d   *Device
 	l   *Launch
+	n   int
 	sms []smPlacement
 }
 
-func (d *Device) newWaveDone(l *Launch) *waveDone {
+func (d *Device) newWaveDone(l *Launch, n int) *waveDone {
 	var w *waveDone
-	if n := len(d.waveFree); n > 0 {
-		w = d.waveFree[n-1]
-		d.waveFree[n-1] = nil
-		d.waveFree = d.waveFree[:n-1]
+	if k := len(d.waveFree); k > 0 {
+		w = d.waveFree[k-1]
+		d.waveFree[k-1] = nil
+		d.waveFree = d.waveFree[:k-1]
 	} else {
 		w = &waveDone{d: d}
 	}
-	w.l = l
+	w.l, w.n = l, n
 	return w
 }
 
-// waveComplete is the wave-completion event: ctx is the *waveDone. Its SMs
-// complete in placement order, as their per-SM events used to.
+// waveComplete is the wave-completion event: ctx is the *waveDone.
 var waveComplete sim.EventFn = func(ctx any, _ uint64) {
 	w := ctx.(*waveDone)
-	d, l := w.d, w.l
-	for _, pl := range w.sms {
-		d.completeBlocks(l, pl.sm, pl.n)
-	}
+	w.d.completeWave(w)
 	w.l, w.sms = nil, w.sms[:0]
-	d.waveFree = append(d.waveFree, w)
+	w.d.waveFree = append(w.d.waveFree, w)
+}
+
+// completeWave returns the resources of a wave's blocks and advances the
+// launch's completion accounting in one pass over its SMs. It does what
+// completing the SMs one at a time in placement order did (DESIGN.md
+// §15.5): each SM's occupancy samples and notification records are written
+// after that SM's blocks leave, the first SM's kick precedes OnComplete
+// unless the wave used one SM, and when nothing samples the device and the
+// wave reaches no notification boundary, those per-SM steps, each of which
+// would have returned at once, are skipped.
+func (d *Device) completeWave(w *waveDone) {
+	l, n := w.l, w.n
+	_, th, rg, sh := l.Spec.BlockCost()
+	d.accrueUtil()
+	counting := l.Instrumented && d.notifQ != nil
+	emit := d.rec != nil || d.mt != nil || counting && l.completedCount+n >= l.completedNext
+	freed := 0
+	for i, pl := range w.sms {
+		sm := &d.sms[pl.sm]
+		sm.blocks -= pl.n
+		sm.threads -= pl.n * th
+		sm.regs -= pl.n * rg
+		sm.shmem -= pl.n * sh
+		if sm.blocks < 0 || sm.threads < 0 || sm.regs < 0 || sm.shmem < 0 {
+			panic("gpu: SM resource accounting went negative")
+		}
+		if !sm.offline {
+			// A retired SM's draining blocks free no usable capacity; its
+			// residual share was already deducted wholesale at retirement.
+			freed += pl.n
+		}
+		if emit {
+			// The occupancy gauges see the running totals, as they did when
+			// each SM completed on its own.
+			d.threadsInUse -= pl.n * th
+			d.resident -= pl.n
+			d.traceSM(pl.sm)
+			d.emitNotifs(l, channel.Completion, uint8(pl.sm), pl.n)
+		}
+		if i == 0 && len(w.sms) > 1 {
+			// Freed resources may unblock queue heads. A wave on several
+			// SMs kicked after its first SM, before its last SM scheduled
+			// OnComplete.
+			d.kick()
+		}
+	}
+	if !emit {
+		d.threadsInUse -= n * th
+		d.resident -= n
+		if counting {
+			l.completedCount += n
+		}
+	}
+	d.freeBlocks += freed
+	d.freeThreads += freed * th
+	l.toFinish -= n
+	d.stats.BlocksCompleted += uint64(n)
+	if l.toFinish == 0 {
+		l.state = LaunchDone
+		d.stats.KernelsCompleted++
+		if l.OnComplete != nil {
+			d.sealPost(0)
+			d.env.After(0, l.OnComplete)
+		}
+	}
+	// A one-SM wave kicked after scheduling OnComplete.
+	d.kick()
 }
 
 // notifPost is a pooled notification-delivery event: the notifQ records
@@ -281,6 +350,7 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 	}
 	d.freeBlocks = cfg.NumSMs * cfg.SM.MaxBlocks
 	d.freeThreads = cfg.NumSMs * cfg.SM.MaxThreads
+	d.capHist = make([]int, max(cfg.SM.MaxBlocks, 0)+1)
 	d.aggGroup = max(cfg.AggGroup, 1)
 	d.kickFn = func() {
 		d.scheduled = false
@@ -658,7 +728,7 @@ type smPlacement struct {
 
 // smCap snapshots one eligible SM's remaining block capacity during a wave.
 type smCap struct {
-	sm, cap, got int
+	sm, cap int
 }
 
 // placeBlocks places as many blocks of l as currently fit, spreading them
@@ -678,136 +748,113 @@ func (d *Device) placeBlocks(l *Launch) int {
 	}
 	// Snapshot each SM's capacity for this kernel's block shape, in cursor
 	// order. Capacities are fixed for the whole wave (placement on one SM
-	// never consumes another's resources), which admits a closed-form
-	// round-robin fill instead of the historical one-block-per-SM-per-round
-	// loop. The outcome is bit-identical: the old loop gave one block per
-	// round to every SM still below its cap, stopping mid-round in cursor
-	// order when the kernel ran out of blocks — exactly the water-filling
-	// levels computed below.
-	// The scan first rejects SMs without room for one block's threads (the
-	// limit that binds on the workloads here), divides only when a
-	// resource limit actually binds below the running block cap (a
-	// multiply-compare detects that first), and skips block-saturated SMs
-	// before touching the other limits.
-	maxB, maxT, maxR, maxS := d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads, d.cfg.SM.MaxRegisters, d.cfg.SM.MaxSharedMem
+	// never consumes another's resources), so the round-robin fill — one
+	// block per round to every SM still below its cap, stopping mid-round
+	// in cursor order when the kernel runs out of blocks — has a closed
+	// form: every SM gets min(cap, level), and the leftover goes one block
+	// each to the leading SMs with room above the level (DESIGN.md §15.5).
 	caps := d.capScratch[:0]
-	minRem := 0
-	smi := d.smCursor
-	for i := 0; i < nsm; i++ {
-		idx := smi
-		smi++
-		if smi == nsm {
-			smi = 0
-		}
-		sm := &d.sms[idx]
-		if sm.offline || maxT-sm.threads < th {
-			continue
-		}
-		c := maxB - sm.blocks
-		if c <= 0 {
-			continue
-		}
-		if rem := maxT - sm.threads; rem < c*th {
-			c = rem / th
-		}
-		if rg > 0 {
-			if rem := maxR - sm.regs; rem < c*rg {
-				c = rem / rg
+	var level, extra int
+	if d.resident == 0 && d.offlineSMs == 0 {
+		// Idle device: every SM is empty and online, so every capacity is
+		// the kernel's occupancy limit, and the level is an even split.
+		c := l.Spec.MaxResidentPerSM(d.cfg.SM)
+		for i, smi := 0, d.smCursor; i < nsm; i++ {
+			caps = append(caps, smCap{sm: smi, cap: c})
+			if smi++; smi == nsm {
+				smi = 0
 			}
 		}
-		if sh > 0 {
-			if rem := maxS - sm.shmem; rem < c*sh {
-				c = rem / sh
+		level, extra = c, 0
+		if l.toPlace < nsm*c {
+			level, extra = l.toPlace/nsm, l.toPlace%nsm
+		}
+	} else {
+		// The scan first rejects SMs without room for one block's threads
+		// (the limit that binds on the workloads here), divides only when a
+		// resource limit actually binds below the running block cap (a
+		// multiply-compare detects that first), and skips block-saturated
+		// SMs before touching the other limits.
+		maxB, maxT, maxR, maxS := d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads, d.cfg.SM.MaxRegisters, d.cfg.SM.MaxSharedMem
+		hist := d.capHist
+		clear(hist)
+		sum := 0
+		for i, smi := 0, d.smCursor; i < nsm; i++ {
+			idx := smi
+			if smi++; smi == nsm {
+				smi = 0
+			}
+			sm := &d.sms[idx]
+			if sm.offline || maxT-sm.threads < th {
+				continue
+			}
+			c := maxB - sm.blocks
+			if c <= 0 {
+				continue
+			}
+			if rem := maxT - sm.threads; rem < c*th {
+				c = rem / th
+			}
+			if rg > 0 {
+				if rem := maxR - sm.regs; rem < c*rg {
+					c = rem / rg
+				}
+			}
+			if sh > 0 {
+				if rem := maxS - sm.shmem; rem < c*sh {
+					c = rem / sh
+				}
+			}
+			if c > 0 {
+				caps = append(caps, smCap{sm: idx, cap: c})
+				hist[c]++
+				sum += c
 			}
 		}
-		if c > 0 {
-			if len(caps) == 0 || c < minRem {
-				minRem = c
-			}
-			caps = append(caps, smCap{sm: idx, cap: c})
-		}
+		level, extra = waterLevel(hist, len(caps), sum, l.toPlace)
 	}
 	d.capScratch = caps
 
-	// Water-fill: give every still-eligible SM the same number of blocks
-	// per level, peeling off SMs as they reach capacity; a final partial
-	// round hands one block each to the leading unsaturated SMs in cursor
-	// order. The level count is bounded by the number of distinct capacity
-	// values, so this is O(levels × SMs) instead of O(blocks × SMs). The
-	// first level's k/minRem come from the snapshot scan above; later
-	// levels (rare: only when some SM saturates mid-fill) rescan.
-	remaining := l.toPlace
-	k := len(caps)
-	for remaining > 0 {
-		if k == 0 {
-			break
-		}
-		if remaining < k {
-			for j := range caps {
-				if remaining == 0 {
-					break
-				}
-				if caps[j].cap-caps[j].got > 0 {
-					caps[j].got++
-					remaining--
-				}
-			}
-			break
-		}
-		give := remaining / k
-		if give > minRem {
-			give = minRem
-		}
-		for j := range caps {
-			if caps[j].cap-caps[j].got > 0 {
-				caps[j].got += give
-			}
-		}
-		remaining -= give * k
-		k = 0
-		for j := range caps {
-			if r := caps[j].cap - caps[j].got; r > 0 {
-				if k == 0 || r < minRem {
-					minRem = r
-				}
-				k++
-			}
-		}
-	}
-
-	totalPlaced := l.toPlace - remaining
-	if remaining > 0 {
-		l.fullPass = d.pass
-	}
-	// perSM lists the wave's placements in first-placement (cursor) order —
-	// identical to the order the per-block loop discovered SMs — so the
-	// completion/notification emission below stays deterministic.
+	// perSM lists the wave's placements in cursor order, so the completion
+	// and notification emission below stays deterministic.
 	perSM := d.perSM[:0]
-	if totalPlaced > 0 {
-		d.accrueUtil()
-		for _, e := range caps {
-			if e.got == 0 {
-				continue
-			}
-			sm := &d.sms[e.sm]
-			sm.blocks += e.got
-			sm.threads += e.got * th
-			sm.regs += e.got * rg
-			sm.shmem += e.got * sh
-			d.threadsInUse += e.got * th
-			d.resident += e.got
-			d.freeBlocks -= e.got
-			d.freeThreads -= e.got * th
-			perSM = append(perSM, smPlacement{sm: e.sm, n: e.got})
+	total := 0
+	for _, e := range caps {
+		got := levelShare(e.cap, level, &extra)
+		if got == 0 {
+			continue
 		}
-		d.stats.BlocksPlaced += uint64(totalPlaced)
-		l.toPlace = remaining
-		l.state = LaunchPlacing
+		sm := &d.sms[e.sm]
+		sm.blocks += got
+		sm.threads += got * th
+		sm.regs += got * rg
+		sm.shmem += got * sh
+		total += got
+		perSM = append(perSM, smPlacement{sm: e.sm, n: got})
 	}
 	d.smCursor = (d.smCursor + 1) % nsm
-	d.perSM = perSM
-	if totalPlaced == 0 {
+	if total < l.toPlace {
+		l.fullPass = d.pass
+	}
+	if total == 0 {
 		return 0
+	}
+	d.accrueUtil()
+	d.threadsInUse += total * th
+	d.resident += total
+	d.freeBlocks -= total
+	d.freeThreads -= total * th
+	d.stats.BlocksPlaced += uint64(total)
+	l.toPlace -= total
+	l.state = LaunchPlacing
+
+	// Per-SM samples and records are written only when something samples
+	// the device or the wave reaches a notification boundary; otherwise
+	// every per-SM emit would have returned at once (DESIGN.md §15.5).
+	counting := l.Instrumented && d.notifQ != nil
+	emit := d.rec != nil || d.mt != nil || counting && l.placedCount+total >= l.placedNext
+	if !emit && counting {
+		l.placedCount += total
 	}
 	now := d.env.Now()
 	// The wave's completions are all due at now+BlockDuration, and nothing
@@ -817,69 +864,78 @@ func (d *Device) placeBlocks(l *Launch) int {
 	// event completing every SM in placement order is exact. When the two
 	// delays coincide, posts and completions interleave, and each SM keeps
 	// its own event.
-	perSMEvents := l.Spec.BlockDuration == d.cfg.NotifDelay
-	var wave *waveDone
-	for _, pl := range perSM {
-		smi, n := pl.sm, pl.n
-		if d.rec != nil {
-			d.rec.SpanArgs(d.smTracks[smi], l.Spec.Name, "kernel",
-				now, now+l.Spec.BlockDuration,
-				trace.Str("job", l.JobTag), trace.Int("kernel_id", int64(l.KernelID)),
-				trace.Int("blocks", int64(n)))
-		}
-		d.traceSM(smi)
-		d.emitNotifs(l, channel.Placement, uint8(smi), n)
-		if wave == nil {
-			wave = d.newWaveDone(l)
-		}
-		wave.sms = append(wave.sms, pl)
-		if perSMEvents {
+	if l.Spec.BlockDuration == d.cfg.NotifDelay {
+		for _, pl := range perSM {
+			if emit {
+				d.emitPlacement(l, pl, now)
+			}
+			w := d.newWaveDone(l, pl.n)
+			w.sms = append(w.sms, pl)
 			d.sealPost(l.Spec.BlockDuration)
-			d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, wave, 0)
-			wave = nil
+			d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, w, 0)
+		}
+		d.perSM = perSM
+		return total
+	}
+	if emit {
+		for _, pl := range perSM {
+			d.emitPlacement(l, pl, now)
 		}
 	}
-	if wave != nil {
-		d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, wave, 0)
-	}
-	return totalPlaced
+	w := d.newWaveDone(l, total)
+	w.sms, d.perSM = perSM, w.sms[:0]
+	d.env.DoCallAfter(l.Spec.BlockDuration, waveComplete, w, 0)
+	return total
 }
 
-// completeBlocks returns the resources of n blocks of l on SM smi and
-// advances the launch's completion accounting.
-func (d *Device) completeBlocks(l *Launch, smi, n int) {
-	_, th, rg, sh := l.Spec.BlockCost()
-	d.accrueUtil()
-	sm := &d.sms[smi]
-	sm.blocks -= n
-	sm.threads -= n * th
-	sm.regs -= n * rg
-	sm.shmem -= n * sh
-	d.threadsInUse -= n * th
-	d.resident -= n
-	if !sm.offline {
-		// A retired SM's draining blocks free no usable capacity; its
-		// residual share was already deducted wholesale at retirement.
-		d.freeBlocks += n
-		d.freeThreads += n * th
+// emitPlacement records one SM's share of a wave placed at now: its kernel
+// slice, its occupancy samples and its placement notifications.
+func (d *Device) emitPlacement(l *Launch, pl smPlacement, now sim.Time) {
+	if d.rec != nil {
+		d.rec.SpanArgs(d.smTracks[pl.sm], l.Spec.Name, "kernel",
+			now, now+l.Spec.BlockDuration,
+			trace.Str("job", l.JobTag), trace.Int("kernel_id", int64(l.KernelID)),
+			trace.Int("blocks", int64(pl.n)))
 	}
-	if sm.blocks < 0 || sm.threads < 0 || sm.regs < 0 || sm.shmem < 0 {
-		panic("gpu: SM resource accounting went negative")
+	d.traceSM(pl.sm)
+	d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
+}
+
+// waterLevel returns the level of a round-robin fill of toPlace blocks over
+// k SMs whose spare capacities are counted in hist (hist[c] SMs can take c
+// more blocks, hist[0] is zero, and the capacities sum to sum): the highest
+// level L with Σ min(cap, L) ≤ toPlace, and the extra blocks left for the
+// leading SMs with capacity above L, one each. When everything fits, L is
+// the largest capacity hist can count and there is no extra.
+func waterLevel(hist []int, k, sum, toPlace int) (level, extra int) {
+	if toPlace >= sum {
+		return len(hist) - 1, 0
 	}
-	d.traceSM(smi)
-	l.toFinish -= n
-	d.stats.BlocksCompleted += uint64(n)
-	d.emitNotifs(l, channel.Completion, uint8(smi), n)
-	if l.toFinish == 0 {
-		l.state = LaunchDone
-		d.stats.KernelsCompleted++
-		if l.OnComplete != nil {
-			d.sealPost(0)
-			d.env.After(0, l.OnComplete)
-		}
+	// filled is Σ min(cap, level) and above counts the SMs with cap > level,
+	// so raising the level by one places above more blocks. It stops below
+	// the largest capacity, since filled < sum there.
+	filled, above := 0, k
+	for filled+above <= toPlace {
+		filled += above
+		level++
+		above -= hist[level]
 	}
-	// Freed resources may unblock queue heads.
-	d.kick()
+	return level, toPlace - filled
+}
+
+// levelShare returns an SM's share of a wave filled to level: min(c, level),
+// plus one of the extra blocks while any remain and the SM has room above
+// the level. Called on the SMs in cursor order, it hands the extras to the
+// leading ones.
+func levelShare(c, level int, extra *int) int {
+	if c <= level {
+		return c
+	}
+	if *extra > 0 {
+		*extra--
+		return level + 1
+	}
+	return level
 }
 
 // emitNotifs advances the launch's kernel-wide notification counters by n
@@ -965,16 +1021,23 @@ func (d *Device) accrueUtil() {
 }
 
 // CheckInvariants panics if any SM's accounting is out of bounds, or if the
-// running resident-block and queued-launch counts disagree with the SMs
-// and queues; tests call it between steps.
+// running counts disagree with the SMs and queues: resident blocks and
+// threads in use with the SMs' sums, free blocks and threads with the spare
+// capacity of the online SMs, and queued launches with the queue depths.
+// Tests call it between steps.
 func (d *Device) CheckInvariants() {
-	blocks, queued := 0, 0
+	blocks, threads, freeBlocks, freeThreads, queued := 0, 0, 0, 0, 0
 	for i := range d.queues {
 		queued += d.queues[i].depth()
 	}
 	for i := range d.sms {
 		sm := &d.sms[i]
 		blocks += sm.blocks
+		threads += sm.threads
+		if !sm.offline {
+			freeBlocks += d.cfg.SM.MaxBlocks - sm.blocks
+			freeThreads += d.cfg.SM.MaxThreads - sm.threads
+		}
 		if sm.blocks < 0 || sm.blocks > d.cfg.SM.MaxBlocks ||
 			sm.threads < 0 || sm.threads > d.cfg.SM.MaxThreads ||
 			sm.regs < 0 || sm.regs > d.cfg.SM.MaxRegisters ||
@@ -985,5 +1048,12 @@ func (d *Device) CheckInvariants() {
 	if blocks != d.resident || queued != d.queued {
 		panic(fmt.Sprintf("gpu: %d resident blocks and %d queued launches counted as %d and %d",
 			blocks, queued, d.resident, d.queued))
+	}
+	if threads != d.threadsInUse {
+		panic(fmt.Sprintf("gpu: %d threads in use counted as %d", threads, d.threadsInUse))
+	}
+	if freeBlocks != d.freeBlocks || freeThreads != d.freeThreads {
+		panic(fmt.Sprintf("gpu: %d free blocks and %d free threads on online SMs counted as %d and %d",
+			freeBlocks, freeThreads, d.freeBlocks, d.freeThreads))
 	}
 }

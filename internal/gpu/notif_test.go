@@ -209,3 +209,29 @@ func BenchmarkPlaceBlocksSaturated(b *testing.B) {
 		env.Step()
 	}
 }
+
+// BenchmarkPlaceBlocksIdle: a T4 repeatedly places and completes one
+// uninstrumented decode-shaped launch (128 blocks of 256 threads at 64
+// registers, four per SM) on an idle device, the shape that dominates an
+// LLM replica's placements. One op is one launch: its placement pass, its
+// single wave completion and the scheduling pass that wave kicks.
+func BenchmarkPlaceBlocksIdle(b *testing.B) {
+	env := sim.NewEnv()
+	cfg := TeslaT4()
+	cfg.LaunchOverhead = 0
+	d := NewDevice(env, cfg, nil)
+	spec := &KernelSpec{Name: "decode", Blocks: 128, ThreadsPerBlock: 256, RegsPerThread: 64, BlockDuration: 20 * sim.Microsecond}
+	l := &Launch{}
+	cycle := func() {
+		l.Recycle()
+		l.Spec = spec
+		d.Submit(0, l)
+		env.Run()
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

@@ -10,6 +10,8 @@ import (
 
 	"paella/internal/channel"
 	"paella/internal/sim"
+	"paella/internal/telemetry"
+	"paella/internal/trace"
 )
 
 // waveTranscriptPath holds the device-level transcript recorded with the
@@ -59,9 +61,16 @@ type waveRig struct {
 
 func newWaveRig(cfg Config) *waveRig {
 	env := sim.NewEnv()
+	if observeRigs {
+		env.SetRecorder(trace.New())
+		env.SetMeter(telemetry.NewMeter("wave", 0))
+	}
 	tr := &transcript{env: env}
 	q := channel.NewNotifQueue(1 << 12)
 	d := NewDevice(env, cfg, q)
+	if observeRigs && (d.rec == nil || d.mt == nil) {
+		panic("observed rig: the device did not pick up its recorder and meter")
+	}
 	buf := make([]channel.Notification, 64)
 	r := &waveRig{tr: tr, d: d}
 	d.OnNotifPosted(func() {
@@ -83,6 +92,11 @@ func newWaveRig(cfg Config) *waveRig {
 	d.OnTopologyChange(func(online int) { tr.logf("topology online=%d", online) })
 	return r
 }
+
+// observeRigs, when set, attaches a trace recorder and a telemetry meter to
+// every new rig's Env, so the device samples its occupancy and writes SM
+// and queue tracks (TestObservationDoesNotChangeBehaviour).
+var observeRigs bool
 
 // launch builds an instrumented launch whose placement and completion are
 // logged; then, if non-nil, runs after the completion is logged (used to
