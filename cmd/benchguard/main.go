@@ -3,9 +3,9 @@
 // in-process and compares the result against the committed document:
 //
 //   - Hard failures (exit 1): the committed file is missing, unparsable,
-//     or structurally wrong; the committed largest cell does not carry a
-//     ≥2× speedup over the seed baseline; any freshly-run cell reports
-//     World serial and parallel as non-identical; the probe cell's engine
+//     or structurally wrong (a cell with fewer than two engines); the
+//     committed largest cell does not carry a ≥2× speedup over the seed
+//     baseline; the fresh quick scale sweep fails; the probe cell's engine
 //     events per completed request exceed maxEventsPerReq (so event
 //     coalescing, such as one completion event per GPU wave, cannot
 //     silently regress); the hot loop's measured steady-state allocation
@@ -68,11 +68,8 @@ func main() {
 		fatal("%s: no cells", *ref)
 	}
 	for _, c := range committed.Cells {
-		if !c.Identical {
-			fatal("%s: committed cell replicas=%d recorded serial/parallel divergence", *ref, c.Replicas)
-		}
-		if len(c.Engines) < 3 {
-			fatal("%s: committed cell replicas=%d has %d engines, want ≥3", *ref, c.Replicas, len(c.Engines))
+		if len(c.Engines) < 2 {
+			fatal("%s: committed cell replicas=%d has %d engines, want ≥2", *ref, c.Replicas, len(c.Engines))
 		}
 	}
 	last := committed.Cells[len(committed.Cells)-1]
@@ -85,9 +82,7 @@ func main() {
 	fmt.Printf("committed: largest cell %d replicas × %d jobs, %.2fx over seed %s\n",
 		last.Replicas, last.Jobs, committed.SpeedupVsSeed, committed.SeedBaseline.Commit)
 
-	// Fresh quick run. The scale experiment itself fails on any
-	// serial/parallel metric divergence, which is the correctness half of
-	// this gate.
+	// Fresh quick run: the sweep must still build and drain every cell.
 	exp, err := experiments.ByName("scale")
 	if err != nil {
 		fatal("%v", err)

@@ -19,9 +19,9 @@
 //	           -rate 250 -jobs 2000
 //
 // A multi-GPU cluster on the conservative-window engine (internal/cluster),
-// with replica shards executing in parallel:
+// one replica per shard:
 //
-//	paella-sim -replicas 8 -parallel -gateway least-loaded \
+//	paella-sim -replicas 8 -gateway least-loaded \
 //	           -rate 2000 -jobs 20000 -models synth:8 -zipf 1.1
 //
 // Diurnal traffic against an elastic pool of one to four T4s that park,
@@ -74,7 +74,7 @@ type config struct {
 	jobs, clients, replicas, tenants, maxBatch, maxTokens       int
 	minReplicas, maxReplicas                                    int
 	seed, vramMiB, kvBlockKiB                                   int64
-	perModel, asJSON, parallel, llm, llmStatic                  bool
+	perModel, asJSON, llm, llmStatic                            bool
 	window, batchWindow, scaleInterval, telWindow, slo          time.Duration
 
 	list  []string // a 'list' argument's registry entries; nothing runs
@@ -119,8 +119,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&c.faults, "faults", "", "JSON fault plan (internal/fault); arms the dispatcher's recovery machinery")
 	fs.Float64Var(&c.chaos, "chaos", 0, "synthesize a fault plan at this intensity in (0,1] instead of -faults")
 	fs.IntVar(&c.replicas, "replicas", 1, "number of cluster replicas (GPUs); >1 runs the conservative-window cluster engine")
-	fs.BoolVar(&c.parallel, "parallel", false, "let replica shard windows run on other goroutines (bit-identical to serial; every window currently runs inline); requires -replicas > 1")
-	fs.DurationVar(&c.window, "window", 50*time.Microsecond, "conservative synchronization window (with -replicas > 1)")
+	fs.DurationVar(&c.window, "window", 50*time.Microsecond, "conservative synchronization window (with -replicas > 1 or -autoscale)")
 	fs.StringVar(&c.gateway, "gateway", "least-loaded", "gateway routing policy from the internal/gateway registry for -replicas > 1, -llm, and -autoscale ('list' to enumerate)")
 	fs.IntVar(&c.tenants, "tenants", 0, "tag requests with N tenants drawn uniformly (0 = untenanted)")
 	fs.Float64Var(&c.admitRate, "admit-rate", 0, "per-tenant admission rate in req/s (gateway token bucket; 0 = no admission control)")
@@ -199,7 +198,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		// One generated arrival process and one generative model, without
 		// faults or trace recorders.
 		if name := changed("system", "models", "zipf", "trace", "traffic", "batch-window",
-			"faults", "chaos", "trace-out", "trace-csv", "per-model", "autoscale"); name != "" {
+			"faults", "chaos", "trace-out", "trace-csv", "per-model", "autoscale", "window"); name != "" {
 			return c, fmt.Errorf("-%s does not apply to -llm", name)
 		}
 		c.prefills = c.replicas
@@ -220,7 +219,6 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		{c.replicas < 1, fmt.Sprintf("-replicas must be ≥ 1, got %d", c.replicas)},
 		{c.window < 0, fmt.Sprintf("-window must be ≥ 0, got %v", c.window)},
 		{!llm && llmEquiv != "", fmt.Sprintf("-system %s serves the generative workload: run %s", c.system, llmEquiv)},
-		{llm && c.parallel && c.prefills+c.decodes < 2, "-parallel requires more than one engine (-replicas > 1 or -pd-split)"},
 		{!llm && changed("llm-static", "max-tokens", "kv-block", "pd-split") != "",
 			"-llm-static, -max-tokens, -kv-block, and -pd-split require -llm"},
 		{c.traceIn != "" && c.traffic != "", "-trace and -traffic are mutually exclusive"},
@@ -233,7 +231,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		{fleet && c.system != "Paella", "-replicas > 1 runs the gated Paella dispatcher per replica; -system must be Paella"},
 		{fleet && c.traceCSV != "", "-trace-csv is not supported with -replicas > 1 (use -trace-out for the merged trace)"},
 		{single && (gwSet || c.admitRate > 0), "-gateway and -admit-rate front the cluster engine: use -replicas > 1 or -llm"},
-		{single && c.parallel, "-parallel requires -replicas > 1"},
+		{single && changed("window") != "", "-window sets the cluster engine's barrier interval: use -replicas > 1 or -autoscale"},
 		{c.zipf < 0, fmt.Sprintf("-zipf must be ≥ 0, got %v", c.zipf)},
 		{c.admitRate < 0, fmt.Sprintf("-admit-rate must be ≥ 0, got %v", c.admitRate)},
 		{c.maxTokens < 0, fmt.Sprintf("-max-tokens must be ≥ 0, got %d", c.maxTokens)},
@@ -434,13 +432,9 @@ func (c *config) admissionLines(a *gateway.Admission) {
 	}
 }
 
-// engineLine names the World execution mode and window, plus extra.
+// engineLine names the World engine and its window, plus extra.
 func (c *config) engineLine(extra string) {
-	mode := "serial"
-	if c.parallel {
-		mode = "parallel"
-	}
-	fmt.Printf("engine     : conservative-window %s, Δ=%v%s\n", mode, c.window, extra)
+	fmt.Printf("engine     : conservative-window serial, Δ=%v%s\n", c.window, extra)
 }
 
 func writeFile(path string, write func(w io.Writer) error) {

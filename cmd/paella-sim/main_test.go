@@ -86,7 +86,7 @@ var cliCases = []cliCase{
 		"-gpu", "gtx1660s", "-models", "resnet18", "-trace-out", "@out.json"}},
 	{name: "autoscale-per-model", args: append(autoscaleSmokeArgs(), "-per-model")},
 	{name: "single-traffic-spike", args: []string{"-traffic", "spike", "-models", "resnet18", "-rate", "300"}},
-	{name: "llm-parallel-telemetry", args: append(llmArgs(), "-parallel", "-replicas", "2",
+	{name: "llm-replicas-telemetry", args: append(llmArgs(), "-replicas", "2",
 		"-telemetry-out", "@out.json")},
 	{name: "llm-serial-telemetry", args: append(llmArgs(), "-telemetry-out", "@out.json")},
 

@@ -51,6 +51,8 @@ func TestRefusals(t *testing.T) {
 		{"llm-batch-window", llmOnly("-batch-window", "1ms"), "-batch-window does not apply to -llm"},
 		{"llm-system", llmOnly("-system", "Clockwork"), "-system does not apply to -llm"},
 		{"llm-models", llmOnly("-models", "resnet18"), "-models does not apply to -llm"},
+		{"llm-window", llmOnly("-pd-split", "1:1", "-window", "1ms"), "-window does not apply to -llm"},
+		{"single-window", []string{"-jobs", "10", "-window", "1ms"}, "-window sets the cluster engine's barrier interval"},
 		{"system-llm", []string{"-system", "Paella-LLM"}, "-system Paella-LLM serves the generative workload: run -llm"},
 		{"system-llm-static", []string{"-system", "Paella-LLM-static", "-jobs", "10"}, "run -llm -llm-static"},
 		{"system-llm-pd", []string{"-system", "Paella-LLM-PD", "-replicas", "2"}, "run -llm -pd-split 1:1"},
@@ -116,8 +118,8 @@ func FuzzParseFlags(f *testing.F) {
 		"",
 		"-replicas 2 -window -1us -jobs 10 -models resnet18",
 		"-llm -autoscale queue-depth",
-		"-llm -pd-split 1:1 -parallel -gateway affinity -admit-rate 80",
-		"-llm -parallel -replicas 2 -telemetry-out t.json",
+		"-llm -pd-split 1:1 -gateway affinity -admit-rate 80",
+		"-llm -replicas 2 -telemetry-out t.json",
 		"-autoscale queue-depth -traffic diurnal -min-replicas 1 -max-replicas 4 -models synth:2",
 		"-replicas 3 -gateway predicted-latency -tenants 3 -admit-rate 120 -vram 64",
 		"-system Paella-batch -max-batch 8 -batch-window 1ms -per-model -json",
@@ -177,10 +179,11 @@ func checkInvariants(c config) error {
 			"trace": c.traceIn == "", "traffic": c.traffic == "", "batch-window": c.batchWindow == 0,
 			"faults": c.faults == "", "chaos": c.chaos == 0, "trace-out": c.traceOut == "",
 			"trace-csv": c.traceCSV == "", "per-model": !c.perModel, "autoscale": c.autoscale == "",
+			"window": c.window == 50*time.Microsecond,
 		}); err != nil {
 			return err
 		}
-		if c.prefills < 1 || c.decodes < 0 || c.parallel && c.prefills+c.decodes < 2 {
+		if c.prefills < 1 || c.decodes < 0 {
 			return fmt.Errorf("engine pools %d:%d", c.prefills, c.decodes)
 		}
 	} else if err := def(map[string]bool{
@@ -202,7 +205,7 @@ func checkInvariants(c config) error {
 	switch c.mode {
 	case modeSingle:
 		return def(map[string]bool{"gateway": c.gateway == "least-loaded", "admit-rate": c.admitRate <= 0,
-			"parallel": !c.parallel, "system": !strings.HasPrefix(c.system, "Paella-LLM")})
+			"window": c.window == 50*time.Microsecond, "system": !strings.HasPrefix(c.system, "Paella-LLM")})
 	case modeFleet:
 		return def(map[string]bool{"system": c.system == "Paella", "trace-csv": c.traceCSV == ""})
 	case modeElastic:

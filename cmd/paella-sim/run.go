@@ -167,18 +167,9 @@ func (c *config) serveSingle(opts serving.Options, reqs []workload.Request) outc
 
 // fleet is n gated-Paella replicas, one per shard of a conservative-window
 // World, with routing, failover and terminal delivery on the control Env.
-// Serial and parallel shard execution give bit-identical results.
 type fleet struct {
 	*serving.Fleet
 	outcome
-}
-
-// newWorld returns a World with the -window and -parallel settings.
-func (c *config) newWorld() *sim.World {
-	w := sim.NewWorld()
-	w.SetWindow(sim.Time(c.window))
-	w.SetParallel(c.parallel)
-	return w
 }
 
 // policy builds a fresh instance of the -gateway routing policy (parse
@@ -188,16 +179,16 @@ func (c *config) policy() gateway.Policy {
 	return pol
 }
 
-// observe attaches the -trace-out recorder and, on an elastic or LLM
-// front, the -telemetry-out front meter to a World's control Env. It
-// returns the hook attaching both to each shard, the meter named
-// <shard><i>. out collects all of them, control Env first.
-func (c *config) observe(ctrl *sim.Env, out *outcome, shard string) func(int, *sim.Env) {
+// observe attaches the -trace-out recorder and, on an elastic front, the
+// -telemetry-out front meter to a World's control Env. It returns the hook
+// attaching both to each replica shard, the meter named replica<i>. out
+// collects all of them, control Env first.
+func (c *config) observe(ctrl *sim.Env, out *outcome) func(int, *sim.Env) {
 	if c.traceOut != "" {
 		out.recs = []*trace.Recorder{trace.New()}
 		ctrl.SetRecorder(out.recs[0])
 	}
-	if c.telOut != "" && c.mode != modeFleet {
+	if c.telOut != "" && c.mode == modeElastic {
 		out.meters = []*telemetry.Meter{c.meter("front", false)}
 		ctrl.SetMeter(out.meters[0])
 	}
@@ -207,16 +198,17 @@ func (c *config) observe(ctrl *sim.Env, out *outcome, shard string) func(int, *s
 			env.SetRecorder(out.recs[len(out.recs)-1])
 		}
 		if c.telOut != "" {
-			out.meters = append(out.meters, c.meter(fmt.Sprintf("%s%d", shard, i), true))
+			out.meters = append(out.meters, c.meter(fmt.Sprintf("replica%d", i), true))
 			env.SetMeter(out.meters[len(out.meters)-1])
 		}
 	}
 }
 
-// buildFleet places n replicas of the -gpu device on a new World, observed,
-// behind the -gateway policy.
+// buildFleet places n replicas of the -gpu device on a new World with the
+// -window barrier interval, observed, behind the -gateway policy.
 func (c *config) buildFleet(opts serving.Options, n int) *fleet {
-	w := c.newWorld()
+	w := sim.NewWorld()
+	w.SetWindow(sim.Time(c.window))
 	f := &fleet{}
 	devs := make([]gpu.Config, n)
 	for i := range devs {
@@ -224,7 +216,7 @@ func (c *config) buildFleet(opts serving.Options, n int) *fleet {
 	}
 	var err error
 	f.Fleet, err = serving.NewFleet(opts, serving.FleetOptions{Devices: devs, Gateway: c.policy(),
-		World: w, ShardSetup: c.observe(w.Ctrl(), &f.outcome, "replica")})
+		World: w, ShardSetup: c.observe(w.Ctrl(), &f.outcome)})
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -286,8 +278,7 @@ func (c *config) serveFleet(opts serving.Options, reqs []workload.Request) outco
 // paged KV-cache per engine, continuous or launch-time decode batching.
 // -pd-split "P:D" splits prefill and decode into separate pools, charging
 // the KV handoff over the interconnect; otherwise -replicas colocated
-// engines run both phases. -parallel puts each engine on its own World
-// shard.
+// engines run both phases. The front and every engine share one Env.
 func (c *config) serveLLM(opts serving.Options, reqs []workload.Request) outcome {
 	toks := workload.DefaultTokenSpec(c.seed)
 	if c.maxTokens > 0 {
@@ -296,21 +287,14 @@ func (c *config) serveLLM(opts serving.Options, reqs []workload.Request) outcome
 	// A non-positive -vram or -kv-block leaves the engine default.
 	opts.LLM = &serving.LLMOptions{Tokens: toks, MaxBatch: c.maxBatch,
 		VRAMBytes: max(c.vramMiB, 0) << 20, KVBlockBytes: max(c.kvBlockKiB, 0) << 10}
-	do := serving.DeploymentOptions{Static: c.llmStatic, Prefills: c.prefills, Decodes: c.decodes, Gateway: c.policy}
 	var out outcome
 	out.until = reqs[len(reqs)-1].At + 30*sim.Second
-	if c.parallel {
-		do.World = c.newWorld()
-		defer do.World.Close()
-		do.ShardSetup = c.observe(do.World.Ctrl(), &out, "engine")
-	} else {
-		do.Env = sim.NewEnv()
-		if c.telOut != "" {
-			// Serial mode shares one Env (and hence one meter) across the
-			// front and every engine.
-			out.meters = append(out.meters, c.meter("llm", true))
-			do.Env.SetMeter(out.meters[0])
-		}
+	do := serving.DeploymentOptions{Static: c.llmStatic, Prefills: c.prefills, Decodes: c.decodes,
+		Gateway: c.policy, Env: sim.NewEnv()}
+	if c.telOut != "" {
+		// One meter records the front and every engine.
+		out.meters = []*telemetry.Meter{c.meter("llm", true)}
+		do.Env.SetMeter(out.meters[0])
 	}
 	pd, err := serving.NewDeployment(opts, do)
 	if err != nil {

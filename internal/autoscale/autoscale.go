@@ -143,7 +143,8 @@ const retryBackoff = 20 * sim.Microsecond
 // Scaler is the control loop. Construct with New, attach traffic through
 // Front, then Start before running the simulation. All state lives on the
 // control timeline: ticks, warmup completions, and terminal observations
-// serialize there, so serial and parallel world runs are bit-identical.
+// serialize there, so results do not depend on the order World shards
+// execute in.
 type Scaler struct {
 	env *sim.Env
 	c   *cluster.Cluster

@@ -87,14 +87,13 @@ type autoscaleResult struct {
 	outstanding   int
 }
 
-// runAutoscaleCell executes one cell of the autoscale identity matrix on
-// the World engine: a 4×T4 fleet with per-replica VRAM budgets (so warmup
+// runAutoscaleCell executes one cell of the autoscale matrix on the World
+// engine: a 4×T4 fleet with per-replica VRAM budgets (so warmup
 // pages weights over PCIe), a Scaler driving the named policy, and an
 // open-loop trace from the traffic generators.
-func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec, parallel, traced bool) autoscaleResult {
+func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec, traced bool) autoscaleResult {
 	t.Helper()
 	w := sim.NewWorld()
-	w.SetParallel(parallel)
 	defer w.Close()
 
 	var ctrlRec *trace.Recorder
@@ -105,7 +104,7 @@ func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec
 	}
 	// The control timeline carries the autoscaler's own instruments
 	// (active_replicas, scale_ups, cold_start_ns, ...) so they join the
-	// bit-identity comparison.
+	// repeatability comparison.
 	ctrlMt := telemetry.NewMeter("front", 0)
 	w.Ctrl().SetMeter(ctrlMt)
 	shardMts := []*telemetry.Meter{ctrlMt}
@@ -210,14 +209,13 @@ func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec
 	return res
 }
 
-// TestAutoscaleSerialParallelBitIdentical is the identity matrix's
-// autoscaling column: policies × traffic shapes × seeds, each cell run
-// serially and in parallel on the World engine with replica churn
-// (cold-start warmups, drains, parks) happening mid-trace. The comparison
-// covers per-request metrics, failure summaries, the scaling-event log,
-// the cost/attainment summary, the telemetry export (including the
-// autoscaler's control-timeline instruments), and — on the traced cell —
-// merged trace bytes.
+// TestAutoscaleSerialParallelBitIdentical runs the autoscaling matrix —
+// policies × traffic shapes × seeds — once per cell on the World engine,
+// with replica churn (cold-start warmups, drains, parks) mid-trace. Each
+// cell must complete requests, conserve every request in exactly one
+// terminal outcome with none outstanding, and exercise the drain protocol.
+// The name predates the deletion of the parallel mode it once compared
+// against; TestAutoscaleRunRepeatable checks run-to-run byte identity.
 func TestAutoscaleSerialParallelBitIdentical(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -231,52 +229,21 @@ func TestAutoscaleSerialParallelBitIdentical(t *testing.T) {
 			for _, seed := range []int64{1, 2} {
 				name := fmt.Sprintf("%s/%s/seed%d", policy, sh.name, seed)
 				t.Run(name, func(t *testing.T) {
-					traced := policy == "queue-depth" && sh.name == "diurnal" && seed == 1
-					spec := sh.mk(seed)
-					serial := runAutoscaleCell(t, policy, spec, false, traced)
-					par := runAutoscaleCell(t, policy, spec, true, traced)
-
-					if serial.counts.Completed == 0 {
+					res := runAutoscaleCell(t, policy, sh.mk(seed), false)
+					if res.counts.Completed == 0 {
 						t.Fatal("no requests completed; workload broken")
 					}
-					if !serial.counts.Conserved() {
-						t.Fatalf("conservation violated: %+v", serial.counts)
+					if !res.counts.Conserved() {
+						t.Fatalf("conservation violated: %+v", res.counts)
 					}
-					if serial.outstanding != 0 {
-						t.Fatalf("%d requests never terminated", serial.outstanding)
+					if res.outstanding != 0 {
+						t.Fatalf("%d requests never terminated", res.outstanding)
 					}
 					// Every cell must exercise the drain protocol: the fleet
 					// starts over-provisioned for the trough/base load, so every
 					// policy retires replicas — and those drains must fully park.
-					if serial.stats.ScaleDowns == 0 || serial.stats.Parks == 0 {
-						t.Fatalf("drain column unexercised: %+v", serial.stats)
-					}
-					if serial.counts != par.counts {
-						t.Fatalf("ledgers diverge: serial %+v, parallel %+v", serial.counts, par.counts)
-					}
-					if serial.stats != par.stats {
-						t.Fatalf("scale stats diverge: serial %+v, parallel %+v", serial.stats, par.stats)
-					}
-					if serial.metricsJSON != par.metricsJSON {
-						t.Fatal("per-request metrics JSON diverges between serial and parallel")
-					}
-					if serial.failures != par.failures {
-						t.Fatalf("failure summaries diverge:\n serial: %s\n parallel: %s",
-							serial.failures, par.failures)
-					}
-					if serial.events != par.events {
-						t.Fatalf("scaling-event logs diverge:\n serial: %s\n parallel: %s",
-							serial.events, par.events)
-					}
-					if serial.summary != par.summary {
-						t.Fatalf("cost summaries diverge:\n serial: %s\n parallel: %s",
-							serial.summary, par.summary)
-					}
-					if serial.telemetryJSON != par.telemetryJSON {
-						t.Fatal("telemetry export diverges between serial and parallel")
-					}
-					if serial.traceBytes != par.traceBytes {
-						t.Fatal("merged trace bytes diverge between serial and parallel")
+					if res.stats.ScaleDowns == 0 || res.stats.Parks == 0 {
+						t.Fatalf("drain column unexercised: %+v", res.stats)
 					}
 				})
 			}
@@ -290,7 +257,7 @@ func TestAutoscaleSerialParallelBitIdentical(t *testing.T) {
 func TestAutoscaleColdStartPaging(t *testing.T) {
 	for _, policy := range []string{"queue-depth", "predictive"} {
 		t.Run(policy, func(t *testing.T) {
-			res := runAutoscaleCell(t, policy, diurnalCell(1), true, false)
+			res := runAutoscaleCell(t, policy, diurnalCell(1), false)
 			if res.stats.ScaleUps == 0 || res.stats.ColdStarts == 0 {
 				t.Fatalf("no cold starts: %+v", res.stats)
 			}
@@ -304,13 +271,17 @@ func TestAutoscaleColdStartPaging(t *testing.T) {
 	}
 }
 
-// TestAutoscaleRunRepeatable: the same cell twice on the parallel engine
-// gives identical bytes — determinism across runs, not just across modes.
+// TestAutoscaleRunRepeatable: the traced queue-depth/diurnal/seed1 cell
+// run twice gives identical metrics, failure, scaling-event, cost,
+// telemetry and trace bytes.
 func TestAutoscaleRunRepeatable(t *testing.T) {
-	a := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false)
-	b := runAutoscaleCell(t, "queue-depth", spikeCell(5), true, false)
+	a := runAutoscaleCell(t, "queue-depth", diurnalCell(1), true)
+	b := runAutoscaleCell(t, "queue-depth", diurnalCell(1), true)
+	if a.traceBytes == "" {
+		t.Fatal("traced cell recorded no trace")
+	}
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.events != b.events ||
 		a.summary != b.summary || a.telemetryJSON != b.telemetryJSON || a.traceBytes != b.traceBytes {
-		t.Fatal("parallel runs with identical seeds diverge")
+		t.Fatal("runs with identical seeds diverge")
 	}
 }

@@ -67,7 +67,6 @@ func TestAutoscaleConservationUnderChurn(t *testing.T) {
 		spec.SpikeDuration /= 2
 
 		w := sim.NewWorld()
-		w.SetParallel(true)
 		defer w.Close()
 		guard := &guardBalancer{inner: gateway.NewLeastLoaded()}
 		devs := []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4(), gpu.TeslaT4()}

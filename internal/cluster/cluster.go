@@ -227,7 +227,8 @@ func (c *Cluster) Warmup(i int, done func()) int64 {
 	}
 	// Transfer completions fire as replica-shard events; the autoscaler's
 	// state lives on the control timeline, so cross back through the
-	// barrier's canonical post order (bit-identical serial vs parallel).
+	// barrier's canonical post order, which does not depend on the order
+	// shards execute in.
 	finish := done
 	if w := c.world; w != nil {
 		finish = func() { w.Post(i, done) }
@@ -352,8 +353,8 @@ func (c *Cluster) Connect() *Conn {
 			// terminal touches cluster-wide state (pending, inflight, the
 			// user callbacks), so it must cross to the control timeline.
 			// The post stamps the true delivery time and the barrier replays
-			// posts in canonical order, keeping runs bit-identical whether
-			// shards executed serially or in parallel. Completions ride the
+			// posts in canonical order, so results do not depend on the
+			// order shards execute in. Completions ride the
 			// typed PostCall form — one per request, so a closure per
 			// message would be a steady-state allocation.
 			tc := &termCrossing{cn: cn, g: g}

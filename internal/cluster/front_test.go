@@ -204,8 +204,8 @@ func TestGatewayConservationPD(t *testing.T) {
 				env.At(req.Submit, func() { pd.Submit(req) })
 			}
 			env.RunUntil(sim.Time(n)*20*sim.Microsecond + 2*sim.Second)
-			if pd.World() != nil || pd.KVPeakPages() == 0 {
-				t.Fatalf("serial front: World() = %v, KV peak %d pages", pd.World(), pd.KVPeakPages())
+			if pd.KVPeakPages() == 0 {
+				t.Fatal("no KV pages used")
 			}
 			if completed+shed != n || pd.Collector().Len() != n || pd.InFlight() != 0 {
 				t.Fatalf("completed %d + shed %d != %d submitted (records=%d, inflight=%d)",

@@ -14,8 +14,6 @@ import (
 	"paella/internal/fault"
 	"paella/internal/gateway"
 	"paella/internal/gpu"
-	"paella/internal/llm"
-	"paella/internal/metrics"
 	"paella/internal/model"
 	"paella/internal/sched"
 	"paella/internal/sim"
@@ -54,10 +52,9 @@ func chaosLowPlan(seed int64) *fault.Plan {
 // maxBatch > 1 turns on dispatcher dynamic batching (the matrix's batching
 // column): every replica batches same-kernel jobs with a 50µs formation
 // window, which must not cost any determinism.
-func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan *fault.Plan, parallel, traced bool, maxBatch int) worldRunResult {
+func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan *fault.Plan, traced bool, maxBatch int) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
-	w.SetParallel(parallel)
 	defer w.Close()
 	var ctrlRec *trace.Recorder
 	shardRecs := make([]*trace.Recorder, 4)
@@ -85,9 +82,8 @@ func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan
 			shardRecs[i] = trace.New()
 			shard.SetRecorder(shardRecs[i])
 		}
-		// The telemetry column rides the traced cells: one meter per
-		// shard (meters are single-shard state), with an SLO monitor so
-		// the alert stream joins the bit-identity comparison.
+		// One meter per shard (meters are single-shard state), with an SLO
+		// monitor so the alert stream joins the repeatability comparison.
 		shardMts[i] = telemetry.NewMeter(fmt.Sprintf("replica%d", i), 0)
 		shardMts[i].SLO(telemetry.SLOConfig{
 			Name: "goodput@5ms", Deadline: 5 * sim.Millisecond, Target: 0.99,
@@ -169,10 +165,12 @@ func runWorldCluster(t *testing.T, seed int64, mkBal func() gateway.Policy, plan
 	return res
 }
 
-// TestWorldSerialParallelBitIdentical is the acceptance-criterion matrix:
-// seeds × balancers × fault plans, each cell run serially and in parallel
-// on the World engine, comparing per-request metrics JSON, failure
-// summaries, and (on the traced cells) merged Perfetto trace bytes.
+// TestWorldSerialParallelBitIdentical runs the cluster matrix — seeds ×
+// balancers × fault plans × batching — once per cell on the World engine
+// and checks that requests complete and that every one of the 90 ends in
+// exactly one terminal outcome. The name predates the deletion of the
+// parallel mode it once compared against; TestWorldRunRepeatable checks
+// run-to-run byte identity.
 func TestWorldSerialParallelBitIdentical(t *testing.T) {
 	balancers := []struct {
 		name string
@@ -195,34 +193,13 @@ func TestWorldSerialParallelBitIdentical(t *testing.T) {
 				for _, maxBatch := range []int{0, 4} {
 					name := fmt.Sprintf("seed%d/%s/%s/batch%d", seed, b.name, p.name, maxBatch)
 					t.Run(name, func(t *testing.T) {
-						// Trace a deterministic subset: full trace comparison is
-						// the expensive axis, one seed of it per cell suffices.
-						traced := seed == 3
-						serial := runWorldCluster(t, seed, b.mk, p.mk(seed), false, traced, maxBatch)
-						par := runWorldCluster(t, seed, b.mk, p.mk(seed), true, traced, maxBatch)
-						if serial.completed == 0 {
+						res := runWorldCluster(t, seed, b.mk, p.mk(seed), false, maxBatch)
+						if res.completed == 0 {
 							t.Fatal("no requests completed; workload broken")
 						}
-						if serial.completed+serial.failed != 90 {
+						if res.completed+res.failed != 90 {
 							t.Fatalf("conservation: %d completed + %d failed != 90",
-								serial.completed, serial.failed)
-						}
-						if serial.completed != par.completed || serial.failed != par.failed {
-							t.Fatalf("outcome counts diverge: serial %d/%d, parallel %d/%d",
-								serial.completed, serial.failed, par.completed, par.failed)
-						}
-						if serial.metricsJSON != par.metricsJSON {
-							t.Fatal("per-request metrics JSON diverges between serial and parallel")
-						}
-						if serial.failures != par.failures {
-							t.Fatalf("failure summaries diverge:\n serial: %s\n parallel: %s",
-								serial.failures, par.failures)
-						}
-						if serial.traceBytes != par.traceBytes {
-							t.Fatal("merged trace bytes diverge between serial and parallel")
-						}
-						if serial.telemetryJSON != par.telemetryJSON {
-							t.Fatal("telemetry export diverges between serial and parallel")
+								res.completed, res.failed)
 						}
 					})
 				}
@@ -231,131 +208,21 @@ func TestWorldSerialParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// runWorldLLM executes one cell of the matrix's LLM column: a generative
-// prefill/decode deployment (colocated or disaggregated) on the World
-// engine, with a KV pool small enough that paging preemption fires.
-func runWorldLLM(t *testing.T, seed int64, split, parallel bool) worldRunResult {
-	t.Helper()
-	w := sim.NewWorld()
-	w.SetParallel(parallel)
-	defer w.Close()
-	cfg := cluster.PDConfig{LLM: llmTestConfig(24), Prefills: 2}
-	if split {
-		cfg.Prefills, cfg.Decodes = 1, 1
-	}
-	// The telemetry column: a meter on the control timeline (routing,
-	// KV-handoff instruments) and one per engine shard via ShardSetup.
-	ctrlMt := telemetry.NewMeter("front", 0)
-	w.Ctrl().SetMeter(ctrlMt)
-	shardMts := []*telemetry.Meter{ctrlMt}
-	cfg.ShardSetup = func(i int, env *sim.Env) {
-		mt := telemetry.NewMeter(fmt.Sprintf("engine%d", i), 0)
-		mt.SLO(telemetry.SLOConfig{
-			Name: "ttft@2ms", Metric: telemetry.SLOTTFT, Deadline: 2 * sim.Millisecond,
-			Target: 0.9, Short: sim.Millisecond, Long: 10 * sim.Millisecond,
-		})
-		env.SetMeter(mt)
-		shardMts = append(shardMts, mt)
-	}
-	pd, err := cluster.NewPDWorld(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := worldRunResult{}
-	pd.OnFinish = func(r metrics.JobRecord) {
-		if r.Failed {
-			res.failed++
-		} else {
-			res.completed++
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	const n = 60
-	at := sim.Time(0)
-	for i := 0; i < n; i++ {
-		at += sim.Time(rng.Intn(80)+10) * sim.Microsecond
-		req := llm.Request{
-			ID:     uint64(i + 1),
-			Client: i % 4,
-			Submit: at,
-			Prompt: rng.Intn(24) + 4,
-			Output: rng.Intn(12) + 2,
-		}
-		w.Ctrl().At(at, func() { pd.Submit(req) })
-	}
-	w.RunUntil(at + 2*sim.Second)
-	recs := pd.Collector().Records()
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-	mj, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.metricsJSON = string(mj)
-	var tbuf bytes.Buffer
-	if err := telemetry.WriteJSON(&tbuf, w.Ctrl().Now(), telemetry.Export{Collector: pd.Collector(), Meters: shardMts}); err != nil {
-		t.Fatal(err)
-	}
-	res.telemetryJSON = tbuf.String()
-	return res
-}
-
-// TestWorldSerialParallelBitIdenticalLLM extends the acceptance matrix with
-// the generative column: seeds × {colocated, disaggregated}, each run
-// serially and in parallel, comparing the sorted per-request metrics JSON
-// (which includes TTFT inputs, token counts, preemptions, and KV-transfer
-// times — any scheduling divergence shows up there).
-func TestWorldSerialParallelBitIdenticalLLM(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		for _, split := range []bool{false, true} {
-			name := fmt.Sprintf("seed%d/colocated", seed)
-			if split {
-				name = fmt.Sprintf("seed%d/disaggregated", seed)
-			}
-			t.Run(name, func(t *testing.T) {
-				serial := runWorldLLM(t, seed, split, false)
-				par := runWorldLLM(t, seed, split, true)
-				if serial.completed == 0 {
-					t.Fatal("no requests completed; workload broken")
-				}
-				if serial.completed+serial.failed != 60 {
-					t.Fatalf("conservation: %d completed + %d failed != 60",
-						serial.completed, serial.failed)
-				}
-				if serial.completed != par.completed || serial.failed != par.failed {
-					t.Fatalf("outcome counts diverge: serial %d/%d, parallel %d/%d",
-						serial.completed, serial.failed, par.completed, par.failed)
-				}
-				if serial.metricsJSON != par.metricsJSON {
-					t.Fatal("per-request metrics JSON diverges between serial and parallel")
-				}
-				if serial.telemetryJSON != par.telemetryJSON {
-					t.Fatal("telemetry export diverges between serial and parallel")
-				}
-			})
-		}
-	}
-}
-
-// runWorldGateway executes one cell of the matrix's gateway column: a
+// runWorldGateway executes one cell of the gateway matrix: a
 // tenant-tagged workload routed by a gateway policy (predicted-latency or
-// affinity) with optional token-bucket admission, on the World engine. The
-// control timeline carries its own meter so the gateway's routing and
-// admission instruments join the bit-identity comparison.
-func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admitPS float64, parallel bool) worldRunResult {
+// affinity) with optional token-bucket admission, on the World engine, with
+// a meter on every timeline so the gateway's routing and admission
+// instruments run. It returns the outcome counts.
+func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admitPS float64) worldRunResult {
 	t.Helper()
 	w := sim.NewWorld()
-	w.SetParallel(parallel)
 	defer w.Close()
-	ctrlMt := telemetry.NewMeter("front", 0)
-	w.Ctrl().SetMeter(ctrlMt)
-	shardMts := []*telemetry.Meter{ctrlMt}
+	w.Ctrl().SetMeter(telemetry.NewMeter("front", 0))
 	devs := []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4(), gpu.TeslaT4(), gpu.TeslaT4()}
 	c, err := cluster.NewWorldWithConfig(w, devs, func(int, gpu.Config) core.Config {
 		return core.DefaultConfig(sched.NewPaella(10000))
 	}, mkBal(), func(i int, shard *sim.Env) {
-		mt := telemetry.NewMeter(fmt.Sprintf("replica%d", i), 0)
-		shard.SetMeter(mt)
-		shardMts = append(shardMts, mt)
+		shard.SetMeter(telemetry.NewMeter(fmt.Sprintf("replica%d", i), 0))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,12 +239,8 @@ func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admi
 	}
 	conn := c.Connect()
 	res := worldRunResult{}
-	fails := map[uint64]string{}
 	conn.OnComplete = func(uint64) { res.completed++ }
-	conn.OnFailed = func(id uint64, err error) {
-		res.failed++
-		fails[id] = err.Error()
-	}
+	conn.OnFailed = func(uint64, error) { res.failed++ }
 	rng := rand.New(rand.NewSource(seed))
 	const n = 90
 	at := sim.Time(0)
@@ -395,35 +258,14 @@ func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admi
 		})
 	}
 	w.RunUntil(last + 4*sim.Second)
-	recs := c.Collector().Records()
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-	mj, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.metricsJSON = string(mj)
-	var fids []uint64
-	for id := range fails {
-		fids = append(fids, id)
-	}
-	sort.Slice(fids, func(a, b int) bool { return fids[a] < fids[b] })
-	for _, id := range fids {
-		res.failures += fmt.Sprintf("%d:%s;", id, fails[id])
-	}
-	var tbuf bytes.Buffer
-	if err := telemetry.WriteJSON(&tbuf, w.Ctrl().Now(), telemetry.Export{Meters: shardMts}); err != nil {
-		t.Fatal(err)
-	}
-	res.telemetryJSON = tbuf.String()
 	return res
 }
 
-// TestWorldSerialParallelBitIdenticalGateway extends the acceptance matrix
-// with the gateway column: seeds × {predicted-latency, affinity} ×
-// {admission off, admission on}, each run serially and in parallel. The
-// comparison covers per-request metrics (including tenant tags and shed
-// records), failure summaries, and the telemetry export with the gateway's
-// routing, prediction, and per-tenant admission instruments.
+// TestWorldSerialParallelBitIdenticalGateway runs the gateway matrix —
+// seeds × {predicted-latency, affinity} × {admission off, admission on} —
+// once per cell and checks completion, conservation of the 90 requests,
+// and that every admission cell sheds. The name predates the deletion of
+// the parallel mode it once compared against.
 func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 	balancers := []struct {
 		name string
@@ -441,31 +283,16 @@ func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 				}
 				name := fmt.Sprintf("seed%d/%s/%s", seed, b.name, mode)
 				t.Run(name, func(t *testing.T) {
-					serial := runWorldGateway(t, seed, b.mk, admitPS, false)
-					par := runWorldGateway(t, seed, b.mk, admitPS, true)
-					if serial.completed == 0 {
+					res := runWorldGateway(t, seed, b.mk, admitPS)
+					if res.completed == 0 {
 						t.Fatal("no requests completed; workload broken")
 					}
-					if serial.completed+serial.failed != 90 {
+					if res.completed+res.failed != 90 {
 						t.Fatalf("conservation: %d completed + %d failed != 90",
-							serial.completed, serial.failed)
+							res.completed, res.failed)
 					}
-					if admitPS > 0 && serial.failed == 0 {
+					if admitPS > 0 && res.failed == 0 {
 						t.Fatal("admission cell shed nothing; tighten the rate")
-					}
-					if serial.completed != par.completed || serial.failed != par.failed {
-						t.Fatalf("outcome counts diverge: serial %d/%d, parallel %d/%d",
-							serial.completed, serial.failed, par.completed, par.failed)
-					}
-					if serial.metricsJSON != par.metricsJSON {
-						t.Fatal("per-request metrics JSON diverges between serial and parallel")
-					}
-					if serial.failures != par.failures {
-						t.Fatalf("failure summaries diverge:\n serial: %s\n parallel: %s",
-							serial.failures, par.failures)
-					}
-					if serial.telemetryJSON != par.telemetryJSON {
-						t.Fatal("telemetry export diverges between serial and parallel")
 					}
 				})
 			}
@@ -473,13 +300,13 @@ func TestWorldSerialParallelBitIdenticalGateway(t *testing.T) {
 	}
 }
 
-// TestWorldRunRepeatable: the same seed twice on the parallel engine gives
-// identical bytes — determinism across runs, not just across modes.
+// TestWorldRunRepeatable: the same traced, faulty, batching cell run twice
+// gives identical metrics, failure, trace and telemetry bytes.
 func TestWorldRunRepeatable(t *testing.T) {
-	a := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
-	b := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, true, 4)
+	a := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, 4)
+	b := runWorldCluster(t, 11, gateway.NewLeastLoaded, chaosLowPlan(11), true, 4)
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.traceBytes != b.traceBytes ||
 		a.telemetryJSON != b.telemetryJSON {
-		t.Fatal("parallel runs with identical seeds diverge")
+		t.Fatal("runs with identical seeds diverge")
 	}
 }

@@ -27,11 +27,6 @@ type PDConfig struct {
 	// the PCIe peer-to-peer path: cudart.DefaultConfig's copy model, whose
 	// setup latency every transfer pays either way.
 	LinkBytesPerNs float64
-	// ShardSetup, if set, runs for each engine's Env right after the shard
-	// is created and before the engine is built — the hook to attach
-	// per-shard trace recorders or telemetry meters. On a serial Env it
-	// runs once per engine with the shared Env.
-	ShardSetup func(i int, env *sim.Env)
 	// MakePolicy builds the gateway routing policy: one instance routes
 	// submissions (across the prefill replicas, or the whole colocated
 	// fleet) and a second, independent instance places KV handoffs across
@@ -76,19 +71,15 @@ func (c *PDConfig) engineCfg(i int) llm.Config {
 }
 
 // PD fronts a set of llm engines with gateway routing and, when
-// disaggregated, the prefill→decode KV handoff pipeline. On a sim.World
-// each engine lives on its own shard Env; routing, handoff, and transfer
-// completion serialize on the control Env exactly as Cluster does, so runs
-// are bit-identical serial or parallel.
+// disaggregated, the prefill→decode KV handoff pipeline. Every engine,
+// the front and the KV link share one Env, so engine callbacks call the
+// front directly.
 type PD struct {
-	// front holds admission, shed records, and the gateway instruments;
-	// its env is the control timeline.
+	// front holds admission, shed records, and the gateway instruments.
 	front
-	world *sim.World
-	cfg   PDConfig
+	cfg PDConfig
 
 	engines []*llm.Engine
-	envs    []*sim.Env
 	cols    []*metrics.Collector
 	// inflight counts requests currently assigned to each engine,
 	// maintained at the front where routing decides.
@@ -108,37 +99,23 @@ type PD struct {
 	transfers int
 	kvBytes   int64
 
-	// mt is the control timeline's telemetry meter (nil = disabled):
+	// mt is the Env's telemetry meter (nil = disabled):
 	// handoff count and per-transfer KV latency.
 	mt         *telemetry.Meter
 	mtHandoffs telemetry.MetricID
 	mtKVNs     telemetry.MetricID
 
-	// OnFinish observes every terminal record on the control timeline.
+	// OnFinish observes every terminal record.
 	OnFinish func(metrics.JobRecord)
 }
 
-// NewPD builds the deployment on a single serial Env.
+// NewPD builds the deployment on one Env.
 func NewPD(env *sim.Env, cfg PDConfig) (*PD, error) {
-	return buildPD(env, nil, cfg)
-}
-
-// NewPDWorld builds the deployment on a conservative-window engine: one
-// shard per llm engine. The world must have no shards yet; request
-// generators must schedule on w.Ctrl().
-func NewPDWorld(w *sim.World, cfg PDConfig) (*PD, error) {
-	if w.NumShards() != 0 {
-		return nil, fmt.Errorf("cluster: world already has %d shards", w.NumShards())
-	}
-	return buildPD(w.Ctrl(), w, cfg)
-}
-
-func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	pd := &PD{world: w, cfg: cfg, charge: make(map[uint64]chargeEntry)}
+	pd := &PD{cfg: cfg, charge: make(map[uint64]chargeEntry)}
 	rt := cudart.DefaultConfig()
 	if cfg.LinkBytesPerNs != 0 {
 		rt.PCIeBytesPerNs = cfg.LinkBytesPerNs
@@ -155,16 +132,9 @@ func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 	pd.front = newFront(env, pd.routePol.Name())
 	n := cfg.Prefills + cfg.Decodes
 	for i := 0; i < n; i++ {
-		senv := env
-		if w != nil {
-			senv = w.AddShard()
-		}
-		if cfg.ShardSetup != nil {
-			cfg.ShardSetup(i, senv)
-		}
 		// Each engine compiles its own copy: the Compiled's launch-spec
 		// caches are mutated at runtime and must not be shared across
-		// shards. Profiling is deterministic, so same-config copies agree.
+		// engines. Profiling is deterministic, so same-config copies agree.
 		comp, err := llm.CompileSpec(cfg.engineCfg(i))
 		if err != nil {
 			return nil, err
@@ -174,13 +144,12 @@ func buildPD(env *sim.Env, w *sim.World, cfg PDConfig) (*PD, error) {
 		pd.prefillNs = append(pd.prefillNs, comp.PrefillMean())
 		pd.decodeNs = append(pd.decodeNs, comp.DecodeMean())
 		col := metrics.NewCollector()
-		eng, err := llm.NewEngine(senv, comp, col)
+		eng, err := llm.NewEngine(env, comp, col)
 		if err != nil {
 			return nil, err
 		}
 		pd.bindCallbacks(i, eng)
 		pd.engines = append(pd.engines, eng)
-		pd.envs = append(pd.envs, senv)
 		pd.cols = append(pd.cols, col)
 		pd.inflight = append(pd.inflight, 0)
 		pd.pendingNs = append(pd.pendingNs, 0)
@@ -221,33 +190,12 @@ func (pd *PD) requestCost(g int, req llm.Request) sim.Time {
 func (pd *PD) split() bool { return pd.cfg.Decodes > 0 }
 
 // bindCallbacks wires engine i's terminal and handoff callbacks to the
-// front. On a World they cross to the control timeline, since shard-side
-// engine callbacks must not touch front state (inflight counters, the
-// link) directly; on a serial Env they call the front without building a
-// closure per record.
+// front.
 func (pd *PD) bindCallbacks(i int, eng *llm.Engine) {
-	handoff := pd.split() && i < pd.cfg.Prefills
-	if w := pd.world; w != nil {
-		eng.OnFinish = func(rec metrics.JobRecord) { w.Post(i, func() { pd.finished(i, rec) }) }
-		if handoff {
-			eng.HandoffPrefill = func(h llm.Handoff) { w.Post(i, func() { pd.handoff(i, h) }) }
-		}
-		return
-	}
 	eng.OnFinish = func(rec metrics.JobRecord) { pd.finished(i, rec) }
-	if handoff {
+	if pd.split() && i < pd.cfg.Prefills {
 		eng.HandoffPrefill = func(h llm.Handoff) { pd.handoff(i, h) }
 	}
-}
-
-// toEngine runs fn against engine g's state on its own timeline. From a
-// control event the shards are parked at the window barrier, so scheduling
-// at the shard's current time is the canonical ctrl→shard crossing. Only
-// a World calls it: a serial Env calls the engine directly.
-func (pd *PD) toEngine(g int, fn func(*llm.Engine)) {
-	eng := pd.engines[g]
-	senv := pd.envs[g]
-	senv.At(senv.Now(), func() { fn(eng) })
 }
 
 // pickIn routes within engines [lo, hi) with the given policy. The replica
@@ -276,8 +224,7 @@ func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf fun
 // Submit routes one request: through the admission controller, then to a
 // prefill replica (disaggregated) or a full engine (colocated) picked by
 // the gateway policy. It returns the chosen engine index, or Shed when admission refused the
-// request (terminal: OnFinish has observed the failed record). Call on the
-// control timeline.
+// request (terminal: OnFinish has observed the failed record).
 func (pd *PD) Submit(req llm.Request) int {
 	if err := pd.admit(req.Tenant); err != nil {
 		rec := pd.shed(metrics.JobRecord{
@@ -298,11 +245,7 @@ func (pd *PD) Submit(req llm.Request) int {
 	cost := pd.requestCost(g, req)
 	pd.pendingNs[g] += cost
 	pd.charge[req.ID] = chargeEntry{engine: g, cost: cost}
-	if pd.world == nil {
-		pd.engines[g].Admit(req)
-	} else {
-		pd.toEngine(g, func(eng *llm.Engine) { eng.Admit(req) })
-	}
+	pd.engines[g].Admit(req)
 	return g
 }
 
@@ -332,11 +275,7 @@ func (pd *PD) handoff(from int, h llm.Handoff) {
 		if pd.mt != nil {
 			pd.mt.Observe(pd.mtKVNs, pd.env.Now(), float64(pd.env.Now()-enq))
 		}
-		if pd.world == nil {
-			pd.engines[d].AdmitDecoded(h)
-		} else {
-			pd.toEngine(d, func(eng *llm.Engine) { eng.AdmitDecoded(h) })
-		}
+		pd.engines[d].AdmitDecoded(h)
 	})
 }
 
@@ -350,9 +289,6 @@ func (pd *PD) finished(idx int, rec metrics.JobRecord) {
 		pd.OnFinish(rec)
 	}
 }
-
-// World returns the conservative-window engine, or nil when serial.
-func (pd *PD) World() *sim.World { return pd.world }
 
 // Size returns the engine count.
 func (pd *PD) Size() int { return len(pd.engines) }

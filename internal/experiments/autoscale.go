@@ -67,7 +67,6 @@ type fleetRun struct {
 func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	pc autoscale.PolicyConfig, spec workload.TrafficSpec, minR, initial int) (fleetRun, error) {
 	w := sim.NewWorld()
-	w.SetParallel(true)
 	defer w.Close()
 	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
 		serving.FleetOptions{Devices: devs, Gateway: gateway.NewLeastLoaded(), World: w})

@@ -19,7 +19,7 @@ import (
 func init() {
 	register(Experiment{
 		Name:  "scale",
-		Title: "Extension (§8): engine scaling — shared-Env vs World serial vs World parallel",
+		Title: "Extension (§8): engine scaling — shared Env vs sharded World",
 		Run:   runScale,
 	})
 }
@@ -42,7 +42,7 @@ const (
 
 // ScaleEngineResult is one engine's timing on one cell of the sweep.
 type ScaleEngineResult struct {
-	Engine    string  `json:"engine"` // "legacy" | "world-serial" | "world-parallel"
+	Engine    string  `json:"engine"` // "legacy" | "world-serial"
 	WallSec   float64 `json:"wall_sec"`
 	Steps     uint64  `json:"steps"`
 	EventsPS  float64 `json:"events_per_sec"`
@@ -57,9 +57,6 @@ type ScaleCell struct {
 	Replicas int                 `json:"replicas"`
 	Jobs     int                 `json:"jobs"`
 	Engines  []ScaleEngineResult `json:"engines"`
-	// Identical reports whether World serial and World parallel produced
-	// byte-for-byte identical job metrics — the determinism contract.
-	Identical bool `json:"identical"`
 }
 
 // ScaleSeedBaseline records the seed commit's wall clock on the largest
@@ -122,9 +119,8 @@ func newScaleRun(engine string, replicas, jobs int) (*scaleRun, error) {
 	}
 	switch engine {
 	case "legacy": // one Env, the fleet default
-	case "world-serial", "world-parallel":
+	case "world-serial":
 		fo.World = sim.NewWorld()
-		fo.World.SetParallel(engine == "world-parallel")
 	default:
 		return nil, fmt.Errorf("scale: unknown engine %q", engine)
 	}
@@ -207,10 +203,8 @@ func MeasureAllocsPerEvent(replicas, jobs int) (float64, error) {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(steps), nil
 }
 
-// runScale sweeps replica counts and, per cell, times the three engines on
-// the identical workload. World serial and parallel must agree exactly on
-// every job metric (the bit-identity contract the property tests enforce
-// at trace granularity); a mismatch fails the experiment.
+// runScale sweeps replica counts and, per cell, times the two engines on
+// the identical workload.
 func runScale(out io.Writer, d Detail) error {
 	replicaSweep := []int{1, 2, 4, 8}
 	jobsPer := 25000
@@ -233,7 +227,7 @@ func runScale(out io.Writer, d Detail) error {
 	for _, replicas := range replicaSweep {
 		jobs := jobsPer * replicas
 		cell := ScaleCell{Replicas: replicas, Jobs: jobs}
-		for _, engine := range []string{"legacy", "world-serial", "world-parallel"} {
+		for _, engine := range []string{"legacy", "world-serial"} {
 			res, err := runScaleEngine(engine, replicas, jobs)
 			if err != nil {
 				return err
@@ -242,19 +236,11 @@ func runScale(out io.Writer, d Detail) error {
 			fmt.Fprintf(out, "  %-8d %-8d %-15s %10.3fs %12.0f %8d %9.2fms\n",
 				replicas, jobs, engine, res.WallSec, res.EventsPS, res.Completed, res.P99Ms)
 		}
-		ser, par := cell.Engines[1], cell.Engines[2]
-		cell.Identical = ser.Completed == par.Completed && ser.P50Ms == par.P50Ms &&
-			ser.P99Ms == par.P99Ms && ser.MeanMs == par.MeanMs && ser.Steps == par.Steps
-		if !cell.Identical {
-			return fmt.Errorf("scale: world serial and parallel diverged at %d replicas: %+v vs %+v",
-				replicas, ser, par)
-		}
 		report.Cells = append(report.Cells, cell)
 	}
-	fmt.Fprintln(out, "\nWorld serial and parallel runs are metric-identical at every point")
-	fmt.Fprintln(out, "(the conservative-window determinism contract). Events/s measures the")
-	fmt.Fprintln(out, "engine, not the modeled GPUs: virtual throughput is identical across")
-	fmt.Fprintln(out, "engines by construction.")
+	fmt.Fprintln(out, "\nEvents/s measures the engine, not the modeled GPUs. The World delivers")
+	fmt.Fprintln(out, "cross-shard callbacks at window barriers, so its step counts differ")
+	fmt.Fprintln(out, "slightly from the shared Env's.")
 
 	if commit := os.Getenv(ScaleSeedCommitEnv); commit != "" {
 		var wall float64

@@ -25,8 +25,8 @@
 // Policies are listed in a multi-router registry by name, so drivers
 // (paella-sim -gateway), experiments, and tests select them uniformly.
 // Every policy is deterministic: identical inputs pick identical
-// replicas, which keeps the cluster's serial ≡ parallel bit-identity
-// intact.
+// replicas, so a cluster run repeats byte for byte and does not depend on
+// the order its shards execute in.
 package gateway
 
 import (
@@ -111,9 +111,9 @@ type Request struct {
 // replica's Index (its position in the slice); the slice is never empty.
 // Implementations must be deterministic functions of their inputs and
 // accumulated state — the cluster calls Pick from a single timeline, and
-// the serial/parallel identity matrix holds policies to bit-identical
-// decisions. Pick must not keep the slice: the cluster refills one
-// buffer for every decision.
+// its repeatability tests hold policies to byte-identical decisions. Pick
+// must not keep the slice: the cluster refills one buffer for every
+// decision.
 type Policy interface {
 	// Name returns the registry name.
 	Name() string

@@ -28,8 +28,8 @@ type PaellaPolicy struct {
 	clients map[int]*paellaClient
 	// nextSeq numbers clients in first-seen order for the deficit-tree
 	// tiebreak. It is per-policy state: a package-level counter would
-	// couple independent policy instances (replica dispatchers) and race
-	// when replicas run on separate goroutines under the parallel engine.
+	// couple independent policy instances (replica dispatchers), so one
+	// replica's numbering would depend on the order shards execute in.
 	nextSeq uint64
 	// detached is batchDispatched's scratch: the client nodes it took out
 	// of the deficit tree, reinserted once the whole batch is charged.

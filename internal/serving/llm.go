@@ -30,7 +30,7 @@ type LLMOptions struct {
 }
 
 // DeploymentOptions describes what a generative deployment adds to
-// Options: its batching, its engine pools, its gateway, and the engine it
+// Options: its batching, its engine pools, its gateway, and the Env it
 // runs on.
 type DeploymentOptions struct {
 	// Static selects launch-time decode batching; the default is
@@ -48,18 +48,10 @@ type DeploymentOptions struct {
 	Engines []llm.Config
 	// Gateway builds each routing policy instance (nil → least-loaded).
 	Gateway func() gateway.Policy
-	// Env is the serial Env every engine and the front run on; its
-	// recorder and meter must be attached before the build. Nil, without a
-	// World, means a fresh unobserved Env.
+	// Env is the Env every engine and the front run on; its recorder and
+	// meter must be attached before the build. Nil means a fresh
+	// unobserved Env.
 	Env *sim.Env
-	// World, when non-nil, places each engine on its own shard of the
-	// conservative-window engine, with routing and arrivals on its control
-	// Env; it must have no shards yet, and the caller closes it.
-	World *sim.World
-	// ShardSetup, with a World, runs with each engine's shard Env before
-	// the engine is built there (e.g. to attach a per-engine recorder or
-	// meter).
-	ShardSetup func(i int, shard *sim.Env)
 }
 
 // Deployment is a generative deployment — llm engines behind the
@@ -73,8 +65,7 @@ type Deployment struct {
 
 // NewDeployment builds the deployment from opts.DevCfg and opts.LLM (nil
 // selects its defaults). The other Options fields are not consumed:
-// attach observers to DeploymentOptions.Env, or through ShardSetup and
-// the World's control Env, and run with RunUntil.
+// attach observers to DeploymentOptions.Env and run with RunUntil.
 func NewDeployment(opts Options, do DeploymentOptions) (*Deployment, error) {
 	lo := LLMOptions{}
 	if opts.LLM != nil {
@@ -94,15 +85,10 @@ func NewDeployment(opts Options, do DeploymentOptions) (*Deployment, error) {
 		LLM: llm.Config{Spec: lo.Spec, DevCfg: opts.DevCfg, VRAMBytes: lo.VRAMBytes,
 			KVBlockBytes: lo.KVBlockBytes, MaxBatch: lo.MaxBatch, Continuous: !do.Static},
 		Prefills: do.Prefills, Decodes: do.Decodes, LinkBytesPerNs: do.LinkBytesPerNs,
-		Engines: do.Engines, MakePolicy: do.Gateway, ShardSetup: do.ShardSetup,
+		Engines: do.Engines, MakePolicy: do.Gateway,
 	}
-	d := &Deployment{executor: newExecutor(do.Env, do.World), sampler: sampler}
-	if do.World != nil {
-		d.PD, err = cluster.NewPDWorld(do.World, cfg)
-	} else {
-		d.PD, err = cluster.NewPD(d.ctrl, cfg)
-	}
-	if err != nil {
+	d := &Deployment{executor: newExecutor(do.Env, nil), sampler: sampler}
+	if d.PD, err = cluster.NewPD(d.ctrl, cfg); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -118,7 +104,7 @@ func (d *Deployment) request(id uint64, r workload.Request) llm.Request {
 		Prompt: tk.Prompt, Output: tk.Output, Session: uint64(r.Client) + 1}
 }
 
-// Arrive schedules every request of trace on the control Env at its
+// Arrive schedules every request of trace on the deployment's Env at its
 // arrival time, as llm.Request i+1 submitted to the front. Token lengths
 // are drawn in trace order, which is submission order: traces are
 // monotone in arrival time.

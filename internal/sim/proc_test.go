@@ -1,112 +1,13 @@
 package sim
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// buildProcWorld wires processes onto every shard of w that block on each
-// primitive — Sleep, WaitCond, Mutex.Lock, Completion.Wait — across many
-// windows. Some are spawned before the run, some from shard events and some
-// from control callbacks, so an executor that runs shards on other
-// goroutines creates coroutines on one goroutine and resumes them from
-// another.
-func buildProcWorld(w *World, shards int, log *worldLog) {
-	for i := 0; i < shards; i++ {
-		i := i
-		s := w.AddShard()
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		cond := NewCond(s)
-		mu := NewMutex(s)
-		gate := NewCompletion(s)
-		// A ticker broadcasts the shard's condition and posts to control.
-		s.Spawn("ticker", func(p *Proc) {
-			for k := 0; k < 40; k++ {
-				p.Sleep(Time(1+rng.Intn(5)) * Microsecond)
-				log.addShard(i, s.Now(), fmt.Sprintf("tick%d waiters=%d", k, len(cond.fns)))
-				cond.Broadcast()
-				if k == 10 {
-					gate.Fire()
-				}
-				k := k
-				w.Post(i, func() {
-					log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("post-s%d-k%d", i, k))
-					if k%8 == 0 {
-						// Control spawns a process on the next shard.
-						j := (i + 1) % shards
-						next := w.Shard(j)
-						next.Spawn("relay", func(p *Proc) {
-							p.Sleep(Microsecond)
-							log.addShard(j, next.Now(), fmt.Sprintf("relay-s%d-k%d", i, k))
-						})
-					}
-				})
-			}
-		})
-		for n := 0; n < 3; n++ {
-			n := n
-			hold := Time(1+n) * 700
-			s.Spawn("worker", func(p *Proc) {
-				p.Wait(gate)
-				for k := 0; k < 12; k++ {
-					p.WaitCond(cond)
-					mu.Lock(p)
-					log.addShard(i, s.Now(), fmt.Sprintf("w%d-lock%d", n, k))
-					p.Sleep(hold)
-					mu.Unlock()
-					if k%5 == 4 {
-						// A shard event spawns a short-lived helper.
-						s.At(s.Now()+300, func() {
-							s.Spawn("helper", func(p *Proc) {
-								p.Sleep(0)
-								log.addShard(i, s.Now(), fmt.Sprintf("helper-w%d-%d", n, k))
-							})
-						})
-					}
-				}
-			})
-		}
-	}
-}
-
-func runProcWorld(shards int, window Time, parallel bool) []string {
-	w := NewWorld()
-	w.SetWindow(window)
-	w.SetParallel(parallel)
-	defer w.Close()
-	log := newWorldLog(shards)
-	buildProcWorld(w, shards, log)
-	w.Run()
-	return log.lines()
-}
-
-// TestWorldProcsSerialParallelIdentical: processes on the shards of a
-// parallel World produce the serial executor's transcript byte for byte,
-// for several window sizes.
-func TestWorldProcsSerialParallelIdentical(t *testing.T) {
-	for _, window := range []Time{2 * Microsecond, 7 * Microsecond, 50 * Microsecond} {
-		serial := runProcWorld(4, window, false)
-		parallel := runProcWorld(4, window, true)
-		if len(serial) < 400 {
-			t.Fatalf("window %v: transcript has %d lines, workload too small", window, len(serial))
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			for i := range serial {
-				if i >= len(parallel) || serial[i] != parallel[i] {
-					t.Fatalf("window %v: transcripts diverge at line %d", window, i)
-				}
-			}
-			t.Fatalf("window %v: parallel transcript longer than serial", window)
-		}
-	}
-}
-
 // TestProcPanicMessage: a panic inside a process surfaces from the Step
-// that resumed it, naming the process — on a plain Env and from a shard
-// of a serial or parallel World.
+// that resumed it, naming the process — on a plain Env and from a World
+// shard.
 func TestProcPanicMessage(t *testing.T) {
 	const want = `sim: process "doomed" panicked: kaboom`
 	e := NewEnv()
@@ -132,27 +33,24 @@ func TestProcPanicMessage(t *testing.T) {
 		t.Fatal("events left after the panicking process ended")
 	}
 
-	for _, parallel := range []bool{false, true} {
-		w := NewWorld()
-		w.SetParallel(parallel)
-		for i := 0; i < 3; i++ {
-			s := w.AddShard()
-			if i == 2 {
-				s.Spawn("doomed", func(p *Proc) {
-					p.Sleep(3 * Microsecond)
-					panic("kaboom")
-				})
-			}
+	w := NewWorld()
+	for i := 0; i < 3; i++ {
+		s := w.AddShard()
+		if i == 2 {
+			s.Spawn("doomed", func(p *Proc) {
+				p.Sleep(3 * Microsecond)
+				panic("kaboom")
+			})
 		}
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			defer w.Close()
-			w.Run()
-			return nil
-		}()
-		if s, ok := got.(string); !ok || !strings.HasPrefix(s, want) {
-			t.Fatalf("parallel=%v: World.Run panicked with %v, want %q", parallel, got, want)
-		}
+	}
+	got = func() (r any) {
+		defer func() { r = recover() }()
+		defer w.Close()
+		w.Run()
+		return nil
+	}()
+	if s, ok := got.(string); !ok || !strings.HasPrefix(s, want) {
+		t.Fatalf("World.Run panicked with %v, want %q", got, want)
 	}
 }
 

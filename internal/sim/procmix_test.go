@@ -114,10 +114,9 @@ func procMixEnv(slices bool) string {
 }
 
 // procMixWorld runs buildProcMix on each of three World shards.
-func procMixWorld(parallel bool) string {
+func procMixWorld() string {
 	w := NewWorld()
 	w.SetWindow(900)
-	w.SetParallel(parallel)
 	defer w.Close()
 	log := newWorldLog(3)
 	for i := 0; i < 3; i++ {
@@ -138,11 +137,11 @@ func procMixWorld(parallel bool) string {
 }
 
 // TestProcTranscript: the process mix gives one transcript, step counts
-// included, whether an Env runs it with Run or with RunUntil slices, and
-// whether a World runs its shards serially or in parallel.
+// included, whether an Env runs it with Run or with RunUntil slices; the
+// same mix on three World shards is pinned beside it.
 func TestProcTranscript(t *testing.T) {
 	run := procMixEnv(false)
-	world := procMixWorld(false)
+	world := procMixWorld()
 	got := "== env\n" + run + "== world\n" + world
 	if *updateGolden {
 		if err := os.WriteFile(procTranscriptPath, []byte(got), 0o644); err != nil {
@@ -156,7 +155,6 @@ func TestProcTranscript(t *testing.T) {
 	for _, c := range []struct{ name, got string }{
 		{"env Run", got},
 		{"env RunUntil slices", "== env\n" + procMixEnv(true) + "== world\n" + world},
-		{"world parallel", "== env\n" + run + "== world\n" + procMixWorld(true)},
 	} {
 		if c.got == string(want) {
 			continue

@@ -28,8 +28,7 @@
 // For multi-GPU cluster simulations, World composes several Envs — one
 // shard per replica plus a control shard — and advances them in windows
 // under a conservative synchronization protocol. Every window runs inline
-// on the calling goroutine, in shard order, whether or not parallel mode
-// is set (see world.go).
+// on the calling goroutine, in shard order (see world.go).
 package sim
 
 import (

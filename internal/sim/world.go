@@ -16,8 +16,7 @@ package sim
 //     batching below is approximate.
 //  3. Every shard runs its own events up to and including H, then advances
 //     its clock to exactly H. Shards share no state, so any interleaving
-//     of this step commutes; today it runs inline, in shard order, in
-//     both modes (see SetParallel).
+//     of this step commutes; it runs inline, in shard order.
 //  4. Cross-shard messages emitted during the window (World.Post) are
 //     merged into the control heap in canonical (timestamp, shard,
 //     emission-order) order.
@@ -26,20 +25,20 @@ package sim
 //     control event may read or write any replica's state directly.
 //
 // Determinism argument: within a window each shard's event order is fixed
-// by its own (time, seq) heap; shards touch only their own state, so which
-// goroutine runs a shard in step 3, and in what interleaving, cannot change
-// any outcome. Every cross-shard effect funnels through step 4's canonical
-// merge or through control events, both of which are ordered identically
-// whether step 3 ran on one goroutine or N. Hence a serial World run and a
-// parallel World run are bit-identical — same metrics, same trace bytes —
-// for every seed.
+// by its own (time, seq) heap; shards touch only their own state, so the
+// order in which step 3 runs the shards cannot change any outcome. Every
+// cross-shard effect funnels through step 4's canonical merge or through
+// control events, both of which are ordered by timestamp and shard index,
+// not by execution order. Hence results do not depend on shard execution
+// order, and a World run repeats byte for byte — same metrics, same trace
+// bytes — for every seed.
 //
 // The window Δ is a fidelity/overhead knob, not a correctness knob: a
 // posted message carries its emission timestamp and executes on the
 // control timeline at that timestamp, but by then the shard clocks have
 // advanced to H, so follow-on work it schedules into a replica lands up to
 // Δ late. Δ=0 removes the distortion at the cost of a barrier per distinct
-// event time. Results are bit-identical across serial/parallel for any Δ;
+// event time. For any Δ results do not depend on shard execution order;
 // different Δ values are different (equally valid) simulations.
 type World struct {
 	ctrl   *Env
@@ -110,11 +109,9 @@ func (w *World) SetWindow(d Time) {
 	w.window = d
 }
 
-// SetParallel selects whether shard windows may run on other goroutines.
-// It changes nothing today: every window runs inline on the calling
-// goroutine in either mode, because no measured workload's windows hold
-// enough shard work to pay for a hand-off (DESIGN §8.1). Results are
-// bit-identical either way.
+// SetParallel does nothing. It stays only because the repository
+// benchmark (bench/workloads.go) still calls it; every window runs inline
+// on the calling goroutine (DESIGN §8.1). Delete it once that call goes.
 func (w *World) SetParallel(bool) {}
 
 // Post enqueues fn to run on the control timeline at the emitting shard's
@@ -210,7 +207,7 @@ func (w *World) nextTime() (Time, bool) {
 
 // runShards executes every shard's events up to and including h, in shard
 // order on the calling goroutine, and advances all shard clocks to exactly
-// h. Parallel mode takes the same path (see SetParallel).
+// h.
 func (w *World) runShards(h Time) {
 	for _, s := range w.shards {
 		s.RunUntil(h)

@@ -2,15 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 )
 
 // worldLog records event executions per timeline. Each shard appends only
-// to its own slice (and control events only to ctrl), so the log is
-// race-free whichever goroutine runs a shard; lines() concatenates them
-// into one comparable transcript afterward.
+// to its own slice (and control events only to ctrl); lines() concatenates
+// them into one comparable transcript afterward.
 type worldLog struct {
 	ctrl  []string
 	shard [][]string
@@ -34,75 +32,6 @@ func (l *worldLog) lines() []string {
 		out = append(out, s...)
 	}
 	return out
-}
-
-// buildPingPong wires a synthetic cross-shard workload: every shard runs a
-// periodic local event train, posts a message to the control timeline on
-// each tick, and the control handler schedules follow-up work into the
-// next shard round-robin. Exercises shard-local execution, posts, and
-// control-to-shard scheduling together.
-func buildPingPong(w *World, shards, ticks int, log *worldLog) {
-	for i := 0; i < shards; i++ {
-		i := i
-		s := w.AddShard()
-		for k := 0; k < ticks; k++ {
-			k := k
-			s.At(Time(k)*3*Microsecond+Time(i)*100, func() {
-				log.addShard(i, s.Now(), fmt.Sprintf("tick%d", k))
-				w.Post(i, func() {
-					log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("post-s%d-t%d", i, k))
-					j := (i + 1) % shards
-					next := w.Shard(j)
-					next.After(Microsecond, func() {
-						log.addShard(j, next.Now(), fmt.Sprintf("relay-s%d-t%d", i, k))
-					})
-				})
-			})
-		}
-	}
-	// Control events interleaved with the shard ticks.
-	for k := 0; k < ticks; k++ {
-		k := k
-		w.Ctrl().At(Time(k)*5*Microsecond+500, func() {
-			log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("ctrl%d", k))
-		})
-	}
-}
-
-func runPingPong(shards, ticks int, window Time, parallel bool) []string {
-	w := NewWorld()
-	w.SetWindow(window)
-	w.SetParallel(parallel)
-	defer w.Close()
-	log := newWorldLog(shards)
-	buildPingPong(w, shards, ticks, log)
-	w.Run()
-	return log.lines()
-}
-
-// TestWorldSerialParallelIdentical: the tentpole determinism property — a
-// parallel World run produces the exact event transcript of a serial run,
-// across shard counts and window sizes (including Δ=0).
-func TestWorldSerialParallelIdentical(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, window := range []Time{0, Microsecond, 50 * Microsecond} {
-			serial := runPingPong(shards, 40, window, false)
-			par := runPingPong(shards, 40, window, true)
-			if len(serial) == 0 {
-				t.Fatalf("shards=%d window=%v: empty log", shards, window)
-			}
-			if len(serial) != len(par) {
-				t.Fatalf("shards=%d window=%v: serial %d events, parallel %d",
-					shards, window, len(serial), len(par))
-			}
-			for i := range serial {
-				if serial[i] != par[i] {
-					t.Fatalf("shards=%d window=%v: divergence at event %d:\n serial: %s\n parall: %s",
-						shards, window, i, serial[i], par[i])
-				}
-			}
-		}
-	}
 }
 
 // TestWorldWindowInvariance: different windows are different simulations,
@@ -226,7 +155,7 @@ func postMixLog(ctx any, arg uint64) {
 
 // TestWorldPostPostCallInterleave: closure posts (Post) and typed posts
 // (PostCall) emitted by several shards at equal timestamps share one
-// delivery order — (timestamp, shard, emission-order) — serial and parallel.
+// delivery order — (timestamp, shard, emission-order).
 func TestWorldPostPostCallInterleave(t *testing.T) {
 	want := []string{
 		"s1-0@5.000µs", "s1-1@5.000µs", "s1-2@5.000µs", "s1-3@5.000µs",
@@ -234,38 +163,35 @@ func TestWorldPostPostCallInterleave(t *testing.T) {
 		"s1-4@10.000µs", "s1-5@10.000µs", "s1-6@10.000µs", "s1-7@10.000µs",
 		"s2-0@10.000µs", "s2-1@10.000µs", "s2-2@10.000µs", "s2-3@10.000µs",
 	}
-	for _, parallel := range []bool{false, true} {
-		w := NewWorld()
-		m := &postMix{w: w}
-		w.SetWindow(100 * Microsecond)
-		w.SetParallel(parallel)
-		for i := 0; i < 3; i++ {
-			i := i
-			s := w.AddShard()
-			n := 0
-			// Each burst alternates the two post forms, starting with the
-			// typed one on odd shards so both orders meet at a tie.
-			burst := func() {
-				for k := 0; k < 4; k++ {
-					arg := uint64(i)<<8 | uint64(n)
-					n++
-					if (k+i)%2 == 1 {
-						w.PostCall(i, postMixLog, m, arg)
-					} else {
-						w.Post(i, func() { postMixLog(m, arg) })
-					}
+	w := NewWorld()
+	m := &postMix{w: w}
+	w.SetWindow(100 * Microsecond)
+	for i := 0; i < 3; i++ {
+		i := i
+		s := w.AddShard()
+		n := 0
+		// Each burst alternates the two post forms, starting with the
+		// typed one on odd shards so both orders meet at a tie.
+		burst := func() {
+			for k := 0; k < 4; k++ {
+				arg := uint64(i)<<8 | uint64(n)
+				n++
+				if (k+i)%2 == 1 {
+					w.PostCall(i, postMixLog, m, arg)
+				} else {
+					w.Post(i, func() { postMixLog(m, arg) })
 				}
 			}
-			if i == 1 {
-				s.At(5*Microsecond, burst)
-			}
-			s.At(10*Microsecond, burst)
 		}
-		w.Run()
-		w.Close()
-		if fmt.Sprint(m.log) != fmt.Sprint(want) {
-			t.Fatalf("parallel=%v: delivery order\n got:  %v\n want: %v", parallel, m.log, want)
+		if i == 1 {
+			s.At(5*Microsecond, burst)
 		}
+		s.At(10*Microsecond, burst)
+	}
+	w.Run()
+	w.Close()
+	if fmt.Sprint(m.log) != fmt.Sprint(want) {
+		t.Fatalf("delivery order\n got:  %v\n want: %v", m.log, want)
 	}
 }
 
@@ -297,41 +223,37 @@ func TestWorldRunUntil(t *testing.T) {
 }
 
 // TestWorldShardPanicDeterministic: a panic inside a shard window surfaces
-// on the caller, and when several shards panic in the same parallel window
+// on the caller, and when several shards would panic in the same window
 // the lowest-indexed shard's panic wins — deterministically.
 func TestWorldShardPanicDeterministic(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		w := NewWorld()
-		w.SetParallel(parallel)
-		for i := 0; i < 4; i++ {
-			i := i
-			s := w.AddShard()
-			s.At(Microsecond, func() {
-				if i >= 1 { // shards 1..3 all panic in the same window
-					panic(fmt.Sprintf("shard %d boom", i))
-				}
-			})
-		}
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			defer w.Close()
-			w.Run()
-			return nil
-		}()
-		if got == nil {
-			t.Fatalf("parallel=%v: shard panic did not propagate", parallel)
-		}
-		if s, ok := got.(string); !ok || s != "shard 1 boom" {
-			t.Fatalf("parallel=%v: propagated %v, want first shard's panic", parallel, got)
-		}
+	w := NewWorld()
+	for i := 0; i < 4; i++ {
+		i := i
+		s := w.AddShard()
+		s.At(Microsecond, func() {
+			if i >= 1 { // shards 1..3 all panic in the same window
+				panic(fmt.Sprintf("shard %d boom", i))
+			}
+		})
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		defer w.Close()
+		w.Run()
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("shard panic did not propagate")
+	}
+	if s, ok := got.(string); !ok || s != "shard 1 boom" {
+		t.Fatalf("propagated %v, want first shard's panic", got)
 	}
 }
 
 // TestWorldProcsOnShards: Proc coroutines work on the shard Envs of a
-// parallel World.
+// World.
 func TestWorldProcsOnShards(t *testing.T) {
 	w := NewWorld()
-	w.SetParallel(true)
 	defer w.Close()
 	counts := make([]int, 4)
 	for i := 0; i < 4; i++ {
@@ -352,13 +274,12 @@ func TestWorldProcsOnShards(t *testing.T) {
 	}
 }
 
-// TestWorldStartsNoGoroutines: a parallel World runs its windows inline,
-// so it starts no goroutine that could outlive Close or spin while the
-// World is idle between RunUntil calls.
+// TestWorldStartsNoGoroutines: a World runs its windows inline, so it
+// starts no goroutine that could outlive Close or spin while the World is
+// idle between RunUntil calls.
 func TestWorldStartsNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := NewWorld()
-	w.SetParallel(true)
 	defer w.Close()
 	for i := 0; i < 4; i++ {
 		i := i
@@ -403,72 +324,5 @@ func TestWorldAccessors(t *testing.T) {
 	}
 	if w.Ctrl() == nil {
 		t.Fatal("nil control env")
-	}
-}
-
-// TestWorldRandomizedIdentity: a randomized workload (seeded) with mixed
-// shard-local chains, posts, and control arrivals stays serial/parallel
-// identical across several seeds — the engine-level slice of the cluster
-// identity matrix.
-func TestWorldRandomizedIdentity(t *testing.T) {
-	const shards = 4
-	run := func(seed int64, parallel bool) []string {
-		rng := rand.New(rand.NewSource(seed))
-		w := NewWorld()
-		w.SetWindow(Time(rng.Intn(40)) * Microsecond)
-		w.SetParallel(parallel)
-		defer w.Close()
-		log := newWorldLog(shards)
-		for i := 0; i < shards; i++ {
-			i := i
-			s := w.AddShard()
-			n := 20 + rng.Intn(30)
-			for k := 0; k < n; k++ {
-				k := k
-				at := Time(rng.Intn(2000)) * 100
-				s.At(at, func() {
-					log.addShard(i, s.Now(), fmt.Sprintf("e%d", k))
-					if k%3 == 0 {
-						w.Post(i, func() {
-							log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("p%d-%d", i, k))
-						})
-					}
-					if k%5 == 0 {
-						s.After(Time(50+k), func() {
-							log.addShard(i, s.Now(), fmt.Sprintf("f%d", k))
-						})
-					}
-				})
-			}
-		}
-		for k := 0; k < 25; k++ {
-			k := k
-			at := Time(rng.Intn(2000)) * 100
-			w.Ctrl().At(at, func() {
-				log.addCtrl(w.Ctrl().Now(), fmt.Sprintf("c%d", k))
-				j := k % shards
-				tgt := w.Shard(j)
-				tgt.After(Microsecond, func() {
-					log.addShard(j, tgt.Now(), fmt.Sprintf("cc%d", k))
-				})
-			})
-		}
-		w.Run()
-		return log.lines()
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		serial := run(seed, false)
-		par := run(seed, true)
-		if len(serial) == 0 {
-			t.Fatalf("seed %d: empty log", seed)
-		}
-		if len(serial) != len(par) {
-			t.Fatalf("seed %d: length divergence %d vs %d", seed, len(serial), len(par))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("seed %d: divergence at %d: %q vs %q", seed, i, serial[i], par[i])
-			}
-		}
 	}
 }
