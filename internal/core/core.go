@@ -332,6 +332,11 @@ type Dispatcher struct {
 	wake    *sim.Cond
 	awake   bool
 	stopped bool
+	// loop is where the dispatcher loop stands between resumes, and stepFn
+	// is its resume callback (d.step, bound once): Start, every charge that
+	// yields and every wakeup on d.wake schedule it.
+	loop   loopState
+	stepFn func()
 
 	mirror       mirror
 	jobs         map[uint64]*Job // live gated model-path jobs by request id
@@ -411,7 +416,24 @@ type Dispatcher struct {
 	mtReady    telemetry.MetricID
 	mtRetries  telemetry.MetricID
 	mtBatchW   telemetry.MetricID
+
+	// observe, when set, sees every loop action as it happens, with the
+	// virtual clock and step count current (tests pin the loop's schedule
+	// with it). Nil costs one branch per action.
+	observe func(a loopAction, arg uint64)
 }
+
+// loopAction names one dispatcher-loop action for the observe hook.
+type loopAction uint8
+
+const (
+	actAdmit    loopAction = iota // a request enters admit (arg: request id)
+	actNotifs                     // a notification batch is applied (arg: records)
+	actDispatch                   // a picked job is released (arg: request id)
+	actIssue                      // an ablation-mode op is issued (arg: request id)
+	actIdle                       // the loop waits for a wakeup
+	actWake                       // the loop resumes from that wait
+)
 
 // loadState is one model's cold-start bookkeeping: the jobs waiting for
 // its weights, and whether the load is blocked on free VRAM.
@@ -478,6 +500,7 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		failNextLoad: make(map[string]int),
 		copies:       cudart.NewCopyModel(runtimeConfig()),
 	}
+	d.stepFn = d.step
 	d.mirror = newMirror(dev.Config(), cfg.OvershootBlocks)
 	// The gate predicate is allocated once: kernels of a cold model cannot
 	// run (weights still paging in), jobs held for batch formation are
@@ -686,9 +709,11 @@ func (d *Dispatcher) Connect() *ClientConn {
 	return c
 }
 
-// Start launches the dispatcher loop on its dedicated core.
+// Start launches the dispatcher loop on its dedicated core. The loop
+// first runs as an event at the current time, after those already due.
 func (d *Dispatcher) Start() {
-	d.env.Spawn("paella-dispatcher", d.loop)
+	d.loop.phase = loopStart
+	d.env.After(0, d.stepFn)
 }
 
 // Stop makes the loop exit at its next wakeup (test hygiene).
@@ -703,13 +728,29 @@ func (d *Dispatcher) wakeNow() {
 	}
 }
 
-// charge burns dispatcher-core time and accounts it.
-func (d *Dispatcher) charge(p *sim.Proc, cost sim.Time) {
+// charge burns cost of dispatcher-core time, accounts it, and moves the
+// loop on to phase next. It reports whether the loop may continue at once:
+// true when the cost is zero or its end is the very next event (the clock
+// advances in place, as Proc.Sleep does), false when the resume is
+// scheduled and step must return.
+func (d *Dispatcher) charge(cost sim.Time, next loopPhase) bool {
+	d.loop.phase = next
 	if cost <= 0 {
-		return
+		return true
 	}
 	d.stats.BusyNs += cost
-	p.Sleep(cost)
+	if d.env.AdvanceInPlace(cost) {
+		return true
+	}
+	d.env.After(cost, d.stepFn)
+	return false
+}
+
+// note reports a loop action to the observe hook, if one is set.
+func (d *Dispatcher) note(a loopAction, arg uint64) {
+	if d.observe != nil {
+		d.observe(a, arg)
+	}
 }
 
 // traceCounters samples the dispatcher's load counters (live jobs,
@@ -739,76 +780,167 @@ func (d *Dispatcher) traceCounters() {
 	}
 }
 
-// loop is the dispatcher's single-core main loop: poll client rings
-// round-robin, fold in GPU notifications, then dispatch while the gating
-// condition holds. Every action charges its CPU cost via Sleep, so the
-// dispatcher saturates realistically (Figure 9).
-func (d *Dispatcher) loop(p *sim.Proc) {
-	d.awake = true
-	for !d.stopped {
-		progressed := false
-		// 1. Client→Paella channel: round-robin ring polling (§5.1).
-		for _, c := range d.clients {
-			for {
-				req, ok := c.ring.Pop()
-				if !ok {
-					break
-				}
-				d.charge(p, d.cfg.AdmitCost)
-				d.admit(p, req)
-				progressed = true
+// loopPhase is the point the dispatcher loop resumes at.
+type loopPhase uint8
+
+const (
+	loopStart   loopPhase = iota // first run, scheduled by Start
+	loopWake                     // woken on d.wake after an idle wait
+	loopTop                      // an iteration begins
+	loopPoll                     // poll the client rings from loop.client
+	loopAdmit                    // loop.req's admit cost is paid: admit it
+	loopIssue                    // loop.job's op cost is paid: issue it
+	loopNotifs                   // drain the notification queue
+	loopApply                    // the poll cost is paid: apply the records
+	loopPick                     // pick the next job to dispatch
+	loopRelease                  // loop.entry's dispatch cost is paid: release it
+)
+
+// loopState is the dispatcher loop's state between two resumes: the phase
+// to run next, the iteration's client cursor, and the action whose charge
+// is being paid.
+type loopState struct {
+	phase loopPhase
+	// progressed records that the current iteration did some work; an
+	// iteration that did none ends in an idle wait.
+	progressed bool
+	// client is the next ring to poll; clients is the number of rings the
+	// iteration polls, fixed when it begins.
+	client, clients int
+	req             Request         // loopAdmit
+	job             *Job            // loopIssue
+	op              int             // loopIssue: the whole-job op index
+	notifs          int             // loopApply: records in d.nbuf
+	entry           *sched.JobEntry // loopRelease
+}
+
+// step runs the dispatcher's single-core main loop from loop.phase until
+// it must wait: poll client rings round-robin, fold in GPU notifications,
+// then dispatch while the gating condition holds. Every action charges its
+// CPU cost first (charge), so the dispatcher saturates realistically
+// (Figure 9). The loop waits either for a charge whose end is not the next
+// event or, after an iteration that made no progress, for d.wake; in both
+// cases exactly one resume of step is then pending, and none once the
+// loop has stopped.
+func (d *Dispatcher) step() {
+	s := &d.loop
+	for {
+		switch s.phase {
+		case loopStart:
+			d.awake = true
+			s.phase = loopTop
+		case loopWake:
+			d.awake = true
+			d.note(actWake, 0)
+			s.phase = loopTop
+		case loopTop:
+			if d.stopped {
+				return
 			}
-		}
-		// 2. Paella↔GPU channel: drain instrumented notifications (§5.2).
-		if d.notifQ != nil {
-			for {
-				n := d.notifQ.Poll(d.nbuf)
-				if n == 0 {
-					break
-				}
-				d.charge(p, pollCost+sim.Time(n)*perNotifCost)
-				for i := 0; i < n; i++ {
-					d.applyNotif(d.nbuf[i])
-				}
-				progressed = true
+			s.progressed = false
+			s.client, s.clients = 0, len(d.clients)
+			s.phase = loopPoll
+		case loopPoll:
+			// 1. Client→Paella channel: round-robin ring polling (§5.1).
+			if s.client == s.clients {
+				s.phase = loopNotifs
+				continue
 			}
-		}
-		// 3. Software-defined dispatch (§6): release the policy's best
-		// fitting job, scanning past unplaceable candidates for work
-		// conservation. A saturated mirror refuses every kernel, so the
-		// scan is skipped outright: PickFit only reads state, and a nil
-		// pick charges no time.
-		if d.cfg.Mode == ModeGated {
-			for !d.mirror.Saturated() {
-				e := d.cfg.Policy.PickFit(d.fitsFn, dispatchScan)
-				if e == nil {
-					break
-				}
-				d.charge(p, d.cfg.SchedDelay+d.cfg.DispatchCost)
-				j := e.Payload.(*Job)
-				if !j.inPolicy {
-					// Charging the dispatch cost yields the loop, and a
-					// callback in that window (client disconnect, cancel)
-					// may have failed the job and pulled it from the
-					// policy. Skip it; its terminal path is already set.
-					progressed = true
-					continue
-				}
-				if d.cfg.MaxBatch > 1 && j.wl == nil && d.tryBatch(j) {
-					// Dispatched as a batched launch, or held open for
-					// partners; either way the head was consumed.
-					progressed = true
-					continue
-				}
-				d.dispatchKernel(j)
-				progressed = true
+			req, ok := d.clients[s.client].ring.Pop()
+			if !ok {
+				s.client++
+				continue
 			}
-		}
-		if !progressed {
+			s.req, s.progressed = req, true
+			if !d.charge(d.cfg.AdmitCost, loopAdmit) {
+				return
+			}
+		case loopAdmit:
+			d.note(actAdmit, s.req.ID)
+			s.phase = loopPoll
+			if j := d.admit(s.req); j != nil {
+				// An ablation mode: the loop releases the job's first op
+				// (every op, when the job is issued whole), each after its
+				// dispatch cost.
+				s.job, s.op = j, 0
+				if !d.charge(d.cfg.DispatchCost, loopIssue) {
+					return
+				}
+			}
+		case loopIssue:
+			d.note(actIssue, s.job.Req.ID)
+			s.phase = loopPoll
+			if d.cfg.Mode == ModeKernelByKernel {
+				d.issueNext(s.job)
+			} else if d.issueWholeJob(s.job, s.op) {
+				s.op++
+				if !d.charge(d.cfg.DispatchCost, loopIssue) {
+					return
+				}
+			}
+		case loopNotifs:
+			// 2. Paella↔GPU channel: drain instrumented notifications (§5.2).
+			n := 0
+			if d.notifQ != nil {
+				n = d.notifQ.Poll(d.nbuf)
+			}
+			if n == 0 {
+				s.phase = loopPick
+				continue
+			}
+			s.notifs, s.progressed = n, true
+			if !d.charge(pollCost+sim.Time(n)*perNotifCost, loopApply) {
+				return
+			}
+		case loopApply:
+			d.note(actNotifs, uint64(s.notifs))
+			for i := 0; i < s.notifs; i++ {
+				d.applyNotif(d.nbuf[i])
+			}
+			s.phase = loopNotifs
+		case loopPick:
+			// 3. Software-defined dispatch (§6): release the policy's best
+			// fitting job, scanning past unplaceable candidates for work
+			// conservation. A saturated mirror refuses every kernel, so the
+			// scan is skipped outright: PickFit only reads state, and a nil
+			// pick charges no time.
+			var e *sched.JobEntry
+			if d.cfg.Mode == ModeGated && !d.mirror.Saturated() {
+				e = d.cfg.Policy.PickFit(d.fitsFn, dispatchScan)
+			}
+			if e != nil {
+				s.entry, s.progressed = e, true
+				if !d.charge(d.cfg.SchedDelay+d.cfg.DispatchCost, loopRelease) {
+					return
+				}
+				continue
+			}
+			if s.progressed {
+				s.phase = loopTop
+				continue
+			}
 			d.awake = false
 			d.stats.LoopWakeups++
-			p.WaitCond(d.wake)
-			d.awake = true
+			d.note(actIdle, 0)
+			s.phase = loopWake
+			d.wake.OnBroadcast(d.stepFn)
+			return
+		case loopRelease:
+			j := s.entry.Payload.(*Job)
+			d.note(actDispatch, j.Req.ID)
+			s.phase = loopPick
+			if !j.inPolicy {
+				// A callback during the dispatch charge (client disconnect,
+				// cancel) may have failed the job and pulled it from the
+				// policy. Skip it; its terminal path is already set.
+				continue
+			}
+			if d.cfg.MaxBatch > 1 && j.wl == nil && d.tryBatch(j) {
+				// Dispatched as a batched launch, or held open for
+				// partners; either way the head was consumed.
+				continue
+			}
+			d.dispatchKernel(j)
 		}
 	}
 }

@@ -144,21 +144,23 @@ func (j *Job) peekKernel() *gpu.KernelSpec {
 func (j *Job) isFinalGPUOp() bool { return j.cursor == len(j.ops)-1 }
 
 // admit accepts one request from a client ring (already charged AdmitCost)
-// and starts its first operation. Runs in dispatcher-loop context.
-func (d *Dispatcher) admit(p *sim.Proc, req Request) {
+// and starts its first operation. In the ablation modes it returns the job
+// instead, for the loop to issue its ops, each after its dispatch cost;
+// otherwise it returns nil. Runs in dispatcher-loop context.
+func (d *Dispatcher) admit(req Request) *Job {
 	conn := d.clients[req.Client]
 	if conn.dead {
 		// The client disconnected after submitting: the request fails
 		// silently (no one is listening), but still leaves a typed record
 		// so no job is ever unaccounted for.
 		d.rejectRequest(req, ErrClientDisconnected)
-		return
+		return nil
 	}
 	m, ok := d.models[req.Model]
 	if !ok {
 		if ae, isAdaptor := d.adaptors[req.Model]; isAdaptor {
 			d.admitAdaptor(req, ae)
-			return
+			return nil
 		}
 		panic(fmt.Sprintf("core: request for unregistered model %q", req.Model))
 	}
@@ -200,17 +202,14 @@ func (d *Dispatcher) admit(p *sim.Proc, req Request) {
 		d.jobs[req.ID] = j
 		d.pinWeights(j)
 		d.advanceGated(j)
-	case ModeKernelByKernel:
+	case ModeKernelByKernel, ModeJobByJob:
 		j.stream = d.rtCtx.StreamCreate()
-		d.issueNext(p, j)
-	case ModeJobByJob, ModeSingleStream:
-		if d.cfg.Mode == ModeSingleStream {
-			j.stream = d.sharedStream
-		} else {
-			j.stream = d.rtCtx.StreamCreate()
-		}
-		d.issueWholeJob(p, j)
+		return j
+	case ModeSingleStream:
+		j.stream = d.sharedStream
+		return j
 	}
+	return nil
 }
 
 // rejectRequest records a typed failure for a request that was never
@@ -835,25 +834,25 @@ func copyDirection(k jobOpKind) cudart.MemcpyKind {
 	return cudart.DeviceToHost
 }
 
-// issueWholeJob releases every op of the job immediately (ModeJobByJob and
-// ModeSingleStream), completing when the last op's event fires.
-func (d *Dispatcher) issueWholeJob(p *sim.Proc, j *Job) {
-	var last *cudart.Event
-	for idx := range j.ops {
-		d.charge(p, d.cfg.DispatchCost)
-		j.rec.SchedNs += d.cfg.DispatchCost
-		last = d.issueOp(j, idx)
+// issueWholeJob releases op idx of a job issued whole (ModeJobByJob and
+// ModeSingleStream). The loop charges DispatchCost before each op, so the
+// ops go out back to back; the job completes when its last op's event
+// fires. It reports whether ops remain.
+func (d *Dispatcher) issueWholeJob(j *Job, idx int) bool {
+	j.rec.SchedNs += d.cfg.DispatchCost
+	ev := d.issueOp(j, idx)
+	if idx < len(j.ops)-1 {
+		return true
 	}
-	last.OnFire(func() { d.finish(j) })
+	ev.OnFire(func() { d.finish(j) })
+	return false
 }
 
 // issueNext releases the job's current op and arms its completion to issue
-// the next (ModeKernelByKernel). Per-op dispatch cost is charged to the
-// dispatcher loop via a posted wakeup.
-func (d *Dispatcher) issueNext(p *sim.Proc, j *Job) {
-	if p != nil {
-		d.charge(p, d.cfg.DispatchCost)
-	}
+// the next (ModeKernelByKernel). The loop charges DispatchCost before a
+// job's first op; the later ones are issued from the previous op's
+// completion, outside the loop, their dispatch cost modelled already.
+func (d *Dispatcher) issueNext(j *Job) {
 	j.rec.SchedNs += d.cfg.DispatchCost
 	if j.isFinalGPUOp() {
 		d.ringBell(j)
@@ -865,8 +864,6 @@ func (d *Dispatcher) issueNext(p *sim.Proc, j *Job) {
 			d.finish(j)
 			return
 		}
-		// Issue the next op outside the loop process; the dispatch cost
-		// has already been modelled for this job's ops.
-		d.issueNext(nil, j)
+		d.issueNext(j)
 	})
 }

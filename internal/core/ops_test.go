@@ -40,8 +40,8 @@ func TestJobsShareModelOps(t *testing.T) {
 
 	_, d := testSetup(t, gatedCfg(), model.TinyNet())
 	d.Connect()
-	d.admit(nil, Request{ID: 1, Model: "tinynet"})
-	d.admit(nil, Request{ID: 2, Model: "tinynet"})
+	d.admit(Request{ID: 1, Model: "tinynet"})
+	d.admit(Request{ID: 2, Model: "tinynet"})
 	a, b := d.jobs[1].ops, d.jobs[2].ops
 	if len(a) == 0 || &a[0] != &b[0] || &a[0] != &d.models["tinynet"].ops[0] {
 		t.Fatal("two jobs of one model do not share the model's op list")
@@ -56,7 +56,7 @@ func TestAdmitAllocs(t *testing.T) {
 	id := uint64(0)
 	got := testing.AllocsPerRun(1000, func() {
 		id++
-		d.admit(nil, Request{ID: id, Model: "tinynet"})
+		d.admit(Request{ID: id, Model: "tinynet"})
 	})
 	if got > 2 {
 		t.Fatalf("admit allocates %v objects per job, want at most 2", got)

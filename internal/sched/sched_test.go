@@ -343,3 +343,35 @@ func BenchmarkPaellaPickDispatch(b *testing.B) {
 		p.Add(j)
 	}
 }
+
+// TestRemainingLessWarmFirst pins the SRPT order's tie-break: of two
+// entries with equal Remaining, the warm one (its model resident) sorts
+// first, whichever was added first, in remainingLess itself and in the two
+// policies ordered by it. Remaining still decides before warmth.
+func TestRemainingLessWarmFirst(t *testing.T) {
+	pair := func() (warm, cold *JobEntry) {
+		warm = job(1, 0, 10, 50, 20)
+		warm.Warm = true
+		return warm, job(2, 1, 10, 50, 20)
+	}
+	warm, cold := pair()
+	if !remainingLess(warm, cold) || remainingLess(cold, warm) {
+		t.Fatal("equal Remaining: the warm entry does not sort before the cold one")
+	}
+	if remainingLess(warm, warm) || remainingLess(cold, cold) {
+		t.Fatal("remainingLess is not strict")
+	}
+	if shorter := job(3, 0, 10, 50, 19); !remainingLess(shorter, warm) {
+		t.Fatal("a cold entry with less Remaining does not sort first")
+	}
+	for _, p := range []Policy{NewSRPT(), NewPaella(1e9)} {
+		warm, cold := pair()
+		p.JobAdmitted(0)
+		p.JobAdmitted(1)
+		p.Add(cold)
+		p.Add(warm)
+		if got := p.Pick(); got != warm {
+			t.Errorf("%s picks job %d, want the warm job 1", p.Name(), got.ID)
+		}
+	}
+}

@@ -145,8 +145,8 @@ func (e *Env) retire(p *Proc) {
 // running its defers, and the process's coroutine returns to the shared
 // pool. Parked coroutines are goroutines, which the garbage collector
 // treats as roots, so without Close a run that ends with processes parked
-// (a dispatcher loop, a client waiting on a reply) keeps everything they
-// reach alive. Processes spawned but never started hold no coroutine and
+// (a client waiting on a reply, a job adaptor) keeps everything they reach
+// alive. Processes spawned but never started hold no coroutine and
 // need nothing. Close must be called between events, never from one; the
 // Env must not be stepped after it. A second Close does nothing.
 func (e *Env) Close() {
@@ -201,12 +201,12 @@ func (p *Proc) park() {
 // would be the very next event of the running Run or RunUntil loop, the
 // process keeps running with the clock advanced instead of parking: the
 // queue push and pop and the coroutine round trip are skipped, and the
-// event order is the same (Env.wakeInPlace).
+// event order is the same (Env.AdvanceInPlace).
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	if p.env.wakeInPlace(p.env.now + d) {
+	if p.env.AdvanceInPlace(d) {
 		return
 	}
 	p.env.After(d, p.dispatchFn)
@@ -260,8 +260,8 @@ func (p *Proc) Wait(c *Completion) {
 }
 
 // Cond is a repeatable broadcast condition: Broadcast wakes every process
-// and callback currently waiting, and subsequent waiters block until the
-// next Broadcast. Unlike sync.Cond there is no lock — the simulation is
+// and callback currently waiting (WaitCond, OnBroadcast), and subsequent
+// waiters block until the next Broadcast. Unlike sync.Cond there is no lock — the simulation is
 // single-threaded by construction.
 type Cond struct {
 	env *Env
@@ -277,6 +277,14 @@ type Cond struct {
 // NewCond returns a condition bound to e.
 func NewCond(e *Env) *Cond { return &Cond{env: e} }
 
+// OnBroadcast registers fn to run, as a fresh event at the current time,
+// at the next Broadcast; like a waiting process, it is called once. A
+// callback actor waits on c this way without a coroutine, and fills the
+// same waiter slot a process does.
+func (c *Cond) OnBroadcast(fn func()) {
+	c.fns = append(c.fns, fn)
+}
+
 // Broadcast wakes all current waiters (as fresh events at the current time).
 func (c *Cond) Broadcast() {
 	fns := c.fns
@@ -290,6 +298,6 @@ func (c *Cond) Broadcast() {
 
 // WaitCond blocks the process until the next Broadcast on c.
 func (p *Proc) WaitCond(c *Cond) {
-	c.fns = append(c.fns, p.dispatchFn)
+	c.OnBroadcast(p.dispatchFn)
 	p.park()
 }

@@ -285,3 +285,86 @@ func BenchmarkSleepElided(b *testing.B) {
 	b.ResetTimer()
 	e.RunFor(Time(b.N) * 10)
 }
+
+// TestCallbackActorMatchesProcess: an actor written as callbacks, charging
+// itself time with AdvanceInPlace or a scheduled resume and waiting with
+// Cond.OnBroadcast, runs the same schedule as a process doing Sleep and
+// WaitCond (the core dispatcher loop moved from the one to the other): the same (time, steps) transcript, with a broadcaster and
+// plain callbacks interleaved, under Run and under RunUntil slices.
+func TestCallbackActorMatchesProcess(t *testing.T) {
+	const rounds = 60
+	cost := func(k int) Time { return Time(k%4) * 50 } // zero, or a charge
+	run := func(asProc, slices bool) string {
+		e := NewEnv()
+		var b strings.Builder
+		logf := func(what string, k int) { fmt.Fprintf(&b, "%d %d %s%d\n", int64(e.Now()), e.Steps(), what, k) }
+		cond := NewCond(e)
+		if asProc {
+			e.Spawn("actor", func(p *Proc) {
+				for k := 0; k < rounds; k++ {
+					if c := cost(k); c > 0 {
+						p.Sleep(c)
+					}
+					logf("ran", k)
+					if k%3 == 0 {
+						p.WaitCond(cond)
+						logf("woke", k)
+					}
+				}
+			})
+		} else {
+			// phase 0 charges round k, 1 runs it, 2 has woken from its wait.
+			k, phase := 0, 0
+			var step func()
+			step = func() {
+				for k < rounds {
+					switch phase {
+					case 0:
+						phase = 1
+						if c := cost(k); c > 0 && !e.AdvanceInPlace(c) {
+							e.After(c, step)
+							return
+						}
+					case 1:
+						logf("ran", k)
+						if k%3 == 0 {
+							phase = 2
+							cond.OnBroadcast(step)
+							return
+						}
+						k, phase = k+1, 0
+					case 2:
+						logf("woke", k)
+						k, phase = k+1, 0
+					}
+				}
+			}
+			e.After(0, step)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 40; i++ {
+			i := i
+			at := Time(rng.Intn(120)) * 25
+			e.At(at, func() { logf("bcast", i); cond.Broadcast() })
+			e.At(at+Time(rng.Intn(4))*50, func() { logf("cb", i) })
+		}
+		if slices {
+			for e.Pending() > 0 {
+				e.RunFor(Time(rng.Intn(300)))
+			}
+		} else {
+			e.Run()
+		}
+		fmt.Fprintf(&b, "steps %d\n", e.Steps())
+		return b.String()
+	}
+	want := run(true, false)
+	for _, c := range []struct {
+		name          string
+		asProc, slice bool
+	}{{"process, RunUntil slices", true, true}, {"callbacks, Run", false, false}, {"callbacks, RunUntil slices", false, true}} {
+		if got := run(c.asProc, c.slice); got != want {
+			t.Errorf("%s: transcript differs from the process under Run:\n%s\nwant:\n%s", c.name, got, want)
+		}
+	}
+}

@@ -9,15 +9,18 @@
 // Two actor styles are supported:
 //
 //   - Callback actors register plain functions with After/At. The GPU block
-//     scheduler is written this way.
+//     scheduler is written this way, and so is the Paella dispatcher's loop:
+//     a run-to-completion step that charges itself time with
+//     AdvanceInPlace or a scheduled resume, and waits with
+//     Cond.OnBroadcast.
 //   - Process actors (see Proc) are runtime coroutines (iter.Pull) that
-//     block on virtual-time primitives (Sleep, Completion.Wait, Cond.Wait).
+//     block on virtual-time primitives (Sleep, Completion.Wait, WaitCond).
 //     Only one process (or event callback) is ever runnable at a time; an
 //     event resumes a process by switching to its coroutine on the same
 //     thread, and the process switches back when it blocks, which keeps the
-//     simulation deterministic. The Paella dispatcher's loop, client jobs
-//     and CUDA-style adaptor code are processes, mirroring the stackful
-//     Boost coroutines used by the paper's dispatcher (§4.2).
+//     simulation deterministic. Client jobs and CUDA-style adaptor code are
+//     processes, mirroring the stackful Boost coroutines the paper's job
+//     adaptors run on (§4.2).
 //
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
 // are addressed by index and recycled through an index-linked free list, so
@@ -78,8 +81,8 @@ type Env struct {
 	seq    uint64
 	steps  uint64
 	// limit is the due-time bound of the running Run or RunUntil loop: a
-	// process wakeup due by then that would be the very next event runs in
-	// place (see wakeInPlace). It is -1 outside those loops, so a bare Step
+	// wakeup due by then that would be the very next event runs in place
+	// (see AdvanceInPlace). It is -1 outside those loops, so a bare Step
 	// always runs exactly one queued event.
 	limit Time
 	// imm is a circular FIFO of events due exactly at the current clock —
@@ -147,10 +150,9 @@ func NewEnv() *Env {
 func (e *Env) Now() Time { return e.now }
 
 // Steps returns the number of events executed so far (useful for detecting
-// runaway simulations in tests). A process wakeup run in place, without
-// passing through the queue (see Proc.Sleep), counts as the event it
-// replaces, so step counts do not depend on how often that shortcut was
-// taken.
+// runaway simulations in tests). A wakeup run in place, without passing
+// through the queue (see AdvanceInPlace), counts as the event it replaces,
+// so step counts do not depend on how often that shortcut was taken.
 func (e *Env) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled events.
@@ -293,15 +295,22 @@ func (e *Env) Step() bool {
 	return true
 }
 
-// wakeInPlace fires, without queueing it, a process wakeup due at t when
-// that wakeup would be the very next event of the running Run or RunUntil
-// loop: no immediate-FIFO entry is pending, every queued event is due
-// strictly after t, and t is within the loop's bound. It advances the clock
-// to t, counts the step, and reports true; the caller keeps running as if
-// the wakeup had been popped. The wakeup takes no seq number, so every
-// later event's seq is one smaller than it would have been, which leaves
-// their relative (at, seq) order unchanged.
-func (e *Env) wakeInPlace(t Time) bool {
+// AdvanceInPlace runs a wakeup due d from now in place when it would be
+// the very next event of the running Run or RunUntil loop: no
+// immediate-FIFO entry is pending, every queued event is due strictly
+// after now+d, and now+d is within the loop's bound. It then advances the
+// clock, counts the step, and reports true, and the caller keeps running
+// as if the wakeup had been popped. Otherwise it changes nothing and
+// reports false, and the caller schedules the wakeup as usual. Proc.Sleep
+// takes the shortcut this way, and so can a callback actor that charges
+// itself time. The elided wakeup takes no seq number, so every later
+// event's seq is one smaller than it would have been, which leaves their
+// relative (at, seq) order unchanged.
+func (e *Env) AdvanceInPlace(d Time) bool {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	t := e.now + d
 	if t > e.limit || e.immLen > 0 {
 		return false
 	}
