@@ -228,9 +228,7 @@ func (c *config) admission() *gateway.Admission {
 	if c.admitRate <= 0 {
 		return nil
 	}
-	return gateway.NewAdmission(gateway.AdmissionConfig{
-		Default: gateway.TenantLimit{RatePerSec: c.admitRate},
-	})
+	return gateway.NewAdmission(gateway.TenantLimit{RatePerSec: c.admitRate})
 }
 
 // serveFleet runs the workload on -replicas replicas behind the gateway,

@@ -161,34 +161,44 @@ func packageDoc(t *testing.T, dir string) string {
 }
 
 // testOnlyAllowed lists the exported internal/ identifiers that no non-test
-// file references but that stay exported, each with the reason. Keys are
-// "pkg.Name" for package-level names and "pkg.Type.Method" for methods.
+// file references (or, for a struct field, writes) but that stay exported,
+// each with the reason. Keys are "pkg.Name" for package-level names and
+// "pkg.Type.Member" for methods and struct fields.
 var testOnlyAllowed = map[string]string{
-	"cluster.Cluster.Routable": "autoscale tests check that a parked, warming or draining replica takes no new work (ROADMAP item 5's routing check)",
-	"sim.Env.Pending":          "the event count the sim tests check the timer arena against (arena.live() == Pending(), ROADMAP item 5) and the gpu tests count device events with",
-	"trace.Recorder.Spans":     "core's copy-cost pin reads every span in emission order",
-	"vram.Manager.KVBlocks":    "llm and cluster tests check that no KV page outlives its sequence (ROADMAP item 5's KV page check)",
+	"cluster.Cluster.Routable":        "autoscale tests check that a parked, warming or draining replica takes no new work (ROADMAP item 5's routing check)",
+	"remote.NetConfig.RequestTimeout": "public API through the `paella.NetConfig` alias",
+	"sim.Env.Pending":                 "the event count the sim tests check the timer arena against (arena.live() == Pending(), ROADMAP item 5) and the gpu tests count device events with",
+	"trace.Recorder.Spans":            "core's copy-cost pin reads every span in emission order",
+	"vram.Manager.KVBlocks":           "llm and cluster tests check that no KV page outlives its sequence (ROADMAP item 5's KV page check)",
 }
 
 // TestNoTestOnlyExports fails when an exported func, method, type, var or
 // const declared in internal/ is referenced by no non-test file in the tree
-// (bench/, examples/ and cmd/ included) outside its own declaration, unless
+// (bench/, examples/ and cmd/ included) outside its own declaration, or when
+// no such file writes an exported field of a struct declared there, unless
 // testOnlyAllowed names it with a reason; it also fails on a stale entry.
 // A package-level name counts as referenced by a pkg.Name selector in a file
 // importing its package, or a bare identifier in its own package; a method
-// counts as referenced by any .Name selector. Struct fields and interface
-// methods are not checked. The check is syntactic (go/ast only).
+// counts as referenced by any .Name selector. A field counts as written by
+// a composite-literal key, an assignment or ++/-- target selector, or &x.F
+// naming it, or by an unkeyed literal of its type (the type may be elided
+// inside a []T{…} or map literal). A field with a struct tag is exempt,
+// since a decoder writes it. Interface methods are not checked. The check
+// is syntactic (go/ast only).
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key    string // reported name
 		path   string // import path of the declaring package
 		name   string
 		method bool
+		owner  string // a field's struct type name; "" for other decls
 		pos    token.Position
 	}
 	var decls []*decl
 	pkgRefs := map[string]bool{} // import path + "." + name
 	selectors := map[string]bool{}
+	written := map[string]bool{} // field names written
+	unkeyed := map[string]bool{} // type names of unkeyed struct literals
 	fset := token.NewFileSet()
 
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -257,6 +267,21 @@ func TestNoTestOnlyExports(t *testing.T) {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						declare(s.Name, pkg+"."+s.Name.Name, false)
+						st, ok := s.Type.(*ast.StructType)
+						if !ok || !internal {
+							continue
+						}
+						for _, fld := range st.Fields.List {
+							if fld.Tag != nil {
+								continue
+							}
+							for _, n := range fld.Names {
+								if ast.IsExported(n.Name) {
+									decls = append(decls, &decl{key: pkg + "." + s.Name.Name + "." + n.Name,
+										name: n.Name, owner: s.Name.Name, pos: fset.Position(n.Pos())})
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							declare(n, pkg+"."+n.Name, false)
@@ -288,6 +313,58 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return true
 		}
 		ast.Inspect(f, visit)
+		// lit records the fields a composite literal writes; typ is the
+		// literal's type when its own is elided.
+		var lit func(cl *ast.CompositeLit, typ ast.Expr)
+		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
+			if cl.Type != nil {
+				typ = cl.Type
+			}
+			var elem ast.Expr
+			switch t := typ.(type) {
+			case *ast.ArrayType:
+				elem = t.Elt
+			case *ast.MapType:
+				elem = t.Value
+			}
+			for _, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						written[id.Name] = true
+					}
+					e = kv.Value
+				} else if elem == nil {
+					unkeyed[typeName(typ)] = true
+				}
+				if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil {
+					lit(inner, elem)
+				}
+			}
+		}
+		writeTarget := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				written[sel.Sel.Name] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					lit(n, nil)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					writeTarget(lhs)
+				}
+			case *ast.IncDecStmt:
+				writeTarget(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					writeTarget(n.X)
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
@@ -298,8 +375,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var unused []string
 	for _, d := range decls {
 		used := pkgRefs[d.path+"."+d.name]
-		if d.method {
+		switch {
+		case d.method:
 			used = selectors[d.name]
+		case d.owner != "":
+			used = written[d.name] || unkeyed[d.owner]
 		}
 		if used {
 			continue
@@ -308,17 +388,37 @@ func TestNoTestOnlyExports(t *testing.T) {
 			allowed[d.key] = true
 			continue
 		}
-		unused = append(unused, fmt.Sprintf("%s (%s)", d.key, d.pos))
+		if d.owner != "" {
+			unused = append(unused, fmt.Sprintf("exported field %s (%s) is written only by tests: delete it, make it a constant or unexported, or allowlist it with a reason", d.key, d.pos))
+			continue
+		}
+		unused = append(unused, fmt.Sprintf("exported %s (%s) is referenced only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", d.key, d.pos))
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("exported %s is referenced only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", u)
+		t.Error(u)
 	}
 	for key := range testOnlyAllowed {
 		if !allowed[key] {
 			t.Errorf("stale testOnlyAllowed entry %s: it is referenced outside tests or no longer declared", key)
 		}
 	}
+}
+
+// typeName returns the name of a (possibly pointer or package-qualified)
+// named type, or "".
+func typeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.Ident:
+		return t.Name
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	}
+	return ""
 }
 
 // fuzzSmokeLine matches one target of ci.yml's fuzz-smoke step.
@@ -381,5 +481,73 @@ func TestFuzzSmokeCoversEveryTarget(t *testing.T) {
 		if !inTree[target] {
 			t.Errorf("ci.yml's fuzz-smoke step runs %s, which does not exist", target)
 		}
+	}
+}
+
+var (
+	// roadmapCite matches "ROADMAP item N" and "ROADMAP items N and M".
+	roadmapCite = regexp.MustCompile(`ROADMAP items? (\d+(?:(?:,? and |, | or )\d+)*)`)
+	// designCite matches "DESIGN §N", "DESIGN §N.M" and "DESIGN.md §N".
+	designCite = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:\.\d+)?)`)
+	// roadmapItem matches a numbered item, open or retired, of ROADMAP.md.
+	roadmapItem = regexp.MustCompile(`(?m)^(\d+)\. \*{1,2}[A-Z]`)
+	// designHeading matches a numbered section heading of DESIGN.md.
+	designHeading = regexp.MustCompile(`(?m)^#{2,} (\d+(?:\.\d+)?)\.? `)
+)
+
+// TestDocCitationsResolve checks that every "ROADMAP item N" cited in a .go
+// or .md file names an item of ROADMAP.md, open or retired, and every
+// "DESIGN §N[.M]" names a numbered heading of DESIGN.md.
+func TestDocCitationsResolve(t *testing.T) {
+	targets := func(file string, re *regexp.Regexp) map[string]bool {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, m := range re.FindAllStringSubmatch(string(b), -1) {
+			out[m[1]] = true
+		}
+		return out
+	}
+	items := targets("ROADMAP.md", roadmapItem)
+	sections := targets("DESIGN.md", designHeading)
+	if len(items) == 0 || len(sections) == 0 {
+		t.Fatalf("found %d ROADMAP items and %d DESIGN sections", len(items), len(sections))
+	}
+	number := regexp.MustCompile(`\d+`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".md") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range roadmapCite.FindAllStringSubmatch(string(b), -1) {
+			for _, n := range number.FindAllString(m[1], -1) {
+				if !items[n] {
+					t.Errorf("%s cites ROADMAP item %s, which ROADMAP.md does not have", path, n)
+				}
+			}
+		}
+		for _, m := range designCite.FindAllStringSubmatch(string(b), -1) {
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN §%s, which DESIGN.md has no heading for", path, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

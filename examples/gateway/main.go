@@ -106,9 +106,7 @@ func main() {
 		var admit *gateway.Admission
 		label := "off"
 		if on {
-			admit = gateway.NewAdmission(gateway.AdmissionConfig{
-				Default: gateway.TenantLimit{RatePerSec: 260},
-			})
+			admit = gateway.NewAdmission(gateway.TenantLimit{RatePerSec: 260})
 			label = "on"
 		}
 		col, adm, shedSeen := run(gateway.NewPredictedLatency, admit, flooded, zoo)

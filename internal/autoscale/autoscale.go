@@ -488,9 +488,6 @@ func (s *Scaler) ObserveTerminal(latency sim.Time, outcome Outcome) {
 	}
 }
 
-// State returns replica i's lifecycle state.
-func (s *Scaler) State(i int) ReplicaState { return s.state[i] }
-
 // Target returns the last clamped policy target.
 func (s *Scaler) Target() int { return s.target }
 
@@ -504,9 +501,6 @@ func (s *Scaler) CountState(st ReplicaState) int {
 	}
 	return n
 }
-
-// Events returns the scaling log in emission order.
-func (s *Scaler) Events() []Event { return s.events }
 
 // ScaleStats returns the run's aggregate scaling activity.
 func (s *Scaler) ScaleStats() Stats { return s.stats }

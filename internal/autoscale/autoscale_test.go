@@ -340,9 +340,9 @@ func TestStepPolicy(t *testing.T) {
 }
 
 // TestSLOBurnPolicy checks the asymmetric shape: grow half-again while
-// firing, release one only after a sustained quiet run.
+// firing, release one only after ten consecutive quiet ticks.
 func TestSLOBurnPolicy(t *testing.T) {
-	p, err := autoscale.NewFromConfig(autoscale.PolicyConfig{Name: "slo-burn", HoldTicks: 3})
+	p, err := autoscale.New("slo-burn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +351,13 @@ func TestSLOBurnPolicy(t *testing.T) {
 		t.Fatalf("firing target %d, want 6", got)
 	}
 	quiet := autoscale.Signals{Active: 4, Target: 4}
-	if got := p.Target(quiet); got != 4 {
-		t.Fatalf("quiet tick 1 target %d, want hold 4", got)
-	}
-	if got := p.Target(quiet); got != 4 {
-		t.Fatalf("quiet tick 2 target %d, want hold 4", got)
+	for tick := 1; tick < 10; tick++ {
+		if got := p.Target(quiet); got != 4 {
+			t.Fatalf("quiet tick %d target %d, want hold 4", tick, got)
+		}
 	}
 	if got := p.Target(quiet); got != 3 {
-		t.Fatalf("quiet tick 3 target %d, want release to 3", got)
+		t.Fatalf("quiet tick 10 target %d, want release to 3", got)
 	}
 	// A fresh burn resets the quiet counter.
 	if got := p.Target(firing); got != 6 {
@@ -439,8 +438,12 @@ func TestOptimizeMix(t *testing.T) {
 
 	// Devices expansion matches the counts, in offer order.
 	devs, prices, names := mix.Devices(offers)
-	if len(devs) != mix.Replicas() || len(prices) != len(devs) || len(names) != len(devs) {
-		t.Fatalf("expansion lengths %d/%d/%d for %d replicas", len(devs), len(prices), len(names), mix.Replicas())
+	replicas := 0
+	for _, c := range mix.Counts {
+		replicas += c
+	}
+	if len(devs) != replicas || len(prices) != len(devs) || len(names) != len(devs) {
+		t.Fatalf("expansion lengths %d/%d/%d for %d replicas", len(devs), len(prices), len(names), replicas)
 	}
 	if names[0] != "t4" || prices[0] != 0.53 {
 		t.Fatalf("expansion order wrong: %v %v", names, prices)

@@ -37,10 +37,9 @@ type Front struct {
 	submitAt map[uint64]sim.Time
 	counts   Counts
 
-	// OnComplete and OnFailed forward the connection's terminal events
-	// after accounting (optional).
-	OnComplete func(id uint64)
-	OnFailed   func(id uint64, err error)
+	// OnFailed, if set, receives each failed or shed request after
+	// accounting.
+	OnFailed func(id uint64, err error)
 }
 
 // NewFront connects the scaler's cluster and wires terminal accounting.
@@ -71,7 +70,7 @@ func (f *Front) Submit(req core.Request) {
 }
 
 // terminal folds one terminal event into the ledger and the scaler's
-// signal feeds, then forwards to the user callback.
+// signal feeds, then forwards a failure to OnFailed.
 func (f *Front) terminal(id uint64, err error) {
 	at, ok := f.submitAt[id]
 	if !ok {
@@ -83,9 +82,6 @@ func (f *Front) terminal(id uint64, err error) {
 	case err == nil:
 		f.counts.Completed++
 		f.s.ObserveTerminal(latency, OutcomeCompleted)
-		if f.OnComplete != nil {
-			f.OnComplete(id)
-		}
 		return
 	case errors.Is(err, gateway.ErrTenantShed):
 		f.counts.Shed++

@@ -9,16 +9,15 @@ import (
 // Validate accepts the config, and every built policy must return a
 // reasonable target on a sweep of extreme synthetic signals.
 func FuzzAutoscalePolicyConfig(f *testing.F) {
-	f.Add("static", 6, 0.0, 0.0, 0, 0.0, 0)
-	f.Add("queue-depth", 0, 12.0, 3.0, 0, 0.0, 0)
-	f.Add("step", 0, 0.0, 0.0, 0, 0.0, 0)
-	f.Add("slo-burn", 0, 0.0, 0.0, 20, 0.0, 0)
-	f.Add("predictive", 0, 0.0, 0.0, 0, 1.5, 8)
-	f.Add("oracle", 0, 0.0, 0.0, 0, 0.0, 0)      // invalid: unknown policy
-	f.Add("queue-depth", 0, 2.0, 5.0, 0, 0.0, 0) // invalid: inverted
-	f.Fuzz(func(t *testing.T, name string, fixed int, hi, lo float64, hold int, headroom float64, lookahead int) {
-		pc := PolicyConfig{Name: name, Fixed: fixed, HiQueue: hi, LoQueue: lo,
-			HoldTicks: hold, Headroom: headroom, Lookahead: lookahead}
+	f.Add("static", 6)
+	f.Add("queue-depth", 0)
+	f.Add("step", 0)
+	f.Add("slo-burn", 0)
+	f.Add("predictive", 0)
+	f.Add("oracle", 0)  // invalid: unknown policy
+	f.Add("static", -1) // invalid: negative pool
+	f.Fuzz(func(t *testing.T, name string, fixed int) {
+		pc := PolicyConfig{Name: name, Fixed: fixed}
 		p, err := NewFromConfig(pc)
 		if verr := pc.Validate(); (err == nil) != (verr == nil) {
 			t.Fatalf("NewFromConfig error %v disagrees with Validate error %v for %+v", err, verr, pc)

@@ -35,15 +35,6 @@ type FleetMix struct {
 	RatePerSec float64
 }
 
-// Replicas returns the mix's total replica count.
-func (m FleetMix) Replicas() int {
-	n := 0
-	for _, c := range m.Counts {
-		n += c
-	}
-	return n
-}
-
 // OptimizeMix picks the cheapest heterogeneous fleet that sustains the
 // demand: offers are ranked by cost efficiency ($ per unit of throughput,
 // ties broken by name for determinism) and filled greedily until capacity

@@ -50,64 +50,39 @@ type Policy interface {
 	Target(sig Signals) int
 }
 
-// PolicyConfig is the parameterization of a registered policy
-// (`paella-sim -autoscale`, experiment grids, fuzzing). Zero-valued knobs
-// take the policy's documented default.
+// PolicyConfig selects a registered policy. The adaptive policies' knobs
+// are the fixed constants below.
 type PolicyConfig struct {
 	// Name selects the registered policy.
 	Name string
 	// Fixed is the static policy's pool size (0 = hold the initial pool).
 	Fixed int
-	// HiQueue and LoQueue are the queue-depth hysteresis thresholds in
-	// requests per active replica: above HiQueue scale up, below LoQueue
-	// scale down (defaults 8 and 2).
-	HiQueue float64
-	LoQueue float64
-	// HoldTicks is how many consecutive quiet (non-firing) ticks the
-	// slo-burn policy waits before releasing one replica (default 10).
-	HoldTicks int
-	// Headroom is the predictive policy's over-provisioning multiplier on
-	// the forecast demand (default 1.25).
-	Headroom float64
-	// Lookahead is the predictive policy's forecast horizon in ticks
-	// (default 5): it provisions for rate + slope·Lookahead.
-	Lookahead int
 }
 
-// Validate reports parameter errors (unknown policy, inverted thresholds,
-// out-of-range knobs).
+// The adaptive policies' constants. hiQueue and loQueue are the
+// queue-depth hysteresis thresholds in requests per active replica: above
+// hiQueue scale up, below loQueue scale down. holdTicks is how many
+// consecutive quiet (non-firing) ticks the slo-burn policy waits before
+// releasing one replica. headroom is the predictive policy's
+// over-provisioning multiplier on the forecast demand, and lookahead its
+// forecast horizon in ticks: it provisions for rate + slope·lookahead.
+const (
+	hiQueue   = 8.0
+	loQueue   = 2.0
+	holdTicks = 10
+	headroom  = 1.25
+	lookahead = 5
+)
+
+// Validate reports parameter errors (unknown policy, out-of-range pool).
 func (pc PolicyConfig) Validate() error {
 	if _, ok := policies[pc.Name]; !ok {
 		return fmt.Errorf("autoscale: unknown policy %q (have %s)", pc.Name, strings.Join(Names(), ", "))
 	}
-	switch {
-	case pc.Fixed < 0 || pc.Fixed > 1<<20:
+	if pc.Fixed < 0 || pc.Fixed > 1<<20 {
 		return fmt.Errorf("autoscale: fixed pool %d", pc.Fixed)
-	case !(pc.HiQueue >= 0 && pc.HiQueue <= 1e6) || !(pc.LoQueue >= 0 && pc.LoQueue <= 1e6):
-		// Negated form also rejects NaN.
-		return fmt.Errorf("autoscale: queue thresholds %f/%f outside [0, 1e6]", pc.HiQueue, pc.LoQueue)
-	case pc.HiQueue > 0 && pc.HiQueue <= pickDefault(pc.LoQueue, 2):
-		return fmt.Errorf("autoscale: hi_queue %f must exceed lo_queue %f", pc.HiQueue, pickDefault(pc.LoQueue, 2))
-	case pc.LoQueue > 0 && pc.LoQueue >= pickDefault(pc.HiQueue, 8):
-		return fmt.Errorf("autoscale: lo_queue %f must undercut hi_queue %f", pc.LoQueue, pickDefault(pc.HiQueue, 8))
-	case pc.HoldTicks < 0 || pc.HoldTicks > 1<<20:
-		return fmt.Errorf("autoscale: hold_ticks %d", pc.HoldTicks)
-	case pc.Headroom < 0 || math.IsNaN(pc.Headroom) || pc.Headroom > 100:
-		return fmt.Errorf("autoscale: headroom %f", pc.Headroom)
-	case pc.Headroom > 0 && pc.Headroom < 1:
-		return fmt.Errorf("autoscale: headroom %f must be at least 1", pc.Headroom)
-	case pc.Lookahead < 0 || pc.Lookahead > 1<<20:
-		return fmt.Errorf("autoscale: lookahead %d", pc.Lookahead)
 	}
 	return nil
-}
-
-// pickDefault substitutes a default for an unset (zero) knob.
-func pickDefault(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // clampTarget bounds a computed pool size so threshold extremes can never
@@ -123,40 +98,16 @@ func clampTarget(want float64) int {
 }
 
 // policies is the registry, the same shape as the gateway's: constructors
-// take the (validated) config and apply defaults. A new policy adds its
-// constructor here.
+// take the (validated) config. A new policy adds its constructor here.
 var policies = map[string]func(PolicyConfig) Policy{
-	"static": func(pc PolicyConfig) Policy { return &staticPolicy{fixed: pc.Fixed} },
-	"queue-depth": func(pc PolicyConfig) Policy {
-		p := &queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}
-		p.defaults()
-		return p
-	},
-	"step": func(pc PolicyConfig) Policy {
-		p := &stepPolicy{queueDepthPolicy{hi: pc.HiQueue, lo: pc.LoQueue}}
-		p.defaults()
-		return p
-	},
-	"slo-burn": func(pc PolicyConfig) Policy {
-		hold := pc.HoldTicks
-		if hold == 0 {
-			hold = 10
-		}
-		return &sloBurnPolicy{hold: hold}
-	},
-	"predictive": func(pc PolicyConfig) Policy {
-		p := &predictivePolicy{headroom: pc.Headroom, lookahead: pc.Lookahead}
-		if p.headroom == 0 {
-			p.headroom = 1.25
-		}
-		if p.lookahead == 0 {
-			p.lookahead = 5
-		}
-		return p
-	},
+	"static":      func(pc PolicyConfig) Policy { return &staticPolicy{fixed: pc.Fixed} },
+	"queue-depth": func(PolicyConfig) Policy { return &queueDepthPolicy{} },
+	"step":        func(PolicyConfig) Policy { return &stepPolicy{} },
+	"slo-burn":    func(PolicyConfig) Policy { return &sloBurnPolicy{} },
+	"predictive":  func(PolicyConfig) Policy { return &predictivePolicy{} },
 }
 
-// New returns a fresh instance of the named policy with default knobs.
+// New returns a fresh instance of the named policy.
 func New(name string) (Policy, error) {
 	return NewFromConfig(PolicyConfig{Name: name})
 }
@@ -196,19 +147,10 @@ func (p *staticPolicy) Target(sig Signals) int {
 }
 
 // queueDepthPolicy scales on outstanding requests per active replica with
-// hysteresis: above hi it jumps the pool to what would bring the queue to
-// the hi/lo midpoint, below lo it shrinks likewise. The classic
-// reactive threshold autoscaler.
-type queueDepthPolicy struct{ hi, lo float64 }
-
-func (p *queueDepthPolicy) defaults() {
-	if p.hi == 0 {
-		p.hi = 8
-	}
-	if p.lo == 0 {
-		p.lo = 2
-	}
-}
+// hysteresis: above hiQueue it jumps the pool to what would bring the
+// queue to the hiQueue/loQueue midpoint, below loQueue it shrinks
+// likewise. The classic reactive threshold autoscaler.
+type queueDepthPolicy struct{}
 
 func (p *queueDepthPolicy) Name() string { return "queue-depth" }
 
@@ -219,16 +161,16 @@ func (p *queueDepthPolicy) Target(sig Signals) int {
 		return 1
 	}
 	perRep := float64(sig.InFlight) / float64(prov)
-	if perRep <= p.hi && perRep >= p.lo {
+	if perRep <= hiQueue && perRep >= loQueue {
 		return sig.Target
 	}
-	mid := (p.hi + p.lo) / 2
+	mid := (hiQueue + loQueue) / 2
 	return clampTarget(math.Ceil(float64(sig.InFlight) / mid))
 }
 
 // stepPolicy is queue-depth's conservative cousin: the same hysteresis
 // band, but it only ever moves the pool by one replica per tick.
-type stepPolicy struct{ queueDepthPolicy }
+type stepPolicy struct{}
 
 func (p *stepPolicy) Name() string { return "step" }
 
@@ -240,9 +182,9 @@ func (p *stepPolicy) Target(sig Signals) int {
 	}
 	perRep := float64(sig.InFlight) / float64(prov)
 	switch {
-	case perRep > p.hi:
+	case perRep > hiQueue:
 		return prov + 1
-	case perRep < p.lo:
+	case perRep < loQueue:
 		return prov - 1
 	default:
 		return sig.Target
@@ -251,13 +193,10 @@ func (p *stepPolicy) Target(sig Signals) int {
 
 // sloBurnPolicy scales on the telemetry burn-rate monitor: while the SLO
 // is burning error budget too fast it grows the pool aggressively (half
-// again per tick), and only after `hold` consecutive quiet ticks does it
-// release one replica — asymmetric because missing the SLO costs more
+// again per tick), and only after holdTicks consecutive quiet ticks does
+// it release one replica — asymmetric because missing the SLO costs more
 // than a briefly oversized fleet.
-type sloBurnPolicy struct {
-	hold  int
-	quiet int
-}
+type sloBurnPolicy struct{ quiet int }
 
 func (p *sloBurnPolicy) Name() string { return "slo-burn" }
 
@@ -274,7 +213,7 @@ func (p *sloBurnPolicy) Target(sig Signals) int {
 		return prov + grow
 	}
 	p.quiet++
-	if p.quiet >= p.hold {
+	if p.quiet >= holdTicks {
 		p.quiet = 0
 		return prov - 1
 	}
@@ -282,14 +221,11 @@ func (p *sloBurnPolicy) Target(sig Signals) int {
 }
 
 // predictivePolicy forecasts demand with a double-smoothed trend: an EWMA
-// of the arrival rate plus its slope projected `lookahead` ticks out,
+// of the arrival rate plus its slope projected lookahead ticks out,
 // divided by the estimated per-replica capacity with a headroom margin.
 // On a diurnal curve the slope term buys capacity before the morning ramp
 // arrives instead of after queues have built.
 type predictivePolicy struct {
-	headroom  float64
-	lookahead int
-
 	ewma    float64
 	started bool
 }
@@ -310,9 +246,9 @@ func (p *predictivePolicy) Target(sig Signals) int {
 		return sig.Target // no capacity estimate yet: hold
 	}
 	slope := p.ewma - prev
-	pred := p.ewma + slope*float64(p.lookahead)
+	pred := p.ewma + slope*lookahead
 	if pred < 0 {
 		pred = 0
 	}
-	return clampTarget(math.Ceil(pred * p.headroom / sig.ReplicaRate))
+	return clampTarget(math.Ceil(pred * headroom / sig.ReplicaRate))
 }

@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -17,12 +19,32 @@ import (
 	"paella/internal/telemetry"
 )
 
-// counterTotal flushes the meter and sums the named counter's windows.
-func counterTotal(mt *telemetry.Meter, name string) int64 {
-	mt.Flush(0)
+// counterTotal sums the named instrument's per-window counts as the
+// meter's JSON export reports them.
+func counterTotal(t *testing.T, mt *telemetry.Meter, name string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := telemetry.WriteJSON(&buf, 0, telemetry.Export{Meters: []*telemetry.Meter{mt}}); err != nil {
+		t.Fatal(err)
+	}
+	var ex struct {
+		Meters []struct {
+			Metrics []struct {
+				Name    string
+				Windows []struct{ Count int64 }
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &ex); err != nil {
+		t.Fatal(err)
+	}
 	var n int64
-	for _, row := range mt.Series(name) {
-		n += row.Count
+	for _, m := range ex.Meters[0].Metrics {
+		if m.Name == name {
+			for _, w := range m.Windows {
+				n += w.Count
+			}
+		}
 	}
 	return n
 }
@@ -36,11 +58,8 @@ func TestRoutedCountsAcceptedSubmissionsOnly(t *testing.T) {
 	mt := telemetry.NewMeter("front", 0)
 	env.SetMeter(mt)
 	c, err := cluster.NewWithConfig(env, []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()},
-		func(int, gpu.Config) core.Config {
-			cfg := core.DefaultConfig(sched.NewPaella(10000))
-			cfg.RingCapacity = 2
-			return cfg
-		}, gateway.NewPredictedLatency())
+		func(int, gpu.Config) core.Config { return core.DefaultConfig(sched.NewPaella(10000)) },
+		gateway.NewPredictedLatency())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +79,8 @@ func TestRoutedCountsAcceptedSubmissionsOnly(t *testing.T) {
 		}
 		accepted++
 	}
-	const n = 40
+	// More requests at t=0 than both rings hold.
+	const n = 2*core.RingCapacity + 40
 	for i := 0; i < n; i++ {
 		id := uint64(i + 1)
 		env.At(0, func() { submit(core.Request{ID: id, Model: "tinynet", Submit: 0}) })
@@ -72,14 +92,10 @@ func TestRoutedCountsAcceptedSubmissionsOnly(t *testing.T) {
 	if accepted != n || completed != n {
 		t.Fatalf("accepted %d, completed %d, want %d", accepted, completed, n)
 	}
-	if got := counterTotal(mt, "gateway/predicted-latency/routed"); got != n {
+	if got := counterTotal(t, mt, "gateway/predicted-latency/routed"); got != n {
 		t.Fatalf("routed counter = %d after %d refusals, want %d accepted submissions", got, refused, n)
 	}
-	var observed int64
-	for _, row := range mt.Series("gateway/predicted-latency/predicted_ns") {
-		observed += row.Count
-	}
-	if observed != n {
+	if observed := counterTotal(t, mt, "gateway/predicted-latency/predicted_ns"); observed != n {
 		t.Fatalf("predicted_ns observations = %d, want %d", observed, n)
 	}
 }
@@ -91,7 +107,7 @@ var conservationTenants = []string{"tenant-a", "tenant-b", "tenant-c"}
 // Admission.Stats() all sum to the submitted (tenanted) requests.
 func checkAdmissionLedger(t *testing.T, mt *telemetry.Meter, a *gateway.Admission, submitted, shed int) {
 	t.Helper()
-	admittedN, shedN := counterTotal(mt, "gateway/admitted"), counterTotal(mt, "gateway/shed")
+	admittedN, shedN := counterTotal(t, mt, "gateway/admitted"), counterTotal(t, mt, "gateway/shed")
 	if admittedN+shedN != int64(submitted) {
 		t.Errorf("gateway/admitted %d + gateway/shed %d != %d submitted", admittedN, shedN, submitted)
 	}
@@ -101,8 +117,8 @@ func checkAdmissionLedger(t *testing.T, mt *telemetry.Meter, a *gateway.Admissio
 	var statsAdmitted int
 	for _, st := range a.Stats() {
 		statsAdmitted += st.Admitted
-		ta := counterTotal(mt, "gateway/tenant/"+st.Tenant+"/admitted")
-		ts := counterTotal(mt, "gateway/tenant/"+st.Tenant+"/shed")
+		ta := counterTotal(t, mt, "gateway/tenant/"+st.Tenant+"/admitted")
+		ts := counterTotal(t, mt, "gateway/tenant/"+st.Tenant+"/shed")
 		if ta != int64(st.Admitted) || ts != int64(st.Shed) {
 			t.Errorf("%s counters admitted=%d shed=%d, Stats admitted=%d shed=%d",
 				st.Tenant, ta, ts, st.Admitted, st.Shed)
@@ -141,9 +157,7 @@ func TestGatewayConservationCluster(t *testing.T) {
 	if err := c.RegisterModel(model.TinyNet(), compiler.DefaultConfig(), 1); err != nil {
 		t.Fatal(err)
 	}
-	c.SetAdmission(gateway.NewAdmission(gateway.AdmissionConfig{
-		Default: gateway.TenantLimit{RatePerSec: 2000, Burst: 4},
-	}))
+	c.SetAdmission(gateway.NewAdmission(gateway.TenantLimit{RatePerSec: 2000, Burst: 4}))
 	conn := c.Connect()
 	completed, failed := 0, 0
 	conn.OnComplete = func(uint64) { completed++ }
@@ -182,9 +196,7 @@ func TestGatewayConservationPD(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pd.SetAdmission(gateway.NewAdmission(gateway.AdmissionConfig{
-				Default: gateway.TenantLimit{RatePerSec: 2000, Burst: 4},
-			}))
+			pd.SetAdmission(gateway.NewAdmission(gateway.TenantLimit{RatePerSec: 2000, Burst: 4}))
 			completed, shed := 0, 0
 			pd.OnFinish = func(rec metrics.JobRecord) {
 				switch {

@@ -233,9 +233,7 @@ func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admi
 	if admitPS > 0 {
 		// A shallow bucket (Burst 4) against the trace's ~28k req/s arrival
 		// spike guarantees the shed path is exercised in-cell.
-		c.SetAdmission(gateway.NewAdmission(gateway.AdmissionConfig{
-			Default: gateway.TenantLimit{RatePerSec: admitPS, Burst: 4},
-		}))
+		c.SetAdmission(gateway.NewAdmission(gateway.TenantLimit{RatePerSec: admitPS, Burst: 4}))
 	}
 	conn := c.Connect()
 	res := worldRunResult{}

@@ -296,15 +296,6 @@ func (pd *PD) Size() int { return len(pd.engines) }
 // Engine returns the i-th engine (prefill replicas first).
 func (pd *PD) Engine(i int) *llm.Engine { return pd.engines[i] }
 
-// InFlight returns the front's view of outstanding requests.
-func (pd *PD) InFlight() int {
-	total := 0
-	for _, n := range pd.inflight {
-		total += n
-	}
-	return total
-}
-
 // Transfers returns the KV handoff count and total bytes moved.
 func (pd *PD) Transfers() (int, int64) { return pd.transfers, pd.kvBytes }
 

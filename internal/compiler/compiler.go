@@ -37,18 +37,6 @@ type Config struct {
 	// overhead): a fixed component plus a per-block component.
 	CondBase     sim.Time
 	CondPerBlock sim.Time
-
-	// BatchAlphaMin and BatchAlphaMax bound the per-kernel batch-scaling
-	// coefficient α the profiler learns (see Profile.BatchScale). α is the
-	// marginal per-block cost of one extra batched sample relative to the
-	// first: an n-way batched launch of a kernel runs its widened grid with
-	// per-block duration scaled by (1+(n−1)α)/n. Kernels that saturate the
-	// device solo (occupancy ≈ 1) batch worst (α → max: extra samples just
-	// serialize into more waves); kernels that leave most of the device
-	// idle batch best (α → min: extra blocks ride free capacity). Zero
-	// values select the calibrated defaults.
-	BatchAlphaMin float64
-	BatchAlphaMax float64
 }
 
 // DefaultConfig returns constants calibrated so that the instrumented
@@ -65,26 +53,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Default batch-scaling coefficient bounds (Config.BatchAlphaMin/Max).
-// Calibrated so a fully occupancy-bound kernel keeps ~95% of its serial
-// per-sample cost under batching while a tiny kernel amortizes down to
-// ~40%, matching the sub-linear batch curves serving systems measure.
+// DefaultBatchAlphaMin and DefaultBatchAlphaMax bound the per-kernel
+// batch-scaling coefficient α the profiler learns (see Profile.BatchScale).
+// α is the marginal per-block cost of one extra batched sample relative to
+// the first: an n-way batched launch of a kernel runs its widened grid with
+// per-block duration scaled by (1+(n−1)α)/n. Kernels that saturate the
+// device solo (occupancy ≈ 1) batch worst (α → max: extra samples just
+// serialize into more waves); kernels that leave most of the device idle
+// batch best (α → min: extra blocks ride free capacity). Calibrated so a
+// fully occupancy-bound kernel keeps ~95% of its serial per-sample cost
+// under batching while a tiny kernel amortizes down to ~40%, matching the
+// sub-linear batch curves serving systems measure.
 const (
 	DefaultBatchAlphaMin = 0.40
 	DefaultBatchAlphaMax = 0.95
 )
-
-// batchAlphaRange returns the configured α bounds, defaulted when unset.
-func (c Config) batchAlphaRange() (lo, hi float64) {
-	lo, hi = c.BatchAlphaMin, c.BatchAlphaMax
-	if lo == 0 && hi == 0 {
-		lo, hi = DefaultBatchAlphaMin, DefaultBatchAlphaMax
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
 
 // NoAggConfig returns DefaultConfig without notification aggregation (the
 // Figure 15 ablation).

@@ -147,7 +147,9 @@ func ProfileModel(ins *Instrumented, devCfg gpu.Config, runs int) (*Profile, err
 	env.Run()
 	// Per-job execution counts are exact for deterministic sequences.
 	counts := m.Counts()
-	alphaLo, alphaHi := ins.Cfg.batchAlphaRange()
+	// float64 variables, so α's span is the float64 difference the
+	// calibration was recorded with, not the exact constant 0.55.
+	var alphaLo, alphaHi float64 = DefaultBatchAlphaMin, DefaultBatchAlphaMax
 	for i, k := range m.Kernels {
 		if st := p.stats[k.Name]; st != nil {
 			st.Count = float64(counts[i])

@@ -100,13 +100,6 @@ type Config struct {
 	// ablation modes predate many-model serving and ignore it.
 	VRAM *vram.Config
 
-	// RingCapacity sizes each client's request ring (power of two; zero
-	// means 1024).
-	RingCapacity int
-	// NotifQCapacity sizes the device notification queue (power of two;
-	// zero means 1<<14).
-	NotifQCapacity int
-
 	// KernelTimeout arms a watchdog on every gated kernel dispatch: if the
 	// kernel's notifications have not completed it within its serial upper
 	// bound (Blocks × BlockDuration) plus this grace period, the dispatcher
@@ -569,14 +562,13 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 	return d
 }
 
+// notifQCapacity sizes the device notification queue NewWithDevice builds.
+const notifQCapacity = 1 << 14
+
 // NewWithDevice builds the notification queue, device and dispatcher
 // together (the common setup path).
 func NewWithDevice(env *sim.Env, devCfg gpu.Config, cfg Config) *Dispatcher {
-	cap := cfg.NotifQCapacity
-	if cap == 0 {
-		cap = 1 << 14
-	}
-	nq := channel.NewNotifQueue(cap)
+	nq := channel.NewNotifQueue(notifQCapacity)
 	dev := gpu.NewDevice(env, devCfg, nq)
 	return New(env, dev, nq, cfg)
 }
@@ -693,16 +685,16 @@ func (d *Dispatcher) ReleaseVRAMPressure() {
 	d.wakeNow()
 }
 
+// RingCapacity is the number of requests each client's ring holds; a
+// Submit to a full ring is refused.
+const RingCapacity = 1024
+
 // Connect allocates a client's shared-memory region (request ring plus
 // completion hooks) and returns the connection handle.
 func (d *Dispatcher) Connect() *ClientConn {
-	cap := d.cfg.RingCapacity
-	if cap == 0 {
-		cap = 1024
-	}
 	c := &ClientConn{
 		ID:   len(d.clients),
-		ring: channel.NewSPSC[Request](cap),
+		ring: channel.NewSPSC[Request](RingCapacity),
 		d:    d,
 	}
 	d.clients = append(d.clients, c)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"paella/internal/compiler"
@@ -258,10 +260,28 @@ func TestGatedKeepsQueuesShallow(t *testing.T) {
 		})
 	}
 	env.Run()
-	mt.Flush(env.Now())
+	var buf bytes.Buffer
+	if err := telemetry.WriteJSON(&buf, env.Now(), telemetry.Export{Meters: []*telemetry.Meter{mt}}); err != nil {
+		t.Fatal(err)
+	}
+	var ex struct {
+		Meters []struct {
+			Metrics []struct {
+				Name    string
+				Windows []struct{ Max float64 }
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &ex); err != nil {
+		t.Fatal(err)
+	}
 	maxQueued := 0
-	for _, r := range mt.Series("gpu/hwq_depth") {
-		maxQueued = max(maxQueued, int(r.Max))
+	for _, m := range ex.Meters[0].Metrics {
+		if m.Name == "gpu/hwq_depth" {
+			for _, w := range m.Windows {
+				maxQueued = max(maxQueued, int(w.Max))
+			}
+		}
 	}
 	if done != 40 {
 		t.Fatalf("completed %d of 40", done)

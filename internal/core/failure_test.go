@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"paella/internal/channel"
 	"paella/internal/compiler"
 	"paella/internal/gpu"
 	"paella/internal/model"
@@ -10,15 +11,13 @@ import (
 	"paella/internal/sim"
 )
 
-// TestTinyRequestRingBackpressure floods a deliberately tiny request ring:
-// Submit must report false (never drop silently), and a client that backs
-// off and retries eventually gets everything served.
+// TestTinyRequestRingBackpressure floods a request ring with more requests
+// than it holds: Submit must report false (never drop silently), and a
+// client that backs off and retries eventually gets everything served.
 func TestTinyRequestRingBackpressure(t *testing.T) {
 	env := sim.NewEnv()
 	devCfg := gpu.TeslaT4()
-	cfg := DefaultConfig(sched.NewPaella(10000))
-	cfg.RingCapacity = 2
-	d := NewWithDevice(env, devCfg, cfg)
+	d := NewWithDevice(env, devCfg, DefaultConfig(sched.NewPaella(10000)))
 	ins := compiler.MustCompile(model.TinyNet(), compiler.DefaultConfig(), devCfg, 1)
 	if err := d.RegisterModel(ins); err != nil {
 		t.Fatal(err)
@@ -28,7 +27,7 @@ func TestTinyRequestRingBackpressure(t *testing.T) {
 	done := 0
 	conn.OnComplete = func(uint64) { done++ }
 
-	const jobs = 64
+	const jobs = RingCapacity + 64
 	rejected := 0
 	env.Spawn("flooder", func(p *sim.Proc) {
 		for i := 0; i < jobs; i++ {
@@ -44,7 +43,7 @@ func TestTinyRequestRingBackpressure(t *testing.T) {
 		t.Fatalf("completed %d of %d", done, jobs)
 	}
 	if rejected == 0 {
-		t.Fatal("a 2-slot ring never exerted backpressure on a 64-job flood")
+		t.Fatalf("a %d-slot ring never exerted backpressure on a %d-job flood", RingCapacity, jobs)
 	}
 }
 
@@ -58,9 +57,9 @@ func TestNotifQFlowControl(t *testing.T) {
 	env := sim.NewEnv()
 	devCfg := gpu.TeslaT4()
 	cfg := DefaultConfig(sched.NewSRPT())
-	cfg.NotifQCapacity = 256 // small but ≥ outstanding-block records
 	cfg.OvershootBlocks = 32
-	d := NewWithDevice(env, devCfg, cfg)
+	nq := channel.NewNotifQueue(256) // small but ≥ outstanding-block records
+	d := New(env, gpu.NewDevice(env, devCfg, nq), nq, cfg)
 	m := model.Generate(model.Table2()[5]) // densenet: 200 launches, 7408 blocks
 	ins := compiler.MustCompile(m, compiler.DefaultConfig(), devCfg, 1)
 	if err := d.RegisterModel(ins); err != nil {

@@ -180,14 +180,6 @@ func (c *Context) StreamCreate() *Stream {
 	return s
 }
 
-// Stream returns the stream with the given id.
-func (c *Context) Stream(id int) *Stream {
-	if id < 0 || id >= len(c.streams) {
-		panic(fmt.Sprintf("cudart: no stream %d", id))
-	}
-	return c.streams[id]
-}
-
 // NextKernelID mints the unique kernel id included in notifQ records.
 func (c *Context) NextKernelID() uint32 {
 	c.nextKernelID++

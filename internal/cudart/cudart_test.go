@@ -409,17 +409,3 @@ func TestPendingCounts(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
-
-func TestStreamLookupPanics(t *testing.T) {
-	env := sim.NewEnv()
-	ctx, _ := newCtx(env, 2, 2, zeroCost())
-	if got := ctx.Stream(0); got != ctx.DefaultStream() {
-		t.Fatal("Stream(0) is not the default stream")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Stream(99) did not panic")
-		}
-	}()
-	ctx.Stream(99)
-}

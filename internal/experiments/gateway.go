@@ -127,9 +127,7 @@ func runGateway(w io.Writer, d Detail) error {
 		if admitOn {
 			// Cap every tenant at ~1/3 of the offered 900 req/s: the flood
 			// tenant (450 req/s offered) is clipped hard, the others fit.
-			admit = gateway.NewAdmission(gateway.AdmissionConfig{
-				Default: gateway.TenantLimit{RatePerSec: 300},
-			})
+			admit = gateway.NewAdmission(gateway.TenantLimit{RatePerSec: 300})
 			label = "300 req/s"
 		}
 		col, err := runGatewayCluster(gateway.NewPredictedLatency, tenanted, zoo, admit)

@@ -36,15 +36,6 @@ func (l TenantLimit) withDefaults() TenantLimit {
 	return l
 }
 
-// AdmissionConfig configures the gateway's per-tenant admission control.
-type AdmissionConfig struct {
-	// Default applies to every tenant without an explicit limit. A zero
-	// RatePerSec default means unknown tenants are unlimited.
-	Default TenantLimit
-	// PerTenant overrides the default for specific tenants.
-	PerTenant map[string]TenantLimit
-}
-
 // tokenBucket is one tenant's admission state: a classic token bucket on
 // virtual time, refilled lazily at Take.
 type tokenBucket struct {
@@ -76,7 +67,7 @@ func (b *tokenBucket) take(now sim.Time) bool {
 // name — so admission decisions are deterministic functions of the
 // request sequence, preserving the cluster's bit-identity guarantees.
 type Admission struct {
-	cfg     AdmissionConfig
+	limit   TenantLimit
 	buckets map[string]*tokenBucket
 	// admitted and shed count per-tenant outcomes (Stats exposes them in
 	// sorted order for deterministic reporting).
@@ -84,10 +75,11 @@ type Admission struct {
 	shed     map[string]int
 }
 
-// NewAdmission returns an admission controller for the configuration.
-func NewAdmission(cfg AdmissionConfig) *Admission {
+// NewAdmission returns an admission controller that gives every tenant its
+// own bucket with the same limit. A zero RatePerSec admits every request.
+func NewAdmission(limit TenantLimit) *Admission {
 	return &Admission{
-		cfg:      cfg,
+		limit:    limit.withDefaults(),
 		buckets:  make(map[string]*tokenBucket),
 		admitted: make(map[string]int),
 		shed:     make(map[string]int),
@@ -104,14 +96,7 @@ func (a *Admission) Admit(tenant string, now sim.Time) error {
 	}
 	b, ok := a.buckets[tenant]
 	if !ok {
-		limit, explicit := a.cfg.PerTenant[tenant]
-		if !explicit {
-			limit = a.cfg.Default
-		}
-		if limit.RatePerSec > 0 {
-			limit = limit.withDefaults()
-		}
-		b = &tokenBucket{limit: limit, tokens: limit.Burst, last: now}
+		b = &tokenBucket{limit: a.limit, tokens: a.limit.Burst, last: now}
 		a.buckets[tenant] = b
 	}
 	if !b.take(now) {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAdmissionBypassesUntenanted(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Default: TenantLimit{RatePerSec: 1, Burst: 1}})
+	a := NewAdmission(TenantLimit{RatePerSec: 1, Burst: 1})
 	for i := 0; i < 100; i++ {
 		if err := a.Admit("", sim.Time(i)); err != nil {
 			t.Fatal("untenanted request shed")
@@ -19,7 +19,7 @@ func TestAdmissionBypassesUntenanted(t *testing.T) {
 }
 
 func TestAdmissionBurstThenShed(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Default: TenantLimit{RatePerSec: 100, Burst: 5}})
+	a := NewAdmission(TenantLimit{RatePerSec: 100, Burst: 5})
 	shed := 0
 	// 10 back-to-back requests at t=0: the 5-deep bucket admits 5.
 	for i := 0; i < 10; i++ {
@@ -43,7 +43,7 @@ func TestAdmissionBurstThenShed(t *testing.T) {
 }
 
 func TestAdmissionSustainedRate(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Default: TenantLimit{RatePerSec: 1000}})
+	a := NewAdmission(TenantLimit{RatePerSec: 1000})
 	admitted := 0
 	// Offer 2000 req/s for one virtual second: every 0.5ms.
 	for i := 0; i < 2000; i++ {
@@ -58,27 +58,21 @@ func TestAdmissionSustainedRate(t *testing.T) {
 	}
 }
 
-func TestAdmissionPerTenantOverride(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{
-		Default:   TenantLimit{RatePerSec: 1, Burst: 1},
-		PerTenant: map[string]TenantLimit{"vip": {RatePerSec: 0}},
-	})
-	// A zero-rate explicit override means unlimited.
+func TestAdmissionZeroRateUnlimited(t *testing.T) {
+	// A zero-rate limit admits every request of every tenant.
+	a := NewAdmission(TenantLimit{})
 	for i := 0; i < 50; i++ {
-		if err := a.Admit("vip", 0); err != nil {
-			t.Fatal("vip tenant shed")
+		if err := a.Admit("t", 0); err != nil {
+			t.Fatal("zero-rate tenant shed")
 		}
 	}
-	if err := a.Admit("other", 0); err != nil {
-		t.Fatal("first request of a default tenant shed")
-	}
-	if err := a.Admit("other", 0); err == nil {
-		t.Fatal("default burst 1 admitted a second instantaneous request")
+	if got := a.TotalShed(); got != 0 {
+		t.Fatalf("TotalShed = %d, want 0", got)
 	}
 }
 
 func TestAdmissionStatsSorted(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Default: TenantLimit{RatePerSec: 1, Burst: 1}})
+	a := NewAdmission(TenantLimit{RatePerSec: 1, Burst: 1})
 	a.Admit("zeta", 0)
 	a.Admit("alpha", 0)
 	a.Admit("alpha", 0) // shed
@@ -103,7 +97,7 @@ func TestAdmissionNilSafe(t *testing.T) {
 
 func TestAdmissionDefaultBurst(t *testing.T) {
 	// Burst 0 defaults to rate/10 (min 1): at 50 req/s that is 5 tokens.
-	a := NewAdmission(AdmissionConfig{Default: TenantLimit{RatePerSec: 50}})
+	a := NewAdmission(TenantLimit{RatePerSec: 50})
 	admitted := 0
 	for i := 0; i < 10; i++ {
 		if a.Admit("t", 0) == nil {

@@ -707,9 +707,9 @@ func (d *Device) scanQueue(qi int) bool {
 				trace.Str("job", head.JobTag), trace.Int("kernel_id", int64(head.KernelID)))
 		}
 		d.traceQueueDepth(qi)
-		if head.OnAllPlaced != nil {
+		if head.onAllPlaced != nil {
 			d.sealPost(0)
-			d.env.After(0, head.OnAllPlaced)
+			d.env.After(0, head.onAllPlaced)
 		}
 		progressed = true
 	}

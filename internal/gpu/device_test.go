@@ -227,14 +227,14 @@ func TestOnAllPlacedFiresBeforeComplete(t *testing.T) {
 	var placedAt, doneAt sim.Time = -1, -1
 	l := &Launch{
 		Spec:        simpleKernel("k", 8, 20*sim.Microsecond), // two waves
-		OnAllPlaced: func() { placedAt = env.Now() },
+		onAllPlaced: func() { placedAt = env.Now() },
 		OnComplete:  func() { doneAt = env.Now() },
 	}
 	d.Submit(0, l)
 	env.Run()
 	// Second wave places when the first completes at 20µs.
 	if placedAt != 20*sim.Microsecond {
-		t.Fatalf("OnAllPlaced at %v, want 20µs", placedAt)
+		t.Fatalf("onAllPlaced at %v, want 20µs", placedAt)
 	}
 	if doneAt != 40*sim.Microsecond {
 		t.Fatalf("OnComplete at %v, want 40µs", doneAt)

@@ -145,11 +145,11 @@ type Launch struct {
 	// Instrumented enables notifQ placement/completion records for this
 	// launch (set by the compiler pass for Paella-managed kernels).
 	Instrumented bool
-	// OnAllPlaced, if non-nil, runs when the last block is placed (the
-	// launch leaves its hardware queue).
-	OnAllPlaced func()
 	// OnComplete, if non-nil, runs when the last block finishes.
 	OnComplete func()
+	// onAllPlaced, if non-nil, runs when the last block is placed (the
+	// launch leaves its hardware queue). Only the package's tests set it.
+	onAllPlaced func()
 
 	state    LaunchState
 	toPlace  int

@@ -102,7 +102,7 @@ func TestObserveTranscript(t *testing.T) {
 // TestObservationDoesNotChangeBehaviour runs every transcript scenario
 // twice, once on a bare Env and once with a trace recorder and a telemetry
 // meter attached, and requires byte-identical transcripts: the same notifQ
-// records, device state at each post, OnAllPlaced and OnComplete times and
+// records, device state at each post, onAllPlaced and OnComplete times and
 // final Stats. The device skips its per-SM sampling and emission only when
 // nothing observes it, so this pins the skip against the full path.
 func TestObservationDoesNotChangeBehaviour(t *testing.T) {

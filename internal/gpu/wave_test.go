@@ -17,7 +17,7 @@ import (
 // waveTranscriptPath holds the device-level transcript recorded with the
 // per-(SM, wave) completion events that the wave-event scheduler replaced.
 // TestWaveTranscript requires the current scheduler to reproduce it byte
-// for byte: every notifQ record in push order, every OnAllPlaced and
+// for byte: every notifQ record in push order, every onAllPlaced and
 // OnComplete time, every topology change, and the final Stats().
 const waveTranscriptPath = "testdata/wave_transcript.golden"
 
@@ -109,7 +109,7 @@ func (r *waveRig) launch(name string, blocks, threads int, dur sim.Time, then fu
 		JobTag:       name,
 		Instrumented: true,
 	}
-	l.OnAllPlaced = func() { r.tr.logf("placed %s", name) }
+	l.onAllPlaced = func() { r.tr.logf("placed %s", name) }
 	l.OnComplete = func() {
 		r.tr.logf("done %s", name)
 		if then != nil {

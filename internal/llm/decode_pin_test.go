@@ -72,8 +72,8 @@ func TestDecodeLoopPinned(t *testing.T) {
 			}
 			env.Run()
 			eng.Mem().CheckInvariants()
-			if eng.InFlight() != 0 {
-				t.Fatalf("%d sequences in flight after drain", eng.InFlight())
+			if eng.inflight != 0 {
+				t.Fatalf("%d sequences in flight after drain", eng.inflight)
 			}
 			return pinDigest(col, eng)
 		}

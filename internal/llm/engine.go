@@ -675,7 +675,6 @@ func (e *Engine) dropFromGroup(s *seqState) {
 }
 
 // InFlight returns the number of admitted, unfinished sequences.
-func (e *Engine) InFlight() int { return e.inflight }
 
 // Preemptions returns how many KV preemption-by-recompute events occurred.
 func (e *Engine) Preemptions() int { return e.preemptions }

@@ -87,8 +87,8 @@ func TestEngineSingleRequest(t *testing.T) {
 	if eng.Mem().KVBlocks() != 0 {
 		t.Fatalf("%d KV pages leaked after retirement", eng.Mem().KVBlocks())
 	}
-	if eng.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after drain", eng.InFlight())
+	if eng.inflight != 0 {
+		t.Fatalf("InFlight = %d after drain", eng.inflight)
 	}
 	if got := eng.Iterations(); got != 3 {
 		t.Fatalf("%d decode iterations for 3 output tokens, want 3", got)
@@ -175,7 +175,7 @@ func TestKVExhaustedTerminal(t *testing.T) {
 	if len(recs) != 1 || !recs[0].Failed {
 		t.Fatalf("impossible request did not fail terminally: %+v", recs)
 	}
-	if eng.Mem().KVBlocks() != 0 || eng.InFlight() != 0 {
+	if eng.Mem().KVBlocks() != 0 || eng.inflight != 0 {
 		t.Fatal("failed request left KV pages or inflight state behind")
 	}
 }
@@ -198,8 +198,8 @@ func TestPrefillHandoff(t *testing.T) {
 	if pre.Mem().KVBlocks() != 0 {
 		t.Fatalf("prefill engine kept %d KV pages after handoff", pre.Mem().KVBlocks())
 	}
-	if pre.InFlight() != 0 || dec.InFlight() != 0 {
-		t.Fatalf("inflight %d/%d after drain, want 0/0", pre.InFlight(), dec.InFlight())
+	if pre.inflight != 0 || dec.inflight != 0 {
+		t.Fatalf("inflight %d/%d after drain, want 0/0", pre.inflight, dec.inflight)
 	}
 	if dec.Iterations() != 4 {
 		t.Fatalf("%d decode iterations on the decode engine, want 4", dec.Iterations())

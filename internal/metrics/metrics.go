@@ -627,13 +627,6 @@ func (c *Collector) TokensPerSec() float64 {
 	return c.perSecond(tokens)
 }
 
-// Preemptions totals KV-pressure preemptions across all records.
-func (c *Collector) Preemptions() int {
-	n := 0
-	c.each(func(r JobRecord) { n += r.Preemptions })
-	return n
-}
-
 // Percentile returns the p-th percentile (0 < p ≤ 100) of ds using
 // nearest-rank (rank = ⌈p/100·n⌉); zero for empty input. The rank is
 // computed in integer arithmetic — p is taken at millesimal precision

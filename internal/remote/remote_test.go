@@ -118,20 +118,18 @@ func TestLargeTensorTransferCost(t *testing.T) {
 }
 
 // TestRingFullBackoff regression-tests the gateway's retry policy: with a
-// tiny request ring and a stalled dispatcher, submits back off with jittered
+// full request ring and a stalled dispatcher, submits back off with jittered
 // exponential delays and eventually surface ErrRingFull to Wait instead of
 // retrying forever (the old behaviour polled every 20µs unboundedly).
 func TestRingFullBackoff(t *testing.T) {
 	env := sim.NewEnv()
 	devCfg := gpu.TeslaT4()
-	cfg := core.DefaultConfig(sched.NewPaella(10000))
-	cfg.RingCapacity = 2
-	d := core.NewWithDevice(env, devCfg, cfg)
+	d := core.NewWithDevice(env, devCfg, core.DefaultConfig(sched.NewPaella(10000)))
 	ins := compiler.MustCompile(model.TinyNet(), compiler.DefaultConfig(), devCfg, 1)
 	if err := d.RegisterModel(ins); err != nil {
 		t.Fatal(err)
 	}
-	// Dispatcher never started: the ring fills and stays full. The two
+	// Dispatcher never started: the ring fills and stays full. The
 	// requests that did enter the ring are reaped by the gateway timeout.
 	net := DefaultNet()
 	net.MaxAttempts = 4
@@ -140,8 +138,8 @@ func TestRingFullBackoff(t *testing.T) {
 	c := NewClient(env, gw)
 	errs := make(map[uint64]error)
 	env.Spawn("remote", func(p *sim.Proc) {
-		ids := make([]uint64, 0, 4)
-		for i := 0; i < 4; i++ {
+		ids := make([]uint64, 0, core.RingCapacity+2)
+		for i := 0; i < core.RingCapacity+2; i++ {
 			ids = append(ids, c.Predict(p, "tinynet", 1<<10, 1<<8))
 		}
 		for _, id := range ids {
@@ -158,10 +156,10 @@ func TestRingFullBackoff(t *testing.T) {
 			timedOut++
 		}
 	}
-	// Ring holds 2 (timed out); the other 2 must exhaust their attempts.
-	if ringFull != 2 || timedOut != 2 {
-		t.Fatalf("ErrRingFull=%d ErrGatewayTimeout=%d, want 2 and 2 (errs=%v)",
-			ringFull, timedOut, errs)
+	// The ring's requests time out; the other 2 must exhaust their attempts.
+	if ringFull != 2 || timedOut != core.RingCapacity {
+		t.Fatalf("ErrRingFull=%d ErrGatewayTimeout=%d, want 2 and %d",
+			ringFull, timedOut, core.RingCapacity)
 	}
 	if len(c.inflight) != 0 {
 		t.Fatalf("%d requests awaiting responses after failures", len(c.inflight))
@@ -174,9 +172,7 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	run := func(seed int64) sim.Time {
 		env := sim.NewEnv()
 		devCfg := gpu.TeslaT4()
-		cfg := core.DefaultConfig(sched.NewPaella(10000))
-		cfg.RingCapacity = 2
-		d := core.NewWithDevice(env, devCfg, cfg)
+		d := core.NewWithDevice(env, devCfg, core.DefaultConfig(sched.NewPaella(10000)))
 		ins := compiler.MustCompile(model.TinyNet(), compiler.DefaultConfig(), devCfg, 1)
 		if err := d.RegisterModel(ins); err != nil {
 			t.Fatal(err)
@@ -189,18 +185,20 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 		c := NewClient(env, gw)
 		var end sim.Time
 		env.Spawn("remote", func(p *sim.Proc) {
-			ids := make([]uint64, 0, 3)
-			for i := 0; i < 3; i++ {
+			ids := make([]uint64, 0, core.RingCapacity+1)
+			for i := 0; i <= core.RingCapacity; i++ {
 				ids = append(ids, c.Predict(p, "tinynet", 1<<10, 1<<8))
 			}
-			// The third request never fits the 2-slot ring: its Wait returns
+			// The last request never fits the full ring: its Wait returns
 			// at the jitter-determined moment the attempts ran out.
-			if err := c.Wait(p, ids[2]); err != ErrRingFull {
-				t.Errorf("seed %d: Wait(ids[2]) = %v, want ErrRingFull", seed, err)
+			last := ids[core.RingCapacity]
+			if err := c.Wait(p, last); err != ErrRingFull {
+				t.Errorf("seed %d: Wait(last) = %v, want ErrRingFull", seed, err)
 			}
 			end = env.Now()
-			c.Wait(p, ids[0])
-			c.Wait(p, ids[1])
+			for _, id := range ids[:core.RingCapacity] {
+				c.Wait(p, id)
+			}
 		})
 		env.Run()
 		return end

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -124,7 +125,11 @@ func TestAnatomySumsToJCTMatrix(t *testing.T) {
 		opts.LLM.MaxBatch = 8
 		col := MustRunTrace(MustNewSystem("Paella-LLM"), llmTrace(40), opts)
 		checkAnatomy(t, "Paella-LLM-preempting", col)
-		if col.Preemptions() == 0 {
+		preemptions := 0
+		for _, r := range col.Records() {
+			preemptions += r.Preemptions
+		}
+		if preemptions == 0 {
 			t.Error("preemption cell exercised no preemptions")
 		}
 	})
@@ -207,7 +212,22 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 			if err := telemetry.WriteJSON(&ex, 0, telemetry.Export{Meters: []*telemetry.Meter{optsOn.Telemetry}}); err != nil {
 				t.Fatal(err)
 			}
-			if rows := optsOn.Telemetry.Series("jobs/completed"); len(rows) == 0 {
+			var decoded struct {
+				Meters []struct {
+					Metrics []struct {
+						Name    string
+						Windows []json.RawMessage
+					}
+				}
+			}
+			if err := json.Unmarshal(ex.Bytes(), &decoded); err != nil {
+				t.Fatal(err)
+			}
+			observed := false
+			for _, m := range decoded.Meters[0].Metrics {
+				observed = observed || m.Name == "jobs/completed" && len(m.Windows) > 0
+			}
+			if !observed {
 				t.Fatal("enabled meter collected nothing")
 			}
 		})

@@ -18,7 +18,7 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Span", func() { r.Span(tr, "k", "kernel", 0, 100) }},
+		{"Span", func() { r.SpanArgs(tr, "k", "kernel", 0, 100) }},
 		{"Async", func() { r.Async(p, 1, "exec", "job", 0, 100) }},
 		{"Instant", func() { r.Instant(tr, "evict", "vram", 50) }},
 		{"Sample", func() { r.Sample(c, "blocks", 50, 2) }},
@@ -37,7 +37,7 @@ func BenchmarkSpanNil(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Span(1, "k", "kernel", sim.Time(i), sim.Time(i+100))
+		r.SpanArgs(1, "k", "kernel", sim.Time(i), sim.Time(i+100))
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Span(tr, "k", "kernel", sim.Time(i), sim.Time(i+100))
+		r.SpanArgs(tr, "k", "kernel", sim.Time(i), sim.Time(i+100))
 	}
 }
 

@@ -187,17 +187,9 @@ func (r *Recorder) push(e event) {
 	r.events = append(r.events, e)
 }
 
-// Span records a completed interval [start, end] on a thread track.
-func (r *Recorder) Span(t TrackID, name, cat string, start, end sim.Time) {
-	if r == nil || t <= 0 {
-		return
-	}
-	r.push(event{kind: evSpan, track: t, name: name, cat: cat, start: start, end: end})
-}
-
-// SpanArgs is Span with annotations. The variadic slice allocates at the
-// call site even for a nil recorder — guard hot-path calls with a nil
-// check.
+// SpanArgs records a completed interval [start, end] on a thread track,
+// with annotations. The variadic slice allocates at the call site even for
+// a nil recorder — guard hot-path calls with a nil check.
 func (r *Recorder) SpanArgs(t TrackID, name, cat string, start, end sim.Time, args ...Arg) {
 	if r == nil || t <= 0 {
 		return

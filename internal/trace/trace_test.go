@@ -15,7 +15,7 @@ func TestRecorderShapes(t *testing.T) {
 	sm := r.Thread(p, "sm0")
 	c := r.Counter(p, "occupancy")
 
-	r.Span(sm, "k1", "kernel", 100, 200)
+	r.SpanArgs(sm, "k1", "kernel", 100, 200)
 	r.SpanArgs(sm, "k2", "kernel", 200, 300, Str("job", "resnet"), Int("blocks", 4))
 	r.Async(p, 7, "exec", "job", 100, 300)
 	r.Instant(sm, "evict", "vram", 150)
@@ -43,7 +43,7 @@ func TestRecorderShapes(t *testing.T) {
 		t.Fatalf("async span view = %+v", views[2])
 	}
 	// One track's spans, without its instants or other tracks' spans.
-	r.Span(r.Thread(p, "sm1"), "k3", "kernel", 300, 400)
+	r.SpanArgs(r.Thread(p, "sm1"), "k3", "kernel", 300, 400)
 	track := r.TrackSpans(sm)
 	if len(track) != 2 || track[0].Name != "k1" || track[1].Name != "k2" {
 		t.Fatalf("TrackSpans(sm0) = %+v", track)
@@ -79,7 +79,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if p != 0 || tr != 0 || c != 0 {
 		t.Fatalf("nil registration = %d/%d/%d, want zeros", p, tr, c)
 	}
-	r.Span(tr, "s", "c", 0, 1)
+	r.SpanArgs(tr, "s", "c", 0, 1)
 	r.SpanArgs(tr, "s", "c", 0, 1, Str("k", "v"))
 	r.Async(p, 1, "s", "c", 0, 1)
 	r.Instant(tr, "s", "c", 0)
@@ -104,7 +104,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 // unconditionally" safe for optional tracks.
 func TestZeroIDsAreNoop(t *testing.T) {
 	r := New()
-	r.Span(0, "s", "c", 0, 1)
+	r.SpanArgs(0, "s", "c", 0, 1)
 	r.Async(0, 1, "s", "c", 0, 1)
 	r.Instant(0, "s", "c", 0)
 	r.Sample(0, "s", 0, 1)
@@ -119,7 +119,7 @@ func TestChromeTraceExport(t *testing.T) {
 	sm := r.Thread(p, "sm0")
 	c := r.Counter(p, "occ")
 	d := r.Process("disp")
-	r.Span(sm, "k", "kernel", 1500, 2500) // 1.5µs..2.5µs
+	r.SpanArgs(sm, "k", "kernel", 1500, 2500) // 1.5µs..2.5µs
 	r.Async(d, 42, "exec", "job", 0, 3000)
 	r.Instant(sm, "evict", "vram", 2000)
 	r.Sample(c, "blocks", 1500, 2)

@@ -55,7 +55,7 @@ func TestAllocatorProperty(t *testing.T) {
 		if len(names) == 0 {
 			return true
 		}
-		m.OnEvict = func(name string) {
+		m.onEvict = func(name string) {
 			if pins[name] != 0 {
 				t.Fatalf("evicted pinned model %q (%d pins)", name, pins[name])
 			}

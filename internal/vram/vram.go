@@ -13,10 +13,10 @@
 //	Unpin      job finished; the model becomes evictable when unpinned
 //
 // Weights are read-only, so eviction needs no writeback: a victim passes
-// through the transient Evicting state (observable via OnEvict) and its
-// blocks free immediately. Allocation is block-granular (BlockBytes,
-// default 2 MiB — the CUDA driver's large-page unit), so fragmentation
-// rounds every model up to whole blocks.
+// through the transient Evicting state and its blocks free immediately.
+// Allocation is block-granular (BlockBytes, default 2 MiB — the CUDA
+// driver's large-page unit), so fragmentation rounds every model up to
+// whole blocks.
 package vram
 
 import (
@@ -40,9 +40,8 @@ const (
 	// Resident: the weights are in device memory and kernels may run.
 	Resident
 	// Evicting: the weights are being torn down (transient — weights are
-	// read-only, so there is no writeback and the state is observable only
-	// through the OnEvict hook; it exists so a future dirty-state manager
-	// can stretch it over a D2H copy).
+	// read-only, so there is no writeback and the state lasts no
+	// simulated time).
 	Evicting
 )
 
@@ -140,9 +139,9 @@ type Manager struct {
 	activationBytes int64
 	entries         map[string]*entry
 
-	// OnEvict, if set, observes each victim while it is in the Evicting
-	// state (metrics hooks, tests).
-	OnEvict func(name string)
+	// onEvict, if set, observes each victim while it is in the Evicting
+	// state. Only the package's tests set it.
+	onEvict func(name string)
 
 	stats Stats
 
@@ -516,8 +515,8 @@ func (m *Manager) evict(e *entry) {
 		panic(fmt.Sprintf("vram: evicting pinned model %q", e.name))
 	}
 	e.state = Evicting
-	if m.OnEvict != nil {
-		m.OnEvict(e.name)
+	if m.onEvict != nil {
+		m.onEvict(e.name)
 	}
 	e.state = Cold
 	m.usedBlocks -= e.blocks

@@ -81,7 +81,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evicted []string
-	m.OnEvict = func(name string) { evicted = append(evicted, name) }
+	m.onEvict = func(name string) { evicted = append(evicted, name) }
 	load("d", 50)
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted %v, want [b]", evicted)
