@@ -124,6 +124,11 @@ type Device struct {
 	// scheduler runs most often).
 	freeBlocks  int
 	freeThreads int
+	// room has one bit per SM, SM i at bit i%64 of word i/64: the bit is
+	// set exactly when the SM is online with a free block slot and a free
+	// thread. An SM without one can take no block of any kernel, so the
+	// busy-device scan visits only the set bits (DESIGN.md §15.7).
+	room []uint64
 
 	// rec is the structured tracing recorder picked up from the Env at
 	// construction (nil when tracing is disabled; every emission site is
@@ -222,16 +227,18 @@ var waveComplete sim.EventFn = func(ctx any, _ uint64) {
 // launch's completion accounting in one pass over its SMs. It does what
 // completing the SMs one at a time in placement order did (DESIGN.md
 // §15.5): each SM's occupancy samples and notification records are written
-// after that SM's blocks leave, the first SM's kick precedes OnComplete
-// unless the wave used one SM, and when nothing samples the device and the
-// wave reaches no notification boundary, those per-SM steps, each of which
-// would have returned at once, are skipped.
+// after that SM's blocks leave, and the first SM's kick precedes OnComplete
+// unless the wave used one SM. When nothing samples the device, the per-SM
+// steps that would have returned at once are skipped: all of them when the
+// wave reaches no notification boundary, and otherwise every emit but those
+// of the SMs whose blocks cross one (DESIGN.md §15.7).
 func (d *Device) completeWave(w *waveDone) {
 	l, n := w.l, w.n
 	_, th, rg, sh := l.Spec.BlockCost()
 	d.accrueUtil()
 	counting := l.Instrumented && d.notifQ != nil
-	emit := d.rec != nil || d.mt != nil || counting && l.completedCount+n >= l.completedNext
+	observed := d.rec != nil || d.mt != nil
+	boundary := counting && l.completedCount+n >= l.completedNext
 	freed := 0
 	for i, pl := range w.sms {
 		sm := &d.sms[pl.sm]
@@ -245,15 +252,26 @@ func (d *Device) completeWave(w *waveDone) {
 		if !sm.offline {
 			// A retired SM's draining blocks free no usable capacity; its
 			// residual share was already deducted wholesale at retirement.
+			// An online SM that freed a block has a free slot and, as every
+			// block holds a thread, a free thread.
 			freed += pl.n
+			d.setRoom(pl.sm)
 		}
-		if emit {
+		if observed {
 			// The occupancy gauges see the running totals, as they did when
 			// each SM completed on its own.
 			d.threadsInUse -= pl.n * th
 			d.resident -= pl.n
 			d.traceSM(pl.sm)
 			d.emitNotifs(l, channel.Completion, uint8(pl.sm), pl.n)
+		} else if boundary {
+			// Only an SM whose blocks reach the next record calls
+			// emitNotifs; for the others it would just have counted them.
+			if l.completedCount+pl.n < l.completedNext {
+				l.completedCount += pl.n
+			} else {
+				d.emitNotifs(l, channel.Completion, uint8(pl.sm), pl.n)
+			}
 		}
 		if i == 0 && len(w.sms) > 1 {
 			// Freed resources may unblock queue heads. A wave on several
@@ -262,10 +280,10 @@ func (d *Device) completeWave(w *waveDone) {
 			d.kick()
 		}
 	}
-	if !emit {
+	if !observed {
 		d.threadsInUse -= n * th
 		d.resident -= n
-		if counting {
+		if counting && !boundary {
 			l.completedCount += n
 		}
 	}
@@ -350,6 +368,10 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 	}
 	d.freeBlocks = cfg.NumSMs * cfg.SM.MaxBlocks
 	d.freeThreads = cfg.NumSMs * cfg.SM.MaxThreads
+	d.room = make([]uint64, (cfg.NumSMs+63)/64)
+	for i := range d.sms {
+		d.updateRoom(i)
+	}
 	d.capHist = make([]int, max(cfg.SM.MaxBlocks, 0)+1)
 	d.aggGroup = max(cfg.AggGroup, 1)
 	d.kickFn = func() {
@@ -381,6 +403,25 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 	}
 	return d
 }
+
+// hasRoom reports whether SM i is online with a free block slot and a free
+// thread: the definition of its room bit.
+func (d *Device) hasRoom(i int) bool {
+	sm := &d.sms[i]
+	return !sm.offline && sm.blocks < d.cfg.SM.MaxBlocks && sm.threads < d.cfg.SM.MaxThreads
+}
+
+// updateRoom sets or clears SM i's room bit to match its state.
+func (d *Device) updateRoom(i int) {
+	if d.hasRoom(i) {
+		d.setRoom(i)
+	} else {
+		d.clearRoom(i)
+	}
+}
+
+func (d *Device) setRoom(i int)   { d.room[i>>6] |= 1 << uint(i&63) }
+func (d *Device) clearRoom(i int) { d.room[i>>6] &^= 1 << uint(i&63) }
 
 // traceSM samples SM i's occupancy counters (blocks/threads/regs/smem)
 // into the recorder and the device-wide occupancy gauges into the meter;
@@ -502,6 +543,7 @@ func (d *Device) RetireSM(i int) bool {
 	}
 	d.sms[i].offline = true
 	d.offlineSMs++
+	d.clearRoom(i)
 	d.freeBlocks -= d.cfg.SM.MaxBlocks - d.sms[i].blocks
 	d.freeThreads -= d.cfg.SM.MaxThreads - d.sms[i].threads
 	d.stats.SMsRetired++
@@ -523,6 +565,7 @@ func (d *Device) RestoreSM(i int) bool {
 	}
 	d.sms[i].offline = false
 	d.offlineSMs--
+	d.updateRoom(i)
 	d.freeBlocks += d.cfg.SM.MaxBlocks - d.sms[i].blocks
 	d.freeThreads += d.cfg.SM.MaxThreads - d.sms[i].threads
 	d.stats.SMsRestored++
@@ -755,6 +798,7 @@ func (d *Device) placeBlocks(l *Launch) int {
 	// each to the leading SMs with room above the level (DESIGN.md §15.5).
 	caps := d.capScratch[:0]
 	var level, extra int
+	maxB, maxT := d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads
 	if d.resident == 0 && d.offlineSMs == 0 {
 		// Idle device: every SM is empty and online, so every capacity is
 		// the kernel's occupancy limit, and the level is an even split.
@@ -770,45 +814,58 @@ func (d *Device) placeBlocks(l *Launch) int {
 			level, extra = l.toPlace/nsm, l.toPlace%nsm
 		}
 	} else {
-		// The scan first rejects SMs without room for one block's threads
-		// (the limit that binds on the workloads here), divides only when a
-		// resource limit actually binds below the running block cap (a
-		// multiply-compare detects that first), and skips block-saturated
-		// SMs before touching the other limits.
-		maxB, maxT, maxR, maxS := d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads, d.cfg.SM.MaxRegisters, d.cfg.SM.MaxSharedMem
+		// The scan visits only the SMs whose room bit is set, in cursor
+		// order: the bits at or above the cursor word by word to the end,
+		// then those below it from word 0. Every SM with a nonzero capacity
+		// has its bit set, so the caps list is the one a scan over all SMs
+		// builds (DESIGN.md §15.7). It first rejects SMs without room for
+		// one block's threads (the limit that binds on the workloads here),
+		// and divides only when a resource limit actually binds below the
+		// running block cap (a multiply-compare detects that first).
+		maxR, maxS := d.cfg.SM.MaxRegisters, d.cfg.SM.MaxSharedMem
 		hist := d.capHist
 		clear(hist)
 		sum := 0
-		for i, smi := 0, d.smCursor; i < nsm; i++ {
-			idx := smi
-			if smi++; smi == nsm {
-				smi = 0
+		room := d.room
+		nw, cw := len(room), d.smCursor>>6
+		above := ^uint64(0) << uint(d.smCursor&63)
+		for k := 0; k <= nw; k++ {
+			wi := cw + k
+			if wi >= nw {
+				wi -= nw
 			}
-			sm := &d.sms[idx]
-			if sm.offline || maxT-sm.threads < th {
-				continue
+			word := room[wi]
+			switch k {
+			case 0:
+				word &= above
+			case nw:
+				word &^= above
 			}
-			c := maxB - sm.blocks
-			if c <= 0 {
-				continue
-			}
-			if rem := maxT - sm.threads; rem < c*th {
-				c = rem / th
-			}
-			if rg > 0 {
-				if rem := maxR - sm.regs; rem < c*rg {
-					c = rem / rg
+			for ; word != 0; word &= word - 1 {
+				idx := wi<<6 | bits.TrailingZeros64(word)
+				sm := &d.sms[idx]
+				if maxT-sm.threads < th {
+					continue
 				}
-			}
-			if sh > 0 {
-				if rem := maxS - sm.shmem; rem < c*sh {
-					c = rem / sh
+				c := maxB - sm.blocks
+				if rem := maxT - sm.threads; rem < c*th {
+					c = rem / th
 				}
-			}
-			if c > 0 {
-				caps = append(caps, smCap{sm: idx, cap: c})
-				hist[c]++
-				sum += c
+				if rg > 0 {
+					if rem := maxR - sm.regs; rem < c*rg {
+						c = rem / rg
+					}
+				}
+				if sh > 0 {
+					if rem := maxS - sm.shmem; rem < c*sh {
+						c = rem / sh
+					}
+				}
+				if c > 0 {
+					caps = append(caps, smCap{sm: idx, cap: c})
+					hist[c]++
+					sum += c
+				}
 			}
 		}
 		level, extra = waterLevel(hist, len(caps), sum, l.toPlace)
@@ -829,6 +886,9 @@ func (d *Device) placeBlocks(l *Launch) int {
 		sm.threads += got * th
 		sm.regs += got * rg
 		sm.shmem += got * sh
+		if sm.blocks >= maxB || sm.threads >= maxT {
+			d.clearRoom(e.sm)
+		}
 		total += got
 		perSM = append(perSM, smPlacement{sm: e.sm, n: got})
 	}
@@ -848,12 +908,16 @@ func (d *Device) placeBlocks(l *Launch) int {
 	l.toPlace -= total
 	l.state = LaunchPlacing
 
-	// Per-SM samples and records are written only when something samples
-	// the device or the wave reaches a notification boundary; otherwise
-	// every per-SM emit would have returned at once (DESIGN.md §15.5).
+	// Per-SM samples and records are written for every SM only when
+	// something samples the device. Otherwise a wave that reaches a
+	// notification boundary emits on the SMs whose blocks cross one and
+	// counts the rest, and a wave that reaches none only counts: every
+	// other per-SM emit would have returned at once (DESIGN.md §15.5,
+	// §15.7).
 	counting := l.Instrumented && d.notifQ != nil
-	emit := d.rec != nil || d.mt != nil || counting && l.placedCount+total >= l.placedNext
-	if !emit && counting {
+	observed := d.rec != nil || d.mt != nil
+	boundary := counting && l.placedCount+total >= l.placedNext
+	if !observed && counting && !boundary {
 		l.placedCount += total
 	}
 	now := d.env.Now()
@@ -866,8 +930,14 @@ func (d *Device) placeBlocks(l *Launch) int {
 	// its own event.
 	if l.Spec.BlockDuration == d.cfg.NotifDelay {
 		for _, pl := range perSM {
-			if emit {
+			if observed {
 				d.emitPlacement(l, pl, now)
+			} else if boundary {
+				if l.placedCount+pl.n < l.placedNext {
+					l.placedCount += pl.n
+				} else {
+					d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
+				}
 			}
 			w := d.newWaveDone(l, pl.n)
 			w.sms = append(w.sms, pl)
@@ -877,9 +947,17 @@ func (d *Device) placeBlocks(l *Launch) int {
 		d.perSM = perSM
 		return total
 	}
-	if emit {
+	if observed {
 		for _, pl := range perSM {
 			d.emitPlacement(l, pl, now)
+		}
+	} else if boundary {
+		for _, pl := range perSM {
+			if l.placedCount+pl.n < l.placedNext {
+				l.placedCount += pl.n
+			} else {
+				d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
+			}
 		}
 	}
 	w := d.newWaveDone(l, total)
@@ -1023,8 +1101,9 @@ func (d *Device) accrueUtil() {
 // CheckInvariants panics if any SM's accounting is out of bounds, or if the
 // running counts disagree with the SMs and queues: resident blocks and
 // threads in use with the SMs' sums, free blocks and threads with the spare
-// capacity of the online SMs, and queued launches with the queue depths.
-// Tests call it between steps.
+// capacity of the online SMs, queued launches with the queue depths, and
+// each room bit with hasRoom (no bit set past the last SM). Tests call it
+// between steps.
 func (d *Device) CheckInvariants() {
 	blocks, threads, freeBlocks, freeThreads, queued := 0, 0, 0, 0, 0
 	for i := range d.queues {
@@ -1043,6 +1122,12 @@ func (d *Device) CheckInvariants() {
 			sm.regs < 0 || sm.regs > d.cfg.SM.MaxRegisters ||
 			sm.shmem < 0 || sm.shmem > d.cfg.SM.MaxSharedMem {
 			panic(fmt.Sprintf("gpu: SM %d out of bounds: %+v", i, *sm))
+		}
+	}
+	for i := range len(d.room) * 64 {
+		set := d.room[i>>6]&(1<<uint(i&63)) != 0
+		if want := i < len(d.sms) && d.hasRoom(i); set != want {
+			panic(fmt.Sprintf("gpu: SM %d room bit is %v, want %v", i, set, want))
 		}
 	}
 	if blocks != d.resident || queued != d.queued {

@@ -66,7 +66,8 @@ func refWaterFill(caps []int, toPlace int) (got []int, remaining int) {
 // launch of 1-thread blocks from a drawn cursor, and requires every SM's
 // share and the unplaced remainder to equal refWaterFill's exactly. Block
 // slots are the only binding limit, so an SM's capacity is its free slots.
-// The device's running aggregates must agree with its SMs before and after.
+// The device's running aggregates and room bits must agree with its SMs
+// before and after.
 func FuzzWaterLevel(f *testing.F) {
 	// The leftover block must skip the SM already filled to the level.
 	f.Add(uint8(2), uint8(2), []byte{1, 2, 3}, uint8(0), uint16(3))
@@ -78,6 +79,16 @@ func FuzzWaterLevel(f *testing.F) {
 	f.Add(uint8(3), uint8(3), []byte{4, 5, 4, 4}, uint8(1), uint16(10))
 	// Mixed capacities, some full, several levels.
 	f.Add(uint8(7), uint8(7), []byte{0, 8, 3, 1, 7, 5, 2, 6}, uint8(5), uint16(19))
+	// 108 SMs (two room words) of MaxBlocks 4: byte i%6 makes every sixth
+	// SM full and every sixth retired in both words. From a cursor in the
+	// second word the leftover blocks wrap into the first; from 0 more
+	// blocks arrive than fit.
+	caps108 := make([]byte, 108)
+	for i := range caps108 {
+		caps108[i] = byte(i % 6)
+	}
+	f.Add(uint8(107), uint8(3), caps108, uint8(70), uint16(101))
+	f.Add(uint8(107), uint8(3), caps108, uint8(0), uint16(250))
 	f.Fuzz(func(t *testing.T, smsRaw, maxRaw uint8, capsRaw []byte, cursorRaw uint8, toPlaceRaw uint16) {
 		nsm := 1 + int(smsRaw)%108
 		maxB := 1 + int(maxRaw)%32
@@ -104,6 +115,7 @@ func FuzzWaterLevel(f *testing.F) {
 			d.threadsInUse += sm.threads
 			d.freeBlocks -= sm.blocks
 			d.freeThreads -= sm.threads
+			d.updateRoom(i)
 		}
 		d.CheckInvariants()
 		d.smCursor = int(cursorRaw) % nsm
