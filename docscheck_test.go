@@ -6,6 +6,7 @@ import (
 	"go/doc"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -182,9 +183,12 @@ var testOnlyAllowed = map[string]string{
 // counts as referenced by any .Name selector. A field counts as written by
 // a composite-literal key, an assignment or ++/-- target selector, or &x.F
 // naming it, or by an unkeyed literal of its type (the type may be elided
-// inside a []T{…} or map literal). A field with a struct tag is exempt,
-// since a decoder writes it. Interface methods are not checked. The check
-// is syntactic (go/ast only).
+// inside a []T{…} or map literal). An assignment x.F = … directly inside
+// an if x.F <= 0 { … } or if x.F == 0 { … } in the field's own package is
+// the field's default, not a write: a field only such a default writes
+// has one value. A field with a struct tag is exempt, since a decoder
+// writes it. Interface methods are not checked. The check is syntactic
+// (go/ast only).
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key    string // reported name
@@ -197,8 +201,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var decls []*decl
 	pkgRefs := map[string]bool{} // import path + "." + name
 	selectors := map[string]bool{}
-	written := map[string]bool{} // field names written
-	unkeyed := map[string]bool{} // type names of unkeyed struct literals
+	written := map[string]bool{}              // field names written
+	defaulted := map[string]map[string]bool{} // field name -> packages defaulting it
+	unkeyed := map[string]bool{}              // type names of unkeyed struct literals
 	fset := token.NewFileSet()
 
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -277,7 +282,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 							}
 							for _, n := range fld.Names {
 								if ast.IsExported(n.Name) {
-									decls = append(decls, &decl{key: pkg + "." + s.Name.Name + "." + n.Name,
+									decls = append(decls, &decl{key: pkg + "." + s.Name.Name + "." + n.Name, path: self,
 										name: n.Name, owner: s.Name.Name, pos: fset.Position(n.Pos())})
 								}
 							}
@@ -346,13 +351,40 @@ func TestNoTestOnlyExports(t *testing.T) {
 				written[sel.Sel.Name] = true
 			}
 		}
+		// defaults holds the assignments that are a field's zero-value
+		// default: x.F = … directly inside if x.F <= 0 or if x.F == 0.
+		defaults := map[*ast.AssignStmt]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.IfStmt:
+				cond, ok := n.Cond.(*ast.BinaryExpr)
+				if !ok || (cond.Op != token.LEQ && cond.Op != token.EQL) {
+					break
+				}
+				sel, isSel := cond.X.(*ast.SelectorExpr)
+				zero, isLit := cond.Y.(*ast.BasicLit)
+				if !isSel || !isLit || zero.Value != "0" {
+					break
+				}
+				for _, st := range n.Body.List {
+					if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
+						types.ExprString(as.Lhs[0]) == types.ExprString(sel) {
+						defaults[as] = true
+					}
+				}
 			case *ast.CompositeLit:
 				if n.Type != nil {
 					lit(n, nil)
 				}
 			case *ast.AssignStmt:
+				if defaults[n] {
+					name := n.Lhs[0].(*ast.SelectorExpr).Sel.Name
+					if defaulted[name] == nil {
+						defaulted[name] = map[string]bool{}
+					}
+					defaulted[name][self] = true
+					break
+				}
 				for _, lhs := range n.Lhs {
 					writeTarget(lhs)
 				}
@@ -380,6 +412,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 			used = selectors[d.name]
 		case d.owner != "":
 			used = written[d.name] || unkeyed[d.owner]
+			for p := range defaulted[d.name] {
+				used = used || p != d.path
+			}
 		}
 		if used {
 			continue

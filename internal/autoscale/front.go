@@ -37,9 +37,9 @@ type Front struct {
 	submitAt map[uint64]sim.Time
 	counts   Counts
 
-	// OnFailed, if set, receives each failed or shed request after
+	// onFailed, if set, receives each failed or shed request after
 	// accounting.
-	OnFailed func(id uint64, err error)
+	onFailed func(id uint64, err error)
 }
 
 // NewFront connects the scaler's cluster and wires terminal accounting.
@@ -70,7 +70,7 @@ func (f *Front) Submit(req core.Request) {
 }
 
 // terminal folds one terminal event into the ledger and the scaler's
-// signal feeds, then forwards a failure to OnFailed.
+// signal feeds, then forwards a failure to onFailed.
 func (f *Front) terminal(id uint64, err error) {
 	at, ok := f.submitAt[id]
 	if !ok {
@@ -90,8 +90,8 @@ func (f *Front) terminal(id uint64, err error) {
 		f.counts.Failed++
 		f.s.ObserveTerminal(latency, OutcomeFailed)
 	}
-	if f.OnFailed != nil {
-		f.OnFailed(id, err)
+	if f.onFailed != nil {
+		f.onFailed(id, err)
 	}
 }
 

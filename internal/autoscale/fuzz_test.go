@@ -4,26 +4,26 @@ import (
 	"testing"
 )
 
-// FuzzAutoscalePolicyConfig fuzzes PolicyConfig field values through
-// NewFromConfig: it must never panic, it must build a policy exactly when
-// Validate accepts the config, and every built policy must return a
-// reasonable target on a sweep of extreme synthetic signals.
+// FuzzAutoscalePolicyConfig fuzzes policy names through New: it must never
+// panic, it must fail exactly for a name outside the registry, and every
+// built policy must return a reasonable target on a sweep of extreme
+// synthetic signals. Its name predates the deletion of the PolicyConfig
+// type.
 func FuzzAutoscalePolicyConfig(f *testing.F) {
-	f.Add("static", 6)
-	f.Add("queue-depth", 0)
-	f.Add("step", 0)
-	f.Add("slo-burn", 0)
-	f.Add("predictive", 0)
-	f.Add("oracle", 0)  // invalid: unknown policy
-	f.Add("static", -1) // invalid: negative pool
-	f.Fuzz(func(t *testing.T, name string, fixed int) {
-		pc := PolicyConfig{Name: name, Fixed: fixed}
-		p, err := NewFromConfig(pc)
-		if verr := pc.Validate(); (err == nil) != (verr == nil) {
-			t.Fatalf("NewFromConfig error %v disagrees with Validate error %v for %+v", err, verr, pc)
+	f.Add("static")
+	f.Add("queue-depth")
+	f.Add("step")
+	f.Add("slo-burn")
+	f.Add("predictive")
+	f.Add("oracle") // invalid: unknown policy
+	f.Add("")       // invalid: no name
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := New(name)
+		if _, known := policies[name]; (err == nil) != known {
+			t.Fatalf("New(%q) error %v, registered %v", name, err, known)
 		}
 		if err != nil {
-			return // rejected config: the only requirement is "no panic"
+			return // rejected name: the only requirement is "no panic"
 		}
 		if p.Name() == "" {
 			t.Fatal("unnamed policy")

@@ -154,7 +154,7 @@ func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec
 	}
 	front := autoscale.NewFront(s)
 	fails := map[uint64]string{}
-	front.OnFailed = func(id uint64, err error) { fails[id] = err.Error() }
+	front.OnFailed(func(id uint64, err error) { fails[id] = err.Error() })
 
 	reqs, err := workload.GenerateTraffic(spec)
 	if err != nil {

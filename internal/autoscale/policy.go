@@ -50,15 +50,6 @@ type Policy interface {
 	Target(sig Signals) int
 }
 
-// PolicyConfig selects a registered policy. The adaptive policies' knobs
-// are the fixed constants below.
-type PolicyConfig struct {
-	// Name selects the registered policy.
-	Name string
-	// Fixed is the static policy's pool size (0 = hold the initial pool).
-	Fixed int
-}
-
 // The adaptive policies' constants. hiQueue and loQueue are the
 // queue-depth hysteresis thresholds in requests per active replica: above
 // hiQueue scale up, below loQueue scale down. holdTicks is how many
@@ -74,17 +65,6 @@ const (
 	lookahead = 5
 )
 
-// Validate reports parameter errors (unknown policy, out-of-range pool).
-func (pc PolicyConfig) Validate() error {
-	if _, ok := policies[pc.Name]; !ok {
-		return fmt.Errorf("autoscale: unknown policy %q (have %s)", pc.Name, strings.Join(Names(), ", "))
-	}
-	if pc.Fixed < 0 || pc.Fixed > 1<<20 {
-		return fmt.Errorf("autoscale: fixed pool %d", pc.Fixed)
-	}
-	return nil
-}
-
 // clampTarget bounds a computed pool size so threshold extremes can never
 // overflow the int conversion (the scaler clamps to [Min, Max] anyway).
 func clampTarget(want float64) int {
@@ -97,27 +77,23 @@ func clampTarget(want float64) int {
 	return int(want)
 }
 
-// policies is the registry, the same shape as the gateway's: constructors
-// take the (validated) config. A new policy adds its constructor here.
-var policies = map[string]func(PolicyConfig) Policy{
-	"static":      func(pc PolicyConfig) Policy { return &staticPolicy{fixed: pc.Fixed} },
-	"queue-depth": func(PolicyConfig) Policy { return &queueDepthPolicy{} },
-	"step":        func(PolicyConfig) Policy { return &stepPolicy{} },
-	"slo-burn":    func(PolicyConfig) Policy { return &sloBurnPolicy{} },
-	"predictive":  func(PolicyConfig) Policy { return &predictivePolicy{} },
+// policies is the registry, the same shape as the gateway's. A new policy
+// adds its constructor here.
+var policies = map[string]func() Policy{
+	"static":      func() Policy { return &staticPolicy{} },
+	"queue-depth": func() Policy { return &queueDepthPolicy{} },
+	"step":        func() Policy { return &stepPolicy{} },
+	"slo-burn":    func() Policy { return &sloBurnPolicy{} },
+	"predictive":  func() Policy { return &predictivePolicy{} },
 }
 
 // New returns a fresh instance of the named policy.
 func New(name string) (Policy, error) {
-	return NewFromConfig(PolicyConfig{Name: name})
-}
-
-// NewFromConfig validates the config and builds its policy.
-func NewFromConfig(pc PolicyConfig) (Policy, error) {
-	if err := pc.Validate(); err != nil {
-		return nil, err
+	mk, ok := policies[name]
+	if !ok {
+		return nil, fmt.Errorf("autoscale: unknown policy %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	return policies[pc.Name](pc), nil
+	return mk(), nil
 }
 
 // Names lists the registered policies, sorted.
@@ -130,21 +106,15 @@ func Names() []string {
 	return out
 }
 
-// staticPolicy pins the pool at a fixed size — the provisioning baseline
-// the adaptive policies are judged against (static-min vs static-peak in
-// the frontier experiment).
-type staticPolicy struct{ fixed int }
+// staticPolicy holds the pool at the scaler's initial size — the
+// provisioning baseline the adaptive policies are judged against
+// (static-min vs static-peak in the frontier experiment).
+type staticPolicy struct{}
 
 func (p *staticPolicy) Name() string { return "static" }
 
-// Target returns the fixed size, or holds the current target when none was
-// configured.
-func (p *staticPolicy) Target(sig Signals) int {
-	if p.fixed > 0 {
-		return p.fixed
-	}
-	return sig.Target
-}
+// Target holds the current target, which starts at Config.Initial.
+func (p *staticPolicy) Target(sig Signals) int { return sig.Target }
 
 // queueDepthPolicy scales on outstanding requests per active replica with
 // hysteresis: above hiQueue it jumps the pool to what would bring the

@@ -48,34 +48,21 @@ func (p Protocol) String() string {
 	}
 }
 
-// Config sets client-side costs.
-type Config struct {
-	Protocol Protocol
-	// SendCost is client CPU to stage the input tensor in shared memory
-	// and write the request descriptor.
-	SendCost sim.Time
-	// RecvCost is client CPU to read the output tensor.
-	RecvCost sim.Time
-	// SocketLatency is the extra kernel/syscall latency of a socket
-	// delivery (ProtocolSocket only).
-	SocketLatency sim.Time
-}
-
-// DefaultConfig returns µs-scale client costs.
-func DefaultConfig(p Protocol) Config {
-	return Config{
-		Protocol:      p,
-		SendCost:      1 * sim.Microsecond,
-		RecvCost:      1 * sim.Microsecond,
-		SocketLatency: 12 * sim.Microsecond,
-	}
-}
+// The client-side costs. sendCost is client CPU to stage the input tensor
+// in shared memory and write the request descriptor, recvCost client CPU
+// to read the output tensor, and socketLatency the extra kernel/syscall
+// latency of a socket delivery (ProtocolSocket only).
+const (
+	sendCost      = 1 * sim.Microsecond
+	recvCost      = 1 * sim.Microsecond
+	socketLatency = 12 * sim.Microsecond
+)
 
 // Client is one inference client bound to a dispatcher connection.
 type Client struct {
-	env  *sim.Env
-	conn *core.ClientConn
-	cfg  Config
+	env   *sim.Env
+	conn  *core.ClientConn
+	proto Protocol
 
 	nextID    uint64
 	completed []uint64 // ready results, FIFO
@@ -87,12 +74,13 @@ type Client struct {
 	startedAt sim.Time
 }
 
-// New attaches a client to a dispatcher and installs the channel hooks.
-func New(env *sim.Env, d *core.Dispatcher, cfg Config) *Client {
+// New attaches a client using wakeup protocol p to a dispatcher and
+// installs the channel hooks.
+func New(env *sim.Env, d *core.Dispatcher, p Protocol) *Client {
 	c := &Client{
 		env:       env,
 		conn:      d.Connect(),
-		cfg:       cfg,
+		proto:     p,
 		almost:    sim.NewCond(env),
 		complete:  sim.NewCond(env),
 		startedAt: env.Now(),
@@ -113,8 +101,8 @@ func New(env *sim.Env, d *core.Dispatcher, cfg Config) *Client {
 // zero-copy shared memory, so the only client cost is staging the tensor.
 // If the ring is full the client backs off and retries.
 func (c *Client) Predict(p *sim.Proc, modelName string) uint64 {
-	c.busy += c.cfg.SendCost
-	p.Sleep(c.cfg.SendCost)
+	c.busy += sendCost
+	p.Sleep(sendCost)
 	c.nextID++
 	id := c.nextID
 	req := core.Request{ID: id, Model: modelName, Client: c.conn.ID, Submit: c.env.Now()}
@@ -142,14 +130,14 @@ func (c *Client) TryReadResult() (id uint64, ok bool) {
 func (c *Client) popResult() uint64 {
 	id := c.completed[0]
 	c.completed = c.completed[1:]
-	c.busy += c.cfg.RecvCost
+	c.busy += recvCost
 	return id
 }
 
 // ReadResult blocks until a completion is available and returns its
 // request id, using the configured wakeup protocol.
 func (c *Client) ReadResult(p *sim.Proc) uint64 {
-	switch c.cfg.Protocol {
+	switch c.proto {
 	case ProtocolHybrid:
 		for len(c.completed) == 0 {
 			// Interrupt phase: sleep (no CPU) until an almost-finished
@@ -179,10 +167,10 @@ func (c *Client) ReadResult(p *sim.Proc) uint64 {
 			p.WaitCond(c.complete)
 		}
 		// The completion crosses a socket: extra latency, no busy CPU.
-		p.Sleep(c.cfg.SocketLatency)
+		p.Sleep(socketLatency)
 		return c.popResult()
 	default:
-		panic(fmt.Sprintf("client: unknown protocol %d", c.cfg.Protocol))
+		panic(fmt.Sprintf("client: unknown protocol %d", c.proto))
 	}
 }
 

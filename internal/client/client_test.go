@@ -22,7 +22,7 @@ func setup(t *testing.T, proto Protocol) (*sim.Env, *core.Dispatcher, *Client) {
 		t.Fatal(err)
 	}
 	d.Start()
-	return env, d, New(env, d, DefaultConfig(proto))
+	return env, d, New(env, d, proto)
 }
 
 func TestPredictReadRoundTrip(t *testing.T) {
@@ -146,7 +146,7 @@ func TestMultipleClients(t *testing.T) {
 	d.Start()
 	done := 0
 	for i := 0; i < 4; i++ {
-		c := New(env, d, DefaultConfig(ProtocolHybrid))
+		c := New(env, d, ProtocolHybrid)
 		env.Spawn("client", func(p *sim.Proc) {
 			for r := 0; r < 5; r++ {
 				c.Predict(p, "tinynet")

@@ -481,7 +481,7 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	if len(views) == 0 {
 		return -1
 	}
-	pick := c.policy.Pick(gateway.Request{Model: req.Model, Tenant: req.Tenant, Session: req.Session}, views)
+	pick := c.policy.Pick(gateway.Request{Model: req.Model, Tenant: req.Tenant}, views)
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: policy %q picked GPU %d of %d", c.policy.Name(), pick, len(views)))
 	}

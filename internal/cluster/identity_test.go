@@ -249,10 +249,8 @@ func runWorldGateway(t *testing.T, seed int64, mkBal func() gateway.Policy, admi
 		last = at
 		id := uint64(i + 1)
 		tn := tenants[i%len(tenants)]
-		session := uint64(i%5) + 1
 		w.Ctrl().At(at, func() {
-			conn.Submit(core.Request{ID: id, Model: "tinynet", Tenant: tn,
-				Session: session, Submit: w.Ctrl().Now()})
+			conn.Submit(core.Request{ID: id, Model: "tinynet", Tenant: tn, Submit: w.Ctrl().Now()})
 		})
 	}
 	w.RunUntil(last + 4*sim.Second)

@@ -190,10 +190,6 @@ type Request struct {
 	// it, and it is copied into the request's JobRecord. Empty means
 	// untenanted (single-tenant deployments).
 	Tenant string
-	// Session groups requests that share server-side state (an LLM
-	// conversation reusing KV-cache); the gateway's affinity routing keeps
-	// a session on its home replica. Zero means sessionless.
-	Session uint64
 }
 
 // ClientConn is the dispatcher's end of one client's shared-memory region.

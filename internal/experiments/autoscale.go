@@ -65,7 +65,7 @@ type fleetRun struct {
 // runAutoscaledFleet executes one trace under one scaling policy on the
 // given fleet and returns the frontier point.
 func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
-	pc autoscale.PolicyConfig, spec workload.TrafficSpec, minR, initial int) (fleetRun, error) {
+	policy string, spec workload.TrafficSpec, minR, initial int) (fleetRun, error) {
 	w := sim.NewWorld()
 	defer w.Close()
 	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
@@ -73,7 +73,7 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	if err != nil {
 		return fleetRun{}, err
 	}
-	pol, err := autoscale.NewFromConfig(pc)
+	pol, err := autoscale.New(policy)
 	if err != nil {
 		return fleetRun{}, err
 	}
@@ -187,21 +187,21 @@ func runAutoscale(out io.Writer, d Detail) error {
 	policies := []struct {
 		label    string
 		adaptive bool
-		pc       autoscale.PolicyConfig
+		policy   string
 		min, ini int
 	}{
-		{"static-min", false, autoscale.PolicyConfig{Name: "static", Fixed: 1}, 1, 1},
-		{"static-peak", false, autoscale.PolicyConfig{Name: "static", Fixed: fleet}, fleet, fleet},
-		{"queue-depth", true, autoscale.PolicyConfig{Name: "queue-depth"}, 1, 3},
-		{"step", true, autoscale.PolicyConfig{Name: "step"}, 1, 3},
-		{"slo-burn", true, autoscale.PolicyConfig{Name: "slo-burn"}, 1, 3},
-		{"predictive", true, autoscale.PolicyConfig{Name: "predictive"}, 1, 3},
+		{"static-min", false, "static", 1, 1},
+		{"static-peak", false, "static", fleet, fleet},
+		{"queue-depth", true, "queue-depth", 1, 3},
+		{"step", true, "step", 1, 3},
+		{"slo-burn", true, "slo-burn", 1, 3},
+		{"predictive", true, "predictive", 1, 3},
 	}
 	fmt.Fprintf(out, "  %-12s %10s %10s %8s %10s %10s %6s %5s %5s %6s\n",
 		"policy", "$/day", "mean-repl", "attain", "p50", "p99", "cold", "up", "down", "done")
 	runs := make([]fleetRun, 0, len(policies))
 	for _, p := range policies {
-		run, err := runAutoscaledFleet(p.label, devs, prices, p.pc, spec, p.min, p.ini)
+		run, err := runAutoscaledFleet(p.label, devs, prices, p.policy, spec, p.min, p.ini)
 		if err != nil {
 			return err
 		}
@@ -286,7 +286,7 @@ func runAutoscale(out io.Writer, d Detail) error {
 		ini = len(mixDevs)
 	}
 	mixRun, err := runAutoscaledFleet("mix/"+best.label, mixDevs, mixPrices,
-		autoscale.PolicyConfig{Name: "queue-depth"}, spec, 1, ini)
+		"queue-depth", spec, 1, ini)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func runFig14(w io.Writer, d Detail) error {
 			panic(err)
 		}
 		disp.Start()
-		c := client.New(env, disp, client.DefaultConfig(proto))
+		c := client.New(env, disp, proto)
 		var total sim.Time
 		env.Spawn("client", func(p *sim.Proc) {
 			for i := 0; i < requests; i++ {

@@ -228,17 +228,17 @@ var waveComplete sim.EventFn = func(ctx any, _ uint64) {
 // completing the SMs one at a time in placement order did (DESIGN.md
 // §15.5): each SM's occupancy samples and notification records are written
 // after that SM's blocks leave, and the first SM's kick precedes OnComplete
-// unless the wave used one SM. When nothing samples the device, the per-SM
-// steps that would have returned at once are skipped: all of them when the
-// wave reaches no notification boundary, and otherwise every emit but those
-// of the SMs whose blocks cross one (DESIGN.md §15.7).
+// unless the wave used one SM. Samples are written only when something
+// observes the device. A wave that reaches no notification boundary only
+// counts its blocks; otherwise notify writes records for the SMs whose
+// blocks cross one (DESIGN.md §15.7).
 func (d *Device) completeWave(w *waveDone) {
 	l, n := w.l, w.n
 	_, th, rg, sh := l.Spec.BlockCost()
 	d.accrueUtil()
 	counting := l.Instrumented && d.notifQ != nil
 	observed := d.rec != nil || d.mt != nil
-	boundary := counting && l.completedCount+n >= l.completedNext
+	boundary := counting && l.completed.count+n >= l.completed.next
 	freed := 0
 	for i, pl := range w.sms {
 		sm := &d.sms[pl.sm]
@@ -263,15 +263,9 @@ func (d *Device) completeWave(w *waveDone) {
 			d.threadsInUse -= pl.n * th
 			d.resident -= pl.n
 			d.traceSM(pl.sm)
-			d.emitNotifs(l, channel.Completion, uint8(pl.sm), pl.n)
-		} else if boundary {
-			// Only an SM whose blocks reach the next record calls
-			// emitNotifs; for the others it would just have counted them.
-			if l.completedCount+pl.n < l.completedNext {
-				l.completedCount += pl.n
-			} else {
-				d.emitNotifs(l, channel.Completion, uint8(pl.sm), pl.n)
-			}
+		}
+		if boundary {
+			d.notify(l, channel.Completion, &l.completed, pl.sm, pl.n)
 		}
 		if i == 0 && len(w.sms) > 1 {
 			// Freed resources may unblock queue heads. A wave on several
@@ -283,9 +277,9 @@ func (d *Device) completeWave(w *waveDone) {
 	if !observed {
 		d.threadsInUse -= n * th
 		d.resident -= n
-		if counting && !boundary {
-			l.completedCount += n
-		}
+	}
+	if counting && !boundary {
+		l.completed.count += n
 	}
 	d.freeBlocks += freed
 	d.freeThreads += freed * th
@@ -615,8 +609,8 @@ func (d *Device) Submit(q int, l *Launch) {
 	}
 	l.toPlace = l.Spec.Blocks
 	l.toFinish = l.Spec.Blocks
-	l.placedNext = min(d.aggGroup, l.Spec.Blocks)
-	l.completedNext = l.placedNext
+	l.placed.next = min(d.aggGroup, l.Spec.Blocks)
+	l.completed.next = l.placed.next
 	l.dev = d
 	d.stats.KernelsSubmitted++
 	if d.cfg.LaunchOverhead > 0 {
@@ -908,17 +902,15 @@ func (d *Device) placeBlocks(l *Launch) int {
 	l.toPlace -= total
 	l.state = LaunchPlacing
 
-	// Per-SM samples and records are written for every SM only when
-	// something samples the device. Otherwise a wave that reaches a
-	// notification boundary emits on the SMs whose blocks cross one and
-	// counts the rest, and a wave that reaches none only counts: every
-	// other per-SM emit would have returned at once (DESIGN.md §15.5,
-	// §15.7).
+	// A wave that reaches no notification boundary only counts its blocks;
+	// one that reaches a boundary calls notify SM by SM, and only the SMs
+	// whose blocks cross one write records (DESIGN.md §15.7). Spans and
+	// samples are written only when something observes the device.
 	counting := l.Instrumented && d.notifQ != nil
 	observed := d.rec != nil || d.mt != nil
-	boundary := counting && l.placedCount+total >= l.placedNext
-	if !observed && counting && !boundary {
-		l.placedCount += total
+	boundary := counting && l.placed.count+total >= l.placed.next
+	if counting && !boundary {
+		l.placed.count += total
 	}
 	now := d.env.Now()
 	// The wave's completions are all due at now+BlockDuration, and nothing
@@ -931,13 +923,10 @@ func (d *Device) placeBlocks(l *Launch) int {
 	if l.Spec.BlockDuration == d.cfg.NotifDelay {
 		for _, pl := range perSM {
 			if observed {
-				d.emitPlacement(l, pl, now)
-			} else if boundary {
-				if l.placedCount+pl.n < l.placedNext {
-					l.placedCount += pl.n
-				} else {
-					d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
-				}
+				d.recordPlacement(l, pl, now)
+			}
+			if boundary {
+				d.notify(l, channel.Placement, &l.placed, pl.sm, pl.n)
 			}
 			w := d.newWaveDone(l, pl.n)
 			w.sms = append(w.sms, pl)
@@ -947,16 +936,13 @@ func (d *Device) placeBlocks(l *Launch) int {
 		d.perSM = perSM
 		return total
 	}
-	if observed {
+	if observed || boundary {
 		for _, pl := range perSM {
-			d.emitPlacement(l, pl, now)
-		}
-	} else if boundary {
-		for _, pl := range perSM {
-			if l.placedCount+pl.n < l.placedNext {
-				l.placedCount += pl.n
-			} else {
-				d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
+			if observed {
+				d.recordPlacement(l, pl, now)
+			}
+			if boundary {
+				d.notify(l, channel.Placement, &l.placed, pl.sm, pl.n)
 			}
 		}
 	}
@@ -966,9 +952,9 @@ func (d *Device) placeBlocks(l *Launch) int {
 	return total
 }
 
-// emitPlacement records one SM's share of a wave placed at now: its kernel
-// slice, its occupancy samples and its placement notifications.
-func (d *Device) emitPlacement(l *Launch, pl smPlacement, now sim.Time) {
+// recordPlacement records one SM's share of a wave placed at now: its
+// kernel slice and its occupancy samples.
+func (d *Device) recordPlacement(l *Launch, pl smPlacement, now sim.Time) {
 	if d.rec != nil {
 		d.rec.SpanArgs(d.smTracks[pl.sm], l.Spec.Name, "kernel",
 			now, now+l.Spec.BlockDuration,
@@ -976,7 +962,6 @@ func (d *Device) emitPlacement(l *Launch, pl smPlacement, now sim.Time) {
 			trace.Int("blocks", int64(pl.n)))
 	}
 	d.traceSM(pl.sm)
-	d.emitNotifs(l, channel.Placement, uint8(pl.sm), pl.n)
 }
 
 // waterLevel returns the level of a round-robin fill of toPlace blocks over
@@ -1016,39 +1001,45 @@ func levelShare(c, level int, extra *int) int {
 	return level
 }
 
-// emitNotifs advances the launch's kernel-wide notification counters by n
-// blocks on SM sm and posts aggregated notifQ records (§5.2, Figure 6):
+// notify adds n blocks on SM sm to the launch's kernel-wide placement or
+// completion count and calls emitNotifs when they reach the next record.
+// For any other SM emitNotifs would only have counted them (DESIGN.md
+// §15.7), so this is the same as calling it on every SM.
+func (d *Device) notify(l *Launch, t channel.NotifType, c *notifCount, sm, n int) {
+	if c.count+n < c.next {
+		c.count += n
+		return
+	}
+	d.emitNotifs(l, t, c, uint8(sm), n)
+}
+
+// emitNotifs advances c, the launch's kernel-wide counter in direction t,
+// by n blocks on SM sm and posts aggregated notifQ records (§5.2, Figure 6):
 // the instrumented kernel's designated threads maintain one atomic counter
 // per direction, and a record is written every AggGroup-th block plus once
 // at the final block. Between crossings, up to AggGroup−1 blocks are
 // placed/finished but not yet visible to the dispatcher — the accepted
 // cost of aggregation. The records join the open post when it comes from
-// the same device event, and otherwise start a new one.
-func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
-	if !l.Instrumented || d.notifQ == nil {
-		return
-	}
-	count, next := &l.placedCount, &l.placedNext
-	if t == channel.Completion {
-		count, next = &l.completedCount, &l.completedNext
-	}
-	*count += n
-	if *count < *next {
+// the same device event, and otherwise start a new one. The launch is
+// instrumented and the device has a notifQ.
+func (d *Device) emitNotifs(l *Launch, t channel.NotifType, c *notifCount, sm uint8, n int) {
+	c.count += n
+	if c.count < c.next {
 		return
 	}
 	// Blocks reported so far: a multiple of the group, one group below
 	// next, or, once next is capped at the grid size, the last multiple
 	// below it.
 	group, total := d.aggGroup, l.Spec.Blocks
-	notified := *next - group
-	if *next == total {
+	notified := c.next - group
+	if c.next == total {
 		notified = (total - 1) / group * group
 	}
 	newNotified := total
-	if *count < total {
-		newNotified = *count / group * group
+	if c.count < total {
+		newNotified = c.count / group * group
 	}
-	*next = min(newNotified+group, total)
+	c.next = min(newNotified+group, total)
 	delta := newNotified - notified
 
 	p := d.open

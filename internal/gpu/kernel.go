@@ -158,20 +158,19 @@ type Launch struct {
 	// launch-overhead expiry run as a typed event instead of a per-launch
 	// closure.
 	dev *Device
-	// Kernel-wide notification counters (Figure 6's startCount/endCount)
-	// and the count at which the next record is due: one AggGroup past the
-	// blocks reported to the notifQ so far, capped at the grid size. A
-	// block count below it writes no record and costs one add and one
-	// compare.
-	placedCount    int
-	placedNext     int
-	completedCount int
-	completedNext  int
+	// Kernel-wide notification counters (Figure 6's startCount/endCount).
+	placed, completed notifCount
 	// fullPass is the device scheduling pass in which placeBlocks last
 	// left this launch with blocks unplaced and every SM they fit on full.
 	fullPass uint64
 	queuedAt sim.Time
 }
+
+// notifCount is one direction's kernel-wide notification counter and the
+// count at which its next record is due: one AggGroup past the blocks
+// reported to the notifQ so far, capped at the grid size. A block count
+// below next writes no record and costs one add and one compare.
+type notifCount struct{ count, next int }
 
 // Recycle prepares a finished launch for reuse, clearing identity,
 // callback, and progress state. It reports false — leaving the launch

@@ -103,8 +103,8 @@ func TestObserveTranscript(t *testing.T) {
 // twice, once on a bare Env and once with a trace recorder and a telemetry
 // meter attached, and requires byte-identical transcripts: the same notifQ
 // records, device state at each post, onAllPlaced and OnComplete times and
-// final Stats. The device skips its per-SM sampling and emission only when
-// nothing observes it, so this pins the skip against the full path.
+// final Stats. The device skips its per-SM sampling when nothing observes
+// it, and observation must not select any other path.
 func TestObservationDoesNotChangeBehaviour(t *testing.T) {
 	var cases []struct {
 		name string

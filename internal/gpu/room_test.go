@@ -97,10 +97,11 @@ func diffLoad(t *testing.T, seed int64, observe bool) string {
 }
 
 // TestBareMatchesObservedRandom drives random loads twice, bare and with a
-// recorder and meter attached, and requires identical transcripts. The bare
-// run visits only the SMs whose room bit is set and emits per SM only where
-// a notification boundary is crossed (DESIGN.md §15.7); the observed run
-// emits on every SM and is the reference.
+// recorder and meter attached, and requires identical transcripts. Both
+// runs visit only the SMs whose room bit is set and emit per SM only where
+// a notification boundary is crossed (DESIGN.md §15.7); observation only
+// adds spans, samples and gauges. TestNotifyMatchesEmitNotifsRandom is the
+// reference for the crossing shortcut.
 func TestBareMatchesObservedRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 60; trial++ {

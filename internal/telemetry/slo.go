@@ -28,10 +28,10 @@ func (m SLOMetric) String() string {
 
 // SLOConfig declares one objective: at least Target fraction of requests
 // meet Deadline, evaluated as a multi-window burn rate — the page-worthy
-// condition is "burning error budget at ≥ Burn× the sustainable rate over
-// BOTH the short and the long window", the standard fast-burn alerting
-// shape (short window confirms it is still happening, long window filters
-// blips).
+// condition is "burning error budget at ≥ burnThreshold× the sustainable
+// rate over BOTH the short and the long window", the standard fast-burn
+// alerting shape (short window confirms it is still happening, long
+// window filters blips).
 type SLOConfig struct {
 	// Name labels the objective in exports ("goodput@50ms").
 	Name string
@@ -46,10 +46,11 @@ type SLOConfig struct {
 	// Short ≤ 0 defaults to 1s; Long ≤ Short defaults to 10·Short.
 	Short sim.Time
 	Long  sim.Time
-	// Burn is the firing threshold multiplier (≤ 0 defaults to 2): fire
-	// when both windows burn budget at ≥ Burn× the sustainable rate.
-	Burn float64
 }
+
+// burnThreshold is the firing threshold multiplier: an objective fires
+// when both windows burn budget at ≥ burnThreshold× the sustainable rate.
+const burnThreshold = 2
 
 // Alert is one deterministic SLO state transition.
 type Alert struct {
@@ -93,9 +94,6 @@ func (m *Meter) SLO(cfg SLOConfig) {
 	}
 	if cfg.Long <= cfg.Short {
 		cfg.Long = 10 * cfg.Short
-	}
-	if cfg.Burn <= 0 {
-		cfg.Burn = 2
 	}
 	budget := 1 - cfg.Target
 	if budget < 1e-9 {
@@ -161,7 +159,7 @@ func (s *sloMonitor) record(t sim.Time, r *metrics.JobRecord) (Alert, bool) {
 
 	burnShort := s.burn(1)
 	burnLong := s.burn(len(s.buckets))
-	firing := burnShort >= s.cfg.Burn && burnLong >= s.cfg.Burn
+	firing := burnShort >= burnThreshold && burnLong >= burnThreshold
 	if firing == s.firing {
 		return Alert{}, false
 	}

@@ -20,7 +20,7 @@ func TestSLOBurnRateFiresAndResolves(t *testing.T) {
 	// Target 90% within 50ns → budget 0.1; burn 2 → fire when >20% of
 	// requests miss over both the 1000ns short window and the 10·1000ns
 	// long window.
-	m.SLO(SLOConfig{Name: "goodput@50", Deadline: 50, Target: 0.9, Short: 1000, Long: 10_000, Burn: 2})
+	m.SLO(SLOConfig{Name: "goodput@50", Deadline: 50, Target: 0.9, Short: 1000, Long: 10_000})
 
 	// Healthy traffic: all meet the deadline — no alerts.
 	for i := 0; i < 20; i++ {
@@ -102,7 +102,7 @@ func TestSLODefaults(t *testing.T) {
 	m := NewMeter("m", 100)
 	m.SLO(SLOConfig{Name: "d", Deadline: 50, Target: 0.99})
 	s := m.slos[0]
-	if s.cfg.Short != sim.Second || s.cfg.Long != 10*sim.Second || s.cfg.Burn != 2 {
+	if s.cfg.Short != sim.Second || s.cfg.Long != 10*sim.Second {
 		t.Errorf("defaults = %+v", s.cfg)
 	}
 	if len(s.buckets) != 10 {

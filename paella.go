@@ -206,7 +206,7 @@ type Client struct {
 
 // NewClient connects a client using the given wakeup protocol.
 func (s *Server) NewClient(p Protocol) *Client {
-	return &Client{inner: client.New(s.env, s.disp, client.DefaultConfig(p))}
+	return &Client{inner: client.New(s.env, s.disp, p)}
 }
 
 // Predict submits an inference request and returns its id (§5.1).
