@@ -71,20 +71,10 @@ func workloadCmd(args []string) {
 		Seed:       *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := workload.WriteJSON(f, trace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		writeTo(*out, func(w io.Writer) error { return workload.WriteJSON(w, trace) })
 		fmt.Printf("wrote %d requests to %s\n", len(trace), *out)
 		return
 	}

@@ -44,6 +44,7 @@ var cliCases = []cliCase{
 	{name: "gpu-cuda-ss-fig1", args: fig1Args("CUDA-SS")},
 	{name: "gpu-json", args: []string{"gpu", "-json"}, digest: true},
 	{name: "workload", args: []string{"workload"}},
+	{name: "workload-out", args: []string{"workload", "-out", "@out.json"}},
 	{name: "timeline", args: []string{"timeline", "-jobs", "20",
 		"-series", "dispatcher/ready jobs/value", "-csv", "@out.csv"}},
 	{name: "report", args: []string{"report", "-topk", "3",

@@ -528,11 +528,26 @@ var (
 	roadmapItem = regexp.MustCompile(`(?m)^(\d+)\. \*{1,2}[A-Z]`)
 	// designHeading matches a numbered section heading of DESIGN.md.
 	designHeading = regexp.MustCompile(`(?m)^#{2,} (\d+(?:\.\d+)?)\.? `)
+	// codeSpan matches an inline code span of a Markdown file.
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	// cmdPath matches a command directory, `cmd/<name>` or `./cmd/<name>`,
+	// inside a code span.
+	cmdPath = regexp.MustCompile(`(?:^|[\s(])(?:\./)?cmd/([\w-]+)`)
+	// rootJSON matches a code span naming a repo-root JSON file. Those are
+	// capitalised (BENCHMARK.json, BENCH_*.json); a lowercase name such as
+	// trace.json is a run's output.
+	rootJSON = regexp.MustCompile(`^[A-Z][\w-]*\.json$`)
 )
+
+// currentDocs are the documents that describe the tree as it is. ROADMAP.md
+// and CHANGES.md record history, so they may name deleted files.
+var currentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md", "bench/README.md"}
 
 // TestDocCitationsResolve checks that every "ROADMAP item N" cited in a .go
 // or .md file names an item of ROADMAP.md, open or retired, and every
-// "DESIGN §N[.M]" names a numbered heading of DESIGN.md.
+// "DESIGN §N[.M]" names a numbered heading of DESIGN.md. In currentDocs it
+// also checks that every backticked `cmd/<name>` is a directory and every
+// backticked repo-root `*.json` exists.
 func TestDocCitationsResolve(t *testing.T) {
 	targets := func(file string, re *regexp.Regexp) map[string]bool {
 		b, err := os.ReadFile(file)
@@ -584,5 +599,23 @@ func TestDocCitationsResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, doc := range currentDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(string(b), -1) {
+			for _, m := range cmdPath.FindAllStringSubmatch(span[1], -1) {
+				if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s names `cmd/%s`, which is not a directory", doc, m[1])
+				}
+			}
+			if rootJSON.MatchString(span[1]) {
+				if _, err := os.Stat(span[1]); err != nil {
+					t.Errorf("%s names `%s`, which the repo root does not have", doc, span[1])
+				}
+			}
+		}
 	}
 }
