@@ -173,22 +173,37 @@ func (c *Cluster) Size() int { return len(c.disps) }
 // Dispatcher returns the i-th GPU's dispatcher.
 func (c *Cluster) Dispatcher(i int) *core.Dispatcher { return c.disps[i] }
 
-// RegisterModel compiles the model per device configuration and registers
-// it everywhere (heterogeneous clusters profile separately per GPU). The
-// per-device profiles also feed the gateway's latency predictor: each
-// replica advertises queue depth and request cost in its own profiled
-// nanoseconds.
+// RegisterModel compiles the model once per distinct device configuration
+// and registers it everywhere: replicas with the same configuration share
+// one compilation, which nothing writes after profiling (DESIGN §18), and
+// heterogeneous replicas are profiled separately. The per-device profiles
+// also feed the gateway's latency predictor: each replica advertises queue
+// depth and request cost in its own profiled nanoseconds. Registration is
+// all or nothing: every replica is checked before the model joins any.
 func (c *Cluster) RegisterModel(m *model.Model, cfg compiler.Config, profileRuns int) error {
+	compiled := make(map[gpu.Config]*compiler.Instrumented, 1)
+	inss := make([]*compiler.Instrumented, len(c.disps))
+	for i, d := range c.disps {
+		dev := d.Device().Config()
+		ins := compiled[dev]
+		if ins == nil {
+			var err error
+			if ins, err = compiler.Compile(m, cfg, dev, profileRuns); err != nil {
+				return err
+			}
+			compiled[dev] = ins
+		}
+		if err := d.CheckModel(ins); err != nil {
+			return err
+		}
+		inss[i] = ins
+	}
 	costs := make([]sim.Time, len(c.disps))
 	for i, d := range c.disps {
-		ins, err := compiler.Compile(m, cfg, d.Device().Config(), profileRuns)
-		if err != nil {
+		if err := d.RegisterModel(inss[i]); err != nil {
 			return err
 		}
-		if err := d.RegisterModel(ins); err != nil {
-			return err
-		}
-		costs[i] = ins.Profile.TotalTime()
+		costs[i] = inss[i].Profile.TotalTime()
 	}
 	c.costNs[m.Name] = costs
 	c.weightBytes[m.Name] = int64(m.WeightBytes)

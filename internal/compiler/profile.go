@@ -123,7 +123,9 @@ func (p *Profile) rebuild(m *model.Model) {
 // `runs` times back-to-back on an idle simulated device, measuring each
 // kernel execution's wall time, and returns the resulting profile. The
 // profiling device uses the given configuration so occupancy waves are
-// reflected in the means.
+// reflected in the means. The runs are a chain of callbacks on one
+// recycled launch: each kernel's completion observes it and submits the
+// next (DESIGN §18).
 func ProfileModel(ins *Instrumented, devCfg gpu.Config, runs int) (*Profile, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("compiler: profiling needs at least one run")
@@ -132,18 +134,26 @@ func ProfileModel(ins *Instrumented, devCfg gpu.Config, runs int) (*Profile, err
 	p := &Profile{ModelName: m.Name, stats: make(map[string]*KernelStat)}
 	env := sim.NewEnv()
 	dev := gpu.NewDevice(env, devCfg, nil)
-	env.Spawn("profiler", func(proc *sim.Proc) {
-		for r := 0; r < runs; r++ {
-			for _, ki := range m.Seq {
-				spec := m.Kernels[ki]
-				start := env.Now()
-				done := sim.NewCompletion(env)
-				dev.Submit(0, &gpu.Launch{Spec: spec, OnComplete: done.Fire})
-				proc.Wait(done)
-				p.Observe(spec.Name, env.Now()-start)
-			}
+	var (
+		l     gpu.Launch
+		start sim.Time
+		step  func()
+	)
+	// pos indexes the kernel execution in flight, counted over all runs.
+	pos, total := 0, runs*len(m.Seq)
+	submit := func() {
+		l.Spec, l.OnComplete = m.Kernels[m.Seq[pos%len(m.Seq)]], step
+		start = env.Now()
+		dev.Submit(0, &l)
+	}
+	step = func() {
+		p.Observe(l.Spec.Name, env.Now()-start)
+		l.Recycle()
+		if pos++; pos < total {
+			submit()
 		}
-	})
+	}
+	submit()
 	env.Run()
 	// Per-job execution counts are exact for deterministic sequences.
 	counts := m.Counts()

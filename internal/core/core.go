@@ -584,6 +584,21 @@ func (d *Dispatcher) Stats() Stats { return d.stats }
 // RegisterModel adds a compiled model to the library of launchable jobs
 // (§5.1). The model must have been profiled (for SRPT estimates).
 func (d *Dispatcher) RegisterModel(ins *compiler.Instrumented) error {
+	if err := d.CheckModel(ins); err != nil {
+		return err
+	}
+	if d.vramMgr != nil {
+		if err := d.vramMgr.Register(ins.Model.Name, int64(ins.Model.WeightBytes)); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	d.models[ins.Model.Name] = modelEntry{ins: ins, ops: buildOps(ins, d.cfg.Mode == ModeGated)}
+	return nil
+}
+
+// CheckModel returns the error RegisterModel would, without registering,
+// so a model can be checked on every replica before it joins any.
+func (d *Dispatcher) CheckModel(ins *compiler.Instrumented) error {
 	if ins.Profile == nil {
 		return fmt.Errorf("core: model %q registered without a profile", ins.Model.Name)
 	}
@@ -597,11 +612,10 @@ func (d *Dispatcher) RegisterModel(ins *compiler.Instrumented) error {
 		}
 	}
 	if d.vramMgr != nil {
-		if err := d.vramMgr.Register(ins.Model.Name, int64(ins.Model.WeightBytes)); err != nil {
+		if err := d.vramMgr.CheckRegister(ins.Model.Name, int64(ins.Model.WeightBytes)); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	d.models[ins.Model.Name] = modelEntry{ins: ins, ops: buildOps(ins, d.cfg.Mode == ModeGated)}
 	return nil
 }
 

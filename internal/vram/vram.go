@@ -231,16 +231,9 @@ func MustNewManager(cfg Config) *Manager {
 // bytes occupy no blocks and are permanently resident (the pre-vram
 // behaviour). Registration fails if the weights alone exceed capacity.
 func (m *Manager) Register(name string, weightBytes int64) error {
-	if _, dup := m.entries[name]; dup {
-		return fmt.Errorf("vram: model %q already registered", name)
-	}
-	if weightBytes < 0 {
-		return fmt.Errorf("vram: model %q weight bytes %d", name, weightBytes)
-	}
-	blocks := int((weightBytes + m.cfg.BlockBytes - 1) / m.cfg.BlockBytes)
-	if blocks > m.totalBlocks {
-		return fmt.Errorf("vram: model %q needs %d blocks, device has %d",
-			name, blocks, m.totalBlocks)
+	blocks, err := m.blocksFor(name, weightBytes)
+	if err != nil {
+		return err
 	}
 	e := &entry{name: name, bytes: weightBytes, blocks: blocks, seq: len(m.entries)}
 	if blocks == 0 {
@@ -248,6 +241,29 @@ func (m *Manager) Register(name string, weightBytes int64) error {
 	}
 	m.entries[name] = e
 	return nil
+}
+
+// CheckRegister returns the error Register would, without registering.
+func (m *Manager) CheckRegister(name string, weightBytes int64) error {
+	_, err := m.blocksFor(name, weightBytes)
+	return err
+}
+
+// blocksFor returns the blocks a new model's weights occupy, or why it
+// cannot be registered.
+func (m *Manager) blocksFor(name string, weightBytes int64) (int, error) {
+	if _, dup := m.entries[name]; dup {
+		return 0, fmt.Errorf("vram: model %q already registered", name)
+	}
+	if weightBytes < 0 {
+		return 0, fmt.Errorf("vram: model %q weight bytes %d", name, weightBytes)
+	}
+	blocks := int((weightBytes + m.cfg.BlockBytes - 1) / m.cfg.BlockBytes)
+	if blocks > m.totalBlocks {
+		return 0, fmt.Errorf("vram: model %q needs %d blocks, device has %d",
+			name, blocks, m.totalBlocks)
+	}
+	return blocks, nil
 }
 
 // Registered reports whether the model is known to the manager.
