@@ -16,8 +16,8 @@ import (
 
 // trafficSpec resolves the -traffic argument: a named preset ("diurnal",
 // "spike", "constant") parameterized by the standard workload flags,
-// "replay:<path>" for an NDJSON trace, or a path to a TrafficSpec JSON
-// file for full control.
+// "replay:<path>" for a recorded trace, or a path to a TrafficSpec JSON
+// file for full control. An unset -traffic is the constant preset.
 func (c *config) trafficSpec(mix workload.Mix) (workload.TrafficSpec, error) {
 	arg := c.traffic
 	if path, ok := strings.CutPrefix(arg, "replay:"); ok {
@@ -37,7 +37,7 @@ func (c *config) trafficSpec(mix workload.Mix) (workload.TrafficSpec, error) {
 	spec := workload.TrafficSpec{Mix: mix, Sigma: c.sigma, BaseRatePerSec: c.rate,
 		Clients: c.clients, Seed: c.seed, Tenants: c.tenants}
 	switch arg {
-	case "constant":
+	case "", "constant":
 		spec.Shape = workload.ShapeConstant
 		spec.Jobs = c.jobs
 	case "diurnal":

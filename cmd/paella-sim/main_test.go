@@ -194,6 +194,55 @@ func TestUsage(t *testing.T) {
 	pinGolden(t, filepath.Join("testdata", "usage.txt"), got)
 }
 
+// TestConstantTrafficIsDefault checks that the flat generator is the
+// constant -traffic preset: single mode prints the same bytes with and
+// without -traffic constant.
+func TestConstantTrafficIsDefault(t *testing.T) {
+	args := []string{"-jobs", "200", "-models", "resnet18,mobilenetv2"}
+	flat, stderr, code := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("paella-sim %v: exit %d\n%s", args, code, stderr)
+	}
+	constant, stderr, code := runCLI(t, append(args, "-traffic", "constant")...)
+	if code != 0 {
+		t.Fatalf("paella-sim -traffic constant: exit %d\n%s", code, stderr)
+	}
+	if !bytes.Equal(flat, constant) {
+		t.Fatalf("-traffic constant differs from the flat generator:\n%s\nvs\n%s", constant, flat)
+	}
+}
+
+// TestTraceFileForms checks that -trace and -traffic replay: both read a
+// trace saved as a JSON array or as NDJSON, with the same output.
+func TestTraceFileForms(t *testing.T) {
+	dir := t.TempDir()
+	array, nd := filepath.Join(dir, "trace.json"), filepath.Join(dir, "trace.ndjson")
+	const entries = `{"at_ns":0,"model":"resnet18","client":0}
+{"at_ns":2000000,"model":"mobilenetv2","client":1}
+{"at_ns":2500000,"model":"resnet18","client":0}
+`
+	if err := os.WriteFile(nd, []byte(entries), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	asArray := "[" + strings.ReplaceAll(strings.TrimSpace(entries), "\n", ",\n") + "]\n"
+	if err := os.WriteFile(array, []byte(asArray), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for _, src := range [][]string{{"-trace", array}, {"-trace", nd},
+		{"-traffic", "replay:" + array}, {"-traffic", "replay:" + nd}} {
+		stdout, stderr, code := runCLI(t, append([]string{"-models", "resnet18,mobilenetv2"}, src...)...)
+		if code != 0 {
+			t.Fatalf("paella-sim %v: exit %d\n%s", src, code, stderr)
+		}
+		if first == nil {
+			first = stdout
+		} else if !bytes.Equal(stdout, first) {
+			t.Fatalf("paella-sim %v differs from -trace %s:\n%s\nvs\n%s", src, array, stdout, first)
+		}
+	}
+}
+
 // pinGolden compares got with the golden at path, gunzipping a .gz golden;
 // with -update it rewrites the golden instead.
 func pinGolden(t *testing.T, path string, got []byte) {

@@ -75,6 +75,7 @@ func TestRefusals(t *testing.T) {
 			`names model "mobilenetv2", which -models does not load`},
 		{"traffic-unknown-field", []string{"-models", "resnet18", "-traffic", typo},
 			`unknown field "tenant"`},
+		{"horizon-overflow", []string{"-rate", "1e-9", "-jobs", "20", "-models", "resnet18"}, "trace horizon exceeds"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"time"
@@ -25,8 +24,9 @@ import (
 const ttftSLO = 200 * sim.Millisecond
 
 // workload builds the serving options and the request trace of every
-// mode. A replayed -trace or a -traffic envelope sets the job count to the
-// trace's length; -llm requests all name the one generative model.
+// mode: a -trace file, or the -traffic envelope (the constant preset when
+// unset). The job count becomes the trace's length; -llm requests all
+// name the one generative model.
 func (c *config) workload() (serving.Options, []workload.Request) {
 	if c.synth > 0 {
 		c.zoo = model.SyntheticZoo(c.synth)
@@ -51,31 +51,19 @@ func (c *config) workload() (serving.Options, []workload.Request) {
 	}
 	var reqs []workload.Request
 	var err error
-	switch {
-	case c.traceIn != "":
-		reqs, err = readTrace(c.traceIn, workload.ReadJSON)
-		c.jobs = len(reqs)
-	case c.traffic != "":
-		spec, serr := c.trafficSpec(mix)
-		if serr != nil {
-			fatal("%v", serr)
-		}
-		if spec.Shape == workload.ShapeReplay {
-			reqs, err = readTrace(spec.ReplayPath, workload.ReadNDJSON)
-		} else {
-			reqs, err = workload.GenerateTraffic(spec)
-		}
-		c.jobs = len(reqs)
-	default:
-		reqs, err = workload.Generate(workload.Spec{Mix: mix, Sigma: c.sigma, RatePerSec: c.rate,
-			Jobs: c.jobs, Clients: c.clients, Seed: c.seed, Tenants: c.tenants})
+	if c.traceIn != "" {
+		reqs, err = readTrace(c.traceIn)
+	} else if spec, serr := c.trafficSpec(mix); serr != nil {
+		err = serr
+	} else if spec.Shape == workload.ShapeReplay {
+		reqs, err = readTrace(spec.ReplayPath)
+	} else {
+		reqs, err = workload.GenerateTraffic(spec)
 	}
 	if err != nil {
 		fatal("%v", err)
 	}
-	if len(reqs) == 0 {
-		fatal("empty trace")
-	}
+	c.jobs = len(reqs)
 	for i, r := range reqs {
 		if !slices.Contains(c.names, r.Model) {
 			fatal("request %d of the trace names model %q, which -models does not load", i+1, r.Model)
@@ -99,14 +87,15 @@ func (c *config) workload() (serving.Options, []workload.Request) {
 	return opts, reqs
 }
 
-// readTrace decodes the request trace stored at path.
-func readTrace(path string, read func(io.Reader) ([]workload.Request, error)) ([]workload.Request, error) {
+// readTrace decodes the request trace stored at path, in either of
+// workload.ReadTrace's forms.
+func readTrace(path string) ([]workload.Request, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal("%v", err)
+		return nil, err
 	}
 	defer f.Close()
-	return read(f)
+	return workload.ReadTrace(f)
 }
 
 // serveSingle runs one Table 3 system on one GPU through serving.RunTrace.

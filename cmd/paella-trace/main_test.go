@@ -164,9 +164,10 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 }
 
 // TestRefusals checks that gpu refuses each out-of-range scenario, and
-// workload each non-finite arrival parameter, with one stderr line naming
-// the problem and exit status 1, instead of panicking or printing an empty
-// timeline or arrivals at the minimum time.
+// workload each non-finite arrival parameter and a rate too low for the
+// trace horizon, with one stderr line naming the problem and exit status
+// 1, instead of panicking or printing an empty timeline or arrivals at the
+// minimum time.
 func TestRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,6 +182,7 @@ func TestRefusals(t *testing.T) {
 		{"unknown-system", []string{"gpu", "-system", "TPU"}, `unknown system "TPU"`},
 		{"workload-nan-rate", []string{"workload", "-rate", "NaN"}, "workload: rate NaN"},
 		{"workload-nan-sigma", []string{"workload", "-sigma", "NaN"}, "workload: sigma NaN"},
+		{"workload-horizon-overflow", []string{"workload", "-rate", "1e-9", "-jobs", "5"}, "workload: trace horizon exceeds 400000.000s"},
 	}
 	for _, tc := range cases {
 		tc := tc

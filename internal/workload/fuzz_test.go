@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -65,6 +66,46 @@ func FuzzTrafficSpecJSON(f *testing.F) {
 			if r.Model == "" || r.Client < 0 || r.Client >= s.Clients {
 				t.Fatalf("malformed request %d: %+v", i, r)
 			}
+		}
+	})
+}
+
+// FuzzReadTrace fuzzes ReadTrace, the reader behind `paella-sim -trace`
+// and `-traffic replay:`: it must never panic on arbitrary bytes, every
+// trace it accepts must be non-empty and monotone with named models and
+// non-negative clients, and WriteJSON followed by ReadTrace must give an
+// accepted trace back exactly.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte(`[{"at_ns":0,"model":"a","client":0},{"at_ns":5,"model":"b","client":3,"tenant":"tenant-1"}]`))
+	f.Add([]byte("{\"at_ns\":1,\"model\":\"a\",\"client\":1}\n\n{\"at_ns\":1,\"model\":\"a\",\"client\":0}\n"))
+	f.Add([]byte(""))
+	f.Add([]byte("{\"at_ns\":9,\"model\":\"m\"}\n{\"at_ns\":3,\"model\":\"m\"}\n")) // non-monotone
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(reqs) == 0 {
+			t.Fatal("accepted an empty trace")
+		}
+		for i, r := range reqs {
+			if r.At < 0 || i > 0 && r.At < reqs[i-1].At {
+				t.Fatalf("accepted arrivals not monotone at %d", i)
+			}
+			if r.Model == "" || r.Client < 0 {
+				t.Fatalf("accepted malformed request %d: %+v", i, r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(back, reqs) {
+			t.Fatal("trace changed through WriteJSON and ReadTrace")
 		}
 	})
 }

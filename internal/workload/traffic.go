@@ -1,26 +1,23 @@
 package workload
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
 	"paella/internal/sim"
 )
 
-// Shape selects a traffic generator's rate envelope: how the offered load
+// Shape selects the traffic generator's rate envelope: how the offered load
 // evolves over virtual time. The per-request machinery (lognormal gaps,
-// weighted model mix, uniform client/tenant attribution) is shared with
-// Generate; the shape only modulates the instantaneous target rate.
+// weighted model mix, uniform client/tenant attribution) is the same for
+// every shape; the shape only modulates the instantaneous target rate.
 type Shape string
 
 const (
-	// ShapeConstant is a flat rate — Generate's behaviour, expressed as a
-	// TrafficSpec so the autoscaling drivers handle every shape uniformly.
+	// ShapeConstant is a flat rate; Generate is this shape.
 	ShapeConstant Shape = "constant"
 	// ShapeDiurnal is a day/night sine: the rate swings around
 	// BaseRatePerSec with relative amplitude Amplitude over one Period,
@@ -29,8 +26,8 @@ const (
 	// ShapeSpike is a flash crowd: flat at BaseRatePerSec except for a
 	// SpikeFactor× burst during [SpikeAt, SpikeAt+SpikeDuration).
 	ShapeSpike Shape = "spike"
-	// ShapeReplay replays a recorded NDJSON trace instead of generating
-	// arrivals (see ReadNDJSON); the spec only carries the file path.
+	// ShapeReplay replays a recorded trace instead of generating arrivals
+	// (see ReadTrace); the spec only carries the file path.
 	ShapeReplay Shape = "replay"
 )
 
@@ -73,7 +70,7 @@ type TrafficSpec struct {
 	// Spec.Tenants; zero draws no extra random numbers, keeping untenanted
 	// traces bit-identical (the PR 8 invariant).
 	Tenants int `json:"tenants,omitempty"`
-	// ReplayPath names the NDJSON trace to replay (ShapeReplay only).
+	// ReplayPath names the trace file to replay (ShapeReplay only).
 	ReplayPath string `json:"replay_path,omitempty"`
 }
 
@@ -92,12 +89,14 @@ func (s TrafficSpec) Validate() error {
 	switch {
 	case len(s.Mix.Models) == 0:
 		return fmt.Errorf("workload: empty model mix")
+	case len(s.Mix.Weights) != len(s.Mix.Models):
+		return fmt.Errorf("workload: %d weights for %d models", len(s.Mix.Weights), len(s.Mix.Models))
 	case !(s.Sigma >= 0 && s.Sigma <= 8):
 		// Negated form also rejects NaN; σ beyond 8 is no longer a
 		// latency distribution, it is an integer-overflow generator.
-		return fmt.Errorf("workload: sigma %f outside [0, 8]", s.Sigma)
+		return fmt.Errorf("workload: sigma %v", s.Sigma)
 	case !(s.BaseRatePerSec > 0) || math.IsInf(s.BaseRatePerSec, 0):
-		return fmt.Errorf("workload: base rate %f", s.BaseRatePerSec)
+		return fmt.Errorf("workload: rate %v", s.BaseRatePerSec)
 	case s.Jobs < 0:
 		return fmt.Errorf("workload: jobs %d", s.Jobs)
 	case s.Duration < 0:
@@ -110,8 +109,8 @@ func (s TrafficSpec) Validate() error {
 		return fmt.Errorf("workload: tenants %d", s.Tenants)
 	}
 	for _, w := range s.Mix.Weights {
-		if w < 0 {
-			return fmt.Errorf("workload: negative weight")
+		if !(w >= 0) || math.IsInf(w, 0) { // negated form rejects NaN
+			return fmt.Errorf("workload: weight %v", w)
 		}
 	}
 	if s.Shape == ShapeDiurnal {
@@ -153,16 +152,16 @@ func (s TrafficSpec) RateAt(t sim.Time) float64 {
 
 // GenerateTraffic produces the rate-modulated request trace. Each arrival
 // draws its gap from a lognormal whose mean tracks the envelope's current
-// rate (RateAt), then its model and client exactly as Generate does — the
-// same three draws per request, with the optional tenant draw last, so a
-// Tenants == 0 spec consumes no extra randomness. ShapeReplay is not
-// generated here: load the recorded trace with ReadNDJSON.
+// rate (RateAt), then its model and client: three draws per request, with
+// the optional tenant draw last, so a Tenants == 0 spec consumes no extra
+// randomness. ShapeReplay is not generated here: load the recorded trace
+// with ReadTrace.
 func GenerateTraffic(s TrafficSpec) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if s.Shape == ShapeReplay {
-		return nil, fmt.Errorf("workload: replay traffic is loaded with ReadNDJSON, not generated")
+		return nil, fmt.Errorf("workload: replay traffic is loaded with ReadTrace, not generated")
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	var wsum float64
@@ -207,6 +206,17 @@ func GenerateTraffic(s TrafficSpec) ([]Request, error) {
 	return reqs, nil
 }
 
+func pickModel(rng *rand.Rand, m Mix, wsum float64) string {
+	x := rng.Float64() * wsum
+	for i, w := range m.Weights {
+		x -= w
+		if x < 0 {
+			return m.Models[i]
+		}
+	}
+	return m.Models[len(m.Models)-1]
+}
+
 // ParseTrafficSpec decodes and validates a TrafficSpec from JSON — the
 // codec behind `paella-sim -traffic <spec.json>` and the fuzz target. It
 // rejects unknown fields so a typo'd knob fails loudly instead of running
@@ -226,60 +236,4 @@ func ParseTrafficSpec(data []byte) (TrafficSpec, error) {
 		return TrafficSpec{}, err
 	}
 	return s, nil
-}
-
-// ndjsonReq is the per-line wire format of an NDJSON trace — identical to
-// the array-JSON entry format, one object per line.
-type ndjsonReq struct {
-	AtNs   int64  `json:"at_ns"`
-	Model  string `json:"model"`
-	Client int    `json:"client"`
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// ReadNDJSON loads a newline-delimited JSON trace, one request object per
-// line (blank lines are skipped) — the interchange format for replaying
-// recorded traffic at million-request scale, where a single JSON array
-// would have to be held in memory whole to decode. It enforces the same
-// well-formedness rules as ReadJSON: monotone non-negative arrivals, named
-// models, non-negative clients.
-func ReadNDJSON(r io.Reader) ([]Request, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var out []Request
-	prev := sim.Time(-1)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		blank := true
-		for _, b := range raw {
-			if b != ' ' && b != '\t' && b != '\r' {
-				blank = false
-				break
-			}
-		}
-		if blank {
-			continue
-		}
-		var jr ndjsonReq
-		if err := json.Unmarshal(raw, &jr); err != nil {
-			return nil, fmt.Errorf("workload: ndjson line %d: %w", line, err)
-		}
-		if jr.AtNs < 0 || sim.Time(jr.AtNs) < prev {
-			return nil, fmt.Errorf("workload: ndjson arrivals not monotone at line %d", line)
-		}
-		if jr.Model == "" || jr.Client < 0 {
-			return nil, fmt.Errorf("workload: malformed ndjson line %d", line)
-		}
-		prev = sim.Time(jr.AtNs)
-		out = append(out, Request{At: prev, Model: jr.Model, Client: jr.Client, Tenant: jr.Tenant})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("workload: empty ndjson trace")
-	}
-	return out, nil
 }

@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"paella/internal/sim"
@@ -54,13 +56,13 @@ func generate(t *testing.T, s TrafficSpec) []Request {
 	return reqs
 }
 
-// writeNDJSON serializes reqs in ReadNDJSON's wire format, one request per
+// writeNDJSON serializes reqs in ReadTrace's NDJSON form, one request per
 // line.
 func writeNDJSON(t *testing.T, w io.Writer, reqs []Request) {
 	t.Helper()
 	enc := json.NewEncoder(w)
 	for _, r := range reqs {
-		if err := enc.Encode(ndjsonReq{
+		if err := enc.Encode(wireReq{
 			AtNs: int64(r.At), Model: r.Model, Client: r.Client, Tenant: r.Tenant,
 		}); err != nil {
 			t.Fatal(err)
@@ -209,7 +211,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	writeNDJSON(t, &buf, reqs)
 	first := buf.String()
-	back, err := ReadNDJSON(bytes.NewReader(buf.Bytes()))
+	back, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +230,28 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTraceFormsAgree reads one trace written as a JSON array and as
+// NDJSON: both must give back the same requests.
+func TestReadTraceFormsAgree(t *testing.T) {
+	reqs := generate(t, diurnalSpec(4, 3))
+	var array, nd bytes.Buffer
+	if err := WriteJSON(&array, reqs); err != nil {
+		t.Fatal(err)
+	}
+	writeNDJSON(t, &nd, reqs)
+	fromArray, err := ReadTrace(&array)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromND, err := ReadTrace(&nd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromArray, reqs) || !reflect.DeepEqual(fromND, reqs) {
+		t.Fatal("the two forms of one trace read back differently")
+	}
+}
+
 // TestNDJSONRejectsMalformed exercises the reader's well-formedness
 // checks.
 func TestNDJSONRejectsMalformed(t *testing.T) {
@@ -239,7 +263,7 @@ func TestNDJSONRejectsMalformed(t *testing.T) {
 		"{\"at_ns\":9,\"model\":\"m\"}\n{\"at_ns\":3,\"model\":\"m\"}\n", // non-monotone
 	}
 	for i, in := range bad {
-		if _, err := ReadNDJSON(bytes.NewReader([]byte(in))); err == nil {
+		if _, err := ReadTrace(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("case %d: malformed trace accepted", i)
 		}
 	}
@@ -281,6 +305,8 @@ func TestTrafficSpecValidate(t *testing.T) {
 		func(s *TrafficSpec) { s.Tenants = -2 },
 		func(s *TrafficSpec) { s.Amplitude = 0.99 },
 		func(s *TrafficSpec) { s.Period = 0 },
+		func(s *TrafficSpec) { s.Mix = Weighted([]string{"a", "b"}, []float64{1, math.NaN()}) },
+		func(s *TrafficSpec) { s.Mix = Weighted([]string{"a", "b"}, []float64{1, math.Inf(1)}) },
 	}
 	for i, mutate := range mutations {
 		s := diurnalSpec(1, 0)
@@ -297,6 +323,20 @@ func TestTrafficSpecValidate(t *testing.T) {
 	replay := TrafficSpec{Shape: ShapeReplay}
 	if err := replay.Validate(); err == nil {
 		t.Error("replay without path accepted")
+	}
+}
+
+// TestTrafficSpecRejectsMismatchedMix: a spec file whose mix has more
+// weights than models used to pass Validate and then index past the
+// model list while generating.
+func TestTrafficSpecRejectsMismatchedMix(t *testing.T) {
+	for _, doc := range []string{
+		`{"shape":"constant","mix":{"Models":["m"],"Weights":[0,1]},"sigma":1,"base_rate_per_sec":300,"jobs":20,"clients":4}`,
+		`{"shape":"constant","mix":{"Models":["m","n"]},"sigma":1,"base_rate_per_sec":300,"jobs":20,"clients":4}`,
+	} {
+		if _, err := ParseTrafficSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), "weights for") {
+			t.Errorf("%s: err %v, want the weights/models mismatch", doc, err)
+		}
 	}
 }
 

@@ -7,11 +7,12 @@
 package workload
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
+	"strings"
 
 	"paella/internal/sim"
 )
@@ -99,69 +100,12 @@ type Spec struct {
 	Tenants int
 }
 
-// Validate reports parameter errors.
-func (s Spec) Validate() error {
-	switch {
-	case len(s.Mix.Models) == 0:
-		return fmt.Errorf("workload: empty model mix")
-	case !finite(s.Sigma):
-		return fmt.Errorf("workload: sigma %v", s.Sigma)
-	case s.Sigma < 0:
-		return fmt.Errorf("workload: negative sigma")
-	case !finite(s.RatePerSec) || s.RatePerSec <= 0:
-		return fmt.Errorf("workload: rate %f", s.RatePerSec)
-	case s.Jobs <= 0:
-		return fmt.Errorf("workload: jobs %d", s.Jobs)
-	case s.Clients <= 0:
-		return fmt.Errorf("workload: clients %d", s.Clients)
-	case s.Tenants < 0:
-		return fmt.Errorf("workload: tenants %d", s.Tenants)
-	}
-	for _, w := range s.Mix.Weights {
-		if !finite(w) {
-			return fmt.Errorf("workload: weight %v", w)
-		}
-		if w < 0 {
-			return fmt.Errorf("workload: negative weight")
-		}
-	}
-	return nil
-}
-
-// finite reports whether x is neither NaN nor infinite.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// Generate produces the request trace.
+// Generate produces the request trace: GenerateTraffic's constant shape
+// with the spec's fields, so the two share one arrival loop and one
+// validator.
 func Generate(s Spec) ([]Request, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	// Lognormal with E[X] = exp(µ + σ²/2); pick µ so the mean inter-arrival
-	// matches the target rate.
-	meanGap := float64(sim.Second) / s.RatePerSec
-	mu := math.Log(meanGap) - s.Sigma*s.Sigma/2
-
-	var wsum float64
-	for _, w := range s.Mix.Weights {
-		wsum += w
-	}
-
-	reqs := make([]Request, s.Jobs)
-	var t float64
-	for i := range reqs {
-		gap := math.Exp(mu + s.Sigma*rng.NormFloat64())
-		t += gap
-		reqs[i] = Request{
-			At:     sim.Time(t),
-			Model:  pickModel(rng, s.Mix, wsum),
-			Client: rng.Intn(s.Clients),
-		}
-		if s.Tenants > 0 {
-			reqs[i].Tenant = fmt.Sprintf("tenant-%d", rng.Intn(s.Tenants))
-		}
-	}
-	return reqs, nil
+	return GenerateTraffic(TrafficSpec{Shape: ShapeConstant, Mix: s.Mix, Sigma: s.Sigma,
+		BaseRatePerSec: s.RatePerSec, Jobs: s.Jobs, Clients: s.Clients, Seed: s.Seed, Tenants: s.Tenants})
 }
 
 // MustGenerate is Generate for known-good specs; it panics on error.
@@ -171,17 +115,6 @@ func MustGenerate(s Spec) []Request {
 		panic(err)
 	}
 	return reqs
-}
-
-func pickModel(rng *rand.Rand, m Mix, wsum float64) string {
-	x := rng.Float64() * wsum
-	for i, w := range m.Weights {
-		x -= w
-		if x < 0 {
-			return m.Models[i]
-		}
-	}
-	return m.Models[len(m.Models)-1]
 }
 
 // InverseSizeWeights returns weights inversely proportional to the given
@@ -199,46 +132,72 @@ func InverseSizeWeights(sizes []sim.Time) []float64 {
 	return out
 }
 
-// WriteJSON saves a trace as JSON for replay (cmd/paella-sim -trace).
+// wireReq is one trace entry on the wire, shared by the JSON-array and
+// NDJSON forms.
+type wireReq struct {
+	AtNs   int64  `json:"at_ns"`
+	Model  string `json:"model"`
+	Client int    `json:"client"`
+	Tenant string `json:"tenant,omitempty"`
+}
+
+// WriteJSON saves a trace as a JSON array for replay (cmd/paella-sim -trace).
 func WriteJSON(w io.Writer, reqs []Request) error {
-	type jsonReq struct {
-		AtNs   int64  `json:"at_ns"`
-		Model  string `json:"model"`
-		Client int    `json:"client"`
-		Tenant string `json:"tenant,omitempty"`
-	}
-	out := make([]jsonReq, len(reqs))
+	out := make([]wireReq, len(reqs))
 	for i, r := range reqs {
-		out[i] = jsonReq{AtNs: int64(r.At), Model: r.Model, Client: r.Client, Tenant: r.Tenant}
+		out[i] = wireReq{AtNs: int64(r.At), Model: r.Model, Client: r.Client, Tenant: r.Tenant}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-// ReadJSON loads a trace previously saved with WriteJSON.
-func ReadJSON(r io.Reader) ([]Request, error) {
-	type jsonReq struct {
-		AtNs   int64  `json:"at_ns"`
-		Model  string `json:"model"`
-		Client int    `json:"client"`
-		Tenant string `json:"tenant,omitempty"`
+// ReadTrace loads a trace in either wire form: a JSON array as WriteJSON
+// saves it, or NDJSON, one request object per line, the interchange
+// format for replaying recorded traffic at million-request scale. A
+// leading '[' selects the array form. Both forms decode one entry at a
+// time, and every entry must have a non-negative arrival no earlier than
+// the previous one, a named model and a non-negative client. An empty
+// trace is an error.
+func ReadTrace(r io.Reader) ([]Request, error) {
+	br := bufio.NewReader(r)
+	b, err := br.Peek(1)
+	for err == nil && strings.IndexByte(" \t\r\n", b[0]) >= 0 {
+		br.Discard(1)
+		b, err = br.Peek(1)
 	}
-	var in []jsonReq
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+	array := err == nil && b[0] == '['
+	dec := json.NewDecoder(br)
+	if array {
+		dec.Token() // consumes the '[' Peek saw, so it cannot fail
 	}
-	out := make([]Request, len(in))
-	prev := sim.Time(-1)
-	for i, jr := range in {
-		if jr.AtNs < 0 || sim.Time(jr.AtNs) < prev {
-			return nil, fmt.Errorf("workload: trace arrivals not monotone at entry %d", i)
+	var out []Request
+	for !array || dec.More() {
+		var wr wireReq
+		if err := dec.Decode(&wr); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("workload: trace entry %d: %w", len(out), err)
 		}
-		if jr.Model == "" || jr.Client < 0 {
-			return nil, fmt.Errorf("workload: malformed entry %d", i)
+		at := sim.Time(wr.AtNs)
+		if at < 0 || len(out) > 0 && at < out[len(out)-1].At {
+			return nil, fmt.Errorf("workload: trace arrivals not monotone at entry %d", len(out))
 		}
-		out[i] = Request{At: sim.Time(jr.AtNs), Model: jr.Model, Client: jr.Client, Tenant: jr.Tenant}
-		prev = out[i].At
+		if wr.Model == "" || wr.Client < 0 {
+			return nil, fmt.Errorf("workload: malformed trace entry %d", len(out))
+		}
+		out = append(out, Request{At: at, Model: wr.Model, Client: wr.Client, Tenant: wr.Tenant})
+	}
+	if array {
+		if _, err := dec.Token(); err != nil {
+			return nil, fmt.Errorf("workload: trace: unterminated array")
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("workload: trace: data after the array")
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("workload: empty trace")
 	}
 	return out, nil
 }

@@ -156,7 +156,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, trace); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`[{"at_ns": 10, "model": "m", "client": 0}, {"at_ns": 5, "model": "m", "client": 0}]`,
 	}
 	for i, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
+		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
