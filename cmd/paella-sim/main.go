@@ -131,7 +131,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	fs.Int64Var(&c.kvBlockKiB, "kv-block", 0, "KV-cache page size in KiB (with -llm; 0 = 2048)")
 	fs.StringVar(&c.pdSplit, "pd-split", "", "disaggregate prefill/decode as \"P:D\" replica pools (with -llm; empty = colocated -replicas engines)")
 	fs.StringVar(&c.autoscale, "autoscale", "", "autoscaling policy from the internal/autoscale registry ('list' to enumerate); elastic cluster engine")
-	fs.StringVar(&c.traffic, "traffic", "", "open-loop traffic envelope: constant | diurnal | spike | replay:<ndjson> | <spec>.json (overrides the flat generator)")
+	fs.StringVar(&c.traffic, "traffic", "", "open-loop traffic envelope: constant | diurnal | spike | replay:<path> | <spec>.json (overrides the flat generator)")
 	fs.IntVar(&c.minReplicas, "min-replicas", 1, "autoscaler floor on the active pool (with -autoscale)")
 	fs.IntVar(&c.maxReplicas, "max-replicas", 0, "autoscaler ceiling / provisioned fleet size (with -autoscale; 0 = -replicas)")
 	fs.DurationVar(&c.scaleInterval, "scale-interval", 5*time.Millisecond, "autoscaler control-loop tick in virtual time (with -autoscale)")

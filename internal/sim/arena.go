@@ -19,11 +19,9 @@ package sim
 // closure per event schedule with zero allocations.
 type EventFn func(ctx any, arg uint64)
 
-// timerRec is one arena slot. at/seq order execution; exactly one of fn or
-// cb is set.
+// timerRec is one arena slot: the callback of one scheduled event, exactly
+// one of fn or cb set. Its due time lives in the event queue.
 type timerRec struct {
-	at   Time
-	seq  uint64
 	fn   func()
 	cb   EventFn
 	ctx  any

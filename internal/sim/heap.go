@@ -1,175 +1,101 @@
 package sim
 
-// The event queue is a two-level structure exploiting the dominant
-// scheduling pattern of this simulator: events are pushed in *runs* that
-// share a due time (the wave events of launches placed in one pass with the
-// same block duration complete together, and the notification posts of all
-// device events in one instant land at now+NotifDelay — one post per device
-// event, since a device merges its own emits into one).
-//
-// Instead of one heap node per timer, same-timestamp runs are stored as
-// FIFO *buckets* and the 4-ary min-heap orders buckets by the key
-// (at, front-seq) of their earliest timer. Appending to the open bucket is
-// O(1) and touches no heap node at all — the bucket's front (and therefore
-// its key) is unchanged. Popping advances the bucket's cursor and re-sinks
-// only if the bucket survives. The result is a heap whose size — and sift
-// depth — is the number of pending *runs*, not pending timers.
-//
-// Correctness: each bucket holds timers in strictly increasing seq order
-// (seq is the Env's global monotone counter, and buckets are append-only),
-// so popping the minimum (at, front-seq) bucket key is a k-way merge of
-// sorted runs — it yields the exact global (at, seq) total order that the
-// flat heap produced. Several buckets may share an `at` (a run ended and a
-// later run reused the timestamp); the front-seq tiebreak merges them
-// correctly. Determinism and golden traces are therefore unaffected:
-// only the constant factor changes.
-//
-// Storage: buckets hold arena indices (int32), not pointers, and the
-// buckets themselves live in a flat slice addressed by index, so the whole
-// queue is pointer-free — the GC never traces it, and no queue operation
-// allocates once the slices reach the run's high-water mark.
-//
-// Events cannot be cancelled, so records leave the queue only from the
-// front of the minimum bucket, and a bucket leaves the heap only when it
-// drains at the root.
+import "math/bits"
 
-// bucket is a FIFO run of timer records sharing one due time.
+// The event queue is a monotone radix queue. It relies on Env time never
+// moving backwards: every record is pushed due at t ≥ now ≥ last, where
+// last is the due time of the most recently popped record.
+//
+// A record due at `at` sits in bucket Len64(at ^ last): bucket 0 holds the
+// records due exactly at last, and bucket k > 0 those whose highest bit
+// differing from last is bit k-1. Every record in bucket k is due earlier
+// than every record in a higher bucket, so the lowest non-empty bucket
+// holds the earliest record. Pop takes bucket 0's front. When bucket 0 is
+// empty it first takes the lowest non-empty bucket, sets last to that
+// bucket's minimum and re-buckets the bucket's records, front to back, into
+// the (empty) buckets below it; the records due at the new last land in
+// bucket 0. Moving last within a bucket keeps every higher bucket's records
+// where they are, so the placement invariant holds for every record at all
+// times.
+//
+// Exactness: records sharing a due time always share a bucket. Each bucket
+// is a FIFO, pushes append, and re-bucketing is stable and fills buckets
+// that were empty, so records with one due time stay in push order — the
+// Env's scheduling order. Pops therefore follow (at, scheduling order)
+// exactly, zero-delay events included, with no sequence number stored.
+//
+// Storage: buckets hold arena indices (int32) next to their due times, so
+// the queue is pointer-free — the GC never traces it — and no operation
+// allocates once the buckets reach the run's high-water mark.
+
+// qent is one queued record: its due time inline next to its arena index.
+type qent struct {
+	at Time
+	i  int32
+}
+
+// bucket is a FIFO of queued records and the smallest due time among them.
 type bucket struct {
-	at    Time
-	tms   []int32 // arena indices
-	first int32   // cursor: tms[first] is the bucket's earliest record
+	ents []qent
+	min  Time
 }
 
-// bktEntry is one heap slot: the bucket's ordering key (at, seq of its
-// current front) inlined next to the bucket index, so sift comparisons
-// read contiguous array memory instead of chasing pointers.
-type bktEntry struct {
-	at  Time
-	seq uint64
-	bi  int32
-}
-
-// eventQueue is the bucketed 4-ary min-heap described above.
+// eventQueue is the radix queue described above. Due times are non-negative,
+// so at ^ last < 2^63 and 64 buckets cover every record.
 type eventQueue struct {
-	a       *arena
-	h       []bktEntry
-	buckets []bucket
-	bfree   []int32 // recycled bucket indices (slices keep their capacity)
-	// lastB is the bucket of the most recent push (the open run), or -1.
-	// release clears it when that bucket drains, so it always names a
-	// bucket in the heap.
-	lastB int32
-	size  int // records resident in the queue
+	b    [64]bucket
+	mask uint64 // bit k is set exactly when bucket k is non-empty
+	last Time   // due time of the last popped record
+	head int    // b[0].ents[head] is bucket 0's front
+	n    int    // records resident in the queue
 }
 
 // len reports the number of records in the queue.
-func (q *eventQueue) len() int { return q.size }
+func (q *eventQueue) len() int { return q.n }
 
-// minKey returns the (at, seq) of the earliest pending record. Only valid
+// minAt returns the due time of the earliest pending record. Only valid
 // when len() > 0.
-func (q *eventQueue) minKey() (Time, uint64) { return q.h[0].at, q.h[0].seq }
+func (q *eventQueue) minAt() Time { return q.b[bits.TrailingZeros64(q.mask)].min }
 
-// push inserts record i with key (at, seq). Caller contract (upheld by
-// Env): seq is strictly greater than every seq previously pushed.
-func (q *eventQueue) push(i int32, at Time, seq uint64) {
-	q.size++
-	// Fast path: the open run shares the due time — append. Appended seqs
-	// are globally increasing, so the bucket stays sorted.
-	if bi := q.lastB; bi >= 0 {
-		if b := &q.buckets[bi]; b.at == at {
-			b.tms = append(b.tms, i)
-			return
-		}
-	}
-	var bi int32
-	if n := len(q.bfree); n > 0 {
-		bi = q.bfree[n-1]
-		q.bfree = q.bfree[:n-1]
-	} else {
-		q.buckets = append(q.buckets, bucket{})
-		bi = int32(len(q.buckets) - 1)
-	}
-	b := &q.buckets[bi]
-	b.at, b.first = at, 0
-	b.tms = append(b.tms, i)
-	q.lastB = bi
-	q.h = append(q.h, bktEntry{at: at, seq: seq, bi: bi})
-	q.siftUp(len(q.h) - 1)
+// push inserts record i due at at. Caller contract (upheld by Env):
+// at ≥ the due time of every record popped so far.
+func (q *eventQueue) push(i int32, at Time) {
+	q.put(qent{at: at, i: i})
+	q.n++
 }
 
-// pop removes and returns the earliest pending record's arena index; the
-// caller owns the record. The root bucket's cursor advances; a drained
-// bucket leaves the heap, a surviving one takes its next front's seq as
-// its key (which only ever increases) and re-sinks.
-func (q *eventQueue) pop() int32 {
-	bi := q.h[0].bi
-	b := &q.buckets[bi]
-	i := b.tms[b.first]
-	b.first++
-	q.size--
-	if int(b.first) == len(b.tms) {
-		n := len(q.h) - 1
-		q.h[0] = q.h[n]
-		q.h = q.h[:n]
-		if n > 0 {
-			q.siftDown(0)
-		}
-		q.release(bi)
-		return i
+// put appends x to the back of its bucket.
+func (q *eventQueue) put(x qent) {
+	k := bits.Len64(uint64(x.at ^ q.last))
+	b := &q.b[k]
+	if q.mask&(1<<k) == 0 {
+		q.mask |= 1 << k
+		b.min = x.at
+	} else if x.at < b.min {
+		b.min = x.at
 	}
-	q.h[0].seq = q.a.recs[b.tms[b.first]].seq
-	q.siftDown(0)
-	return i
+	b.ents = append(b.ents, x)
 }
 
-// release returns a drained bucket to the freelist.
-func (q *eventQueue) release(bi int32) {
-	if q.lastB == bi {
-		q.lastB = -1
-	}
-	b := &q.buckets[bi]
-	b.tms = b.tms[:0]
-	b.first = 0
-	q.bfree = append(q.bfree, bi)
-}
-
-// less orders heap slots by due time, then front insertion sequence.
-func (q *eventQueue) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-func (q *eventQueue) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !q.less(i, parent) {
-			return
+// pop removes the earliest pending record and returns its arena index and
+// due time; the caller owns the record. Only valid when len() > 0.
+func (q *eventQueue) pop() (int32, Time) {
+	if q.mask&1 == 0 {
+		k := bits.TrailingZeros64(q.mask)
+		src := &q.b[k]
+		q.last = src.min
+		for _, x := range src.ents {
+			q.put(x)
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
+		src.ents = src.ents[:0]
+		q.mask &^= 1 << k
 	}
-}
-
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.h)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			return
-		}
-		best := first
-		last := min(first+4, n)
-		for c := first + 1; c < last; c++ {
-			if q.less(c, best) {
-				best = c
-			}
-		}
-		if !q.less(best, i) {
-			return
-		}
-		q.h[i], q.h[best] = q.h[best], q.h[i]
-		i = best
+	b := &q.b[0]
+	i := b.ents[q.head].i
+	if q.head++; q.head == len(b.ents) {
+		b.ents, q.head = b.ents[:0], 0
+		q.mask &^= 1
 	}
+	q.n--
+	return i, q.last
 }

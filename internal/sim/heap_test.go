@@ -1,23 +1,26 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
-// qrig wires an eventQueue to its backing arena the way NewEnv does,
-// letting the queue be exercised in isolation.
+// qrig wires an eventQueue to an arena the way an Env does, letting the
+// queue be exercised in isolation. now is the due time of the last pop:
+// like Env, the rig never pushes below it.
 type qrig struct {
-	a arena
-	q eventQueue
+	a   arena
+	q   eventQueue
+	now Time
+	ord uint64 // pushes so far: the model's tiebreak
 }
 
 func newQrig() *qrig {
 	r := &qrig{}
 	r.a.freeHead = -1
-	r.q.a = &r.a
-	r.q.lastB = -1
 	return r
 }
 
@@ -26,75 +29,119 @@ func newQrig() *qrig {
 type qitem struct {
 	idx int32
 	at  Time
-	seq uint64
+	ord uint64
 }
 
-func (r *qrig) push(at Time, seq uint64) qitem {
-	i := r.a.alloc()
-	rec := &r.a.recs[i]
-	rec.at, rec.seq = at, seq
-	r.q.push(i, at, seq)
-	return qitem{idx: i, at: at, seq: seq}
-}
-
-// queuePushPattern drives an eventQueue the way an Env does — strictly
-// increasing seq, with bursts of repeated timestamps to exercise the
-// open-run append path as well as fresh buckets.
-func queuePushPattern(rng *rand.Rand, r *qrig, seq *uint64, n int) []qitem {
-	var out []qitem
-	at := Time(rng.Intn(50))
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) == 0 { // start a new run two-thirds of the time not
-			at = Time(rng.Intn(50))
-		}
-		out = append(out, r.push(at, *seq))
-		*seq++
+func (r *qrig) push(at Time) qitem {
+	if at < r.now {
+		panic("qrig: push below the last pop")
 	}
-	return out
+	i := r.a.alloc()
+	r.q.push(i, at)
+	r.ord++
+	return qitem{idx: i, at: at, ord: r.ord}
 }
 
-// TestQueuePopOrderMatchesSort: the bucketed queue pops timers in exact
-// (at, seq) order for randomized inputs — the total order every simulation
-// outcome rests on.
+func (r *qrig) pop() (int32, Time) {
+	i, at := r.q.pop()
+	r.now = at
+	return i, at
+}
+
+// maxT keeps drawn due times clear of int64 overflow.
+const maxT = Time(1<<63 - 1)
+
+// queueDelay draws a delay the way Env traffic spreads them: zero, a few
+// ns, a µs-scale gap, or a power of two plus jitter below it — up to 2^40
+// mostly, up to 2^62 one draw in 32, so the clock rarely saturates. It
+// never carries now past maxT.
+func queueDelay(rng *rand.Rand, now Time) Time {
+	var d Time
+	switch rng.Intn(4) {
+	case 0:
+	case 1:
+		d = Time(1 + rng.Intn(8))
+	case 2:
+		d = Time(rng.Intn(2000))
+	default:
+		e := rng.Intn(41)
+		if rng.Intn(8) == 0 {
+			e = rng.Intn(63)
+		}
+		p := Time(1) << e
+		d = p + Time(rng.Int63n(int64(p)))
+	}
+	if d > maxT-now {
+		d = Time(rng.Int63n(int64(maxT - now + 1)))
+	}
+	return d
+}
+
+// queueBurst pushes n records: a fresh due time at now+delay two times in
+// three, otherwise at `at` again (a burst continuing across pops, which
+// stays legal while at ≥ now). It returns the pushed items and the burst's
+// due time.
+func queueBurst(rng *rand.Rand, r *qrig, at Time, n int) ([]qitem, Time) {
+	if at < r.now || rng.Intn(3) > 0 {
+		at = r.now + queueDelay(rng, r.now)
+	}
+	out := make([]qitem, n)
+	for k := range out {
+		out[k] = r.push(at)
+	}
+	return out, at
+}
+
+func itemLess(x, y qitem) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.ord < y.ord
+}
+
+// TestQueuePopOrderMatchesSort: the radix queue pops records in exact
+// (at, push order) — the total order every simulation outcome rests on.
+// Each trial runs several rounds on one queue, each pushing a batch at or
+// after the last pop and draining it, so rounds start from varied last
+// values and their zero delays land in bucket 0.
 func TestQueuePopOrderMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		r := newQrig()
-		seq := uint64(0)
-		ref := queuePushPattern(rng, r, &seq, 1+rng.Intn(200))
-		sort.Slice(ref, func(a, b int) bool {
-			if ref[a].at != ref[b].at {
-				return ref[a].at < ref[b].at
+		for round := 0; round < 8; round++ {
+			var ref []qitem
+			at := r.now
+			for n := 1 + rng.Intn(200); len(ref) < n; {
+				var b []qitem
+				b, at = queueBurst(rng, r, at, 1+rng.Intn(6))
+				ref = append(ref, b...)
 			}
-			return ref[a].seq < ref[b].seq
-		})
-		for i, want := range ref {
-			got := r.q.pop()
-			if got != want.idx {
-				rec := &r.a.recs[got]
-				t.Fatalf("trial %d: pop %d = (at=%d seq=%d), want (at=%d seq=%d)",
-					trial, i, rec.at, rec.seq, want.at, want.seq)
+			sort.Slice(ref, func(a, b int) bool { return itemLess(ref[a], ref[b]) })
+			for i, want := range ref {
+				if got, at := r.pop(); got != want.idx || at != want.at {
+					t.Fatalf("trial %d round %d: pop %d = (idx=%d at=%d), want (idx=%d at=%d)",
+						trial, round, i, got, at, want.idx, want.at)
+				}
 			}
-		}
-		if r.q.len() != 0 {
-			t.Fatalf("queue not drained: %d left", r.q.len())
+			if r.q.len() != 0 {
+				t.Fatalf("queue not drained: %d left", r.q.len())
+			}
 		}
 	}
 }
 
-// TestQueueAgainstModel cross-checks the bucketed queue against a sorted
+// TestQueueAgainstModel cross-checks the radix queue against a sorted
 // reference under a randomized push/pop/pop-and-free workload. Records
 // freed by a pop-and-free are recycled into later pushes, so the workload
 // also exercises arena index reuse under live traffic.
 func TestQueueAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := newQrig()
-	seq := uint64(0)
 	var live []qitem
 	popMin := func() qitem {
-		best := -1
+		best := 0
 		for i, x := range live {
-			if best < 0 || x.at < live[best].at || (x.at == live[best].at && x.seq < live[best].seq) {
+			if itemLess(x, live[best]) {
 				best = i
 			}
 		}
@@ -102,22 +149,26 @@ func TestQueueAgainstModel(t *testing.T) {
 		live = append(live[:best], live[best+1:]...)
 		return x
 	}
+	check := func(op int) int32 {
+		want := popMin()
+		got, at := r.pop()
+		if got != want.idx || at != want.at {
+			t.Fatalf("op %d: pop (idx=%d at=%d), want (idx=%d at=%d)", op, got, at, want.idx, want.at)
+		}
+		return got
+	}
+	var at Time
 	for op := 0; op < 5000; op++ {
 		switch r2 := rng.Intn(10); {
-		case r2 < 5: // push a small same-timestamp run
-			live = append(live, queuePushPattern(rng, r, &seq, 1+rng.Intn(4))...)
+		case r2 < 5: // push a small burst
+			var b []qitem
+			b, at = queueBurst(rng, r, at, 1+rng.Intn(4))
+			live = append(live, b...)
 		default: // pop min; two pops in three also free the record
 			if r.q.len() == 0 {
 				continue
 			}
-			want := popMin()
-			got := r.q.pop()
-			if got != want.idx {
-				rec := &r.a.recs[got]
-				t.Fatalf("op %d: pop (at=%d seq=%d), want (at=%d seq=%d)",
-					op, rec.at, rec.seq, want.at, want.seq)
-			}
-			if r2 >= 8 {
+			if got := check(op); r2 >= 8 {
 				r.a.free(got)
 			}
 		}
@@ -126,73 +177,61 @@ func TestQueueAgainstModel(t *testing.T) {
 		}
 	}
 	for r.q.len() > 0 {
-		want := popMin()
-		got := r.q.pop()
-		if got != want.idx {
-			rec := &r.a.recs[got]
-			t.Fatalf("drain: pop (at=%d seq=%d), want (at=%d seq=%d)",
-				rec.at, rec.seq, want.at, want.seq)
-		}
+		check(-1)
 	}
 	if len(live) != 0 {
 		t.Fatalf("model not drained: %d left", len(live))
 	}
 }
 
-// TestQueueInvariants: after every operation, each heap slot's inline key
-// matches its bucket's front, no bucket sits in two slots, bucket seqs are
-// strictly increasing, the open-run index lastB is -1 or names a bucket in
-// the heap, and the size counter equals the number of resident records —
-// the invariants push and Step rest on.
+// TestQueueInvariants: after every operation, each record sits in bucket
+// Len(at ^ last), a mask bit is set exactly when its bucket is non-empty,
+// each non-empty bucket's stored minimum is its smallest due time, and the
+// size counter equals the number of resident records — the invariants
+// pop's exactness and minAt rest on.
 func TestQueueInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := newQrig()
-	seq := uint64(0)
+	q := &r.q
 	check := func(op int) {
 		total := 0
-		inHeap := make(map[int32]bool)
-		for i, ent := range r.q.h {
-			if inHeap[ent.bi] {
-				t.Fatalf("op %d: bucket %d sits in two heap slots", op, ent.bi)
+		for k := range q.b {
+			ents := q.b[k].ents
+			if k == 0 {
+				ents = ents[q.head:]
 			}
-			inHeap[ent.bi] = true
-			b := &r.q.buckets[ent.bi]
-			if int(b.first) >= len(b.tms) {
-				t.Fatalf("op %d: slot %d holds drained bucket", op, i)
+			if nonEmpty := q.mask&(1<<k) != 0; nonEmpty != (len(ents) > 0) {
+				t.Fatalf("op %d: bucket %d holds %d records, mask bit %v", op, k, len(ents), nonEmpty)
 			}
-			fr := &r.a.recs[b.tms[b.first]]
-			if ent.at != b.at || ent.at != fr.at || ent.seq != fr.seq {
-				t.Fatalf("op %d: slot %d key (%d,%d) diverges from front (%d,%d)",
-					op, i, ent.at, ent.seq, fr.at, fr.seq)
+			if len(ents) == 0 {
+				continue
 			}
-			prev := uint64(0)
-			for j := int(b.first); j < len(b.tms); j++ {
-				rec := &r.a.recs[b.tms[j]]
-				if rec.at != b.at {
-					t.Fatalf("op %d: bucket at=%d holds record at=%d", op, b.at, rec.at)
+			least := ents[0].at
+			for _, x := range ents {
+				if b := bits.Len64(uint64(x.at ^ q.last)); b != k {
+					t.Fatalf("op %d: record at=%d sits in bucket %d, want %d (last=%d)", op, x.at, k, b, q.last)
 				}
-				if j > int(b.first) && rec.seq <= prev {
-					t.Fatalf("op %d: bucket seqs not increasing", op)
-				}
-				prev = rec.seq
-				total++
+				least = min(least, x.at)
 			}
+			if q.b[k].min != least {
+				t.Fatalf("op %d: bucket %d min %d, smallest at %d", op, k, q.b[k].min, least)
+			}
+			total += len(ents)
 		}
-		if lb := r.q.lastB; lb != -1 && !inHeap[lb] {
-			t.Fatalf("op %d: lastB %d names a bucket outside the heap", op, lb)
-		}
-		if total != r.q.size {
-			t.Fatalf("op %d: size %d, counted %d resident", op, r.q.size, total)
+		if total != q.len() {
+			t.Fatalf("op %d: size %d, counted %d resident", op, q.len(), total)
 		}
 	}
-	for op := 0; op < 2000; op++ {
+	var at Time
+	for op := 0; op < 4000; op++ {
 		switch {
-		case rng.Intn(3) > 0 || r.q.len() == 0:
-			queuePushPattern(rng, r, &seq, 1+rng.Intn(4))
+		case rng.Intn(3) > 0 || q.len() == 0:
+			_, at = queueBurst(rng, r, at, 1+rng.Intn(4))
 		case rng.Intn(2) == 0:
-			r.q.pop()
+			r.pop()
 		default: // pop and free: the index returns to the arena for reuse
-			r.a.free(r.q.pop())
+			i, _ := r.pop()
+			r.a.free(i)
 		}
 		check(op)
 	}
@@ -380,6 +419,40 @@ func BenchmarkEnvDoCallChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DoCallAfter(1024, cb, tgt, 0)
+		e.Step()
+	}
+}
+
+// BenchmarkEnvMixedHorizon churns about 50 pending events whose delays
+// follow the dnn-fleet workload's measured mix (seed 1, two simulated
+// seconds): 38% zero, 36% between 256 ns and 4 µs, and 26% between 4 µs
+// and 1 ms, drawn log-uniformly within each band from a fixed-seed table.
+// On that workload the queue re-buckets each record 1.73 times on average
+// before it pops.
+func BenchmarkEnvMixedHorizon(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	logUniform := func(lo, hi Time) Time {
+		return Time(float64(lo) * math.Pow(float64(hi)/float64(lo), rng.Float64()))
+	}
+	delays := make([]Time, 1024)
+	for i := range delays {
+		switch p := rng.Intn(100); {
+		case p < 38:
+		case p < 74:
+			delays[i] = logUniform(256, 4*Microsecond)
+		default:
+			delays[i] = logUniform(4*Microsecond, Millisecond)
+		}
+	}
+	e := NewEnv()
+	fn := func() {}
+	for i := 0; i < 50; i++ {
+		e.After(delays[i], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(delays[i&1023], fn)
 		e.Step()
 	}
 }

@@ -25,6 +25,8 @@
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
 // are addressed by index and recycled through an index-linked free list, so
 // the steady-state event loop performs zero heap allocations per event.
+// A monotone radix queue (see heap.go) orders the pending records by due
+// time, ties in scheduling order.
 // Scheduled events cannot be cancelled; an owner that must ignore a stale
 // event checks its own state when the event fires.
 //
@@ -78,34 +80,13 @@ type Env struct {
 	now    Time
 	arena  arena
 	events eventQueue
-	seq    uint64
+	seq    uint64 // events scheduled so far
 	steps  uint64
 	// limit is the due-time bound of the running Run or RunUntil loop: a
 	// wakeup due by then that would be the very next event runs in place
 	// (see AdvanceInPlace). It is -1 outside those loops, so a bare Step
 	// always runs exactly one queued event.
 	limit Time
-	// imm is a circular FIFO of events due exactly at the current clock —
-	// the zero-delay handoffs (process wakeups, completion fires, mutex
-	// transfers) that dominate a DES run. Because every entry was scheduled
-	// while the clock already stood at its due time, entries are in seq
-	// order, and any heap event sharing that timestamp was scheduled
-	// earlier (smaller seq); comparing the FIFO front against the heap top
-	// by (at, seq) therefore reproduces the exact global event order while
-	// keeping the common case O(1) instead of O(log n). The FIFO always
-	// drains before the clock can advance, so entries never go stale.
-	imm      []int32
-	immFirst int
-	immLen   int
-	// mut counts queue mutations (schedule, fire); nextMut/nextAt/
-	// nextOK memoize NextEventTime against it. The World engine probes every
-	// shard's next event at least twice per window, and most shards are
-	// untouched between probes — the memo turns those probes into a counter
-	// compare.
-	mut     uint64
-	nextMut uint64
-	nextAt  Time
-	nextOK  bool
 	// recorder is an optional tracing recorder attached to the run. It is
 	// stored as any so that sim stays import-free of higher layers;
 	// internal/trace.FromEnv performs the typed retrieval. A nil recorder
@@ -139,10 +120,8 @@ func (e *Env) Meter() any { return e.meter }
 
 // NewEnv returns an environment with the clock at zero and no pending events.
 func NewEnv() *Env {
-	e := &Env{mut: 1, limit: -1}
+	e := &Env{limit: -1}
 	e.arena.freeHead = -1
-	e.events.a = &e.arena
-	e.events.lastB = -1
 	return e
 }
 
@@ -156,54 +135,16 @@ func (e *Env) Now() Time { return e.now }
 func (e *Env) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled events.
-func (e *Env) Pending() int { return e.events.len() + e.immLen }
+func (e *Env) Pending() int { return e.events.len() }
 
 // NextEventTime returns the due time of the earliest pending event, and
 // whether one exists. The World engine uses it to size conservative
 // execution windows.
 func (e *Env) NextEventTime() (Time, bool) {
-	if e.nextMut == e.mut {
-		return e.nextAt, e.nextOK
+	if e.events.len() == 0 {
+		return 0, false
 	}
-	e.nextMut = e.mut
-	if e.immLen > 0 {
-		// FIFO entries are due at the current clock, which is ≤ any heap
-		// event's due time.
-		e.nextAt, e.nextOK = e.arena.recs[e.imm[e.immFirst]].at, true
-	} else if e.events.len() == 0 {
-		e.nextAt, e.nextOK = 0, false
-	} else {
-		at, _ := e.events.minKey()
-		e.nextAt, e.nextOK = at, true
-	}
-	return e.nextAt, e.nextOK
-}
-
-// pushImm appends an event due exactly now to the immediate FIFO.
-func (e *Env) pushImm(i int32) {
-	if e.immLen == len(e.imm) {
-		e.growImm()
-	}
-	e.imm[(e.immFirst+e.immLen)&(len(e.imm)-1)] = i
-	e.immLen++
-}
-
-// popImm removes the FIFO front (which callers have already inspected).
-func (e *Env) popImm() int32 {
-	i := e.imm[e.immFirst]
-	e.immFirst = (e.immFirst + 1) & (len(e.imm) - 1)
-	e.immLen--
-	return i
-}
-
-// growImm doubles the FIFO ring (minimum 16 slots, power of two),
-// relocating live entries to the front.
-func (e *Env) growImm() {
-	next := make([]int32, max(16, 2*len(e.imm)))
-	for i := 0; i < e.immLen; i++ {
-		next[i] = e.imm[(e.immFirst+i)&(len(e.imm)-1)]
-	}
-	e.imm, e.immFirst = next, 0
+	return e.events.minAt(), true
 }
 
 // schedule allocates and enqueues a record; exactly one of fn or cb is set.
@@ -213,20 +154,15 @@ func (e *Env) schedule(t Time, fn func(), cb EventFn, ctx any, arg uint64) {
 	}
 	i := e.arena.alloc()
 	r := &e.arena.recs[i]
-	r.at, r.seq = t, e.seq
 	r.fn, r.cb, r.ctx, r.arg = fn, cb, ctx, arg
 	e.seq++
-	e.mut++
-	if t == e.now {
-		e.pushImm(i)
-	} else {
-		e.events.push(i, t, r.seq)
-	}
+	e.events.push(i, t)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it would silently reorder causality. Scheduling exactly at
-// Now is allowed and runs after the current event completes.
+// Now is allowed and runs after the current event completes, and after
+// every event already scheduled for Now.
 func (e *Env) At(t Time, fn func()) {
 	e.schedule(t, fn, nil, nil, 0)
 }
@@ -256,35 +192,17 @@ func (e *Env) DoCallAfter(d Time, cb EventFn, ctx any, arg uint64) {
 	e.schedule(e.now+d, nil, cb, ctx, arg)
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its due time. It returns false if no events are pending.
+// Step executes the single earliest pending event — of those sharing the
+// earliest due time, the first scheduled — advancing the clock to its due
+// time. It returns false if no events are pending.
 func (e *Env) Step() bool {
-	var i int32
-	if e.immLen > 0 {
-		// The FIFO front is due now; it loses only to a queued event at the
-		// same timestamp scheduled earlier (smaller seq).
-		fromQueue := false
-		if e.events.len() > 0 {
-			fr := &e.arena.recs[e.imm[e.immFirst]]
-			if at, seq := e.events.minKey(); at == fr.at && seq < fr.seq {
-				fromQueue = true
-			}
-		}
-		if fromQueue {
-			i = e.events.pop()
-		} else {
-			i = e.popImm()
-		}
-	} else {
-		if e.events.len() == 0 {
-			return false
-		}
-		i = e.events.pop()
+	if e.events.len() == 0 {
+		return false
 	}
+	i, at := e.events.pop()
 	r := &e.arena.recs[i]
-	e.now = r.at
+	e.now = at
 	e.steps++
-	e.mut++
 	fn, cb, ctx, arg := r.fn, r.cb, r.ctx, r.arg
 	e.arena.free(i)
 	if cb != nil {
@@ -295,33 +213,26 @@ func (e *Env) Step() bool {
 	return true
 }
 
-// AdvanceInPlace runs a wakeup due d from now in place when it would be
-// the very next event of the running Run or RunUntil loop: no
-// immediate-FIFO entry is pending, every queued event is due strictly
-// after now+d, and now+d is within the loop's bound. It then advances the
-// clock, counts the step, and reports true, and the caller keeps running
-// as if the wakeup had been popped. Otherwise it changes nothing and
-// reports false, and the caller schedules the wakeup as usual. Proc.Sleep
-// takes the shortcut this way, and so can a callback actor that charges
-// itself time. The elided wakeup takes no seq number, so every later
-// event's seq is one smaller than it would have been, which leaves their
-// relative (at, seq) order unchanged.
+// AdvanceInPlace runs a wakeup due d from now in place when it would be the
+// very next event of the running Run or RunUntil loop: every queued event,
+// one due now included, is due strictly after now+d, and now+d is within
+// the loop's bound. It then advances the clock, counts the step, and
+// reports true, and the caller keeps running as if the wakeup had been
+// popped. Otherwise it changes nothing and reports false, and the caller
+// schedules the wakeup as usual. Proc.Sleep takes the shortcut this way,
+// and so can a callback actor that charges itself time. The elided wakeup
+// never enters the queue, so the queued events keep their relative (time,
+// scheduling) order.
 func (e *Env) AdvanceInPlace(d Time) bool {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	t := e.now + d
-	if t > e.limit || e.immLen > 0 {
+	if t > e.limit || e.events.len() > 0 && e.events.minAt() <= t {
 		return false
-	}
-	if e.events.len() > 0 {
-		if at, _ := e.events.minKey(); at <= t {
-			return false
-		}
 	}
 	e.now = t
 	e.steps++
-	e.mut++
 	return true
 }
 

@@ -18,20 +18,22 @@ package sim
 //     its clock to exactly H. Shards share no state, so any interleaving
 //     of this step commutes; it runs inline, in shard order.
 //  4. Cross-shard messages emitted during the window (World.Post) are
-//     merged into the control heap in canonical (timestamp, shard,
+//     pushed into the control queue shard by shard, each shard's in
+//     emission order; the queue fires them in canonical (timestamp, shard,
 //     emission-order) order.
 //  5. The control Env runs its events up to H. Control events execute as
 //     serialization points: all shards are parked at exactly H, so a
 //     control event may read or write any replica's state directly.
 //
 // Determinism argument: within a window each shard's event order is fixed
-// by its own (time, seq) heap; shards touch only their own state, so the
-// order in which step 3 runs the shards cannot change any outcome. Every
-// cross-shard effect funnels through step 4's canonical merge or through
-// control events, both of which are ordered by timestamp and shard index,
-// not by execution order. Hence results do not depend on shard execution
-// order, and a World run repeats byte for byte — same metrics, same trace
-// bytes — for every seed.
+// by its own (time, scheduling order) event queue; shards touch only their
+// own state, so the order in which step 3 runs the shards cannot change any
+// outcome. Every cross-shard effect funnels through step 4's posts or
+// through control events, both of which are ordered by timestamp and shard
+// index, not by execution order: step 4 pushes the outboxes in shard
+// order, and the control queue breaks equal timestamps by push order.
+// Hence results do not depend on shard execution order, and a World run
+// repeats byte for byte — same metrics, same trace bytes — for every seed.
 //
 // The window Δ is a fidelity/overhead knob, not a correctness knob: a
 // posted message carries its emission timestamp and executes on the
@@ -46,13 +48,8 @@ type World struct {
 	window Time
 
 	// posts[i] is shard i's outbox. During a window only shard i's events
-	// append to it; the barrier drains it. Within one shard, timestamps
-	// are nondecreasing (the shard clock is monotone), which flushPosts
-	// relies on for its k-way merge.
+	// append to it; the barrier drains it.
 	posts [][]wpost
-
-	merge []int      // scratch: per-shard merge cursors
-	mheap []mergeEnt // scratch: k-way merge heap over shard outboxes
 }
 
 // wpost is one cross-shard message: the typed callback cb(ctx, arg) to run
@@ -62,12 +59,6 @@ type wpost struct {
 	cb  EventFn
 	ctx any
 	arg uint64
-}
-
-// mergeEnt is one shard's head-of-outbox key in the flushPosts merge heap.
-type mergeEnt struct {
-	at    Time
-	shard int32
 }
 
 // DefaultWindow is the default conservative window Δ. It is comfortably
@@ -186,7 +177,7 @@ func (w *World) Close() {
 	}
 }
 
-// stepWindow runs one window to horizon h: shards, then the post merge,
+// stepWindow runs one window to horizon h: shards, then the post flush,
 // then the control events — the serialization point.
 func (w *World) stepWindow(h Time) {
 	w.runShards(h)
@@ -194,7 +185,7 @@ func (w *World) stepWindow(h Time) {
 	w.ctrl.RunUntil(h)
 }
 
-// nextTime returns the earliest pending event time across all heaps.
+// nextTime returns the earliest pending event time across all Envs.
 func (w *World) nextTime() (Time, bool) {
 	best, ok := w.ctrl.NextEventTime()
 	for _, s := range w.shards {
@@ -214,80 +205,18 @@ func (w *World) runShards(h Time) {
 	}
 }
 
-// flushPosts drains every shard outbox into the control heap. Outboxes are
-// individually time-sorted, so a k-way merge by (timestamp, shard index)
-// — with emission order preserved within a shard — yields the canonical
-// total order regardless of how the window was executed. The merge runs on
-// an index heap over the shard cursors: O(total·log k) instead of the
-// historical O(total·k) rescan of every outbox per message, which matters
-// once shard counts reach the dozens.
+// flushPosts drains every shard outbox into the control queue: shard 0's
+// posts in emission order, then shard 1's, and so on. The control queue
+// fires equal-time events in push order, so the posts fire in the
+// canonical (timestamp, shard, emission-order) total order, after any
+// control event already queued for the same timestamp, regardless of how
+// the window was executed.
 func (w *World) flushPosts() {
-	if w.merge == nil || len(w.merge) < len(w.posts) {
-		w.merge = make([]int, len(w.posts))
-	}
-	h := w.mheap[:0]
-	for i := range w.posts {
-		if len(w.posts[i]) > 0 {
-			w.merge[i] = 0
-			h = append(h, mergeEnt{at: w.posts[i][0].at, shard: int32(i)})
+	for i, out := range w.posts {
+		for _, p := range out {
+			w.ctrl.DoCall(p.at, p.cb, p.ctx, p.arg)
 		}
+		clear(out)
+		w.posts[i] = out[:0]
 	}
-	if len(h) == 0 {
-		w.mheap = h
-		return
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		mergeSiftDown(h, i)
-	}
-	for len(h) > 0 {
-		i := int(h[0].shard)
-		p := w.posts[i][w.merge[i]]
-		w.posts[i][w.merge[i]] = wpost{}
-		w.merge[i]++
-		w.ctrl.DoCall(p.at, p.cb, p.ctx, p.arg)
-		if w.merge[i] < len(w.posts[i]) {
-			// Same shard continues: its next post's (nondecreasing)
-			// timestamp re-keys the root.
-			h[0].at = w.posts[i][w.merge[i]].at
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 1 {
-			mergeSiftDown(h, 0)
-		}
-	}
-	for i := range w.posts {
-		w.posts[i] = w.posts[i][:0]
-	}
-	w.mheap = h[:0]
-}
-
-// mergeSiftDown restores the min-heap order of flushPosts' cursor heap at
-// index i. Ties on timestamp break toward the lower shard index — the
-// canonical (timestamp, shard, emission-order) total order.
-func mergeSiftDown(h []mergeEnt, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && mergeLess(h[r], h[l]) {
-			m = r
-		}
-		if !mergeLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func mergeLess(a, b mergeEnt) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.shard < b.shard
 }

@@ -6,15 +6,14 @@ import (
 )
 
 // benchNop is the no-op typed callback delivered by the flushPosts
-// benchmarks; the work under measurement is the merge, not the callbacks.
+// benchmarks; the work under measurement is the flush, not the callbacks.
 var benchNop EventFn = func(any, uint64) {}
 
-// benchmarkFlushPosts measures the k-way outbox merge at a given shard
-// count: every shard contributes a time-sorted outbox and flushPosts must
-// interleave them into the canonical total order on the control heap. The
-// indexed merge heap makes this O(total·log k); the historical
-// implementation rescanned every outbox per message, O(total·k), which at
-// 64+ shards dominated the barrier cost.
+// benchmarkFlushPosts measures the barrier's post flush at a given shard
+// count: every shard contributes a time-sorted outbox, interleaved in time
+// with the others, and flushPosts pushes them shard by shard into the
+// control queue, which orders them by (timestamp, push order). The flush is
+// one O(1) queue push per post at any shard count.
 func benchmarkFlushPosts(b *testing.B, shards, postsPer int) {
 	w := NewWorld()
 	defer w.Close()
@@ -26,9 +25,9 @@ func benchmarkFlushPosts(b *testing.B, shards, postsPer int) {
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
 		// Refill the outboxes: shard-local timestamps nondecreasing, offset
-		// per shard so the merge actually interleaves, and based at the
+		// per shard so the outboxes interleave in time, and based at the
 		// control clock so the drained control Env can be reused (its arena
-		// stays at the high-water mark — the steady-state merge is
+		// stays at the high-water mark — the steady-state flush is
 		// allocation-free).
 		base := w.ctrl.Now()
 		for i := range w.posts {
