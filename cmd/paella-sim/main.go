@@ -123,8 +123,8 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&c.gateway, "gateway", "least-loaded", "gateway routing policy from the internal/gateway registry for -replicas > 1, -llm, and -autoscale ('list' to enumerate)")
 	fs.IntVar(&c.tenants, "tenants", 0, "tag requests with N tenants drawn uniformly (0 = untenanted)")
 	fs.Float64Var(&c.admitRate, "admit-rate", 0, "per-tenant admission rate in req/s (gateway token bucket; 0 = no admission control)")
-	fs.IntVar(&c.maxBatch, "max-batch", 0, "dynamic-batching width cap for the gated Paella dispatcher (≤1 = off)")
-	fs.DurationVar(&c.batchWindow, "batch-window", 0, "max batch-formation hold for a lone ready kernel (with -max-batch > 1)")
+	fs.IntVar(&c.maxBatch, "max-batch", 0, "dynamic-batching width cap on the gated Paella systems: Paella, Paella-SJF, Paella-RR, Paella-FIFO (≤1 = off); with -llm, the decode batch width (0 = 8)")
+	fs.DurationVar(&c.batchWindow, "batch-window", 0, "max batch-formation hold for a lone ready kernel (with -max-batch > 1 on a gated Paella system)")
 	fs.BoolVar(&c.llm, "llm", false, "generative (LLM) serving: autoregressive jobs with a paged KV-cache and continuous batching")
 	fs.BoolVar(&c.llmStatic, "llm-static", false, "use launch-time (static) decode batching instead of continuous (with -llm)")
 	fs.IntVar(&c.maxTokens, "max-tokens", 0, "cap sampled output-token counts (with -llm; 0 = distribution default)")
@@ -212,6 +212,11 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	fs.Visit(func(f *flag.Flag) { gwSet = gwSet || f.Name == "gateway" })
 	llmEquiv := map[string]string{"Paella-LLM": "-llm", "Paella-LLM-static": "-llm -llm-static",
 		"Paella-LLM-PD": "-llm -pd-split 1:1"}[c.system]
+	// -max-batch and -batch-window configure the gated Paella dispatcher
+	// (and, with -llm, whose -system stays Paella, the decode width); the
+	// stock batching systems fix their own width and window.
+	gated := gatedPaella[c.system]
+	fixedBatch := c.system == "Paella-batch" || c.system == "Triton-batch"
 	for _, rule := range []struct {
 		broken bool
 		msg    string
@@ -236,6 +241,12 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		{c.admitRate < 0, fmt.Sprintf("-admit-rate must be ≥ 0, got %v", c.admitRate)},
 		{c.maxTokens < 0, fmt.Sprintf("-max-tokens must be ≥ 0, got %d", c.maxTokens)},
 		{c.batchWindow < 0, fmt.Sprintf("-batch-window must be ≥ 0, got %v", c.batchWindow)},
+		{fixedBatch && changed("max-batch", "batch-window") != "",
+			fmt.Sprintf("-system %s fixes its batching at width %d and a %v window; -max-batch and -batch-window apply to the gated Paella systems",
+				c.system, serving.DefaultMaxBatch, time.Duration(serving.DefaultBatchWindow))},
+		{!gated && changed("max-batch") != "",
+			fmt.Sprintf("-max-batch applies to the gated Paella systems (Paella, Paella-SJF, Paella-RR, Paella-FIFO) and -llm, not -system %s", c.system)},
+		{c.batchWindow > 0 && c.maxBatch <= 1, "-batch-window requires -max-batch > 1"},
 		{c.scaleInterval <= 0, fmt.Sprintf("-scale-interval must be > 0, got %v", c.scaleInterval)},
 		{c.telWindow <= 0, fmt.Sprintf("-telemetry-window must be > 0, got %v", c.telWindow)},
 		{c.slo <= 0, fmt.Sprintf("-slo must be > 0, got %v", c.slo)},
@@ -272,6 +283,10 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	}
 	return c, nil
 }
+
+// gatedPaella are the -system names that run the gated Paella dispatcher
+// with the policy's own batching knobs: -max-batch and -batch-window apply.
+var gatedPaella = map[string]bool{"Paella": true, "Paella-SJF": true, "Paella-RR": true, "Paella-FIFO": true}
 
 // gpuPresets are the -gpu choices and the hourly price paella-sim bills
 // for each — the same offer book the autoscale experiment's mix optimizer

@@ -76,6 +76,19 @@ func TestRefusals(t *testing.T) {
 		{"traffic-unknown-field", []string{"-models", "resnet18", "-traffic", typo},
 			`unknown field "tenant"`},
 		{"horizon-overflow", []string{"-rate", "1e-9", "-jobs", "20", "-models", "resnet18"}, "trace horizon exceeds"},
+		{"paella-batch-max-batch", []string{"-system", "Paella-batch", "-max-batch", "2"}, "-system Paella-batch fixes its batching"},
+		{"paella-batch-window", []string{"-system", "Paella-batch", "-batch-window", "1ms"}, "-system Paella-batch fixes its batching"},
+		{"triton-batch-window", []string{"-system", "Triton-batch", "-batch-window", "10ms"}, "-system Triton-batch fixes its batching"},
+		{"triton-batch-max-batch", []string{"-system", "Triton-batch", "-max-batch", "4"}, "-system Triton-batch fixes its batching"},
+		{"batch-window-alone", []string{"-batch-window", "1ms"}, "-batch-window requires -max-batch > 1"},
+		{"batch-window-max-batch-1", []string{"-max-batch", "1", "-batch-window", "1ms"}, "-batch-window requires -max-batch > 1"},
+	}
+	for _, sys := range []string{"CUDA-SS", "CUDA-MS", "MPS", "Clockwork", "Triton", "Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk"} {
+		cases = append(cases, struct {
+			name string
+			args []string
+			want string
+		}{"max-batch-" + sys, []string{"-system", sys, "-max-batch", "4"}, "-max-batch applies to the gated Paella systems"})
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -170,6 +183,10 @@ func checkInvariants(c config) error {
 		return errors.New("a non-positive -slo, -telemetry-window or -scale-interval")
 	case c.replicas < 1:
 		return errors.New("-replicas below 1")
+	case c.batchWindow > 0 && c.maxBatch <= 1:
+		return errors.New("-batch-window without -max-batch > 1")
+	case c.maxBatch != 0 && !gatedPaella[c.system]:
+		return fmt.Errorf("-max-batch on -system %s", c.system)
 	case c.llm != (c.mode == modeLLM), c.autoscale != "" && c.mode != modeElastic,
 		c.mode == modeFleet && c.replicas < 2, c.mode == modeSingle && c.replicas != 1:
 		return fmt.Errorf("mode %d does not match the flags", c.mode)

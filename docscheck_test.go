@@ -537,6 +537,12 @@ var (
 	// capitalised (BENCHMARK.json, BENCH_*.json); a lowercase name such as
 	// trace.json is a run's output.
 	rootJSON = regexp.MustCompile(`^[A-Z][\w-]*\.json$`)
+	// testName matches a test, benchmark or fuzz target name; a trailing *
+	// makes it a prefix (`BenchmarkNotifQueue*`).
+	testName = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z]\w*)(\*?)`)
+	// ciPattern matches the pattern argument of a go test -run, -bench or
+	// -fuzz flag in ci.yml, quoted or bare.
+	ciPattern = regexp.MustCompile(`-(?:run|bench|fuzz) ('[^']*'|\S+)`)
 )
 
 // currentDocs are the documents that describe the tree as it is. ROADMAP.md
@@ -546,8 +552,11 @@ var currentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARC
 // TestDocCitationsResolve checks that every "ROADMAP item N" cited in a .go
 // or .md file names an item of ROADMAP.md, open or retired, and every
 // "DESIGN §N[.M]" names a numbered heading of DESIGN.md. In currentDocs it
-// also checks that every backticked `cmd/<name>` is a directory and every
-// backticked repo-root `*.json` exists.
+// also checks that every backticked `cmd/<name>` is a directory, every
+// backticked repo-root `*.json` exists, and every backticked `TestX`,
+// `BenchmarkX` or `FuzzX` is a function of some _test.go file. So must
+// every such name in ci.yml's -run, -bench and -fuzz patterns: a renamed
+// benchmark would otherwise drop silently out of a continue-on-error step.
 func TestDocCitationsResolve(t *testing.T) {
 	targets := func(file string, re *regexp.Regexp) map[string]bool {
 		b, err := os.ReadFile(file)
@@ -600,6 +609,7 @@ func TestDocCitationsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	funcs := collectTestFuncs(t)
 	for _, doc := range currentDocs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -616,6 +626,75 @@ func TestDocCitationsResolve(t *testing.T) {
 					t.Errorf("%s names `%s`, which the repo root does not have", doc, span[1])
 				}
 			}
+			for _, m := range testName.FindAllStringSubmatch(span[1], -1) {
+				if !funcs.resolves(m[1], m[2] == "*") {
+					t.Errorf("%s names `%s%s`, which no _test.go file declares", doc, m[1], m[2])
+				}
+			}
 		}
 	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range ciPattern.FindAllStringSubmatch(string(ci), -1) {
+		for _, m := range testName.FindAllStringSubmatch(arg[1], -1) {
+			if !funcs.resolves(m[1], false) {
+				t.Errorf("ci.yml runs %s, which no _test.go file declares", m[1])
+			}
+		}
+	}
+}
+
+// testFuncs is the set of top-level function names declared in the repo's
+// _test.go files, bench/ included.
+type testFuncs map[string]bool
+
+func collectTestFuncs(t *testing.T) testFuncs {
+	funcs := testFuncs{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
+
+// resolves reports whether name is declared, or with prefix set, whether
+// some declared name starts with it.
+func (f testFuncs) resolves(name string, prefix bool) bool {
+	if f[name] {
+		return true
+	}
+	if prefix {
+		for fn := range f {
+			if strings.HasPrefix(fn, name) {
+				return true
+			}
+		}
+	}
+	return false
 }

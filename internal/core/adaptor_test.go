@@ -63,7 +63,7 @@ func TestAdaptorJobCompletes(t *testing.T) {
 	if st.KernelsSent != 3 || st.CopiesSent != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(d.inflight) != 0 || !d.mirror.Idle() {
+	if d.inflight.len() != 0 || !d.mirror.Idle() {
 		t.Fatal("dispatcher state not drained")
 	}
 }

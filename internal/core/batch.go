@@ -25,74 +25,89 @@ import (
 // after every completed iteration, reusing this file's fairness semantics
 // via sched.BatchDispatched and the same profiled batch curve.
 
-// batchKey groups batch-compatible jobs: same model, same position in the
-// kernel sequence (so the pending launches are clones of one spec).
-type batchKey struct {
-	model string
-	pos   int
+// batchSlot is one kernel position of one registered model: every job
+// there launches a clone of the same spec, so the jobs ready at a slot are
+// batch partners. A slot keeps its ready tree (in request-id order; kept,
+// empty, between uses), the job held open for partners there (at most
+// one), and the widened clones of its kernel by batch width. A job reaches
+// its slot as j.slots[j.cursor]: an index, not a hashed key.
+type batchSlot struct {
+	ready *rbtree.Tree[*Job]
+	held  *Job
+	// specs[n] is the kernel widened to n members, made on first use.
+	// Positions that launch the same kernel share one specs slice, so a
+	// kernel has one widened clone per width, whichever position formed it.
+	specs []*gpu.KernelSpec
 }
 
-// batchSpecKey caches widened kernel clones per (base spec, width).
-type batchSpecKey struct {
-	spec *gpu.KernelSpec
-	n    int
+// newBatchSlots returns the batch slots of a model whose jobs follow ops,
+// for batches of up to maxBatch members.
+func newBatchSlots(ops []jobOp, maxBatch int) []batchSlot {
+	slots := make([]batchSlot, len(ops))
+	widened := make(map[*gpu.KernelSpec][]*gpu.KernelSpec)
+	for i, op := range ops {
+		if op.kind != opKernel {
+			continue
+		}
+		w := widened[op.spec]
+		if w == nil {
+			w = make([]*gpu.KernelSpec, maxBatch+1)
+			widened[op.spec] = w
+		}
+		slots[i].specs = w
+	}
+	return slots
 }
 
 // batchTraceBase offsets batch async-span ids away from request ids.
 const batchTraceBase uint64 = 1 << 32
 
-func (d *Dispatcher) batchKeyOf(j *Job) batchKey {
-	return batchKey{model: j.Req.Model, pos: j.cursor}
-}
+func byRequestID(a, b *Job) bool { return a.Req.ID < b.Req.ID }
+
+// slot returns the batch slot of the job's current op.
+func (j *Job) slot() *batchSlot { return &j.slots[j.cursor] }
 
 // policyAdd makes the job visible to the picker and, when batching is on,
-// to the same-kernel batch index. All gated model-path Add sites route
-// through here (adaptor waitlists keep their own reconcile path and never
-// enter the batch index).
+// to its batch slot. All gated model-path Add sites route through here
+// (adaptor jobs have no slots: their waitlists keep their own reconcile
+// path and never batch).
 func (d *Dispatcher) policyAdd(j *Job) {
 	d.cfg.Policy.Add(&j.entry)
 	j.inPolicy = true
 	j.readyAt = d.env.Now()
-	if d.batchIndex != nil && j.wl == nil {
-		d.batchIndexAdd(j)
+	if j.slots != nil {
+		d.joinSlot(j)
 	}
 }
 
 // policyRemove hides the job from the picker and tears down its batching
-// state (index membership and any open hold).
+// state (slot membership and any open hold).
 func (d *Dispatcher) policyRemove(j *Job) {
 	d.cfg.Policy.Remove(&j.entry)
 	j.inPolicy = false
-	if d.batchIndex != nil && j.batchNode != nil {
+	if j.batchNode.Attached() {
 		d.releaseHold(j)
-		d.batchIndexRemove(j)
+		j.slot().ready.Delete(j.batchNode)
 	}
 }
 
-// batchIndexAdd registers the ready job under its batch key. A partner
-// arriving is what a held job has been waiting for: the hold releases and
-// the next dispatch pass forms the batch.
-func (d *Dispatcher) batchIndexAdd(j *Job) {
-	key := d.batchKeyOf(j)
-	t := d.batchIndex[key]
-	if t == nil {
-		t = rbtree.New(func(a, b *Job) bool { return a.Req.ID < b.Req.ID })
-		d.batchIndex[key] = t
+// joinSlot files the ready job in its slot, re-inserting the job's
+// detached node when it has one. A partner arriving is what a held job
+// has been waiting for: the hold releases and the next dispatch pass forms
+// the batch.
+func (d *Dispatcher) joinSlot(j *Job) {
+	s := j.slot()
+	if s.ready == nil {
+		s.ready = rbtree.New(byRequestID)
 	}
-	j.batchNode = t.Insert(j)
-	if held := d.holds[key]; held != nil && held != j {
+	if j.batchNode == nil {
+		j.batchNode = s.ready.Insert(j)
+	} else {
+		s.ready.InsertNode(j.batchNode)
+	}
+	if held := s.held; held != nil && held != j {
 		d.releaseHold(held)
 		d.wakeNow()
-	}
-}
-
-func (d *Dispatcher) batchIndexRemove(j *Job) {
-	key := d.batchKeyOf(j)
-	t := d.batchIndex[key]
-	t.Delete(j.batchNode)
-	j.batchNode = nil
-	if t.Len() == 0 {
-		delete(d.batchIndex, key)
 	}
 }
 
@@ -109,7 +124,7 @@ func (d *Dispatcher) releaseHold(j *Job) {
 	// Restart the head-of-line clock: the hold is already attributed as
 	// batch wait, so the HoL gap must not double-count it.
 	j.readyAt = d.env.Now()
-	delete(d.holds, d.batchKeyOf(j))
+	j.slot().held = nil
 }
 
 // expireHold is the hold timer's landing: the window closed partnerless,
@@ -124,8 +139,16 @@ func (d *Dispatcher) expireHold(j *Job, gen uint64) {
 	j.noHold = true
 	j.rec.BatchWaitNs += d.env.Now() - j.holdStart
 	j.readyAt = d.env.Now()
-	delete(d.holds, d.batchKeyOf(j))
+	j.slot().held = nil
 	d.wakeNow()
+}
+
+// holdExpired is the hold timer's payload: ctx is the held Job, arg the
+// hold generation it was armed with — a typed event instead of a closure
+// per hold.
+var holdExpired sim.EventFn = func(ctx any, arg uint64) {
+	j := ctx.(*Job)
+	j.conn.d.expireHold(j, arg)
 }
 
 // batchHoldWindow sizes the adaptive formation window for a lone ready
@@ -164,12 +187,11 @@ func (d *Dispatcher) batchHoldWindow(j *Job) sim.Time {
 // ready now), holds it open for partners (adaptive window), or reports
 // false so the caller releases it solo.
 func (d *Dispatcher) tryBatch(j *Job) bool {
-	key := d.batchKeyOf(j)
-	t := d.batchIndex[key]
-	if t == nil || j.batchNode == nil {
+	if !j.batchNode.Attached() {
 		return false
 	}
-	if t.Len() >= 2 {
+	s := j.slot()
+	if t := s.ready; t.Len() >= 2 {
 		members := append(d.batchScratch[:0], j)
 		for n := t.Min(); n != nil && len(members) < d.cfg.MaxBatch; n = n.Next() {
 			if p := n.Item; p != j {
@@ -187,12 +209,12 @@ func (d *Dispatcher) tryBatch(j *Job) bool {
 			members = members[:nCap]
 		}
 		if len(members) >= 2 {
-			d.dispatchBatch(members)
+			d.dispatchBatch(s, members)
 			return true
 		}
 		return false
 	}
-	// Alone at this key: consider holding the window open for partners.
+	// Alone at its slot: consider holding the window open for partners.
 	if j.noHold {
 		return false
 	}
@@ -204,21 +226,20 @@ func (d *Dispatcher) tryBatch(j *Job) bool {
 	j.holdGen++
 	gen := j.holdGen
 	j.holdStart = d.env.Now()
-	d.holds[key] = j
+	s.held = j
 	d.stats.BatchHolds++
-	d.env.After(wait, func() { d.expireHold(j, gen) })
+	d.env.DoCallAfter(wait, holdExpired, j, gen)
 	return true
 }
 
-// batchedSpec returns the cached widened clone of base for width n.
-func (d *Dispatcher) batchedSpec(base *gpu.KernelSpec, n int, scale float64) *gpu.KernelSpec {
-	key := batchSpecKey{spec: base, n: n}
-	if s := d.batchSpecs[key]; s != nil {
-		return s
+// batchedSpec returns the slot's widened clone of head's current kernel
+// for width n, made on first use with the profiled batch curve.
+func batchedSpec(s *batchSlot, head *Job, n int) *gpu.KernelSpec {
+	if s.specs[n] == nil {
+		base := head.currentKernel()
+		s.specs[n] = base.Batched(n, head.Ins.Profile.BatchScale(base.Name, n))
 	}
-	s := base.Batched(n, scale)
-	d.batchSpecs[key] = s
-	return s
+	return s.specs[n]
 }
 
 // dispatchBatch releases one batched kernel launch covering every member.
@@ -227,11 +248,10 @@ func (d *Dispatcher) batchedSpec(base *gpu.KernelSpec, n int, scale float64) *gp
 // pro rata. Fairness accounting still charges every member's client
 // (sched.BatchDispatched), and the launch's SRPT position is the
 // pessimistic member's (sched.BatchRemaining).
-func (d *Dispatcher) dispatchBatch(members []*Job) {
+func (d *Dispatcher) dispatchBatch(s *batchSlot, members []*Job) {
 	head := members[0]
-	base := head.currentKernel()
 	n := len(members)
-	bspec := d.batchedSpec(base, n, head.Ins.Profile.BatchScale(base.Name, n))
+	bspec := batchedSpec(s, head, n)
 	now := d.env.Now()
 
 	entries := d.entryScratch[:0]
@@ -275,7 +295,7 @@ func (d *Dispatcher) dispatchBatch(members []*Job) {
 	fl := d.newInflight()
 	fl.job, fl.spec, fl.sentAt, fl.actBytes = head, bspec, now, actBytes
 	fl.members = append(fl.members[:0], members...)
-	d.inflight[kid] = fl
+	d.inflight.put(kid, fl)
 	d.mirror.Reserve(bspec)
 	d.stats.KernelsSent++
 	d.stats.Batches++

@@ -74,7 +74,7 @@ func TestCancelMidRunDrainsInFlight(t *testing.T) {
 	if st.KernelsSent >= 8 {
 		t.Fatalf("cancel did not stop kernel dispatch: %d sent", st.KernelsSent)
 	}
-	if len(d.inflight) != 0 || !d.mirror.Idle() {
+	if d.inflight.len() != 0 || !d.mirror.Idle() {
 		t.Fatal("state not drained after cancel")
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"paella/internal/cudart"
 	"paella/internal/gpu"
 	"paella/internal/metrics"
-	"paella/internal/rbtree"
 	"paella/internal/sched"
 	"paella/internal/sim"
 	"paella/internal/telemetry"
@@ -246,6 +245,8 @@ func (c *ClientConn) Cancel(reqID uint64) {
 
 // inflightKernel tracks one dispatched-but-unfinished kernel in ModeGated.
 type inflightKernel struct {
+	// id is the kernel id the record is filed under in the kernel table.
+	id        uint32
 	job       *Job
 	spec      *gpu.KernelSpec
 	placed    int
@@ -329,7 +330,7 @@ type Dispatcher struct {
 
 	mirror       mirror
 	jobs         map[uint64]*Job // live gated model-path jobs by request id
-	inflight     map[uint32]*inflightKernel
+	inflight     kernelTable
 	nextKernelID uint32
 	queueCursor  int
 	nbuf         []channel.Notification
@@ -347,14 +348,9 @@ type Dispatcher struct {
 	flFree     []*inflightKernel
 	launchFree []*gpu.Launch
 
-	// Dynamic batching state (inert unless Config.MaxBatch > 1; see
-	// batch.go). batchIndex groups ready same-model, same-position jobs by
-	// batch key; holds tracks the (at most one per key) job held open for
-	// partners; batchSpecs caches widened kernel clones; the scratch
-	// slices are reused across formations.
-	batchIndex   map[batchKey]*rbtree.Tree[*Job]
-	holds        map[batchKey]*Job
-	batchSpecs   map[batchSpecKey]*gpu.KernelSpec
+	// Dynamic batching scratch (inert unless Config.MaxBatch > 1; see
+	// batch.go), reused across formations. The batching state itself lives
+	// in each model's batch slots (modelEntry.slots).
 	batchScratch []*Job
 	entryScratch []*sched.JobEntry
 
@@ -483,7 +479,7 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		models:       make(map[string]modelEntry),
 		wake:         sim.NewCond(env),
 		jobs:         make(map[uint64]*Job),
-		inflight:     make(map[uint32]*inflightKernel),
+		inflight:     newKernelTable(),
 		nbuf:         make([]channel.Notification, 256),
 		collector:    metrics.NewCollector(),
 		failNextLoad: make(map[string]int),
@@ -507,9 +503,6 @@ func New(env *sim.Env, dev *gpu.Device, notifQ *channel.NotifQueue, cfg Config) 
 		return d.mirror.CanAccept(j.peekKernel())
 	}
 	if cfg.MaxBatch > 1 {
-		d.batchIndex = make(map[batchKey]*rbtree.Tree[*Job])
-		d.holds = make(map[batchKey]*Job)
-		d.batchSpecs = make(map[batchSpecKey]*gpu.KernelSpec)
 		d.batchScratch = make([]*Job, 0, cfg.MaxBatch)
 		d.entryScratch = make([]*sched.JobEntry, 0, cfg.MaxBatch)
 	}
@@ -592,7 +585,11 @@ func (d *Dispatcher) RegisterModel(ins *compiler.Instrumented) error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	d.models[ins.Model.Name] = modelEntry{ins: ins, ops: buildOps(ins, d.cfg.Mode == ModeGated)}
+	me := modelEntry{ins: ins, ops: buildOps(ins, d.cfg.Mode == ModeGated)}
+	if d.cfg.MaxBatch > 1 {
+		me.slots = newBatchSlots(me.ops, d.cfg.MaxBatch)
+	}
+	d.models[ins.Model.Name] = me
 	return nil
 }
 
@@ -768,14 +765,14 @@ func (d *Dispatcher) traceCounters() {
 	live := float64(d.stats.Admitted - d.stats.Completed - d.stats.Failed)
 	if d.rec != nil {
 		d.rec.Sample(d.liveC, "value", now, live)
-		d.rec.Sample(d.inflightC, "value", now, float64(len(d.inflight)))
+		d.rec.Sample(d.inflightC, "value", now, float64(d.inflight.len()))
 		if d.cfg.Policy != nil {
 			d.rec.Sample(d.readyC, "value", now, float64(d.cfg.Policy.Len()))
 		}
 	}
 	if d.mt != nil {
 		d.mt.Set(d.mtLive, now, live)
-		d.mt.Set(d.mtInflight, now, float64(len(d.inflight)))
+		d.mt.Set(d.mtInflight, now, float64(d.inflight.len()))
 		if d.cfg.Policy != nil {
 			d.mt.Set(d.mtReady, now, float64(d.cfg.Policy.Len()))
 		}

@@ -131,8 +131,8 @@ func TestGatedManyJobsAllComplete(t *testing.T) {
 	if !d.mirror.Idle() {
 		t.Fatal("mirror not idle after drain")
 	}
-	if len(d.inflight) != 0 {
-		t.Fatalf("%d kernels still inflight", len(d.inflight))
+	if d.inflight.len() != 0 {
+		t.Fatalf("%d kernels still inflight", d.inflight.len())
 	}
 }
 

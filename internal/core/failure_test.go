@@ -80,7 +80,7 @@ func TestNotifQFlowControl(t *testing.T) {
 	if done != jobs {
 		t.Fatalf("completed %d of %d — notification loss under small notifQ", done, jobs)
 	}
-	if len(d.inflight) != 0 || !d.mirror.Idle() {
+	if d.inflight.len() != 0 || !d.mirror.Idle() {
 		t.Fatal("dispatcher state not clean after drain")
 	}
 }
@@ -141,7 +141,7 @@ func TestAllModesRandomMix(t *testing.T) {
 			if st.Admitted != st.Completed {
 				t.Fatalf("conservation violated: %+v", st)
 			}
-			if mode == ModeGated && (len(d.inflight) != 0 || !d.mirror.Idle()) {
+			if mode == ModeGated && (d.inflight.len() != 0 || !d.mirror.Idle()) {
 				t.Fatal("gated state not drained")
 			}
 		})

@@ -31,10 +31,12 @@ type jobOp struct {
 }
 
 // modelEntry is a registered model with the op list every job of it
-// follows. Jobs share ops, which nothing writes after RegisterModel.
+// follows. Jobs share ops, which nothing writes after RegisterModel, and
+// slots, the per-position batching state (nil unless Config.MaxBatch > 1).
 type modelEntry struct {
-	ins *compiler.Instrumented
-	ops []jobOp
+	ins   *compiler.Instrumented
+	ops   []jobOp
+	slots []batchSlot
 }
 
 // Job is one admitted inference request moving through the dispatcher.
@@ -43,7 +45,10 @@ type Job struct {
 	Ins  *compiler.Instrumented
 	conn *ClientConn
 
-	ops       []jobOp // the model's shared, read-only op list
+	ops []jobOp // the model's shared, read-only op list
+	// slots are the model's batch slots, one per op (nil unless batching
+	// is on); the job's ready entry lives in slots[cursor].
+	slots     []batchSlot
 	cursor    int
 	execsDone int // kernel executions completed (SRPT progress)
 
@@ -73,7 +78,8 @@ type Job struct {
 	// holdStart stamps the hold for per-member wait attribution; noHold
 	// marks a job whose hold expired partnerless — it dispatches solo
 	// rather than re-arming (reset on dispatch). batchNode is the job's
-	// handle in the dispatcher's same-kernel batch index.
+	// handle in its slot's ready tree; it stays with the job, detached,
+	// between kernels and is re-inserted at the next slot.
 	held      bool
 	holdGen   uint64
 	holdStart sim.Time
@@ -167,10 +173,11 @@ func (d *Dispatcher) admit(req Request) *Job {
 	now := d.env.Now()
 	ins := m.ins
 	j := &Job{
-		Req:  req,
-		Ins:  ins,
-		conn: d.clients[req.Client],
-		ops:  m.ops,
+		Req:   req,
+		Ins:   ins,
+		conn:  d.clients[req.Client],
+		ops:   m.ops,
+		slots: m.slots,
 		rec: metrics.JobRecord{
 			ID:          req.ID,
 			Model:       req.Model,
@@ -423,7 +430,7 @@ func (d *Dispatcher) dispatchKernel(j *Job) {
 	j.kernelsInFlight++
 	fl := d.newInflight()
 	fl.job, fl.spec, fl.op = j, spec, wlop
-	d.inflight[kid] = fl
+	d.inflight.put(kid, fl)
 	d.mirror.Reserve(spec)
 	d.stats.KernelsSent++
 	if d.rec != nil {
@@ -480,11 +487,11 @@ var watchdogFire sim.EventFn = func(ctx any, arg uint64) {
 }
 
 func (d *Dispatcher) onKernelTimeout(kid uint32) {
-	fl, ok := d.inflight[kid]
-	if !ok {
+	fl := d.inflight.get(kid)
+	if fl == nil {
 		return // completed normally before the watchdog fired
 	}
-	delete(d.inflight, kid)
+	d.inflight.remove(kid)
 	defer d.putInflight(fl)
 	j := fl.job
 	spec := fl.spec
@@ -568,8 +575,8 @@ func (d *Dispatcher) dispatchReason(e *sched.JobEntry) string {
 // and job progress. Runs in dispatcher-loop context.
 func (d *Dispatcher) applyNotif(n channel.Notification) {
 	d.stats.NotifsHandled++
-	fl, ok := d.inflight[n.KernelID()]
-	if !ok {
+	fl := d.inflight.get(n.KernelID())
+	if fl == nil {
 		if d.tolerant() {
 			// A duplicate of a final completion, or a record for a kernel
 			// the watchdog already reconciled. Count and ignore.
@@ -621,7 +628,7 @@ func (d *Dispatcher) applyNotif(n channel.Notification) {
 		fl.completed += count
 		d.mirror.Complete(fl.spec, count)
 		if fl.completed == fl.spec.Blocks {
-			delete(d.inflight, n.KernelID())
+			d.inflight.remove(n.KernelID())
 			if len(fl.members) > 0 {
 				d.batchComplete(n.KernelID(), fl)
 				d.putInflight(fl)

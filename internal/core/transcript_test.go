@@ -164,9 +164,17 @@ func dispatchScenario(t *testing.T, env *sim.Env, c dispatchCase, logf func(stri
 	return d, check
 }
 
-// dispatchTranscript runs one case with Run, or with RunUntil slices of
-// irregular length, and returns its transcript.
-func dispatchTranscript(t *testing.T, c dispatchCase, slices bool) string {
+// executor is how dispatchTranscript drives the Env.
+type executor int
+
+const (
+	execRun    executor = iota // one Run
+	execSlices                 // RunUntil slices of irregular length
+	execSteps                  // one Step at a time, checking the dispatcher between events
+)
+
+// dispatchTranscript runs one case under ex and returns its transcript.
+func dispatchTranscript(t *testing.T, c dispatchCase, ex executor) string {
 	env := sim.NewEnv()
 	defer env.Close()
 	var b strings.Builder
@@ -179,7 +187,14 @@ func dispatchTranscript(t *testing.T, c dispatchCase, slices bool) string {
 			st.Batches, st.BatchedJobs, st.BatchHolds, int64(st.BusyNs))
 	}
 	d, check := dispatchScenario(t, env, c, logf)
-	if slices {
+	switch ex {
+	case execSteps:
+		for env.Step() {
+			if err := checkDispatcherState(d); err != nil {
+				t.Fatalf("%s: after step %d at %d: %v", c.name, env.Steps(), int64(env.Now()), err)
+			}
+		}
+	case execSlices:
 		rng := rand.New(rand.NewSource(9))
 		for env.Pending() > 0 {
 			switch rng.Intn(4) {
@@ -191,7 +206,7 @@ func dispatchTranscript(t *testing.T, c dispatchCase, slices bool) string {
 				env.RunFor(sim.Time(rng.Intn(40000)))
 			}
 		}
-	} else {
+	default:
 		env.Run()
 	}
 	check()
@@ -205,11 +220,12 @@ func dispatchTranscript(t *testing.T, c dispatchCase, slices bool) string {
 }
 
 // TestDispatchTranscript: every case reproduces the recorded loop
-// transcript, step counts included, under Run and under RunUntil slices.
+// transcript, step counts included, under Run, under RunUntil slices, and
+// one Step at a time with checkDispatcherState holding after every event.
 func TestDispatchTranscript(t *testing.T) {
 	var got strings.Builder
 	for _, c := range dispatchCases {
-		fmt.Fprintf(&got, "== %s\n%s", c.name, dispatchTranscript(t, c, false))
+		fmt.Fprintf(&got, "== %s\n%s", c.name, dispatchTranscript(t, c, execRun))
 	}
 	if *updateGolden {
 		if err := os.WriteFile(dispatchTranscriptPath, []byte(got.String()), 0o644); err != nil {
@@ -221,13 +237,15 @@ func TestDispatchTranscript(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := string(raw)
-	var sliced strings.Builder
+	var sliced, stepped strings.Builder
 	for _, c := range dispatchCases {
-		fmt.Fprintf(&sliced, "== %s\n%s", c.name, dispatchTranscript(t, c, true))
+		fmt.Fprintf(&sliced, "== %s\n%s", c.name, dispatchTranscript(t, c, execSlices))
+		fmt.Fprintf(&stepped, "== %s\n%s", c.name, dispatchTranscript(t, c, execSteps))
 	}
 	for _, r := range []struct{ name, got string }{
 		{"Run", got.String()},
 		{"RunUntil slices", sliced.String()},
+		{"Step", stepped.String()},
 	} {
 		if r.got == want {
 			continue
@@ -240,4 +258,64 @@ func TestDispatchTranscript(t *testing.T) {
 		}
 		t.Fatalf("%s: transcript length %d lines, want %d", r.name, len(gl), len(wl))
 	}
+}
+
+// checkDispatcherState reports the first broken invariant of the
+// dispatcher's dense bookkeeping:
+//   - every ready model-path job sits in exactly one slot tree, the one at
+//     its (model, cursor), and no other job sits in any;
+//   - every held job is its slot's held job, and every slot's held job is
+//     a held job at that slot;
+//   - the kernel table's count is its number of live records, each filed
+//     in the slot its id selects.
+func checkDispatcherState(d *Dispatcher) error {
+	seen := map[*Job]int{}
+	for name, m := range d.models {
+		for pos := range m.slots {
+			s := &m.slots[pos]
+			if s.ready != nil {
+				for n := s.ready.Min(); n != nil; n = n.Next() {
+					j := n.Item
+					seen[j]++
+					if j.Req.Model != name || j.cursor != pos || !j.inPolicy {
+						return fmt.Errorf("job %d (model %s, cursor %d, ready %v) sits in slot (%s, %d)",
+							j.Req.ID, j.Req.Model, j.cursor, j.inPolicy, name, pos)
+					}
+				}
+			}
+			if h := s.held; h != nil && (!h.held || h.Req.Model != name || h.cursor != pos) {
+				return fmt.Errorf("slot (%s, %d) holds job %d (held %v, model %s, cursor %d)",
+					name, pos, h.Req.ID, h.held, h.Req.Model, h.cursor)
+			}
+		}
+	}
+	for id, j := range d.jobs {
+		if j.slots == nil || j.wl != nil {
+			continue
+		}
+		if j.inPolicy && seen[j] != 1 {
+			return fmt.Errorf("ready job %d sits in %d slot trees", id, seen[j])
+		}
+		if j.held && j.slot().held != j {
+			return fmt.Errorf("held job %d is not its slot's held job", id)
+		}
+		delete(seen, j)
+	}
+	for j := range seen {
+		return fmt.Errorf("job %d sits in a slot tree but is not a live job", j.Req.ID)
+	}
+	live := 0
+	for i, fl := range d.inflight.slots {
+		if fl == nil {
+			continue
+		}
+		live++
+		if int(fl.id)&(len(d.inflight.slots)-1) != i {
+			return fmt.Errorf("kernel %d filed in slot %d of %d", fl.id, i, len(d.inflight.slots))
+		}
+	}
+	if live != d.inflight.len() {
+		return fmt.Errorf("kernel table counts %d records, holds %d", d.inflight.len(), live)
+	}
+	return nil
 }
