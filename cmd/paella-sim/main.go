@@ -175,8 +175,17 @@ func parse(args []string, stderr io.Writer) (config, error) {
 		return c, nil
 	}
 	if c.system == "list" {
-		for _, row := range serving.Table3() {
-			c.list = append(c.list, fmt.Sprintf("%-16s dispatch=%-7s sched=%s", row.Name, row.Dispatch, row.Scheduler))
+		for _, row := range serving.Systems() {
+			line := fmt.Sprintf("%-17s ", row.Name)
+			switch run := llmSystems[row.Name]; {
+			case run != "":
+				line += "generative: run " + run
+			case row.Interface == "":
+				line += "(not in Table 3)"
+			default:
+				line += fmt.Sprintf("dispatch=%-7s sched=%s", row.Dispatch, row.Scheduler)
+			}
+			c.list = append(c.list, line)
 		}
 		return c, nil
 	}
@@ -210,8 +219,7 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	}
 	gwSet := false
 	fs.Visit(func(f *flag.Flag) { gwSet = gwSet || f.Name == "gateway" })
-	llmEquiv := map[string]string{"Paella-LLM": "-llm", "Paella-LLM-static": "-llm -llm-static",
-		"Paella-LLM-PD": "-llm -pd-split 1:1"}[c.system]
+	llmEquiv := llmSystems[c.system]
 	// -max-batch and -batch-window configure the gated Paella dispatcher
 	// (and, with -llm, whose -system stays Paella, the decode width); the
 	// stock batching systems fix their own width and window.
@@ -283,6 +291,10 @@ func parse(args []string, stderr io.Writer) (config, error) {
 	}
 	return c, nil
 }
+
+// llmSystems maps each generative -system to the -llm flags that run it.
+var llmSystems = map[string]string{"Paella-LLM": "-llm", "Paella-LLM-static": "-llm -llm-static",
+	"Paella-LLM-PD": "-llm -pd-split 1:1"}
 
 // gatedPaella are the -system names that run the gated Paella dispatcher
 // with the policy's own batching knobs: -max-batch and -batch-window apply.

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"paella/internal/serving"
 )
 
 // TestRefusals runs command lines a mode would otherwise ignore in part,
@@ -241,5 +243,32 @@ func TestParseHelp(t *testing.T) {
 	}
 	if _, err := parse([]string{"-nosuchflag"}, io.Discard); !errors.Is(err, errUsage) {
 		t.Fatalf("parse -nosuchflag: %v", err)
+	}
+}
+
+// TestSystemList checks that -system list names exactly the systems
+// -system accepts, and that it points each generative system at -llm.
+func TestSystemList(t *testing.T) {
+	c, err := parse([]string{"-system", "list"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range c.list {
+		name := strings.Fields(line)[0]
+		listed = append(listed, name)
+		if _, err := serving.NewSystem(name); err != nil {
+			t.Errorf("-system list names %s, which -system refuses: %v", name, err)
+		}
+		if strings.HasPrefix(name, "Paella-LLM") != strings.Contains(line, "run -llm") {
+			t.Errorf("line %q: generative systems, and only they, say they run under -llm", line)
+		}
+	}
+	var accepted []string
+	for _, row := range serving.Systems() {
+		accepted = append(accepted, row.Name)
+	}
+	if strings.Join(listed, " ") != strings.Join(accepted, " ") || len(listed) != 17 {
+		t.Fatalf("-system list names %v, want the 17 systems %v", listed, accepted)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -537,6 +538,9 @@ var (
 	// capitalised (BENCHMARK.json, BENCH_*.json); a lowercase name such as
 	// trace.json is a run's output.
 	rootJSON = regexp.MustCompile(`^[A-Z][\w-]*\.json$`)
+	// goPath matches a code span naming a Go file, bare or with some of its
+	// directories (`sched/paella.go`).
+	goPath = regexp.MustCompile(`^[\w./-]+\.go$`)
 	// testName matches a test, benchmark or fuzz target name; a trailing *
 	// makes it a prefix (`BenchmarkNotifQueue*`).
 	testName = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z]\w*)(\*?)`)
@@ -553,7 +557,8 @@ var currentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARC
 // or .md file names an item of ROADMAP.md, open or retired, and every
 // "DESIGN §N[.M]" names a numbered heading of DESIGN.md. In currentDocs it
 // also checks that every backticked `cmd/<name>` is a directory, every
-// backticked repo-root `*.json` exists, and every backticked `TestX`,
+// backticked repo-root `*.json` exists, every backticked `*.go` path is
+// the path suffix of some Go file, and every backticked `TestX`,
 // `BenchmarkX` or `FuzzX` is a function of some _test.go file. So must
 // every such name in ci.yml's -run, -bench and -fuzz patterns: a renamed
 // benchmark would otherwise drop silently out of a continue-on-error step.
@@ -575,6 +580,7 @@ func TestDocCitationsResolve(t *testing.T) {
 		t.Fatalf("found %d ROADMAP items and %d DESIGN sections", len(items), len(sections))
 	}
 	number := regexp.MustCompile(`\d+`)
+	var goFiles []string // every Go file's path, with a leading slash
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -587,6 +593,9 @@ func TestDocCitationsResolve(t *testing.T) {
 		}
 		if !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".md") {
 			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			goFiles = append(goFiles, "/"+filepath.ToSlash(path))
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -625,6 +634,11 @@ func TestDocCitationsResolve(t *testing.T) {
 				if _, err := os.Stat(span[1]); err != nil {
 					t.Errorf("%s names `%s`, which the repo root does not have", doc, span[1])
 				}
+			}
+			if goPath.MatchString(span[1]) && !slices.ContainsFunc(goFiles, func(f string) bool {
+				return strings.HasSuffix(f, "/"+strings.TrimPrefix(span[1], "./"))
+			}) {
+				t.Errorf("%s names `%s`, which no Go file's path ends with", doc, span[1])
 			}
 			for _, m := range testName.FindAllStringSubmatch(span[1], -1) {
 				if !funcs.resolves(m[1], m[2] == "*") {

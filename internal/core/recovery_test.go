@@ -283,3 +283,77 @@ func TestPCIeBrownoutSlowsCopies(t *testing.T) {
 		t.Fatalf("brownout did not slow the run: healthy=%v browned=%v", healthy, browned)
 	}
 }
+
+// TestBatchedKernelTimeout drives both branches of the watchdog's batched
+// recovery path, batchTimeout, one event at a time with the dispatcher's
+// slot and kernel-table invariants checked after every event. With every
+// notification dropped no batch ever places, so each member goes back
+// through the policy on its own retry budget until it fails; with only
+// completion records dropped every batch placed, so every member is
+// force-completed. Either way each request terminates exactly once.
+func TestBatchedKernelTimeout(t *testing.T) {
+	const n = 24
+	for _, tc := range []struct {
+		name      string
+		drop      func(channel.Notification) bool
+		wantFails bool
+	}{
+		{"never-placed", func(channel.Notification) bool { return true }, true},
+		{"placed", func(nt channel.Notification) bool { return nt.Type() == channel.Completion }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(sched.NewPaella(10000))
+			cfg.KernelTimeout = 20 * sim.Microsecond
+			cfg.MaxBatch, cfg.BatchWindow = 8, 50*sim.Microsecond
+			env, d := testSetup(t, cfg, model.TinyNet())
+			d.Device().SetNotifFault(func(nt channel.Notification) channel.NotifVerdict {
+				if tc.drop(nt) {
+					return channel.NotifDrop
+				}
+				return channel.NotifKeep
+			})
+			conn := d.Connect()
+			ends := make(map[uint64]int)
+			var completed, failed int
+			conn.OnComplete = func(id uint64) { ends[id]++; completed++ }
+			conn.OnFailed = func(id uint64, err error) {
+				ends[id]++
+				failed++
+				if err != ErrKernelTimeout {
+					t.Errorf("request %d failed with %v, want ErrKernelTimeout", id, err)
+				}
+			}
+			env.At(0, func() {
+				for i := 1; i <= n; i++ {
+					conn.Submit(Request{ID: uint64(i), Model: "tinynet", Client: conn.ID, Submit: env.Now()})
+				}
+			})
+			for env.Step() {
+				if err := checkDispatcherState(d); err != nil {
+					t.Fatalf("after step %d at %d: %v", env.Steps(), int64(env.Now()), err)
+				}
+			}
+			for id := uint64(1); id <= n; id++ {
+				if ends[id] != 1 {
+					t.Errorf("request %d terminated %d times, want once", id, ends[id])
+				}
+			}
+			st := d.Stats()
+			if st.Batches == 0 || st.KernelTimeouts != st.KernelsSent {
+				t.Fatalf("%d batches, %d watchdog firings for %d launches; want batches and every launch timed out: %+v",
+					st.Batches, st.KernelTimeouts, st.KernelsSent, st)
+			}
+			if tc.wantFails {
+				if failed != n || st.KernelRetries != n*maxKernelRetries {
+					t.Fatalf("failed %d of %d after %d re-dispatches, want all after %d (each member's budget)",
+						failed, n, st.KernelRetries, n*maxKernelRetries)
+				}
+			} else if completed != n || st.KernelRetries != 0 {
+				t.Fatalf("completed %d of %d with %d re-dispatches, want all with none", completed, n, st.KernelRetries)
+			}
+			if !d.mirror.Idle() || d.inflight.len() != 0 {
+				t.Fatal("occupancy mirror or kernel table not empty after the run")
+			}
+		})
+	}
+}

@@ -37,7 +37,7 @@ func runAblationBatching(w io.Writer, d Detail) error {
 		mk     func() serving.System
 		window sim.Time
 	}{
-		{"Triton (no batching)", func() serving.System { return serving.NewTriton() }, 0},
+		{"Triton (no batching)", func() serving.System { return serving.MustNewSystem("Triton") }, 0},
 		{"Triton batch≤8 w=1ms", func() serving.System { return serving.NewTritonBatching(sim.Millisecond, 8) }, sim.Millisecond},
 		{"Triton batch≤32 w=5ms", func() serving.System { return serving.NewTritonBatching(5*sim.Millisecond, 32) }, 5 * sim.Millisecond},
 		{"Paella", func() serving.System { return serving.MustNewSystem("Paella") }, 0},

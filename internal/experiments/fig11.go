@@ -23,10 +23,25 @@ func init() {
 	})
 }
 
+// fig11Systems are the systems of the Figure 11 comparison, in plot order.
+var fig11Systems = []string{
+	"CUDA-SS", "CUDA-MS", "Triton",
+	"Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
+	"Paella-SJF", "Paella-RR", "Paella",
+}
+
+// fig12Systems are the systems of the Figure 12 comparison (MPS instead of
+// Triton).
+var fig12Systems = []string{
+	"CUDA-SS", "CUDA-MS", "MPS",
+	"Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
+	"Paella-SJF", "Paella-RR", "Paella",
+}
+
 func runFig11(w io.Writer, d Detail) error {
 	rates := []float64{50, 100, 200, 300, 400, 500}
 	jobs := 400
-	systems := serving.Fig11Systems()
+	systems := fig11Systems
 	sigmas := []float64{2, 1.5}
 	if d == Quick {
 		rates = []float64{100, 300}
@@ -68,7 +83,7 @@ func runFig11(w io.Writer, d Detail) error {
 func runFig12(w io.Writer, d Detail) error {
 	rates := []float64{100, 200, 300, 400, 600, 800}
 	jobs := 500
-	systems := serving.Fig12Systems()
+	systems := fig12Systems
 	sigmas := []float64{2, 1.5}
 	if d == Quick {
 		rates = []float64{200, 600}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"paella/internal/core"
 	"paella/internal/model"
 	"paella/internal/sched"
 	"paella/internal/serving"
@@ -54,8 +55,8 @@ func runFig13(w io.Writer, d Detail) error {
 	fmt.Fprintf(w, "  %10s %16s %16s\n", "threshold", "short (8 kern)", "long (40 kern)")
 	for _, thr := range thresholds {
 		thr := thr
-		sys := serving.NewPaellaWithPolicy("Paella-thr", func() sched.Policy {
-			return sched.NewPaella(thr)
+		sys := serving.NewPaellaTweaked("Paella-thr", func(c *core.Config) {
+			c.Policy = sched.NewPaella(thr)
 		})
 		col := serving.MustRunTrace(sys, trace, opts)
 		shorts := col.FilterModel(shortM.Name)

@@ -37,7 +37,7 @@ func runFig14(w io.Writer, d Detail) error {
 	run := func(proto client.Protocol) result {
 		env := sim.NewEnv()
 		devCfg := gpu.TeslaT4()
-		disp := core.NewWithDevice(env, devCfg, core.DefaultConfig(sched.NewPaella(10000)))
+		disp := core.NewWithDevice(env, devCfg, core.DefaultConfig(sched.NewPaella(sched.DefaultFairnessThreshold)))
 		ins := compiler.MustCompile(model.TinyNet(), compiler.DefaultConfig(), devCfg, 2)
 		if err := disp.RegisterModel(ins); err != nil {
 			panic(err)

@@ -27,7 +27,7 @@ const batchSLO = 100 * sim.Millisecond
 
 // runPaellaBatching sweeps offered load over a zipf many-models workload
 // and compares unbatched Paella, Paella with dispatcher batching
-// (serving.NewPaellaBatching), and the Triton batching baseline. The
+// (the Paella-batch system), and the Triton batching baseline. The
 // interesting cells are the extremes: at low load batching must disengage
 // (identical latency), at saturating load the widened launches must buy
 // goodput.

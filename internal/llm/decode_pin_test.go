@@ -106,7 +106,7 @@ func TestDecodeLoopPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(threshold float64) string
-		want [2]string // at fairnessThreshold, at threshold 2
+		want [2]string // at sched.DefaultFairnessThreshold, at threshold 2
 	}{
 		{"continuous-kv-pressure", single(40, true), [2]string{
 			"a0683c834b519c8f7eec79009832be5685db04d79b75146d4dbddadd9479f53b",
@@ -123,7 +123,7 @@ func TestDecodeLoopPinned(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, c := range cases {
-		for i, threshold := range []float64{fairnessThreshold, 2} {
+		for i, threshold := range []float64{sched.DefaultFairnessThreshold, 2} {
 			if got := c.run(threshold); got != c.want[i] {
 				fmt.Fprintf(&b, "%s threshold=%v: digest %s, want %s\n", c.name, threshold, got, c.want[i])
 			}

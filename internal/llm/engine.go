@@ -193,7 +193,7 @@ func NewEngine(env *sim.Env, comp *Compiled, col *metrics.Collector) (*Engine, e
 		dev:        gpu.NewDevice(env, cfg.DevCfg, nil),
 		mem:        mem,
 		comp:       comp,
-		policy:     sched.NewPaella(fairnessThreshold),
+		policy:     sched.NewPaella(sched.DefaultFairnessThreshold),
 		col:        col,
 		maxKVPages: int(cfg.VRAMBytes/cfg.KVBlockBytes) - mem.UsedBlocks(),
 		traced:     trace.FromEnv(env) != nil,

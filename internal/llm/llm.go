@@ -117,12 +117,8 @@ type Config struct {
 	Continuous bool
 }
 
-const (
-	// fairnessThreshold is the Paella policy's deficit bound.
-	fairnessThreshold = 10000
-	// profileRuns is the profiling repetition count.
-	profileRuns = 3
-)
+// profileRuns is the profiling repetition count.
+const profileRuns = 3
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c

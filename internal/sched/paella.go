@@ -47,6 +47,10 @@ type paellaClient struct {
 	seq  uint64 // tiebreak for deterministic ordering
 }
 
+// DefaultFairnessThreshold is the paper's default deficit bound for the
+// Paella policy, in kernel dispatches of imbalance.
+const DefaultFairnessThreshold = 10000
+
 // NewPaella returns the default Paella policy with the given fairness
 // threshold, measured in kernel dispatches of imbalance. Higher thresholds
 // favour SRPT latency; lower thresholds favour fairness.

@@ -52,7 +52,7 @@ func TestBatchingWindowDelaysSingletons(t *testing.T) {
 	opts.ProfileRuns = 1
 	trace := []workload.Request{{At: sim.Microsecond, Model: "mobilenetv2", Client: 0}}
 
-	plain := MustRunTrace(NewTriton(), trace, opts).Records()[0]
+	plain := MustRunTrace(MustNewSystem("Triton"), trace, opts).Records()[0]
 	window := 2 * sim.Millisecond
 	batched := MustRunTrace(NewTritonBatching(window, 8), trace, opts).Records()[0]
 	delay := batched.JCT() - plain.JCT()
@@ -158,7 +158,7 @@ func TestBatchingThroughputAtSaturation(t *testing.T) {
 		RatePerSec: 2000, Jobs: 400, Clients: 8, Seed: 3,
 	})
 	opts.MaxSimTime = trace[len(trace)-1].At + 4*sim.Second
-	plain := MustRunTrace(NewTriton(), trace, opts)
+	plain := MustRunTrace(MustNewSystem("Triton"), trace, opts)
 	batched := MustRunTrace(NewTritonBatching(sim.Millisecond, 16), trace, opts)
 	if batched.Throughput() <= plain.Throughput()*1.1 {
 		t.Fatalf("batching did not raise saturated throughput: %.1f vs %.1f",

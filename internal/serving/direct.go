@@ -50,20 +50,6 @@ type pendingDirect struct {
 	m   *model.Model
 }
 
-// NewDirect constructs CUDA-SS, CUDA-MS or MPS by name.
-func NewDirect(name string) (System, error) {
-	switch name {
-	case "CUDA-SS":
-		return &directSystem{name: name, mode: directSingleStream}, nil
-	case "CUDA-MS":
-		return &directSystem{name: name, mode: directMultiStream}, nil
-	case "MPS":
-		return &directSystem{name: name, mode: directMPS}, nil
-	default:
-		return nil, fmt.Errorf("serving: unknown direct system %q", name)
-	}
-}
-
 func (s *directSystem) Name() string { return s.name }
 
 func (s *directSystem) Setup(env *sim.Env, opts Options, numClients int) error {

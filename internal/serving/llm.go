@@ -1,8 +1,6 @@
 package serving
 
 import (
-	"fmt"
-
 	"paella/internal/cluster"
 	"paella/internal/gateway"
 	"paella/internal/llm"
@@ -122,27 +120,6 @@ type llmSystem struct {
 	do     DeploymentOptions
 	dep    *Deployment
 	nextID uint64
-}
-
-// NewPaellaLLM constructs one of the generative systems:
-//
-//   - "Paella-LLM": continuous batching, colocated prefill+decode.
-//   - "Paella-LLM-static": launch-time batching, colocated — the baseline
-//     continuous batching exists to beat.
-//   - "Paella-LLM-PD": continuous batching, disaggregated one-prefill/
-//     one-decode pair with the KV handoff over the interconnect.
-func NewPaellaLLM(name string) (System, error) {
-	s := &llmSystem{name: name, do: DeploymentOptions{Prefills: 1}}
-	switch name {
-	case "Paella-LLM":
-	case "Paella-LLM-static":
-		s.do.Static = true
-	case "Paella-LLM-PD":
-		s.do.Decodes = 1
-	default:
-		return nil, fmt.Errorf("serving: unknown llm system %q", name)
-	}
-	return s, nil
 }
 
 func (s *llmSystem) Name() string { return s.name }

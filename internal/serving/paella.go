@@ -1,8 +1,7 @@
 package serving
 
 import (
-	"fmt"
-
+	"paella/internal/compiler"
 	"paella/internal/core"
 	"paella/internal/fault"
 	"paella/internal/metrics"
@@ -22,55 +21,21 @@ type paellaSystem struct {
 	disp   *core.Dispatcher
 	conns  []*core.ClientConn
 	nextID uint64
-	// coreCfg lets experiments override dispatcher constants (e.g. the
-	// Figure 9 SchedDelay or the overshoot B).
+	// tweak lets experiments override the dispatcher config (e.g. the
+	// Figure 9 SchedDelay, the overshoot B, or the policy).
 	tweak func(*core.Config)
 	// injector is the run's fault injector (nil without Options.Faults).
 	injector *fault.Injector
 }
 
-// PaellaVariant constructs a Paella system by Table 3 name:
-// "Paella", "Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk", "Paella-SJF",
-// "Paella-RR", plus "Paella-FIFO" (the Figure 2 dispatcher).
-func PaellaVariant(name string) (System, error) {
-	s := &paellaSystem{name: name}
-	switch name {
-	case "Paella":
-		s.mode = core.ModeGated
-		s.policy = func() sched.Policy { return sched.NewPaella(DefaultFairnessThreshold) }
-	case "Paella-SJF":
-		s.mode = core.ModeGated
-		s.policy = func() sched.Policy { return sched.NewSJF() }
-	case "Paella-RR":
-		s.mode = core.ModeGated
-		s.policy = func() sched.Policy { return sched.NewRR() }
-	case "Paella-FIFO":
-		s.mode = core.ModeGated
-		s.policy = func() sched.Policy { return sched.NewFIFO() }
-	case "Paella-SS":
-		s.mode = core.ModeSingleStream
-	case "Paella-MS-jbj":
-		s.mode = core.ModeJobByJob
-	case "Paella-MS-kbk":
-		s.mode = core.ModeKernelByKernel
-	default:
-		return nil, fmt.Errorf("serving: unknown Paella variant %q", name)
-	}
-	return s, nil
-}
-
 // DefaultFairnessThreshold is the deficit threshold (in kernel dispatches)
 // used by the default Paella policy.
-const DefaultFairnessThreshold = 10000
-
-// NewPaellaWithPolicy builds a gated Paella system with a custom policy
-// constructor (used for the Figure 13 threshold sweep).
-func NewPaellaWithPolicy(name string, policy func() sched.Policy) System {
-	return &paellaSystem{name: name, mode: core.ModeGated, policy: policy}
-}
+const DefaultFairnessThreshold = sched.DefaultFairnessThreshold
 
 // NewPaellaTweaked builds the default Paella system with a dispatcher
-// config override hook (Figure 9's injected delay, B sweeps).
+// config override hook (Figure 9's injected delay, B sweeps, Figure 13's
+// thresholds). tweak runs on every Setup, after the config holds a fresh
+// default policy, so a tweak that sets cfg.Policy gives each run its own.
 func NewPaellaTweaked(name string, tweak func(*core.Config)) System {
 	return &paellaSystem{
 		name: name,
@@ -90,23 +55,6 @@ const DefaultBatchWindow = 50 * sim.Microsecond
 
 // DefaultMaxBatch is the stock "Paella-batch" width cap.
 const DefaultMaxBatch = 8
-
-// NewPaellaBatching builds the default gated Paella system with dynamic
-// batching enabled: up to maxBatch same-kernel jobs per launch, lone
-// kernels held for partners at most window (adaptively scaled by queue
-// depth and deadline slack). Values ≤ 0 select the stock defaults.
-func NewPaellaBatching(name string, maxBatch int, window sim.Time) System {
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if window <= 0 {
-		window = DefaultBatchWindow
-	}
-	return NewPaellaTweaked(name, func(cfg *core.Config) {
-		cfg.MaxBatch = maxBatch
-		cfg.BatchWindow = window
-	})
-}
 
 // watchdogGrace is how far past a kernel's serial upper bound the
 // dispatcher's watchdog waits on a faulty run.
@@ -148,15 +96,14 @@ func (s *paellaSystem) Setup(env *sim.Env, opts Options, numClients int) error {
 		s.tweak(&cfg)
 	}
 	s.disp = core.NewWithDevice(env, opts.DevCfg, cfg)
-	compiled, err := compileAll(opts)
-	if err != nil {
-		return err
-	}
 	// Register in deployment order: with a VRAM budget, registration order
-	// seeds the residency manager's tiebreaks, and map iteration would
-	// make runs irreproducible.
+	// seeds the residency manager's tiebreaks.
 	for _, m := range opts.Models {
-		if err := s.disp.RegisterModel(compiled[m.Name]); err != nil {
+		ins, err := compiler.Compile(m, opts.CompilerCfg, opts.DevCfg, max(opts.ProfileRuns, 1))
+		if err != nil {
+			return err
+		}
+		if err := s.disp.RegisterModel(ins); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"paella/internal/core"
 	"paella/internal/sim"
 	"paella/internal/workload"
 )
@@ -27,7 +28,7 @@ func saturatingTinyTrace(jobs int) []workload.Request {
 // member's client in the deficit bookkeeping (each member shows a dispatch).
 func TestPaellaBatchingCoalesces(t *testing.T) {
 	trace := saturatingTinyTrace(120)
-	sys := NewPaellaBatching("Paella-batch", 0, 0)
+	sys := MustNewSystem("Paella-batch")
 	col := MustRunTrace(sys, trace, tinyOpts())
 	if col.Len() != len(trace) {
 		t.Fatalf("delivered %d of %d", col.Len(), len(trace))
@@ -52,7 +53,7 @@ func TestPaellaBatchingCoalesces(t *testing.T) {
 // the unbatched dispatcher.
 func TestPaellaBatchingLowLoadNoHolds(t *testing.T) {
 	trace := tinyTrace(20, 2, 100) // ~10ms apart; queue depth never builds
-	sys := NewPaellaBatching("Paella-batch", 0, 0)
+	sys := MustNewSystem("Paella-batch")
 	batched := MustRunTrace(sys, trace, tinyOpts())
 	st := sys.(*paellaSystem).Dispatcher().Stats()
 	if st.BatchHolds != 0 {
@@ -73,7 +74,9 @@ func TestPaellaBatchingLowLoadNoHolds(t *testing.T) {
 func TestPaellaMaxBatchOneIdentical(t *testing.T) {
 	trace := saturatingTinyTrace(80)
 	plain := MustRunTrace(MustNewSystem("Paella"), trace, tinyOpts())
-	b1 := MustRunTrace(NewPaellaBatching("Paella-b1", 1, 50*sim.Microsecond), trace, tinyOpts())
+	b1 := MustRunTrace(NewPaellaTweaked("Paella-b1", func(cfg *core.Config) {
+		cfg.MaxBatch, cfg.BatchWindow = 1, 50*sim.Microsecond
+	}), trace, tinyOpts())
 	pj, err := json.Marshal(plain.Records())
 	if err != nil {
 		t.Fatal(err)

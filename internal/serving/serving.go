@@ -102,7 +102,7 @@ func DefaultOptions() Options {
 
 // System is one serving system under test.
 type System interface {
-	// Name returns the Table 3 key.
+	// Name returns the system's name, its key in the systems table.
 	Name() string
 	// Setup prepares the system on a fresh environment for the given
 	// number of clients.
@@ -157,23 +157,6 @@ func MustRunTrace(sys System, trace []workload.Request, opts Options) *metrics.C
 		panic(err)
 	}
 	return c
-}
-
-// compileAll instruments and profiles every model.
-func compileAll(opts Options) (map[string]*compiler.Instrumented, error) {
-	out := make(map[string]*compiler.Instrumented, len(opts.Models))
-	runs := opts.ProfileRuns
-	if runs <= 0 {
-		runs = 1
-	}
-	for _, m := range opts.Models {
-		ins, err := compiler.Compile(m, opts.CompilerCfg, opts.DevCfg, runs)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Name] = ins
-	}
-	return out, nil
 }
 
 func findModel(opts Options, name string) (*model.Model, error) {

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"slices"
 	"testing"
 
 	"paella/internal/gpu"
@@ -32,7 +33,8 @@ func tinyTrace(jobs, clients int, rate float64) []workload.Request {
 
 func TestAllSystemsCompleteTrace(t *testing.T) {
 	trace := tinyTrace(30, 4, 500)
-	for _, name := range append(Fig11Systems(), "MPS", "Clockwork", "Paella-FIFO") {
+	for _, name := range []string{"CUDA-SS", "CUDA-MS", "Triton", "Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
+		"Paella-SJF", "Paella-RR", "Paella", "MPS", "Clockwork", "Paella-FIFO"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			col, err := RunTrace(MustNewSystem(name), trace, tinyOpts())
@@ -75,8 +77,9 @@ func TestMPSClientLimit(t *testing.T) {
 }
 
 func TestUnknownSystem(t *testing.T) {
-	if _, err := NewSystem("bogus"); err == nil {
-		t.Fatal("unknown system constructed")
+	_, err := NewSystem("bogus")
+	if err == nil || err.Error() != `serving: unknown system "bogus"` {
+		t.Fatalf("NewSystem(bogus) = %v, want the unknown-system error", err)
 	}
 }
 
@@ -88,6 +91,39 @@ func TestTable3Complete(t *testing.T) {
 	for _, row := range rows {
 		if _, err := NewSystem(row.Name); err != nil {
 			t.Errorf("Table3 row %q not constructible: %v", row.Name, err)
+		}
+	}
+}
+
+// TestSystemsTable pins the systems NewSystem builds and Table 3's rows,
+// in order, and checks that each name builds a system of that name.
+func TestSystemsTable(t *testing.T) {
+	want := []SystemInfo{
+		{"CUDA-SS", "Direct", "job", "FIFO"},
+		{"CUDA-MS", "Direct", "job", "CUDA"},
+		{"MPS", "Direct", "job", "MPS"},
+		{"Clockwork", "Boost Asio", "job", "FIFO"},
+		{"Triton", "gRPC", "job", "CUDA"},
+		{"Paella-SS", "mem channels", "job", "FIFO"},
+		{"Paella-MS-jbj", "mem channels", "job", "CUDA"},
+		{"Paella-MS-kbk", "mem channels", "kernel", "CUDA"},
+		{"Paella", "mem channels", "kernel", "SRPT+deficit"},
+		{"Paella-SJF", "mem channels", "kernel", "SJF"},
+		{"Paella-RR", "mem channels", "kernel", "RR"},
+	}
+	if got := Table3(); !slices.Equal(got, want) {
+		t.Fatalf("Table3() = %v, want %v", got, want)
+	}
+	for _, name := range []string{"Paella-FIFO", "Paella-batch", "Triton-batch",
+		"Paella-LLM", "Paella-LLM-static", "Paella-LLM-PD"} {
+		want = append(want, SystemInfo{Name: name})
+	}
+	if got := Systems(); !slices.Equal(got, want) {
+		t.Fatalf("Systems() = %v, want %v", got, want)
+	}
+	for _, row := range want {
+		if sys, err := NewSystem(row.Name); err != nil || sys.Name() != row.Name {
+			t.Errorf("NewSystem(%q) = %v, %v", row.Name, sys, err)
 		}
 	}
 }

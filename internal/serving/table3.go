@@ -1,8 +1,15 @@
 package serving
 
-import "fmt"
+import (
+	"fmt"
 
-// SystemInfo is one row of the paper's Table 3.
+	"paella/internal/core"
+	"paella/internal/sched"
+)
+
+// SystemInfo names a serving system and, for the rows of the paper's
+// Table 3, gives that table's columns; they are empty for the systems this
+// repository adds.
 type SystemInfo struct {
 	Name      string
 	Interface string
@@ -10,44 +17,88 @@ type SystemInfo struct {
 	Scheduler string
 }
 
-// Table3 returns the compared systems and their properties.
-func Table3() []SystemInfo {
-	return []SystemInfo{
-		{"CUDA-SS", "Direct", "job", "FIFO"},
-		{"CUDA-MS", "Direct", "job", "CUDA"},
-		{"MPS", "Direct", "job", "MPS"},
-		{"Clockwork", "Boost Asio", "job", "FIFO"},
-		{"Triton", "gRPC", "job", "CUDA"},
-		{"Paella-SS", "mem channels", "job", "FIFO"},
-		{"Paella-MS-jbj", "mem channels", "job", "CUDA"},
-		{"Paella-MS-kbk", "mem channels", "kernel", "CUDA"},
-		{"Paella", "mem channels", "kernel", "SRPT+deficit"},
-		{"Paella-SJF", "mem channels", "kernel", "SJF"},
-		{"Paella-RR", "mem channels", "kernel", "RR"},
-	}
+// systems is every system NewSystem builds: the paper's Table 3 in its row
+// order, then the extensions. build receives the row's name.
+var systems = []struct {
+	SystemInfo
+	build func(name string) System
+}{
+	{SystemInfo{"CUDA-SS", "Direct", "job", "FIFO"},
+		func(n string) System { return &directSystem{name: n, mode: directSingleStream} }},
+	{SystemInfo{"CUDA-MS", "Direct", "job", "CUDA"},
+		func(n string) System { return &directSystem{name: n, mode: directMultiStream} }},
+	{SystemInfo{"MPS", "Direct", "job", "MPS"},
+		func(n string) System { return &directSystem{name: n, mode: directMPS} }},
+	// Clockwork executes one model at a time, globally.
+	{SystemInfo{"Clockwork", "Boost Asio", "job", "FIFO"},
+		func(n string) System { return &tritonSystem{name: n, costs: ClockworkCosts(), exclusive: true} }},
+	{SystemInfo{"Triton", "gRPC", "job", "CUDA"},
+		func(n string) System { return &tritonSystem{name: n, costs: TritonCosts()} }},
+	{SystemInfo{"Paella-SS", "mem channels", "job", "FIFO"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeSingleStream} }},
+	{SystemInfo{"Paella-MS-jbj", "mem channels", "job", "CUDA"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeJobByJob} }},
+	{SystemInfo{"Paella-MS-kbk", "mem channels", "kernel", "CUDA"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeKernelByKernel} }},
+	{SystemInfo{"Paella", "mem channels", "kernel", "SRPT+deficit"},
+		func(n string) System { return NewPaellaTweaked(n, nil) }},
+	{SystemInfo{"Paella-SJF", "mem channels", "kernel", "SJF"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeGated, policy: sched.NewSJF} }},
+	{SystemInfo{"Paella-RR", "mem channels", "kernel", "RR"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeGated, policy: sched.NewRR} }},
+	// The Figure 2 dispatcher.
+	{SystemInfo{Name: "Paella-FIFO"},
+		func(n string) System { return &paellaSystem{name: n, mode: core.ModeGated, policy: sched.NewFIFO} }},
+	{SystemInfo{Name: "Paella-batch"},
+		func(n string) System { return NewPaellaTweaked(n, stockBatching) }},
+	{SystemInfo{Name: "Triton-batch"},
+		func(string) System { return NewTritonBatching(DefaultBatchWindow, DefaultMaxBatch) }},
+	// The generative systems: continuous batching on one colocated engine;
+	// launch-time batching, the baseline continuous batching exists to
+	// beat; and a disaggregated one-prefill/one-decode pair with the KV
+	// handoff over the interconnect.
+	{SystemInfo{Name: "Paella-LLM"},
+		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1}} }},
+	{SystemInfo{Name: "Paella-LLM-static"},
+		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1, Static: true}} }},
+	{SystemInfo{Name: "Paella-LLM-PD"},
+		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1, Decodes: 1}} }},
 }
 
-// NewSystem constructs any Table 3 system by name.
-func NewSystem(name string) (System, error) {
-	switch name {
-	case "CUDA-SS", "CUDA-MS", "MPS":
-		return NewDirect(name)
-	case "Triton":
-		return NewTriton(), nil
-	case "Clockwork":
-		return NewClockwork(), nil
-	case "Paella", "Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
-		"Paella-SJF", "Paella-RR", "Paella-FIFO":
-		return PaellaVariant(name)
-	case "Paella-batch":
-		return NewPaellaBatching(name, 0, 0), nil
-	case "Paella-LLM", "Paella-LLM-static", "Paella-LLM-PD":
-		return NewPaellaLLM(name)
-	case "Triton-batch":
-		return NewTritonBatching(DefaultBatchWindow, DefaultMaxBatch), nil
-	default:
-		return nil, fmt.Errorf("serving: unknown system %q", name)
+// stockBatching configures the Paella-batch system's dispatcher.
+func stockBatching(cfg *core.Config) {
+	cfg.MaxBatch, cfg.BatchWindow = DefaultMaxBatch, DefaultBatchWindow
+}
+
+// Systems returns every system NewSystem builds, Table 3's rows first.
+func Systems() []SystemInfo {
+	out := make([]SystemInfo, len(systems))
+	for i, s := range systems {
+		out[i] = s.SystemInfo
 	}
+	return out
+}
+
+// Table3 returns the compared systems of the paper's Table 3 and their
+// properties.
+func Table3() []SystemInfo {
+	var out []SystemInfo
+	for _, s := range systems {
+		if s.Interface != "" {
+			out = append(out, s.SystemInfo)
+		}
+	}
+	return out
+}
+
+// NewSystem constructs any system of Systems by name.
+func NewSystem(name string) (System, error) {
+	for _, s := range systems {
+		if s.Name == name {
+			return s.build(name), nil
+		}
+	}
+	return nil, fmt.Errorf("serving: unknown system %q", name)
 }
 
 // MustNewSystem is NewSystem for known-good names; it panics on error.
@@ -57,24 +108,4 @@ func MustNewSystem(name string) System {
 		panic(err)
 	}
 	return s
-}
-
-// Fig11Systems lists the systems of the Figure 11 comparison, in plot
-// order.
-func Fig11Systems() []string {
-	return []string{
-		"CUDA-SS", "CUDA-MS", "Triton",
-		"Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
-		"Paella-SJF", "Paella-RR", "Paella",
-	}
-}
-
-// Fig12Systems lists the systems of the Figure 12 comparison (MPS instead
-// of Triton).
-func Fig12Systems() []string {
-	return []string{
-		"CUDA-SS", "CUDA-MS", "MPS",
-		"Paella-SS", "Paella-MS-jbj", "Paella-MS-kbk",
-		"Paella-SJF", "Paella-RR", "Paella",
-	}
 }

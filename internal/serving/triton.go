@@ -92,16 +92,6 @@ type tritonJob struct {
 	rec metrics.JobRecord
 }
 
-// NewTriton returns the Triton-like baseline.
-func NewTriton() System {
-	return &tritonSystem{name: "Triton", costs: TritonCosts()}
-}
-
-// NewClockwork returns the Clockwork-like baseline (one model at a time).
-func NewClockwork() System {
-	return &tritonSystem{name: "Clockwork", costs: ClockworkCosts(), exclusive: true}
-}
-
 // batchEfficiency is the per-request execution-time scale under batching
 // (batch n executes in n×batchEfficiency of one request's time).
 const batchEfficiency = 0.75
@@ -268,11 +258,4 @@ func (s *tritonSystem) runBatch(q *execQueue) {
 		q.busy = false
 		s.pump(q)
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

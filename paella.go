@@ -132,7 +132,7 @@ type ServerConfig struct {
 	// GPU selects the simulated device (default: Tesla T4).
 	GPU GPUConfig
 	// Policy is the dispatcher's scheduling policy (default:
-	// SRPT + deficit fairness with threshold 10000).
+	// SRPT + deficit fairness with the paper's threshold of 10000).
 	Policy Policy
 	// OvershootBlocks is the §6 "B" budget (default 96).
 	OvershootBlocks int
@@ -154,7 +154,7 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.GPU = gpu.TeslaT4()
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = sched.NewPaella(10000)
+		cfg.Policy = sched.NewPaella(sched.DefaultFairnessThreshold)
 	}
 	if cfg.ProfileRuns <= 0 {
 		cfg.ProfileRuns = 2
