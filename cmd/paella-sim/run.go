@@ -40,8 +40,11 @@ func (c *config) workload() (serving.Options, []workload.Request) {
 	opts := serving.DefaultOptions()
 	opts.DevCfg = c.dev
 	opts.Models = c.zoo
-	if c.vramMiB > 0 {
-		opts.VRAM = &vram.Config{CapacityBytes: c.vramMiB << 20}
+	// A non-positive -vram or -kv-block leaves the default: unconstrained
+	// memory for the DNN systems, the device budget and 2 MiB KV pages
+	// for -llm (parse refuses -kv-block without it).
+	if c.vramMiB > 0 || c.kvBlockKiB > 0 {
+		opts.VRAM = &vram.Config{CapacityBytes: max(c.vramMiB, 0) << 20, BlockBytes: max(c.kvBlockKiB, 0) << 10}
 	}
 	opts.MaxBatch, opts.BatchWindow = c.maxBatch, sim.Time(c.batchWindow)
 
@@ -169,19 +172,19 @@ func (c *config) policy() gateway.Policy {
 }
 
 // observe attaches the -trace-out recorder and, on an elastic front, the
-// -telemetry-out front meter to a World's control Env. It returns the hook
-// attaching both to each replica shard, the meter named replica<i>. out
-// collects all of them, control Env first.
-func (c *config) observe(ctrl *sim.Env, out *outcome) func(int, *sim.Env) {
+// -telemetry-out front meter to the fleet's control Env through opts, and
+// a hook attaching both to each replica shard, the meter named replica<i>.
+// out collects all of them, control Env first.
+func (c *config) observe(opts *serving.Options, out *outcome) {
 	if c.traceOut != "" {
 		out.recs = []*trace.Recorder{trace.New()}
-		ctrl.SetRecorder(out.recs[0])
+		opts.Trace = out.recs[0]
 	}
 	if c.telOut != "" && c.mode == modeElastic {
 		out.meters = []*telemetry.Meter{c.meter("front", false)}
-		ctrl.SetMeter(out.meters[0])
+		opts.Telemetry = out.meters[0]
 	}
-	return func(i int, env *sim.Env) {
+	opts.ShardSetup = func(i int, env *sim.Env) {
 		if c.traceOut != "" {
 			out.recs = append(out.recs, trace.New())
 			env.SetRecorder(out.recs[len(out.recs)-1])
@@ -196,17 +199,17 @@ func (c *config) observe(ctrl *sim.Env, out *outcome) func(int, *sim.Env) {
 // buildFleet places n replicas of the -gpu device on a new World with the
 // -window barrier interval, observed, behind the -gateway policy.
 func (c *config) buildFleet(opts serving.Options, n int) *fleet {
-	w := sim.NewWorld()
-	w.SetWindow(sim.Time(c.window))
-	f := &fleet{}
-	devs := make([]gpu.Config, n)
-	for i := range devs {
-		devs[i] = opts.DevCfg
+	opts.World = sim.NewWorld()
+	opts.World.SetWindow(sim.Time(c.window))
+	opts.Devices = make([]gpu.Config, n)
+	for i := range opts.Devices {
+		opts.Devices[i] = opts.DevCfg
 	}
+	opts.Gateway = c.policy
+	f := &fleet{}
+	c.observe(&opts, &f.outcome)
 	var err error
-	f.Fleet, err = serving.NewFleet(opts, serving.FleetOptions{Devices: devs, Gateway: c.policy(),
-		World: w, ShardSetup: c.observe(w.Ctrl(), &f.outcome)})
-	if err != nil {
+	if f.Fleet, err = serving.NewFleet(opts); err != nil {
 		fatal("%v", err)
 	}
 	return f
@@ -271,19 +274,17 @@ func (c *config) serveLLM(opts serving.Options, reqs []workload.Request) outcome
 	if c.maxTokens > 0 {
 		toks.MaxOutput = c.maxTokens
 	}
-	// A non-positive -vram or -kv-block leaves the engine default.
-	opts.LLM = &serving.LLMOptions{Tokens: toks, MaxBatch: c.maxBatch,
-		VRAMBytes: max(c.vramMiB, 0) << 20, KVBlockBytes: max(c.kvBlockKiB, 0) << 10}
+	opts.LLM = &serving.LLMOptions{Tokens: toks, Static: c.llmStatic,
+		Prefills: c.prefills, Decodes: c.decodes}
+	opts.Gateway = c.policy
 	var out outcome
 	out.until = reqs[len(reqs)-1].At + 30*sim.Second
-	do := serving.DeploymentOptions{Static: c.llmStatic, Prefills: c.prefills, Decodes: c.decodes,
-		Gateway: c.policy, Env: sim.NewEnv()}
 	if c.telOut != "" {
 		// One meter records the front and every engine.
 		out.meters = []*telemetry.Meter{c.meter("llm", true)}
-		do.Env.SetMeter(out.meters[0])
+		opts.Telemetry = out.meters[0]
 	}
-	pd, err := serving.NewDeployment(opts, do)
+	pd, err := serving.NewDeployment(opts)
 	if err != nil {
 		fatal("%v", err)
 	}

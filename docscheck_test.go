@@ -3,7 +3,9 @@ package paella
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -13,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -547,6 +550,14 @@ var (
 	// ciPattern matches the pattern argument of a go test -run, -bench or
 	// -fuzz flag in ci.yml, quoted or bare.
 	ciPattern = regexp.MustCompile(`-(?:run|bench|fuzz) ('[^']*'|\S+)`)
+	// goName matches a code span naming a Go declaration, `pkg.Name` or
+	// `pkg.Type.Member`, possibly called (`serving.NewFleet(opts)`). Name
+	// must hold an upper-case letter and no underscore, which keeps out
+	// metric names such as `vram.loads` and `sim.events_per_req`.
+	goName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([a-z0-9]*[A-Z][A-Za-z0-9]*)(?:\.([A-Za-z]\w*))?(?:\(.*\))?$`)
+	// fileExt matches the extension of a file name such as `trace.json`,
+	// which goName would otherwise read as a package member.
+	fileExt = regexp.MustCompile(`\.(?:go|md|json|csv|txt|gz|yml|sha256|golden|prof|test)$`)
 )
 
 // currentDocs are the documents that describe the tree as it is. ROADMAP.md
@@ -559,9 +570,12 @@ var currentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARC
 // also checks that every backticked `cmd/<name>` is a directory, every
 // backticked repo-root `*.json` exists, every backticked `*.go` path is
 // the path suffix of some Go file, and every backticked `TestX`,
-// `BenchmarkX` or `FuzzX` is a function of some _test.go file. So must
-// every such name in ci.yml's -run, -bench and -fuzz patterns: a renamed
-// benchmark would otherwise drop silently out of a continue-on-error step.
+// `BenchmarkX` or `FuzzX` is a function of some _test.go file, and every
+// backticked `pkg.Name` or `pkg.Type.Member` whose pkg names a non-test
+// package of the tree is a declaration of that package, or a field or
+// method of that type (promoted ones included). So must every test name in ci.yml's
+// -run, -bench and -fuzz patterns: a renamed benchmark would otherwise
+// drop silently out of a continue-on-error step.
 func TestDocCitationsResolve(t *testing.T) {
 	targets := func(file string, re *regexp.Regexp) map[string]bool {
 		b, err := os.ReadFile(file)
@@ -619,6 +633,14 @@ func TestDocCitationsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	funcs := collectTestFuncs(t)
+	tree, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string][]*types.Package{} // package name -> packages
+	for _, p := range tree {
+		pkgs[p.types.Name()] = append(pkgs[p.types.Name()], p.types)
+	}
 	for _, doc := range currentDocs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -645,6 +667,10 @@ func TestDocCitationsResolve(t *testing.T) {
 					t.Errorf("%s names `%s%s`, which no _test.go file declares", doc, m[1], m[2])
 				}
 			}
+			if m := goName.FindStringSubmatch(span[1]); m != nil && pkgs[m[1]] != nil && !fileExt.MatchString(span[1]) &&
+				!slices.ContainsFunc(pkgs[m[1]], func(p *types.Package) bool { return declares(p, m[2], m[3]) }) {
+				t.Errorf("%s names `%s`, which no package %s declares", doc, span[1], m[1])
+			}
 		}
 	}
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
@@ -658,6 +684,22 @@ func TestDocCitationsResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// declares reports whether p declares name at package level and, when
+// member is set, whether name is a type with that field or method,
+// promoted ones included.
+func declares(p *types.Package, name, member string) bool {
+	obj := p.Scope().Lookup(name)
+	if obj == nil || member == "" {
+		return obj != nil
+	}
+	_, isType := obj.(*types.TypeName)
+	if !isType {
+		return false
+	}
+	found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p, member)
+	return found != nil
 }
 
 // testFuncs is the set of top-level function names declared in the repo's
@@ -712,3 +754,376 @@ func (f testFuncs) resolves(name string, prefix bool) bool {
 	}
 	return false
 }
+
+// writeOnlyAllowed lists the struct fields declared in internal/ that
+// non-test code writes and only tests read, each with the reason. Keys
+// are "pkg.Type.Field".
+var writeOnlyAllowed = map[string]string{
+	"autoscale.Event.Active":     scalingLog,
+	"autoscale.Event.Kind":       scalingLog,
+	"autoscale.Event.Replica":    scalingLog,
+	"compiler.KernelStat.Count":  "the compiler tests check each kernel's profiled executions per job (C̄ᵢ) against the model's sequence",
+	"core.Stats.LoadFailures":    "the recovery tests check the weight-load retry budget; saturated-dispatch pins core.Stats printed with %+v",
+	"core.Stats.LoadRetries":     "the recovery tests check the weight-load retry budget; saturated-dispatch pins core.Stats printed with %+v",
+	"cudart.LinkStats.QueuedNs":  "the PCIe tests check the time a contended transfer queues for its engine",
+	"gpu.Stats.BlocksPlaced":     "the gpu tests check block conservation against it, and the gpu transcript goldens print gpu.Stats with %+v",
+	"gpu.Stats.KernelsSubmitted": "cudart's tests check that a hooked launch bypasses the device, and the gpu transcript goldens print gpu.Stats with %+v",
+	"gpu.Stats.NotifsDropped":    "the gpu transcript goldens print gpu.Stats with %+v",
+	"gpu.Stats.NotifsDuplicated": "the gpu transcript goldens print gpu.Stats with %+v",
+	"gpu.Stats.SMsRestored":      "the recovery tests check SM retirement faults, and the gpu transcript goldens print gpu.Stats with %+v",
+	"gpu.Stats.SMsRetired":       "the recovery tests check SM retirement faults, and the gpu transcript goldens print gpu.Stats with %+v",
+	"llm.Engine.inflight":        "the llm tests check that no sequence is still in flight after a drain",
+	"sim.Env.seq":                "the process-mix test counts the events a process mix schedules per step",
+	"trace.SpanView.Cat":         spanViews,
+	"trace.SpanView.ID":          spanViews,
+	"trace.SpanView.Name":        spanViews,
+	"trace.SpanView.Process":     spanViews,
+	"trace.SpanView.Track":       spanViews,
+	"vram.Stats.BytesLoaded":     "the vram tests check the bytes a load pages in",
+	"vram.Stats.ColdPins":        "the vram and core tests check cold pins against warm hits",
+}
+
+// Reasons shared by several writeOnlyAllowed entries.
+const (
+	scalingLog = "the autoscale identity tests compare the scaling log entry by entry (Scaler.Events in export_test.go)"
+	spanViews  = "the trace tests and core's copy-cost pin read each span's identity through the test-only Recorder.Spans"
+)
+
+// TestNoWriteOnlyFields fails when a struct field declared in internal/ is
+// written by a non-test file of the tree (bench/, examples/ and cmd/
+// included) but read by none, unless writeOnlyAllowed names it with a
+// reason; it also fails on a stale entry. Fields with a struct tag (an
+// encoder reads them) and blank fields are exempt. A field is written by
+// a composite-literal key or an unkeyed literal of its struct, and by
+// being on the left of an assignment or ++/--: x.f, x.f[i], x.f.g and
+// *x.f all write f and never read it. Every other selection of the field
+// reads it, and so does &x.f; a method or field promoted through an
+// embedded field reads the embedded field too; comparing a struct with ==
+// or != or indexing a map by it reads all its fields. The check
+// type-checks the tree with go/types.
+func TestNoWriteOnlyFields(t *testing.T) {
+	tree, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type field struct {
+		key   string
+		pos   token.Position
+		wrote bool
+		read  bool
+	}
+	fields := map[*types.Var]*field{}
+	for _, p := range tree {
+		if !strings.HasPrefix(p.path, "paella/internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			owners := map[*ast.StructType]string{} // a named struct's type name
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						owners[st] = ts.Name.Name
+					}
+				}
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				owner := owners[st]
+				if owner == "" {
+					owner = "struct{…}"
+				}
+				for _, fl := range st.Fields.List {
+					names := fl.Names
+					if len(names) == 0 {
+						names = []*ast.Ident{embeddedName(fl.Type)}
+					}
+					for _, id := range names {
+						v, _ := p.info.Defs[id].(*types.Var)
+						if fl.Tag != nil || id.Name == "_" || v == nil {
+							continue
+						}
+						fields[v] = &field{key: p.types.Name() + "." + owner + "." + id.Name,
+							pos: p.fset.Position(id.Pos())}
+					}
+				}
+				return true
+			})
+		}
+	}
+	mark := func(v *types.Var, write bool) {
+		if f := fields[v.Origin()]; f != nil {
+			if write {
+				f.wrote = true
+			} else {
+				f.read = true
+			}
+		}
+	}
+	// readAll reads every field of a struct value that is compared or
+	// hashed as a map key.
+	var readAll func(typ types.Type)
+	readAll = func(typ types.Type) {
+		if st, ok := typ.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				mark(st.Field(i), false)
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	for _, p := range tree {
+		info := p.info
+		// keyed reads the key of a map index expression.
+		keyed := func(x *ast.IndexExpr) {
+			if typ := info.TypeOf(x.X); typ != nil {
+				if m, ok := typ.Underlying().(*types.Map); ok {
+					readAll(m.Key())
+				}
+			}
+		}
+		// promoted reads the embedded fields a selection goes through.
+		promoted := func(sel *types.Selection) {
+			typ := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					return
+				}
+				mark(st.Field(i), false)
+				typ = st.Field(i).Type()
+			}
+		}
+		var visit func(n ast.Node) bool
+		// target walks the left-hand side of an assignment: the fields on
+		// its path are written, index expressions are read.
+		target := func(e ast.Expr) {
+			for e != nil {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					keyed(x)
+					ast.Inspect(x.Index, visit)
+					e = x.X
+				case *ast.SelectorExpr:
+					sel := info.Selections[x]
+					if sel == nil || sel.Kind() != types.FieldVal {
+						ast.Inspect(x, visit)
+						return
+					}
+					promoted(sel)
+					mark(sel.Obj().(*types.Var), true)
+					e = x.X
+				default:
+					ast.Inspect(x, visit)
+					return
+				}
+			}
+		}
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+				for _, rhs := range n.Rhs {
+					ast.Inspect(rhs, visit)
+				}
+				return false
+			case *ast.IncDecStmt:
+				target(n.X)
+				return false
+			case *ast.IndexExpr:
+				keyed(n)
+			case *ast.BinaryExpr:
+				if typ := info.TypeOf(n.X); typ != nil && (n.Op == token.EQL || n.Op == token.NEQ) {
+					readAll(typ)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						mark(s.Obj().(*types.Var), true)
+					}
+				}
+			case *ast.CompositeLit:
+				typ := info.TypeOf(n)
+				if typ == nil {
+					break
+				}
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(v, true)
+						}
+						ast.Inspect(kv.Value, visit)
+						continue
+					}
+					mark(st.Field(i), true)
+					ast.Inspect(e, visit)
+				}
+				return false
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; sel != nil {
+					promoted(sel)
+					if sel.Kind() == types.FieldVal {
+						mark(sel.Obj().(*types.Var), false)
+					}
+				}
+			}
+			return true
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, visit)
+		}
+	}
+	allowed := map[string]bool{}
+	var bad []string
+	for _, f := range fields {
+		if !f.wrote || f.read {
+			continue
+		}
+		if _, ok := writeOnlyAllowed[f.key]; ok {
+			allowed[f.key] = true
+			continue
+		}
+		bad = append(bad, fmt.Sprintf("field %s (%s) is written but never read outside tests: delete it, or allowlist it with a reason", f.key, f.pos))
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+	for key := range writeOnlyAllowed {
+		if !allowed[key] {
+			t.Errorf("stale writeOnlyAllowed entry %s: it is read outside tests, unwritten or no longer declared", key)
+		}
+	}
+}
+
+// embeddedName returns the identifier that names an embedded field's type.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			return t.Sel
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t
+		default:
+			return nil
+		}
+	}
+}
+
+// checkedPkg is one type-checked package of the tree, test files excluded.
+type checkedPkg struct {
+	path  string
+	fset  *token.FileSet
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// loadTree type-checks every non-test package of the tree, once per test
+// binary: the root module and bench/'s module, whose paella/... imports
+// resolve to the root. The standard library comes from the compiler's
+// export data.
+var loadTree = sync.OnceValues(func() ([]*checkedPkg, error) {
+	fset := token.NewFileSet()
+	dirs := map[string][]string{} // import path -> files
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.Dir(path)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
+		ip := "paella"
+		if dir != "." {
+			ip += "/" + filepath.ToSlash(dir)
+		}
+		dirs[ip] = append(dirs[ip], path)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	std := importer.ForCompiler(fset, "gc", nil)
+	done := map[string]*checkedPkg{}
+	var check func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if _, ok := dirs[path]; ok {
+			return check(path)
+		}
+		return std.Import(path)
+	})
+	check = func(path string) (*types.Package, error) {
+		if p := done[path]; p != nil {
+			return p.types, nil
+		}
+		p := &checkedPkg{path: path, fset: fset, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range dirs[path] {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		var err error
+		if p.types, err = conf.Check(path, fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+		done[path] = p
+		return p.types, nil
+	}
+	paths := make([]string, 0, len(dirs))
+	for path := range dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	var out []*checkedPkg
+	for _, path := range paths {
+		if _, err := check(path); err != nil {
+			return nil, err
+		}
+		out = append(out, done[path])
+	}
+	return out, nil
+})
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

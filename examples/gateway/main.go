@@ -35,11 +35,10 @@ import (
 // errors.
 func run(mk func() gateway.Policy, admit *gateway.Admission,
 	trace []workload.Request, zoo []*model.Model) (*metrics.Collector, *gateway.Admission, int) {
-	opts := serving.Options{Models: zoo, CompilerCfg: compiler.DefaultConfig(), ProfileRuns: 1,
-		VRAM: &vram.Config{CapacityBytes: 128 << 20}}
-	f, err := serving.NewFleet(opts, serving.FleetOptions{
+	f, err := serving.NewFleet(serving.Options{Models: zoo, CompilerCfg: compiler.DefaultConfig(), ProfileRuns: 1,
+		VRAM:    &vram.Config{CapacityBytes: 128 << 20},
 		Devices: []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()},
-		Gateway: mk(),
+		Gateway: mk,
 	})
 	if err != nil {
 		panic(err)

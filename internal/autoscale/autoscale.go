@@ -321,10 +321,6 @@ func (s *Scaler) signals(now sim.Time) Signals {
 			sig.Active++
 		case ReplicaWarming:
 			sig.Warming++
-		case ReplicaDraining:
-			sig.Draining++
-		default:
-			sig.Parked++
 		}
 		sig.InFlight += s.c.InFlight(i)
 	}

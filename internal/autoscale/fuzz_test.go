@@ -32,7 +32,7 @@ func FuzzAutoscalePolicyConfig(f *testing.F) {
 		for _, sig := range []Signals{
 			{},
 			{Active: 1, Target: 1, InFlight: 1 << 20, ArrivalRate: 1e6, ReplicaRate: 1},
-			{Active: 64, Warming: 8, Draining: 8, Target: 64, SLOFiring: true, ReplicaRate: 500, ArrivalRate: 3},
+			{Active: 64, Warming: 8, Target: 64, SLOFiring: true, ReplicaRate: 500, ArrivalRate: 3},
 			{Active: 2, Target: 2, ArrivalRate: 0, CompletionRate: 0, ReplicaRate: 1000},
 		} {
 			got := p.Target(sig)

@@ -2,6 +2,7 @@ package autoscale_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -74,14 +75,14 @@ func spikeCell(seed int64) workload.TrafficSpec {
 // autoscaleResult captures everything observable about one autoscaled run:
 // per-request metrics, failure and scaling-event logs, the conservation
 // ledger, cost/attainment summary, telemetry export, and (traced cells)
-// merged trace bytes.
+// the merged trace's digest.
 type autoscaleResult struct {
 	metricsJSON   string
 	failures      string
 	events        string
 	summary       string
 	telemetryJSON string
-	traceBytes    string
+	traceSum      []byte // SHA-256 of the Chrome trace; nil when untraced
 	counts        autoscale.Counts
 	stats         autoscale.Stats
 	outstanding   int
@@ -193,13 +194,13 @@ func runAutoscaleCell(t *testing.T, policyName string, spec workload.TrafficSpec
 	res.summary = fmt.Sprintf("cost=%.9f repsec=%.6f mean=%.6f attain=%.6f target=%d",
 		s.Cost(now), s.ReplicaSeconds(now), s.MeanActive(now), s.Attainment(), s.Target())
 	if traced {
-		var buf bytes.Buffer
+		h := sha256.New()
 		all := []*trace.Recorder{ctrlRec}
 		all = append(all, shardRecs...)
-		if err := trace.WriteChromeTraceAll(&buf, all...); err != nil {
+		if err := trace.WriteChromeTraceAll(h, all...); err != nil {
 			t.Fatal(err)
 		}
-		res.traceBytes = buf.String()
+		res.traceSum = h.Sum(nil)
 	}
 	var tbuf bytes.Buffer
 	if err := telemetry.WriteJSON(&tbuf, now, telemetry.Export{Meters: shardMts}); err != nil {
@@ -272,16 +273,16 @@ func TestAutoscaleColdStartPaging(t *testing.T) {
 }
 
 // TestAutoscaleRunRepeatable: the traced queue-depth/diurnal/seed1 cell
-// run twice gives identical metrics, failure, scaling-event, cost,
-// telemetry and trace bytes.
+// run twice gives identical metrics, failure, scaling-event, cost and
+// telemetry bytes, and identical trace digests.
 func TestAutoscaleRunRepeatable(t *testing.T) {
 	a := runAutoscaleCell(t, "queue-depth", diurnalCell(1), true)
 	b := runAutoscaleCell(t, "queue-depth", diurnalCell(1), true)
-	if a.traceBytes == "" {
+	if a.traceSum == nil {
 		t.Fatal("traced cell recorded no trace")
 	}
 	if a.metricsJSON != b.metricsJSON || a.failures != b.failures || a.events != b.events ||
-		a.summary != b.summary || a.telemetryJSON != b.telemetryJSON || a.traceBytes != b.traceBytes {
+		a.summary != b.summary || a.telemetryJSON != b.telemetryJSON || !bytes.Equal(a.traceSum, b.traceSum) {
 		t.Fatal("runs with identical seeds diverge")
 	}
 }

@@ -12,9 +12,9 @@ import (
 // monitor's state. Everything is measured on the virtual clock by the
 // Scaler, so identical runs present identical signal sequences.
 type Signals struct {
-	// Active, Warming, Draining, and Parked count replicas in each pool
-	// state (crashed replicas are in no pool).
-	Active, Warming, Draining, Parked int
+	// Active and Warming count replicas in those pool states (crashed
+	// replicas are in no pool; draining and parked ones no policy reads).
+	Active, Warming int
 	// Target is the previous tick's clamped target — the "hold" value for
 	// policies with nothing to say.
 	Target int

@@ -496,7 +496,7 @@ func (cn *Conn) submitRouted(req core.Request) int {
 	if len(views) == 0 {
 		return -1
 	}
-	pick := c.policy.Pick(gateway.Request{Model: req.Model, Tenant: req.Tenant}, views)
+	pick := c.policy.Pick(gateway.Request{Model: req.Model}, views)
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: policy %q picked GPU %d of %d", c.policy.Name(), pick, len(views)))
 	}

@@ -213,7 +213,7 @@ func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf fun
 		})
 	}
 	pd.views = views
-	pick := pol.Pick(gateway.Request{Model: pd.cfg.LLM.Spec.Name, Tenant: req.Tenant, Session: req.Session}, views)
+	pick := pol.Pick(gateway.Request{Model: pd.cfg.LLM.Spec.Name, Session: req.Session}, views)
 	if pick < 0 || pick >= len(views) {
 		panic(fmt.Sprintf("cluster: pd policy %q picked engine %d of %d", pol.Name(), pick, len(views)))
 	}

@@ -110,8 +110,6 @@ type Instrumented struct {
 	Original *model.Model
 	// Profile holds learned per-kernel execution statistics.
 	Profile *Profile
-	// Cfg is the instrumentation configuration used.
-	Cfg Config
 }
 
 // Instrument applies the compiler pass to a model. The transformation is
@@ -135,5 +133,5 @@ func Instrument(m *model.Model, cfg Config) (*Instrumented, error) {
 		ik.BlockDuration += cfg.KernelOverhead(k.Blocks)
 		clone.Kernels[i] = &ik
 	}
-	return &Instrumented{Model: clone, Original: m, Cfg: cfg}, nil
+	return &Instrumented{Model: clone, Original: m}, nil
 }

@@ -152,7 +152,7 @@ func TestSuffixMatchesFormula(t *testing.T) {
 }
 
 func TestObserveRefinesMean(t *testing.T) {
-	p := &Profile{ModelName: "x", stats: map[string]*KernelStat{}}
+	p := &Profile{stats: map[string]*KernelStat{}}
 	p.Observe("k", 100)
 	p.Observe("k", 200)
 	if st := p.stats["k"]; st.MeanTime != 150 {

@@ -15,7 +15,7 @@ func CoroutineProfileModel(ins *Instrumented, devCfg gpu.Config, runs int) (*Pro
 		return nil, fmt.Errorf("compiler: profiling needs at least one run")
 	}
 	m := ins.Model
-	p := &Profile{ModelName: m.Name, stats: make(map[string]*KernelStat)}
+	p := &Profile{stats: make(map[string]*KernelStat)}
 	env := sim.NewEnv()
 	dev := gpu.NewDevice(env, devCfg, nil)
 	env.Spawn("profiler", func(proc *sim.Proc) {

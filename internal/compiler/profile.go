@@ -12,7 +12,6 @@ import (
 // identified (as in the paper) by its location in the compiled library —
 // here, its name.
 type KernelStat struct {
-	Name string
 	// Count is the average number of executions per job (C̄ᵢ).
 	Count float64
 	// MeanTime is the average wall-clock execution time (T̄ᵢ).
@@ -31,8 +30,7 @@ type KernelStat struct {
 // Profile aggregates per-kernel statistics for one model, plus the derived
 // suffix table the dispatcher uses for O(1) remaining-time estimates.
 type Profile struct {
-	ModelName string
-	stats     map[string]*KernelStat
+	stats map[string]*KernelStat
 	// remainingAfter[j] is the estimated time to finish a job that has
 	// completed j kernel executions: Σ_{i≥j} T̄(Seq[i]).
 	remainingAfter []sim.Time
@@ -43,7 +41,7 @@ type Profile struct {
 func (p *Profile) Observe(kernel string, dur sim.Time) {
 	st, ok := p.stats[kernel]
 	if !ok {
-		st = &KernelStat{Name: kernel}
+		st = &KernelStat{}
 		p.stats[kernel] = st
 	}
 	st.samples++
@@ -131,7 +129,7 @@ func ProfileModel(ins *Instrumented, devCfg gpu.Config, runs int) (*Profile, err
 		return nil, fmt.Errorf("compiler: profiling needs at least one run")
 	}
 	m := ins.Model
-	p := &Profile{ModelName: m.Name, stats: make(map[string]*KernelStat)}
+	p := &Profile{stats: make(map[string]*KernelStat)}
 	env := sim.NewEnv()
 	dev := gpu.NewDevice(env, devCfg, nil)
 	var (

@@ -281,19 +281,10 @@ func (d *Dispatcher) dispatchBatch(s *batchSlot, members []*Job) {
 		}
 	}
 
-	var actBytes int64
-	if d.vramMgr != nil {
-		// Per-member activation scratch: weights are shared across the batch
-		// (one resident copy) but every member brings its own input/output
-		// tensors to the device for the widened launch.
-		actBytes = int64(n) * head.Ins.Model.ActivationBytes()
-		d.vramMgr.ReserveActivations(actBytes)
-	}
-
 	d.nextKernelID++
 	kid := d.nextKernelID
 	fl := d.newInflight()
-	fl.job, fl.spec, fl.sentAt, fl.actBytes = head, bspec, now, actBytes
+	fl.job, fl.spec, fl.sentAt = head, bspec, now
 	fl.members = append(fl.members[:0], members...)
 	d.inflight.put(kid, fl)
 	d.mirror.Reserve(bspec)
@@ -326,9 +317,6 @@ func (d *Dispatcher) dispatchBatch(s *batchSlot, members []*Job) {
 // completed kernel execution each, in formation order.
 func (d *Dispatcher) batchComplete(kid uint32, fl *inflightKernel) {
 	now := d.env.Now()
-	if fl.actBytes > 0 {
-		d.vramMgr.ReleaseActivations(fl.actBytes)
-	}
 	if d.rec != nil {
 		d.rec.AsyncArgs(d.traceProc, batchTraceBase|uint64(kid), fl.spec.Name, "batch",
 			fl.sentAt, now, trace.Int("size", int64(len(fl.members))))
@@ -353,9 +341,6 @@ func (d *Dispatcher) batchComplete(kid uint32, fl *inflightKernel) {
 // at full width — while partially-placed batches force-complete every
 // member, mirroring the unbatched lost-completion rule.
 func (d *Dispatcher) batchTimeout(fl *inflightKernel) {
-	if fl.actBytes > 0 {
-		d.vramMgr.ReleaseActivations(fl.actBytes)
-	}
 	for _, m := range fl.members {
 		m.kernelsInFlight--
 	}

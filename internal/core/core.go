@@ -258,10 +258,8 @@ type inflightKernel struct {
 	// unbatched kernel; members[0] == job). Completion fans out to each
 	// member in formation order.
 	members []*Job
-	// sentAt stamps the dispatch (batch span tracing); actBytes is the
-	// activation scratch reserved for the batch's members (vram gauge).
-	sentAt   sim.Time
-	actBytes int64
+	// sentAt stamps the dispatch (batch span tracing).
+	sentAt sim.Time
 	// launch is the device-side Launch this record tracks, recycled with
 	// the record when its fate is certain (LaunchDone).
 	launch *gpu.Launch

@@ -81,7 +81,6 @@ type wlOp struct {
 	stream int
 	spec   *gpu.KernelSpec // kernels
 	bytes  int             // copies
-	dir    cudart.MemcpyKind
 	// complete unblocks the adaptor-side cudart op when called.
 	complete func()
 	deps     []*wlOp // default-stream serialization
@@ -129,8 +128,8 @@ func (w *waitlist) HookKernel(streamID int, spec *gpu.KernelSpec, complete func(
 }
 
 // HookMemcpy implements cudart.LaunchHook.
-func (w *waitlist) HookMemcpy(streamID int, kind cudart.MemcpyKind, bytes int, complete func()) {
-	w.push(&wlOp{kind: opCopyIn, stream: streamID, bytes: bytes, dir: kind, complete: complete})
+func (w *waitlist) HookMemcpy(streamID int, _ cudart.MemcpyKind, bytes int, complete func()) {
+	w.push(&wlOp{kind: opCopyIn, stream: streamID, bytes: bytes, complete: complete})
 }
 
 // push appends an op in issue order, computing its default-stream deps

@@ -119,21 +119,12 @@ type Context struct {
 	idle         []func() // deviceSynchronize waiters
 	cbQueue      []func() // serialized callback executor queue
 	cbRunning    bool
-	stats        ContextStats
 
 	// rec is the structured tracing recorder (nil = disabled); stream
 	// tracks are registered lazily as streams first emit.
 	rec          *trace.Recorder
 	traceProc    trace.ProcID
 	streamTracks []trace.TrackID
-}
-
-// ContextStats counts runtime activity.
-type ContextStats struct {
-	KernelLaunches uint64
-	Memcpys        uint64
-	Callbacks      uint64
-	Syncs          uint64
 }
 
 // NewContext creates a context for the device. The default stream (id 0)
@@ -204,7 +195,6 @@ func (c *Context) opFinished() {
 // runCallback enqueues fn on the serialized callback executor, charging
 // CallbackCost per callback (the cudaStreamAddCallback cost model).
 func (c *Context) runCallback(fn func()) {
-	c.stats.Callbacks++
 	c.cbQueue = append(c.cbQueue, fn)
 	if c.cbRunning {
 		return
@@ -229,7 +219,6 @@ func (c *Context) drainCallbacks() {
 // DeviceSynchronize blocks the calling process until every operation issued
 // on this context has completed, charging the sync-call host cost.
 func (c *Context) DeviceSynchronize(p *sim.Proc) {
-	c.stats.Syncs++
 	p.Sleep(c.cfg.SyncCallCost)
 	for c.outstanding > 0 {
 		done := sim.NewCompletion(c.env)

@@ -155,9 +155,6 @@ func TestAddCallbackSerializedCost(t *testing.T) {
 	if t2 != 80*sim.Microsecond {
 		t.Fatalf("second callback at %v, want 80µs", t2)
 	}
-	if ctx.stats.Callbacks != 2 {
-		t.Fatalf("Callbacks = %d", ctx.stats.Callbacks)
-	}
 }
 
 func TestLaunchCallCostChargesIssuer(t *testing.T) {
@@ -403,9 +400,5 @@ func TestPendingCounts(t *testing.T) {
 	env.Run()
 	if len(s.pending) != 0 {
 		t.Fatalf("%d ops pending after drain", len(s.pending))
-	}
-	st := ctx.stats
-	if st.KernelLaunches != 2 {
-		t.Fatalf("stats = %+v", st)
 	}
 }

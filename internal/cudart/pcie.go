@@ -50,13 +50,10 @@ var engSeries = [3]string{"h2d", "d2h", "d2d"}
 
 // LinkStats counts link activity.
 type LinkStats struct {
-	Transfers uint64
-	Bytes     int64
+	Bytes int64
 	// QueuedNs integrates the time transfers spent waiting for their
 	// engine (contention; zero on an idle link).
 	QueuedNs sim.Time
-	// BusyNs integrates engine occupancy across directions.
-	BusyNs sim.Time
 }
 
 // NewPCIeLink builds a link on the simulation environment whose transfers
@@ -114,10 +111,8 @@ func (l *PCIeLink) Transfer(kind MemcpyKind, bytes int, done func()) {
 	}
 	dur := l.copies.Duration(bytes)
 	l.busyUntil[engine] = start + dur
-	l.stats.Transfers++
 	l.stats.Bytes += int64(bytes)
 	l.stats.QueuedNs += start - now
-	l.stats.BusyNs += dur
 	if l.rec != nil {
 		// The wire-occupancy interval on the engine's track (transfers of
 		// one direction never overlap — the engine is FIFO), plus the

@@ -27,8 +27,6 @@ type op struct {
 	done    bool
 	started bool
 
-	// kernel
-	launch *gpu.Launch
 	// memcpy
 	bytes     int
 	direction MemcpyKind
@@ -172,7 +170,6 @@ func (s *Stream) LaunchKernel(p *sim.Proc, spec *gpu.KernelSpec, opts LaunchOpts
 // LaunchKernelAsync issues a kernel without charging host cost (used by the
 // Paella dispatcher, whose dispatch cost is modelled separately).
 func (s *Stream) LaunchKernelAsync(spec *gpu.KernelSpec, opts LaunchOpts) {
-	s.ctx.stats.KernelLaunches++
 	o := &op{kind: opKernel, stream: s}
 	if s.ctx.hook != nil {
 		s.push(o)
@@ -202,7 +199,6 @@ func (s *Stream) LaunchKernelAsync(spec *gpu.KernelSpec, opts LaunchOpts) {
 			o.finish()
 		}
 	}
-	o.launch = l
 	s.push(o)
 	s.ctx.dev.Submit(s.hwQueue(), l)
 }
@@ -213,7 +209,6 @@ func (s *Stream) MemcpyAsync(p *sim.Proc, kind MemcpyKind, bytes int) {
 	if p != nil && s.ctx.cfg.MemcpyIssueCost > 0 {
 		p.Sleep(s.ctx.cfg.MemcpyIssueCost)
 	}
-	s.ctx.stats.Memcpys++
 	o := &op{kind: opMemcpy, stream: s, bytes: bytes, direction: kind}
 	if s.ctx.hook != nil {
 		// The hook owns the transfer; mark it started so advance() never
@@ -249,7 +244,6 @@ func (s *Stream) EventRecord() *Event {
 // Synchronize blocks process p until all work issued on the stream has
 // completed, charging the sync-call host cost.
 func (s *Stream) Synchronize(p *sim.Proc) {
-	s.ctx.stats.Syncs++
 	p.Sleep(s.ctx.cfg.SyncCallCost)
 	for len(s.pending) > 0 {
 		done := sim.NewCompletion(s.ctx.env)

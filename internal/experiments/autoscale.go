@@ -6,7 +6,6 @@ import (
 
 	"paella/internal/autoscale"
 	"paella/internal/core"
-	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/serving"
@@ -54,7 +53,6 @@ func autoscaleModels() []*model.Model {
 type fleetRun struct {
 	label      string
 	costDay    float64 // dollars, extrapolated to 24h of the trace's shape
-	repSeconds float64
 	meanActive float64
 	attainment float64
 	p50, p99   sim.Time
@@ -68,8 +66,9 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	policy string, spec workload.TrafficSpec, minR, initial int) (fleetRun, error) {
 	w := sim.NewWorld()
 	defer w.Close()
-	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
-		serving.FleetOptions{Devices: devs, Gateway: gateway.NewLeastLoaded(), World: w})
+	opts := fleetOptions(autoscaleModels(), 32<<20)
+	opts.Devices, opts.World = devs, w
+	f, err := serving.NewFleet(opts)
 	if err != nil {
 		return fleetRun{}, err
 	}
@@ -109,7 +108,6 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 	col := f.Collector().Succeeded()
 	run := fleetRun{
 		label:      label,
-		repSeconds: s.ReplicaSeconds(bill),
 		costDay:    s.Cost(bill) * (24 * 3600 / spec.Duration.Seconds()),
 		meanActive: s.MeanActive(bill),
 		attainment: s.Attainment(),
@@ -125,8 +123,9 @@ func runAutoscaledFleet(label string, devs []gpu.Config, prices []float64,
 // the experiment's model mix with a short saturating open-loop run — the
 // per-offer rate the fleet-mix optimizer consumes.
 func calibrateReplicaRate(dev gpu.Config, jobs int) (float64, error) {
-	f, err := serving.NewFleet(fleetOptions(autoscaleModels(), 32<<20),
-		serving.FleetOptions{Devices: []gpu.Config{dev}, Gateway: gateway.NewLeastLoaded()})
+	opts := fleetOptions(autoscaleModels(), 32<<20)
+	opts.Devices = []gpu.Config{dev}
+	f, err := serving.NewFleet(opts)
 	if err != nil {
 		return 0, err
 	}

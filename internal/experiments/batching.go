@@ -33,14 +33,13 @@ func runAblationBatching(w io.Writer, d Detail) error {
 	opts.ProfileRuns = 1
 
 	configs := []struct {
-		label  string
-		mk     func() serving.System
-		window sim.Time
+		label string
+		mk    func() serving.System
 	}{
-		{"Triton (no batching)", func() serving.System { return serving.MustNewSystem("Triton") }, 0},
-		{"Triton batch≤8 w=1ms", func() serving.System { return serving.NewTritonBatching(sim.Millisecond, 8) }, sim.Millisecond},
-		{"Triton batch≤32 w=5ms", func() serving.System { return serving.NewTritonBatching(5*sim.Millisecond, 32) }, 5 * sim.Millisecond},
-		{"Paella", func() serving.System { return serving.MustNewSystem("Paella") }, 0},
+		{"Triton (no batching)", func() serving.System { return serving.MustNewSystem("Triton") }},
+		{"Triton batch≤8 w=1ms", func() serving.System { return serving.NewTritonBatching(sim.Millisecond, 8) }},
+		{"Triton batch≤32 w=5ms", func() serving.System { return serving.NewTritonBatching(5*sim.Millisecond, 32) }},
+		{"Paella", func() serving.System { return serving.MustNewSystem("Paella") }},
 	}
 
 	fmt.Fprintln(w, "Extension — dynamic batching trade-off (MobileNetV2):")

@@ -6,7 +6,6 @@ import (
 
 	"paella/internal/core"
 	"paella/internal/fault"
-	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/serving"
@@ -91,8 +90,9 @@ func runChaos(w io.Writer, d Detail) error {
 	}
 
 	fmt.Fprintln(w, "\nPart B: replica crash on a 2×T4 cluster, failover to the survivor:")
-	f, err := serving.NewFleet(fleetOptions(models, 0), serving.FleetOptions{
-		Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: gateway.NewLeastLoaded()})
+	fopts := fleetOptions(models, 0)
+	fopts.Devices = []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}
+	f, err := serving.NewFleet(fopts)
 	if err != nil {
 		return err
 	}

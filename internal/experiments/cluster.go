@@ -44,13 +44,13 @@ func runAblationCluster(w io.Writer, d Detail) error {
 		models[i], _ = model.ByName(name)
 	}
 	opts := fleetOptions(models, 0)
+	opts.Devices = []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}
 
 	fmt.Fprintln(w, "Extension — 2×T4 cluster at 800 req/s (σ=2, Table 2 mix):")
 	fmt.Fprintf(w, "  %-16s %14s %12s %12s\n", "balancer", "tput (req/s)", "p50", "p99")
 	for _, mk := range balancers {
-		b := mk()
-		f, err := serving.NewFleet(opts, serving.FleetOptions{
-			Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: b})
+		opts.Gateway = mk
+		f, err := serving.NewFleet(opts)
 		if err != nil {
 			return err
 		}
@@ -58,7 +58,7 @@ func runAblationCluster(w io.Writer, d Detail) error {
 		f.RunUntil(trace[len(trace)-1].At + 8*sim.Second)
 		col := f.Collector()
 		fmt.Fprintf(w, "  %-16s %14.1f %12v %12v\n",
-			b.Name(), col.Throughput(), col.P50(), col.P99())
+			mk().Name(), col.Throughput(), col.P50(), col.P99())
 	}
 	fmt.Fprintln(w, "\nExpected: least-loaded beats round-robin at the tail under bursty")
 	fmt.Fprintln(w, "arrivals; affinity trades some balance for model locality. Cluster")

@@ -79,7 +79,6 @@ type LoadPoint struct {
 	OfferedRate float64
 	Throughput  float64
 	P99         sim.Time
-	P50         sim.Time
 	Mean        sim.Time
 	Completed   int
 	// PerModel maps model name → p99 for panel plots.
@@ -114,7 +113,6 @@ func sweep(system string, mix workload.Mix, sigma float64, rates []float64,
 			OfferedRate: rate,
 			Throughput:  col.Throughput(),
 			P99:         col.P99(),
-			P50:         col.P50(),
 			Mean:        col.MeanJCT(),
 			Completed:   col.Len(),
 			PerModelP99: map[string]sim.Time{},

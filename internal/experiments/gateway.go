@@ -47,8 +47,9 @@ func runGatewayCluster(mk func() gateway.Policy, trace []workload.Request,
 	zoo []*model.Model, admit *gateway.Admission) (*metrics.Collector, error) {
 	// A fast and two slow replicas: queue depth alone misprices them, which
 	// is exactly the gap between least-loaded and predicted-latency.
-	f, err := serving.NewFleet(fleetOptions(zoo, 128<<20), serving.FleetOptions{
-		Devices: []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}, Gateway: mk()})
+	opts := fleetOptions(zoo, 128<<20)
+	opts.Devices, opts.Gateway = []gpu.Config{gpu.TeslaP100(), gpu.TeslaT4(), gpu.GTX1660Super()}, mk
+	f, err := serving.NewFleet(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +169,6 @@ func runGateway(w io.Writer, d Detail) error {
 	toks := workload.DefaultTokenSpec(11)
 	toks.PromptMean, toks.PromptSigma, toks.MaxPrompt = 800, 1.2, 8192
 	llmOpts := serving.DefaultOptions()
-	llmOpts.LLM = &serving.LLMOptions{Tokens: toks}
 	healthy := llm.Config{Spec: llm.DefaultSpec(), DevCfg: llmOpts.DevCfg, Continuous: true}
 	degraded := healthy
 	degraded.Spec.PrefillBlockTime *= 3
@@ -180,14 +180,15 @@ func runGateway(w io.Writer, d Detail) error {
 		{"predicted-latency", gateway.NewPredictedLatency},
 		{"affinity", func() gateway.Policy { return gateway.NewAffinity(0) }},
 	} {
-		pd, err := serving.NewDeployment(llmOpts, serving.DeploymentOptions{
+		llmOpts.LLM = &serving.LLMOptions{Tokens: toks,
 			Prefills: 2, Decodes: 2,
 			Engines: []llm.Config{healthy, degraded, healthy, healthy},
 			// KV handoffs ride an NVLink-class link so the interconnect is
 			// not the bottleneck the routing policy can't touch.
 			LinkBytesPerNs: 64,
-			Gateway:        pol.mk,
-		})
+		}
+		llmOpts.Gateway = pol.mk
+		pd, err := serving.NewDeployment(llmOpts)
 		if err != nil {
 			return err
 		}

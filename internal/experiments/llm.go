@@ -123,11 +123,12 @@ func runLLM(out io.Writer, d Detail) error {
 		pdTrace[i] = workload.Request{At: at, Model: "llm", Client: i % clients}
 	}
 	runPD := func(split bool) (pdResult, error) {
-		do := serving.DeploymentOptions{Prefills: 2}
+		opts := mkOpts()
+		opts.LLM.Prefills = 2
 		if split {
-			do.Prefills, do.Decodes = 1, 1
+			opts.LLM.Prefills, opts.LLM.Decodes = 1, 1
 		}
-		pd, err := serving.NewDeployment(mkOpts(), do)
+		pd, err := serving.NewDeployment(opts)
 		if err != nil {
 			return pdResult{}, err
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/model"
 	"paella/internal/serving"
@@ -60,18 +59,19 @@ type scaleRun struct {
 // one Env, as the pre-World code did. The runner closes a World engine.
 func newScaleRun(engine string, replicas, jobs int) (*scaleRun, error) {
 	models, reqs := scaleWorkload(replicas, jobs)
-	fo := serving.FleetOptions{Devices: make([]gpu.Config, replicas), Gateway: gateway.NewLeastLoaded()}
-	for i := range fo.Devices {
-		fo.Devices[i] = gpu.TeslaT4()
+	opts := fleetOptions(models, 0)
+	opts.Devices = make([]gpu.Config, replicas)
+	for i := range opts.Devices {
+		opts.Devices[i] = gpu.TeslaT4()
 	}
 	switch engine {
 	case "legacy": // one Env, the fleet default
 	case "world-serial":
-		fo.World = sim.NewWorld()
+		opts.World = sim.NewWorld()
 	default:
 		return nil, fmt.Errorf("scale: unknown engine %q", engine)
 	}
-	f, err := serving.NewFleet(fleetOptions(models, 0), fo)
+	f, err := serving.NewFleet(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -97,9 +97,9 @@ func runVRAM(w io.Writer, d Detail) error {
 		RatePerSec: 400, Jobs: jobsB, Clients: 1, Seed: 42,
 	})
 	for _, mk := range balancers {
-		b := mk()
-		f, err := serving.NewFleet(fleetOptions(zoo, vramBudget), serving.FleetOptions{
-			Devices: []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, Gateway: b})
+		opts := fleetOptions(zoo, vramBudget)
+		opts.Devices, opts.Gateway = []gpu.Config{gpu.TeslaT4(), gpu.TeslaT4()}, mk
+		f, err := serving.NewFleet(opts)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func runVRAM(w io.Writer, d Detail) error {
 			loads += f.Dispatcher(i).VRAM().Stats().Loads
 		}
 		fmt.Fprintf(w, "  %-18s %12.1f %12v %12v %6d %6d\n",
-			b.Name(), col.Throughput(), col.P50(), col.P99(),
+			mk().Name(), col.Throughput(), col.P50(), col.P99(),
 			col.ColdStarts(), loads)
 	}
 	fmt.Fprintln(w, "\nExpected: Part A — once total weights exceed the budget the hit")

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"paella/internal/fault"
@@ -137,17 +138,20 @@ func TestFaultDeterminism(t *testing.T) {
 		p.Events[0].Drop = 0.05 // enough loss that seeds visibly diverge
 		return p
 	}
-	snapshot := func(seed int64) (string, string) {
+	// The trace is compared by its SHA-256, written straight into the
+	// hash, so neither run holds its rendered trace.
+	snapshot := func(seed int64) (string, [sha256.Size]byte) {
 		rec := trace.New()
 		col, _ := runFaulty(t, reqs, models, plan(seed), rec)
-		var mbuf, tbuf bytes.Buffer
+		var mbuf bytes.Buffer
 		if err := col.WriteJSON(&mbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WriteChromeTrace(&tbuf); err != nil {
+		h := sha256.New()
+		if err := rec.WriteChromeTrace(h); err != nil {
 			t.Fatal(err)
 		}
-		return mbuf.String(), tbuf.String()
+		return mbuf.String(), [sha256.Size]byte(h.Sum(nil))
 	}
 	m1, t1 := snapshot(5)
 	m2, t2 := snapshot(5)

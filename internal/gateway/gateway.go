@@ -99,9 +99,6 @@ func (r Replica) Predicted() sim.Time {
 type Request struct {
 	// Model is the target model name.
 	Model string
-	// Tenant attributes the request for QoS and admission control (empty =
-	// untenanted).
-	Tenant string
 	// Session groups requests that share server-side state (an LLM
 	// conversation whose KV could be reused); zero means stateless.
 	Session uint64

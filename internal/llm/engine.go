@@ -674,8 +674,6 @@ func (e *Engine) dropFromGroup(s *seqState) {
 	}
 }
 
-// InFlight returns the number of admitted, unfinished sequences.
-
 // Preemptions returns how many KV preemption-by-recompute events occurred.
 func (e *Engine) Preemptions() int { return e.preemptions }
 

@@ -85,15 +85,6 @@ func (m *Model) Counts() []int {
 	return counts
 }
 
-// ActivationBytes returns the per-request activation footprint: the
-// device scratch one batched sample occupies beyond the (shared) weights —
-// its input and output tensors. Batched launches share one weight
-// allocation but carry one activation set per member, which is what the
-// vram manager's activation gauge accounts under dynamic batching.
-func (m *Model) ActivationBytes() int64 {
-	return int64(m.InputBytes) + int64(m.OutputBytes)
-}
-
 // TotalBlocks returns the total number of thread blocks one inference
 // places on the device.
 func (m *Model) TotalBlocks() int {

@@ -101,7 +101,6 @@ type Gateway struct {
 }
 
 type pendingReq struct {
-	inputBytes  int
 	outputBytes int
 	done        *sim.Completion
 }
@@ -216,7 +215,7 @@ func (c *Client) Predict(p *sim.Proc, modelName string, inputBytes, outputBytes 
 	c.inflight[id] = done
 	// Request crosses the wire, then the gateway forwards it locally.
 	c.env.After(g.net.transfer(inputBytes), func() {
-		g.pending[id] = &pendingReq{inputBytes: inputBytes, outputBytes: outputBytes, done: done}
+		g.pending[id] = &pendingReq{outputBytes: outputBytes, done: done}
 		g.submit(id, modelName, 1)
 		if to := g.net.RequestTimeout; to > 0 {
 			g.env.After(to, func() {

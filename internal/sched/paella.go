@@ -37,7 +37,6 @@ type PaellaPolicy struct {
 }
 
 type paellaClient struct {
-	id     int
 	stored float64
 	// active counts unfinished jobs (admitted, not yet completed).
 	active int
@@ -80,7 +79,6 @@ func (p *PaellaPolicy) client(id int) *paellaClient {
 	if !ok {
 		p.nextSeq++
 		c = &paellaClient{
-			id:   id,
 			jobs: rbtree.New(arrivalLess),
 			seq:  p.nextSeq,
 			// A new client starts level with the field: stored 0 means

@@ -121,8 +121,8 @@ func TestAnatomySumsToJCTMatrix(t *testing.T) {
 		// A KV budget small enough to force paging preemptions, so StallNs
 		// and recompute PrefillNs enter the partition.
 		opts := llmTestOptions()
-		opts.LLM.VRAMBytes = 48 << 10
-		opts.LLM.MaxBatch = 8
+		opts.VRAM.CapacityBytes = 48 << 10
+		opts.MaxBatch = 8
 		col := MustRunTrace(MustNewSystem("Paella-LLM"), llmTrace(40), opts)
 		checkAnatomy(t, "Paella-LLM-preempting", col)
 		preemptions := 0

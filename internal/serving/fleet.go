@@ -10,48 +10,33 @@ import (
 	"paella/internal/workload"
 )
 
-// FleetOptions describes what a fleet adds to Options: its replicas, its
-// gateway, and the engine it runs on.
-type FleetOptions struct {
-	// Devices lists each replica's GPU (possibly heterogeneous); a fleet
-	// ignores Options.DevCfg.
-	Devices []gpu.Config
-	// Gateway routes every request to one live, routable replica.
-	Gateway gateway.Policy
-	// World, when non-nil, places each replica on its own shard of the
-	// conservative-window engine, with routing and arrivals on its control
-	// Env; it must have no shards yet, and the caller closes it. Nil runs
-	// every replica on one serial Env.
-	World *sim.World
-	// ShardSetup, with a World, runs with each replica's shard Env before
-	// its dispatcher is built there (e.g. to attach a per-replica recorder
-	// or meter).
-	ShardSetup func(i int, shard *sim.Env)
-}
-
 // Fleet is a set of gated-Paella replicas behind one gateway, built from
-// Options and FleetOptions: each replica's dispatcher is configured as
-// the single-GPU "Paella" system would be, and every model is registered
-// on every replica.
+// Options: each replica's dispatcher is configured as the single-GPU
+// "Paella" system would be, and every model is registered on every
+// replica.
 type Fleet struct {
 	*cluster.Cluster
 	executor
 }
 
-// NewFleet builds the fleet and registers opts.Models on every replica.
-// Options.Trace, Telemetry and MaxSimTime are not consumed: attach
-// observers through FleetOptions.ShardSetup and the control Env, and run
-// with RunUntil.
-func NewFleet(opts Options, fo FleetOptions) (*Fleet, error) {
+// NewFleet builds the fleet on opts.Devices behind opts.Gateway, on
+// opts.World when set, and registers opts.Models on every replica.
+// Options.Trace and Telemetry observe the control Env; MaxSimTime is not
+// consumed: run with RunUntil.
+func NewFleet(opts Options) (*Fleet, error) {
 	mkCfg := func(int, gpu.Config) core.Config {
 		return dispatcherConfig(opts, core.ModeGated, sched.NewPaella(DefaultFairnessThreshold))
 	}
-	f := &Fleet{executor: newExecutor(nil, fo.World)}
+	pol := gateway.NewLeastLoaded
+	if opts.Gateway != nil {
+		pol = opts.Gateway
+	}
+	f := &Fleet{executor: newExecutor(opts)}
 	var err error
-	if fo.World != nil {
-		f.Cluster, err = cluster.NewWorldWithConfig(fo.World, fo.Devices, mkCfg, fo.Gateway, fo.ShardSetup)
+	if opts.World != nil {
+		f.Cluster, err = cluster.NewWorldWithConfig(opts.World, opts.Devices, mkCfg, pol(), opts.ShardSetup)
 	} else {
-		f.Cluster, err = cluster.NewWithConfig(f.ctrl, fo.Devices, mkCfg, fo.Gateway)
+		f.Cluster, err = cluster.NewWithConfig(f.ctrl, opts.Devices, mkCfg, pol())
 	}
 	if err != nil {
 		return nil, err
@@ -93,16 +78,13 @@ type executor struct {
 	world *sim.World
 }
 
-// newExecutor runs on w when it is non-nil, else on env, else on a fresh
-// Env.
-func newExecutor(env *sim.Env, w *sim.World) executor {
-	switch {
-	case w != nil:
-		return executor{ctrl: w.Ctrl(), world: w}
-	case env != nil:
-		return executor{ctrl: env}
+// newExecutor runs on opts.World when it is set, else on a fresh Env,
+// with opts.Trace and opts.Telemetry observing the control Env.
+func newExecutor(opts Options) executor {
+	if w := opts.World; w != nil {
+		return executor{ctrl: observed(w.Ctrl(), opts), world: w}
 	}
-	return executor{ctrl: sim.NewEnv()}
+	return executor{ctrl: observed(sim.NewEnv(), opts)}
 }
 
 // Env returns the control Env: the deployment's one Env, or its World's

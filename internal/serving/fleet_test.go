@@ -1,12 +1,14 @@
 package serving
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"paella/internal/core"
-	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/sim"
+	"paella/internal/trace"
 	"paella/internal/workload"
 )
 
@@ -17,7 +19,8 @@ import (
 // keeps its arrival as its submit time.
 func TestFleetArriveRetriesUnroutable(t *testing.T) {
 	opts := tinyOpts()
-	f, err := NewFleet(opts, FleetOptions{Devices: []gpu.Config{opts.DevCfg}, Gateway: gateway.NewLeastLoaded()})
+	opts.Devices = []gpu.Config{opts.DevCfg}
+	f, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,5 +55,29 @@ func TestFleetArriveRetriesUnroutable(t *testing.T) {
 		if r.At < drain && rec.Delivered < drain {
 			t.Fatalf("request %d arrived at %v during the drain but was delivered at %v", rec.ID, r.At, rec.Delivered)
 		}
+	}
+}
+
+// TestFleetTraceObservesControlEnv: a single-Env fleet built with
+// Options.Trace records one routing instant per request on the control
+// Env, as RunTrace's systems record theirs.
+func TestFleetTraceObservesControlEnv(t *testing.T) {
+	opts := tinyOpts()
+	opts.Devices = []gpu.Config{opts.DevCfg, opts.DevCfg}
+	opts.Trace = trace.New()
+	f, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := tinyTrace(30, 2, 2000)
+	f.Arrive(reqs, f.Connect().Submit)
+	f.RunUntil(reqs[len(reqs)-1].At + sim.Second)
+
+	var buf bytes.Buffer
+	if err := opts.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"cat":"route"`); got != len(reqs) {
+		t.Fatalf("recorded %d routing instants for %d requests", got, len(reqs))
 	}
 }

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"paella/internal/cluster"
-	"paella/internal/gateway"
 	"paella/internal/llm"
 	"paella/internal/metrics"
 	"paella/internal/sim"
@@ -10,27 +9,18 @@ import (
 )
 
 // LLMOptions configures the generative serving systems (Paella-LLM and
-// friends). All fields have working defaults; the zero LLMOptions — or a
-// nil Options.LLM — selects DefaultSpec on the run's device with seeded
-// default token lengths.
+// friends): the model, its token lengths, and the deployment's shape.
+// The zero LLMOptions — or a nil Options.LLM — selects DefaultSpec on the
+// run's device with seeded default token lengths; NewDeployment needs
+// Prefills ≥ 1, which the Paella-LLM systems set themselves.
+// Options.MaxBatch caps the decode batch width and Options.VRAM sets the
+// memory budget and KV page size.
 type LLMOptions struct {
 	// Spec is the generative model (zero Name → llm.DefaultSpec()).
 	Spec llm.Spec
 	// Tokens is the prompt/output length distribution (zero → default
 	// spec, seed 1).
 	Tokens workload.TokenSpec
-	// MaxBatch caps the decode batch width (0 → 8).
-	MaxBatch int
-	// KVBlockBytes is the KV page granularity (0 → vram.DefaultBlockBytes).
-	KVBlockBytes int64
-	// VRAMBytes overrides the device-memory budget (0 → DevCfg.VRAMBytes).
-	VRAMBytes int64
-}
-
-// DeploymentOptions describes what a generative deployment adds to
-// Options: its batching, its engine pools, its gateway, and the Env it
-// runs on.
-type DeploymentOptions struct {
 	// Static selects launch-time decode batching; the default is
 	// continuous batching.
 	Static bool
@@ -44,27 +34,27 @@ type DeploymentOptions struct {
 	// Engines, if set, overrides each engine's llm config (length
 	// Prefills+Decodes), modelling a heterogeneous pool.
 	Engines []llm.Config
-	// Gateway builds each routing policy instance (nil → least-loaded).
-	Gateway func() gateway.Policy
-	// Env is the Env every engine and the front run on; its recorder and
-	// meter must be attached before the build. Nil means a fresh
-	// unobserved Env.
-	Env *sim.Env
 }
 
 // Deployment is a generative deployment — llm engines behind the
-// prefill/decode front of internal/cluster — built from Options and
-// DeploymentOptions, with the seeded token sampler its arrivals draw from.
+// prefill/decode front of internal/cluster — built from Options, with the
+// seeded token sampler its arrivals draw from.
 type Deployment struct {
 	*cluster.PD
 	executor
 	sampler *workload.TokenSampler
 }
 
-// NewDeployment builds the deployment from opts.DevCfg and opts.LLM (nil
-// selects its defaults). The other Options fields are not consumed:
-// attach observers to DeploymentOptions.Env and run with RunUntil.
-func NewDeployment(opts Options, do DeploymentOptions) (*Deployment, error) {
+// NewDeployment builds the deployment from opts.DevCfg, opts.LLM (nil
+// selects its defaults), opts.MaxBatch, opts.VRAM and opts.Gateway on a
+// fresh Env that opts.Trace and opts.Telemetry observe. The other Options
+// fields are not consumed: run with RunUntil.
+func NewDeployment(opts Options) (*Deployment, error) {
+	return newDeployment(observed(sim.NewEnv(), opts), opts)
+}
+
+// newDeployment builds the deployment on env.
+func newDeployment(env *sim.Env, opts Options) (*Deployment, error) {
 	lo := LLMOptions{}
 	if opts.LLM != nil {
 		lo = *opts.LLM
@@ -80,13 +70,15 @@ func NewDeployment(opts Options, do DeploymentOptions) (*Deployment, error) {
 		return nil, err
 	}
 	cfg := cluster.PDConfig{
-		LLM: llm.Config{Spec: lo.Spec, DevCfg: opts.DevCfg, VRAMBytes: lo.VRAMBytes,
-			KVBlockBytes: lo.KVBlockBytes, MaxBatch: lo.MaxBatch, Continuous: !do.Static},
-		Prefills: do.Prefills, Decodes: do.Decodes, LinkBytesPerNs: do.LinkBytesPerNs,
-		Engines: do.Engines, MakePolicy: do.Gateway,
+		LLM:      llm.Config{Spec: lo.Spec, DevCfg: opts.DevCfg, MaxBatch: opts.MaxBatch, Continuous: !lo.Static},
+		Prefills: lo.Prefills, Decodes: lo.Decodes, LinkBytesPerNs: lo.LinkBytesPerNs,
+		Engines: lo.Engines, MakePolicy: opts.Gateway,
 	}
-	d := &Deployment{executor: newExecutor(do.Env, nil), sampler: sampler}
-	if d.PD, err = cluster.NewPD(d.ctrl, cfg); err != nil {
+	if v := opts.VRAM; v != nil {
+		cfg.LLM.VRAMBytes, cfg.LLM.KVBlockBytes = v.CapacityBytes, v.BlockBytes
+	}
+	d := &Deployment{executor: executor{ctrl: env}, sampler: sampler}
+	if d.PD, err = cluster.NewPD(env, cfg); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -114,10 +106,12 @@ func (d *Deployment) Arrive(trace []workload.Request) {
 }
 
 // llmSystem is one generative deployment behind the System interface: a
-// single colocated engine or a 1-prefill/1-decode disaggregated pair.
+// single colocated engine or a 1-prefill/1-decode disaggregated pair. Its
+// shape fixes the deployment's Static, Prefills and Decodes; Options.LLM
+// supplies the rest.
 type llmSystem struct {
 	name   string
-	do     DeploymentOptions
+	shape  LLMOptions
 	dep    *Deployment
 	nextID uint64
 }
@@ -125,9 +119,14 @@ type llmSystem struct {
 func (s *llmSystem) Name() string { return s.name }
 
 func (s *llmSystem) Setup(env *sim.Env, opts Options, _ int) error {
-	s.do.Env = env
+	lo := LLMOptions{}
+	if opts.LLM != nil {
+		lo = *opts.LLM
+	}
+	lo.Static, lo.Prefills, lo.Decodes = s.shape.Static, s.shape.Prefills, s.shape.Decodes
+	opts.LLM = &lo
 	var err error
-	s.dep, err = NewDeployment(opts, s.do)
+	s.dep, err = newDeployment(env, opts)
 	return err
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"paella/internal/metrics"
-	"paella/internal/sim"
 	"paella/internal/telemetry"
 	"paella/internal/trace"
 )
@@ -103,15 +102,15 @@ func TestPaellaLLMIsOneEngineDeployment(t *testing.T) {
 	_, wantChrome, wantTel := llmRun(t, "Paella-LLM", true)
 
 	rec, mt := trace.New(), telemetry.NewMeter("llm", 0)
-	env := sim.NewEnv()
-	env.SetRecorder(rec)
-	env.SetMeter(mt)
-	d, err := NewDeployment(llmTestOptions(), DeploymentOptions{Prefills: 1, Env: env})
+	opts := llmTestOptions()
+	opts.Trace, opts.Telemetry = rec, mt
+	opts.LLM.Prefills = 1
+	d, err := NewDeployment(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Arrive(llmTrace(200))
-	env.Run()
+	d.Env().Run()
 	chrome, tel := exports(t, rec, mt, d.Collector())
 	if !bytes.Equal(chrome, wantChrome) {
 		t.Error("Chrome trace differs from Paella-LLM's")

@@ -6,6 +6,7 @@ import (
 	"paella/internal/gpu"
 	"paella/internal/llm"
 	"paella/internal/sim"
+	"paella/internal/vram"
 	"paella/internal/workload"
 )
 
@@ -30,10 +31,9 @@ func llmTestOptions() Options {
 			OutputMean: 6, OutputSigma: 0.4,
 			MaxPrompt: 32, MaxOutput: 16, Seed: 9,
 		},
-		MaxBatch:     4,
-		KVBlockBytes: 4 << 10,
-		VRAMBytes:    1 << 20,
 	}
+	opts.MaxBatch = 4
+	opts.VRAM = &vram.Config{CapacityBytes: 1 << 20, BlockBytes: 4 << 10}
 	return opts
 }
 

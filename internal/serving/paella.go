@@ -132,20 +132,18 @@ func (s *paellaSystem) Setup(env *sim.Env, opts Options, numClients int) error {
 // was unset.
 func (s *paellaSystem) Injector() *fault.Injector { return s.injector }
 
+// Submit numbers the request and stamps its arrival once; a full ring
+// retries the same request after the client library's backoff, so the
+// wait shows in its JCT.
 func (s *paellaSystem) Submit(req workload.Request) {
 	s.nextID++
-	ok := s.conns[req.Client].Submit(core.Request{
-		ID:     s.nextID,
-		Model:  req.Model,
-		Client: req.Client,
-		Tenant: req.Tenant,
-		Submit: s.env.Now(),
-	})
-	if !ok {
-		// Ring full at extreme overload: retry after the client
-		// library's backoff.
-		r := req
-		s.env.After(retryBackoff, func() { s.Submit(r) })
+	s.send(core.Request{ID: s.nextID, Model: req.Model, Client: req.Client,
+		Tenant: req.Tenant, Submit: s.env.Now()})
+}
+
+func (s *paellaSystem) send(req core.Request) {
+	if !s.conns[req.Client].Submit(req) {
+		s.env.After(retryBackoff, func() { s.send(req) })
 	}
 }
 

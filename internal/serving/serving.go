@@ -21,7 +21,8 @@
 // generative deployments: NewDeployment builds llm engines behind the
 // prefill/decode front of internal/cluster from Options and its LLM
 // options, and Deployment.Arrive feeds it a trace with sampled token
-// lengths. The Paella-LLM systems are such deployments.
+// lengths. The Paella-LLM systems are such deployments. Every front-end
+// reads the same Options: Trace and Telemetry observe its control Env.
 package serving
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"paella/internal/compiler"
 	"paella/internal/fault"
+	"paella/internal/gateway"
 	"paella/internal/gpu"
 	"paella/internal/metrics"
 	"paella/internal/model"
@@ -57,19 +59,23 @@ type Options struct {
 	// VRAM, when non-nil, gives the Paella dispatcher a device-memory
 	// budget: model weights page in on demand and evict LRU
 	// (internal/vram). Nil models unconstrained memory, the historical
-	// behaviour. Only the gated Paella variants consume it.
+	// behaviour. The gated Paella variants consume it, and a generative
+	// deployment takes its budget and KV page size from it (nil or zero
+	// keeps the engine defaults).
 	VRAM *vram.Config
 	// Trace, when non-nil, attaches a structured tracing recorder to the
 	// run: every layer (GPU, CUDA runtime, dispatcher, VRAM manager) emits
 	// spans, instants, and counter samples into it. Nil (the default)
 	// disables tracing with zero overhead and bit-identical simulation
-	// behaviour.
+	// behaviour. It observes the run's control Env; a World fleet's shards
+	// are observed through ShardSetup.
 	Trace *trace.Recorder
 	// Telemetry, when non-nil, attaches a windowed telemetry meter to the
 	// run: every layer samples its gauges, counters, and histograms into
 	// fixed virtual-time windows, and completed records feed the meter's
 	// job instruments and SLO monitors. Nil (the default) disables
 	// metering with zero overhead and bit-identical simulation behaviour.
+	// Like Trace, it observes the control Env.
 	Telemetry *telemetry.Meter
 	// Faults, when non-nil, installs the plan's fault schedule into the run
 	// (internal/fault) and arms the gated Paella dispatcher's recovery
@@ -80,7 +86,8 @@ type Options struct {
 	// MaxBatch, when > 1, enables dynamic batching in the gated Paella
 	// dispatcher: same-model, same-position ready kernels coalesce into one
 	// widened launch (core.Config.MaxBatch). The baselines ignore it —
-	// Triton's batching variant carries its own knobs.
+	// Triton's batching variant carries its own knobs. A generative
+	// deployment caps its decode batch width with it (0 → 8).
 	MaxBatch int
 	// BatchWindow bounds the batch-formation hold for a lone ready kernel
 	// (core.Config.BatchWindow). Zero means opportunistic coalescing only.
@@ -88,6 +95,21 @@ type Options struct {
 	// LLM configures the generative systems (Paella-LLM and friends); nil
 	// selects their defaults. The non-generative systems ignore it.
 	LLM *LLMOptions
+	// Devices lists each fleet replica's GPU (possibly heterogeneous); a
+	// fleet ignores DevCfg.
+	Devices []gpu.Config
+	// Gateway builds each routing policy instance of a fleet or a
+	// deployment (nil → least-loaded).
+	Gateway func() gateway.Policy
+	// World, when non-nil, places each fleet replica on its own shard of
+	// the conservative-window engine, with routing and arrivals on its
+	// control Env; it must have no shards yet, and the caller closes it.
+	// Nil runs every replica on one serial Env.
+	World *sim.World
+	// ShardSetup, with a World, runs with each replica's shard Env before
+	// its dispatcher is built there (e.g. to attach a per-replica recorder
+	// or meter).
+	ShardSetup func(i int, shard *sim.Env)
 }
 
 // DefaultOptions returns a T4 setup with the full Table 2 zoo.
@@ -125,13 +147,7 @@ func RunTrace(sys System, trace []workload.Request, opts Options) (*metrics.Coll
 			numClients = r.Client + 1
 		}
 	}
-	env := sim.NewEnv()
-	if opts.Trace != nil {
-		env.SetRecorder(opts.Trace)
-	}
-	if opts.Telemetry != nil {
-		env.SetMeter(opts.Telemetry)
-	}
+	env := observed(sim.NewEnv(), opts)
 	if err := sys.Setup(env, opts, numClients); err != nil {
 		return nil, err
 	}
@@ -157,6 +173,18 @@ func MustRunTrace(sys System, trace []workload.Request, opts Options) *metrics.C
 		panic(err)
 	}
 	return c
+}
+
+// observed attaches opts.Trace and opts.Telemetry, when set, to env and
+// returns it.
+func observed(env *sim.Env, opts Options) *sim.Env {
+	if opts.Trace != nil {
+		env.SetRecorder(opts.Trace)
+	}
+	if opts.Telemetry != nil {
+		env.SetMeter(opts.Telemetry)
+	}
+	return env
 }
 
 func findModel(opts Options, name string) (*model.Model, error) {

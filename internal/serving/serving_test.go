@@ -206,3 +206,29 @@ func TestClockworkExclusive(t *testing.T) {
 			tiny.FirstDispatch, big.ExecDone)
 	}
 }
+
+// TestRingFullRetryKeepsRequest: 1,030 requests from one client at t=0
+// overflow its 1,024-slot ring. Each refused request is retried after the
+// backoff as the same request, so the records carry IDs 1..1,030 exactly
+// once and every one keeps its arrival, t=0, as its submit time.
+func TestRingFullRetryKeepsRequest(t *testing.T) {
+	const n = 1030
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = workload.Request{Model: "tinynet"}
+	}
+	col := MustRunTrace(MustNewSystem("Paella"), reqs, tinyOpts())
+	if col.Len() != n {
+		t.Fatalf("%d records for %d requests", col.Len(), n)
+	}
+	seen := make([]bool, n+1)
+	for _, rec := range col.Records() {
+		if rec.ID < 1 || rec.ID > n || seen[rec.ID] {
+			t.Fatalf("record ID %d is outside 1..%d or repeated", rec.ID, n)
+		}
+		seen[rec.ID] = true
+		if rec.Submit != 0 {
+			t.Fatalf("request %d submitted at %v, arrived at 0", rec.ID, rec.Submit)
+		}
+	}
+}

@@ -58,11 +58,11 @@ var systems = []struct {
 	// beat; and a disaggregated one-prefill/one-decode pair with the KV
 	// handoff over the interconnect.
 	{SystemInfo{Name: "Paella-LLM"},
-		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1}} }},
+		func(n string) System { return &llmSystem{name: n, shape: LLMOptions{Prefills: 1}} }},
 	{SystemInfo{Name: "Paella-LLM-static"},
-		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1, Static: true}} }},
+		func(n string) System { return &llmSystem{name: n, shape: LLMOptions{Prefills: 1, Static: true}} }},
 	{SystemInfo{Name: "Paella-LLM-PD"},
-		func(n string) System { return &llmSystem{name: n, do: DeploymentOptions{Prefills: 1, Decodes: 1}} }},
+		func(n string) System { return &llmSystem{name: n, shape: LLMOptions{Prefills: 1, Decodes: 1}} }},
 }
 
 // stockBatching configures the Paella-batch system's dispatcher.

@@ -87,7 +87,6 @@ type execQueue struct {
 }
 
 type tritonJob struct {
-	req workload.Request
 	m   *model.Model
 	rec metrics.JobRecord
 }
@@ -146,7 +145,7 @@ func (s *tritonSystem) Submit(req workload.Request) {
 	if err != nil {
 		panic(err)
 	}
-	j := &tritonJob{req: req, m: m}
+	j := &tritonJob{m: m}
 	s.nextID++
 	j.rec = metrics.JobRecord{
 		ID:     s.nextID,

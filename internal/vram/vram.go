@@ -87,16 +87,8 @@ type Stats struct {
 	Loads uint64
 	// Evictions counts models evicted to make room.
 	Evictions uint64
-	// LoadAborts counts loads abandoned mid-transfer (AbortLoad: a failed
-	// H2D weight copy under fault injection).
-	LoadAborts uint64
 	// BytesLoaded totals weight bytes transferred host→device.
 	BytesLoaded int64
-	// BytesEvicted totals weight bytes dropped by eviction.
-	BytesEvicted int64
-	// PeakActivationBytes is the high-water mark of the activation gauge
-	// (per-member scratch of batched launches; see ReserveActivations).
-	PeakActivationBytes int64
 	// KVPeakBlocks is the high-water mark of the paged KV-cache allocation
 	// (ReserveKV; internal/llm's per-token pages).
 	KVPeakBlocks int
@@ -134,10 +126,7 @@ type Manager struct {
 	// never considers them, so exhaustion surfaces as ErrNoMemory and the
 	// caller (internal/llm) preempts a sequence to reclaim its pages.
 	kvBlocks int
-	// activationBytes is the in-flight batched-launch scratch gauge
-	// (ReserveActivations); accounting only, outside the block budget.
-	activationBytes int64
-	entries         map[string]*entry
+	entries  map[string]*entry
 
 	// onEvict, if set, observes each victim while it is in the Evicting
 	// state. Only the package's tests set it.
@@ -346,10 +335,9 @@ func (m *Manager) AbortLoad(name string, now sim.Time) {
 	}
 	e.state = Cold
 	m.usedBlocks -= e.blocks
-	m.stats.LoadAborts++
 	// The failed transfer still moved no usable bytes; keep BytesLoaded as
 	// the attempted total (it counts H2D traffic, and the wire time was
-	// genuinely spent) but record the abort.
+	// genuinely spent); the trace records the abort.
 	if m.rec != nil {
 		m.rec.InstantArgs(m.evTrack, name, "vram-load-abort", now, trace.Int("bytes", e.bytes))
 	}
@@ -537,7 +525,6 @@ func (m *Manager) evict(e *entry) {
 	e.state = Cold
 	m.usedBlocks -= e.blocks
 	m.stats.Evictions++
-	m.stats.BytesEvicted += e.bytes
 	if m.usedBlocks < 0 {
 		panic("vram: block accounting went negative")
 	}
@@ -563,34 +550,6 @@ func (m *Manager) FreeBytes() int64 {
 
 // Stats returns a snapshot of lifetime counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// ReserveActivations accounts device scratch for in-flight batched
-// launches: members of a batch share one weight allocation (the refcounted
-// Pin) but each carries its own input/output activations. The gauge is
-// pure accounting — activations live in the runtime's pre-sized scratch
-// arena, not the paged weight budget — so it never triggers eviction, but
-// it makes the per-member footprint of batching observable (Stats records
-// the high-water mark).
-func (m *Manager) ReserveActivations(bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	m.activationBytes += bytes
-	if m.activationBytes > m.stats.PeakActivationBytes {
-		m.stats.PeakActivationBytes = m.activationBytes
-	}
-}
-
-// ReleaseActivations returns scratch reserved by ReserveActivations.
-func (m *Manager) ReleaseActivations(bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	m.activationBytes -= bytes
-	if m.activationBytes < 0 {
-		panic("vram: activation gauge went negative")
-	}
-}
 
 // ResidentModels returns the names of resident models, sorted (tests,
 // experiment reports).
