@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"paella/internal/experiments"
-	"paella/internal/gpu"
 	"paella/internal/metrics"
 	"paella/internal/model"
 	"paella/internal/serving"
@@ -284,7 +283,7 @@ func gpuCmd(args []string) {
 	asJSON := fs.Bool("json", false, "emit the run's Chrome trace-event JSON instead of ASCII")
 	fs.Parse(args)
 
-	dev, _, err := experiments.RunDidactic(*system, gpu.Kepler, *jobs, *sms, *kernels)
+	dev, _, err := experiments.RunDidactic(*system, 32, *jobs, *sms, *kernels)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -172,6 +172,7 @@ func packageDoc(t *testing.T, dir string) string {
 var testOnlyAllowed = map[string]string{
 	"cluster.Cluster.Routable":        "autoscale tests check that a parked, warming or draining replica takes no new work (ROADMAP item 5's routing check)",
 	"remote.NetConfig.RequestTimeout": "public API through the `paella.NetConfig` alias",
+	"remote.NetConfig.Seed":           "public API through the `paella.NetConfig` alias",
 	"sim.Env.Pending":                 "the event count the sim tests check the timer arena against (arena.live() == Pending(), ROADMAP item 5) and the gpu tests count device events with",
 	"trace.Recorder.Spans":            "core's copy-cost pin reads every span in emission order",
 	"vram.Manager.KVBlocks":           "llm and cluster tests check that no KV page outlives its sequence (ROADMAP item 5's KV page check)",
@@ -180,34 +181,31 @@ var testOnlyAllowed = map[string]string{
 // TestNoTestOnlyExports fails when an exported func, method, type, var or
 // const declared in internal/ is referenced by no non-test file in the tree
 // (bench/, examples/ and cmd/ included) outside its own declaration, or when
-// no such file writes an exported field of a struct declared there, unless
-// testOnlyAllowed names it with a reason; it also fails on a stale entry.
-// A package-level name counts as referenced by a pkg.Name selector in a file
-// importing its package, or a bare identifier in its own package; a method
-// counts as referenced by any .Name selector. A field counts as written by
-// a composite-literal key, an assignment or ++/-- target selector, or &x.F
-// naming it, or by an unkeyed literal of its type (the type may be elided
-// inside a []T{…} or map literal). An assignment x.F = … directly inside
-// an if x.F <= 0 { … } or if x.F == 0 { … } in the field's own package is
-// the field's default, not a write: a field only such a default writes
-// has one value. A field with a struct tag is exempt, since a decoder
-// writes it. Interface methods are not checked. The check is syntactic
-// (go/ast only).
+// no such file writes an exported field of a struct type declared at
+// package level there, unless testOnlyAllowed names it with a reason; it
+// also fails on a stale entry. A package-level name counts as referenced
+// by a pkg.Name selector in a file importing its package, or a bare
+// identifier in its own package; a method counts as referenced by any
+// .Name selector. Interface methods are not checked. Fields are resolved
+// with go/types, so a write of one struct's field never counts for a
+// same-named field of another: a field counts as written by a
+// composite-literal key or an unkeyed literal of its struct, and by an
+// assignment or ++/-- target x.F or &x.F. An assignment x.F = … directly
+// inside an if x.F <= 0 { … } or if x.F == 0 { … } in the field's own
+// package is the field's default, not a write: a field only such a
+// default writes has one value. A field with a struct tag is exempt,
+// since a decoder writes it.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key    string // reported name
 		path   string // import path of the declaring package
 		name   string
 		method bool
-		owner  string // a field's struct type name; "" for other decls
 		pos    token.Position
 	}
 	var decls []*decl
 	pkgRefs := map[string]bool{} // import path + "." + name
 	selectors := map[string]bool{}
-	written := map[string]bool{}              // field names written
-	defaulted := map[string]map[string]bool{} // field name -> packages defaulting it
-	unkeyed := map[string]bool{}              // type names of unkeyed struct literals
 	fset := token.NewFileSet()
 
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -276,21 +274,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						declare(s.Name, pkg+"."+s.Name.Name, false)
-						st, ok := s.Type.(*ast.StructType)
-						if !ok || !internal {
-							continue
-						}
-						for _, fld := range st.Fields.List {
-							if fld.Tag != nil {
-								continue
-							}
-							for _, n := range fld.Names {
-								if ast.IsExported(n.Name) {
-									decls = append(decls, &decl{key: pkg + "." + s.Name.Name + "." + n.Name, path: self,
-										name: n.Name, owner: s.Name.Name, pos: fset.Position(n.Pos())})
-								}
-							}
-						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							declare(n, pkg+"."+n.Name, false)
@@ -322,85 +305,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return true
 		}
 		ast.Inspect(f, visit)
-		// lit records the fields a composite literal writes; typ is the
-		// literal's type when its own is elided.
-		var lit func(cl *ast.CompositeLit, typ ast.Expr)
-		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
-			if cl.Type != nil {
-				typ = cl.Type
-			}
-			var elem ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elem = t.Elt
-			case *ast.MapType:
-				elem = t.Value
-			}
-			for _, e := range cl.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						written[id.Name] = true
-					}
-					e = kv.Value
-				} else if elem == nil {
-					unkeyed[typeName(typ)] = true
-				}
-				if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil {
-					lit(inner, elem)
-				}
-			}
-		}
-		writeTarget := func(e ast.Expr) {
-			if sel, ok := e.(*ast.SelectorExpr); ok {
-				written[sel.Sel.Name] = true
-			}
-		}
-		// defaults holds the assignments that are a field's zero-value
-		// default: x.F = … directly inside if x.F <= 0 or if x.F == 0.
-		defaults := map[*ast.AssignStmt]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.IfStmt:
-				cond, ok := n.Cond.(*ast.BinaryExpr)
-				if !ok || (cond.Op != token.LEQ && cond.Op != token.EQL) {
-					break
-				}
-				sel, isSel := cond.X.(*ast.SelectorExpr)
-				zero, isLit := cond.Y.(*ast.BasicLit)
-				if !isSel || !isLit || zero.Value != "0" {
-					break
-				}
-				for _, st := range n.Body.List {
-					if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
-						types.ExprString(as.Lhs[0]) == types.ExprString(sel) {
-						defaults[as] = true
-					}
-				}
-			case *ast.CompositeLit:
-				if n.Type != nil {
-					lit(n, nil)
-				}
-			case *ast.AssignStmt:
-				if defaults[n] {
-					name := n.Lhs[0].(*ast.SelectorExpr).Sel.Name
-					if defaulted[name] == nil {
-						defaulted[name] = map[string]bool{}
-					}
-					defaulted[name][self] = true
-					break
-				}
-				for _, lhs := range n.Lhs {
-					writeTarget(lhs)
-				}
-			case *ast.IncDecStmt:
-				writeTarget(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					writeTarget(n.X)
-				}
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
@@ -411,14 +315,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var unused []string
 	for _, d := range decls {
 		used := pkgRefs[d.path+"."+d.name]
-		switch {
-		case d.method:
+		if d.method {
 			used = selectors[d.name]
-		case d.owner != "":
-			used = written[d.name] || unkeyed[d.owner]
-			for p := range defaulted[d.name] {
-				used = used || p != d.path
-			}
 		}
 		if used {
 			continue
@@ -427,11 +325,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 			allowed[d.key] = true
 			continue
 		}
-		if d.owner != "" {
-			unused = append(unused, fmt.Sprintf("exported field %s (%s) is written only by tests: delete it, make it a constant or unexported, or allowlist it with a reason", d.key, d.pos))
+		unused = append(unused, fmt.Sprintf("exported %s (%s) is referenced only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", d.key, d.pos))
+	}
+
+	tree, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := internalFields(tree)
+	for _, p := range tree {
+		markFieldWrites(p, fields)
+	}
+	for v, f := range fields {
+		if !f.topLevel || !v.Exported() || v.Embedded() || f.wrote {
 			continue
 		}
-		unused = append(unused, fmt.Sprintf("exported %s (%s) is referenced only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", d.key, d.pos))
+		if _, ok := testOnlyAllowed[f.key]; ok {
+			allowed[f.key] = true
+			continue
+		}
+		unused = append(unused, fmt.Sprintf("exported field %s (%s) is written only by tests: delete it, make it a constant or unexported, or allowlist it with a reason", f.key, f.pos))
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
@@ -444,20 +357,85 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// typeName returns the name of a (possibly pointer or package-qualified)
-// named type, or "".
-func typeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.StarExpr:
-		return typeName(t.X)
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return t.Sel.Name
-	case *ast.IndexExpr:
-		return typeName(t.X)
+// markFieldWrites sets wrote on the fields p's files write outside a
+// default in the field's own package (see TestNoTestOnlyExports).
+func markFieldWrites(p *checkedPkg, fields map[*types.Var]*structField) {
+	info := p.info
+	field := func(e ast.Expr) *types.Var {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj().(*types.Var).Origin()
+			}
+		}
+		return nil
 	}
-	return ""
+	write := func(v *types.Var) {
+		if f := fields[v]; f != nil {
+			f.wrote = true
+		}
+	}
+	for _, file := range p.files {
+		defaults := map[*ast.AssignStmt]bool{}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				cond, ok := n.Cond.(*ast.BinaryExpr)
+				if !ok || (cond.Op != token.LEQ && cond.Op != token.EQL) {
+					break
+				}
+				zero, isLit := cond.Y.(*ast.BasicLit)
+				v := field(cond.X)
+				if v == nil || !isLit || zero.Value != "0" || v.Pkg() != p.types {
+					break
+				}
+				for _, st := range n.Body.List {
+					if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
+						types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
+						defaults[as] = true
+					}
+				}
+			case *ast.CompositeLit:
+				typ := info.TypeOf(n)
+				if typ == nil {
+					break
+				}
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							write(v.Origin())
+						}
+						continue
+					}
+					write(st.Field(i).Origin())
+				}
+			case *ast.AssignStmt:
+				if defaults[n] {
+					break
+				}
+				for _, lhs := range n.Lhs {
+					if v := field(lhs); v != nil {
+						write(v)
+					}
+				}
+			case *ast.IncDecStmt:
+				if v := field(n.X); v != nil {
+					write(v)
+				}
+			case *ast.UnaryExpr:
+				if v := field(n.X); v != nil && n.Op == token.AND {
+					write(v)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // fuzzSmokeLine matches one target of ci.yml's fuzz-smoke step.
@@ -806,51 +784,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type field struct {
-		key   string
-		pos   token.Position
-		wrote bool
-		read  bool
-	}
-	fields := map[*types.Var]*field{}
-	for _, p := range tree {
-		if !strings.HasPrefix(p.path, "paella/internal/") {
-			continue
-		}
-		for _, f := range p.files {
-			owners := map[*ast.StructType]string{} // a named struct's type name
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						owners[st] = ts.Name.Name
-					}
-				}
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				owner := owners[st]
-				if owner == "" {
-					owner = "struct{…}"
-				}
-				for _, fl := range st.Fields.List {
-					names := fl.Names
-					if len(names) == 0 {
-						names = []*ast.Ident{embeddedName(fl.Type)}
-					}
-					for _, id := range names {
-						v, _ := p.info.Defs[id].(*types.Var)
-						if fl.Tag != nil || id.Name == "_" || v == nil {
-							continue
-						}
-						fields[v] = &field{key: p.types.Name() + "." + owner + "." + id.Name,
-							pos: p.fset.Position(id.Pos())}
-					}
-				}
-				return true
-			})
-		}
-	}
+	fields := internalFields(tree)
 	mark := func(v *types.Var, write bool) {
 		if f := fields[v.Origin()]; f != nil {
 			if write {
@@ -1009,6 +943,63 @@ func TestNoWriteOnlyFields(t *testing.T) {
 			t.Errorf("stale writeOnlyAllowed entry %s: it is read outside tests, unwritten or no longer declared", key)
 		}
 	}
+}
+
+// structField is one struct field declared in internal/: its
+// "pkg.Type.Field" key ("pkg.struct{…}.Field" in an anonymous struct), its
+// position, whether its struct is a package-level type, and whether
+// non-test code writes and reads it.
+type structField struct {
+	key         string
+	pos         token.Position
+	topLevel    bool
+	wrote, read bool
+}
+
+// internalFields returns every untagged, non-blank struct field declared
+// in internal/, embedded fields included.
+func internalFields(tree []*checkedPkg) map[*types.Var]*structField {
+	fields := map[*types.Var]*structField{}
+	for _, p := range tree {
+		if !strings.HasPrefix(p.path, "paella/internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			owners := map[*ast.StructType]*ast.Ident{} // a named struct's type name
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						owners[st] = ts.Name
+					}
+				}
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				owner, topLevel := "struct{…}", false
+				if id := owners[st]; id != nil {
+					owner = id.Name
+					topLevel = p.info.Defs[id].Parent() == p.types.Scope()
+				}
+				for _, fl := range st.Fields.List {
+					names := fl.Names
+					if len(names) == 0 {
+						names = []*ast.Ident{embeddedName(fl.Type)}
+					}
+					for _, id := range names {
+						v, _ := p.info.Defs[id].(*types.Var)
+						if fl.Tag != nil || id.Name == "_" || v == nil {
+							continue
+						}
+						fields[v] = &structField{key: p.types.Name() + "." + owner + "." + id.Name,
+							pos: p.fset.Position(id.Pos()), topLevel: topLevel}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return fields
 }
 
 // embeddedName returns the identifier that names an embedded field's type.

@@ -136,10 +136,6 @@ type Config struct {
 	DollarsPerHour []float64
 }
 
-// retryBackoff is the Front's resubmit delay when no replica can take a
-// request.
-const retryBackoff = 20 * sim.Microsecond
-
 // Scaler is the control loop. Construct with New, attach traffic through
 // Front, then Start before running the simulation. All state lives on the
 // control timeline: ticks, warmup completions, and terminal observations

@@ -50,10 +50,11 @@ func NewFront(s *Scaler) *Front {
 	return f
 }
 
-// Submit routes one request, retrying on the control timeline while the
-// pool has no routable replica (the -1 result). A request is counted
-// submitted exactly once however many resubmissions it takes; admission
-// sheds and routed requests proceed to their usual terminal events.
+// Submit routes one request, retrying on the control timeline after
+// core.RetryBackoff while the pool has no routable replica (the -1
+// result). A request is counted submitted exactly once however many
+// resubmissions it takes; admission sheds, requests that find no live
+// replica and routed requests proceed to their usual terminal events.
 func (f *Front) Submit(req core.Request) {
 	if _, seen := f.submitAt[req.ID]; !seen {
 		f.submitAt[req.ID] = f.s.env.Now()
@@ -61,11 +62,7 @@ func (f *Front) Submit(req core.Request) {
 		f.s.ObserveSubmit()
 	}
 	if f.conn.Submit(req) == -1 {
-		if f.s.c.LiveReplicas() == 0 {
-			f.terminal(req.ID, cluster.ErrReplicaCrashed)
-			return
-		}
-		f.s.env.After(retryBackoff, func() { f.Submit(req) })
+		f.s.env.After(core.RetryBackoff, func() { f.Submit(req) })
 	}
 }
 

@@ -29,14 +29,16 @@ import (
 
 // ErrReplicaCrashed is the typed failure delivered through Conn.OnFailed
 // when a request's replica crashed and no live replica remained to fail
-// over to (or the failover submit could not be placed).
+// over to (or the failover submit could not be placed), and when a request
+// is submitted after every replica crashed.
 var ErrReplicaCrashed = errors.New("cluster: replica crashed, failover impossible")
 
-// Shed is the sentinel Conn.Submit returns for a request refused by the
-// gateway's admission control: the request is terminal (OnFailed has
-// already delivered gateway.ErrTenantShed) and must not be retried, unlike
-// the -1 ring-full result.
-const Shed = -2
+// Failed is the sentinel Conn.Submit returns for a request that failed at
+// submission: OnFailed has already delivered gateway.ErrTenantShed (the
+// admission controller refused it) or ErrReplicaCrashed (no replica is
+// alive). The request is terminal and must not be retried, unlike the -1
+// result.
+const Failed = -2
 
 // Cluster is a set of Paella instances behind one gateway policy.
 type Cluster struct {
@@ -442,9 +444,10 @@ func (c *Cluster) loadPenalty(g int, model string) sim.Time {
 
 // Submit routes the request through the admission controller and the
 // gateway policy to one live GPU. It returns the chosen GPU index; -1 if
-// that GPU's ring was full or no live replica remains (retryable); or Shed
-// if admission refused the request (terminal — OnFailed has fired with
-// gateway.ErrTenantShed).
+// that GPU's ring was full or no live replica is routable (retryable); or
+// Failed if admission refused the request or no replica is alive
+// (terminal — OnFailed has fired with gateway.ErrTenantShed or
+// ErrReplicaCrashed).
 func (cn *Conn) Submit(req core.Request) int {
 	c := cn.cluster
 	if err := c.admit(req.Tenant); err != nil {
@@ -460,9 +463,16 @@ func (cn *Conn) Submit(req core.Request) int {
 		if cn.OnFailed != nil {
 			cn.OnFailed(req.ID, err)
 		}
-		return Shed
+		return Failed
 	}
-	return cn.submitRouted(req)
+	g := cn.submitRouted(req)
+	if g == -1 && c.LiveReplicas() == 0 {
+		if cn.OnFailed != nil {
+			cn.OnFailed(req.ID, ErrReplicaCrashed)
+		}
+		return Failed
+	}
+	return g
 }
 
 // submitRouted routes an already-admitted request (failover re-entries

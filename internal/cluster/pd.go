@@ -223,8 +223,9 @@ func (pd *PD) pickIn(pol gateway.Policy, lo, hi int, req llm.Request, costOf fun
 
 // Submit routes one request: through the admission controller, then to a
 // prefill replica (disaggregated) or a full engine (colocated) picked by
-// the gateway policy. It returns the chosen engine index, or Shed when admission refused the
-// request (terminal: OnFinish has observed the failed record).
+// the gateway policy. It returns the chosen engine index, or Failed when
+// admission refused the request (terminal: OnFinish has observed the
+// failed record).
 func (pd *PD) Submit(req llm.Request) int {
 	if err := pd.admit(req.Tenant); err != nil {
 		rec := pd.shed(metrics.JobRecord{
@@ -234,7 +235,7 @@ func (pd *PD) Submit(req llm.Request) int {
 		if pd.OnFinish != nil {
 			pd.OnFinish(rec)
 		}
-		return Shed
+		return Failed
 	}
 	hi := len(pd.engines)
 	if pd.split() {

@@ -108,6 +108,10 @@ type Instrumented struct {
 	Model *model.Model
 	// Original is the uninstrumented input model.
 	Original *model.Model
+	// NotifGroup is the notification aggregation group the kernels were
+	// instrumented with (Config.AggGroup, at least 1). The dispatcher
+	// stamps it on each gpu.Launch of the model.
+	NotifGroup int
 	// Profile holds learned per-kernel execution statistics.
 	Profile *Profile
 }
@@ -133,5 +137,5 @@ func Instrument(m *model.Model, cfg Config) (*Instrumented, error) {
 		ik.BlockDuration += cfg.KernelOverhead(k.Blocks)
 		clone.Kernels[i] = &ik
 	}
-	return &Instrumented{Model: clone, Original: m}, nil
+	return &Instrumented{Model: clone, Original: m, NotifGroup: max(cfg.AggGroup, 1)}, nil
 }

@@ -303,7 +303,7 @@ func (d *Dispatcher) dispatchBatch(s *batchSlot, members []*Job) {
 	d.traceCounters()
 	d.queueCursor = (d.queueCursor + 1) % d.dev.NumQueues()
 	l := d.newLaunch()
-	l.Spec, l.KernelID, l.JobTag, l.Instrumented = bspec, kid, head.Req.Model, true
+	l.Spec, l.KernelID, l.JobTag, l.NotifGroup = bspec, kid, head.Req.Model, head.Ins.NotifGroup
 	fl.launch = l
 	d.dev.Submit(d.queueCursor, l)
 	if d.cfg.KernelTimeout > 0 {

@@ -83,7 +83,7 @@ func newWakeupHarness(tb testing.TB) (env *sim.Env, d *Dispatcher, post func()) 
 	if !d.mirror.Saturated() || d.Stats().LoopWakeups != 1 {
 		tb.Fatal("harness loop is not idle on a saturated mirror")
 	}
-	rec := channel.Pack(channel.Placement, 0, uint16(devCfg.AggGroup), kid)
+	rec := channel.Pack(channel.Placement, 0, uint16(compiler.DefaultConfig().AggGroup), kid)
 	post = func() {
 		d.notifQ.Push(rec)
 		d.wakeNow()

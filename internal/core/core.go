@@ -694,6 +694,10 @@ func (d *Dispatcher) ReleaseVRAMPressure() {
 // Submit to a full ring is refused.
 const RingCapacity = 1024
 
+// RetryBackoff is the client library's wait before resubmitting a request
+// that a full ring, or a fleet with no routable replica, refused.
+const RetryBackoff = 20 * sim.Microsecond
+
 // Connect allocates a client's shared-memory region (request ring plus
 // completion hooks) and returns the connection handle.
 func (d *Dispatcher) Connect() *ClientConn {

@@ -448,3 +448,49 @@ func TestRegisterModelRejectsOversizeKernels(t *testing.T) {
 		t.Fatal("model with un-placeable kernel registered")
 	}
 }
+
+// TestRecordsFollowCompiledGroup: the notification group is the compiled
+// model's, not the device's. A model compiled with AggGroup 4 and served
+// gated on a T4 must hand the dispatcher exactly compiler.Config.Records
+// records per dispatched kernel.
+func TestRecordsFollowCompiledGroup(t *testing.T) {
+	ccfg := compiler.DefaultConfig()
+	ccfg.AggGroup = 4
+	mk := func(name string, blocks int) *gpu.KernelSpec {
+		return &gpu.KernelSpec{Name: name, Blocks: blocks, ThreadsPerBlock: 128,
+			RegsPerThread: 16, BlockDuration: 20 * sim.Microsecond}
+	}
+	m := &model.Model{Name: "grouped", Kernels: []*gpu.KernelSpec{mk("wide", 40), mk("narrow", 7)},
+		Seq: []int{0, 1, 0}, PinnedOutput: true}
+	env := sim.NewEnv()
+	devCfg := gpu.TeslaT4()
+	d := NewWithDevice(env, devCfg, gatedCfg())
+	ins := compiler.MustCompile(m, ccfg, devCfg, 1)
+	if ins.NotifGroup != 4 {
+		t.Fatalf("NotifGroup = %d, want 4", ins.NotifGroup)
+	}
+	if err := d.RegisterModel(ins); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	conn := d.Connect()
+	const jobs = 3
+	done := 0
+	conn.OnComplete = func(uint64) { done++ }
+	for i := 0; i < jobs; i++ {
+		id := uint64(i + 1)
+		env.At(0, func() { conn.Submit(Request{ID: id, Model: "grouped", Client: conn.ID}) })
+	}
+	env.Run()
+	want := 0
+	for _, k := range m.Seq {
+		want += jobs * ccfg.Records(m.Kernels[k].Blocks)
+	}
+	st := d.Stats()
+	if done != jobs || st.KernelsSent != uint64(jobs*len(m.Seq)) {
+		t.Fatalf("completed %d of %d jobs, %d kernels sent", done, jobs, st.KernelsSent)
+	}
+	if st.NotifsHandled != uint64(want) {
+		t.Fatalf("NotifsHandled = %d, want %d (Records at group 4)", st.NotifsHandled, want)
+	}
+}

@@ -446,7 +446,7 @@ func (d *Dispatcher) dispatchKernel(j *Job) {
 	// launch time (§5.2's stream replacement).
 	d.queueCursor = (d.queueCursor + 1) % d.dev.NumQueues()
 	l := d.newLaunch()
-	l.Spec, l.KernelID, l.JobTag, l.Instrumented = spec, kid, j.Req.Model, true
+	l.Spec, l.KernelID, l.JobTag, l.NotifGroup = spec, kid, j.Req.Model, j.Ins.NotifGroup
 	fl.launch = l
 	d.dev.Submit(d.queueCursor, l)
 	if d.cfg.KernelTimeout > 0 && j.wl == nil {

@@ -15,7 +15,7 @@ func zeroCost() Config {
 
 func newCtx(env *sim.Env, sms, queues int, cfg Config) (*Context, *gpu.Device) {
 	dcfg := gpu.Config{
-		Name: "t", Microarch: gpu.Kepler, NumSMs: sms,
+		Name: "t", NumSMs: sms,
 		SM:          gpu.SMResources{MaxBlocks: 4, MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 48 << 10},
 		NumHWQueues: queues,
 	}

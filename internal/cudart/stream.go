@@ -146,12 +146,6 @@ func (s *Stream) push(o *op) {
 
 // LaunchOpts carries the optional identity fields of a kernel launch.
 type LaunchOpts struct {
-	// Instrumented marks the kernel as carrying Paella's notification
-	// instrumentation.
-	Instrumented bool
-	// KernelID is the dispatcher-assigned unique id; zero lets the context
-	// mint one.
-	KernelID uint32
 	// JobTag labels the owning job in device traces.
 	JobTag string
 }
@@ -176,16 +170,8 @@ func (s *Stream) LaunchKernelAsync(spec *gpu.KernelSpec, opts LaunchOpts) {
 		s.ctx.hook.HookKernel(s.id, spec, o.finish)
 		return
 	}
-	id := opts.KernelID
-	if id == 0 {
-		id = s.ctx.NextKernelID()
-	}
-	l := &gpu.Launch{
-		Spec:         spec,
-		KernelID:     id,
-		JobTag:       opts.JobTag,
-		Instrumented: opts.Instrumented,
-	}
+	id := s.ctx.NextKernelID()
+	l := &gpu.Launch{Spec: spec, KernelID: id, JobTag: opts.JobTag}
 	l.Ready = o.ready
 	l.OnComplete = o.finish
 	if rec := s.ctx.rec; rec != nil {

@@ -117,7 +117,6 @@ func runAblationAgg(w io.Writer, d Detail) error {
 		g := g
 		opts := serving.DefaultOptions()
 		opts.ProfileRuns = 1
-		opts.DevCfg.AggGroup = g
 		opts.CompilerCfg.AggGroup = g
 		sys := serving.NewPaellaTweaked("Paella", func(c *core.Config) {})
 		trace := workload.MustGenerate(workload.Spec{

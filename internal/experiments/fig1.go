@@ -43,8 +43,9 @@ func didacticModel(name string, kernels int) *model.Model {
 
 // RunDidactic runs Figure 1's scenario: jobs jobs, labelled A, B, ..., all
 // submitted at time zero, each launching its didactic kernel kernels times
-// on an sms-SM didactic device of the given microarchitecture. system is
-// the submission method:
+// on an sms-SM didactic device with the given hardware queue count (1 on
+// Fermi-era parts, 32 on Kepler and later). system is the submission
+// method:
 //
 //   - "Paella": the gated dispatcher with its admit, dispatch and shm costs
 //     zeroed (Figure 1's Ideal row), so the timeline compares directly with
@@ -56,7 +57,7 @@ func didacticModel(name string, kernels int) *model.Model {
 // device renders its SM timeline (Device.Timeline, Device.Makespan) and
 // trace.FromEnv(dev.Env()) exports it. The second result is the mean job
 // completion time.
-func RunDidactic(system string, arch gpu.Microarch, jobs, sms, kernels int) (*gpu.Device, sim.Time, error) {
+func RunDidactic(system string, queues, jobs, sms, kernels int) (*gpu.Device, sim.Time, error) {
 	switch {
 	case jobs < 1 || jobs > 26:
 		return nil, 0, fmt.Errorf("jobs must be in 1..26 (one letter per job), got %d", jobs)
@@ -67,7 +68,7 @@ func RunDidactic(system string, arch gpu.Microarch, jobs, sms, kernels int) (*gp
 	}
 	env := sim.NewEnv()
 	env.SetRecorder(trace.New())
-	devCfg := gpu.TwoSM(arch, 32)
+	devCfg := gpu.TwoSM(queues)
 	devCfg.NumSMs = sms
 	var dev *gpu.Device
 	var jctSum sim.Time
@@ -126,16 +127,16 @@ func RunDidactic(system string, arch gpu.Microarch, jobs, sms, kernels int) (*gp
 func runFig1(w io.Writer, _ Detail) error {
 	rows := []struct {
 		label, system string
-		arch          gpu.Microarch
+		queues        int
 	}{
-		{"Streams (Fermi and earlier): 1 hw queue", "CUDA-MS", gpu.Fermi},
-		{"Streams (Kepler and later) / MPS (Volta+)", "CUDA-MS", gpu.Kepler},
-		{"Baseline (single shared stream)", "CUDA-SS", gpu.Kepler},
-		{"Ideal (Paella software-defined dispatch)", "Paella", gpu.Kepler},
+		{"Streams (Fermi and earlier): 1 hw queue", "CUDA-MS", 1},
+		{"Streams (Kepler and later) / MPS (Volta+)", "CUDA-MS", 32},
+		{"Baseline (single shared stream)", "CUDA-SS", 32},
+		{"Ideal (Paella software-defined dispatch)", "Paella", 32},
 	}
 	fmt.Fprintln(w, "Figure 1 — kernel timelines (one column = 10µs, letter = job):")
 	for _, r := range rows {
-		dev, jct, err := RunDidactic(r.system, r.arch, 4, 2, 3)
+		dev, jct, err := RunDidactic(r.system, r.queues, 4, 2, 3)
 		if err != nil {
 			return err
 		}

@@ -8,41 +8,11 @@
 // The model runs on virtual time (internal/sim) and reproduces the
 // architectural behaviours Paella exploits — head-of-line blocking between
 // streams that share a hardware queue, occupancy-gated concurrency, and the
-// differences between microarchitecture generations (Figure 1) — without
-// requiring physical hardware.
+// differences between GPU generations, which come down to the hardware
+// queue count (Figure 1) — without requiring physical hardware.
 package gpu
 
 import "paella/internal/sim"
-
-// Microarch selects the stream→hardware-queue mapping behaviour of a GPU
-// generation (§2.1, Figure 1).
-type Microarch int
-
-const (
-	// Fermi-era devices expose a single hardware queue: kernels from all
-	// streams serialize into it in issue order.
-	Fermi Microarch = iota
-	// Kepler (and later) devices expose multiple hardware queues (HyperQ);
-	// each stream maps onto one of them.
-	Kepler
-	// VoltaMPS behaves like Kepler but additionally admits kernels from
-	// multiple processes into the same queue set without context switches.
-	VoltaMPS
-)
-
-// String returns the microarchitecture name.
-func (m Microarch) String() string {
-	switch m {
-	case Fermi:
-		return "Fermi"
-	case Kepler:
-		return "Kepler"
-	case VoltaMPS:
-		return "Volta+MPS"
-	default:
-		return "unknown"
-	}
-}
 
 // SMResources are the per-SM physical limits of Table 1. A thread block
 // occupies one block slot, ThreadsPerBlock thread slots,
@@ -57,12 +27,12 @@ type SMResources struct {
 
 // Config describes a device instance.
 type Config struct {
-	Name      string
-	Microarch Microarch
-	NumSMs    int
-	SM        SMResources
-	// NumHWQueues is the number of hardware queues (32 for HyperQ parts;
-	// forced to 1 for Fermi).
+	Name   string
+	NumSMs int
+	SM     SMResources
+	// NumHWQueues is the number of hardware queues: 1 on Fermi-era parts,
+	// where kernels from all streams serialize in issue order, and 32 on
+	// Kepler and later (HyperQ). Below 1 means 1.
 	NumHWQueues int
 	// NotifDelay is the device→host latency of an instrumented kernel's
 	// notifQ write becoming visible to the dispatcher (pinned-memory
@@ -71,10 +41,6 @@ type Config struct {
 	// LaunchOverhead is the fixed cost the hardware/runtime path adds to
 	// each kernel launch before its blocks are considered for placement.
 	LaunchOverhead sim.Time
-	// AggGroup is the block-group size for notification aggregation (§5.2);
-	// the paper uses 16. Zero disables aggregation (one notification per
-	// block).
-	AggGroup int
 	// VRAMBytes is the device-memory capacity available for model weights
 	// (internal/vram). Zero means unconstrained — every model is treated
 	// as permanently resident, the behaviour of runs that predate the
@@ -87,9 +53,8 @@ type Config struct {
 // queues.
 func GTX1660Super() Config {
 	return Config{
-		Name:      "GTX 1660 SUPER",
-		Microarch: Kepler,
-		NumSMs:    22,
+		Name:   "GTX 1660 SUPER",
+		NumSMs: 22,
 		SM: SMResources{
 			MaxBlocks:    16,
 			MaxThreads:   1024,
@@ -99,7 +64,6 @@ func GTX1660Super() Config {
 		NumHWQueues:    32,
 		NotifDelay:     1200 * sim.Nanosecond,
 		LaunchOverhead: 4 * sim.Microsecond,
-		AggGroup:       16,
 		VRAMBytes:      6 << 30,
 	}
 }
@@ -108,9 +72,8 @@ func GTX1660Super() Config {
 // main evaluation (§7): 40 SMs, 1024 threads/SM.
 func TeslaT4() Config {
 	return Config{
-		Name:      "Tesla T4",
-		Microarch: VoltaMPS,
-		NumSMs:    40,
+		Name:   "Tesla T4",
+		NumSMs: 40,
 		SM: SMResources{
 			MaxBlocks:    16,
 			MaxThreads:   1024,
@@ -120,7 +83,6 @@ func TeslaT4() Config {
 		NumHWQueues:    32,
 		NotifDelay:     1200 * sim.Nanosecond,
 		LaunchOverhead: 4 * sim.Microsecond,
-		AggGroup:       16,
 		VRAMBytes:      16 << 30,
 	}
 }
@@ -129,9 +91,8 @@ func TeslaT4() Config {
 // validated on (trends identical to the T4).
 func TeslaP100() Config {
 	return Config{
-		Name:      "Tesla P100",
-		Microarch: Kepler,
-		NumSMs:    56,
+		Name:   "Tesla P100",
+		NumSMs: 56,
 		SM: SMResources{
 			MaxBlocks:    32,
 			MaxThreads:   2048,
@@ -141,7 +102,6 @@ func TeslaP100() Config {
 		NumHWQueues:    32,
 		NotifDelay:     1300 * sim.Nanosecond,
 		LaunchOverhead: 4 * sim.Microsecond,
-		AggGroup:       16,
 		VRAMBytes:      16 << 30,
 	}
 }
@@ -152,9 +112,8 @@ func TeslaP100() Config {
 // therefore more scheduling for the dispatcher to do.
 func A100Like() Config {
 	return Config{
-		Name:      "A100-class",
-		Microarch: VoltaMPS,
-		NumSMs:    108,
+		Name:   "A100-class",
+		NumSMs: 108,
 		SM: SMResources{
 			MaxBlocks:    32,
 			MaxThreads:   2048,
@@ -164,18 +123,16 @@ func A100Like() Config {
 		NumHWQueues:    32,
 		NotifDelay:     1200 * sim.Nanosecond,
 		LaunchOverhead: 4 * sim.Microsecond,
-		AggGroup:       16,
 		VRAMBytes:      40 << 30,
 	}
 }
 
 // TwoSM returns the didactic two-SM device of Figure 1, where every kernel
-// occupies an entire SM.
-func TwoSM(arch Microarch, queues int) Config {
+// occupies an entire SM, with the given hardware queue count.
+func TwoSM(queues int) Config {
 	return Config{
-		Name:      "didactic-2SM",
-		Microarch: arch,
-		NumSMs:    2,
+		Name:   "didactic-2SM",
+		NumSMs: 2,
 		SM: SMResources{
 			MaxBlocks:    1,
 			MaxThreads:   1024,
@@ -184,18 +141,9 @@ func TwoSM(arch Microarch, queues int) Config {
 		},
 		NumHWQueues: queues,
 		NotifDelay:  1 * sim.Microsecond,
-		AggGroup:    16,
 	}
 }
 
-// EffectiveQueues returns the number of hardware queues after applying the
-// microarchitecture rule (Fermi collapses everything to one queue).
-func (c Config) EffectiveQueues() int {
-	if c.Microarch == Fermi {
-		return 1
-	}
-	if c.NumHWQueues < 1 {
-		return 1
-	}
-	return c.NumHWQueues
-}
+// EffectiveQueues returns the number of hardware queues: NumHWQueues, at
+// least 1.
+func (c Config) EffectiveQueues() int { return max(c.NumHWQueues, 1) }

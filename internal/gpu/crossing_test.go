@@ -16,7 +16,7 @@ type crossingWave struct {
 }
 
 // crossingLoad draws one launch and a sequence of waves that place and
-// complete all of its blocks: AggGroup 1–16, a grid of 1–300 blocks, each
+// complete all of its blocks: a notification group of 1–16, a grid of 1–300 blocks, each
 // wave's blocks split over 1–8 SMs in random shares, and the placement and
 // completion waves interleaved at random.
 func crossingLoad(rng *rand.Rand) (agg, blocks int, waves []crossingWave) {
@@ -57,7 +57,7 @@ func crossingRun(agg, blocks int, waves []crossingWave, faults int64,
 	emit func(d *Device, l *Launch, w crossingWave)) string {
 	env := sim.NewEnv()
 	q := channel.NewNotifQueue(1 << 12)
-	d := NewDevice(env, waveConfig(64, 16, 1, agg, sim.Microsecond), q)
+	d := NewDevice(env, waveConfig(64, 16, 1, sim.Microsecond), q)
 	if faults != 0 {
 		frng := rand.New(rand.NewSource(faults))
 		d.SetNotifFault(func(channel.Notification) channel.NotifVerdict {
@@ -73,8 +73,8 @@ func crossingRun(agg, blocks int, waves []crossingWave, faults int64,
 			}
 		}
 	})
-	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: blocks}, KernelID: 7, Instrumented: true}
-	l.placed.next = min(d.aggGroup, blocks)
+	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: blocks}, KernelID: 7, NotifGroup: agg}
+	l.placed.next = min(agg, blocks)
 	l.completed.next = l.placed.next
 	for i, w := range waves {
 		env.At(sim.Time(i)*sim.Microsecond/2, func() {
@@ -118,7 +118,7 @@ func TestNotifyMatchesEmitNotifsRandom(t *testing.T) {
 			}
 		})
 		if got := crossingRun(agg, blocks, waves, faults, perSM); got != want {
-			t.Fatalf("trial %d (AggGroup %d, %d blocks): notify on every SM\n%s\nemitNotifs on every SM\n%s", trial, agg, blocks, got, want)
+			t.Fatalf("trial %d (group %d, %d blocks): notify on every SM\n%s\nemitNotifs on every SM\n%s", trial, agg, blocks, got, want)
 		}
 		got := crossingRun(agg, blocks, waves, faults, func(d *Device, l *Launch, w crossingWave) {
 			c, total := counter(l, w.t), 0
@@ -132,7 +132,7 @@ func TestNotifyMatchesEmitNotifsRandom(t *testing.T) {
 			perSM(d, l, w)
 		})
 		if got != want {
-			t.Fatalf("trial %d (AggGroup %d, %d blocks): the wave shortcut\n%s\nemitNotifs on every SM\n%s", trial, agg, blocks, got, want)
+			t.Fatalf("trial %d (group %d, %d blocks): the wave shortcut\n%s\nemitNotifs on every SM\n%s", trial, agg, blocks, got, want)
 		}
 	}
 }

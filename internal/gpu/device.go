@@ -186,8 +186,6 @@ type Device struct {
 	// that time. DESIGN.md §15.1 gives the exactness argument.
 	open     *notifPost
 	openStep uint64
-	// aggGroup is the effective notification aggregation group (≥ 1).
-	aggGroup int
 }
 
 // waveDone is a pooled wave-completion event: the (SM, blocks) pairs that
@@ -236,7 +234,7 @@ func (d *Device) completeWave(w *waveDone) {
 	l, n := w.l, w.n
 	_, th, rg, sh := l.Spec.BlockCost()
 	d.accrueUtil()
-	counting := l.Instrumented && d.notifQ != nil
+	counting := l.NotifGroup > 0 && d.notifQ != nil
 	observed := d.rec != nil || d.mt != nil
 	boundary := counting && l.completed.count+n >= l.completed.next
 	freed := 0
@@ -367,7 +365,6 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 		d.updateRoom(i)
 	}
 	d.capHist = make([]int, max(cfg.SM.MaxBlocks, 0)+1)
-	d.aggGroup = max(cfg.AggGroup, 1)
 	d.kickFn = func() {
 		d.scheduled = false
 		d.schedulePass()
@@ -609,7 +606,7 @@ func (d *Device) Submit(q int, l *Launch) {
 	}
 	l.toPlace = l.Spec.Blocks
 	l.toFinish = l.Spec.Blocks
-	l.placed.next = min(d.aggGroup, l.Spec.Blocks)
+	l.placed.next = min(l.NotifGroup, l.Spec.Blocks)
 	l.completed.next = l.placed.next
 	l.dev = d
 	d.stats.KernelsSubmitted++
@@ -906,7 +903,7 @@ func (d *Device) placeBlocks(l *Launch) int {
 	// one that reaches a boundary calls notify SM by SM, and only the SMs
 	// whose blocks cross one write records (DESIGN.md §15.7). Spans and
 	// samples are written only when something observes the device.
-	counting := l.Instrumented && d.notifQ != nil
+	counting := l.NotifGroup > 0 && d.notifQ != nil
 	observed := d.rec != nil || d.mt != nil
 	boundary := counting && l.placed.count+total >= l.placed.next
 	if counting && !boundary {
@@ -1016,8 +1013,8 @@ func (d *Device) notify(l *Launch, t channel.NotifType, c *notifCount, sm, n int
 // emitNotifs advances c, the launch's kernel-wide counter in direction t,
 // by n blocks on SM sm and posts aggregated notifQ records (§5.2, Figure 6):
 // the instrumented kernel's designated threads maintain one atomic counter
-// per direction, and a record is written every AggGroup-th block plus once
-// at the final block. Between crossings, up to AggGroup−1 blocks are
+// per direction, and a record is written every NotifGroup-th block plus
+// once at the final block. Between crossings, up to NotifGroup−1 blocks are
 // placed/finished but not yet visible to the dispatcher — the accepted
 // cost of aggregation. The records join the open post when it comes from
 // the same device event, and otherwise start a new one. The launch is
@@ -1030,7 +1027,7 @@ func (d *Device) emitNotifs(l *Launch, t channel.NotifType, c *notifCount, sm ui
 	// Blocks reported so far: a multiple of the group, one group below
 	// next, or, once next is capped at the grid size, the last multiple
 	// below it.
-	group, total := d.aggGroup, l.Spec.Blocks
+	group, total := l.NotifGroup, l.Spec.Blocks
 	notified := c.next - group
 	if c.next == total {
 		notified = (total - 1) / group * group

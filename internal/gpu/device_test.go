@@ -13,9 +13,8 @@ import (
 // assertions are exact.
 func testDevice(env *sim.Env, sms, queues int) *Device {
 	cfg := Config{
-		Name:      "test",
-		Microarch: Kepler,
-		NumSMs:    sms,
+		Name:   "test",
+		NumSMs: sms,
 		SM: SMResources{
 			MaxBlocks:    4,
 			MaxThreads:   1024,
@@ -23,7 +22,6 @@ func testDevice(env *sim.Env, sms, queues int) *Device {
 			MaxSharedMem: 48 << 10,
 		},
 		NumHWQueues: queues,
-		AggGroup:    16,
 	}
 	return NewDevice(env, cfg, nil)
 }
@@ -210,7 +208,7 @@ func TestMultiQueueIndependence(t *testing.T) {
 }
 
 func TestFermiCollapsesQueues(t *testing.T) {
-	cfg := TwoSM(Fermi, 32)
+	cfg := TwoSM(1)
 	if cfg.EffectiveQueues() != 1 {
 		t.Fatalf("Fermi EffectiveQueues = %d, want 1", cfg.EffectiveQueues())
 	}
@@ -245,19 +243,18 @@ func TestNotificationsDeliveredWithDelayAndAggregation(t *testing.T) {
 	env := sim.NewEnv()
 	nq := channel.NewNotifQueue(1 << 12)
 	cfg := Config{
-		Name: "notif-test", Microarch: Kepler, NumSMs: 1,
+		Name: "notif-test", NumSMs: 1,
 		SM:          SMResources{MaxBlocks: 64, MaxThreads: 65536, MaxRegisters: 1 << 24, MaxSharedMem: 1 << 20},
 		NumHWQueues: 1,
 		NotifDelay:  2 * sim.Microsecond,
-		AggGroup:    16,
 	}
 	d := NewDevice(env, cfg, nq)
 	wakeups := 0
 	d.OnNotifPosted(func() { wakeups++ })
 	l := &Launch{
-		Spec:         &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 32, RegsPerThread: 1, BlockDuration: 10 * sim.Microsecond},
-		KernelID:     77,
-		Instrumented: true,
+		Spec:       &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 32, RegsPerThread: 1, BlockDuration: 10 * sim.Microsecond},
+		KernelID:   77,
+		NotifGroup: 16,
 	}
 	d.Submit(0, l)
 
@@ -303,10 +300,8 @@ func TestNotificationsDeliveredWithDelayAndAggregation(t *testing.T) {
 func TestNoAggregationOneRecordPerBlock(t *testing.T) {
 	env := sim.NewEnv()
 	nq := channel.NewNotifQueue(1 << 12)
-	cfg := testDevice(env, 1, 1).cfg
-	cfg.AggGroup = 0 // disable aggregation
-	d := NewDevice(env, cfg, nq)
-	l := &Launch{Spec: simpleKernel("k", 4, sim.Microsecond), Instrumented: true, KernelID: 1}
+	d := NewDevice(env, testDevice(env, 1, 1).cfg, nq)
+	l := &Launch{Spec: simpleKernel("k", 4, sim.Microsecond), NotifGroup: 1, KernelID: 1} // no aggregation
 	d.Submit(0, l)
 	env.Run()
 	buf := make([]channel.Notification, 64)

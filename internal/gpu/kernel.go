@@ -142,9 +142,12 @@ type Launch struct {
 	// head-of-line blocking of §2.1. The device re-examines readiness on
 	// every scheduling pass. A nil Ready means always ready.
 	Ready func() bool
-	// Instrumented enables notifQ placement/completion records for this
-	// launch (set by the compiler pass for Paella-managed kernels).
-	Instrumented bool
+	// NotifGroup is the notification aggregation group of an instrumented
+	// launch (§5.2): the kernel writes a notifQ placement or completion
+	// record every NotifGroup blocks and at its last block. The dispatcher
+	// stamps it from the compiled model (compiler.Instrumented.NotifGroup);
+	// zero means an uninstrumented launch, which writes no records.
+	NotifGroup int
 	// OnComplete, if non-nil, runs when the last block finishes.
 	OnComplete func()
 	// onAllPlaced, if non-nil, runs when the last block is placed (the
@@ -167,7 +170,7 @@ type Launch struct {
 }
 
 // notifCount is one direction's kernel-wide notification counter and the
-// count at which its next record is due: one AggGroup past the blocks
+// count at which its next record is due: one NotifGroup past the blocks
 // reported to the notifQ so far, capped at the grid size. A block count
 // below next writes no record and costs one add and one compare.
 type notifCount struct{ count, next int }

@@ -24,17 +24,17 @@ var notifCases = []struct {
 	run  func() string
 }{
 	{"agg1-eight-sms", func() string {
-		// AggGroup 1: every placed or finished block is its own record, so
+		// Group 1: every placed or finished block is its own record, so
 		// each wave writes several records on each of eight SMs. Two
 		// launches with different shapes and durations overlap.
-		r := newWaveRig(waveConfig(8, 4, 2, 1, sim.Microsecond))
+		r := newWaveRig(waveConfig(8, 4, 2, sim.Microsecond), 1)
 		r.d.Submit(0, r.launch("a", 40, 256, 10*sim.Microsecond, nil))
 		r.d.Submit(1, r.launch("b", 20, 128, 6*sim.Microsecond, nil))
 		return r.finish()
 	}},
 	{"duration-equals-delay-eight-sms", func() string {
 		// Posts and completions share every timestamp across eight SMs.
-		r := newWaveRig(waveConfig(8, 2, 2, 1, 2*sim.Microsecond))
+		r := newWaveRig(waveConfig(8, 2, 2, 2*sim.Microsecond), 1)
 		r.d.Submit(0, r.launch("e", 40, 256, 2*sim.Microsecond, nil))
 		r.d.Submit(1, r.launch("e2", 12, 128, 2*sim.Microsecond, nil))
 		return r.finish()
@@ -42,7 +42,7 @@ var notifCases = []struct {
 	{"fault-whole-emit", func() string {
 		// Every record from SM 1 is dropped, so its emits write nothing;
 		// every record from SM 2 is duplicated.
-		r := newWaveRig(waveConfig(4, 4, 2, 1, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 4, 2, sim.Microsecond), 1)
 		r.d.SetNotifFault(func(n channel.Notification) channel.NotifVerdict {
 			switch n.SM() {
 			case 1:
@@ -59,7 +59,7 @@ var notifCases = []struct {
 	{"equal-duration-one-pass", func() string {
 		// Three launches placed in one scheduling pass, two of them with
 		// equal durations, on eight SMs with a record per block.
-		r := newWaveRig(waveConfig(8, 4, 3, 1, sim.Microsecond))
+		r := newWaveRig(waveConfig(8, 4, 3, sim.Microsecond), 1)
 		r.d.Submit(0, r.launch("p", 12, 256, 8*sim.Microsecond, nil))
 		r.d.Submit(1, r.launch("q", 10, 256, 8*sim.Microsecond, nil))
 		r.d.Submit(2, r.launch("s", 9, 128, 5*sim.Microsecond, nil))
@@ -68,7 +68,7 @@ var notifCases = []struct {
 	{"zero-delay", func() string {
 		// NotifDelay 0: posts land in the instant they are written, next
 		// to the scheduling passes and launch callbacks of that instant.
-		r := newWaveRig(waveConfig(6, 2, 2, 1, 0))
+		r := newWaveRig(waveConfig(6, 2, 2, 0), 1)
 		r.d.Submit(0, r.launch("z", 18, 256, 3*sim.Microsecond, func() {
 			r.d.Submit(1, r.launch("z2", 7, 256, 0, nil))
 		}))
@@ -78,7 +78,7 @@ var notifCases = []struct {
 	{"hook-reacts", func() string {
 		// The post hook submits work, kicks, and retires and restores an
 		// SM, so each hook call's view of the device matters.
-		r := newWaveRig(waveConfig(8, 4, 2, 1, sim.Microsecond))
+		r := newWaveRig(waveConfig(8, 4, 2, sim.Microsecond), 1)
 		posts := 0
 		r.onPost = func() {
 			posts++
@@ -105,7 +105,7 @@ var notifCases = []struct {
 		for trial := 0; trial < 8; trial++ {
 			rng := rand.New(rand.NewSource(int64(500 + trial)))
 			delay := sim.Time(rng.Intn(3)) * sim.Microsecond
-			r := newWaveRig(waveConfig(4+rng.Intn(9), 1+rng.Intn(6), 1+rng.Intn(3), 1+rng.Intn(2), delay))
+			r := newWaveRig(waveConfig(4+rng.Intn(9), 1+rng.Intn(6), 1+rng.Intn(3), delay), 1+rng.Intn(2))
 			if trial%3 == 2 {
 				n := 0
 				r.d.SetNotifFault(func(channel.Notification) channel.NotifVerdict {
@@ -150,20 +150,18 @@ func TestNotifTranscript(t *testing.T) {
 	matchGolden(t, notifTranscriptPath, b.String())
 }
 
-// TestNotifPostIsOneEvent: an instrumented 40-block kernel with AggGroup 1
+// TestNotifPostIsOneEvent: an instrumented 40-block kernel with group 1
 // on an idle 40-SM T4 writes forty placement records from one wave and
 // forty completion records from one wave completion, and each set costs
 // exactly one post event.
 func TestNotifPostIsOneEvent(t *testing.T) {
 	env := sim.NewEnv()
-	cfg := TeslaT4()
-	cfg.AggGroup = 1
 	q := channel.NewNotifQueue(1 << 8)
-	d := NewDevice(env, cfg, q)
+	d := NewDevice(env, TeslaT4(), q)
 	records := 0
 	buf := make([]channel.Notification, 64)
 	d.OnNotifPosted(func() { records += q.Poll(buf) })
-	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 256, RegsPerThread: 16, BlockDuration: 100 * sim.Microsecond}, KernelID: 1, Instrumented: true}
+	l := &Launch{Spec: &KernelSpec{Name: "k", Blocks: 40, ThreadsPerBlock: 256, RegsPerThread: 16, BlockDuration: 100 * sim.Microsecond}, KernelID: 1, NotifGroup: 1}
 	d.Submit(0, l)
 	for l.state != LaunchRunning {
 		if !env.Step() {

@@ -25,10 +25,10 @@ var observeCases = []struct {
 	{"uninstrumented", func() string {
 		// Uninstrumented launches write no records; one instrumented launch
 		// shares the device with them, so posts still happen.
-		r := newWaveRig(waveConfig(4, 2, 2, 2, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 2, 2, sim.Microsecond), 2)
 		for i, blocks := range []int{11, 6, 3} {
 			l := r.launch(fmt.Sprintf("u%d", i), blocks, 256, sim.Time(3+2*i)*sim.Microsecond, nil)
-			l.Instrumented = false
+			l.NotifGroup = 0
 			r.d.Submit(i%2, l)
 		}
 		r.d.Submit(1, r.launch("i", 7, 512, 4*sim.Microsecond, nil))
@@ -38,7 +38,7 @@ var observeCases = []struct {
 		// Launches placed on an idle device: fewer blocks than SMs, a
 		// split that leaves a remainder, more blocks than fit, and, after
 		// an SM is retired on the idle device, a launch that must avoid it.
-		r := newWaveRig(waveConfig(5, 3, 1, 2, sim.Microsecond))
+		r := newWaveRig(waveConfig(5, 3, 1, sim.Microsecond), 2)
 		logResident := func() { r.tr.logf("resident=%d", r.d.resident) }
 		r.d.Submit(0, r.launch("few", 3, 256, 2*sim.Microsecond, logResident))
 		r.d.env.At(10*sim.Microsecond, func() {
@@ -61,7 +61,7 @@ var observeCases = []struct {
 		// wave kicked first, so the waiter is placed before OnComplete.
 		var out strings.Builder
 		for _, first := range []int{1, 2} {
-			r := newWaveRig(waveConfig(2, 1, 2, 1, sim.Microsecond))
+			r := newWaveRig(waveConfig(2, 1, 2, sim.Microsecond), 1)
 			logResident := func() { r.tr.logf("resident=%d", r.d.resident) }
 			r.d.Submit(0, r.launch(fmt.Sprintf("a%d", first), first, 1024, 10*sim.Microsecond, logResident))
 			if first == 1 {
@@ -78,10 +78,10 @@ var observeCases = []struct {
 		// AggGroup 6 with waves of three blocks: the second wave's
 		// placement and completion counts land exactly on the next record
 		// due, and the first wave's fall short of it.
-		r := newWaveRig(waveConfig(3, 1, 1, 6, sim.Microsecond))
+		r := newWaveRig(waveConfig(3, 1, 1, sim.Microsecond), 6)
 		r.d.Submit(0, r.launch("land", 12, 256, 4*sim.Microsecond, nil))
 		// AggGroup 4 on four SMs: every wave of four lands on a boundary.
-		r2 := newWaveRig(waveConfig(4, 1, 1, 4, sim.Microsecond))
+		r2 := newWaveRig(waveConfig(4, 1, 1, sim.Microsecond), 4)
 		r2.d.Submit(0, r2.launch("land4", 10, 256, 3*sim.Microsecond, nil))
 		return r.finish() + r2.finish()
 	}},

@@ -52,10 +52,9 @@ func TestNotificationConservationProperty(t *testing.T) {
 		env := sim.NewEnv()
 		nq := channel.NewNotifQueue(1 << 12)
 		cfg := Config{
-			Name: "prop", Microarch: Kepler, NumSMs: 4,
+			Name: "prop", NumSMs: 4,
 			SM:          SMResources{MaxBlocks: 16, MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 64 << 10},
 			NumHWQueues: 4,
-			AggGroup:    group,
 		}
 		d := NewDevice(env, cfg, nq)
 		d.Submit(0, &Launch{
@@ -63,8 +62,8 @@ func TestNotificationConservationProperty(t *testing.T) {
 				Name: "k", Blocks: blocks, ThreadsPerBlock: 64, RegsPerThread: 8,
 				BlockDuration: 5 * sim.Microsecond,
 			},
-			KernelID:     9,
-			Instrumented: true,
+			KernelID:   9,
+			NotifGroup: max(group, 1),
 		})
 		env.Run()
 		buf := make([]channel.Notification, 1<<12)

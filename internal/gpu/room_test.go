@@ -16,9 +16,9 @@ import (
 // completion and topology change in order, and the final Stats. With
 // observe set the Env carries a trace recorder and a telemetry meter, so the
 // device takes its per-SM sampling path everywhere. The device has 1–130
-// SMs (up to three room words), AggGroup 1–8, and NotifDelay drawn from the
-// same few values as the block durations, so some kernels' waves complete
-// one SM per event. SMs are retired and restored at random times.
+// SMs (up to three room words), launches have notification group 1–8, and
+// NotifDelay is drawn from the same few values as the block durations, so
+// some kernels' waves complete one SM per event. SMs are retired and restored at random times.
 // CheckInvariants runs after every step.
 func diffLoad(t *testing.T, seed int64, observe bool) string {
 	rng := rand.New(rand.NewSource(seed))
@@ -30,12 +30,12 @@ func diffLoad(t *testing.T, seed int64, observe bool) string {
 	durations := []sim.Time{sim.Microsecond, 2 * sim.Microsecond, 3 * sim.Microsecond, 5 * sim.Microsecond}
 	nsm := 1 + rng.Intn(130)
 	cfg := Config{
-		Name: "diff", Microarch: VoltaMPS, NumSMs: nsm,
+		Name: "diff", NumSMs: nsm,
 		SM:          SMResources{MaxBlocks: 1 + rng.Intn(16), MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 48 << 10},
 		NumHWQueues: 1 + rng.Intn(4),
 		NotifDelay:  durations[rng.Intn(len(durations))],
-		AggGroup:    1 + rng.Intn(8),
 	}
+	agg := 1 + rng.Intn(8)
 	q := channel.NewNotifQueue(1 << 16)
 	d := NewDevice(env, cfg, q)
 	if observe && (d.rec == nil || d.mt == nil) {
@@ -67,8 +67,10 @@ func diffLoad(t *testing.T, seed int64, observe bool) string {
 				RegsPerThread:   1 + rng.Intn(32),
 				BlockDuration:   durations[rng.Intn(len(durations))],
 			},
-			KernelID:     id,
-			Instrumented: rng.Intn(5) > 0,
+			KernelID: id,
+		}
+		if rng.Intn(5) > 0 {
+			l.NotifGroup = agg
 		}
 		l.OnComplete = func() { tr.logf("done %d", id) }
 		qi := rng.Intn(d.NumQueues())
@@ -125,7 +127,7 @@ func TestBareMatchesObservedRandom(t *testing.T) {
 // 512-thread blocks, as on the DNN fleets. Any mix of them fills an SM's
 // 1024 threads exactly, so most SMs are full and the scan skips them by
 // their room bits. The block durations differ, so the waves drift apart;
-// each wave completion kicks a pass that refills the freed SMs. AggGroup 16
+// each wave completion kicks a pass that refills the freed SMs. Group 16
 // puts a notification boundary in some waves but not others. One op is one
 // event: a wave completion, a refill pass or a notification post.
 func BenchmarkPlaceBlocksMixed(b *testing.B) {
@@ -144,9 +146,9 @@ func BenchmarkPlaceBlocksMixed(b *testing.B) {
 		dur     sim.Time
 	}{{256, 10 * sim.Microsecond}, {512, 7 * sim.Microsecond}, {256, 13 * sim.Microsecond}, {512, 11 * sim.Microsecond}} {
 		d.Submit(i, &Launch{
-			Spec:         &KernelSpec{Name: "endless", Blocks: 1 << 40, ThreadsPerBlock: k.threads, RegsPerThread: 16, BlockDuration: k.dur},
-			KernelID:     uint32(i + 1),
-			Instrumented: true,
+			Spec:       &KernelSpec{Name: "endless", Blocks: 1 << 40, ThreadsPerBlock: k.threads, RegsPerThread: 16, BlockDuration: k.dur},
+			KernelID:   uint32(i + 1),
+			NotifGroup: 16,
 		})
 	}
 	for i := 0; i < 1000; i++ {

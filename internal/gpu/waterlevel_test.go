@@ -93,7 +93,7 @@ func FuzzWaterLevel(f *testing.F) {
 		nsm := 1 + int(smsRaw)%108
 		maxB := 1 + int(maxRaw)%32
 		cfg := Config{
-			Name: "fuzz", Microarch: VoltaMPS, NumSMs: nsm,
+			Name: "fuzz", NumSMs: nsm,
 			SM:          SMResources{MaxBlocks: maxB, MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 48 << 10},
 			NumHWQueues: 1,
 		}

@@ -34,15 +34,14 @@ func (tr *transcript) logf(format string, args ...any) {
 	tr.b.WriteByte('\n')
 }
 
-// waveConfig is a small instrumented device: sms SMs of maxBlocks slots
-// and 1024 threads each.
-func waveConfig(sms, maxBlocks, queues, agg int, notifDelay sim.Time) Config {
+// waveConfig is a small device: sms SMs of maxBlocks slots and 1024
+// threads each.
+func waveConfig(sms, maxBlocks, queues int, notifDelay sim.Time) Config {
 	return Config{
-		Name: "wave", Microarch: VoltaMPS, NumSMs: sms,
+		Name: "wave", NumSMs: sms,
 		SM:          SMResources{MaxBlocks: maxBlocks, MaxThreads: 1024, MaxRegisters: 65536, MaxSharedMem: 48 << 10},
 		NumHWQueues: queues,
 		NotifDelay:  notifDelay,
-		AggGroup:    agg,
 	}
 }
 
@@ -53,13 +52,15 @@ type waveRig struct {
 	tr     *transcript
 	d      *Device
 	nextID uint32
+	// agg is the notification group of the rig's launches.
+	agg int
 	// onPost, if set, runs inside the notification hook after the drained
 	// records are logged, standing in for a dispatcher that reacts to the
 	// post by submitting work or changing the device.
 	onPost func()
 }
 
-func newWaveRig(cfg Config) *waveRig {
+func newWaveRig(cfg Config, agg int) *waveRig {
 	env := sim.NewEnv()
 	if observeRigs {
 		env.SetRecorder(trace.New())
@@ -72,7 +73,7 @@ func newWaveRig(cfg Config) *waveRig {
 		panic("observed rig: the device did not pick up its recorder and meter")
 	}
 	buf := make([]channel.Notification, 64)
-	r := &waveRig{tr: tr, d: d}
+	r := &waveRig{tr: tr, d: d, agg: agg}
 	d.OnNotifPosted(func() {
 		// The device state a dispatcher woken by this post would see.
 		tr.logf("post resident=%d completed=%d", d.resident, d.stats.BlocksCompleted)
@@ -104,10 +105,10 @@ var observeRigs bool
 func (r *waveRig) launch(name string, blocks, threads int, dur sim.Time, then func()) *Launch {
 	r.nextID++
 	l := &Launch{
-		Spec:         &KernelSpec{Name: name, Blocks: blocks, ThreadsPerBlock: threads, RegsPerThread: 16, BlockDuration: dur},
-		KernelID:     r.nextID,
-		JobTag:       name,
-		Instrumented: true,
+		Spec:       &KernelSpec{Name: name, Blocks: blocks, ThreadsPerBlock: threads, RegsPerThread: 16, BlockDuration: dur},
+		KernelID:   r.nextID,
+		JobTag:     name,
+		NotifGroup: r.agg,
 	}
 	l.onAllPlaced = func() { r.tr.logf("placed %s", name) }
 	l.OnComplete = func() {
@@ -136,7 +137,7 @@ var waveCases = []struct {
 		// 40 blocks at 4 per SM on 4 SMs: three waves, each putting
 		// several blocks on every SM, with a follow-up kernel submitted
 		// from the first completion.
-		r := newWaveRig(waveConfig(4, 4, 2, 4, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 4, 2, sim.Microsecond), 4)
 		r.d.Submit(0, r.launch("a", 40, 128, 10*sim.Microsecond, func() {
 			r.d.Submit(0, r.launch("a2", 6, 256, 3*sim.Microsecond, nil))
 		}))
@@ -147,7 +148,7 @@ var waveCases = []struct {
 		// Every block posts a record (AggGroup 1) that lands at exactly
 		// the instant the blocks finish, so posts and completions share
 		// timestamps and interleave.
-		r := newWaveRig(waveConfig(3, 2, 2, 1, 2*sim.Microsecond))
+		r := newWaveRig(waveConfig(3, 2, 2, 2*sim.Microsecond), 1)
 		r.d.Submit(0, r.launch("eq", 12, 256, 2*sim.Microsecond, nil))
 		r.d.Submit(1, r.launch("eq2", 3, 256, 2*sim.Microsecond, nil))
 		return r.finish()
@@ -155,16 +156,16 @@ var waveCases = []struct {
 	{"zero-duration", func() string {
 		// Blocks that finish in the instant they are placed, with and
 		// without a zero notification delay.
-		r := newWaveRig(waveConfig(3, 2, 2, 2, 0))
+		r := newWaveRig(waveConfig(3, 2, 2, 0), 2)
 		r.d.Submit(0, r.launch("z0", 9, 256, 0, nil))
 		r.d.Submit(1, r.launch("z1", 4, 256, sim.Microsecond, nil))
 		out := r.finish()
-		r = newWaveRig(waveConfig(3, 2, 2, 2, sim.Microsecond))
+		r = newWaveRig(waveConfig(3, 2, 2, sim.Microsecond), 2)
 		r.d.Submit(0, r.launch("z2", 9, 256, 0, nil))
 		return out + r.finish()
 	}},
 	{"retire-mid-wave", func() string {
-		r := newWaveRig(waveConfig(4, 4, 1, 4, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 4, 1, sim.Microsecond), 4)
 		r.d.Submit(0, r.launch("r", 32, 256, 10*sim.Microsecond, nil))
 		r.d.Submit(0, r.launch("r2", 12, 256, 4*sim.Microsecond, nil))
 		r.d.env.At(5*sim.Microsecond, func() { r.d.RetireSM(1) })
@@ -173,7 +174,7 @@ var waveCases = []struct {
 		return r.finish()
 	}},
 	{"notif-fault", func() string {
-		r := newWaveRig(waveConfig(4, 4, 2, 2, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 4, 2, sim.Microsecond), 2)
 		verdicts := []channel.NotifVerdict{channel.NotifKeep, channel.NotifDrop, channel.NotifDup, channel.NotifKeep, channel.NotifDup, channel.NotifDrop}
 		i := 0
 		r.d.SetNotifFault(func(channel.Notification) channel.NotifVerdict {
@@ -188,7 +189,7 @@ var waveCases = []struct {
 	{"same-duration-one-pass", func() string {
 		// Two launches from two queues placed in the same scheduling pass
 		// with the same block duration: their waves complete together.
-		r := newWaveRig(waveConfig(4, 4, 2, 4, sim.Microsecond))
+		r := newWaveRig(waveConfig(4, 4, 2, sim.Microsecond), 4)
 		r.d.Submit(0, r.launch("p", 6, 256, 8*sim.Microsecond, nil))
 		r.d.Submit(1, r.launch("q", 6, 256, 8*sim.Microsecond, func() {
 			r.d.Submit(0, r.launch("q2", 5, 128, 8*sim.Microsecond, nil))
@@ -203,7 +204,7 @@ var waveCases = []struct {
 		for trial := 0; trial < 6; trial++ {
 			rng := rand.New(rand.NewSource(int64(100 + trial)))
 			delay := sim.Time(1+rng.Intn(3)) * sim.Microsecond
-			r := newWaveRig(waveConfig(2+rng.Intn(5), 1+rng.Intn(6), 1+rng.Intn(3), 1+rng.Intn(4), delay))
+			r := newWaveRig(waveConfig(2+rng.Intn(5), 1+rng.Intn(6), 1+rng.Intn(3), delay), 1+rng.Intn(4))
 			if trial%2 == 1 {
 				n := 0
 				r.d.SetNotifFault(func(channel.Notification) channel.NotifVerdict {
@@ -328,14 +329,14 @@ func TestWaveIsOneEvent(t *testing.T) {
 func TestWaveEventsAllocFree(t *testing.T) {
 	env := sim.NewEnv()
 	q := channel.NewNotifQueue(1 << 10)
-	d := NewDevice(env, waveConfig(4, 4, 2, 4, sim.Microsecond), q)
+	d := NewDevice(env, waveConfig(4, 4, 2, sim.Microsecond), q)
 	buf := make([]channel.Notification, 64)
 	d.OnNotifPosted(func() { q.Poll(buf) })
 	spec := &KernelSpec{Name: "k", Blocks: 24, ThreadsPerBlock: 256, RegsPerThread: 16, BlockDuration: 5 * sim.Microsecond}
 	l := &Launch{}
 	cycle := func() {
 		l.Recycle()
-		l.Spec, l.KernelID, l.Instrumented = spec, 1, true
+		l.Spec, l.KernelID, l.NotifGroup = spec, 1, 4
 		d.Submit(0, l)
 		env.Run()
 	}

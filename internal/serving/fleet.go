@@ -53,15 +53,15 @@ func NewFleet(opts Options) (*Fleet, error) {
 // arrival time, as core.Request i+1 with the request's model, client and
 // tenant. submit delivers it: a cluster.Conn's Submit, or an
 // autoscale.Front's wrapped to return 0 (the Front retries by itself). A
-// -1 result (a full ring, or no routable replica) is retried after the
-// client library's backoff with the request unchanged, so the wait shows
-// in its JCT, for as long as a replica lives. Any other result is final:
-// cluster.Shed means the gateway already failed the request.
+// -1 result (a full ring, or no routable replica) is retried after
+// core.RetryBackoff with the request unchanged, so the wait shows in its
+// JCT. Any other result is final: cluster.Failed means the request already
+// failed, shed by admission or with no replica alive.
 func (f *Fleet) Arrive(trace []workload.Request, submit func(core.Request) int) {
 	var send func(req core.Request)
 	send = func(req core.Request) {
-		if submit(req) == -1 && f.LiveReplicas() > 0 {
-			f.ctrl.After(retryBackoff, func() { send(req) })
+		if submit(req) == -1 {
+			f.ctrl.After(core.RetryBackoff, func() { send(req) })
 		}
 	}
 	for i, r := range trace {

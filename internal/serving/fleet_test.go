@@ -2,9 +2,11 @@ package serving
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"paella/internal/cluster"
 	"paella/internal/core"
 	"paella/internal/gpu"
 	"paella/internal/sim"
@@ -55,6 +57,48 @@ func TestFleetArriveRetriesUnroutable(t *testing.T) {
 		if r.At < drain && rec.Delivered < drain {
 			t.Fatalf("request %d arrived at %v during the drain but was delivered at %v", rec.ID, r.At, rec.Delivered)
 		}
+	}
+}
+
+// TestFleetArriveFailsWithNoLiveReplica crashes both replicas of a 2×T4
+// fleet at 5 ms, inside a trace of 20 arrivals 1 ms apart. Every request
+// must terminate: the ones that arrive after the crash fail with
+// cluster.ErrReplicaCrashed instead of being dropped, so completed + failed
+// equals submitted.
+func TestFleetArriveFailsWithNoLiveReplica(t *testing.T) {
+	opts := tinyOpts()
+	opts.Devices = []gpu.Config{opts.DevCfg, opts.DevCfg}
+	f, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const crashAt = 5 * sim.Millisecond
+	f.Env().At(crashAt, func() { f.Crash(0); f.Crash(1) })
+	var reqs []workload.Request
+	for i := 0; i < 20; i++ {
+		reqs = append(reqs, workload.Request{At: sim.Time(i) * sim.Millisecond, Model: "tinynet", Client: i % 2})
+	}
+	conn := f.Connect()
+	completed, failed, late := 0, 0, 0
+	conn.OnComplete = func(uint64) { completed++ }
+	conn.OnFailed = func(id uint64, err error) {
+		failed++
+		if !errors.Is(err, cluster.ErrReplicaCrashed) {
+			t.Errorf("request %d failed with %v, want cluster.ErrReplicaCrashed", id, err)
+		}
+		if reqs[id-1].At > crashAt {
+			late++
+		}
+	}
+	f.Arrive(reqs, conn.Submit)
+	f.RunUntil(reqs[len(reqs)-1].At + sim.Second)
+
+	if completed+failed != len(reqs) {
+		t.Fatalf("completed %d + failed %d of %d submitted: %d requests never terminated",
+			completed, failed, len(reqs), len(reqs)-completed-failed)
+	}
+	if late == 0 {
+		t.Fatal("no arrival after the crash failed; the trace misses the crash")
 	}
 }
 

@@ -60,10 +60,6 @@ const DefaultMaxBatch = 8
 // dispatcher's watchdog waits on a faulty run.
 const watchdogGrace = 50 * sim.Microsecond
 
-// retryBackoff is the client library's wait before resubmitting a request
-// a full ring (or a fleet without a routable replica) refused.
-const retryBackoff = 20 * sim.Microsecond
-
 // dispatcherConfig is the configuration of a Paella dispatcher in mode
 // under opts, shared by the single-GPU systems and every fleet replica:
 // the VRAM budget and, when gated, dynamic batching and — on a faulty run —
@@ -143,7 +139,7 @@ func (s *paellaSystem) Submit(req workload.Request) {
 
 func (s *paellaSystem) send(req core.Request) {
 	if !s.conns[req.Client].Submit(req) {
-		s.env.After(retryBackoff, func() { s.send(req) })
+		s.env.After(core.RetryBackoff, func() { s.send(req) })
 	}
 }
 
